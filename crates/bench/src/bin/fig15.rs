@@ -11,14 +11,11 @@ use sti_bench::{
 use sti_core::{DistributionAlgorithm, IndexBackend, SingleSplitAlgorithm, SplitBudget};
 use sti_datagen::QuerySetSpec;
 use sti_obs::JsonValue;
-use sti_storage::BufferPolicy;
 
 const BUDGETS: [f64; 8] = [0.0, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 150.0];
 
 /// The scale tier: one bulk-loaded `FileBackend` tree, queried with a
-/// warm shared buffer under both eviction policies. The contrast the
-/// gate watches is `2q` (scan-resistant, with readahead) vs `lru`
-/// (paper policy, no readahead) on identical queries.
+/// warm shared LRU buffer.
 fn scale_tier(scale: Scale) {
     let mut report = BenchReport::new("fig15", &scale);
     let n = scale.tier.objects();
@@ -38,55 +35,24 @@ fn scale_tier(scale: Scale) {
         ]),
     );
 
-    let mut rows = Vec::new();
-    let mut profiles = Vec::new();
-    for (label, policy, readahead) in [
-        ("lru", BufferPolicy::Lru, false),
-        ("2q", BufferPolicy::TwoQ, true),
-    ] {
-        index.set_buffer_policy(policy);
-        index.set_readahead(readahead);
-        index.clear_buffer();
-        index.reset_counters();
-        let profile = warm_query_io_profile(&index, &queries);
-        let ra = index.readahead_stats();
-        let avoided = index.scan_evictions_avoided();
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", profile.avg),
-            profile.p50.to_string(),
-            profile.p95.to_string(),
-            avoided.to_string(),
-            ra.hits.to_string(),
-            ra.wasted.to_string(),
-        ]);
-        report.note(
-            &format!("buffer_{label}"),
-            JsonValue::object([
-                ("scan_evictions_avoided", JsonValue::UInt(avoided)),
-                ("readahead_hits", JsonValue::UInt(ra.hits)),
-                ("readahead_wasted", JsonValue::UInt(ra.wasted)),
-            ]),
-        );
-        profiles.push(series(label, label, profile));
-    }
+    index.clear_buffer();
+    index.reset_counters();
+    let profile = warm_query_io_profile(&index, &queries);
+    let rows = vec![vec![
+        "lru".to_string(),
+        format!("{:.2}", profile.avg),
+        profile.p50.to_string(),
+        profile.p95.to_string(),
+    ]];
     report.table_with_profiles(
         &format!(
             "Figure 15 ({} tier) — {n} bulk-loaded pieces on FileBackend, warm {}-page buffer",
             scale.tier.name(),
             sti_bench::TIER_BUFFER_PAGES,
         ),
-        &[
-            "Policy",
-            "Avg I/O",
-            "p50",
-            "p95",
-            "ScanEvictAvoided",
-            "RA hits",
-            "RA wasted",
-        ],
+        &["Policy", "Avg I/O", "p50", "p95"],
         &rows,
-        profiles,
+        vec![series("lru", "lru", profile)],
     );
     report.finish();
     drop(index);

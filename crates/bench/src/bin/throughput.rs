@@ -29,7 +29,6 @@ use sti_core::{
 };
 use sti_datagen::QuerySetSpec;
 use sti_obs::{JsonValue, QueryStats};
-use sti_storage::BufferPolicy;
 
 /// Power-of-two thread ladder from 1 up to (and always including) `max`.
 fn ladder(max: usize) -> Vec<usize> {
@@ -117,10 +116,9 @@ fn sweep(
 }
 
 /// The scale tier: the thread ladder over one bulk-loaded `FileBackend`
-/// tree in its scale configuration (2Q eviction + readahead), instead
-/// of the in-memory incremental builds. The R\*-Tree baseline is
-/// skipped — incrementally inserting a million boxes is the build cost
-/// this tier exists to avoid.
+/// tree instead of the in-memory incremental builds. The R\*-Tree
+/// baseline is skipped — incrementally inserting a million boxes is the
+/// build cost this tier exists to avoid.
 fn scale_tier(scale: Scale) {
     let mut report = BenchReport::new("throughput", &scale);
     let n = scale.tier.objects();
@@ -136,8 +134,6 @@ fn scale_tier(scale: Scale) {
         tier_records(scale.tier, scale.data.as_deref()),
         "throughput",
     );
-    index.set_buffer_policy(BufferPolicy::TwoQ);
-    index.set_readahead(true);
     let threads = ladder(scale.threads.workers());
     index.set_buffer_shards(*threads.iter().max().unwrap_or(&1));
 
@@ -148,7 +144,7 @@ fn scale_tier(scale: Scale) {
     report.table_with_profiles(
         &format!(
             "Query throughput ({} tier) — {n} bulk-loaded pieces on FileBackend, \
-             {} queries, shared warm 2Q buffer (host has {host} hardware threads)",
+             {} queries, shared warm buffer (host has {host} hardware threads)",
             scale.tier.name(),
             requests.len(),
         ),

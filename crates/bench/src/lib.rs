@@ -224,8 +224,7 @@ pub fn tier_records(
 }
 
 /// Buffer pool size for the warm scale-tier runs: large enough to keep
-/// the directory hot, far too small to cache the leaf level, so the
-/// eviction policy is what is actually measured.
+/// the directory hot, far too small to cache the leaf level.
 pub const TIER_BUFFER_PAGES: usize = 256;
 
 /// Bulk-load a tier's records into a PPR-Tree backed by a fresh
@@ -248,9 +247,8 @@ pub fn bulk_tier_index(
 }
 
 /// The scale-tier query mix: small snapshot probes with every eighth
-/// query a medium interval scan. The scans are the one-shot leaf floods
-/// a scan-resistant buffer exists to absorb; the probes are the hot
-/// directory traffic an LRU loses each time a scan washes its pool.
+/// query a medium interval scan: one-shot leaf floods washing through a
+/// pool that the probes' hot directory traffic wants to keep.
 /// Deterministic: same cardinality, same mix.
 pub fn tier_queries(cardinality: usize) -> Vec<Query> {
     let mut scan_spec = sti_datagen::QuerySetSpec::medium_range();

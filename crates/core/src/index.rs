@@ -10,7 +10,7 @@ use sti_geom::{Rect2, Rect3, Time, TimeInterval};
 use sti_obs::{QueryStats, Span, SpanSink, SpanTimer};
 use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, DeleteError, PprParams, PprTree};
 use sti_rstar::{RStarParams, RStarTree};
-use sti_storage::{BufferPolicy, FaultStats, IoStats, PageStore, ReadaheadStats, StorageError};
+use sti_storage::{FaultStats, IoStats, PageStore, StorageError};
 use sti_trajectory::RasterizedObject;
 
 /// Which index structure backs a [`SpatioTemporalIndex`].
@@ -389,42 +389,6 @@ impl SpatioTemporalIndex {
         match &mut self.backend {
             Backend::Ppr(t) => t.set_buffer_shards(shards),
             Backend::RStar { tree, .. } => tree.set_buffer_shards(shards),
-        }
-    }
-
-    /// Switch the buffer pool eviction policy (LRU is the paper's
-    /// default; 2Q resists one-shot interval scans). The R\*-Tree
-    /// baseline keeps the paper's LRU regardless — the knob exists for
-    /// the PPR backend's scale tier.
-    pub fn set_buffer_policy(&mut self, policy: BufferPolicy) {
-        if let Backend::Ppr(t) = &mut self.backend {
-            t.set_buffer_policy(policy);
-        }
-    }
-
-    /// Enable or disable interval-query readahead (PPR backend only;
-    /// the R\*-Tree has no equivalent descent shape).
-    pub fn set_readahead(&mut self, on: bool) {
-        if let Backend::Ppr(t) = &mut self.backend {
-            t.set_readahead(on);
-        }
-    }
-
-    /// Readahead effectiveness counters (all zero for the R\*-Tree
-    /// backend and whenever readahead is off).
-    pub fn readahead_stats(&self) -> ReadaheadStats {
-        match &self.backend {
-            Backend::Ppr(t) => t.readahead_stats(),
-            Backend::RStar { .. } => ReadaheadStats::default(),
-        }
-    }
-
-    /// Probation evictions the 2Q policy absorbed while protected pages
-    /// stayed resident (0 under LRU and for the R\*-Tree backend).
-    pub fn scan_evictions_avoided(&self) -> u64 {
-        match &self.backend {
-            Backend::Ppr(t) => t.scan_evictions_avoided(),
-            Backend::RStar { .. } => 0,
         }
     }
 

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use sti_geom::{Rect2, Time, TimeInterval};
 use sti_obs::QueryStats;
 use sti_storage::{
-    BufferPolicy, CorruptReason, FaultStats, IoStats, Page, PageBackend, PageId, PageStore,
-    ReadProbe, ReadaheadStats, RetryPolicy, ScratchPool, ShardedBuffer, StorageError,
+    CorruptReason, FaultStats, IoStats, Page, PageBackend, PageId, PageStore, ReadProbe,
+    RetryPolicy, ScratchPool, ShardedBuffer, StorageError,
 };
 
 /// Failure of a [`PprTree::delete`] call. The tree is left unchanged.
@@ -163,11 +163,6 @@ pub struct PprTree {
     alive_records: u64,
     total_posted: u64,
     scratch: ScratchPool<QueryScratch>,
-    /// Interval-query readahead: when a directory node's children will
-    /// *all* be visited, batch-fetch them under one store lock instead
-    /// of one read per child (off by default — the paper's figures
-    /// count individual page reads).
-    readahead: bool,
     /// Tree metadata captured at [`PprTree::begin_batch`], restored by
     /// [`PprTree::rollback_batch`]. `None` outside a batch.
     batch: Option<BatchSnapshot>,
@@ -200,7 +195,6 @@ impl Clone for PprTree {
             alive_records: self.alive_records,
             total_posted: self.total_posted,
             scratch: ScratchPool::new(),
-            readahead: self.readahead,
             batch: self.batch.clone(),
             #[cfg(debug_assertions)]
             debug_mutations: self.debug_mutations,
@@ -251,7 +245,6 @@ impl PprTree {
             alive_records: 0,
             total_posted: 0,
             scratch: ScratchPool::new(),
-            readahead: false,
             batch: None,
             #[cfg(debug_assertions)]
             debug_mutations: 0,
@@ -337,41 +330,6 @@ impl PprTree {
     /// global-LRU figures exactly; see DESIGN.md §6).
     pub fn set_buffer_shards(&mut self, shards: usize) {
         self.store.set_buffer_shards(shards);
-    }
-
-    /// Switch the buffer pool eviction policy (LRU is the paper's
-    /// default; 2Q resists one-shot interval scans — DESIGN.md §10).
-    pub fn set_buffer_policy(&mut self, policy: BufferPolicy) {
-        self.store.set_buffer_policy(policy);
-    }
-
-    /// Current buffer pool eviction policy.
-    pub fn buffer_policy(&self) -> BufferPolicy {
-        self.store.buffer_policy()
-    }
-
-    /// Enable or disable interval-query readahead (batch-fetching all
-    /// children of a fully-matched directory node in one lock
-    /// round-trip). Off by default.
-    pub fn set_readahead(&mut self, on: bool) {
-        self.readahead = on;
-    }
-
-    /// Whether interval-query readahead is enabled.
-    pub fn readahead(&self) -> bool {
-        self.readahead
-    }
-
-    /// Readahead effectiveness counters (hit = prefetched page later
-    /// touched; wasted = evicted or invalidated untouched).
-    pub fn readahead_stats(&self) -> ReadaheadStats {
-        self.store.readahead_stats()
-    }
-
-    /// Probation evictions the 2Q policy absorbed while protected pages
-    /// stayed resident (0 under LRU).
-    pub fn scan_evictions_avoided(&self) -> u64 {
-        self.store.scan_evictions_avoided()
     }
 
     /// Zero the I/O and fault counters without touching buffer
@@ -782,7 +740,6 @@ impl PprTree {
                 .copied(),
         );
         let mut failed = None;
-        let mut ra_pages: Vec<PageId> = Vec::new();
         'roots: for span in spans.iter() {
             let Some(root_range) = span.interval.intersect(range) else {
                 continue;
@@ -797,7 +754,6 @@ impl PprTree {
                     }
                 };
                 stats.nodes_visited += 1;
-                let stack_base = stack.len();
                 for e in &node.entries {
                     stats.entries_scanned += 1;
                     let Some(sub) = e.lifetime().intersect(&clipped) else {
@@ -810,22 +766,6 @@ impl PprTree {
                         seen.insert(e.ptr);
                     } else {
                         stack.push((e.child_page(), sub));
-                    }
-                }
-                // Readahead heuristic: every child of this directory node
-                // matched, so every one of them *will* be read — fetch the
-                // batch now under one store lock. Partially-matched nodes
-                // are left alone (prefetching unvisited siblings would be
-                // guaranteed waste).
-                if self.readahead && !node.is_leaf() && !node.entries.is_empty() {
-                    let pushed = stack.get(stack_base..).unwrap_or(&[]);
-                    if pushed.len() == node.entries.len() {
-                        ra_pages.clear();
-                        ra_pages.extend(pushed.iter().map(|(p, _)| *p));
-                        if let Err(e) = self.store.prefetch(&ra_pages, &mut probe) {
-                            failed = Some(e);
-                            break 'roots;
-                        }
                     }
                 }
             }
@@ -1310,7 +1250,6 @@ impl PprTree {
             alive_records,
             total_posted,
             scratch: ScratchPool::new(),
-            readahead: false,
             batch: None,
             #[cfg(debug_assertions)]
             debug_mutations: 0,

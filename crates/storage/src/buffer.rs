@@ -1,6 +1,6 @@
-//! A small LRU buffer pool, plus a scan-resistant 2Q variant.
+//! A small LRU buffer pool.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Residency key for the buffer pool.
 ///
@@ -30,7 +30,7 @@ const SCAN_MAX_CAPACITY: usize = 32;
 /// [`crate::PageStore`]; the store consults the buffer to decide whether a
 /// read hits the (free) buffer or costs a disk access.
 #[derive(Debug, Clone)]
-pub struct LruBuffer {
+pub(crate) struct LruBuffer {
     capacity: usize,
     inner: Inner,
 }
@@ -57,12 +57,8 @@ impl LruBuffer {
         Self { capacity, inner }
     }
 
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently resident pages.
+    /// Number of currently resident pages (tests).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         match &self.inner {
             Inner::Scan(v) => v.len(),
@@ -70,7 +66,8 @@ impl LruBuffer {
         }
     }
 
-    /// True when no pages are resident.
+    /// True when no pages are resident (tests).
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -135,7 +132,8 @@ impl LruBuffer {
         }
     }
 
-    /// Resident pages, most recently used first (diagnostics and tests).
+    /// Resident pages, most recently used first (tests).
+    #[cfg(test)]
     pub fn resident_mru(&self) -> Vec<BufferKey> {
         match &self.inner {
             Inner::Scan(v) => v.clone(),
@@ -236,6 +234,7 @@ impl MappedLru {
         self.tail = None;
     }
 
+    #[cfg(test)]
     fn resident_mru(&self) -> Vec<BufferKey> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut cursor = self.head;
@@ -274,160 +273,6 @@ impl MappedLru {
             self.map.remove(&self.slots[victim].page);
             self.free.push(victim);
         }
-    }
-}
-
-/// Scan-resistant residency tracking: the 2Q policy of Johnson & Shasha
-/// (VLDB 1994), simplified to the two resident queues plus a ghost list.
-///
-/// * `a1in` — a FIFO probation queue. First-touch pages land here, so a
-///   long sequential scan churns through probation without touching the
-///   protected set.
-/// * `am` — the protected LRU. Pages graduate here on a second touch
-///   (re-referenced while still in probation, or re-fetched while their
-///   key lingers on the ghost list).
-/// * `ghost` — recently evicted probation *keys* (no residency). A miss
-///   whose key is remembered here is re-reference traffic, not scan
-///   traffic, and installs straight into `am`.
-///
-/// Same residency surface as [`LruBuffer`]: `access`/`install`/
-/// `invalidate`/`clear`/`contains`/`len`. Hit/miss accounting stays with
-/// the caller ([`crate::ShardedBuffer`]), so swapping the policy cannot
-/// perturb the conservation invariant Σ shard counters == `IoStats`.
-#[derive(Debug, Clone)]
-pub struct TwoQBuffer {
-    capacity: usize,
-    a1in_cap: usize,
-    ghost_cap: usize,
-    a1in: VecDeque<BufferKey>,
-    am: LruBuffer,
-    ghost: VecDeque<BufferKey>,
-    scan_evictions_avoided: u64,
-}
-
-impl TwoQBuffer {
-    /// A 2Q buffer holding at most `capacity` resident pages: ~1/4 in
-    /// probation, the rest protected, with a ghost list of ~capacity/2
-    /// keys. Capacity 0 disables buffering entirely.
-    pub fn new(capacity: usize) -> Self {
-        let a1in_cap = if capacity == 0 {
-            0
-        } else {
-            (capacity / 4).max(1)
-        };
-        Self {
-            capacity,
-            a1in_cap,
-            ghost_cap: if capacity == 0 {
-                0
-            } else {
-                (capacity / 2).max(1)
-            },
-            a1in: VecDeque::with_capacity(a1in_cap),
-            am: LruBuffer::new(capacity - a1in_cap),
-            ghost: VecDeque::new(),
-            scan_evictions_avoided: 0,
-        }
-    }
-
-    /// Maximum number of resident pages across both queues.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently resident pages.
-    pub fn len(&self) -> usize {
-        self.a1in.len() + self.am.len()
-    }
-
-    /// True when no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if `page` is resident in either queue (recency untouched).
-    pub fn contains(&self, page: BufferKey) -> bool {
-        self.a1in.contains(&page) || self.am.contains(page)
-    }
-
-    /// Probation evictions absorbed while the protected queue held pages
-    /// — each one is a scan page that, under plain LRU over the same
-    /// capacity, could have displaced a protected (hot) page instead.
-    pub fn scan_evictions_avoided(&self) -> u64 {
-        self.scan_evictions_avoided
-    }
-
-    /// Record an access. Returns `true` on a hit (the page was resident);
-    /// on a miss the page becomes resident in probation — or directly in
-    /// the protected queue when its key is still on the ghost list.
-    pub fn access(&mut self, page: BufferKey) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.am.contains(page) {
-            self.am.access(page);
-            return true;
-        }
-        if let Some(idx) = self.a1in.iter().position(|&p| p == page) {
-            // Second touch while on probation: graduate to the protected
-            // queue (unless the configuration has no protected room, in
-            // which case probation keeps it).
-            if self.am.capacity() > 0 {
-                self.a1in.remove(idx);
-                self.am.access(page);
-            }
-            return true;
-        }
-        if let Some(idx) = self.ghost.iter().position(|&p| p == page) {
-            // Re-reference after a probation eviction: not scan traffic.
-            self.ghost.remove(idx);
-            if self.am.capacity() > 0 {
-                self.am.access(page);
-                return false;
-            }
-        }
-        if self.a1in.len() == self.a1in_cap {
-            if let Some(victim) = self.a1in.pop_front() {
-                self.remember_ghost(victim);
-                if !self.am.is_empty() {
-                    self.scan_evictions_avoided += 1;
-                }
-            }
-        }
-        self.a1in.push_back(page);
-        false
-    }
-
-    /// Make `page` resident without reporting hit/miss (write-through
-    /// warming; mirrors [`LruBuffer::install`]).
-    pub fn install(&mut self, page: BufferKey) {
-        self.access(page);
-    }
-
-    /// Drop a page from both resident queues (ghost history is kept: it
-    /// records reference recency, not content).
-    pub fn invalidate(&mut self, page: BufferKey) {
-        self.a1in.retain(|&p| p != page);
-        self.am.invalidate(page);
-    }
-
-    /// Empty residency *and* ghost history, so post-clear behavior
-    /// matches a fresh buffer deterministically. The scan counter is
-    /// preserved: clearing is a cache event, not an accounting reset.
-    pub fn clear(&mut self) {
-        self.a1in.clear();
-        self.am.clear();
-        self.ghost.clear();
-    }
-
-    fn remember_ghost(&mut self, page: BufferKey) {
-        if self.ghost_cap == 0 {
-            return;
-        }
-        if self.ghost.len() == self.ghost_cap {
-            self.ghost.pop_front();
-        }
-        self.ghost.push_back(page);
     }
 }
 
@@ -531,117 +376,6 @@ mod tests {
             x ^= x << 17;
             self.0 = x;
             x
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 2Q policy
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn twoq_zero_capacity_never_hits() {
-        let mut b = TwoQBuffer::new(0);
-        assert!(!b.access(1));
-        assert!(!b.access(1));
-        assert!(b.is_empty());
-        assert_eq!(b.scan_evictions_avoided(), 0);
-    }
-
-    #[test]
-    fn twoq_second_touch_graduates_to_protected() {
-        let mut b = TwoQBuffer::new(8); // a1in 2, am 6
-        assert!(!b.access(1)); // probation
-        assert!(b.access(1)); // graduates to am
-                              // Flood probation with a scan; 1 must stay resident.
-        for p in 10..30u64 {
-            assert!(!b.access(p));
-        }
-        assert!(b.contains(1), "protected page survived the scan");
-    }
-
-    #[test]
-    fn twoq_ghost_hit_installs_protected() {
-        let mut b = TwoQBuffer::new(8); // a1in 2, ghost 4
-        b.access(1); // probation
-        b.access(2);
-        b.access(3); // evicts 1 to ghost
-        assert!(!b.contains(1));
-        assert!(!b.access(1), "ghost hit is still a miss (page was gone)");
-        // ...but it went straight to am: survives another probation flood.
-        for p in 10..20u64 {
-            b.access(p);
-        }
-        assert!(b.contains(1));
-    }
-
-    /// The satellite claim, side by side: a synthetic one-pass scan over
-    /// a large page range leaves the hot (twice-touched) pages resident
-    /// under 2Q, while plain LRU of the same capacity evicts them all.
-    #[test]
-    fn twoq_scan_leaves_hot_pages_resident_where_lru_evicts() {
-        let capacity = 16;
-        let hot: Vec<BufferKey> = (0..4).collect();
-        let mut twoq = TwoQBuffer::new(capacity);
-        let mut lru = LruBuffer::new(capacity);
-        // Warm the hot set with two passes so 2Q promotes them.
-        for _ in 0..2 {
-            for &p in &hot {
-                twoq.access(p);
-                lru.access(p);
-            }
-        }
-        // One sequential scan, 10x the capacity, touching each page once.
-        for p in 100..100 + 10 * capacity as u64 {
-            twoq.access(p);
-            lru.access(p);
-        }
-        for &p in &hot {
-            assert!(twoq.contains(p), "2Q kept hot page {p} through the scan");
-            assert!(!lru.contains(p), "LRU evicted hot page {p} as expected");
-        }
-        assert!(
-            twoq.scan_evictions_avoided() > 0,
-            "probation absorbed the scan evictions"
-        );
-    }
-
-    #[test]
-    fn twoq_invalidate_and_clear() {
-        let mut b = TwoQBuffer::new(8);
-        b.access(1);
-        b.access(1); // am
-        b.access(2); // a1in
-        b.invalidate(1);
-        b.invalidate(2);
-        assert!(!b.contains(1) && !b.contains(2));
-        b.access(3);
-        b.access(3);
-        let counted = b.scan_evictions_avoided();
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.scan_evictions_avoided(), counted, "clear keeps counters");
-        assert!(!b.access(3), "ghost history cleared: cold start");
-    }
-
-    #[test]
-    fn twoq_capacity_one_degenerates_to_probation_only() {
-        let mut b = TwoQBuffer::new(1);
-        assert!(!b.access(7));
-        assert!(b.access(7), "hit without a protected queue stays put");
-        assert!(b.contains(7));
-        assert!(!b.access(8)); // evicts 7
-        assert!(!b.contains(7));
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn twoq_resident_count_never_exceeds_capacity() {
-        let mut b = TwoQBuffer::new(6);
-        let mut rng = XorShift(0xfeed);
-        for _ in 0..2_000 {
-            let p = rng.next() % 19;
-            b.access(p);
-            assert!(b.len() <= 6);
         }
     }
 

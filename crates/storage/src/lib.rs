@@ -42,7 +42,7 @@ pub mod store;
 pub mod wal;
 
 pub use backend::{FileBackend, MemBackend, PageBackend};
-pub use buffer::{BufferKey, LruBuffer, TwoQBuffer};
+pub use buffer::BufferKey;
 pub use checksum::xxh64;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use error::{CorruptReason, IoOp, StorageError};
@@ -50,8 +50,6 @@ pub use fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use persist::{OpenError, Region, SaveCrash};
 pub use retry::{RetryClock, RetryPolicy, SimClock};
-pub use shard::{
-    BufferCounters, BufferPolicy, ReadProbe, ReadaheadStats, ScratchPool, ShardedBuffer,
-};
+pub use shard::{BufferCounters, ReadProbe, ScratchPool, ShardedBuffer};
 pub use store::{FaultStats, IoStats, PageStore};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalConfig, WalError, WalOpen, WalRecord, WalStats};

@@ -1,21 +1,21 @@
 //! Lock-striped buffer pool and per-call read attribution for the
 //! shared (`&self`) read path.
 //!
-//! [`ShardedBuffer`] wraps N independent [`LruBuffer`] shards, each
+//! [`ShardedBuffer`] wraps N independent `LruBuffer` shards, each
 //! behind its own mutex, with pages routed to shards by a multiplicative
 //! hash of the page id. Concurrent readers touching different shards
 //! never contend; readers on the same shard serialize only for the
-//! O(1) LRU bookkeeping. With one shard (the default) the pool is
-//! bit-for-bit equivalent to the old store-owned [`LruBuffer`], which
-//! keeps the paper's sequential figures byte-identical.
+//! O(1) LRU bookkeeping. LRU is the only eviction policy: it is what
+//! the paper measures, and with one shard (the default) the pool is
+//! bit-for-bit a single `LruBuffer`, which keeps the paper's
+//! sequential figures byte-identical.
 //!
 //! Hit/miss counters live *inside* the shards and are summed on demand,
 //! so the global [`crate::IoStats`] is a pure function of per-shard
 //! state — there is no second copy that a test hook or reset path could
 //! desync (see DESIGN.md §6, "Concurrency model").
 
-use crate::buffer::BufferKey;
-use crate::buffer::{LruBuffer, TwoQBuffer};
+use crate::buffer::{BufferKey, LruBuffer};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Merged hit/miss counters across every shard.
@@ -27,179 +27,11 @@ pub struct BufferCounters {
     pub misses: u64,
 }
 
-/// Which eviction policy each shard runs.
-///
-/// The default is plain LRU — the paper's measured configuration, and
-/// the one every committed baseline pins. [`BufferPolicy::TwoQ`] swaps
-/// in the scan-resistant [`TwoQBuffer`] so a bulk interval scan cannot
-/// flush the hot upper tree levels; hit/miss *accounting* is identical
-/// under both policies (it lives in the shard, not the policy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BufferPolicy {
-    /// Least-recently-used eviction (paper configuration).
-    #[default]
-    Lru,
-    /// Scan-resistant 2Q eviction (probation FIFO + protected LRU).
-    TwoQ,
-}
-
-impl BufferPolicy {
-    /// Parse a policy name (`lru` / `2q`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lru" => Some(Self::Lru),
-            "2q" | "twoq" => Some(Self::TwoQ),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BufferPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Lru => "lru",
-            Self::TwoQ => "2q",
-        })
-    }
-}
-
-/// Readahead effectiveness counters, summed across shards.
-///
-/// `hits` + `wasted` never exceeds the number of prefetched pages;
-/// pages still resident and untouched are pending and counted by
-/// neither until they resolve (touched, or swept after eviction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadaheadStats {
-    /// Prefetched pages later served from the buffer.
-    pub hits: u64,
-    /// Prefetched pages evicted (or re-missed) before any touch.
-    pub wasted: u64,
-}
-
-/// The policy-selected residency structure behind one shard.
-#[derive(Debug, Clone)]
-enum PolicyBuffer {
-    Lru(LruBuffer),
-    TwoQ(TwoQBuffer),
-}
-
-impl PolicyBuffer {
-    fn new(policy: BufferPolicy, capacity: usize) -> Self {
-        match policy {
-            BufferPolicy::Lru => Self::Lru(LruBuffer::new(capacity)),
-            BufferPolicy::TwoQ => Self::TwoQ(TwoQBuffer::new(capacity)),
-        }
-    }
-
-    fn access(&mut self, page: BufferKey) -> bool {
-        match self {
-            Self::Lru(b) => b.access(page),
-            Self::TwoQ(b) => b.access(page),
-        }
-    }
-
-    fn install(&mut self, page: BufferKey) {
-        match self {
-            Self::Lru(b) => b.install(page),
-            Self::TwoQ(b) => b.install(page),
-        }
-    }
-
-    fn invalidate(&mut self, page: BufferKey) {
-        match self {
-            Self::Lru(b) => b.invalidate(page),
-            Self::TwoQ(b) => b.invalidate(page),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Lru(b) => b.clear(),
-            Self::TwoQ(b) => b.clear(),
-        }
-    }
-
-    fn contains(&self, page: BufferKey) -> bool {
-        match self {
-            Self::Lru(b) => b.contains(page),
-            Self::TwoQ(b) => b.contains(page),
-        }
-    }
-
-    fn scan_evictions_avoided(&self) -> u64 {
-        match self {
-            Self::Lru(_) => 0,
-            Self::TwoQ(b) => b.scan_evictions_avoided(),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Shard {
-    buf: PolicyBuffer,
+    lru: LruBuffer,
     hits: u64,
     misses: u64,
-    /// Keys installed by readahead and not yet touched by a real read.
-    prefetched: Vec<BufferKey>,
-    readahead_hits: u64,
-    readahead_wasted: u64,
-    /// Scan evictions carried over policy/capacity rebuilds (the live
-    /// count sits inside the 2Q buffer itself).
-    scan_avoided_carry: u64,
-}
-
-impl Shard {
-    fn new(policy: BufferPolicy, capacity: usize) -> Self {
-        Self {
-            buf: PolicyBuffer::new(policy, capacity),
-            hits: 0,
-            misses: 0,
-            prefetched: Vec::new(),
-            readahead_hits: 0,
-            readahead_wasted: 0,
-            scan_avoided_carry: 0,
-        }
-    }
-
-    /// Resolve readahead attribution for `page` after an access that
-    /// `hit` (or missed) the shard. No-op unless readahead is in use.
-    fn note_touch(&mut self, page: BufferKey, hit: bool) {
-        if self.prefetched.is_empty() {
-            return;
-        }
-        if let Some(i) = self.prefetched.iter().position(|&k| k == page) {
-            self.prefetched.swap_remove(i);
-            if hit {
-                self.readahead_hits += 1;
-            } else {
-                // Prefetched, evicted before use, now re-fetched: the
-                // prefetch bought nothing.
-                self.readahead_wasted += 1;
-            }
-        }
-    }
-
-    /// Retire prefetched keys that were evicted without ever being
-    /// touched.
-    fn sweep_prefetched(&mut self) {
-        if self.prefetched.is_empty() {
-            return;
-        }
-        let buf = &self.buf;
-        let mut wasted = 0u64;
-        self.prefetched.retain(|&k| {
-            let resident = buf.contains(k);
-            if !resident {
-                wasted += 1;
-            }
-            resident
-        });
-        self.readahead_wasted += wasted;
-    }
-
-    fn scan_evictions_avoided(&self) -> u64 {
-        self.scan_avoided_carry + self.buf.scan_evictions_avoided()
-    }
 }
 
 /// A lock-striped LRU buffer pool shared by concurrent readers.
@@ -209,12 +41,11 @@ impl Shard {
 /// LRU is *not* global LRU: a hot page in one shard cannot evict a cold
 /// page in another. That skew is bounded by the shard count and is the
 /// price of lock striping; the paper's measured configuration uses one
-/// shard, where the two policies coincide exactly.
+/// shard, where per-shard LRU *is* global LRU.
 #[derive(Debug)]
 pub struct ShardedBuffer {
     shards: Vec<Mutex<Shard>>,
     capacity: usize,
-    policy: BufferPolicy,
 }
 
 impl ShardedBuffer {
@@ -226,20 +57,17 @@ impl ShardedBuffer {
     /// A pool of `shards` independent stripes sharing `capacity` pages.
     /// A shard count of zero is treated as one.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_shards_policy(capacity, shards, BufferPolicy::default())
-    }
-
-    /// A pool with an explicit eviction policy per shard.
-    pub fn with_shards_policy(capacity: usize, shards: usize, policy: BufferPolicy) -> Self {
         let n = shards.max(1);
         let shards = (0..n)
-            .map(|i| Mutex::new(Shard::new(policy, Self::shard_capacity(capacity, n, i))))
+            .map(|i| {
+                Mutex::new(Shard {
+                    lru: LruBuffer::new(Self::shard_capacity(capacity, n, i)),
+                    hits: 0,
+                    misses: 0,
+                })
+            })
             .collect();
-        Self {
-            shards,
-            capacity,
-            policy,
-        }
+        Self { shards, capacity }
     }
 
     /// Pages granted to shard `i` out of `n` sharing `capacity`.
@@ -281,10 +109,9 @@ impl ShardedBuffer {
     /// miss via [`ShardedBuffer::access`]).
     pub fn touch_if_resident(&self, page: BufferKey) -> bool {
         let mut shard = self.shard(page);
-        if shard.buf.contains(page) {
-            shard.buf.access(page);
+        if shard.lru.contains(page) {
+            shard.lru.access(page);
             shard.hits += 1;
-            shard.note_touch(page, true);
             true
         } else {
             false
@@ -296,55 +123,40 @@ impl ShardedBuffer {
     /// miss. Returns whether the access hit.
     pub fn access(&self, page: BufferKey) -> bool {
         let mut shard = self.shard(page);
-        let hit = shard.buf.access(page);
+        let hit = shard.lru.access(page);
         if hit {
             shard.hits += 1;
         } else {
             shard.misses += 1;
         }
-        shard.note_touch(page, hit);
         hit
-    }
-
-    /// Record a readahead fetch: installs `page` and counts a miss (the
-    /// fetch *is* a disk read), remembering the key so a later touch —
-    /// or an eviction without one — settles whether the prefetch paid.
-    pub fn prefetch_install(&self, page: BufferKey) {
-        let mut shard = self.shard(page);
-        shard.sweep_prefetched();
-        let hit = shard.buf.access(page);
-        debug_assert!(!hit, "prefetch_install called for a resident page");
-        shard.misses += 1;
-        if !shard.prefetched.contains(&page) {
-            shard.prefetched.push(page);
-        }
     }
 
     /// Make `page` resident without recording a hit or a miss
     /// (write-through warming; see `PageStore::write` accounting notes).
     pub fn install(&self, page: BufferKey) {
-        self.shard(page).buf.install(page);
+        self.shard(page).lru.install(page);
     }
 
     /// Drop `page` from its shard if resident (no counter movement).
     pub fn invalidate(&self, page: BufferKey) {
-        self.shard(page).buf.invalidate(page);
+        self.shard(page).lru.invalidate(page);
     }
 
     /// Whether `page` is currently resident (no counter movement).
     pub fn resident(&self, page: BufferKey) -> bool {
-        self.shard(page).buf.contains(page)
+        self.shard(page).lru.contains(page)
     }
 
     /// Empty every shard's residency. Counters are preserved: clearing
-    /// the pool is a cache event, not an accounting reset; prefetched
-    /// pages dropped before any touch count as wasted.
+    /// the pool is a cache event, not an accounting reset.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.readahead_wasted += s.prefetched.len() as u64;
-            s.prefetched.clear();
-            s.buf.clear();
+            shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .lru
+                .clear();
         }
     }
 
@@ -360,75 +172,12 @@ impl ShardedBuffer {
     }
 
     /// Zero every shard's hit/miss counters (residency untouched).
-    /// Readahead and scan-resistance counters reset with them: they are
-    /// measurement state, and benchmarks reset between configurations.
     pub fn reset_counters(&self) {
         for shard in &self.shards {
             let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
             s.hits = 0;
             s.misses = 0;
-            s.readahead_hits = 0;
-            s.readahead_wasted = 0;
-            s.prefetched.clear();
-            s.scan_avoided_carry = 0;
-            let cap = match &s.buf {
-                PolicyBuffer::Lru(b) => b.capacity(),
-                PolicyBuffer::TwoQ(b) => b.capacity(),
-            };
-            if matches!(s.buf, PolicyBuffer::TwoQ(_)) {
-                // The live scan counter sits inside the 2Q structure;
-                // rebuilding it is the only way to zero it. Residency is
-                // cleared as a side effect, which reset callers accept
-                // (they reset between measurement phases, not mid-run).
-                s.buf = PolicyBuffer::new(BufferPolicy::TwoQ, cap);
-            }
         }
-    }
-
-    /// The eviction policy shards run.
-    pub fn policy(&self) -> BufferPolicy {
-        self.policy
-    }
-
-    /// Swap the eviction policy, clearing residency but preserving the
-    /// hit/miss and effectiveness counters (conservation sums keep
-    /// holding across reconfiguration).
-    pub fn set_policy(&mut self, policy: BufferPolicy) {
-        self.policy = policy;
-        let n = self.shards.len();
-        let capacity = self.capacity;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let s = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            s.readahead_wasted += s.prefetched.len() as u64;
-            s.prefetched.clear();
-            s.scan_avoided_carry = s.scan_evictions_avoided();
-            s.buf = PolicyBuffer::new(policy, Self::shard_capacity(capacity, n, i));
-        }
-    }
-
-    /// Summed readahead effectiveness counters, after retiring keys that
-    /// were evicted untouched.
-    pub fn readahead_stats(&self) -> ReadaheadStats {
-        let mut out = ReadaheadStats::default();
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.sweep_prefetched();
-            out.hits += s.readahead_hits;
-            out.wasted += s.readahead_wasted;
-        }
-        out
-    }
-
-    /// Summed scan-eviction counter across shards (0 under plain LRU).
-    pub fn scan_evictions_avoided(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .scan_evictions_avoided()
-            })
-            .sum()
     }
 
     /// Replace the capacity, clearing residency but preserving counters
@@ -436,38 +185,23 @@ impl ShardedBuffer {
     /// contract, where counters lived outside the pool).
     pub fn set_capacity(&mut self, capacity: usize) {
         let n = self.shards.len();
-        let policy = self.policy;
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let s = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            s.readahead_wasted += s.prefetched.len() as u64;
-            s.prefetched.clear();
-            s.scan_avoided_carry = s.scan_evictions_avoided();
-            s.buf = PolicyBuffer::new(policy, Self::shard_capacity(capacity, n, i));
+            s.lru = LruBuffer::new(Self::shard_capacity(capacity, n, i));
         }
         self.capacity = capacity;
     }
 
     /// Replace the shard count, clearing residency but preserving the
-    /// total capacity, policy, and merged counters (folded into the
-    /// first shard so conservation sums keep holding).
+    /// total capacity and merged counters (folded into the first shard
+    /// so conservation sums keep holding across reconfiguration).
     pub fn set_shards(&mut self, shards: usize) {
         let carried = self.counters();
-        let mut readahead = self.readahead_stats();
-        // Reconfiguration clears residency, so prefetched keys still
-        // pending are evicted untouched: wasted.
-        for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            readahead.wasted += s.prefetched.len() as u64;
-        }
-        let scans = self.scan_evictions_avoided();
-        let mut fresh = Self::with_shards_policy(self.capacity, shards, self.policy);
+        let mut fresh = Self::with_shards(self.capacity, shards);
         if let Some(first) = fresh.shards.first_mut() {
             let s = first.get_mut().unwrap_or_else(PoisonError::into_inner);
             s.hits = carried.hits;
             s.misses = carried.misses;
-            s.readahead_hits = readahead.hits;
-            s.readahead_wasted = readahead.wasted;
-            s.scan_avoided_carry = scans;
         }
         *self = fresh;
     }
@@ -483,7 +217,6 @@ impl Clone for ShardedBuffer {
         Self {
             shards,
             capacity: self.capacity,
-            policy: self.policy,
         }
     }
 }
@@ -510,11 +243,6 @@ pub struct ReadProbe {
     pub io_faults_injected: u64,
     /// Checksum verifications that failed inside this call.
     pub checksum_failures: u64,
-    /// Pages fetched by interval-query readahead inside this call. These
-    /// are *also* counted in `disk_reads` — readahead batches fetches,
-    /// it does not make them free — so this field attributes, it does
-    /// not add.
-    pub readahead_pages: u64,
 }
 
 impl ReadProbe {
@@ -530,7 +258,6 @@ impl ReadProbe {
         self.io_retries += other.io_retries;
         self.io_faults_injected += other.io_faults_injected;
         self.checksum_failures += other.checksum_failures;
-        self.readahead_pages += other.readahead_pages;
     }
 }
 
@@ -757,7 +484,6 @@ mod tests {
             io_retries: 3,
             io_faults_injected: 4,
             checksum_failures: 5,
-            readahead_pages: 6,
         };
         a.merge(&a.clone());
         assert_eq!(
@@ -768,111 +494,8 @@ mod tests {
                 io_retries: 6,
                 io_faults_injected: 8,
                 checksum_failures: 10,
-                readahead_pages: 12,
             }
         );
-    }
-
-    // ------------------------------------------------------------------
-    // Policy + readahead plumbing
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn policy_parse_and_display_round_trip() {
-        assert_eq!(BufferPolicy::parse("lru"), Some(BufferPolicy::Lru));
-        assert_eq!(BufferPolicy::parse("2q"), Some(BufferPolicy::TwoQ));
-        assert_eq!(BufferPolicy::parse("twoq"), Some(BufferPolicy::TwoQ));
-        assert_eq!(BufferPolicy::parse("mru"), None);
-        assert_eq!(BufferPolicy::Lru.to_string(), "lru");
-        assert_eq!(BufferPolicy::TwoQ.to_string(), "2q");
-    }
-
-    #[test]
-    fn twoq_pool_counts_hits_and_misses_like_lru() {
-        // Accounting is policy-independent: every access lands in
-        // exactly one of hits/misses under either policy.
-        for policy in [BufferPolicy::Lru, BufferPolicy::TwoQ] {
-            let buf = ShardedBuffer::with_shards_policy(8, 2, policy);
-            for p in [1u64, 1, 2, 3, 1, 2, 9, 9] {
-                buf.access(p);
-            }
-            let c = buf.counters();
-            assert_eq!(c.hits + c.misses, 8, "policy {policy}");
-        }
-    }
-
-    #[test]
-    fn set_policy_preserves_counters_and_clears_residency() {
-        let mut buf = ShardedBuffer::new(8);
-        for p in [1u64, 1, 2] {
-            buf.access(p);
-        }
-        let before = buf.counters();
-        buf.set_policy(BufferPolicy::TwoQ);
-        assert_eq!(buf.policy(), BufferPolicy::TwoQ);
-        assert_eq!(buf.counters(), before);
-        assert!(!buf.resident(1), "policy swap clears residency");
-        // 2Q counter survives a later capacity change via the carry.
-        buf.access(10);
-        buf.access(10); // graduate
-        for p in 20..40u64 {
-            buf.access(p); // probation churn
-        }
-        let scans = buf.scan_evictions_avoided();
-        assert!(scans > 0);
-        buf.set_capacity(16);
-        assert_eq!(buf.scan_evictions_avoided(), scans, "carry preserved");
-        buf.set_shards(3);
-        assert_eq!(buf.scan_evictions_avoided(), scans);
-        assert_eq!(buf.counters().hits, before.hits + 1);
-    }
-
-    #[test]
-    fn prefetch_attribution_hit_and_wasted() {
-        let buf = ShardedBuffer::new(4);
-        buf.prefetch_install(1);
-        buf.prefetch_install(2);
-        assert_eq!(buf.counters().misses, 2, "prefetches are disk reads");
-        assert!(buf.resident(1) && buf.resident(2));
-        // A later touch on 1 is a buffer hit AND a readahead hit.
-        assert!(buf.touch_if_resident(1));
-        // Push 2 out before it is ever touched.
-        for p in 10..20u64 {
-            buf.access(p);
-        }
-        let ra = buf.readahead_stats();
-        assert_eq!(ra.hits, 1);
-        assert_eq!(ra.wasted, 1);
-        // Conservation: every access is a hit or a miss, nothing extra.
-        let c = buf.counters();
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 2 + 10);
-    }
-
-    #[test]
-    fn prefetch_then_clear_counts_wasted() {
-        let buf = ShardedBuffer::new(4);
-        buf.prefetch_install(7);
-        buf.clear();
-        assert_eq!(buf.readahead_stats().wasted, 1);
-        assert_eq!(buf.readahead_stats().hits, 0);
-    }
-
-    #[test]
-    fn reset_counters_zeroes_readahead_and_scan_state() {
-        let mut buf = ShardedBuffer::new(8);
-        buf.set_policy(BufferPolicy::TwoQ);
-        buf.prefetch_install(1);
-        buf.access(2);
-        buf.access(2);
-        for p in 10..30u64 {
-            buf.access(p);
-        }
-        assert!(buf.scan_evictions_avoided() > 0);
-        buf.reset_counters();
-        assert_eq!(buf.counters(), BufferCounters::default());
-        assert_eq!(buf.readahead_stats(), ReadaheadStats::default());
-        assert_eq!(buf.scan_evictions_avoided(), 0);
     }
 
     #[test]

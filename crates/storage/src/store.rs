@@ -15,7 +15,7 @@ use crate::buffer::BufferKey;
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
 use crate::retry::{RetryClock, RetryPolicy, SimClock};
-use crate::shard::{BufferPolicy, ReadProbe, ReadaheadStats, ShardedBuffer};
+use crate::shard::{ReadProbe, ShardedBuffer};
 use crate::{Page, PageId, PAGE_SIZE};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -519,50 +519,6 @@ impl PageStore {
             })
     }
 
-    /// Batch-fetch `ids` into the buffer pool ahead of their reads
-    /// (interval-query readahead). Pages already resident are skipped
-    /// without counter movement; each page actually transferred counts
-    /// exactly like a missing read — one shard miss mirrored into
-    /// `probe.disk_reads` — plus a `probe.readahead_pages` attribution,
-    /// so the conservation invariant Σ probes == [`IoStats`] delta is
-    /// preserved by construction. The whole batch runs under one
-    /// exclusive core lock: one lock round-trip instead of one per
-    /// child page.
-    ///
-    /// # Errors
-    /// The first failing transfer aborts the batch (pages fetched before
-    /// it stay resident and stay counted).
-    pub fn prefetch(&self, ids: &[PageId], probe: &mut ReadProbe) -> Result<(), StorageError> {
-        if ids.is_empty() {
-            return Ok(());
-        }
-        let mut core = self.core_write();
-        for &id in ids {
-            let key = buffer_key(self.tag, id);
-            if self.buffer.resident(key) {
-                continue;
-            }
-            if (id as usize) >= core.backend.num_pages() {
-                return Err(StorageError::Unallocated {
-                    op: IoOp::Read,
-                    page: id,
-                    pages: core.backend.num_pages(),
-                });
-            }
-            let injected_before = core.backend.faults_injected();
-            let fetched = self.fetch_verified(&mut core, id, probe);
-            probe.io_faults_injected += core
-                .backend
-                .faults_injected()
-                .saturating_sub(injected_before);
-            fetched?;
-            self.buffer.prefetch_install(key);
-            probe.disk_reads += 1;
-            probe.readahead_pages += 1;
-        }
-        Ok(())
-    }
-
     /// Transfer page `id` from the backend and verify its checksum,
     /// retrying transient failures within the policy budget. On final
     /// failure the backend is quiesced (in-flight transfer corruption
@@ -896,29 +852,6 @@ impl PageStore {
     /// Number of buffer pool lock shards.
     pub fn buffer_shards(&self) -> usize {
         self.buffer.shard_count()
-    }
-
-    /// Switch the buffer pool eviction policy (clears residency, keeps
-    /// accumulated counters — see [`ShardedBuffer::set_policy`]). As
-    /// with capacity, a shared pool is split off first.
-    pub fn set_buffer_policy(&mut self, policy: BufferPolicy) {
-        Arc::make_mut(&mut self.buffer).set_policy(policy);
-    }
-
-    /// Current buffer pool eviction policy.
-    pub fn buffer_policy(&self) -> BufferPolicy {
-        self.buffer.policy()
-    }
-
-    /// Readahead effectiveness counters accumulated by [`Self::prefetch`].
-    pub fn readahead_stats(&self) -> ReadaheadStats {
-        self.buffer.readahead_stats()
-    }
-
-    /// Probation-queue evictions the 2Q policy absorbed while protected
-    /// pages stayed resident (0 under LRU).
-    pub fn scan_evictions_avoided(&self) -> u64 {
-        self.buffer.scan_evictions_avoided()
     }
 
     /// The save epoch this store was loaded at (0 for a fresh store);

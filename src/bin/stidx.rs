@@ -38,7 +38,7 @@ use spatiotemporal_index::obs::MetricSet;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::rstar::RStarTree;
 use spatiotemporal_index::server::cli::{parse_flags, Flags};
-use spatiotemporal_index::storage::{BufferPolicy, FileBackend, FsyncPolicy, PageStore, WalConfig};
+use spatiotemporal_index::storage::{FileBackend, FsyncPolicy, PageStore, WalConfig};
 use spatiotemporal_index::trajectory::RasterizedObject;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -55,7 +55,7 @@ const USAGE: &str = "usage:
   stidx build    --data FILE --out FILE --bulk [--scale-stats]
   stidx query    --index FILE --backend ppr|rstar
                  --area x0,y0,x1,y1 --time T [--until T2]
-                 [--threads auto|seq|N] [--policy lru|2q] [--readahead]
+                 [--threads auto|seq|N]
   stidx nearest  --index FILE --backend ppr
                  --point x,y --time T [--k 5]
   stidx ingest   --data FILE --out FILE [--commit-every N]
@@ -81,8 +81,7 @@ const USAGE: &str = "usage:
   --metrics FILE (any position) writes counters from the run — per-query
   I/O, build phase timings, index gauges — in Prometheus text format, or
   JSON when FILE ends in .json. A --bulk build exports
-  bulk_pages_written; a --policy/--readahead query exports
-  buffer_scan_evictions_avoided and readahead_pages_{hit,wasted}.";
+  bulk_pages_written.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -179,10 +178,8 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
             &["bulk", "scale-stats"],
         ),
         "query" => (
-            &[
-                "index", "backend", "area", "time", "until", "threads", "policy",
-            ],
-            &["readahead"],
+            &["index", "backend", "area", "time", "until", "threads"],
+            &[],
         ),
         "nearest" => (&["index", "backend", "point", "time", "k"], &[]),
         "ingest" => (
@@ -928,27 +925,11 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         None => 1,
     };
 
-    let policy = match opts.get("policy") {
-        Some(p) => Some(
-            BufferPolicy::parse(p)
-                .ok_or_else(|| format!("unknown buffer policy {p} (expected lru or 2q)"))?,
-        ),
-        None => None,
-    };
-    let readahead = opts.has("readahead");
-    if (policy.is_some() || readahead) && backend == IndexBackend::RStar {
-        return Err("--policy and --readahead apply to the ppr backend only".into());
-    }
-
     let (mut ids, qs) = match backend {
         IndexBackend::PprTree => {
             let mut tree = PprTree::open_file(&path)
                 .map_err(|e| format!("opening {}: {e}", path.display()))?;
             tree.reset_for_query();
-            if let Some(p) = policy {
-                tree.set_buffer_policy(p);
-            }
-            tree.set_readahead(readahead);
             if workers > 1 {
                 tree.set_buffer_shards(workers);
             }
@@ -975,22 +956,6 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
                     Ok(ids)
                 })?;
             }
-            let ra = tree.readahead_stats();
-            metrics.gauge(
-                "buffer_scan_evictions_avoided",
-                "probation evictions the 2Q policy absorbed while protected pages stayed resident",
-                tree.scan_evictions_avoided() as f64,
-            );
-            metrics.gauge(
-                "readahead_pages_hit",
-                "prefetched pages later touched by the query",
-                ra.hits as f64,
-            );
-            metrics.gauge(
-                "readahead_pages_wasted",
-                "prefetched pages evicted or invalidated untouched",
-                ra.wasted as f64,
-            );
             (out, qs)
         }
         IndexBackend::RStar => {

@@ -230,6 +230,14 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
             "missing fault counter {counter}:\n{metrics}"
         );
     }
+    // One eviction policy, no readahead: no gauges for either.
+    for gone in [
+        "buffer_scan_evictions_avoided",
+        "readahead_pages_hit",
+        "readahead_pages_wasted",
+    ] {
+        assert!(!metrics.contains(gone), "stale gauge {gone}:\n{metrics}");
+    }
 
     // `.json` extension switches the serializer.
     let json = temp("stats.json");
@@ -317,6 +325,23 @@ fn unknown_and_duplicate_flags_are_refused_with_suggestions() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // The buffer pool has one eviction policy and no readahead, so
+    // there is no flag to select either.
+    for removed in [&["--policy", "2q"][..], &["--readahead"]] {
+        let out = stidx()
+            .args(["query", "--index", "/tmp/x", "--backend", "ppr"])
+            .args(["--area", "0,0,1,1", "--time", "1"])
+            .args(removed)
+            .output()
+            .expect("run");
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {}", removed[0])),
+            "{err}"
+        );
+    }
 
     // Duplicates are ambiguous, not last-one-wins.
     let out = stidx()

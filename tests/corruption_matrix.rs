@@ -18,8 +18,9 @@ fn temp(name: &str) -> PathBuf {
 
 /// A deliberately tiny index so the byte-exhaustive sweep stays fast:
 /// a handful of pages, every structural region (header, meta, free
-/// list, pages, trailer) present.
-fn tiny_ppr_image() -> Vec<u8> {
+/// list, pages, trailer) present. `name` keeps each caller's scratch file
+/// apart: the tests of this binary run in parallel in one process.
+fn tiny_ppr_image(name: &str) -> Vec<u8> {
     let mut tree = PprTree::new(PprParams {
         max_entries: 10,
         buffer_pages: 4,
@@ -36,7 +37,7 @@ fn tiny_ppr_image() -> Vec<u8> {
     for i in (0..32u64).step_by(4) {
         tree.delete(i, rect_for(i), 40 + i as u32).unwrap();
     }
-    let path = temp("ppr-src");
+    let path = temp(name);
     tree.save_to_file(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read image");
     std::fs::remove_file(&path).ok();
@@ -49,7 +50,7 @@ fn tiny_ppr_image() -> Vec<u8> {
 /// must never go completely unnoticed.
 #[test]
 fn every_single_byte_flip_is_detected_without_panicking() {
-    let pristine = tiny_ppr_image();
+    let pristine = tiny_ppr_image("ppr-flip-src");
     assert!(
         pristine.len() < 40 * PAGE_SIZE,
         "matrix input grew too large to sweep: {} bytes",
@@ -85,7 +86,7 @@ fn every_single_byte_flip_is_detected_without_panicking() {
 /// reject every prefix of a valid image.
 #[test]
 fn every_truncation_point_fails_closed() {
-    let pristine = tiny_ppr_image();
+    let pristine = tiny_ppr_image("ppr-trunc-src");
     let path = temp("ppr-trunc");
     let header_cuts = 0..pristine.len().min(PAGE_SIZE);
     let page_cuts = (1..)
