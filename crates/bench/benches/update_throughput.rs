@@ -1,13 +1,12 @@
-//! Criterion micro-bench: update throughput of the persistent
-//! structures and the online splitter.
+//! Criterion micro-bench: update throughput of the PPR-Tree and the
+//! online splitter.
 //!
-//! The PPR-Tree amortizes version splits; the HR-Tree path-copies every
-//! update; the online splitter is O(1) per observation.
+//! The PPR-Tree amortizes version splits; the online splitter is O(1)
+//! per observation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sti_core::online::{OnlineSplitConfig, OnlineSplitter};
 use sti_geom::Rect2;
-use sti_hrtree::{HrParams, HrTree};
 use sti_pprtree::{PprParams, PprTree};
 
 /// A deterministic churn workload: (id, rect, t, is_insert).
@@ -33,19 +32,6 @@ fn bench_updates(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("PPR-Tree", n), &ops, |b, ops| {
             b.iter(|| {
                 let mut t = PprTree::new(PprParams::default());
-                for &(id, r, at, ins) in ops {
-                    if ins {
-                        t.insert(id, r, at).unwrap();
-                    } else {
-                        t.delete(id, r, at).unwrap();
-                    }
-                }
-                t.num_pages()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("HR-Tree", n), &ops, |b, ops| {
-            b.iter(|| {
-                let mut t = HrTree::new(HrParams::default());
                 for &(id, r, at, ins) in ops {
                     if ins {
                         t.insert(id, r, at).unwrap();

@@ -88,8 +88,8 @@ impl QueryExecutor {
 
     /// Fan any per-item query closure across the executor's workers,
     /// collecting results in input order. The generalization behind
-    /// [`QueryExecutor::run`]: benches use it to drive raw trees or the
-    /// hybrid index with the same scheduling.
+    /// [`QueryExecutor::run`]: benches use it to drive raw trees or a
+    /// routing closure with the same scheduling.
     pub fn run_with<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

@@ -8,7 +8,7 @@ use crate::single::SingleSplitAlgorithm;
 use std::time::Duration;
 use sti_geom::{Rect2, Rect3, Time, TimeInterval};
 use sti_obs::{QueryStats, Span, SpanSink, SpanTimer};
-use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, DeleteError, PprParams, PprTree};
+use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, PprParams, PprTree};
 use sti_rstar::{RStarParams, RStarTree};
 use sti_storage::{FaultStats, IoStats, PageStore, StorageError};
 use sti_trajectory::RasterizedObject;
@@ -459,18 +459,7 @@ impl SpatioTemporalIndex {
 fn build_ppr(records: &[ObjectRecord], params: PprParams) -> Result<PprTree, StorageError> {
     let mut tree = PprTree::new(params);
     for (t, ev, i) in crate::plan::record_events(records) {
-        let r = &records[i];
-        match ev {
-            crate::plan::RecordEvent::Insert => tree.insert(r.id, r.stbox.rect, t)?,
-            crate::plan::RecordEvent::Delete => match tree.delete(r.id, r.stbox.rect, t) {
-                Ok(()) => {}
-                Err(DeleteError::Storage(e)) => return Err(e),
-                Err(e @ DeleteError::NotFound { .. }) => {
-                    // stilint::allow(no_panic, "record_events derives every delete from a record it also emits an insert for, and deletes sort before inserts at equal times")
-                    panic!("every delete event matches an earlier insert: {e}")
-                }
-            },
-        }
+        ev.apply(&mut tree, &records[i], t)?;
     }
     Ok(tree)
 }

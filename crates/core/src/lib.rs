@@ -16,7 +16,6 @@
 
 pub mod curve;
 pub mod executor;
-pub mod hybrid;
 pub mod index;
 pub mod multi;
 pub mod online;
@@ -31,7 +30,6 @@ pub mod version;
 
 pub use curve::VolumeCurve;
 pub use executor::{QueryExecutor, QueryOutcome, QueryRequest};
-pub use hybrid::{HybridConfig, HybridIndex};
 pub use index::{BuildStats, IndexBackend, IndexConfig, SpatioTemporalIndex};
 pub use multi::{DistributionAlgorithm, SplitAllocation};
 pub use online::{

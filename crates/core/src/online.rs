@@ -23,7 +23,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use sti_geom::{Rect2, StBox, Time, TimeInterval};
 use sti_obs::QueryStats;
-use sti_pprtree::{DeleteError, PprParams, PprTree};
+use sti_pprtree::{PprParams, PprTree};
 use sti_storage::StorageError;
 
 /// Failure of an [`OnlineSplitter::observe`] (or
@@ -627,27 +627,6 @@ impl OnlineIndexer {
         self.splitter.watermark().unwrap_or(self.now)
     }
 
-    fn apply_event(&mut self, ev: &Ev) -> Result<(), StorageError> {
-        match ev.kind {
-            RecordEvent::Insert => self
-                .tree
-                .insert(ev.record.id, ev.record.stbox.rect, ev.time),
-            RecordEvent::Delete => {
-                match self
-                    .tree
-                    .delete(ev.record.id, ev.record.stbox.rect, ev.time)
-                {
-                    Ok(()) => Ok(()),
-                    Err(DeleteError::Storage(e)) => Err(e),
-                    Err(e @ DeleteError::NotFound { .. }) => {
-                        // stilint::allow(no_panic, "record_events pairs each delete with the insert it buffered earlier, and deletes sort before inserts at equal times")
-                        panic!("every buffered delete matches an earlier insert: {e}")
-                    }
-                }
-            }
-        }
-    }
-
     fn flush(&mut self) -> Result<(), StorageError> {
         let w = self.watermark();
         loop {
@@ -658,7 +637,7 @@ impl OnlineIndexer {
                 break;
             }
             let Reverse(ev) = std::collections::binary_heap::PeekMut::pop(top);
-            if let Err(e) = self.apply_event(&ev) {
+            if let Err(e) = ev.kind.apply(&mut self.tree, &ev.record, ev.time) {
                 // The tree update rolled back; requeue the event (same
                 // seq, so ordering is preserved) and surface the error.
                 self.buffer.push(Reverse(ev));
@@ -703,13 +682,7 @@ impl OnlineIndexer {
     /// nothing worth resuming — rebuild from the stream instead).
     pub fn seal(mut self, end: Time) -> Result<PprTree, StorageError> {
         assert!(end >= self.now);
-        let open: Vec<(u64, Time)> = self
-            .splitter
-            .open
-            .iter()
-            .map(|(&id, p)| (id, p.last))
-            .collect();
-        for (id, last) in open {
+        for (id, last) in self.splitter.open_last_instants() {
             // `finish` keeps the splitter's start multiset consistent;
             // each object's final piece ends one past its last
             // observation.
@@ -722,7 +695,7 @@ impl OnlineIndexer {
         }
         // Everything is closed: flush the buffer completely, in order.
         while let Some(Reverse(ev)) = self.buffer.pop() {
-            self.apply_event(&ev)?;
+            ev.kind.apply(&mut self.tree, &ev.record, ev.time)?;
         }
         Ok(self.tree)
     }

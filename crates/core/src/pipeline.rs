@@ -50,7 +50,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 use sti_geom::{Rect2, Time};
 use sti_obs::MetricSet;
-use sti_pprtree::{DeleteError, PprParams, PprTree};
+use sti_pprtree::{PprParams, PprTree};
 use sti_storage::{MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
 
 /// One queued ingest operation, mirroring the [`crate::online`] calls.
@@ -525,7 +525,7 @@ impl IngestPipeline {
             .lag
             .iter()
             .chain(self.pending.iter())
-            .try_for_each(|ev| apply_event(&mut tree, ev));
+            .try_for_each(|ev| ev.kind.apply(&mut tree, &ev.record, ev.time));
 
         match applied {
             Err(e) => {
@@ -1085,24 +1085,6 @@ impl IngestPipeline {
                 panic!("{e}");
             }
         }
-    }
-}
-
-/// Apply one finalized event to a tree. Mirrors
-/// [`crate::online::OnlineIndexer`]'s apply step: a delete that finds
-/// nothing is a bug (every buffered delete pairs with the insert
-/// buffered before it), not an I/O condition.
-fn apply_event(tree: &mut PprTree, ev: &Ev) -> Result<(), StorageError> {
-    match ev.kind {
-        RecordEvent::Insert => tree.insert(ev.record.id, ev.record.stbox.rect, ev.time),
-        RecordEvent::Delete => match tree.delete(ev.record.id, ev.record.stbox.rect, ev.time) {
-            Ok(()) => Ok(()),
-            Err(DeleteError::Storage(e)) => Err(e),
-            Err(e @ DeleteError::NotFound { .. }) => {
-                // stilint::allow(no_panic, "record events pair each delete with the insert buffered before it, and deletes sort first at equal times")
-                panic!("every buffered delete matches an earlier insert: {e}")
-            }
-        },
     }
 }
 

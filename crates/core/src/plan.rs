@@ -9,6 +9,8 @@ use crate::single::{piecewise_cuts, SingleSplitAlgorithm};
 use crate::VolumeCurve;
 use std::time::{Duration, Instant};
 use sti_geom::StBox;
+use sti_pprtree::{DeleteError, PprTree};
+use sti_storage::StorageError;
 use sti_trajectory::RasterizedObject;
 
 /// How many splits to spend on a dataset.
@@ -316,6 +318,32 @@ pub enum RecordEvent {
     Delete,
     /// The record's lifetime starts at this instant.
     Insert,
+}
+
+impl RecordEvent {
+    /// Apply this event for `record` at instant `t` — the one ingest
+    /// step behind the offline build, [`crate::OnlineIndexer`] and the
+    /// live pipeline. A delete that finds nothing is a bug, not an I/O
+    /// condition: every event stream pairs each delete with the insert
+    /// it emitted earlier.
+    pub(crate) fn apply(
+        self,
+        tree: &mut PprTree,
+        record: &ObjectRecord,
+        t: sti_geom::Time,
+    ) -> Result<(), StorageError> {
+        match self {
+            RecordEvent::Insert => tree.insert(record.id, record.stbox.rect, t),
+            RecordEvent::Delete => match tree.delete(record.id, record.stbox.rect, t) {
+                Ok(()) => Ok(()),
+                Err(DeleteError::Storage(e)) => Err(e),
+                Err(e @ DeleteError::NotFound { .. }) => {
+                    // stilint::allow(no_panic, "every event stream derives each delete from a record it also emits an insert for, and deletes sort before inserts at equal times")
+                    panic!("every delete event matches an earlier insert: {e}")
+                }
+            },
+        }
+    }
 }
 
 /// Expand records into the time-ordered update stream the partially

@@ -1,18 +1,16 @@
-//! Cost models for the partially persistent structures (after Tao &
-//! Papadias, ICDE 2002 — reference \[26\] of the paper: "Cost models for
-//! overlapping and multi-version structures").
+//! Cost model for the multi-version partially persistent structure
+//! (after Tao & Papadias, ICDE 2002 — reference \[26\] of the paper:
+//! "Cost models for overlapping and multi-version structures").
 //!
 //! The PPR-Tree behaves like an ephemeral 2D R-Tree per time instant, so
 //! its query cost is the 2D [`RTreeCostModel`] over the records *alive*
 //! at the query instant; interval queries add the records that turn over
-//! during the window. Storage is linear in the number of updates for the
-//! multi-version approach and `height × updates` for the overlapping
-//! approach — the asymmetry §II cites.
+//! during the window. Storage is linear in the number of updates.
 
 use crate::RTreeCostModel;
 
-/// Analytical model for multi-version (PPR) and overlapping (HR)
-/// partial-persistence structures.
+/// Analytical model for the multi-version (PPR) partial-persistence
+/// structure.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiVersionCostModel {
     /// The underlying R-Tree model (fanout assumption).
@@ -77,15 +75,6 @@ impl MultiVersionCostModel {
         // The classic ~69% average page utilization.
         (leaf_slots / (0.69 * b)) * (1.0 + 1.0 / b)
     }
-
-    /// Predicted disk pages for the *overlapping* store: every update
-    /// copies a root-to-leaf path of the ephemeral tree over `alive_avg`
-    /// records.
-    pub fn hr_pages(&self, updates: usize, alive_avg: f64) -> f64 {
-        let b = self.page_capacity as f64;
-        let height = 1.0 + (alive_avg.max(b) / b).log(b.max(2.0)).max(0.0).ceil();
-        updates as f64 * height
-    }
 }
 
 #[cfg(test)]
@@ -102,17 +91,6 @@ mod tests {
         let long = m.interval_cost(2000, s, q, 50, 50.0);
         assert!((snap - one).abs() < 1e-9, "duration 1 equals a snapshot");
         assert!(long > one, "longer windows touch more records");
-    }
-
-    #[test]
-    fn overlapping_storage_dwarfs_multiversion() {
-        // The §II claim, in model form: for any realistic update count
-        // the HR prediction is at least an order of magnitude larger.
-        let m = MultiVersionCostModel::default();
-        let updates = 50_000;
-        let ppr = m.ppr_pages(updates);
-        let hr = m.hr_pages(updates, 2500.0);
-        assert!(hr > ppr * 10.0, "hr {hr} vs ppr {ppr}");
     }
 
     #[test]

@@ -204,7 +204,6 @@ pub fn classify_full(rel: &str) -> Classification {
         no_process_io: true,
         no_io_unwrap: rel.starts_with("crates/storage/")
             || rel.starts_with("crates/pprtree/")
-            || rel.starts_with("crates/hrtree/")
             || rel.starts_with("crates/rstar/")
             || rel == "crates/core/src/recover.rs",
         panic_path: true,
@@ -695,7 +694,6 @@ mod tests {
         assert!(storage.no_panic && storage.narrowing_cast && !storage.float_eq);
         assert!(storage.no_io_unwrap);
         assert!(classify("crates/pprtree/src/tree.rs").no_io_unwrap);
-        assert!(classify("crates/hrtree/src/tree.rs").no_io_unwrap);
         assert!(classify("crates/rstar/src/knn.rs").no_io_unwrap);
         // The durability layer handles storage I/O even though it lives
         // outside crates/storage/: the WAL via the storage prefix, the

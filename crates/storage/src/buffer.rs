@@ -12,58 +12,53 @@ use std::collections::HashMap;
 /// verbatim.
 pub type BufferKey = u64;
 
-/// Largest capacity served by the plain-`Vec` scan implementation.
-///
-/// The paper's buffer is 10 pages, where a linear scan over a dense
-/// `Vec` beats any pointer structure. `ablation_buffer` sweeps far past
-/// that, and at hundreds of pages the O(capacity) scan per touch turns
-/// quadratic-ish over a query batch — so larger capacities switch to an
-/// index-arena linked list with a position map (O(1) per touch). The
-/// two implementations are behaviorally identical; a test pins their
-/// hit/miss/eviction sequences against each other across capacities.
-const SCAN_MAX_CAPACITY: usize = 32;
-
 /// Tracks which pages are resident in the buffer pool, with
 /// least-recently-used eviction.
 ///
 /// The buffer only tracks *residency* — page bytes live in the
 /// [`crate::PageStore`]; the store consults the buffer to decide whether a
 /// read hits the (free) buffer or costs a disk access.
+///
+/// O(1) per touch at any capacity: `map` finds a page's slot, the slot
+/// links maintain recency order (`head` = most recent, `tail` = eviction
+/// victim), and `free` recycles slots so the arena never exceeds the
+/// capacity.
 #[derive(Debug, Clone)]
 pub(crate) struct LruBuffer {
     capacity: usize,
-    inner: Inner,
+    slots: Vec<Slot>,
+    map: HashMap<BufferKey, usize>,
+    free: Vec<usize>,
+    head: Option<usize>,
+    tail: Option<usize>,
 }
 
-#[derive(Debug, Clone)]
-enum Inner {
-    /// Resident pages, most recently used first. O(capacity) per touch,
-    /// fastest at the paper's tiny buffer sizes.
-    Scan(Vec<BufferKey>),
-    /// Doubly linked recency list over a slot arena plus a page→slot
-    /// map. O(1) per touch, used above [`SCAN_MAX_CAPACITY`].
-    Mapped(MappedLru),
+/// One arena slot of the linked recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: BufferKey,
+    prev: Option<usize>,
+    next: Option<usize>,
 }
 
 impl LruBuffer {
     /// Create a buffer holding at most `capacity` pages. A capacity of 0
     /// disables buffering (every read is a disk access).
     pub fn new(capacity: usize) -> Self {
-        let inner = if capacity <= SCAN_MAX_CAPACITY {
-            Inner::Scan(Vec::with_capacity(capacity))
-        } else {
-            Inner::Mapped(MappedLru::new(capacity))
-        };
-        Self { capacity, inner }
+        Self {
+            capacity,
+            slots: Vec::with_capacity(capacity),
+            map: HashMap::with_capacity(capacity),
+            free: Vec::new(),
+            head: None,
+            tail: None,
+        }
     }
 
     /// Number of currently resident pages (tests).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Scan(v) => v.len(),
-            Inner::Mapped(m) => m.map.len(),
-        }
+        self.map.len()
     }
 
     /// True when no pages are resident (tests).
@@ -74,10 +69,7 @@ impl LruBuffer {
 
     /// True if `page` is resident (does not touch recency).
     pub fn contains(&self, page: BufferKey) -> bool {
-        match &self.inner {
-            Inner::Scan(v) => v.contains(&page),
-            Inner::Mapped(m) => m.map.contains_key(&page),
-        }
+        self.map.contains_key(&page)
     }
 
     /// Record an access to `page`. Returns `true` on a buffer hit, `false`
@@ -87,24 +79,30 @@ impl LruBuffer {
         if self.capacity == 0 {
             return false;
         }
-        let capacity = self.capacity;
-        match &mut self.inner {
-            Inner::Scan(resident) => {
-                if let Some(idx) = resident.iter().position(|&p| p == page) {
-                    // Move to front.
-                    let p = resident.remove(idx);
-                    resident.insert(0, p);
-                    true
-                } else {
-                    if resident.len() == capacity {
-                        resident.pop();
-                    }
-                    resident.insert(0, page);
-                    false
-                }
+        if let Some(&slot) = self.map.get(&page) {
+            if self.head != Some(slot) {
+                self.unlink(slot);
+                self.link_front(slot);
             }
-            Inner::Mapped(m) => m.access(page, capacity),
+            return true;
         }
+        if self.map.len() == self.capacity {
+            self.evict_tail();
+        }
+        let slot = if let Some(reused) = self.free.pop() {
+            self.slot(reused).page = page;
+            reused
+        } else {
+            self.slots.push(Slot {
+                page,
+                prev: None,
+                next: None,
+            });
+            self.slots.len() - 1
+        };
+        self.link_front(slot);
+        self.map.insert(page, slot);
+        false
     }
 
     /// Make `page` resident at the most-recent position without reporting
@@ -118,115 +116,14 @@ impl LruBuffer {
     /// Drop a page from the buffer (e.g., when its content is rewritten
     /// from scratch and the caller wants the next read to count).
     pub fn invalidate(&mut self, page: BufferKey) {
-        match &mut self.inner {
-            Inner::Scan(v) => v.retain(|&p| p != page),
-            Inner::Mapped(m) => m.invalidate(page),
-        }
-    }
-
-    /// Empty the buffer. The paper resets the buffer before every query.
-    pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Scan(v) => v.clear(),
-            Inner::Mapped(m) => m.clear(),
-        }
-    }
-
-    /// Resident pages, most recently used first (tests).
-    #[cfg(test)]
-    pub fn resident_mru(&self) -> Vec<BufferKey> {
-        match &self.inner {
-            Inner::Scan(v) => v.clone(),
-            Inner::Mapped(m) => m.resident_mru(),
-        }
-    }
-
-    /// Force the scan implementation regardless of capacity (tests).
-    #[cfg(test)]
-    fn new_scan(capacity: usize) -> Self {
-        Self {
-            capacity,
-            inner: Inner::Scan(Vec::with_capacity(capacity)),
-        }
-    }
-
-    /// Force the mapped implementation regardless of capacity (tests).
-    #[cfg(test)]
-    fn new_mapped(capacity: usize) -> Self {
-        Self {
-            capacity,
-            inner: Inner::Mapped(MappedLru::new(capacity)),
-        }
-    }
-}
-
-/// One arena slot of the linked recency list.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    page: BufferKey,
-    prev: Option<usize>,
-    next: Option<usize>,
-}
-
-/// O(1) LRU: `map` finds a page's slot, the slot links maintain recency
-/// order (`head` = most recent, `tail` = eviction victim), and `free`
-/// recycles slots so the arena never exceeds the capacity.
-#[derive(Debug, Clone)]
-struct MappedLru {
-    slots: Vec<Slot>,
-    map: HashMap<BufferKey, usize>,
-    free: Vec<usize>,
-    head: Option<usize>,
-    tail: Option<usize>,
-}
-
-impl MappedLru {
-    fn new(capacity: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
-            free: Vec::new(),
-            head: None,
-            tail: None,
-        }
-    }
-
-    fn access(&mut self, page: BufferKey, capacity: usize) -> bool {
-        if let Some(&slot) = self.map.get(&page) {
-            if self.head != Some(slot) {
-                self.unlink(slot);
-                self.link_front(slot);
-            }
-            true
-        } else {
-            if self.map.len() == capacity {
-                self.evict_tail();
-            }
-            let slot = if let Some(reused) = self.free.pop() {
-                self.slots[reused].page = page;
-                reused
-            } else {
-                self.slots.push(Slot {
-                    page,
-                    prev: None,
-                    next: None,
-                });
-                self.slots.len() - 1
-            };
-            self.link_front(slot);
-            self.map.insert(page, slot);
-            false
-        }
-    }
-
-    fn invalidate(&mut self, page: BufferKey) {
         if let Some(slot) = self.map.remove(&page) {
             self.unlink(slot);
             self.free.push(slot);
         }
     }
 
-    fn clear(&mut self) {
+    /// Empty the buffer. The paper resets the buffer before every query.
+    pub fn clear(&mut self) {
         self.slots.clear();
         self.map.clear();
         self.free.clear();
@@ -234,8 +131,9 @@ impl MappedLru {
         self.tail = None;
     }
 
+    /// Resident pages, most recently used first (tests).
     #[cfg(test)]
-    fn resident_mru(&self) -> Vec<BufferKey> {
+    pub fn resident_mru(&self) -> Vec<BufferKey> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut cursor = self.head;
         while let Some(i) = cursor {
@@ -245,23 +143,31 @@ impl MappedLru {
         out
     }
 
+    /// The slot at arena index `i`.
+    fn slot(&mut self, i: usize) -> &mut Slot {
+        // stilint::allow(panic_path, "indices come only from `map`, `free`, `head`/`tail` and the slots' own links, which all hold indices of pushed slots")
+        &mut self.slots[i]
+    }
+
     fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        let Slot { prev, next, .. } = *self.slot(slot);
         match prev {
-            Some(p) => self.slots[p].next = next,
+            Some(p) => self.slot(p).next = next,
             None => self.head = next,
         }
         match next {
-            Some(n) => self.slots[n].prev = prev,
+            Some(n) => self.slot(n).prev = prev,
             None => self.tail = prev,
         }
     }
 
     fn link_front(&mut self, slot: usize) {
-        self.slots[slot].prev = None;
-        self.slots[slot].next = self.head;
-        match self.head {
-            Some(h) => self.slots[h].prev = Some(slot),
+        let head = self.head;
+        let linked = self.slot(slot);
+        linked.prev = None;
+        linked.next = head;
+        match head {
+            Some(h) => self.slot(h).prev = Some(slot),
             None => self.tail = Some(slot),
         }
         self.head = Some(slot);
@@ -270,7 +176,8 @@ impl MappedLru {
     fn evict_tail(&mut self) {
         if let Some(victim) = self.tail {
             self.unlink(victim);
-            self.map.remove(&self.slots[victim].page);
+            let page = self.slot(victim).page;
+            self.map.remove(&page);
             self.free.push(victim);
         }
     }
@@ -342,16 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn large_capacity_selects_mapped_impl() {
-        let b = LruBuffer::new(256);
-        assert!(matches!(b.inner, Inner::Mapped(_)));
-        let b = LruBuffer::new(10);
-        assert!(matches!(b.inner, Inner::Scan(_)));
-    }
-
-    #[test]
     fn mapped_basic_semantics() {
-        let mut b = LruBuffer::new_mapped(2);
+        let mut b = LruBuffer::new(2);
         assert!(!b.access(1));
         assert!(b.access(1));
         b.access(2);
@@ -379,14 +278,36 @@ mod tests {
         }
     }
 
-    /// The satellite requirement: hit/miss/eviction sequences of the
-    /// mapped implementation are byte-identical to the Vec scan across
-    /// capacities 0, 1, 10, and 256.
+    /// The reference model: resident pages in a `Vec`, most recently
+    /// used first, O(capacity) per touch.
+    struct VecLru {
+        capacity: usize,
+        resident: Vec<BufferKey>,
+    }
+
+    impl VecLru {
+        fn access(&mut self, page: BufferKey) -> bool {
+            if self.capacity == 0 {
+                return false;
+            }
+            let hit = self.resident.contains(&page);
+            self.resident.retain(|&p| p != page);
+            self.resident.truncate(self.capacity - 1);
+            self.resident.insert(0, page);
+            hit
+        }
+    }
+
+    /// Hit/miss/eviction sequences of the arena list are identical to
+    /// the Vec model across capacities 0, 1, 10, and 256.
     #[test]
     fn scan_and_mapped_are_byte_identical() {
         for capacity in [0usize, 1, 10, 256] {
-            let mut scan = LruBuffer::new_scan(capacity);
-            let mut mapped = LruBuffer::new_mapped(capacity);
+            let mut scan = VecLru {
+                capacity,
+                resident: Vec::new(),
+            };
+            let mut mapped = LruBuffer::new(capacity);
             let mut rng = XorShift(0x5117_u64 + capacity as u64);
             // Page universe ~3× capacity keeps hits, misses, and
             // evictions all frequent.
@@ -401,17 +322,17 @@ mod tests {
                         "access({page}) diverged at step {step}, capacity {capacity}"
                     );
                 } else if roll < 90 {
-                    scan.invalidate(page);
+                    scan.resident.retain(|&p| p != page);
                     mapped.invalidate(page);
                 } else if roll < 93 {
-                    scan.clear();
+                    scan.resident.clear();
                     mapped.clear();
                 } else {
-                    scan.install(page);
+                    scan.access(page);
                     mapped.install(page);
                 }
                 assert_eq!(
-                    scan.resident_mru(),
+                    scan.resident,
                     mapped.resident_mru(),
                     "residency order diverged at step {step}, capacity {capacity}"
                 );

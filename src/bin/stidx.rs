@@ -7,7 +7,7 @@
 //!                [--backend ppr|rstar] [--splits 150%|--splits 5000]
 //!                [--single merge|dp] [--dist lagreedy|greedy|optimal]
 //!                [--threads auto|seq|N]
-//! stidx query    --index index.stidx --backend ppr|rstar
+//! stidx query    --index index.stidx [--backend ppr|rstar]
 //!                --area x0,y0,x1,y1 --time T [--until T2]
 //!                [--threads auto|seq|N]
 //! stidx nearest  --index index.stidx --backend ppr
@@ -17,8 +17,8 @@
 //!
 //! Datasets use the `STDAT1` format (`sti_datagen::io`); indexes use the
 //! `STIDX1` page-store format with tree metadata. Index files carry a
-//! backend tag, so opening one with the wrong `--backend` fails with a
-//! clear error naming the actual backend.
+//! backend tag, so `query --backend` is an optional assertion: naming
+//! the wrong one fails with a clear error naming the actual backend.
 //!
 //! R\*-Tree indexes are interpreted with the paper's 1000-instant
 //! evolution (time scaled by `TIME_EXTENT`); `stidx build` always writes
@@ -27,7 +27,8 @@
 
 use spatiotemporal_index::core::{
     DistributionAlgorithm, IndexBackend, IndexConfig, IngestOp, IngestPipeline, ObjectRecord,
-    OnlineSplitConfig, Parallelism, SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget,
+    OnlineSplitConfig, Parallelism, QueryRequest, SingleSplitAlgorithm, SpatioTemporalIndex,
+    SplitBudget,
 };
 use spatiotemporal_index::datagen::{
     load_dataset, save_dataset, DatasetReader, DatasetStats, DatasetWriter, OrbitDatasetSpec,
@@ -36,7 +37,6 @@ use spatiotemporal_index::datagen::{
 use spatiotemporal_index::geom::{Rect2, StBox, TimeInterval};
 use spatiotemporal_index::obs::MetricSet;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
-use spatiotemporal_index::rstar::RStarTree;
 use spatiotemporal_index::server::cli::{parse_flags, Flags};
 use spatiotemporal_index::storage::{FileBackend, FsyncPolicy, PageStore, WalConfig};
 use spatiotemporal_index::trajectory::RasterizedObject;
@@ -53,7 +53,7 @@ const USAGE: &str = "usage:
                  [--splits P% | --splits N] [--single merge|dp]
                  [--dist lagreedy|greedy|optimal] [--threads auto|seq|N]
   stidx build    --data FILE --out FILE --bulk [--scale-stats]
-  stidx query    --index FILE --backend ppr|rstar
+  stidx query    --index FILE [--backend ppr|rstar]
                  --area x0,y0,x1,y1 --time T [--until T2]
                  [--threads auto|seq|N]
   stidx nearest  --index FILE --backend ppr
@@ -364,69 +364,50 @@ fn index_stats(path: &Path, metrics: &mut MetricSet) -> Result<(), String> {
     let bytes = std::fs::metadata(path)
         .map_err(|e| format!("reading {}: {e}", path.display()))?
         .len();
-    // The backend tag is the first metadata byte; `open_file` validates
-    // it, so try ppr first and fall back to rstar on the tag mismatch.
-    match PprTree::open_file(path) {
-        Ok(tree) => {
+    let index = SpatioTemporalIndex::open_file_with(path, TIME_EXTENT)
+        .map_err(|e| format!("opening {}: {e}", path.display()))?;
+    let (backend, height, detail) = match (index.as_ppr(), index.as_rstar()) {
+        (Some(tree), _) => {
             let height = tree.roots().iter().map(|r| r.level + 1).max().unwrap_or(0);
-            let mut out = String::new();
-            out.push_str("backend          ppr (partially persistent R-Tree)\n");
-            out.push_str(&format!(
-                "file             {} ({bytes} bytes)\n",
-                path.display()
-            ));
-            out.push_str(&format!("pages            {}\n", tree.num_pages()));
-            out.push_str(&format!("records posted   {}\n", tree.total_records()));
-            out.push_str(&format!("records alive    {}\n", tree.alive_records()));
-            out.push_str(&format!("root log spans   {}\n", tree.roots().len()));
-            out.push_str(&format!("height           {height}\n"));
-            out.push_str(&format!("clock (now)      {}\n", tree.now()));
-            print_or_pipe(&out)?;
-            metrics.gauge(
-                "stidx_index_pages",
-                "pages in the index",
-                tree.num_pages() as f64,
-            );
-            metrics.gauge(
-                "stidx_index_records",
-                "records posted to the index",
-                tree.total_records() as f64,
-            );
-            metrics.gauge("stidx_index_height", "tree height", f64::from(height));
-            Ok(())
+            let detail = vec![
+                ("records posted", tree.total_records()),
+                ("records alive", tree.alive_records()),
+                ("root log spans", tree.roots().len() as u64),
+                ("height", u64::from(height)),
+                ("clock (now)", u64::from(tree.now())),
+            ];
+            ("ppr (partially persistent R-Tree)", height, detail)
         }
-        Err(first) => match RStarTree::open_file(path) {
-            Ok(tree) => {
-                let mut out = String::new();
-                out.push_str("backend          rstar (3D R*-Tree)\n");
-                out.push_str(&format!(
-                    "file             {} ({bytes} bytes)\n",
-                    path.display()
-                ));
-                out.push_str(&format!("pages            {}\n", tree.num_pages()));
-                out.push_str(&format!("records          {}\n", tree.len()));
-                out.push_str(&format!("height           {}\n", tree.height()));
-                print_or_pipe(&out)?;
-                metrics.gauge(
-                    "stidx_index_pages",
-                    "pages in the index",
-                    tree.num_pages() as f64,
-                );
-                metrics.gauge(
-                    "stidx_index_records",
-                    "records posted to the index",
-                    tree.len() as f64,
-                );
-                metrics.gauge(
-                    "stidx_index_height",
-                    "tree height",
-                    f64::from(tree.height()),
-                );
-                Ok(())
-            }
-            Err(_) => Err(format!("opening {}: {first}", path.display())),
-        },
+        (None, Some(tree)) => {
+            let detail = vec![
+                ("records", tree.len()),
+                ("height", u64::from(tree.height())),
+            ];
+            ("rstar (3D R*-Tree)", tree.height(), detail)
+        }
+        (None, None) => unreachable!("an index is backed by one of the two trees"),
+    };
+    let mut out = format!(
+        "backend          {backend}\nfile             {} ({bytes} bytes)\npages            {}\n",
+        path.display(),
+        index.num_pages()
+    );
+    for (label, value) in detail {
+        out.push_str(&format!("{label:<17}{value}\n"));
     }
+    print_or_pipe(&out)?;
+    metrics.gauge(
+        "stidx_index_pages",
+        "pages in the index",
+        index.num_pages() as f64,
+    );
+    metrics.gauge(
+        "stidx_index_records",
+        "records posted to the index",
+        index.record_count() as f64,
+    );
+    metrics.gauge("stidx_index_height", "tree height", f64::from(height));
+    Ok(())
 }
 
 fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
@@ -878,33 +859,9 @@ fn remove_stale_temp(out: &Path) -> Result<(), String> {
     }
 }
 
-/// Replay a query across `workers` concurrent readers on one shared
-/// tree and insist every reader sees the answer `expected` (queries are
-/// `&self` end to end, so the only shared state is the buffer pool).
-fn verify_concurrent_readers<F>(workers: usize, expected: &[u64], run: F) -> Result<(), String>
-where
-    F: Fn() -> Result<Vec<u64>, String> + Sync,
-{
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
-        for handle in handles {
-            let mut ids = handle
-                .join()
-                .map_err(|_| "a reader thread panicked".to_string())??;
-            ids.sort_unstable();
-            ids.dedup();
-            if ids != expected {
-                return Err("concurrent readers disagreed with the sequential answer".into());
-            }
-        }
-        Ok(())
-    })
-}
-
 fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     let path = PathBuf::from(opts.need("index")?);
-    let backend = parse_backend(opts.need("backend")?)?;
+    let expected_backend = opts.get("backend").map(parse_backend).transpose()?;
     let area = parse_area(opts.need("area")?)?;
     let t: u32 = opts
         .need("time")?
@@ -918,82 +875,46 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         return Err("--until must be after --time".into());
     }
     let range = TimeInterval::new(t, until);
-    let workers = match opts.get("threads") {
-        Some(v) => Parallelism::parse(v)
-            .map_err(|e| format!("--threads: {e}"))?
-            .workers(),
-        None => 1,
+    let parallelism = match opts.get("threads") {
+        Some(v) => Parallelism::parse(v).map_err(|e| format!("--threads: {e}"))?,
+        None => Parallelism::Sequential,
     };
+    let workers = parallelism.workers();
 
-    let (mut ids, qs) = match backend {
-        IndexBackend::PprTree => {
-            let mut tree = PprTree::open_file(&path)
-                .map_err(|e| format!("opening {}: {e}", path.display()))?;
-            tree.reset_for_query();
-            if workers > 1 {
-                tree.set_buffer_shards(workers);
+    let mut index = SpatioTemporalIndex::open_file_with(&path, TIME_EXTENT)
+        .map_err(|e| format!("opening {}: {e}", path.display()))?;
+    // The file names its own backend; `--backend` only asserts it.
+    if let Some(expected) = expected_backend.filter(|&b| b != index.backend()) {
+        let name = |b| match b {
+            IndexBackend::PprTree => "a PPR-Tree",
+            IndexBackend::RStar => "an R*-Tree",
+        };
+        return Err(format!(
+            "opening {}: this file holds {}, not {}",
+            path.display(),
+            name(index.backend()),
+            name(expected)
+        ));
+    }
+    index.reset_for_query();
+    if workers > 1 {
+        index.set_buffer_shards(workers);
+    }
+    let (ids, qs) = index
+        .query_with_stats(&area, &range)
+        .map_err(|e| format!("querying {}: {e}", path.display()))?;
+    if workers > 1 {
+        // Queries are `&self` end to end, so the only state the readers
+        // share is the buffer pool: every one must see the same answer.
+        let replay = vec![QueryRequest { area, range }; workers];
+        for answer in index.query_batch_with_stats(&replay, parallelism) {
+            if answer.map_err(|e| format!("concurrent query: {e}"))?.0 != ids {
+                return Err("concurrent readers disagreed with the sequential answer".into());
             }
-            let mut out = Vec::new();
-            let qs = if range.len() == 1 {
-                tree.query_snapshot(&area, t, &mut out)
-            } else {
-                tree.query_interval(&area, &range, &mut out)
-            }
-            .map_err(|e| format!("querying {}: {e}", path.display()))?;
-            if workers > 1 {
-                let mut expected = out.clone();
-                expected.sort_unstable();
-                expected.dedup();
-                let shared = &tree;
-                verify_concurrent_readers(workers, &expected, || {
-                    let mut ids = Vec::new();
-                    if range.len() == 1 {
-                        shared.query_snapshot(&area, t, &mut ids)
-                    } else {
-                        shared.query_interval(&area, &range, &mut ids)
-                    }
-                    .map_err(|e| format!("concurrent query: {e}"))?;
-                    Ok(ids)
-                })?;
-            }
-            (out, qs)
         }
-        IndexBackend::RStar => {
-            let mut tree = RStarTree::open_file(&path)
-                .map_err(|e| format!("opening {}: {e}", path.display()))?;
-            tree.reset_for_query();
-            if workers > 1 {
-                tree.set_buffer_shards(workers);
-            }
-            let q = spatiotemporal_index::geom::Rect3::from_query(
-                &area,
-                &range,
-                f64::from(TIME_EXTENT),
-            );
-            let mut out = Vec::new();
-            let qs = tree
-                .query(&q, &mut out)
-                .map_err(|e| format!("querying {}: {e}", path.display()))?;
-            if workers > 1 {
-                let mut expected = out.clone();
-                expected.sort_unstable();
-                expected.dedup();
-                let shared = &tree;
-                verify_concurrent_readers(workers, &expected, || {
-                    let mut ids = Vec::new();
-                    shared
-                        .query(&q, &mut ids)
-                        .map_err(|e| format!("concurrent query: {e}"))?;
-                    Ok(ids)
-                })?;
-            }
-            (out, qs)
-        }
-    };
+    }
     let reads = qs.disk_reads;
     qs.record_metrics(metrics, "stidx_query");
-    ids.sort_unstable();
-    ids.dedup();
     let mut out = String::with_capacity(ids.len() * 8 + 64);
     out.push_str(&format!("{} objects, {reads} disk reads\n", ids.len()));
     if workers > 1 {

@@ -16,7 +16,6 @@ pub use sti_core as core;
 pub use sti_costmodel as costmodel;
 pub use sti_datagen as datagen;
 pub use sti_geom as geom;
-pub use sti_hrtree as hrtree;
 pub use sti_obs as obs;
 pub use sti_pprtree as pprtree;
 pub use sti_rstar as rstar;
@@ -27,8 +26,8 @@ pub use sti_trajectory as trajectory;
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use sti_core::{
-        BuildStats, DistributionAlgorithm, HybridConfig, HybridIndex, Parallelism,
-        SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget, SplitPlan,
+        BuildStats, DistributionAlgorithm, Parallelism, SingleSplitAlgorithm, SpatioTemporalIndex,
+        SplitBudget, SplitPlan,
     };
     pub use sti_datagen::{QuerySetSpec, RailwayDatasetSpec, RandomDatasetSpec};
     pub use sti_geom::{Point2, Rect2, Rect3, StBox, Time, TimeInterval};

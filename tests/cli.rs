@@ -85,6 +85,17 @@ fn full_pipeline_both_backends() {
             .parse()
             .expect("int");
         assert!((3..=60).contains(&found), "implausible hit count {found}");
+
+        // The file names its own backend: without `--backend` the
+        // answer is the same, byte for byte.
+        let sniffed = stidx()
+            .args(["query", "--index"])
+            .arg(&idx)
+            .args(["--area", "0.0,0.0,1.0,1.0", "--time", "500"])
+            .output()
+            .expect("run query without --backend");
+        assert!(sniffed.status.success());
+        assert_eq!(sniffed.stdout, out.stdout, "{backend} without --backend");
         std::fs::remove_file(&idx).ok();
     }
     std::fs::remove_file(&data).ok();

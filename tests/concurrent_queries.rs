@@ -16,7 +16,7 @@
 //!    result, never a panic and never a torn (partially wrong) result
 //!    set.
 //!
-//! All three tree backends are covered, across several shard counts
+//! Both tree backends are covered, across several shard counts
 //! including the single-shard default that reproduces the paper's one
 //! LRU exactly.
 
@@ -24,7 +24,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spatiotemporal_index::geom::{Rect2, Rect3, TimeInterval};
-use spatiotemporal_index::hrtree::{HrParams, HrTree};
 use spatiotemporal_index::obs::QueryStats;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
@@ -79,14 +78,6 @@ fn build_ppr(rng: &mut StdRng, n: u32) -> PprTree {
             let (id, r) = alive.swap_remove(rng.random_range(0..alive.len() - 1));
             tree.delete(id, r, i).expect("record is alive");
         }
-    }
-    tree
-}
-
-fn build_hr(rng: &mut StdRng, n: u32) -> HrTree {
-    let mut tree = HrTree::new(HrParams::default());
-    for i in 0..n {
-        tree.insert(u64::from(i), random_rect2(rng), i).unwrap();
     }
     tree
 }
@@ -182,7 +173,6 @@ where
 fn trees_are_sync() {
     fn assert_sync<T: Sync>() {}
     assert_sync::<PprTree>();
-    assert_sync::<HrTree>();
     assert_sync::<RStarTree>();
     assert_sync::<spatiotemporal_index::core::SpatioTemporalIndex>();
 }
@@ -201,32 +191,6 @@ proptest! {
             let t = &tree;
             assert_concurrent_matches_sequential(
                 &format!("ppr/shards={shards}"),
-                &qs,
-                |q: &Q| {
-                    let mut out = Vec::new();
-                    let stats = if q.range.len() == 1 {
-                        t.query_snapshot(&q.area, q.range.start, &mut out)?
-                    } else {
-                        t.query_interval(&q.area, &q.range, &mut out)?
-                    };
-                    Ok((out, stats))
-                },
-                || t.io_stats(),
-            );
-        }
-    }
-
-    #[test]
-    fn hr_concurrent_queries_are_deterministic_and_conserved(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = build_hr(&mut rng, 60);
-        let horizon = tree.now();
-        let qs = queries(&mut rng, horizon);
-        for shards in SHARD_COUNTS {
-            tree.set_buffer_shards(shards);
-            let t = &tree;
-            assert_concurrent_matches_sequential(
-                &format!("hr/shards={shards}"),
                 &qs,
                 |q: &Q| {
                     let mut out = Vec::new();

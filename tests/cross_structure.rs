@@ -1,15 +1,25 @@
-//! Cross-structure equivalence: the three persistence approaches (PPR,
-//! HR, and the 3D R\*-Tree) must agree on every historical query over the
-//! same update stream — they differ in cost, never in answers.
+//! Cross-structure equivalence: the PPR-Tree and the 3D R\*-Tree must
+//! answer every historical query over the same records exactly like a
+//! brute-force pass over those records — they differ in cost, never in
+//! answers.
+//!
+//! The reference also writes down the object-level dedup rule once: a
+//! split object is many index records under one id, and a query's answer
+//! is the sorted set of *ids* with at least one matching record. The
+//! PPR-Tree owes that set as is (its answers are sorted here, never
+//! deduplicated); the raw R\*-Tree stores one entry per record
+//! and leaves the id-level dedup to its caller, so its answer is
+//! deduplicated before the comparison.
 
-use spatiotemporal_index::core::SplitPlan;
+use spatiotemporal_index::core::{ObjectRecord, SplitPlan};
 use spatiotemporal_index::geom::{Rect3, TimeInterval};
-use spatiotemporal_index::hrtree::{HrParams, HrTree};
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::prelude::*;
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
 
-fn build_all(records: &[spatiotemporal_index::core::ObjectRecord]) -> (PprTree, HrTree, RStarTree) {
+const TIME_SCALE: f64 = 1000.0;
+
+fn build_both(records: &[ObjectRecord]) -> (PprTree, RStarTree) {
     let mut events: Vec<(u32, u8, usize)> = Vec::new();
     for (i, r) in records.iter().enumerate() {
         events.push((r.stbox.lifetime.start, 1, i));
@@ -21,18 +31,12 @@ fn build_all(records: &[spatiotemporal_index::core::ObjectRecord]) -> (PprTree, 
         max_entries: 12,
         ..PprParams::default()
     });
-    let mut hr = HrTree::new(HrParams {
-        max_entries: 12,
-        ..HrParams::default()
-    });
     for &(t, kind, i) in &events {
         let r = &records[i];
         if kind == 1 {
             ppr.insert(r.id, r.stbox.rect, t).unwrap();
-            hr.insert(r.id, r.stbox.rect, t).unwrap();
         } else {
             ppr.delete(r.id, r.stbox.rect, t).unwrap();
-            hr.delete(r.id, r.stbox.rect, t).unwrap();
         }
     }
     let mut rstar = RStarTree::new(RStarParams {
@@ -40,13 +44,54 @@ fn build_all(records: &[spatiotemporal_index::core::ObjectRecord]) -> (PprTree, 
         ..RStarParams::default()
     });
     for r in records {
-        rstar.insert(r.id, r.to_rect3(1000.0)).unwrap();
+        rstar.insert(r.id, r.to_rect3(TIME_SCALE)).unwrap();
     }
-    (ppr, hr, rstar)
+    (ppr, rstar)
+}
+
+/// The reference answer: every record is tested, ids are reported once.
+fn brute_force(records: &[ObjectRecord], area: &Rect2, range: &TimeInterval) -> Vec<u64> {
+    let mut ids: Vec<u64> = records
+        .iter()
+        .filter(|r| r.stbox.matches(area, range))
+        .map(|r| r.id)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Check both trees against the reference for one query; a range of one
+/// instant goes through the PPR-Tree's snapshot path.
+fn assert_both_match(
+    records: &[ObjectRecord],
+    ppr: &PprTree,
+    rstar: &RStarTree,
+    area: &Rect2,
+    range: &TimeInterval,
+) {
+    let want = brute_force(records, area, range);
+
+    let mut got = Vec::new();
+    if range.len() == 1 {
+        ppr.query_snapshot(area, range.start, &mut got).unwrap();
+    } else {
+        ppr.query_interval(area, range, &mut got).unwrap();
+    }
+    got.sort_unstable();
+    assert_eq!(got, want, "PPR vs brute force at {range}");
+
+    let mut got = Vec::new();
+    rstar
+        .query(&Rect3::from_query(area, range, TIME_SCALE), &mut got)
+        .unwrap();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got, want, "R* vs brute force at {range}");
 }
 
 #[test]
-fn all_three_structures_agree_everywhere() {
+fn both_structures_match_brute_force_everywhere() {
     let objects = RandomDatasetSpec::paper(500).generate();
     let plan = SplitPlan::build(
         &objects,
@@ -56,41 +101,15 @@ fn all_three_structures_agree_everywhere() {
         None,
     );
     let records = plan.records(&objects);
-    let (ppr, hr, rstar) = build_all(&records);
+    let (ppr, rstar) = build_both(&records);
 
     for i in 0..40u32 {
         let x = 0.09 * f64::from(i % 10);
         let area = Rect2::from_bounds(x, 0.1, (x + 0.12).min(1.0), 0.6);
         let t = 25 * i;
-        // Snapshot agreement.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        ppr.query_snapshot(&area, t, &mut a).unwrap();
-        hr.query_snapshot(&area, t, &mut b).unwrap();
-        a.sort_unstable();
-        a.dedup();
-        b.sort_unstable();
-        b.dedup();
-        assert_eq!(a, b, "PPR vs HR snapshot at t={t}");
-        let mut c = Vec::new();
-        let q = Rect3::new(
-            [area.lo.x, area.lo.y, f64::from(t) / 1000.0],
-            [area.hi.x, area.hi.y, f64::from(t) / 1000.0],
-        );
-        rstar.query(&q, &mut c).unwrap();
-        c.sort_unstable();
-        c.dedup();
-        assert_eq!(a, c, "PPR vs R* snapshot at t={t}");
-
-        // Interval agreement.
+        assert_both_match(&records, &ppr, &rstar, &area, &TimeInterval::new(t, t + 1));
         let range = TimeInterval::new(t, t + 1 + (i % 13));
-        let mut d = Vec::new();
-        let mut e = Vec::new();
-        ppr.query_interval(&area, &range, &mut d).unwrap();
-        hr.query_interval(&area, &range, &mut e).unwrap();
-        d.sort_unstable();
-        e.sort_unstable();
-        assert_eq!(d, e, "PPR vs HR interval at {range}");
+        assert_both_match(&records, &ppr, &rstar, &area, &range);
     }
 }
 
@@ -105,15 +124,11 @@ fn railway_stream_agreement() {
         None,
     );
     let records = plan.records(&trains);
-    let (ppr, hr, _) = build_all(&records);
+    let (ppr, rstar) = build_both(&records);
+    let area = Rect2::from_bounds(0.0, 0.5, 0.3, 1.0); // around California
     for t in (0..1000).step_by(111) {
-        let area = Rect2::from_bounds(0.0, 0.5, 0.3, 1.0); // around California
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        ppr.query_snapshot(&area, t, &mut a).unwrap();
-        hr.query_snapshot(&area, t, &mut b).unwrap();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "t={t}");
+        assert_both_match(&records, &ppr, &rstar, &area, &TimeInterval::new(t, t + 1));
+        let range = TimeInterval::new(t, t + 60);
+        assert_both_match(&records, &ppr, &rstar, &area, &range);
     }
 }

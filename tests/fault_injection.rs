@@ -1,6 +1,6 @@
 //! Fault-injection property tests: random insert/delete/query
-//! interleavings against randomly seeded [`FaultPlan`]s, on all three
-//! tree structures.
+//! interleavings against randomly seeded [`FaultPlan`]s, on both tree
+//! structures.
 //!
 //! The properties, per case:
 //!   1. No operation panics — faults surface as typed errors only.
@@ -13,14 +13,12 @@
 //! Fault schedules stay inside `FAULT_HORIZON` backend operations while
 //! every workload performs at least `STEPS` backend writes, so by the
 //! time the final validation walks the tree the plan is exhausted and a
-//! panicking checker (`HrTree::validate`, `RStarTree::validate`) can be
+//! panicking checker (`RStarTree::validate`) can be
 //! used as the oracle without racing leftover faults.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spatiotemporal_index::hrtree::tree::DeleteError as HrDeleteError;
-use spatiotemporal_index::hrtree::{HrParams, HrTree};
 use spatiotemporal_index::pprtree::tree::DeleteError as PprDeleteError;
 use spatiotemporal_index::pprtree::{check, PprParams, PprTree};
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
@@ -52,7 +50,7 @@ fn query_area(rng: &mut StdRng) -> Rect2 {
     Rect2::from_bounds(x, y, (x + w).min(1.0), (y + w).min(1.0))
 }
 
-/// Shadow model shared by the two temporal trees: full record history
+/// Shadow model of the temporal tree: full record history
 /// with alive intervals `[start, end)`.
 #[derive(Default)]
 struct Shadow {
@@ -178,64 +176,6 @@ fn ppr_case(seed: u64) {
     }
 }
 
-fn hr_case(seed: u64) {
-    let backend = FaultyBackend::new_mem(plan_for(seed));
-    let mut tree = HrTree::with_backend(
-        HrParams {
-            max_entries: 8,
-            buffer_pages: 4,
-            ..HrParams::default()
-        },
-        Box::new(backend),
-    );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6c62_272e_07bb_0142);
-    let mut shadow = Shadow::default();
-    let mut alive: Vec<usize> = Vec::new();
-
-    for t in 0..STEPS {
-        let id = u64::from(t);
-        let r = small_rect(&mut rng);
-        if tree.insert(id, r, t).is_ok() {
-            shadow.records.push((id, r, t, u32::MAX));
-            alive.push(shadow.records.len() - 1);
-        }
-
-        if !alive.is_empty() && rng.random::<f64>() < 0.3 {
-            let k = rng.random_range(0..alive.len());
-            let idx = alive[k];
-            let (id, r, ..) = shadow.records[idx];
-            match tree.delete(id, r, t) {
-                Ok(()) => {
-                    shadow.records[idx].3 = t;
-                    alive.swap_remove(k);
-                }
-                Err(HrDeleteError::Storage(_)) => {}
-                Err(e @ HrDeleteError::NotFound { .. }) => {
-                    panic!("shadow says {id} is alive at {t}: {e}")
-                }
-            }
-        }
-
-        if rng.random::<f64>() < 0.4 {
-            let area = query_area(&mut rng);
-            let qt = rng.random_range(0..=t);
-            let mut out = Vec::new();
-            if tree.query_snapshot(&area, qt, &mut out).is_ok() {
-                out.sort_unstable();
-                assert_eq!(
-                    out,
-                    shadow.snapshot(&area, qt),
-                    "snapshot t={qt} seed={seed}"
-                );
-            }
-        }
-    }
-
-    // The plan is exhausted (see FAULT_HORIZON): the panicking
-    // invariant walker is safe to use as the final oracle.
-    tree.validate();
-}
-
 fn rstar_case(seed: u64) {
     let backend = FaultyBackend::new_mem(plan_for(seed));
     let mut tree = match RStarTree::with_backend(
@@ -309,11 +249,6 @@ proptest! {
     #[test]
     fn ppr_tree_survives_random_faults(seed in any::<u64>()) {
         ppr_case(seed);
-    }
-
-    #[test]
-    fn hr_tree_survives_random_faults(seed in any::<u64>()) {
-        hr_case(seed);
     }
 
     #[test]

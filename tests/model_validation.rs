@@ -112,7 +112,6 @@ fn pagel_formula_counts_record_touches() {
 #[test]
 fn multiversion_storage_model_tracks_measurements() {
     use spatiotemporal_index::costmodel::MultiVersionCostModel;
-    use spatiotemporal_index::hrtree::{HrParams, HrTree};
     use spatiotemporal_index::pprtree::{PprParams, PprTree};
 
     let objects = RandomDatasetSpec::paper(3000).generate();
@@ -133,15 +132,12 @@ fn multiversion_storage_model_tracks_measurements() {
     }
     events.sort_unstable();
     let mut ppr = PprTree::new(PprParams::default());
-    let mut hr = HrTree::new(HrParams::default());
     for &(t, kind, i) in &events {
         let r = &records[i];
         if kind == 1 {
             ppr.insert(r.id, r.stbox.rect, t).unwrap();
-            hr.insert(r.id, r.stbox.rect, t).unwrap();
         } else {
             ppr.delete(r.id, r.stbox.rect, t).unwrap();
-            hr.delete(r.id, r.stbox.rect, t).unwrap();
         }
     }
 
@@ -152,18 +148,4 @@ fn multiversion_storage_model_tracks_measurements() {
         ppr_pred / ppr_real < 2.5 && ppr_real / ppr_pred < 2.5,
         "PPR pages: predicted {ppr_pred:.0} vs measured {ppr_real:.0}"
     );
-
-    let alive_avg = records
-        .iter()
-        .map(|r| r.stbox.lifetime.len() as f64)
-        .sum::<f64>()
-        / 1000.0;
-    let hr_pred = model.hr_pages(updates, alive_avg);
-    let hr_real = hr.num_pages() as f64;
-    assert!(
-        hr_pred / hr_real < 3.0 && hr_real / hr_pred < 3.0,
-        "HR pages: predicted {hr_pred:.0} vs measured {hr_real:.0}"
-    );
-    // And the model preserves the ordering by a wide margin.
-    assert!(hr_real > ppr_real * 10.0);
 }

@@ -6,7 +6,7 @@
 //! If a query path ever touched the store outside its snapshot window
 //! (or double-counted inside it), these sums would drift.
 //!
-//! Runs across all three tree backends and multiple buffer capacities,
+//! Runs across both tree backends and multiple buffer capacities,
 //! including the degenerate capacity-0 pool where every access is a
 //! disk read.
 
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spatiotemporal_index::geom::{Rect2, Rect3, TimeInterval};
-use spatiotemporal_index::hrtree::{HrParams, HrTree};
 use spatiotemporal_index::obs::QueryStats;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
@@ -64,21 +63,6 @@ fn build_ppr(rng: &mut StdRng, n: u32) -> PprTree {
     tree
 }
 
-fn build_hr(rng: &mut StdRng, n: u32) -> HrTree {
-    let mut tree = HrTree::new(HrParams::default());
-    let mut alive = Vec::new();
-    for i in 0..n {
-        let rect = random_rect2(rng);
-        tree.insert(u64::from(i), rect, i).unwrap();
-        alive.push((u64::from(i), rect));
-        if alive.len() > 4 && rng.random_bool(0.3) {
-            let (id, r) = alive.swap_remove(rng.random_range(0..alive.len() - 1));
-            tree.delete(id, r, i).expect("record is alive");
-        }
-    }
-    tree
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -104,31 +88,6 @@ proptest! {
                 }
             }
             assert_conserved("ppr", total, before, tree.io_stats());
-        }
-    }
-
-    #[test]
-    fn hr_query_stats_sum_to_global_delta(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = build_hr(&mut rng, 80);
-        let horizon = tree.now();
-        for capacity in BUFFER_CAPACITIES {
-            tree.set_buffer_capacity(capacity);
-            let before = tree.io_stats();
-            let mut total = QueryStats::new();
-            for _ in 0..12 {
-                let area = random_rect2(&mut rng);
-                let mut out = Vec::new();
-                if rng.random_bool(0.5) {
-                    let t = rng.random_range(0..horizon.max(1));
-                    total += tree.query_snapshot(&area, t, &mut out).unwrap();
-                } else {
-                    let a = rng.random_range(0..horizon.max(1));
-                    let b = rng.random_range(a..=horizon);
-                    total += tree.query_interval(&area, &TimeInterval::new(a, b + 1), &mut out).unwrap();
-                }
-            }
-            assert_conserved("hr", total, before, tree.io_stats());
         }
     }
 
