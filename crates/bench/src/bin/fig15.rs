@@ -38,6 +38,7 @@ fn scale_tier(scale: Scale) {
     index.clear_buffer();
     index.reset_counters();
     let profile = warm_query_io_profile(&index, &queries);
+    report.note_rss();
     let rows = vec![vec![
         "lru".to_string(),
         format!("{:.2}", profile.avg),

@@ -152,7 +152,7 @@ fn scale_tier(scale: Scale) {
         &rows,
         vec![series("seq", "ppr-bulk", seq_profile)],
     );
-    report.note("host_threads", JsonValue::UInt(host as u64));
+    report.note_rss();
     report.note(
         "bulk_stats",
         JsonValue::object([
@@ -230,7 +230,6 @@ fn main() {
         &rows,
         profiles,
     );
-    report.note("host_threads", sti_obs::JsonValue::UInt(host as u64));
     println!(
         "\nself-checks passed: parallel results byte-identical to sequential, \
          per-query stats conserved"

@@ -568,8 +568,26 @@ impl BenchReport {
         self.notes.push((key.to_string(), value));
     }
 
+    /// Record the process's resident set right now as `rss_mb` — call
+    /// it after the timed query phase, so what is on record is the
+    /// memory the index serves from and not the loader's working set.
+    pub fn note_rss(&mut self) {
+        if let Some(mib) = proc_status_mib("VmRSS") {
+            self.note("rss_mb", JsonValue::Num(mib));
+        }
+    }
+
     /// Serialize the record if `--json` was given. Call once, last.
-    pub fn finish(self) {
+    /// Every record carries the host's hardware thread count (wall-time
+    /// numbers mean nothing without it) and, where the OS reports it,
+    /// the process's peak resident set, which `check_regression.py`
+    /// gates.
+    pub fn finish(mut self) {
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.note("host_threads", JsonValue::UInt(host as u64));
+        if let Some(mib) = proc_status_mib("VmHWM") {
+            self.note("peak_rss_mb", JsonValue::Num(mib));
+        }
         let Some(path) = self.out_path else {
             return;
         };
@@ -594,6 +612,17 @@ impl BenchReport {
             }
         }
     }
+}
+
+/// A `kB` field of `/proc/self/status` (`VmRSS`, `VmHWM`) in MiB;
+/// `None` where there is no such file.
+fn proc_status_mib(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Time a closure, returning (result, seconds).

@@ -7,13 +7,13 @@ use crate::tree::PprTree;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use sti_geom::{Point2, Time};
-use sti_storage::StorageError;
+use sti_storage::{PageId, ReadProbe, StorageError};
 
 #[derive(Debug, PartialEq)]
 struct Pending {
     dist2: f64,
-    /// `true` ⇒ `ptr` is a record id; `false` ⇒ a directory child page.
-    is_record: bool,
+    /// `None` ⇒ `ptr` is a record id; `Some(level)` ⇒ a node page.
+    level: Option<u32>,
     ptr: u64,
 }
 
@@ -62,31 +62,28 @@ impl PprTree {
         let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
         heap.push(Reverse(Pending {
             dist2: 0.0,
-            is_record: false,
+            level: Some(span.level),
             ptr: u64::from(span.page),
         }));
 
         while let Some(Reverse(item)) = heap.pop() {
-            if item.is_record {
+            let Some(level) = item.level else {
                 out.push((item.ptr, item.dist2));
                 if out.len() == k {
                     break;
                 }
                 continue;
-            }
-            // stilint::allow(no_panic, "directory items carry allocate()-returned u32 page ids widened into the shared ptr field")
-            let page = u32::try_from(item.ptr).expect("page id");
-            let node = self.read_node_pub(page)?;
-            for e in &node.entries {
-                if !e.alive_at(t) {
-                    continue;
+            };
+            let page = PageId::try_from(item.ptr).unwrap_or(PageId::MAX);
+            self.visit(page, level, &mut ReadProbe::new(), |e| {
+                if e.alive_at(t) {
+                    heap.push(Reverse(Pending {
+                        dist2: e.rect.min_dist2(&point),
+                        level: level.checked_sub(1),
+                        ptr: e.ptr,
+                    }));
                 }
-                heap.push(Reverse(Pending {
-                    dist2: e.rect.min_dist2(&point),
-                    is_record: node.is_leaf(),
-                    ptr: e.ptr,
-                }));
-            }
+            })?;
         }
         Ok(out)
     }

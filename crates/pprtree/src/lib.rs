@@ -37,5 +37,5 @@ pub mod tree;
 
 pub use bulk::{BulkError, BulkLoader, BulkPiece, BulkStats};
 pub use check::{CheckReport, Violation, ViolationKind};
-pub use node::{PprEntry, PprNode, PprParams};
+pub use node::{NodeView, PprEntry, PprNode, PprParams};
 pub use tree::{DeleteError, PprTree, RootSpan};

@@ -1,7 +1,7 @@
 //! PPR-Tree nodes, entries, parameters, and page serialization.
 
 use sti_geom::{Rect2, Time, TimeInterval};
-use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PAGE_SIZE};
+use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PageId, PAGE_SIZE};
 
 /// Tuning parameters of the PPR-Tree. Defaults are the paper's §V setup.
 #[derive(Debug, Clone, Copy)]
@@ -131,13 +131,105 @@ impl PprEntry {
         self.insertion <= t && t < self.deletion
     }
 
-    /// Child page id (directory entries only).
-    pub fn child_page(&self) -> sti_storage::PageId {
-        // stilint::allow(no_panic, "directory entries are built exclusively from allocate()-returned u32 page ids widened into the shared ptr field")
-        sti_storage::PageId::try_from(self.ptr).expect("directory entry holds a page id")
+    /// Child page id (directory entries only). Decoded directory entries
+    /// always hold one; anything wider maps to an id no store allocates,
+    /// so following it is a typed `Unallocated` error.
+    pub fn child_page(&self) -> PageId {
+        PageId::try_from(self.ptr).unwrap_or(PageId::MAX)
     }
 
     const ENCODED: usize = 4 * 8 + 8 + 4 + 4; // rect + ptr + 2 times
+
+    /// Decode and validate one encoded entry of a node at `level`: the
+    /// single statement of what a well-formed entry is, shared by
+    /// [`PprNode::decode`] and the [`NodeView`] cursor.
+    #[inline]
+    fn decode(raw: &[u8], level: u32) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(raw);
+        let (lx, ly) = (r.get_f64()?, r.get_f64()?);
+        let (hx, hy) = (r.get_f64()?, r.get_f64()?);
+        // Ordered, finite bounds; NaN fails the comparisons.
+        let finite = [lx, ly, hx, hy].iter().all(|v| v.is_finite());
+        if !(finite && lx <= hx && ly <= hy) {
+            return Err(CodecError::InvalidValue(
+                "node entry rectangle is reversed or not finite",
+            ));
+        }
+        let ptr = r.get_u64()?;
+        if level > 0 && PageId::try_from(ptr).is_err() {
+            return Err(CodecError::InvalidValue(
+                "directory entry does not hold a page id",
+            ));
+        }
+        let insertion = r.get_u32()?;
+        let deletion = r.get_u32()?;
+        if insertion > deletion {
+            return Err(CodecError::InvalidValue("entry deleted before insertion"));
+        }
+        Ok(Self {
+            rect: Rect2::from_bounds(lx, ly, hx, hy),
+            ptr,
+            insertion,
+            deletion,
+        })
+    }
+}
+
+/// A read-only cursor over a node still in its encoded page: what the
+/// query paths walk instead of decoding into an owned [`PprNode`], so a
+/// node visit allocates nothing. The header is checked once, here;
+/// every entry is decoded and validated as it is yielded, exactly as
+/// [`PprNode::decode`] would.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    level: u32,
+    /// `len() * PprEntry::ENCODED` bytes.
+    entries: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    const HEADER: usize = 4 + 2; // level + entry count
+
+    /// Open the node encoded in `page`.
+    #[inline]
+    pub fn new(page: &'a Page) -> Result<Self, CodecError> {
+        let (header, body) = page.bytes().split_at(Self::HEADER);
+        let mut r = ByteReader::new(header);
+        let level = r.get_u32()?;
+        let count = usize::from(r.get_u16()?);
+        let entries = body.get(..count * PprEntry::ENCODED);
+        let entries = entries.ok_or(CodecError::InvalidValue(
+            "entry count exceeds page capacity",
+        ))?;
+        Ok(Self { level, entries })
+    }
+
+    /// Height above the leaves (0 = leaf).
+    #[inline]
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// Number of entries, alive and dead.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len() / PprEntry::ENCODED
+    }
+
+    /// True for a node without entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries in page order; a malformed one is an `Err` item.
+    #[inline]
+    pub fn entries(&self) -> impl Iterator<Item = Result<PprEntry, CodecError>> + 'a {
+        let level = self.level;
+        self.entries
+            .chunks_exact(PprEntry::ENCODED)
+            .map(move |raw| PprEntry::decode(raw, level))
+    }
 }
 
 /// One PPR-Tree node.
@@ -201,7 +293,7 @@ impl PprNode {
 
     /// Bytes needed to encode a node of `n` entries.
     pub fn encoded_size(n: usize) -> usize {
-        4 + 2 + n * PprEntry::ENCODED
+        NodeView::HEADER + n * PprEntry::ENCODED
     }
 
     /// Serialize into a page buffer, zeroing the tail.
@@ -228,39 +320,18 @@ impl PprNode {
         buf[pos..].fill(0);
     }
 
-    /// Deserialize from a page.
+    /// Deserialize from a page into an owned node (mutation paths and
+    /// checkers; queries walk a [`NodeView`]).
     pub fn decode(page: &Page) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(&page.bytes()[..]);
-        let level = r.get_u32()?;
-        let count = r.get_u16()? as usize;
-        if Self::encoded_size(count) > PAGE_SIZE {
-            return Err(CodecError::InvalidValue(
-                "entry count exceeds page capacity",
-            ));
+        let view = NodeView::new(page)?;
+        let mut entries = Vec::with_capacity(view.len());
+        for e in view.entries() {
+            entries.push(e?);
         }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let lx = r.get_f64()?;
-            let ly = r.get_f64()?;
-            let hx = r.get_f64()?;
-            let hy = r.get_f64()?;
-            if lx > hx || ly > hy {
-                return Err(CodecError::InvalidValue("reversed rectangle in node entry"));
-            }
-            let ptr = r.get_u64()?;
-            let insertion = r.get_u32()?;
-            let deletion = r.get_u32()?;
-            if insertion > deletion {
-                return Err(CodecError::InvalidValue("entry deleted before insertion"));
-            }
-            entries.push(PprEntry {
-                rect: Rect2::from_bounds(lx, ly, hx, hy),
-                ptr,
-                insertion,
-                deletion,
-            });
-        }
-        Ok(Self { level, entries })
+        Ok(Self {
+            level: view.level(),
+            entries,
+        })
     }
 }
 
@@ -360,6 +431,71 @@ mod tests {
         let mut page = Page::zeroed();
         node.encode(&mut page);
         assert_eq!(PprNode::decode(&page).unwrap(), node);
+    }
+
+    /// One valid directory entry at `level`, then `patch` written over
+    /// the entry's bytes at `at`.
+    fn patched(level: u32, at: usize, patch: &[u8]) -> Page {
+        let node = PprNode {
+            level,
+            entries: vec![entry(0.1, 7, 5, 50)],
+        };
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        let off = NodeView::HEADER + at;
+        page.bytes_mut()[off..off + patch.len()].copy_from_slice(patch);
+        page
+    }
+
+    #[test]
+    fn decode_rejects_nan_and_infinite_bounds_instead_of_panicking() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..4 {
+                let page = patched(0, field * 8, &bad.to_le_bytes());
+                assert_eq!(
+                    PprNode::decode(&page),
+                    Err(CodecError::InvalidValue(
+                        "node entry rectangle is reversed or not finite"
+                    )),
+                    "{bad} in rect field {field}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn directory_pointer_must_fit_a_page_id() {
+        let wide = (u64::from(u32::MAX) + 1).to_le_bytes();
+        assert!(matches!(
+            PprNode::decode(&patched(1, 32, &wide)),
+            Err(CodecError::InvalidValue(_))
+        ));
+        // The same bits in a leaf are an object id, and fine.
+        let leaf = PprNode::decode(&patched(0, 32, &wide)).unwrap();
+        assert_eq!(leaf.entries[0].ptr, u64::from(u32::MAX) + 1);
+        // An in-memory entry that never went through decode stays
+        // panic-free too: the id it yields is one no store allocates.
+        assert_eq!(leaf.entries[0].child_page(), PageId::MAX);
+    }
+
+    #[test]
+    fn view_yields_what_decode_collects() {
+        let node = PprNode {
+            level: 1,
+            entries: (0..20).map(|i| entry(i as f64 * 0.01, i, 3, 9)).collect(),
+        };
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        let view = NodeView::new(&page).unwrap();
+        assert_eq!((view.level(), view.len()), (1, 20));
+        let walked: Vec<PprEntry> = view.entries().map(Result::unwrap).collect();
+        assert_eq!(walked, node.entries);
+        // A bad entry is an `Err` item exactly where decode gives up.
+        let off = NodeView::HEADER + 5 * PprEntry::ENCODED;
+        page.bytes_mut()[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let view = NodeView::new(&page).unwrap();
+        assert_eq!(view.entries().position(|e| e.is_err()), Some(5));
+        assert!(PprNode::decode(&page).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The PPR-Tree proper: timestamped updates, version splits, and
 //! historical queries.
 
-use crate::node::{PprEntry, PprNode, PprParams};
+use crate::node::{NodeView, PprEntry, PprNode, PprParams};
 use crate::split::key_split;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -84,10 +84,11 @@ struct QueryScratch {
     seen: HashSet<u64>,
     /// Root spans overlapping the query range.
     spans: Vec<RootSpan>,
-    /// Descent stack for interval queries (page, clipped range).
-    stack: Vec<(PageId, TimeInterval)>,
-    /// Descent stack for snapshot queries.
-    snap_stack: Vec<PageId>,
+    /// Descent stack for interval queries (page, its level, clipped
+    /// range).
+    stack: Vec<(PageId, u32, TimeInterval)>,
+    /// Descent stack for snapshot queries (page, its level).
+    snap_stack: Vec<(PageId, u32)>,
 }
 
 /// Copy a [`ReadProbe`]'s per-call I/O attribution into the I/O fields
@@ -585,9 +586,10 @@ impl PprTree {
             .copied()
     }
 
-    /// Node read with I/O accounting, for sibling modules.
-    pub(crate) fn read_node_pub(&self, page: PageId) -> Result<PprNode, StorageError> {
-        self.read_node(page)
+    /// The page device under the tree (see [`PageStore::backend`]), for
+    /// downcasts in tests and tooling.
+    pub fn backend(&mut self) -> &dyn PageBackend {
+        self.store.backend()
     }
 
     /// The structural parameters the tree was built with.
@@ -658,26 +660,23 @@ impl PprTree {
             let mut scratch = self.scratch.take();
             let stack = &mut scratch.snap_stack;
             stack.clear();
-            stack.push(span.page);
-            while let Some(page) = stack.pop() {
-                let node = match self.read_node_probed(page, &mut probe) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                };
+            stack.push((span.page, span.level));
+            while let Some((page, level)) = stack.pop() {
                 stats.nodes_visited += 1;
-                for e in &node.entries {
+                let visited = self.visit(page, level, &mut probe, |e| {
                     stats.entries_scanned += 1;
                     if e.alive_at(t) && e.rect.intersects(area) {
-                        if node.is_leaf() {
+                        if level == 0 {
                             out.push(e.ptr);
                             stats.results += 1;
                         } else {
-                            stack.push(e.child_page());
+                            stack.push((e.child_page(), level - 1));
                         }
                     }
+                });
+                if let Err(e) = visited {
+                    failed = Some(e);
+                    break;
                 }
             }
             // The scratch goes back even on the error path: capacity is
@@ -744,29 +743,26 @@ impl PprTree {
             let Some(root_range) = span.interval.intersect(range) else {
                 continue;
             };
-            stack.push((span.page, root_range));
-            while let Some((page, clipped)) = stack.pop() {
-                let node = match self.read_node_probed(page, &mut probe) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        failed = Some(e);
-                        break 'roots;
-                    }
-                };
+            stack.push((span.page, span.level, root_range));
+            while let Some((page, level, clipped)) = stack.pop() {
                 stats.nodes_visited += 1;
-                for e in &node.entries {
+                let visited = self.visit(page, level, &mut probe, |e| {
                     stats.entries_scanned += 1;
                     let Some(sub) = e.lifetime().intersect(&clipped) else {
-                        continue;
+                        return;
                     };
                     if !e.rect.intersects(area) {
-                        continue;
+                        return;
                     }
-                    if node.is_leaf() {
+                    if level == 0 {
                         seen.insert(e.ptr);
                     } else {
-                        stack.push((e.child_page(), sub));
+                        stack.push((e.child_page(), level - 1, sub));
                     }
+                });
+                if let Err(e) = visited {
+                    failed = Some(e);
+                    break 'roots;
                 }
             }
         }
@@ -787,24 +783,43 @@ impl PprTree {
     // Structure maintenance
     // ------------------------------------------------------------------
 
-    /// Node read with accounting but no per-call attribution (mutation
-    /// paths report their cost via global-counter deltas, which exclusive
-    /// `&mut self` access keeps race-free).
+    /// Owned node read with accounting but no per-call attribution
+    /// (mutation paths report their cost via global-counter deltas, which
+    /// exclusive `&mut self` access keeps race-free).
     fn read_node(&self, page: PageId) -> Result<PprNode, StorageError> {
-        self.read_node_probed(page, &mut ReadProbe::new())
-    }
-
-    /// Node read attributing its I/O to `probe` (query paths).
-    fn read_node_probed(
-        &self,
-        page: PageId,
-        probe: &mut ReadProbe,
-    ) -> Result<PprNode, StorageError> {
-        let raw = self.store.read(page, probe)?;
-        PprNode::decode(&raw).map_err(|_| StorageError::Corrupt {
+        let frame = self.store.read(page, &mut ReadProbe::new())?;
+        PprNode::decode(&frame).map_err(|_| StorageError::Corrupt {
             page,
             reason: CorruptReason::Decode,
         })
+    }
+
+    /// The query paths' node read: fetch `page` (I/O attributed to
+    /// `probe`) and hand `each` every entry of its node, in page order —
+    /// decoded and validated straight out of the pool's frame, so a
+    /// visit copies and allocates nothing. The node must sit at `level`,
+    /// one below the directory entry that led here: a damaged child
+    /// pointer can then never walk a traversal in a circle.
+    pub(crate) fn visit(
+        &self,
+        page: PageId,
+        level: u32,
+        probe: &mut ReadProbe,
+        mut each: impl FnMut(PprEntry),
+    ) -> Result<(), StorageError> {
+        let corrupt = StorageError::Corrupt {
+            page,
+            reason: CorruptReason::Decode,
+        };
+        let frame = self.store.read(page, probe)?;
+        let node = NodeView::new(&frame)
+            .ok()
+            .filter(|node| node.level() == level)
+            .ok_or_else(|| corrupt.clone())?;
+        for e in node.entries() {
+            each(e.map_err(|_| corrupt.clone())?);
+        }
+        Ok(())
     }
 
     fn write_node(&mut self, page: PageId, node: &PprNode) -> Result<(), StorageError> {
@@ -1844,6 +1859,89 @@ mod tests {
         ft.query_snapshot(&Rect2::UNIT, 0, &mut out).unwrap();
         assert_eq!(out, vec![1]);
         assert!(pages > 0);
+    }
+
+    /// A directory entry bent back onto its own node: the level check
+    /// fails the walk typed instead of letting it circle forever.
+    #[test]
+    fn child_pointer_cycle_fails_typed() {
+        let mut t = populated_tree();
+        let root = t.current_root().unwrap();
+        assert!(root.level > 0, "the fixture has a directory root");
+        let mut node = t.read_node(root.page).unwrap();
+        let alive = node.entries.iter_mut().find(|e| e.is_alive()).unwrap();
+        alive.ptr = u64::from(root.page);
+        t.write_node(root.page, &node).unwrap();
+        let cycle = StorageError::Corrupt {
+            page: root.page,
+            reason: CorruptReason::Decode,
+        };
+        let mut out = Vec::new();
+        let now = t.now();
+        assert_eq!(
+            t.query_snapshot(&Rect2::UNIT, now, &mut out),
+            Err(cycle.clone())
+        );
+        let recent = TimeInterval::new(now - 1, now + 1);
+        assert_eq!(
+            t.query_interval(&Rect2::UNIT, &recent, &mut out),
+            Err(cycle.clone())
+        );
+        assert_eq!(
+            t.nearest_at(sti_geom::Point2::new(0.4, 0.4), now, 500),
+            Err(cycle)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Damage a node page *and refresh its checksum* (a store write
+        /// does), so the decoder — not xxh64 — is what stands between
+        /// the bytes and every query path: each one answers or fails
+        /// typed, and none panics or walks in circles.
+        #[test]
+        fn damaged_node_bytes_fail_typed(
+            page in 0u32..40,
+            entry in 0usize..12,
+            field in 0usize..6,
+            kind in 0usize..5,
+            noise in proptest::prelude::any::<u64>(),
+        ) {
+            let mut t = populated_tree();
+            let page = page % u32::try_from(t.num_pages()).unwrap();
+            // On a field of one of the first entries (or, last field
+            // value, straddling the lifetime and the next entry).
+            let at = 6 + entry * 48 + field * 8;
+            let patch = [
+                noise.to_le_bytes(),
+                f64::NAN.to_le_bytes(),
+                f64::INFINITY.to_le_bytes(),
+                u64::MAX.to_le_bytes(),
+                (noise % 40).to_le_bytes(), // a plausible page id
+            ][kind];
+            let mut bytes = t.store.peek(page).unwrap();
+            bytes.bytes_mut()[at..at + 8].copy_from_slice(&patch);
+            t.store.write(page, &bytes.bytes()[..]).unwrap();
+
+            let typed = |outcome: Option<StorageError>| {
+                let decoder_caught_it = matches!(
+                    outcome,
+                    None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
+                        | Some(StorageError::Unallocated { .. })
+                );
+                proptest::prop_assert!(decoder_caught_it, "{outcome:?}");
+            };
+            let mut out = Vec::new();
+            for instant in [0, 60, 119, 150, 200] {
+                typed(t.query_snapshot(&Rect2::UNIT, instant, &mut out).err());
+                typed(t.nearest_at(sti_geom::Point2::new(0.4, 0.4), instant, 5).err());
+            }
+            let all = TimeInterval::new(0, 500);
+            typed(t.query_interval(&Rect2::UNIT, &all, &mut out).err());
+            // The checker reads the same bytes through the owned decode.
+            let _ = crate::check::validate(&t);
+        }
     }
 
     /// Current-view snapshot of everything `rollback_batch` must restore.

@@ -2,11 +2,10 @@
 //! Samet style). Not used by the paper's evaluation, but a production
 //! R-Tree without kNN is half a library.
 
-use crate::node::Entry;
 use crate::tree::RStarTree;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use sti_storage::StorageError;
+use sti_storage::{PageId, ReadProbe, StorageError};
 
 /// Heap element for the best-first queue: distance-ordered, nodes and
 /// records mixed.
@@ -68,34 +67,19 @@ impl RStarTree {
                         break;
                     }
                 }
-                Some(_) => {
-                    // stilint::allow(no_panic, "directory items carry allocate()-returned u32 page ids widened into the shared ptr field")
-                    let page = u32::try_from(item.ptr).expect("page id");
-                    let node = self.read_node(page)?;
-                    for e in &node.entries {
-                        let dist2 = e.rect.min_dist2(&point);
+                Some(level) => {
+                    let page = PageId::try_from(item.ptr).unwrap_or(PageId::MAX);
+                    self.visit(page, level, &mut ReadProbe::new(), |e| {
                         heap.push(Reverse(Pending {
-                            dist2,
-                            level: if node.is_leaf() {
-                                None
-                            } else {
-                                Some(node.level - 1)
-                            },
-                            ptr: entry_ptr(e, node.is_leaf()),
+                            dist2: e.rect.min_dist2(&point),
+                            level: level.checked_sub(1),
+                            ptr: e.ptr,
                         }));
-                    }
+                    })?;
                 }
             }
         }
         Ok(out)
-    }
-}
-
-fn entry_ptr(e: &Entry, leaf: bool) -> u64 {
-    if leaf {
-        e.ptr
-    } else {
-        u64::from(e.child_page())
     }
 }
 

@@ -20,5 +20,5 @@ pub mod split;
 pub mod tree;
 
 pub use bulk::PackingAlgorithm;
-pub use node::{Entry, Node, RStarParams, SplitStrategy};
+pub use node::{Entry, Node, NodeView, RStarParams, SplitStrategy};
 pub use tree::RStarTree;

@@ -92,13 +92,101 @@ impl Entry {
         }
     }
 
-    /// Interpret `ptr` as a child page id.
+    /// Interpret `ptr` as a child page id. Decoded internal entries
+    /// always hold one; anything wider maps to an id no store allocates,
+    /// so following it is a typed `Unallocated` error.
     pub fn child_page(&self) -> PageId {
-        // stilint::allow(no_panic, "internal entries are built exclusively from allocate()-returned u32 page ids widened into the shared ptr field")
-        PageId::try_from(self.ptr).expect("internal entry holds a page id")
+        PageId::try_from(self.ptr).unwrap_or(PageId::MAX)
     }
 
     const ENCODED: usize = 6 * 8 + 8; // rect + ptr
+
+    /// Decode and validate one encoded entry of a node at `level`: the
+    /// single statement of what a well-formed entry is, shared by
+    /// [`Node::decode`] and the [`NodeView`] cursor.
+    #[inline]
+    fn decode(raw: &[u8], level: u32) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(raw);
+        let mut lo = [0.0; 3];
+        let mut hi = [0.0; 3];
+        for v in lo.iter_mut().chain(&mut hi) {
+            *v = r.get_f64()?;
+        }
+        // Ordered, finite bounds; NaN fails the comparisons.
+        let finite = lo.iter().chain(&hi).all(|v| v.is_finite());
+        if !(finite && lo.iter().zip(&hi).all(|(l, h)| l <= h)) {
+            return Err(CodecError::InvalidValue(
+                "node entry rectangle is reversed or not finite",
+            ));
+        }
+        let ptr = r.get_u64()?;
+        if level > 0 && PageId::try_from(ptr).is_err() {
+            return Err(CodecError::InvalidValue(
+                "internal entry does not hold a page id",
+            ));
+        }
+        Ok(Self {
+            rect: Rect3 { lo, hi },
+            ptr,
+        })
+    }
+}
+
+/// A read-only cursor over a node still in its encoded page: what the
+/// query paths walk instead of decoding into an owned [`Node`], so a
+/// node visit allocates nothing. The header is checked once, here;
+/// every entry is decoded and validated as it is yielded, exactly as
+/// [`Node::decode`] would.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    level: u32,
+    /// `len() * Entry::ENCODED` bytes.
+    entries: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    const HEADER: usize = 4 + 2; // level + entry count
+
+    /// Open the node encoded in `page`.
+    #[inline]
+    pub fn new(page: &'a Page) -> Result<Self, CodecError> {
+        let (header, body) = page.bytes().split_at(Self::HEADER);
+        let mut r = ByteReader::new(header);
+        let level = r.get_u32()?;
+        let count = usize::from(r.get_u16()?);
+        let entries = body.get(..count * Entry::ENCODED);
+        let entries = entries.ok_or(CodecError::InvalidValue(
+            "entry count exceeds page capacity",
+        ))?;
+        Ok(Self { level, entries })
+    }
+
+    /// Height above the leaves: 0 for leaf nodes.
+    #[inline]
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len() / Entry::ENCODED
+    }
+
+    /// True for a node without entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries in page order; a malformed one is an `Err` item.
+    #[inline]
+    pub fn entries(&self) -> impl Iterator<Item = Result<Entry, CodecError>> + 'a {
+        let level = self.level;
+        self.entries
+            .chunks_exact(Entry::ENCODED)
+            .map(move |raw| Entry::decode(raw, level))
+    }
 }
 
 /// One R\*-Tree node: a level (0 = leaf) and up to `M` entries (one extra
@@ -137,7 +225,7 @@ impl Node {
 
     /// Bytes needed to encode a node of `n` entries.
     pub fn encoded_size(n: usize) -> usize {
-        4 + 2 + n * Entry::ENCODED
+        NodeView::HEADER + n * Entry::ENCODED
     }
 
     /// Serialize into a page buffer.
@@ -169,36 +257,18 @@ impl Node {
         buf[pos..].fill(0);
     }
 
-    /// Deserialize from a page.
+    /// Deserialize from a page into an owned node (mutation paths and
+    /// checkers; queries walk a [`NodeView`]).
     pub fn decode(page: &Page) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(&page.bytes()[..]);
-        let level = r.get_u32()?;
-        let count = r.get_u16()? as usize;
-        if Self::encoded_size(count) > PAGE_SIZE {
-            return Err(CodecError::InvalidValue(
-                "entry count exceeds page capacity",
-            ));
+        let view = NodeView::new(page)?;
+        let mut entries = Vec::with_capacity(view.len());
+        for e in view.entries() {
+            entries.push(e?);
         }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut lo = [0.0; 3];
-            let mut hi = [0.0; 3];
-            for v in &mut lo {
-                *v = r.get_f64()?;
-            }
-            for v in &mut hi {
-                *v = r.get_f64()?;
-            }
-            let ptr = r.get_u64()?;
-            if lo[0] > hi[0] || lo[1] > hi[1] || lo[2] > hi[2] {
-                return Err(CodecError::InvalidValue("reversed rectangle in node entry"));
-            }
-            entries.push(Entry {
-                rect: Rect3 { lo, hi },
-                ptr,
-            });
-        }
-        Ok(Self { level, entries })
+        Ok(Self {
+            level: view.level(),
+            entries,
+        })
     }
 }
 
@@ -283,6 +353,58 @@ mod tests {
             Node::decode(&page),
             Err(CodecError::InvalidValue(_))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_nan_and_infinite_bounds() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..6 {
+                let node = Node {
+                    level: 0,
+                    entries: vec![entry(0.1, 1)],
+                };
+                let mut page = Page::zeroed();
+                node.encode(&mut page);
+                let off = NodeView::HEADER + field * 8;
+                page.bytes_mut()[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+                assert!(
+                    matches!(Node::decode(&page), Err(CodecError::InvalidValue(_))),
+                    "{bad} in rect field {field}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn internal_pointer_must_fit_a_page_id() {
+        let wide = u64::from(u32::MAX) + 1;
+        let mut page = Page::zeroed();
+        for level in [0, 1] {
+            Node {
+                level,
+                entries: vec![entry(0.1, wide)],
+            }
+            .encode(&mut page);
+            // The same bits in a leaf are an object id, and fine.
+            assert_eq!(Node::decode(&page).is_ok(), level == 0);
+        }
+        // An in-memory entry that never went through decode stays
+        // panic-free too: the id it yields is one no store allocates.
+        assert_eq!(entry(0.1, wide).child_page(), PageId::MAX);
+    }
+
+    #[test]
+    fn view_yields_what_decode_collects() {
+        let node = Node {
+            level: 2,
+            entries: (0..20).map(|i| entry(i as f64 * 0.01, i)).collect(),
+        };
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        let view = NodeView::new(&page).unwrap();
+        assert_eq!((view.level(), view.len()), (2, 20));
+        let walked: Vec<Entry> = view.entries().map(Result::unwrap).collect();
+        assert_eq!(walked, node.entries);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! queries with I/O accounting.
 
 use crate::node::SplitStrategy;
-use crate::node::{Entry, Node, RStarParams};
+use crate::node::{Entry, Node, NodeView, RStarParams};
 use crate::split::{quadratic_split, rstar_split};
 use sti_geom::Rect3;
 use sti_obs::QueryStats;
@@ -38,7 +38,7 @@ pub struct RStarTree {
     /// they carry capacity (never data) between calls so steady-state
     /// sequential queries do not allocate, while concurrent `&self`
     /// queries each take their own stack.
-    pub(crate) scratch: ScratchPool<Vec<PageId>>,
+    pub(crate) scratch: ScratchPool<Vec<(PageId, u32)>>,
 }
 
 /// Copy a [`ReadProbe`]'s per-call I/O attribution into the I/O fields
@@ -207,32 +207,25 @@ impl RStarTree {
         let mut probe = ReadProbe::new();
         let mut stack = self.scratch.take();
         stack.clear();
-        stack.push(self.root);
+        stack.push((self.root, self.root_level));
         let mut failed = None;
-        while let Some(page) = stack.pop() {
-            let node = match self.read_node_probed(page, &mut probe) {
-                Ok(n) => n,
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
+        while let Some((page, level)) = stack.pop() {
             stats.nodes_visited += 1;
-            if node.is_leaf() {
-                for e in &node.entries {
-                    stats.entries_scanned += 1;
-                    if e.rect.intersects(query) {
-                        out.push(e.ptr);
-                        stats.results += 1;
-                    }
+            let visited = self.visit(page, level, &mut probe, |e| {
+                stats.entries_scanned += 1;
+                if !e.rect.intersects(query) {
+                    return;
                 }
-            } else {
-                for e in &node.entries {
-                    stats.entries_scanned += 1;
-                    if e.rect.intersects(query) {
-                        stack.push(e.child_page());
-                    }
+                if level == 0 {
+                    out.push(e.ptr);
+                    stats.results += 1;
+                } else {
+                    stack.push((e.child_page(), level - 1));
                 }
+            });
+            if let Err(e) = visited {
+                failed = Some(e);
+                break;
             }
         }
         self.scratch.put(stack);
@@ -243,20 +236,42 @@ impl RStarTree {
         Ok(stats)
     }
 
+    /// Owned node read (mutation paths; I/O goes to the global counters
+    /// only).
     pub(crate) fn read_node(&self, page: PageId) -> Result<Node, StorageError> {
-        self.read_node_probed(page, &mut ReadProbe::new())
-    }
-
-    pub(crate) fn read_node_probed(
-        &self,
-        page: PageId,
-        probe: &mut ReadProbe,
-    ) -> Result<Node, StorageError> {
-        let raw = self.store.read(page, probe)?;
-        Node::decode(&raw).map_err(|_| StorageError::Corrupt {
+        let frame = self.store.read(page, &mut ReadProbe::new())?;
+        Node::decode(&frame).map_err(|_| StorageError::Corrupt {
             page,
             reason: CorruptReason::Decode,
         })
+    }
+
+    /// The query paths' node read: fetch `page` (I/O attributed to
+    /// `probe`) and hand `each` every entry of its node, in page order —
+    /// decoded and validated straight out of the pool's frame, so a
+    /// visit copies and allocates nothing. The node must sit at `level`,
+    /// one below the entry that led here: a damaged child pointer can
+    /// then never walk a traversal in a circle.
+    pub(crate) fn visit(
+        &self,
+        page: PageId,
+        level: u32,
+        probe: &mut ReadProbe,
+        mut each: impl FnMut(Entry),
+    ) -> Result<(), StorageError> {
+        let corrupt = StorageError::Corrupt {
+            page,
+            reason: CorruptReason::Decode,
+        };
+        let frame = self.store.read(page, probe)?;
+        let node = NodeView::new(&frame)
+            .ok()
+            .filter(|node| node.level() == level)
+            .ok_or_else(|| corrupt.clone())?;
+        for e in node.entries() {
+            each(e.map_err(|_| corrupt.clone())?);
+        }
+        Ok(())
     }
 
     pub(crate) fn write_node(&mut self, page: PageId, node: &Node) -> Result<(), StorageError> {
@@ -1031,6 +1046,77 @@ mod tests {
                 want.sort_unstable();
                 prop_assert_eq!(got, want);
             }
+        }
+    }
+
+    /// An internal entry bent back onto its own node: the level check
+    /// fails the walk typed instead of letting it circle forever.
+    #[test]
+    fn child_pointer_cycle_fails_typed() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut t = RStarTree::new(small_params());
+        for id in 0..120u64 {
+            t.insert(id, random_box(&mut rng)).unwrap();
+        }
+        let root = t.root;
+        let mut node = t.read_node(root).unwrap();
+        assert!(node.level > 0, "the fixture has an internal root");
+        node.entries[0].ptr = u64::from(root);
+        t.write_node(root, &node).unwrap();
+        let cycle = StorageError::Corrupt {
+            page: root,
+            reason: CorruptReason::Decode,
+        };
+        let everything = Rect3::new([0.0; 3], [1.0; 3]);
+        assert_eq!(t.query(&everything, &mut Vec::new()), Err(cycle.clone()));
+        assert_eq!(t.nearest([0.5; 3], 500), Err(cycle));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Damage a node page *and refresh its checksum* (a store write
+        /// does), so the decoder — not xxh64 — is what stands between
+        /// the bytes and every query path: each one answers or fails
+        /// typed, and none panics or walks in circles.
+        #[test]
+        fn damaged_node_bytes_fail_typed(
+            seed in 0u64..4,
+            page in 0u32..64,
+            entry in 0usize..8,
+            field in 0usize..7,
+            kind in 0usize..5,
+            noise in any::<u64>(),
+        ) {
+            let at = 6 + entry * 56 + field * 8;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = RStarTree::new(small_params());
+            for id in 0..120u64 {
+                t.insert(id, random_box(&mut rng)).unwrap();
+            }
+            let page = page % u32::try_from(t.num_pages()).unwrap();
+            let patch = [
+                noise.to_le_bytes(),
+                f64::NAN.to_le_bytes(),
+                f64::INFINITY.to_le_bytes(),
+                u64::MAX.to_le_bytes(),
+                (noise % 64).to_le_bytes(), // a plausible page id
+            ][kind];
+            let mut bytes = t.store.peek(page).unwrap();
+            bytes.bytes_mut()[at..at + 8].copy_from_slice(&patch);
+            t.store.write(page, &bytes.bytes()[..]).unwrap();
+
+            let typed = |outcome: Option<StorageError>| {
+                let decoder_caught_it = matches!(
+                    outcome,
+                    None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
+                        | Some(StorageError::Unallocated { .. })
+                );
+                prop_assert!(decoder_caught_it, "{outcome:?}");
+            };
+            let everything = Rect3::new([0.0; 3], [1.0; 3]);
+            typed(t.query(&everything, &mut Vec::new()).err());
+            typed(t.nearest([0.5; 3], 5).err());
         }
     }
 }

@@ -925,7 +925,7 @@ struct S { inner: Mutex<u32> }
 impl S {
     fn f(&self) {
         let g = self.inner.lock();
-        self.backend.read(7);
+        self.backend.read_into(7);
     }
 }
 ";
@@ -939,7 +939,7 @@ impl S {
     fn f(&self) {
         let g = self.inner.lock();
         // stilint::allow(lock_discipline, \"read-only probe, bounded latency\")
-        self.backend.read(7);
+        self.backend.read_into(7);
     }
 }
 ";

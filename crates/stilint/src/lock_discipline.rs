@@ -253,7 +253,7 @@ mod tests {
 impl S {
     fn f(&self) {
         let g = self.inner.lock();
-        self.backend.read(1);
+        self.backend.read_into(1);
     }
 }
 ",
@@ -297,7 +297,7 @@ impl S {
             let g = self.inner.lock();
             g.touch();
         }
-        self.backend.read(1);
+        self.backend.read_into(1);
     }
 }
 ",
@@ -314,7 +314,7 @@ impl S {
     fn f(&self) {
         let g = self.inner.lock();
         drop(g);
-        self.backend.read(1);
+        self.backend.read_into(1);
     }
 }
 ",
@@ -377,7 +377,7 @@ struct S { core: RwLock<u32> }
 impl S {
     fn f(&self) {
         let c = self.core.write();
-        self.backend.read(1);
+        self.backend.read_into(1);
     }
 }
 ",

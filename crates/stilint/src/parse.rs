@@ -128,7 +128,7 @@ pub struct FnItem {
     pub guards: Vec<GuardSite>,
     pub loops: Vec<LoopSite>,
     pub atomics: Vec<AtomicSite>,
-    /// Lines performing backend I/O directly (`backend.read(` etc.).
+    /// Lines performing backend I/O directly (`backend.read_into(` etc.).
     pub io_lines: Vec<usize>,
     /// `drop(var)` statements, which end a guard's scope early.
     pub drops: Vec<(usize, String)>,
@@ -198,12 +198,13 @@ pub const ATOMIC_METHODS: [&str; 12] = [
 
 /// Tokens marking a line as direct backend I/O (the `PageBackend`
 /// surface plus raw filesystem access).
-const IO_CALL_MARKERS: [&str; 8] = [
-    "backend.read(",
+const IO_CALL_MARKERS: [&str; 9] = [
+    "backend.read_into(",
+    "backend.peek_into(",
     "backend.write(",
+    "backend.restore(",
     "backend.allocate(",
     "backend.sync(",
-    "backend.quiesce(",
     "std::fs::",
     "File::open(",
     "File::create(",

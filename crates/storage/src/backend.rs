@@ -1,37 +1,37 @@
 //! Pluggable page backends beneath [`crate::PageStore`].
 //!
-//! The store owns accounting (buffer pool, [`crate::IoStats`], retry,
-//! checksums, the undo log); a [`PageBackend`] owns the bytes. Three
-//! implementations ship with the crate:
+//! The store owns accounting (the frame pool, [`crate::IoStats`], retry,
+//! checksums, the undo log); a [`PageBackend`] owns the bytes at rest.
+//! Three implementations ship with the crate:
 //!
 //! * [`MemBackend`] — the classic simulated disk: a `Vec` of pages that
 //!   never fails.
-//! * [`FileBackend`] — pages mirrored to a real file with write-through,
-//!   so OS-level I/O errors surface as typed [`StorageError`]s.
+//! * [`FileBackend`] — one [`PAGE_SIZE`] slot per page in a real file,
+//!   read and written positionally, so OS-level I/O errors surface as
+//!   typed [`StorageError`]s and no page byte stays in memory.
 //! * [`crate::fault::FaultyBackend`] — a deterministic fault-injection
 //!   wrapper over either of the above.
 
 use crate::error::{IoOp, StorageError};
 use crate::{Page, PageId, PAGE_SIZE};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 /// The raw page device beneath a [`crate::PageStore`].
 ///
-/// `read` is the fault point for fetches: it performs (or simulates) the
-/// transfer and may fail; the store then serves the bytes via
-/// [`PageBackend::page`], which is raw access and never fails or injects.
-/// All mutating operations go through `write`/`allocate`/`truncate`;
-/// `page_mut` is reserved for the store's rollback and load paths, which
-/// bypass fault injection by design (recovery must not re-enter the
-/// failure it is recovering from).
+/// `read_into` and `write` are the fault points: they perform (or
+/// simulate) the transfer and may fail or be damaged in flight; the
+/// store verifies checksums after both. `peek_into` and `restore` are
+/// the same transfers for the store's verification, pre-image, rollback
+/// and tooling paths, which bypass fault injection by design (recovery
+/// must not re-enter the failure it is recovering from).
 pub trait PageBackend: std::fmt::Debug + Send + Sync {
     /// Number of pages the backend holds.
     fn num_pages(&self) -> usize;
 
-    /// Perform the transfer of page `id` from the device. The store
-    /// verifies the checksum of [`PageBackend::page`] afterwards.
-    fn read(&mut self, id: PageId) -> Result<(), StorageError>;
+    /// Transfer page `id` from the device into `buf`. Shared: concurrent
+    /// readers fetch different pages in parallel.
+    fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError>;
 
     /// Overwrite page `id` with `payload` (shorter payloads are
     /// zero-padded to [`PAGE_SIZE`]).
@@ -47,22 +47,21 @@ pub trait PageBackend: std::fmt::Debug + Send + Sync {
     /// Flush to durable storage.
     fn sync(&mut self) -> Result<(), StorageError>;
 
-    /// Raw access to a page's current bytes. No accounting, no faults.
-    fn page(&self, id: PageId) -> Option<&Page>;
+    /// [`PageBackend::read_into`] with no accounting and no faults.
+    fn peek_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        self.read_into(id, buf)
+    }
 
-    /// Raw mutable access, for rollback/load paths only.
-    fn page_mut(&mut self, id: PageId) -> Option<&mut Page>;
+    /// [`PageBackend::write`] of a whole page with no accounting and no
+    /// faults.
+    fn restore(&mut self, id: PageId, bytes: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        self.write(id, bytes)
+    }
 
     /// Total faults this backend has injected (zero for real backends).
     fn faults_injected(&self) -> u64 {
         0
     }
-
-    /// Heal any in-flight (transfer-level) corruption after a failed
-    /// operation. Called by the store when it gives up on an operation,
-    /// so injected read-side bit flips do not outlive the error they
-    /// caused. Real backends have nothing to heal.
-    fn quiesce(&mut self) {}
 
     /// Clone into a boxed backend (see the caveat on [`FileBackend`]).
     fn clone_box(&self) -> Box<dyn PageBackend>;
@@ -78,6 +77,10 @@ impl Clone for Box<dyn PageBackend> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+fn unallocated(op: IoOp, page: PageId, pages: usize) -> StorageError {
+    StorageError::Unallocated { op, page, pages }
 }
 
 /// The default in-memory backend: a growable array of pages. Operations
@@ -99,31 +102,23 @@ impl PageBackend for MemBackend {
         self.pages.len()
     }
 
-    fn read(&mut self, id: PageId) -> Result<(), StorageError> {
-        if (id as usize) < self.pages.len() {
-            Ok(())
-        } else {
-            Err(StorageError::Unallocated {
-                op: IoOp::Read,
-                page: id,
-                pages: self.pages.len(),
-            })
-        }
+    fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        let page = self
+            .pages
+            .get(id as usize)
+            .ok_or_else(|| unallocated(IoOp::Read, id, self.pages.len()))?;
+        *buf = *page.bytes();
+        Ok(())
     }
 
     fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
         let pages = self.pages.len();
-        match self.pages.get_mut(id as usize) {
-            Some(p) => {
-                p.fill_from(payload);
-                Ok(())
-            }
-            None => Err(StorageError::Unallocated {
-                op: IoOp::Write,
-                page: id,
-                pages,
-            }),
-        }
+        let page = self
+            .pages
+            .get_mut(id as usize)
+            .ok_or_else(|| unallocated(IoOp::Write, id, pages))?;
+        page.fill_from(payload);
+        Ok(())
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
@@ -138,14 +133,6 @@ impl PageBackend for MemBackend {
 
     fn sync(&mut self) -> Result<(), StorageError> {
         Ok(())
-    }
-
-    fn page(&self, id: PageId) -> Option<&Page> {
-        self.pages.get(id as usize)
-    }
-
-    fn page_mut(&mut self, id: PageId) -> Option<&mut Page> {
-        self.pages.get_mut(id as usize)
     }
 
     fn clone_box(&self) -> Box<dyn PageBackend> {
@@ -181,19 +168,23 @@ fn io_err(op: IoOp, page: Option<PageId>, e: &std::io::Error) -> StorageError {
     }
 }
 
-/// A backend keeping pages in a real file (one [`PAGE_SIZE`] slot per
-/// page) with an in-memory mirror for zero-copy reads.
+/// A backend keeping pages in a real file, one [`PAGE_SIZE`] slot per
+/// page, and nothing in memory: what is resident is the frame pool's
+/// decision, so a tree on this backend takes memory in proportion to
+/// the pool capacity, not to its size.
 ///
-/// Writes go through to the file immediately; `read` re-fetches the slot
-/// from the file into the mirror, so OS-level failures surface where the
-/// fault actually is. Cloning detaches from the file: the clone becomes
-/// an in-memory snapshot (a second handle appending to the same file
-/// would corrupt both owners).
+/// Every transfer is one positional `read_at`/`write_at` on the shared
+/// descriptor (no seek, no per-call buffer), so OS-level failures
+/// surface where the fault actually is (the positional calls are
+/// `std::os::unix::fs::FileExt`, so this backend is Unix-only). Cloning
+/// detaches from the file:
+/// the clone becomes an in-memory snapshot (a second handle appending to
+/// the same file would corrupt both owners).
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
     file: std::fs::File,
-    mirror: Vec<Page>,
+    pages: usize,
 }
 
 impl FileBackend {
@@ -208,31 +199,23 @@ impl FileBackend {
         Ok(Self {
             path: path.to_path_buf(),
             file,
-            mirror: Vec::new(),
+            pages: 0,
         })
     }
 
-    /// Open an existing backing file, loading every full page slot.
+    /// Open an existing backing file; every full page slot is a page.
+    /// Reads no page: bytes move when the store asks for them.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let mut file = std::fs::OpenOptions::new()
+        let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)?;
-        let len = file.metadata()?.len() as usize;
-        let pages = len / PAGE_SIZE;
-        let mut mirror = Vec::with_capacity(pages);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.seek(SeekFrom::Start(0))?;
-        for _ in 0..pages {
-            file.read_exact(&mut buf)?;
-            let mut page = Page::zeroed();
-            page.fill_from(&buf);
-            mirror.push(page);
-        }
+        let pages = usize::try_from(file.metadata()?.len() / PAGE_SIZE as u64)
+            .map_err(std::io::Error::other)?;
         Ok(Self {
             path: path.to_path_buf(),
             file,
-            mirror,
+            pages,
         })
     }
 
@@ -240,68 +223,55 @@ impl FileBackend {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    fn offset(id: PageId) -> u64 {
+        u64::from(id) * PAGE_SIZE as u64
+    }
 }
 
 impl PageBackend for FileBackend {
     fn num_pages(&self) -> usize {
-        self.mirror.len()
+        self.pages
     }
 
-    fn read(&mut self, id: PageId) -> Result<(), StorageError> {
-        if (id as usize) >= self.mirror.len() {
-            return Err(StorageError::Unallocated {
-                op: IoOp::Read,
-                page: id,
-                pages: self.mirror.len(),
-            });
+    fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        if (id as usize) >= self.pages {
+            return Err(unallocated(IoOp::Read, id, self.pages));
         }
-        let offset = (id as u64) * (PAGE_SIZE as u64);
         self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err(IoOp::Read, Some(id), &e))?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file
-            .read_exact(&mut buf)
-            .map_err(|e| io_err(IoOp::Read, Some(id), &e))?;
-        self.mirror[id as usize].fill_from(&buf);
-        Ok(())
+            .read_exact_at(buf, Self::offset(id))
+            .map_err(|e| io_err(IoOp::Read, Some(id), &e))
     }
 
     fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        if (id as usize) >= self.mirror.len() {
-            return Err(StorageError::Unallocated {
-                op: IoOp::Write,
-                page: id,
-                pages: self.mirror.len(),
-            });
+        if (id as usize) >= self.pages {
+            return Err(unallocated(IoOp::Write, id, self.pages));
         }
-        self.mirror[id as usize].fill_from(payload);
-        let offset = (id as u64) * (PAGE_SIZE as u64);
+        let mut padded = [0u8; PAGE_SIZE];
+        padded
+            .get_mut(..payload.len())
+            .ok_or(StorageError::PayloadTooLarge { len: payload.len() })?
+            .copy_from_slice(payload);
         self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err(IoOp::Write, Some(id), &e))?;
-        self.file
-            .write_all(self.mirror[id as usize].bytes())
-            .map_err(|e| io_err(IoOp::Write, Some(id), &e))?;
-        Ok(())
+            .write_all_at(&padded, Self::offset(id))
+            .map_err(|e| io_err(IoOp::Write, Some(id), &e))
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
-        let id = PageId::try_from(self.mirror.len()).map_err(|_| StorageError::OutOfPageIds)?;
-        let new_len = (self.mirror.len() as u64 + 1) * (PAGE_SIZE as u64);
+        let id = PageId::try_from(self.pages).map_err(|_| StorageError::OutOfPageIds)?;
         self.file
-            .set_len(new_len)
+            .set_len(Self::offset(id) + PAGE_SIZE as u64)
             .map_err(|e| io_err(IoOp::Allocate, Some(id), &e))?;
-        self.mirror.push(Page::zeroed());
+        self.pages += 1;
         Ok(id)
     }
 
     fn truncate(&mut self, len: usize) {
-        self.mirror.truncate(len);
+        self.pages = self.pages.min(len);
         // Rollback must not fail; if the OS refuses to shrink the file,
-        // the extra zeroed slots are harmless (the mirror is the source
-        // of truth for allocation length).
-        let _ = self.file.set_len((len as u64) * (PAGE_SIZE as u64));
+        // the extra slots are harmless (`pages` is the source of truth
+        // for allocation length).
+        let _ = self.file.set_len((self.pages as u64) * (PAGE_SIZE as u64));
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
@@ -310,18 +280,19 @@ impl PageBackend for FileBackend {
             .map_err(|e| io_err(IoOp::Sync, None, &e))
     }
 
-    fn page(&self, id: PageId) -> Option<&Page> {
-        self.mirror.get(id as usize)
-    }
-
-    fn page_mut(&mut self, id: PageId) -> Option<&mut Page> {
-        self.mirror.get_mut(id as usize)
-    }
-
     fn clone_box(&self) -> Box<dyn PageBackend> {
-        Box::new(MemBackend {
-            pages: self.mirror.clone(),
-        })
+        // A slot that cannot be read back stays zeroed; the cloned
+        // store's recorded checksum then fails it closed on first fetch.
+        let pages = (0..self.pages)
+            .map(|i| {
+                let mut page = Page::zeroed();
+                let _ = self
+                    .file
+                    .read_exact_at(page.bytes_mut(), (i as u64) * (PAGE_SIZE as u64));
+                page
+            })
+            .collect();
+        Box::new(MemBackend { pages })
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -337,16 +308,20 @@ impl PageBackend for FileBackend {
 mod tests {
     use super::*;
 
+    fn read(b: &dyn PageBackend, id: PageId) -> Result<[u8; PAGE_SIZE], StorageError> {
+        let mut buf = [0u8; PAGE_SIZE];
+        b.read_into(id, &mut buf).map(|()| buf)
+    }
+
     #[test]
     fn mem_backend_round_trip() {
         let mut b = MemBackend::new();
         let a = b.allocate().unwrap();
         assert_eq!(a, 0);
         b.write(a, &[1, 2, 3]).unwrap();
-        b.read(a).unwrap();
-        assert_eq!(&b.page(a).unwrap().bytes()[..3], &[1, 2, 3]);
+        assert_eq!(&read(&b, a).unwrap()[..4], &[1, 2, 3, 0]);
         assert!(matches!(
-            b.read(9),
+            read(&b, 9),
             Err(StorageError::Unallocated { page: 9, .. })
         ));
         b.truncate(0);
@@ -363,14 +338,25 @@ mod tests {
             let c = b.allocate().unwrap();
             b.write(a, &[7; 10]).unwrap();
             b.write(c, &[9; 5]).unwrap();
+            b.write(c, &[9; 3]).unwrap();
             b.sync().unwrap();
         }
         {
             let mut b = FileBackend::open(&path).unwrap();
             assert_eq!(b.num_pages(), 2);
-            b.read(0).unwrap();
-            assert_eq!(&b.page(0).unwrap().bytes()[..10], &[7; 10]);
-            assert_eq!(&b.page(1).unwrap().bytes()[..5], &[9; 5]);
+            assert_eq!(
+                &read(&b, 0).unwrap()[..11],
+                &[7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0]
+            );
+            assert_eq!(&read(&b, 1).unwrap()[..5], &[9, 9, 9, 0, 0], "rewrite pads");
+            assert!(matches!(
+                read(&b, 2),
+                Err(StorageError::Unallocated { page: 2, .. })
+            ));
+            // A truncated-then-regrown slot comes back zeroed.
+            b.truncate(1);
+            assert_eq!(b.allocate().unwrap(), 1);
+            assert_eq!(read(&b, 1).unwrap(), [0u8; PAGE_SIZE]);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -388,9 +374,8 @@ mod tests {
         let mut cloned = b.clone_box();
         cloned.write(a, &[5; 4]).unwrap();
         // The clone diverges without touching the original file.
-        b.read(a).unwrap();
-        assert_eq!(&b.page(a).unwrap().bytes()[..4], &[4; 4]);
-        assert_eq!(&cloned.page(a).unwrap().bytes()[..4], &[5; 4]);
+        assert_eq!(&read(&b, a).unwrap()[..4], &[4; 4]);
+        assert_eq!(&read(cloned.as_ref(), a).unwrap()[..4], &[5; 4]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,10 +1,34 @@
-//! A small LRU buffer pool.
+//! The buffer pool: lock-striped LRU shards that own their page frames.
+//!
+//! [`ShardedBuffer`] is N independent shards, each behind its own
+//! mutex, with pages routed to shards by a multiplicative hash of the
+//! page id. Every resident key owns the bytes of its page (a *frame*,
+//! a [`Page`] materialised when the key is first installed), so the
+//! pool capacity is what bounds a store's memory. A hit hands the caller
+//! a *pin* — a clone of the frame, which shares its bytes by reference
+//! count, taken under the shard lock — and the caller reads the bytes
+//! outside every lock; a pinned frame that is evicted or rewritten
+//! meanwhile is simply replaced in its slot, never mutated, so pins
+//! need no bookkeeping and eviction never looks at them.
+//!
+//! Concurrent readers touching different shards never contend; readers
+//! on the same shard serialize only for the O(1) LRU bookkeeping. LRU is
+//! the only eviction policy: it is what the paper measures, and with one
+//! shard (the default) the pool is a single global LRU, which keeps the
+//! paper's sequential figures byte-identical.
+//!
+//! Hit/miss counters live *inside* the shards and are summed on demand,
+//! so the global [`crate::IoStats`] is a pure function of per-shard
+//! state — there is no second copy that a test hook or reset path could
+//! desync (see DESIGN.md §6, "Concurrency model").
 
+use crate::Page;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Residency key for the buffer pool.
 ///
-/// Wider than [`crate::BufferKey`] on purpose: a pool shared by several
+/// Wider than [`crate::PageId`] on purpose: a pool shared by several
 /// store versions (see `PageStore::share_buffer`) tags each store's
 /// pages into a disjoint key range (`(tag << 32) | page`), so page 7 of
 /// the latest tree and page 7 of the published tree are distinct
@@ -12,135 +36,52 @@ use std::collections::HashMap;
 /// verbatim.
 pub type BufferKey = u64;
 
-/// Tracks which pages are resident in the buffer pool, with
-/// least-recently-used eviction.
+/// Merged hit/miss counters across every shard.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferCounters {
+    /// Accesses absorbed by some shard's LRU.
+    pub hits: u64,
+    /// Accesses that missed and were installed (disk reads).
+    pub misses: u64,
+}
+
+/// One lock stripe: an LRU list over an arena of frame-owning slots.
 ///
-/// The buffer only tracks *residency* — page bytes live in the
-/// [`crate::PageStore`]; the store consults the buffer to decide whether a
-/// read hits the (free) buffer or costs a disk access.
-///
-/// O(1) per touch at any capacity: `map` finds a page's slot, the slot
+/// O(1) per touch at any capacity: `map` finds a key's slot, the slot
 /// links maintain recency order (`head` = most recent, `tail` = eviction
 /// victim), and `free` recycles slots so the arena never exceeds the
 /// capacity.
-#[derive(Debug, Clone)]
-pub(crate) struct LruBuffer {
+#[derive(Debug, Clone, Default)]
+struct Shard {
     capacity: usize,
     slots: Vec<Slot>,
     map: HashMap<BufferKey, usize>,
     free: Vec<usize>,
     head: Option<usize>,
     tail: Option<usize>,
+    /// The last evicted frame nobody else holds: the next install fills
+    /// it instead of allocating.
+    spare: Option<Page>,
+    hits: u64,
+    misses: u64,
 }
 
 /// One arena slot of the linked recency list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Slot {
-    page: BufferKey,
+    key: BufferKey,
+    /// `None` only while the slot sits on the free list.
+    frame: Option<Page>,
     prev: Option<usize>,
     next: Option<usize>,
 }
 
-impl LruBuffer {
-    /// Create a buffer holding at most `capacity` pages. A capacity of 0
-    /// disables buffering (every read is a disk access).
-    pub fn new(capacity: usize) -> Self {
+impl Shard {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            slots: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
-            free: Vec::new(),
-            head: None,
-            tail: None,
+            ..Self::default()
         }
-    }
-
-    /// Number of currently resident pages (tests).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no pages are resident (tests).
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if `page` is resident (does not touch recency).
-    pub fn contains(&self, page: BufferKey) -> bool {
-        self.map.contains_key(&page)
-    }
-
-    /// Record an access to `page`. Returns `true` on a buffer hit, `false`
-    /// on a miss; on a miss the page becomes resident, evicting the least
-    /// recently used page if the buffer is full.
-    pub fn access(&mut self, page: BufferKey) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if let Some(&slot) = self.map.get(&page) {
-            if self.head != Some(slot) {
-                self.unlink(slot);
-                self.link_front(slot);
-            }
-            return true;
-        }
-        if self.map.len() == self.capacity {
-            self.evict_tail();
-        }
-        let slot = if let Some(reused) = self.free.pop() {
-            self.slot(reused).page = page;
-            reused
-        } else {
-            self.slots.push(Slot {
-                page,
-                prev: None,
-                next: None,
-            });
-            self.slots.len() - 1
-        };
-        self.link_front(slot);
-        self.map.insert(page, slot);
-        false
-    }
-
-    /// Make `page` resident at the most-recent position without reporting
-    /// hit/miss. This is the write path's entry point: residency after a
-    /// write is a caching policy (write-through), not a read outcome, so
-    /// there is no hit/miss to account for — see `PageStore::write`.
-    pub fn install(&mut self, page: BufferKey) {
-        self.access(page);
-    }
-
-    /// Drop a page from the buffer (e.g., when its content is rewritten
-    /// from scratch and the caller wants the next read to count).
-    pub fn invalidate(&mut self, page: BufferKey) {
-        if let Some(slot) = self.map.remove(&page) {
-            self.unlink(slot);
-            self.free.push(slot);
-        }
-    }
-
-    /// Empty the buffer. The paper resets the buffer before every query.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.map.clear();
-        self.free.clear();
-        self.head = None;
-        self.tail = None;
-    }
-
-    /// Resident pages, most recently used first (tests).
-    #[cfg(test)]
-    pub fn resident_mru(&self) -> Vec<BufferKey> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cursor = self.head;
-        while let Some(i) = cursor {
-            out.push(self.slots[i].page);
-            cursor = self.slots[i].next;
-        }
-        out
     }
 
     /// The slot at arena index `i`.
@@ -173,102 +114,414 @@ impl LruBuffer {
         self.head = Some(slot);
     }
 
-    fn evict_tail(&mut self) {
-        if let Some(victim) = self.tail {
-            self.unlink(victim);
-            let page = self.slot(victim).page;
-            self.map.remove(&page);
-            self.free.push(victim);
+    /// Move a resident slot to the most-recent position.
+    fn promote(&mut self, slot: usize) {
+        if self.head != Some(slot) {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+    }
+
+    /// Keep a frame that left its slot as the spare, unless a pin still
+    /// holds it.
+    fn recycle(&mut self, mut frame: Option<Page>) {
+        if frame.as_mut().is_some_and(Page::is_unshared) {
+            self.spare = frame;
+        }
+    }
+
+    /// Unlink `slot`, forget its key and recycle both it and its frame.
+    fn release(&mut self, slot: usize) {
+        self.unlink(slot);
+        let Slot { key, frame, .. } = self.slot(slot);
+        let (key, frame) = (*key, frame.take());
+        self.map.remove(&key);
+        self.free.push(slot);
+        self.recycle(frame);
+    }
+
+    /// Forget every key and drop every frame; counters stay.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.map.clear();
+        self.free.clear();
+        self.head = None;
+        self.tail = None;
+        self.spare = None;
+    }
+
+    /// Make `frame` the bytes of `key` at the most-recent position,
+    /// evicting the least recently used key if the shard is full.
+    /// Returns whether `key` was already resident.
+    fn install(&mut self, key: BufferKey, frame: Page) -> bool {
+        if let Some(&slot) = self.map.get(&key) {
+            self.promote(slot);
+            let old = self.slot(slot).frame.replace(frame);
+            self.recycle(old);
+            return true;
+        }
+        if self.capacity == 0 {
+            return false;
+        }
+        if self.map.len() == self.capacity {
+            if let Some(victim) = self.tail {
+                self.release(victim);
+            }
+        }
+        let fresh = Slot {
+            key,
+            frame: Some(frame),
+            prev: None,
+            next: None,
+        };
+        let slot = match self.free.pop() {
+            Some(reused) => {
+                *self.slot(reused) = fresh;
+                reused
+            }
+            None => {
+                self.slots.push(fresh);
+                self.slots.len() - 1
+            }
+        };
+        self.link_front(slot);
+        self.map.insert(key, slot);
+        false
+    }
+}
+
+/// A lock-striped, frame-owning LRU buffer pool shared by concurrent
+/// readers.
+///
+/// The total capacity is split as evenly as possible across shards
+/// (the first `capacity % shards` shards get one extra page). Per-shard
+/// LRU is *not* global LRU: a hot page in one shard cannot evict a cold
+/// page in another. That skew is bounded by the shard count and is the
+/// price of lock striping; the paper's measured configuration uses one
+/// shard, where per-shard LRU *is* global LRU.
+///
+/// Frames are materialised on install, never `capacity` of them up
+/// front: a pool sized to hold a whole tree costs what was actually
+/// read.
+#[derive(Debug)]
+pub struct ShardedBuffer {
+    shards: Vec<Mutex<Shard>>,
+    capacity: usize,
+}
+
+impl ShardedBuffer {
+    /// A single-shard pool: one global LRU.
+    pub fn new(capacity: usize) -> Self {
+        Self::with_shards(capacity, 1)
+    }
+
+    /// A pool of `shards` independent stripes sharing `capacity` pages.
+    /// A shard count of zero is treated as one.
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+        let n = shards.max(1);
+        let shards = (0..n)
+            .map(|i| Mutex::new(Shard::new(Self::shard_capacity(capacity, n, i))))
+            .collect();
+        Self { shards, capacity }
+    }
+
+    /// Pages granted to shard `i` out of `n` sharing `capacity`.
+    pub(crate) fn shard_capacity(capacity: usize, n: usize, i: usize) -> usize {
+        capacity / n + usize::from(i < capacity % n)
+    }
+
+    /// Total pool capacity across all shards.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of lock stripes.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Which shard a page id routes to (stable for a given shard count).
+    pub fn shard_of(&self, page: BufferKey) -> usize {
+        // Fibonacci multiplicative hash: consecutive page ids (the common
+        // allocation pattern) spread across shards instead of clustering.
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, page: BufferKey) -> MutexGuard<'_, Shard> {
+        // Poison is unreachable in practice (no code path panics while
+        // holding a shard lock; stilint's no_panic gate enforces this),
+        // and a shard's list, frames and counters stay internally
+        // consistent even if a panic did slip through.
+        // stilint::allow(panic_path, "`shard_of` reduces modulo `shards.len()`, and `with_shards` builds at least one shard")
+        self.shards[self.shard_of(page)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn each_shard(&self, mut f: impl FnMut(&mut Shard)) {
+        for shard in &self.shards {
+            f(&mut shard.lock().unwrap_or_else(PoisonError::into_inner));
+        }
+    }
+
+    /// Pin `page`'s frame if it is resident: counts a buffer hit and
+    /// refreshes recency. Returns `None` *without counting anything* on
+    /// a miss, so the caller can fall through to the fetch path (which
+    /// accounts the miss via [`ShardedBuffer::install`]).
+    pub fn get(&self, page: BufferKey) -> Option<Page> {
+        let mut shard = self.shard(page);
+        let slot = *shard.map.get(&page)?;
+        shard.promote(slot);
+        shard.hits += 1;
+        shard.slot(slot).frame.clone()
+    }
+
+    /// A frame nobody else holds, for the caller to fill and hand to
+    /// [`ShardedBuffer::install`]: `page`'s shard's last evicted frame
+    /// if it kept one, a fresh allocation otherwise. Its content is
+    /// unspecified.
+    pub fn blank(&self, page: BufferKey) -> Page {
+        let spare = self.shard(page).spare.take();
+        spare.unwrap_or_else(Page::zeroed)
+    }
+
+    /// Make `frame` the resident bytes of `page` at the most-recent
+    /// position, evicting within the shard. A frame `page` already had
+    /// is replaced, never written through, so pins taken earlier keep
+    /// reading what they pinned.
+    ///
+    /// `fetched` says whether this is the outcome of a read: then it is
+    /// counted — a miss, or a hit when another reader installed `page`
+    /// while this one was fetching — and the return value says which. A
+    /// write-through install (`fetched == false`) is a caching side
+    /// effect and moves no counter (see `PageStore::write`).
+    pub fn install(&self, page: BufferKey, frame: Page, fetched: bool) -> bool {
+        let mut shard = self.shard(page);
+        let hit = shard.install(page, frame);
+        if fetched && hit {
+            shard.hits += 1;
+        } else if fetched {
+            shard.misses += 1;
+        }
+        hit
+    }
+
+    /// Drop `page` and its frame from its shard if resident (no counter
+    /// movement).
+    pub fn invalidate(&self, page: BufferKey) {
+        let mut shard = self.shard(page);
+        if let Some(&slot) = shard.map.get(&page) {
+            shard.release(slot);
+        }
+    }
+
+    /// `page`'s frame if it is resident, with no counter or recency
+    /// movement.
+    pub fn peek(&self, page: BufferKey) -> Option<Page> {
+        let mut shard = self.shard(page);
+        let slot = *shard.map.get(&page)?;
+        shard.slot(slot).frame.clone()
+    }
+
+    /// Whether `page` is currently resident (no counter movement).
+    pub fn resident(&self, page: BufferKey) -> bool {
+        self.peek(page).is_some()
+    }
+
+    /// Empty every shard, frames included. Counters are preserved:
+    /// clearing the pool is a cache event, not an accounting reset.
+    pub fn clear(&self) {
+        self.each_shard(Shard::clear);
+    }
+
+    /// Sum of every shard's hit/miss counters.
+    pub fn counters(&self) -> BufferCounters {
+        let mut out = BufferCounters::default();
+        self.each_shard(|s| {
+            out.hits += s.hits;
+            out.misses += s.misses;
+        });
+        out
+    }
+
+    /// Zero every shard's hit/miss counters (residency untouched).
+    pub fn reset_counters(&self) {
+        self.each_shard(|s| (s.hits, s.misses) = (0, 0));
+    }
+
+    /// Replace the capacity and shard count, clearing residency but
+    /// preserving the merged counters (folded into the first shard so
+    /// conservation sums keep holding across reconfiguration).
+    pub fn reconfigure(&mut self, capacity: usize, shards: usize) {
+        let carried = self.counters();
+        *self = Self::with_shards(capacity, shards);
+        if let Some(first) = self.shards.first_mut() {
+            let s = first.get_mut().unwrap_or_else(PoisonError::into_inner);
+            (s.hits, s.misses) = (carried.hits, carried.misses);
+        }
+    }
+
+    /// Frames the pool holds right now, spares included (tests).
+    #[cfg(test)]
+    pub(crate) fn frames(&self) -> usize {
+        let mut n = 0;
+        self.each_shard(|s| {
+            n += s.slots.iter().filter(|slot| slot.frame.is_some()).count();
+            n += usize::from(s.spare.is_some());
+        });
+        n
+    }
+
+    /// A read of `page` with no bytes behind it: a hit, or a miss that
+    /// installs an empty frame. Returns whether it hit (tests).
+    #[cfg(test)]
+    pub(crate) fn access(&self, page: BufferKey) -> bool {
+        self.get(page).is_some() || self.install(page, self.blank(page), true)
+    }
+}
+
+impl Clone for ShardedBuffer {
+    /// A deep copy of the residency lists; the frames themselves are
+    /// shared until either side replaces one.
+    fn clone(&self) -> Self {
+        let shards = self
+            .shards
+            .iter()
+            .map(|s| Mutex::new(s.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+            .collect();
+        Self {
+            shards,
+            capacity: self.capacity,
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Resident keys of a single-shard pool, most recently used first.
+    fn resident_mru(b: &ShardedBuffer) -> Vec<BufferKey> {
+        let mut out = Vec::new();
+        b.each_shard(|s| {
+            let mut cursor = s.head;
+            while let Some(i) = cursor {
+                out.push(s.slots[i].key);
+                cursor = s.slots[i].next;
+            }
+            assert_eq!(out.len(), s.map.len(), "list and map agree");
+        });
+        out
+    }
 
     #[test]
     fn hit_after_miss() {
-        let mut b = LruBuffer::new(2);
+        let b = ShardedBuffer::new(2);
         assert!(!b.access(1));
         assert!(b.access(1));
-        assert_eq!(b.len(), 1);
+        assert_eq!(resident_mru(&b).len(), 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut b = LruBuffer::new(2);
+        let b = ShardedBuffer::new(2);
         b.access(1);
         b.access(2);
         b.access(1); // 1 is now most recent
         b.access(3); // evicts 2
-        assert!(b.contains(1));
-        assert!(!b.contains(2));
-        assert!(b.contains(3));
+        assert!(b.resident(1));
+        assert!(!b.resident(2));
+        assert!(b.resident(3));
     }
 
     #[test]
     fn zero_capacity_never_hits() {
-        let mut b = LruBuffer::new(0);
+        let b = ShardedBuffer::new(0);
         assert!(!b.access(5));
         assert!(!b.access(5));
-        assert!(b.is_empty());
+        assert!(resident_mru(&b).is_empty());
+        assert_eq!(b.frames(), 0, "nothing resident, nothing held");
     }
 
     #[test]
     fn clear_and_invalidate() {
-        let mut b = LruBuffer::new(4);
+        let b = ShardedBuffer::new(4);
         b.access(1);
         b.access(2);
         b.invalidate(1);
-        assert!(!b.contains(1));
-        assert!(b.contains(2));
+        assert!(!b.resident(1));
+        assert!(b.resident(2));
         b.clear();
-        assert!(b.is_empty());
+        assert!(resident_mru(&b).is_empty());
+        assert_eq!(b.frames(), 0, "clearing drops the frames too");
         assert!(!b.access(2));
     }
 
     #[test]
     fn repeated_access_is_single_slot() {
-        let mut b = LruBuffer::new(3);
+        let b = ShardedBuffer::new(3);
         for _ in 0..10 {
             b.access(7);
         }
-        assert_eq!(b.len(), 1);
+        assert_eq!(resident_mru(&b).len(), 1);
+        assert_eq!(b.frames(), 1, "frames follow installs, not capacity");
     }
 
     #[test]
     fn lru_order_under_mixed_workload() {
-        let mut b = LruBuffer::new(3);
+        let b = ShardedBuffer::new(3);
         for p in [1, 2, 3, 4, 2, 5] {
             b.access(p);
         }
         // After: 4 inserted (evicts 1), 2 refreshed, 5 inserted (evicts 3).
-        assert!(b.contains(5) && b.contains(2) && b.contains(4));
-        assert!(!b.contains(1) && !b.contains(3));
+        assert!(b.resident(5) && b.resident(2) && b.resident(4));
+        assert!(!b.resident(1) && !b.resident(3));
     }
 
     #[test]
     fn mapped_basic_semantics() {
-        let mut b = LruBuffer::new(2);
+        let b = ShardedBuffer::new(2);
         assert!(!b.access(1));
         assert!(b.access(1));
         b.access(2);
         b.access(1); // refresh
         assert!(!b.access(3)); // evicts 2
-        assert!(!b.contains(2));
-        assert_eq!(b.resident_mru(), vec![3, 1]);
+        assert!(!b.resident(2));
+        assert_eq!(resident_mru(&b), vec![3, 1]);
         b.invalidate(3);
-        assert_eq!(b.resident_mru(), vec![1]);
+        assert_eq!(resident_mru(&b), vec![1]);
         b.clear();
-        assert!(b.is_empty());
+        assert!(resident_mru(&b).is_empty());
+    }
+
+    /// A pin outlives eviction and rewrite of its key with the bytes it
+    /// pinned, and an unpinned victim's allocation is the next frame.
+    #[test]
+    fn pins_are_stable_and_unpinned_victims_are_recycled() {
+        let fill = |b: &ShardedBuffer, key: BufferKey, byte: u8| {
+            let mut frame = b.blank(key);
+            frame.bytes_mut().fill(byte);
+            b.install(key, frame, false);
+        };
+        let b = ShardedBuffer::new(1);
+        fill(&b, 1, 0xaa);
+        let pin = b.get(1).unwrap();
+        fill(&b, 1, 0xbb); // rewrite under the pin
+        fill(&b, 2, 0xcc); // evict under the pin
+        assert!(pin.bytes().iter().all(|&x| x == 0xaa));
+        assert_eq!(b.get(2).unwrap().bytes()[0], 0xcc);
+        assert_eq!(b.frames(), 2, "the 0xbb frame was unpinned: kept as spare");
+        let before = b.frames();
+        fill(&b, 3, 0xdd); // evicts 2 into the spare it just consumed
+        assert_eq!(b.frames(), before, "steady state allocates nothing");
     }
 
     /// A deterministic xorshift generator — no dependency needed for a
     /// reproducible trace.
-    struct XorShift(u64);
+    pub(crate) struct XorShift(pub u64);
     impl XorShift {
-        fn next(&mut self) -> u64 {
+        pub fn next(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
@@ -279,14 +532,14 @@ mod tests {
     }
 
     /// The reference model: resident pages in a `Vec`, most recently
-    /// used first, O(capacity) per touch.
-    struct VecLru {
-        capacity: usize,
-        resident: Vec<BufferKey>,
+    /// used first, O(capacity) per touch, no bytes.
+    pub(crate) struct VecLru {
+        pub capacity: usize,
+        pub resident: Vec<BufferKey>,
     }
 
     impl VecLru {
-        fn access(&mut self, page: BufferKey) -> bool {
+        pub fn access(&mut self, page: BufferKey) -> bool {
             if self.capacity == 0 {
                 return false;
             }
@@ -298,8 +551,9 @@ mod tests {
         }
     }
 
-    /// Hit/miss/eviction sequences of the arena list are identical to
-    /// the Vec model across capacities 0, 1, 10, and 256.
+    /// Hit/miss/eviction sequences of the frame-owning arena list are
+    /// identical to the residency-only Vec model across capacities 0,
+    /// 1, 10, and 256.
     #[test]
     fn scan_and_mapped_are_byte_identical() {
         for capacity in [0usize, 1, 10, 256] {
@@ -307,14 +561,14 @@ mod tests {
                 capacity,
                 resident: Vec::new(),
             };
-            let mut mapped = LruBuffer::new(capacity);
+            let mapped = ShardedBuffer::new(capacity);
             let mut rng = XorShift(0x5117_u64 + capacity as u64);
             // Page universe ~3× capacity keeps hits, misses, and
             // evictions all frequent.
             let universe = (3 * capacity.max(1)) as u64;
             for step in 0..4_000 {
                 let roll = rng.next() % 100;
-                let page = BufferKey::try_from(rng.next() % universe).unwrap();
+                let page = rng.next() % universe;
                 if roll < 80 {
                     assert_eq!(
                         scan.access(page),
@@ -329,13 +583,14 @@ mod tests {
                     mapped.clear();
                 } else {
                     scan.access(page);
-                    mapped.install(page);
+                    mapped.install(page, mapped.blank(page), false);
                 }
                 assert_eq!(
                     scan.resident,
-                    mapped.resident_mru(),
+                    resident_mru(&mapped),
                     "residency order diverged at step {step}, capacity {capacity}"
                 );
+                assert!(mapped.frames() <= capacity + 1, "at most one spare");
             }
         }
     }

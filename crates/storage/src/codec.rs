@@ -90,6 +90,10 @@ impl<'a> ByteWriter<'a> {
 }
 
 /// Little-endian reader over a byte buffer with explicit error results.
+///
+/// Every method is `#[inline]`: over a fixed-size record (a node entry)
+/// the caller's optimizer then sees constant offsets and a constant
+/// length, and the bounds checks fold away.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -97,15 +101,18 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Start reading at the beginning of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes consumed so far.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.pos + n > self.buf.len() {
             return Err(CodecError::OutOfBounds {
@@ -120,6 +127,7 @@ impl<'a> ByteReader<'a> {
 
     /// Take exactly `N` bytes as a fixed-size array, without any
     /// slice-length fallibility at the call sites.
+    #[inline]
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
@@ -127,26 +135,31 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Read an `f64`.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_le_bytes(self.take_array()?))
     }

@@ -34,13 +34,14 @@
 //!   the stored page is flipped: silent at-rest corruption, caught by
 //!   the store's write-back verification.
 //! * `BitFlip` on a **read** — the transfer is corrupted but the medium
-//!   is not: the flip heals when the page is read again (retry) or when
-//!   the store abandons the operation ([`PageBackend::quiesce`]), so a
-//!   failed read never leaves damage behind.
+//!   is not: the flipped bit lands in the caller's destination buffer
+//!   only, so a re-read (retry) sees the clean page and a failed read
+//!   leaves no damage behind.
 
 use crate::backend::PageBackend;
 use crate::error::{IoOp, StorageError};
-use crate::{Page, PageId, PAGE_SIZE};
+use crate::{PageId, PAGE_SIZE};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What a scheduled fault does to its operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +66,7 @@ pub enum FaultKind {
 }
 
 /// One fault scheduled at a backend operation index (0-based; every
-/// `read`/`write`/`allocate`/`sync` the backend executes counts).
+/// `read_into`/`write`/`allocate`/`sync` the backend executes counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledFault {
     /// Operation index the fault fires at.
@@ -208,18 +209,31 @@ pub struct FaultEvent {
 
 /// A [`PageBackend`] wrapper injecting the faults a [`FaultPlan`]
 /// schedules, with a journal of everything that fired.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FaultyBackend {
     inner: Box<dyn PageBackend>,
     plan: FaultPlan,
+    /// Behind a mutex because `read_into` is shared.
+    clock: Mutex<FaultClock>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct FaultClock {
     /// Cursor into `plan.faults`.
     next_fault: usize,
     /// Operations executed so far.
     op: u64,
     journal: Vec<FaultEvent>,
-    /// Pristine copy of a page corrupted by a read-side bit flip, healed
-    /// on the next touch of that page or on `quiesce`.
-    healing: Option<(PageId, Page)>,
+}
+
+impl Clone for FaultyBackend {
+    fn clone(&self) -> Self {
+        Self {
+            inner: self.inner.clone(),
+            plan: self.plan.clone(),
+            clock: Mutex::new(self.clock().clone()),
+        }
+    }
 }
 
 impl FaultyBackend {
@@ -228,10 +242,7 @@ impl FaultyBackend {
         Self {
             inner,
             plan,
-            next_fault: 0,
-            op: 0,
-            journal: Vec::new(),
-            healing: None,
+            clock: Mutex::default(),
         }
     }
 
@@ -240,15 +251,20 @@ impl FaultyBackend {
         Self::new(Box::new(crate::backend::MemBackend::new()), plan)
     }
 
+    fn clock(&self) -> MutexGuard<'_, FaultClock> {
+        // The clock is plain counters and a log, valid at every step.
+        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Operations executed so far (the fault clock).
     pub fn ops_executed(&self) -> u64 {
-        self.op
+        self.clock().op
     }
 
     /// Everything that fired, in order — replay with
     /// [`FaultPlan::from_journal`].
-    pub fn journal(&self) -> &[FaultEvent] {
-        &self.journal
+    pub fn journal(&self) -> Vec<FaultEvent> {
+        self.clock().journal.clone()
     }
 
     /// The wrapped backend.
@@ -256,49 +272,57 @@ impl FaultyBackend {
         self.inner.as_ref()
     }
 
-    /// Take the next scheduled fault if it fires on this operation.
-    fn due(&mut self) -> Option<FaultKind> {
-        let f = self.plan.faults.get(self.next_fault)?;
-        if f.at_op == self.op {
-            self.next_fault += 1;
-            Some(f.kind)
-        } else {
-            // Skip faults scheduled for op indexes that never executed
-            // (e.g. the workload ended early); keep the cursor moving.
-            while self
-                .plan
-                .faults
-                .get(self.next_fault)
-                .is_some_and(|f| f.at_op < self.op)
-            {
-                self.next_fault += 1;
-            }
-            let f = self.plan.faults.get(self.next_fault)?;
-            (f.at_op == self.op).then(|| {
-                self.next_fault += 1;
-                f.kind
-            })
+    /// Count one operation; if a fault is scheduled on it, journal and
+    /// return what it does to *this* kind of operation: torn writes
+    /// and bit flips mean nothing to an operation without a payload (a
+    /// read can only be flipped), so there they degrade to a permanent
+    /// failure.
+    fn tick(&self, op: IoOp, page: Option<PageId>) -> Option<FaultKind> {
+        let mut clock = self.clock();
+        let at_op = clock.op;
+        clock.op += 1;
+        // Skip faults scheduled for op indexes that never executed
+        // (e.g. the workload ended early); keep the cursor moving.
+        while self
+            .plan
+            .faults
+            .get(clock.next_fault)
+            .is_some_and(|f| f.at_op < at_op)
+        {
+            clock.next_fault += 1;
         }
-    }
-
-    fn record(&mut self, op: IoOp, page: Option<PageId>, kind: FaultKind) {
-        // Callers bump `self.op` before recording, so the operation the
-        // fault fired on is the previous index.
-        self.journal.push(FaultEvent {
-            at_op: self.op - 1,
+        let scheduled = self.plan.faults.get(clock.next_fault)?;
+        if scheduled.at_op != at_op {
+            return None;
+        }
+        clock.next_fault += 1;
+        let kind = match (op, scheduled.kind) {
+            (IoOp::Write, kind)
+            | (IoOp::Read, kind @ FaultKind::BitFlip { .. })
+            | (_, kind @ FaultKind::Fail { .. }) => kind,
+            _ => FaultKind::Fail { transient: false },
+        };
+        clock.journal.push(FaultEvent {
+            at_op,
             op,
             page,
             kind,
         });
+        Some(kind)
     }
+}
 
-    /// Restore the pristine bytes of a page corrupted in transfer.
-    fn heal(&mut self) {
-        if let Some((id, pristine)) = self.healing.take() {
-            if let Some(p) = self.inner.page_mut(id) {
-                *p = pristine;
-            }
-        }
+fn injected(op: IoOp, page: Option<PageId>, transient: bool) -> StorageError {
+    StorageError::Injected {
+        op,
+        page,
+        transient,
+    }
+}
+
+fn flip(bytes: &mut [u8; PAGE_SIZE], byte: u16, bit: u8) {
+    if let Some(b) = bytes.get_mut(byte as usize % PAGE_SIZE) {
+        *b ^= 1 << (bit % 8);
     }
 }
 
@@ -322,103 +346,46 @@ impl PageBackend for FaultyBackend {
         self.inner.num_pages()
     }
 
-    fn read(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.heal();
-        let fault = self.due();
-        self.op += 1;
-        match fault {
-            None => self.inner.read(id),
-            Some(FaultKind::Fail { transient }) => {
-                self.record(IoOp::Read, Some(id), FaultKind::Fail { transient });
-                Err(StorageError::Injected {
-                    op: IoOp::Read,
-                    page: Some(id),
-                    transient,
-                })
-            }
+    fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        match self.tick(IoOp::Read, Some(id)) {
+            None => self.inner.read_into(id, buf),
             Some(FaultKind::BitFlip { byte, bit }) => {
-                self.inner.read(id)?;
-                self.record(IoOp::Read, Some(id), FaultKind::BitFlip { byte, bit });
-                if let Some(p) = self.inner.page_mut(id) {
-                    let pristine = p.clone();
-                    p.bytes_mut()[(byte as usize) % PAGE_SIZE] ^= 1 << (bit % 8);
-                    self.healing = Some((id, pristine));
-                }
+                self.inner.read_into(id, buf)?;
+                flip(buf, byte, bit);
                 Ok(())
             }
-            // A torn fault scheduled onto a read degrades to a plain
-            // permanent failure: reads have no payload to tear.
-            Some(FaultKind::TornWrite { .. }) => {
-                self.record(IoOp::Read, Some(id), FaultKind::Fail { transient: false });
-                Err(StorageError::Injected {
-                    op: IoOp::Read,
-                    page: Some(id),
-                    transient: false,
-                })
-            }
+            Some(FaultKind::Fail { transient }) => Err(injected(IoOp::Read, Some(id), transient)),
+            Some(FaultKind::TornWrite { .. }) => Err(injected(IoOp::Read, Some(id), false)),
         }
     }
 
     fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        self.heal();
-        let fault = self.due();
-        self.op += 1;
-        match fault {
+        match self.tick(IoOp::Write, Some(id)) {
             None => self.inner.write(id, payload),
-            Some(FaultKind::Fail { transient }) => {
-                self.record(IoOp::Write, Some(id), FaultKind::Fail { transient });
-                Err(StorageError::Injected {
-                    op: IoOp::Write,
-                    page: Some(id),
-                    transient,
-                })
-            }
+            Some(FaultKind::Fail { transient }) => Err(injected(IoOp::Write, Some(id), transient)),
             Some(FaultKind::TornWrite { keep_bytes }) => {
                 let keep = (keep_bytes as usize).min(payload.len());
-                self.inner.write(id, &payload[..keep])?;
-                self.record(IoOp::Write, Some(id), FaultKind::TornWrite { keep_bytes });
-                Err(StorageError::Injected {
-                    op: IoOp::Write,
-                    page: Some(id),
-                    transient: false,
-                })
+                self.inner
+                    .write(id, payload.get(..keep).unwrap_or(payload))?;
+                Err(injected(IoOp::Write, Some(id), false))
             }
             Some(FaultKind::BitFlip { byte, bit }) => {
-                self.inner.write(id, payload)?;
-                self.record(IoOp::Write, Some(id), FaultKind::BitFlip { byte, bit });
-                if let Some(p) = self.inner.page_mut(id) {
-                    // At-rest corruption: no healing copy is kept.
-                    p.bytes_mut()[(byte as usize) % PAGE_SIZE] ^= 1 << (bit % 8);
+                // At-rest corruption: the damaged page is what lands.
+                let mut stored = [0u8; PAGE_SIZE];
+                for (d, s) in stored.iter_mut().zip(payload) {
+                    *d = *s;
                 }
-                Ok(())
+                flip(&mut stored, byte, bit);
+                self.inner.write(id, &stored)
             }
         }
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
-        self.heal();
-        let fault = self.due();
-        self.op += 1;
-        match fault {
-            Some(FaultKind::Fail { transient }) => {
-                self.record(IoOp::Allocate, None, FaultKind::Fail { transient });
-                Err(StorageError::Injected {
-                    op: IoOp::Allocate,
-                    page: None,
-                    transient,
-                })
-            }
-            // Torn writes and bit flips have no meaning for an append of
-            // a zeroed page; treat them as permanent failures.
-            Some(_) => {
-                self.record(IoOp::Allocate, None, FaultKind::Fail { transient: false });
-                Err(StorageError::Injected {
-                    op: IoOp::Allocate,
-                    page: None,
-                    transient: false,
-                })
-            }
+        match self.tick(IoOp::Allocate, None) {
             None => self.inner.allocate(),
+            Some(FaultKind::Fail { transient }) => Err(injected(IoOp::Allocate, None, transient)),
+            Some(_) => Err(injected(IoOp::Allocate, None, false)),
         }
     }
 
@@ -428,44 +395,23 @@ impl PageBackend for FaultyBackend {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        self.heal();
-        let fault = self.due();
-        self.op += 1;
-        match fault {
-            Some(FaultKind::Fail { transient }) => {
-                self.record(IoOp::Sync, None, FaultKind::Fail { transient });
-                Err(StorageError::Injected {
-                    op: IoOp::Sync,
-                    page: None,
-                    transient,
-                })
-            }
-            Some(_) => {
-                self.record(IoOp::Sync, None, FaultKind::Fail { transient: false });
-                Err(StorageError::Injected {
-                    op: IoOp::Sync,
-                    page: None,
-                    transient: false,
-                })
-            }
+        match self.tick(IoOp::Sync, None) {
             None => self.inner.sync(),
+            Some(FaultKind::Fail { transient }) => Err(injected(IoOp::Sync, None, transient)),
+            Some(_) => Err(injected(IoOp::Sync, None, false)),
         }
     }
 
-    fn page(&self, id: PageId) -> Option<&Page> {
-        self.inner.page(id)
+    fn peek_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        self.inner.peek_into(id, buf)
     }
 
-    fn page_mut(&mut self, id: PageId) -> Option<&mut Page> {
-        self.inner.page_mut(id)
+    fn restore(&mut self, id: PageId, bytes: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        self.inner.restore(id, bytes)
     }
 
     fn faults_injected(&self) -> u64 {
-        self.journal.len() as u64
-    }
-
-    fn quiesce(&mut self) {
-        self.heal();
+        self.clock().journal.len() as u64
     }
 
     fn clone_box(&self) -> Box<dyn PageBackend> {
@@ -514,6 +460,18 @@ mod tests {
         b
     }
 
+    fn read(b: &FaultyBackend, id: PageId) -> Result<[u8; PAGE_SIZE], StorageError> {
+        let mut buf = [0u8; PAGE_SIZE];
+        b.read_into(id, &mut buf).map(|()| buf)
+    }
+
+    /// The bytes at rest, off the fault clock.
+    fn at_rest(b: &FaultyBackend, id: PageId) -> [u8; PAGE_SIZE] {
+        let mut buf = [0u8; PAGE_SIZE];
+        b.peek_into(id, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn plans_are_deterministic_and_spec_round_trips() {
         let a = FaultPlan::seeded(7, 1000, 8);
@@ -533,11 +491,11 @@ mod tests {
             at_op: 1,
             kind: FaultKind::Fail { transient: true },
         }]);
-        let mut b = mem_with(plan);
-        b.read(0).unwrap(); // op 0
-        let err = b.read(0).unwrap_err(); // op 1: injected
+        let b = mem_with(plan);
+        read(&b, 0).unwrap(); // op 0
+        let err = read(&b, 0).unwrap_err(); // op 1: injected
         assert!(err.is_transient());
-        b.read(0).unwrap(); // op 2: retry succeeds
+        read(&b, 0).unwrap(); // op 2: retry succeeds
         assert_eq!(b.faults_injected(), 1);
         assert_eq!(b.journal().len(), 1);
         assert_eq!(b.journal()[0].at_op, 1);
@@ -552,7 +510,7 @@ mod tests {
         let mut b = mem_with(plan);
         let err = b.write(0, &[9, 9, 9, 9]).unwrap_err();
         assert!(!err.is_transient());
-        assert_eq!(&b.page(0).unwrap().bytes()[..4], &[9, 9, 0, 0]);
+        assert_eq!(&at_rest(&b, 0)[..4], &[9, 9, 0, 0]);
     }
 
     #[test]
@@ -563,47 +521,37 @@ mod tests {
         }]);
         let mut b = mem_with(plan);
         b.write(0, &[0b10]).unwrap(); // "succeeds"
-        assert_eq!(b.page(0).unwrap().bytes()[0], 0b11, "bit 0 flipped");
+        assert_eq!(at_rest(&b, 0)[0], 0b11, "bit 0 flipped");
         // No healing: the corruption is on the medium.
-        b.read(0).unwrap();
-        assert_eq!(b.page(0).unwrap().bytes()[0], 0b11);
+        assert_eq!(read(&b, 0).unwrap()[0], 0b11);
     }
 
     #[test]
-    fn read_bit_flip_heals_on_reread_and_on_quiesce() {
+    fn read_bit_flip_damages_the_transfer_not_the_medium() {
         let plan = FaultPlan::new(vec![ScheduledFault {
             at_op: 0,
             kind: FaultKind::BitFlip { byte: 0, bit: 1 },
         }]);
-        let mut b = mem_with(plan);
-        b.read(0).unwrap();
-        assert_eq!(b.page(0).unwrap().bytes()[0], 0b10, "transfer corrupted");
-        b.read(0).unwrap(); // re-read heals first
-        assert_eq!(b.page(0).unwrap().bytes()[0], 0, "medium was never damaged");
-
-        let plan = FaultPlan::new(vec![ScheduledFault {
-            at_op: 0,
-            kind: FaultKind::BitFlip { byte: 0, bit: 1 },
-        }]);
-        let mut b = mem_with(plan);
-        b.read(0).unwrap();
-        b.quiesce();
-        assert_eq!(b.page(0).unwrap().bytes()[0], 0, "quiesce heals");
+        let b = mem_with(plan);
+        assert_eq!(read(&b, 0).unwrap()[0], 0b10, "transfer corrupted");
+        assert_eq!(at_rest(&b, 0)[0], 0, "medium was never damaged");
+        assert_eq!(read(&b, 0).unwrap()[0], 0, "a re-read is clean");
+        assert_eq!(b.ops_executed(), 2, "peeks are off the fault clock");
     }
 
     #[test]
     fn journal_replays_to_an_equivalent_plan() {
         let plan = FaultPlan::seeded(3, 10, 4);
-        let mut b = mem_with(plan);
+        let b = mem_with(plan);
         for _ in 0..12 {
-            let _ = b.read(0);
+            let _ = read(&b, 0);
         }
-        let replay = FaultPlan::from_journal(b.journal());
+        let replay = FaultPlan::from_journal(&b.journal());
         // Journal indexes are the indexes that actually fired; replaying
         // them against the same workload fires the same faults.
-        let mut b2 = mem_with(replay);
+        let b2 = mem_with(replay);
         for _ in 0..12 {
-            let _ = b2.read(0);
+            let _ = read(&b2, 0);
         }
         assert_eq!(b.journal(), b2.journal());
     }

@@ -6,9 +6,11 @@
 //! number of disk accesses per query with a 10-page LRU buffer that is
 //! reset before every query; this crate provides exactly that substrate:
 //!
-//! * [`Page`] / [`PageId`] — fixed-size byte pages,
+//! * [`Page`] / [`PageId`] — fixed-size byte pages, shared by reference
+//!   count and copied on first write,
 //! * [`PageStore`] — a "disk" of pages over a pluggable [`backend`] with
-//!   an LRU buffer pool in front, [`IoStats`] counting logical
+//!   an LRU buffer pool in front ([`buffer`]: the pool owns the only
+//!   page bytes kept in memory), [`IoStats`] counting logical
 //!   reads/writes, per-page checksums, bounded [`retry`] for transient
 //!   faults ([`FaultStats`]), and page-level undo transactions,
 //! * [`backend`] — the [`PageBackend`] device trait with in-memory and
@@ -42,7 +44,7 @@ pub mod store;
 pub mod wal;
 
 pub use backend::{FileBackend, MemBackend, PageBackend};
-pub use buffer::BufferKey;
+pub use buffer::{BufferCounters, BufferKey, ShardedBuffer};
 pub use checksum::xxh64;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use error::{CorruptReason, IoOp, StorageError};
@@ -50,6 +52,6 @@ pub use fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use persist::{OpenError, Region, SaveCrash};
 pub use retry::{RetryClock, RetryPolicy, SimClock};
-pub use shard::{BufferCounters, ReadProbe, ScratchPool, ShardedBuffer};
+pub use shard::{ReadProbe, ScratchPool};
 pub use store::{FaultStats, IoStats, PageStore};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalConfig, WalError, WalOpen, WalRecord, WalStats};

@@ -1,5 +1,7 @@
 //! Fixed-size disk pages.
 
+use std::sync::Arc;
+
 /// Size of every simulated disk page in bytes.
 ///
 /// 4 KiB comfortably holds a 50-entry tree node (the paper's page
@@ -13,29 +15,42 @@ pub type PageId = u32;
 
 /// One fixed-size disk page.
 ///
-/// Pages are heap-allocated so a large store does not blow the stack, and
-/// cloning is explicit — the buffer pool hands out references.
+/// The bytes are heap-allocated (a large store does not blow the stack)
+/// and shared by reference count: `clone` copies nothing, and the first
+/// [`Page::bytes_mut`] on a page that shares its bytes takes a private
+/// copy. That is what lets [`crate::PageStore::read`] hand out the
+/// buffer pool's own frame — a reader holds the bytes it was given for
+/// as long as it likes, and a later write or eviction replaces the
+/// pool's page instead of changing them.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// A zero-filled page.
     pub fn zeroed() -> Self {
         Self {
-            data: Box::new([0u8; PAGE_SIZE]),
+            data: Arc::new([0u8; PAGE_SIZE]),
         }
     }
 
     /// Read access to the raw bytes.
+    #[inline]
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.data
     }
 
-    /// Write access to the raw bytes.
+    /// Write access to the raw bytes (copying them first if another
+    /// clone of this page still shares them).
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// Whether no other clone shares this page's bytes, so writing to it
+    /// copies nothing.
+    pub(crate) fn is_unshared(&mut self) -> bool {
+        Arc::get_mut(&mut self.data).is_some()
     }
 
     /// Overwrite the page content from a slice of at most `PAGE_SIZE`
@@ -49,8 +64,9 @@ impl Page {
             "payload {} exceeds page size",
             src.len()
         );
-        self.data[..src.len()].copy_from_slice(src);
-        self.data[src.len()..].fill(0);
+        let data = self.bytes_mut();
+        data[..src.len()].copy_from_slice(src);
+        data[src.len()..].fill(0);
     }
 }
 
@@ -91,6 +107,17 @@ mod tests {
     fn fill_from_rejects_oversize() {
         let mut p = Page::zeroed();
         p.fill_from(&vec![0u8; PAGE_SIZE + 1]);
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let mut a = Page::zeroed();
+        assert!(a.is_unshared());
+        let b = a.clone();
+        assert!(!a.is_unshared(), "clone copies nothing");
+        a.bytes_mut()[0] = 7;
+        assert_eq!(b.bytes()[0], 0, "the writer took its own copy");
+        assert!(a.is_unshared());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   [`OpenError::Truncated`]) before any page is trusted.
 
 use crate::checksum::xxh64;
-use crate::{PageId, PageStore, PAGE_SIZE};
+use crate::{MemBackend, PageBackend as _, PageId, PageStore, PAGE_SIZE};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -235,9 +235,9 @@ impl PageStore {
 
         for i in 0..self.num_pages() {
             let id = len_u32(i, "page id")?;
-            let page = self.raw_page(id);
+            let (page, sum) = self.page_and_sum(id).map_err(io::Error::other)?;
             out.extend_from_slice(page.bytes());
-            out.extend_from_slice(&self.page_sum(id).to_le_bytes());
+            out.extend_from_slice(&sum.to_le_bytes());
         }
 
         out.extend_from_slice(&epoch.to_le_bytes());
@@ -373,20 +373,20 @@ impl PageStore {
             free.push(id);
         }
 
-        let mut store = PageStore::new(buffer_pages);
-        for i in 0..page_count {
+        let mut pages = MemBackend::new();
+        for _ in 0..page_count {
             let page_bytes = r.take(PAGE_SIZE)?;
             let page_sum = r.take_u64()?;
-            if xxh64(page_bytes) != page_sum {
-                let id = u32::try_from(i).map_err(|_| OpenError::Malformed("page id overflow"))?;
+            let id = pages
+                .allocate()
+                .map_err(|_| OpenError::Malformed("page id overflow"))?;
+            if xxh64(page_bytes) != page_sum || pages.write(id, page_bytes).is_err() {
                 return Err(OpenError::Corrupt {
                     region: Region::Page(id),
                 });
             }
-            let id = store.allocate_silent();
-            store.raw_page_mut(id).fill_from(page_bytes);
-            store.refresh_sum(id);
         }
+        let mut store = PageStore::with_backend(Box::new(pages), buffer_pages);
 
         let trailer = r.take_u64()?;
         if trailer != epoch {

@@ -1,225 +1,8 @@
-//! Lock-striped buffer pool and per-call read attribution for the
-//! shared (`&self`) read path.
-//!
-//! [`ShardedBuffer`] wraps N independent `LruBuffer` shards, each
-//! behind its own mutex, with pages routed to shards by a multiplicative
-//! hash of the page id. Concurrent readers touching different shards
-//! never contend; readers on the same shard serialize only for the
-//! O(1) LRU bookkeeping. LRU is the only eviction policy: it is what
-//! the paper measures, and with one shard (the default) the pool is
-//! bit-for-bit a single `LruBuffer`, which keeps the paper's
-//! sequential figures byte-identical.
-//!
-//! Hit/miss counters live *inside* the shards and are summed on demand,
-//! so the global [`crate::IoStats`] is a pure function of per-shard
-//! state — there is no second copy that a test hook or reset path could
-//! desync (see DESIGN.md §6, "Concurrency model").
+//! Per-call read attribution and scratch reuse for the shared (`&self`)
+//! read path. (The lock-striped pool itself is [`crate::buffer`]; its
+//! striping tests live in this module's `tests`.)
 
-use crate::buffer::{BufferKey, LruBuffer};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Merged hit/miss counters across every shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferCounters {
-    /// Accesses absorbed by some shard's LRU.
-    pub hits: u64,
-    /// Accesses that missed and were installed (disk reads).
-    pub misses: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Shard {
-    lru: LruBuffer,
-    hits: u64,
-    misses: u64,
-}
-
-/// A lock-striped LRU buffer pool shared by concurrent readers.
-///
-/// The total capacity is split as evenly as possible across shards
-/// (the first `capacity % shards` shards get one extra page). Per-shard
-/// LRU is *not* global LRU: a hot page in one shard cannot evict a cold
-/// page in another. That skew is bounded by the shard count and is the
-/// price of lock striping; the paper's measured configuration uses one
-/// shard, where per-shard LRU *is* global LRU.
-#[derive(Debug)]
-pub struct ShardedBuffer {
-    shards: Vec<Mutex<Shard>>,
-    capacity: usize,
-}
-
-impl ShardedBuffer {
-    /// A single-shard pool: behaves exactly like `LruBuffer::new`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, 1)
-    }
-
-    /// A pool of `shards` independent stripes sharing `capacity` pages.
-    /// A shard count of zero is treated as one.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1);
-        let shards = (0..n)
-            .map(|i| {
-                Mutex::new(Shard {
-                    lru: LruBuffer::new(Self::shard_capacity(capacity, n, i)),
-                    hits: 0,
-                    misses: 0,
-                })
-            })
-            .collect();
-        Self { shards, capacity }
-    }
-
-    /// Pages granted to shard `i` out of `n` sharing `capacity`.
-    fn shard_capacity(capacity: usize, n: usize, i: usize) -> usize {
-        capacity / n + usize::from(i < capacity % n)
-    }
-
-    /// Total pool capacity across all shards.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a page id routes to (stable for a given shard count).
-    pub fn shard_of(&self, page: BufferKey) -> usize {
-        // Fibonacci multiplicative hash: consecutive page ids (the common
-        // allocation pattern) spread across shards instead of clustering.
-        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, page: BufferKey) -> MutexGuard<'_, Shard> {
-        // Poison is unreachable in practice (no code path panics while
-        // holding a shard lock; stilint's no_panic gate enforces this),
-        // and a shard holds only residency + counters, which stay
-        // internally consistent even if a panic did slip through.
-        self.shards[self.shard_of(page)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Count a buffer hit and refresh recency if `page` is resident.
-    /// Returns `false` *without counting anything* on a miss, so the
-    /// caller can fall through to the fetch path (which accounts the
-    /// miss via [`ShardedBuffer::access`]).
-    pub fn touch_if_resident(&self, page: BufferKey) -> bool {
-        let mut shard = self.shard(page);
-        if shard.lru.contains(page) {
-            shard.lru.access(page);
-            shard.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record an access: a hit refreshes recency and counts a hit; a
-    /// miss installs the page (evicting within the shard) and counts a
-    /// miss. Returns whether the access hit.
-    pub fn access(&self, page: BufferKey) -> bool {
-        let mut shard = self.shard(page);
-        let hit = shard.lru.access(page);
-        if hit {
-            shard.hits += 1;
-        } else {
-            shard.misses += 1;
-        }
-        hit
-    }
-
-    /// Make `page` resident without recording a hit or a miss
-    /// (write-through warming; see `PageStore::write` accounting notes).
-    pub fn install(&self, page: BufferKey) {
-        self.shard(page).lru.install(page);
-    }
-
-    /// Drop `page` from its shard if resident (no counter movement).
-    pub fn invalidate(&self, page: BufferKey) {
-        self.shard(page).lru.invalidate(page);
-    }
-
-    /// Whether `page` is currently resident (no counter movement).
-    pub fn resident(&self, page: BufferKey) -> bool {
-        self.shard(page).lru.contains(page)
-    }
-
-    /// Empty every shard's residency. Counters are preserved: clearing
-    /// the pool is a cache event, not an accounting reset.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .lru
-                .clear();
-        }
-    }
-
-    /// Sum of every shard's hit/miss counters.
-    pub fn counters(&self) -> BufferCounters {
-        let mut out = BufferCounters::default();
-        for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            out.hits += s.hits;
-            out.misses += s.misses;
-        }
-        out
-    }
-
-    /// Zero every shard's hit/miss counters (residency untouched).
-    pub fn reset_counters(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.hits = 0;
-            s.misses = 0;
-        }
-    }
-
-    /// Replace the capacity, clearing residency but preserving counters
-    /// and the shard count (matches the old `set_buffer_capacity`
-    /// contract, where counters lived outside the pool).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        let n = self.shards.len();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let s = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            s.lru = LruBuffer::new(Self::shard_capacity(capacity, n, i));
-        }
-        self.capacity = capacity;
-    }
-
-    /// Replace the shard count, clearing residency but preserving the
-    /// total capacity and merged counters (folded into the first shard
-    /// so conservation sums keep holding across reconfiguration).
-    pub fn set_shards(&mut self, shards: usize) {
-        let carried = self.counters();
-        let mut fresh = Self::with_shards(self.capacity, shards);
-        if let Some(first) = fresh.shards.first_mut() {
-            let s = first.get_mut().unwrap_or_else(PoisonError::into_inner);
-            s.hits = carried.hits;
-            s.misses = carried.misses;
-        }
-        *self = fresh;
-    }
-}
-
-impl Clone for ShardedBuffer {
-    fn clone(&self) -> Self {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| Mutex::new(s.lock().unwrap_or_else(PoisonError::into_inner).clone()))
-            .collect();
-        Self {
-            shards,
-            capacity: self.capacity,
-        }
-    }
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Per-call I/O attribution for the shared read path.
 ///
@@ -306,6 +89,7 @@ impl<T: Default> ScratchPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::{BufferCounters, BufferKey, ShardedBuffer};
 
     /// Replay `trace` through the pool, returning the hit/miss outcome
     /// of each access.
@@ -322,7 +106,7 @@ mod tests {
             BufferCounters { hits: 0, misses: 4 },
             "capacity 0 still accounts disk traffic"
         );
-        assert!(!buf.touch_if_resident(1));
+        assert!(buf.get(1).is_none());
         assert!(!buf.resident(1));
     }
 
@@ -389,24 +173,21 @@ mod tests {
     #[test]
     fn single_shard_matches_raw_lru_hit_for_hit() {
         // The store's default configuration must be bit-identical to
-        // the pre-sharding LruBuffer on any access trace.
-        let mut xs = 0x1234_5678_u64;
-        let mut trace = Vec::new();
-        for _ in 0..400 {
-            // xorshift so the trace mixes hot and cold pages.
-            xs ^= xs << 13;
-            xs ^= xs >> 7;
-            xs ^= xs << 17;
-            trace.push((xs % 23) as BufferKey);
-        }
+        // one global residency-only LRU on any access trace.
+        let mut xs = crate::buffer::tests::XorShift(0x1234_5678);
+        // xorshift so the trace mixes hot and cold pages.
+        let trace: Vec<BufferKey> = (0..400).map(|_| xs.next() % 23).collect();
         for capacity in [0usize, 1, 2, 7, 10, 32, 64] {
             let sharded = ShardedBuffer::new(capacity);
-            let mut raw = LruBuffer::new(capacity);
+            let mut raw = crate::buffer::tests::VecLru {
+                capacity,
+                resident: Vec::new(),
+            };
             for &p in &trace {
                 assert_eq!(
                     sharded.access(p),
                     raw.access(p),
-                    "capacity {capacity}, page {p}: sharded(1) diverged from LruBuffer"
+                    "capacity {capacity}, page {p}: sharded(1) diverged from the model"
                 );
             }
             assert_eq!(
@@ -419,17 +200,17 @@ mod tests {
     #[test]
     fn touch_if_resident_counts_hits_only() {
         let buf = ShardedBuffer::new(2);
-        assert!(!buf.touch_if_resident(9), "miss leaves counters untouched");
+        assert!(buf.get(9).is_none(), "miss leaves counters untouched");
         assert_eq!(buf.counters(), BufferCounters::default());
         buf.access(9); // miss, installs
-        assert!(buf.touch_if_resident(9));
+        assert!(buf.get(9).is_some());
         assert_eq!(buf.counters(), BufferCounters { hits: 1, misses: 1 });
     }
 
     #[test]
     fn install_and_invalidate_move_no_counters() {
         let buf = ShardedBuffer::new(2);
-        buf.install(3);
+        buf.install(3, buf.blank(3), false);
         assert!(buf.resident(3));
         buf.invalidate(3);
         assert!(!buf.resident(3));
@@ -455,14 +236,14 @@ mod tests {
             buf.access(p);
         }
         let counted = buf.counters();
-        buf.set_capacity(10);
-        assert_eq!(buf.counters(), counted, "set_capacity keeps counters");
-        assert!(!buf.resident(1), "set_capacity clears residency");
-        buf.set_shards(4);
-        assert_eq!(buf.counters(), counted, "set_shards keeps merged totals");
+        buf.reconfigure(10, 1);
+        assert_eq!(buf.counters(), counted, "a new capacity keeps counters");
+        assert!(!buf.resident(1), "reconfiguring clears residency");
+        buf.reconfigure(10, 4);
+        assert_eq!(buf.counters(), counted, "re-striping keeps merged totals");
         assert_eq!(buf.shard_count(), 4);
         assert_eq!(buf.capacity(), 10);
-        buf.set_shards(0);
+        buf.reconfigure(10, 0);
         assert_eq!(buf.shard_count(), 1, "zero shards clamps to one");
         assert_eq!(buf.counters(), counted);
     }

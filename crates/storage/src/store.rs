@@ -1,25 +1,26 @@
-//! The simulated disk: a pluggable page backend behind a lock-striped
-//! LRU buffer pool, with checksums, bounded retry, and an undo log for
-//! atomic multi-page operations.
+//! The simulated disk: a pluggable page backend behind a lock-striped,
+//! frame-owning LRU buffer pool, with checksums, bounded retry, and an
+//! undo log for atomic multi-page operations.
 //!
 //! Concurrency model (DESIGN.md §6): [`PageStore::read`] takes `&self`
 //! so any number of readers can share one store; all mutation stays on
 //! `&mut self`, so Rust's aliasing rules make reader/writer races
-//! unrepresentable. Internally the backend, checksums, and retry clock
-//! live under one `RwLock` (buffer hits take it shared; misses take it
-//! exclusive for the fetch), while hit/miss accounting lives in the
-//! sharded buffer pool itself and failure counters are atomics.
+//! unrepresentable. Internally the backend and the recorded checksums
+//! live under one `RwLock` that readers only ever take shared (a miss
+//! holds it for one positional read and its verification), hit/miss
+//! accounting and the page frames live in the sharded buffer pool, and
+//! failure counters are atomics.
 
 use crate::backend::{MemBackend, PageBackend};
-use crate::buffer::BufferKey;
+use crate::buffer::{BufferKey, ShardedBuffer};
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
 use crate::retry::{RetryClock, RetryPolicy, SimClock};
-use crate::shard::{ReadProbe, ShardedBuffer};
+use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 
 /// Residency key for page `id` of the store tagged `tag`: stores sharing
 /// one pool occupy disjoint key ranges, so equal page ids in different
@@ -69,7 +70,8 @@ pub struct FaultStats {
 /// One recorded undo step; rollback applies them in reverse.
 #[derive(Debug, Clone)]
 enum UndoOp {
-    /// First write to a page inside the transaction: its prior content.
+    /// First write to a page inside the transaction: its prior content
+    /// (sharing the frame it had, when it was resident).
     Image { id: PageId, bytes: Page, sum: u64 },
     /// `allocate` grew the backend by one page (always the current tail
     /// when undone in reverse order).
@@ -87,75 +89,64 @@ struct Txn {
     imaged: HashSet<PageId>,
 }
 
-/// The state a buffer miss must mutate to fetch a page: the backend
-/// (transfer, fault injection, quiesce), the recorded checksums, and the
-/// retry clock. Shared-read (`&self`) paths take this under an `RwLock`;
-/// exclusive (`&mut self`) paths go through `get_mut` and never lock.
+/// The bytes at rest and what they should hash to. Shared-read
+/// (`&self`) paths take this under an `RwLock`, shared; exclusive
+/// (`&mut self`) paths go through `get_mut` and never lock.
 #[derive(Debug, Clone)]
 struct StoreCore {
     backend: Box<dyn PageBackend>,
     /// Checksum of each page's current intended content.
     sums: Vec<u64>,
-    clock: Box<dyn RetryClock>,
 }
 
 impl StoreCore {
-    /// Compare a page's current bytes against its recorded checksum.
-    fn verify_against_sum(&self, id: PageId) -> Result<(), StorageError> {
-        let actual = match self.backend.page(id) {
-            Some(p) => xxh64(p.bytes()),
-            None => {
-                return Err(StorageError::Unallocated {
-                    op: IoOp::Read,
-                    page: id,
-                    pages: self.backend.num_pages(),
-                })
-            }
-        };
-        if actual == self.sums[id as usize] {
-            Ok(())
-        } else {
-            Err(StorageError::Corrupt {
-                page: id,
-                reason: CorruptReason::Checksum,
-            })
-        }
+    /// The recorded checksum of page `id`, or the dangling-pointer error
+    /// for `op`.
+    fn sum(&self, op: IoOp, id: PageId) -> Result<u64, StorageError> {
+        let sum = self.sums.get(id as usize).copied();
+        sum.ok_or(StorageError::Unallocated {
+            op,
+            page: id,
+            pages: self.sums.len(),
+        })
     }
 
-    /// Compare the stored bytes after a write against the intended
-    /// payload's checksum (detects silent write-side corruption).
-    fn verify_written(&self, id: PageId, expected: u64) -> Result<(), StorageError> {
-        let actual = match self.backend.page(id) {
-            Some(p) => xxh64(p.bytes()),
-            None => {
-                return Err(StorageError::Unallocated {
-                    op: IoOp::Write,
-                    page: id,
-                    pages: self.backend.num_pages(),
-                })
-            }
-        };
-        if actual == expected {
-            Ok(())
-        } else {
-            Err(StorageError::Corrupt {
-                page: id,
-                reason: CorruptReason::Checksum,
-            })
-        }
+    /// One transfer of page `id` into `buf`, verified against its
+    /// recorded checksum.
+    fn fetch(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        let expected = self.sum(IoOp::Read, id)?;
+        self.backend.read_into(id, buf)?;
+        verify(id, buf, expected)
+    }
+
+    /// One transfer of `payload` to page `id`, then a read-back of the
+    /// stored bytes against the intended payload's checksum (detects
+    /// silent write-side corruption).
+    fn store(&mut self, id: PageId, payload: &[u8], expected: u64) -> Result<(), StorageError> {
+        self.backend.write(id, payload)?;
+        let mut stored = [0u8; PAGE_SIZE];
+        self.backend.peek_into(id, &mut stored)?;
+        verify(id, &stored, expected)
+    }
+
+    /// The bytes of page `id` at rest: no accounting, no faults, no
+    /// verification.
+    fn page(&self, id: PageId) -> Result<Page, StorageError> {
+        let mut page = Page::zeroed();
+        self.backend.peek_into(id, page.bytes_mut())?;
+        Ok(page)
     }
 }
 
-/// Whether an error is a checksum mismatch (the one failure the
-/// `checksum_failures` counter tracks).
-fn is_checksum_mismatch(e: &StorageError) -> bool {
-    matches!(
-        e,
-        StorageError::Corrupt {
+fn verify(page: PageId, bytes: &[u8; PAGE_SIZE], expected: u64) -> Result<(), StorageError> {
+    if xxh64(bytes) == expected {
+        Ok(())
+    } else {
+        Err(StorageError::Corrupt {
+            page,
             reason: CorruptReason::Checksum,
-            ..
-        }
-    )
+        })
+    }
 }
 
 /// Poison-tolerant `get_mut`: no code path panics while holding the
@@ -164,6 +155,62 @@ fn is_checksum_mismatch(e: &StorageError) -> bool {
 /// broken state worth propagating.
 fn core_mut(lock: &mut RwLock<StoreCore>) -> &mut StoreCore {
     lock.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The bounded retry loop every backend operation runs in, with the
+/// counters it moves.
+#[derive(Debug)]
+struct Retrier {
+    policy: RetryPolicy,
+    /// Behind a mutex so shared readers can back off too; held only for
+    /// the pause itself.
+    clock: Mutex<Box<dyn RetryClock>>,
+    io_retries: AtomicU64,
+    checksum_failures: AtomicU64,
+}
+
+impl Retrier {
+    fn clock(&self) -> std::sync::MutexGuard<'_, Box<dyn RetryClock>> {
+        // The clock only accumulates; a poisoned one is still valid.
+        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `op` until it succeeds, fails permanently, or the attempt
+    /// budget is spent; the last error is returned unchanged. `probe`
+    /// receives exactly the counter movement of this call (and is what
+    /// `op` itself may attribute to).
+    fn run<T>(
+        &self,
+        probe: &mut ReadProbe,
+        mut op: impl FnMut(&mut ReadProbe) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let e = match op(probe) {
+                Ok(done) => return Ok(done),
+                Err(e) => e,
+            };
+            if matches!(
+                e,
+                StorageError::Corrupt {
+                    reason: CorruptReason::Checksum,
+                    ..
+                }
+            ) {
+                probe.checksum_failures += 1;
+                // ordering: independent stat counter, read only for reporting.
+                self.checksum_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            if !e.is_transient() || attempt >= self.policy.max_attempts {
+                return Err(e);
+            }
+            probe.io_retries += 1;
+            // ordering: independent stat counter, read only for reporting.
+            self.io_retries.fetch_add(1, Ordering::Relaxed);
+            self.clock().pause(self.policy.delay_for(attempt));
+        }
+    }
 }
 
 /// A simulated disk of fixed-size pages with a lock-striped LRU buffer
@@ -189,10 +236,11 @@ fn core_mut(lock: &mut RwLock<StoreCore>) -> &mut StoreCore {
 #[derive(Debug)]
 pub struct PageStore {
     core: RwLock<StoreCore>,
-    /// The residency pool. Normally uniquely owned; the versioned write
-    /// pipeline shares one pool across store versions (see
-    /// [`PageStore::share_buffer`]), with [`PageStore::buffer_tag`]
-    /// keeping each version's pages in a disjoint key range.
+    /// The frame pool: the only page bytes the store keeps in memory.
+    /// Normally uniquely owned; the versioned write pipeline shares one
+    /// pool across store versions (see [`PageStore::share_buffer`]),
+    /// with [`PageStore::buffer_tag`] keeping each version's pages in a
+    /// disjoint key range.
     buffer: Arc<ShardedBuffer>,
     /// High 32 bits of this store's residency keys.
     tag: u32,
@@ -200,12 +248,10 @@ pub struct PageStore {
     /// Logical writes. Atomic so [`PageStore::reset_stats`] can zero the
     /// counters from `&self` while readers run.
     writes: AtomicU64,
-    io_retries: AtomicU64,
-    checksum_failures: AtomicU64,
+    retry: Retrier,
     /// Backend fault count when fault stats were last reset, so
     /// [`PageStore::fault_stats`] reports a delta.
     injected_at_reset: AtomicU64,
-    policy: RetryPolicy,
     txn: Option<Txn>,
     /// How many `begin_txn` calls the open transaction has absorbed.
     /// Only the matching outermost `commit_txn` discards the undo log,
@@ -218,21 +264,25 @@ pub struct PageStore {
 
 impl Clone for PageStore {
     fn clone(&self) -> Self {
+        // ordering: relaxed snapshot of independent stat counters; the
+        // clone starts from whatever each counter held, no cross-counter
+        // consistency is promised.
+        let snapshot = |counter: &AtomicU64| AtomicU64::new(counter.load(Ordering::Relaxed));
         Self {
             core: RwLock::new(self.core_read().clone()),
-            // A clone is an independent store: it gets a private deep
-            // copy of the pool even if the original was sharing one.
+            // A clone is an independent store: it gets a private copy
+            // of the pool even if the original was sharing one.
             buffer: Arc::new((*self.buffer).clone()),
             tag: self.tag,
             free: self.free.clone(),
-            // ordering: relaxed snapshot of independent stat counters; the
-            // clone starts from whatever each counter held, no cross-counter
-            // consistency is promised.
-            writes: AtomicU64::new(self.writes.load(Ordering::Relaxed)),
-            io_retries: AtomicU64::new(self.io_retries.load(Ordering::Relaxed)),
-            checksum_failures: AtomicU64::new(self.checksum_failures.load(Ordering::Relaxed)),
-            injected_at_reset: AtomicU64::new(self.injected_at_reset.load(Ordering::Relaxed)),
-            policy: self.policy,
+            writes: snapshot(&self.writes),
+            retry: Retrier {
+                policy: self.retry.policy,
+                clock: Mutex::new(self.clock()),
+                io_retries: snapshot(&self.retry.io_retries),
+                checksum_failures: snapshot(&self.retry.checksum_failures),
+            },
+            injected_at_reset: snapshot(&self.injected_at_reset),
             txn: self.txn.clone(),
             txn_depth: self.txn_depth,
             epoch: self.epoch,
@@ -259,33 +309,39 @@ impl PageStore {
     /// different versions stay distinct residents. Hit/miss counters are
     /// pool-wide (the versions compete for — and are accounted against —
     /// the same capacity); per-store `writes` stay per-store.
+    ///
+    /// Pages the backend already holds are adopted as they are: each is
+    /// read once, off the books, to record the checksum later fetches
+    /// are verified against. None of them becomes resident.
     pub fn with_backend_shared(
         backend: Box<dyn PageBackend>,
         buffer: Arc<ShardedBuffer>,
         tag: u32,
     ) -> Self {
+        let mut bytes = [0u8; PAGE_SIZE];
         let sums = (0..backend.num_pages())
             .map(|i| {
-                backend
-                    .page(PageId::try_from(i).unwrap_or(PageId::MAX))
-                    .map_or_else(zero_page_sum, |p| xxh64(p.bytes()))
+                let id = PageId::try_from(i).unwrap_or(PageId::MAX);
+                match backend.peek_into(id, &mut bytes) {
+                    Ok(()) => xxh64(&bytes),
+                    Err(_) => zero_page_sum(),
+                }
             })
             .collect();
         let injected = backend.faults_injected();
         Self {
-            core: RwLock::new(StoreCore {
-                backend,
-                sums,
-                clock: Box::new(SimClock::new()),
-            }),
+            core: RwLock::new(StoreCore { backend, sums }),
             buffer,
             tag,
             free: Vec::new(),
             writes: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            checksum_failures: AtomicU64::new(0),
+            retry: Retrier {
+                policy: RetryPolicy::default(),
+                clock: Mutex::new(Box::new(SimClock::new())),
+                io_retries: AtomicU64::new(0),
+                checksum_failures: AtomicU64::new(0),
+            },
             injected_at_reset: AtomicU64::new(injected),
-            policy: RetryPolicy::default(),
             txn: None,
             txn_depth: 0,
             epoch: 0,
@@ -308,10 +364,6 @@ impl PageStore {
     fn core_read(&self) -> RwLockReadGuard<'_, StoreCore> {
         // See `core_mut` for why poison recovery is sound here.
         self.core.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn core_write(&self) -> RwLockWriteGuard<'_, StoreCore> {
-        self.core.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of allocated pages (the index's disk footprint, fig. 16).
@@ -338,23 +390,23 @@ impl PageStore {
 
     /// Replace the retry budget/backoff schedule.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
+        self.retry.policy = policy;
     }
 
     /// The active retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
+        self.retry.policy
     }
 
     /// Replace the backoff clock (tests inject their own).
     pub fn set_clock(&mut self, clock: Box<dyn RetryClock>) {
-        core_mut(&mut self.core).clock = clock;
+        *self.retry.clock() = clock;
     }
 
     /// A snapshot of the backoff clock, for asserting on the schedule
-    /// taken (boxed clone: the live clock sits under the read-path lock).
+    /// taken (boxed clone: the live clock sits behind the retry mutex).
     pub fn clock(&self) -> Box<dyn RetryClock> {
-        self.core_read().clock.clone_box()
+        self.retry.clock().clone_box()
     }
 
     /// Allocate a page and return its id, reusing freed pages first.
@@ -362,53 +414,38 @@ impl PageStore {
         let Self {
             core,
             free,
-            io_retries,
-            policy,
+            retry,
             txn,
             ..
         } = self;
         let core = core_mut(core);
-        if let Some(id) = free.pop() {
+        if let Some(&id) = free.last() {
             // Free-list reuse is a metadata operation: the page is
-            // already on the device; only its content is reset. The
-            // pre-image is captured first — rollback must restore what
-            // the page held before this transaction zeroed it.
-            if txn.is_some() {
-                let prior = core.backend.page(id).cloned();
-                let prior_sum = core.sums[id as usize];
-                if let (Some(txn), Some(bytes)) = (txn.as_mut(), prior) {
-                    if txn.imaged.insert(id) {
-                        txn.ops.push(UndoOp::Image {
-                            id,
-                            bytes,
-                            sum: prior_sum,
-                        });
-                    }
-                    txn.ops.push(UndoOp::ReusedFree { id });
-                }
+            // already on the device; only its content is reset, off the
+            // books. The pre-image is captured first — rollback must
+            // restore what the page held before this transaction zeroed
+            // it.
+            let image = match txn {
+                Some(txn) if !txn.imaged.contains(&id) => Some(UndoOp::Image {
+                    id,
+                    bytes: core.page(id)?,
+                    sum: core.sum(IoOp::Allocate, id)?,
+                }),
+                _ => None,
+            };
+            core.backend.restore(id, &[0u8; PAGE_SIZE])?;
+            if let Some(sum) = core.sums.get_mut(id as usize) {
+                *sum = zero_page_sum();
             }
-            if let Some(p) = core.backend.page_mut(id) {
-                *p = Page::zeroed();
+            free.pop();
+            if let Some(txn) = txn.as_mut() {
+                txn.imaged.insert(id);
+                txn.ops.extend(image);
+                txn.ops.push(UndoOp::ReusedFree { id });
             }
-            core.sums[id as usize] = zero_page_sum();
             return Ok(id);
         }
-        let mut attempt = 0u32;
-        let id = loop {
-            attempt += 1;
-            match core.backend.allocate() {
-                Ok(id) => break id,
-                Err(e) if e.is_transient() && attempt < policy.max_attempts => {
-                    // ordering: independent stat counter, read only for reporting.
-                    io_retries.fetch_add(1, Ordering::Relaxed);
-                    core.clock.pause(policy.delay_for(attempt));
-                }
-                Err(e) => {
-                    core.backend.quiesce();
-                    return Err(e);
-                }
-            }
-        };
+        let id = retry.run(&mut ReadProbe::new(), |_| core.backend.allocate())?;
         core.sums.push(zero_page_sum());
         if let Some(txn) = txn.as_mut() {
             txn.ops.push(UndoOp::Appended);
@@ -444,121 +481,62 @@ impl PageStore {
         self.free.len()
     }
 
-    /// Fetch a page for reading, going through the buffer pool. A miss
-    /// costs one disk read and verifies the page against its recorded
-    /// checksum; verification failures are retried (a re-fetch repairs
-    /// corruption that happened in transfer) within the retry budget,
-    /// then surface as [`StorageError::Corrupt`].
+    /// Fetch a page for reading, going through the buffer pool. The
+    /// returned [`Page`] *is* the pool's frame, shared by reference
+    /// count: a hit copies nothing and the caller scans it outside every
+    /// lock. Holding it pins those bytes, which never change — a later
+    /// write or eviction of the page replaces the pool's frame instead
+    /// of touching this one — and dropping it is all the release there
+    /// is.
     ///
-    /// Shared: concurrent readers are safe. Buffer hits run under the
-    /// shared core lock; a miss upgrades to the exclusive lock for the
-    /// backend transfer, then re-checks residency (another reader may
-    /// have fetched the page while this one waited).
+    /// A miss costs one disk read: one positional transfer straight
+    /// into a frame, verified against the page's recorded checksum
+    /// *before* the frame becomes visible to anyone. Verification
+    /// failures are retried (a re-fetch repairs corruption that happened
+    /// in transfer) within the retry budget, then surface as
+    /// [`StorageError::Corrupt`]; a failed fetch leaves no frame behind.
+    ///
+    /// Shared: concurrent readers are safe, and none of them ever takes
+    /// a store-wide exclusive lock — a hit takes its shard's mutex for
+    /// the LRU bookkeeping, a miss additionally holds the core lock
+    /// *shared* per transfer attempt. Two readers that miss the same
+    /// page at once both fetch it; the second install finds the page
+    /// resident and is accounted as the hit it would have been a moment
+    /// later.
     ///
     /// The caller's [`ReadProbe`] receives exactly this call's counter
     /// movement, mirroring the global accounting increment for
     /// increment — that one-to-one mirroring is what makes per-query
     /// stats sum to the global [`IoStats`] delta under concurrency.
+    /// (`io_faults_injected` is the backend's own count across each
+    /// transfer attempt, so readers racing on a fault-injecting backend
+    /// may both see a fault that fired while they overlapped.)
     pub fn read(&self, id: PageId, probe: &mut ReadProbe) -> Result<Page, StorageError> {
-        if self.buffer.touch_if_resident(buffer_key(self.tag, id)) {
+        let key = buffer_key(self.tag, id);
+        if let Some(frame) = self.buffer.get(key) {
             probe.buffer_hits += 1;
-            return self
-                .core_read()
+            return Ok(frame);
+        }
+        let mut frame = self.buffer.blank(key);
+        let bytes = frame.bytes_mut();
+        self.retry.run(probe, |probe| {
+            let core = self.core_read();
+            let injected_before = core.backend.faults_injected();
+            let fetched = core.fetch(id, bytes);
+            probe.io_faults_injected += core
                 .backend
-                .page(id)
-                .cloned()
-                .ok_or(StorageError::Unallocated {
-                    op: IoOp::Read,
-                    page: id,
-                    pages: 0,
-                });
-        }
-        let mut core = self.core_write();
-        if (id as usize) >= core.backend.num_pages() {
-            return Err(StorageError::Unallocated {
-                op: IoOp::Read,
-                page: id,
-                pages: core.backend.num_pages(),
-            });
-        }
-        if self.buffer.touch_if_resident(buffer_key(self.tag, id)) {
-            // Lost the race to another reader's fetch: the page became
-            // resident while this thread waited for the exclusive lock.
-            probe.buffer_hits += 1;
-            return core
-                .backend
-                .page(id)
-                .cloned()
-                .ok_or(StorageError::Unallocated {
-                    op: IoOp::Read,
-                    page: id,
-                    pages: 0,
-                });
-        }
-        let injected_before = core.backend.faults_injected();
-        let fetched = self.fetch_verified(&mut core, id, probe);
-        probe.io_faults_injected += core
-            .backend
-            .faults_injected()
-            .saturating_sub(injected_before);
-        fetched?;
-        // The shard counts the miss; mirror whatever it counted so the
-        // probe can never disagree with the global sum.
-        if self.buffer.access(buffer_key(self.tag, id)) {
+                .faults_injected()
+                .saturating_sub(injected_before);
+            fetched
+        })?;
+        // The shard counts the access; mirror whatever it counted so
+        // the probe can never disagree with the global sum.
+        if self.buffer.install(key, frame.clone(), true) {
             probe.buffer_hits += 1;
         } else {
             probe.disk_reads += 1;
         }
-        core.backend
-            .page(id)
-            .cloned()
-            .ok_or(StorageError::Unallocated {
-                op: IoOp::Read,
-                page: id,
-                pages: 0,
-            })
-    }
-
-    /// Transfer page `id` from the backend and verify its checksum,
-    /// retrying transient failures within the policy budget. On final
-    /// failure the backend is quiesced (in-flight transfer corruption
-    /// must not outlive the error) and the original error is returned
-    /// unchanged. Runs entirely under the exclusive core lock, so a
-    /// mid-retry corrupt page is never visible to other readers.
-    fn fetch_verified(
-        &self,
-        core: &mut StoreCore,
-        id: PageId,
-        probe: &mut ReadProbe,
-    ) -> Result<(), StorageError> {
-        let mut attempt = 0u32;
-        // bounded: each pass returns or bumps `attempt`; retries stop at policy.max_attempts.
-        loop {
-            attempt += 1;
-            let outcome = match core.backend.read(id) {
-                Ok(()) => core.verify_against_sum(id),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if is_checksum_mismatch(&e) {
-                        probe.checksum_failures += 1;
-                        // ordering: independent stat counter, read only for reporting.
-                        self.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if e.is_transient() && attempt < self.policy.max_attempts {
-                        probe.io_retries += 1;
-                        // ordering: independent stat counter, read only for reporting.
-                        self.io_retries.fetch_add(1, Ordering::Relaxed);
-                        core.clock.pause(self.policy.delay_for(attempt));
-                    } else {
-                        core.backend.quiesce();
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        Ok(frame)
     }
 
     /// Overwrite a page's payload. Costs one disk write; the new content
@@ -571,119 +549,81 @@ impl PageStore {
     /// the buffer (and refreshes LRU recency), so a read immediately
     /// after a write hits; but that residency update is a caching side
     /// effect, not a read, so it must not increment `buffer_hits`. The
-    /// buffer is therefore touched via [`ShardedBuffer::install`], which
-    /// reports no hit/miss outcome at all.
+    /// new frame is therefore installed uncounted
+    /// ([`ShardedBuffer::install`] with `fetched == false`).
     ///
-    /// Failure discipline: the stored bytes are verified after the
-    /// write (catching silent at-rest bit flips); a verification failure
-    /// is retried — rewriting heals medium corruption — and on final
-    /// failure the page's prior content is restored, so a failed write
-    /// never leaves a torn page behind.
+    /// Failure discipline: the stored bytes are read back and verified
+    /// after the write (catching silent at-rest bit flips); a
+    /// verification failure is retried — rewriting heals medium
+    /// corruption — and on final failure the page's prior content is
+    /// restored and its frame dropped, so a failed write never leaves a
+    /// torn page behind.
     pub fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
         let Self {
             core,
             buffer,
             tag,
             writes,
-            io_retries,
-            checksum_failures,
-            policy,
+            retry,
             txn,
             ..
         } = self;
         let core = core_mut(core);
-        if (id as usize) >= core.backend.num_pages() {
-            return Err(StorageError::Unallocated {
-                op: IoOp::Write,
-                page: id,
-                pages: core.backend.num_pages(),
-            });
-        }
+        let key = buffer_key(*tag, id);
+        let prior_sum = core.sum(IoOp::Write, id)?;
         if payload.len() > PAGE_SIZE {
             return Err(StorageError::PayloadTooLarge { len: payload.len() });
         }
-        let mut padded = [0u8; PAGE_SIZE];
-        padded[..payload.len()].copy_from_slice(payload);
-        let new_sum = xxh64(&padded);
-
         // Pre-image for this write's own rollback, and for the enclosing
-        // transaction's (captured once per page per transaction).
-        let prior = core.backend.page(id).cloned();
-        let prior_sum = core.sums[id as usize];
-        if let (Some(txn), Some(bytes)) = (txn.as_mut(), prior.as_ref()) {
+        // transaction's (captured once per page per transaction): the
+        // frame the page has, or its bytes at rest.
+        let prior = match buffer.peek(key) {
+            Some(frame) => frame,
+            None => core.page(id)?,
+        };
+        if let Some(txn) = txn.as_mut() {
             if txn.imaged.insert(id) {
                 txn.ops.push(UndoOp::Image {
                     id,
-                    bytes: bytes.clone(),
+                    bytes: prior.clone(),
                     sum: prior_sum,
                 });
             }
         }
+        let mut frame = buffer.blank(key);
+        frame.fill_from(payload);
+        let new_sum = xxh64(frame.bytes());
 
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let outcome = match core.backend.write(id, payload) {
-                Ok(()) => core.verify_written(id, new_sum),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(()) => {
-                    core.sums[id as usize] = new_sum;
-                    // ordering: independent stat counter, read only for reporting.
-                    writes.fetch_add(1, Ordering::Relaxed);
-                    buffer.install(buffer_key(*tag, id));
-                    return Ok(());
+        match retry.run(&mut ReadProbe::new(), |_| core.store(id, payload, new_sum)) {
+            Ok(()) => {
+                if let Some(sum) = core.sums.get_mut(id as usize) {
+                    *sum = new_sum;
                 }
-                Err(e) => {
-                    if is_checksum_mismatch(&e) {
-                        // ordering: independent stat counter, read only for reporting.
-                        checksum_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if e.is_transient() && attempt < policy.max_attempts {
-                        // ordering: independent stat counter, read only for reporting.
-                        io_retries.fetch_add(1, Ordering::Relaxed);
-                        core.clock.pause(policy.delay_for(attempt));
-                    } else {
-                        // Restore the pre-image: a failed write (torn or
-                        // otherwise) must not change observable state.
-                        if let (Some(bytes), Some(slot)) = (prior, core.backend.page_mut(id)) {
-                            *slot = bytes;
-                        }
-                        buffer.invalidate(buffer_key(*tag, id));
-                        core.backend.quiesce();
-                        return Err(e);
-                    }
-                }
+                // ordering: independent stat counter, read only for reporting.
+                writes.fetch_add(1, Ordering::Relaxed);
+                // Let go of the old frame first: unless a reader or the
+                // undo log still holds it, the pool recycles it.
+                drop(prior);
+                buffer.install(key, frame, false);
+                Ok(())
+            }
+            Err(e) => {
+                // Restore the pre-image: a failed write (torn or
+                // otherwise) must not change observable state. If the
+                // device refuses that too, the recorded checksum still
+                // describes the prior content, so the page fails closed.
+                let _ = core.backend.restore(id, prior.bytes());
+                buffer.invalidate(key);
+                Err(e)
             }
         }
     }
 
     /// Flush the backend to durable storage, retrying transient faults.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        let Self {
-            core,
-            io_retries,
-            policy,
-            ..
-        } = self;
+        let Self { core, retry, .. } = self;
         let core = core_mut(core);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match core.backend.sync() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < policy.max_attempts => {
-                    // ordering: independent stat counter, read only for reporting.
-                    io_retries.fetch_add(1, Ordering::Relaxed);
-                    core.clock.pause(policy.delay_for(attempt));
-                }
-                Err(e) => {
-                    core.backend.quiesce();
-                    return Err(e);
-                }
-            }
-        }
+        retry.run(&mut ReadProbe::new(), |_| core.backend.sync())
     }
 
     // --- transactions -------------------------------------------------
@@ -723,10 +663,13 @@ impl PageStore {
     }
 
     /// Undo every `write`/`allocate`/`free` since [`PageStore::begin_txn`],
-    /// in reverse order, then clear the buffer pool (residency acquired
-    /// during the transaction is no longer meaningful). Rollback uses raw
-    /// page access, bypassing fault injection: recovery must not re-enter
-    /// the failure it is recovering from.
+    /// in reverse order, then clear the buffer pool (residency and
+    /// frames acquired during the transaction are no longer meaningful).
+    /// Rollback restores pages off the books, bypassing fault injection:
+    /// recovery must not re-enter the failure it is recovering from. It
+    /// cannot fail either: a pre-image the device refuses to take back
+    /// leaves a page that no longer matches its restored checksum, which
+    /// fails closed on the next fetch.
     pub fn rollback_txn(&mut self) {
         self.txn_depth = 0;
         let Some(txn) = self.txn.take() else {
@@ -736,10 +679,10 @@ impl PageStore {
         for op in txn.ops.into_iter().rev() {
             match op {
                 UndoOp::Image { id, bytes, sum } => {
-                    if let Some(slot) = core.backend.page_mut(id) {
-                        *slot = bytes;
+                    let _ = core.backend.restore(id, bytes.bytes());
+                    if let Some(slot) = core.sums.get_mut(id as usize) {
+                        *slot = sum;
                     }
-                    core.sums[id as usize] = sum;
                 }
                 UndoOp::Appended => {
                     let len = core.backend.num_pages().saturating_sub(1);
@@ -756,22 +699,21 @@ impl PageStore {
                 }
             }
         }
-        core.backend.quiesce();
         self.buffer.clear();
     }
 
     // --- inspection ---------------------------------------------------
 
     /// Inspect a page without touching the buffer pool or I/O counters,
-    /// or `None` for an unallocated id.
+    /// or `None` for an id the backend cannot produce.
     ///
     /// For integrity checkers and tooling only: unlike
     /// [`PageStore::read`], a `peek` is invisible to the paper's I/O
     /// accounting, so walking a whole index for validation does not
-    /// perturb a measured query that follows. Returns an owned copy:
-    /// the page itself lives under the read-path lock.
+    /// perturb a measured query that follows. Returns an owned copy of
+    /// the bytes at rest (write-through keeps them current), unverified.
     pub fn peek(&self, id: PageId) -> Option<Page> {
-        self.core_read().backend.page(id).cloned()
+        self.core_read().page(id).ok()
     }
 
     /// Whether `id` currently sits on the free list (integrity checkers:
@@ -797,14 +739,14 @@ impl PageStore {
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
             // ordering: relaxed counter snapshot; stats are advisory.
-            io_retries: self.io_retries.load(Ordering::Relaxed),
+            io_retries: self.retry.io_retries.load(Ordering::Relaxed),
             io_faults_injected: self
                 .core_read()
                 .backend
                 .faults_injected()
                 // ordering: relaxed counter snapshot; stats are advisory.
                 .saturating_sub(self.injected_at_reset.load(Ordering::Relaxed)),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
+            checksum_failures: self.retry.checksum_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -818,8 +760,8 @@ impl PageStore {
         // ordering: relaxed zeroing of independent stat counters; callers
         // quiesce queries around a reset, nothing synchronizes on these.
         self.writes.store(0, Ordering::Relaxed);
-        self.io_retries.store(0, Ordering::Relaxed);
-        self.checksum_failures.store(0, Ordering::Relaxed);
+        self.retry.io_retries.store(0, Ordering::Relaxed);
+        self.retry.checksum_failures.store(0, Ordering::Relaxed);
         self.injected_at_reset.store(
             self.core_read().backend.faults_injected(),
             Ordering::Relaxed,
@@ -827,7 +769,8 @@ impl PageStore {
     }
 
     /// Empty the buffer pool (the paper resets it before every query).
-    /// Residency only: the accumulated counters are untouched.
+    /// Residency and frames only: the accumulated counters are
+    /// untouched.
     pub fn reset_buffer(&mut self) {
         self.buffer.clear();
     }
@@ -837,7 +780,8 @@ impl PageStore {
     /// with other store versions, this store splits off its own copy
     /// (`Arc::make_mut`): reconfiguration is a local decision.
     pub fn set_buffer_capacity(&mut self, capacity: usize) {
-        Arc::make_mut(&mut self.buffer).set_capacity(capacity);
+        let shards = self.buffer.shard_count();
+        Arc::make_mut(&mut self.buffer).reconfigure(capacity, shards);
     }
 
     /// Re-stripe the buffer pool across `shards` lock shards (clears
@@ -846,7 +790,8 @@ impl PageStore {
     /// exactly; more shards trade strict global LRU for less reader
     /// contention (DESIGN.md §6).
     pub fn set_buffer_shards(&mut self, shards: usize) {
-        Arc::make_mut(&mut self.buffer).set_shards(shards);
+        let capacity = self.buffer.capacity();
+        Arc::make_mut(&mut self.buffer).reconfigure(capacity, shards);
     }
 
     /// Number of buffer pool lock shards.
@@ -877,51 +822,19 @@ impl PageStore {
         self.epoch = epoch;
     }
 
-    /// Allocate without consulting the free list (used while loading a
-    /// serialized store, where page ids must stay dense and ordered).
-    /// Infallible: the loader builds over a fresh [`MemBackend`].
-    pub(crate) fn allocate_silent(&mut self) -> PageId {
-        let core = core_mut(&mut self.core);
-        // stilint::allow(no_io_unwrap, "loader caps page_count at u32 (file format length fields) over a MemBackend that only fails on id overflow, so allocate cannot fail")
-        let id = core.backend.allocate().expect("loader allocate");
-        core.sums.push(zero_page_sum());
-        id
-    }
-
-    /// Raw page access without buffer accounting (serialization only).
-    /// Owned copy: the page lives under the read-path lock.
-    pub(crate) fn raw_page(&self, id: PageId) -> Page {
-        let page = self.core_read().backend.page(id).cloned();
-        // stilint::allow(no_panic, "persist iterates ids below num_pages only")
-        page.expect("raw_page in bounds")
-    }
-
-    /// Raw mutable page access without accounting (deserialization only).
-    pub(crate) fn raw_page_mut(&mut self, id: PageId) -> &mut Page {
-        let page = core_mut(&mut self.core).backend.page_mut(id);
-        // stilint::allow(no_panic, "persist iterates ids below num_pages only")
-        page.expect("raw_page_mut in bounds")
-    }
-
-    /// Recompute a page's recorded checksum from its current raw bytes
-    /// (loader only: pages are filled via [`PageStore::raw_page_mut`]).
-    pub(crate) fn refresh_sum(&mut self, id: PageId) {
-        let core = core_mut(&mut self.core);
-        if let Some(p) = core.backend.page(id) {
-            core.sums[id as usize] = xxh64(p.bytes());
-        }
-    }
-
-    /// A page's recorded checksum (serialization reuses it instead of
-    /// re-hashing).
-    pub(crate) fn page_sum(&self, id: PageId) -> u64 {
-        self.core_read().sums[id as usize]
+    /// A page's bytes at rest with its *recorded* checksum (serialization
+    /// reuses it instead of re-hashing, so bytes damaged at rest still
+    /// fail the load).
+    pub(crate) fn page_and_sum(&self, id: PageId) -> Result<(Page, u64), StorageError> {
+        let core = self.core_read();
+        Ok((core.page(id)?, core.sum(IoOp::Read, id)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::tests::{VecLru, XorShift};
     use crate::fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
 
     /// Read discarding the per-call probe (the tests below assert on
@@ -1460,6 +1373,192 @@ mod tests {
         assert_eq!(s.num_pages(), 1);
         assert_eq!(&read(&s, id).unwrap().bytes()[..4], &[4; 4]);
         assert_eq!(s.fault_stats().checksum_failures, 0);
+    }
+
+    /// What the pool should hold, with no bytes: one residency-only
+    /// reference LRU per shard, routed like the pool routes.
+    struct ReferencePool(Vec<VecLru>);
+
+    impl ReferencePool {
+        fn new(capacity: usize, shards: usize) -> Self {
+            let lru = |i| VecLru {
+                capacity: ShardedBuffer::shard_capacity(capacity, shards, i),
+                resident: Vec::new(),
+            };
+            Self((0..shards).map(lru).collect())
+        }
+
+        fn shard(&mut self, s: &PageStore, id: PageId) -> &mut VecLru {
+            &mut self.0[s.buffer.shard_of(buffer_key(s.tag, id))]
+        }
+    }
+
+    /// Seeded interleavings of every operation that touches a frame,
+    /// against a flat model of the page bytes and the reference LRU:
+    /// every read returns the model's bytes, and hits and misses fall
+    /// exactly where a pool that tracked residency alone would put
+    /// them — at every capacity and shard count, over memory and over a
+    /// file, with faults firing underneath.
+    #[test]
+    fn frames_stay_coherent_and_accounting_matches_the_reference_lru() {
+        let dir = std::env::temp_dir();
+        for (case, (capacity, shards, on_file)) in [0usize, 1, 10, 256]
+            .into_iter()
+            .flat_map(|c| [1usize, 4].map(|n| [(c, n, false), (c, n, true)]))
+            .flatten()
+            .enumerate()
+        {
+            let path = dir.join(format!("sti-coherence-{}-{case}.pages", std::process::id()));
+            let inner: Box<dyn PageBackend> = if on_file {
+                Box::new(crate::FileBackend::create(&path).unwrap())
+            } else {
+                Box::new(MemBackend::new())
+            };
+            let plan = FaultPlan::seeded(case as u64, 4_000, 80);
+            let mut s =
+                PageStore::with_backend(Box::new(FaultyBackend::new(inner, plan)), capacity);
+            s.set_buffer_shards(shards);
+            let mut capacity = capacity;
+            let mut reference = ReferencePool::new(capacity, shards);
+            // The model: committed bytes per page, which ids are free,
+            // and the copy of both a rollback returns to.
+            let mut pages: Vec<[u8; PAGE_SIZE]> = Vec::new();
+            let mut free: Vec<PageId> = Vec::new();
+            let mut at_begin = None;
+            let mut rng = XorShift(0xc0ffee + case as u64);
+            // Only the injector may fail an operation; damage in flight
+            // or at rest is healed by the retry.
+            let injected =
+                |e: StorageError| assert!(matches!(e, StorageError::Injected { .. }), "{e}");
+            for step in 0..3_000 {
+                let at = format!(
+                    "case {case} (cap {capacity}, {shards} shards, file {on_file}) step {step}"
+                );
+                let roll = rng.next() % 1000;
+                let id = (rng.next() % (pages.len() as u64 + 1)) as PageId;
+                let live = (id as usize) < pages.len() && !free.contains(&id);
+                if roll < 40 {
+                    match s.allocate() {
+                        Ok(got) if free.pop().is_some() => pages[got as usize] = [0; PAGE_SIZE],
+                        Ok(got) => {
+                            assert_eq!(got as usize, pages.len(), "{at}");
+                            pages.push([0; PAGE_SIZE]);
+                        }
+                        Err(e) => injected(e),
+                    }
+                } else if roll < 350 && live {
+                    let mut bytes = [0u8; PAGE_SIZE];
+                    let len = (rng.next() % PAGE_SIZE as u64) as usize;
+                    bytes[..len].fill(step as u8 | 1);
+                    match s.write(id, &bytes[..len]) {
+                        Ok(()) => {
+                            pages[id as usize] = bytes;
+                            reference.shard(&s, id).access(u64::from(id));
+                        }
+                        // A failed write leaves the old bytes and no frame.
+                        Err(e) => {
+                            injected(e);
+                            reference
+                                .shard(&s, id)
+                                .resident
+                                .retain(|&k| k != u64::from(id));
+                        }
+                    }
+                } else if roll < 900 && live {
+                    let mut probe = ReadProbe::new();
+                    match s.read(id, &mut probe) {
+                        Ok(got) => {
+                            assert!(got.bytes() == &pages[id as usize], "{at}: stale bytes");
+                            let hit = reference.shard(&s, id).access(u64::from(id));
+                            assert_eq!(
+                                (probe.buffer_hits, probe.disk_reads),
+                                (u64::from(hit), u64::from(!hit)),
+                                "{at}: page {id}"
+                            );
+                        }
+                        // A failed fetch leaves no frame and no count.
+                        Err(e) => {
+                            injected(e);
+                            assert_eq!((probe.buffer_hits, probe.disk_reads), (0, 0), "{at}");
+                        }
+                    }
+                } else if roll < 920 && live && pages.len() > 1 {
+                    s.free(id).unwrap();
+                    free.push(id);
+                    reference
+                        .shard(&s, id)
+                        .resident
+                        .retain(|&k| k != u64::from(id));
+                } else if roll < 950 && at_begin.is_none() {
+                    s.begin_txn();
+                    at_begin = Some((pages.clone(), free.clone()));
+                } else if roll < 980 {
+                    if let Some(snapshot) = at_begin.take() {
+                        if roll < 960 {
+                            s.commit_txn();
+                        } else {
+                            s.rollback_txn();
+                            (pages, free) = snapshot;
+                            reference = ReferencePool::new(capacity, shards);
+                        }
+                    }
+                } else if roll < 985 {
+                    s.reset_buffer();
+                    reference = ReferencePool::new(capacity, shards);
+                } else if roll < 990 {
+                    capacity = [0, 1, 10, 256][(rng.next() % 4) as usize];
+                    s.set_buffer_capacity(capacity);
+                    reference = ReferencePool::new(capacity, shards);
+                }
+                assert!(
+                    s.buffer.frames() <= capacity + shards,
+                    "{at}: one spare a shard"
+                );
+            }
+            let st = s.stats();
+            assert!(
+                st.reads > 0 && (capacity == 0 || st.buffer_hits > 0),
+                "case {case}"
+            );
+            assert!(
+                s.fault_stats().io_faults_injected > 0,
+                "case {case}: no fault fired"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Memory follows the pool, not the file: every page of a file many
+    /// times the pool's size goes through it, and it never holds more
+    /// frames than its capacity (plus the one recycled spare).
+    #[test]
+    fn a_small_pool_reads_a_large_file_in_bounded_frames() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("sti-bounded-{}.pages", std::process::id()));
+        {
+            let mut s =
+                PageStore::with_backend(Box::new(crate::FileBackend::create(&path).unwrap()), 8);
+            for i in 0..200u32 {
+                let id = s.allocate().unwrap();
+                s.write(id, &i.to_le_bytes()).unwrap();
+            }
+            s.sync().unwrap();
+        }
+        let reopened = crate::FileBackend::open(&path).unwrap();
+        let s = PageStore::with_backend(Box::new(reopened), 8);
+        assert_eq!(s.buffer.frames(), 0, "opening reads nothing into the pool");
+        for round in 0..2 {
+            for i in 0..200u32 {
+                assert_eq!(&read(&s, i).unwrap().bytes()[..4], &i.to_le_bytes());
+                assert!(s.buffer.frames() <= 8 + 1, "round {round}, page {i}");
+            }
+        }
+        assert_eq!(
+            s.stats().reads,
+            400,
+            "a scan larger than the pool never hits"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -18,14 +18,16 @@ percentiles the serving benchmark reports) only fails when the current
 run is more than --wall-tolerance times slower than the baseline
 (default 1.5x). A `_secs` field whose baseline is below 10 ms is
 scheduler noise at that ratio, so an excursion there is reported, not
-gated.
+gated. Memory is the other: `notes.peak_rss_mb` (the process's `VmHWM`)
+is lower-is-better and fails above 1.25x the baseline, wherever the
+baseline records it.
 
 Re-baselining: see CONTRIBUTING.md ("Performance baselines").
 
 --self-test exercises the gate against synthetic documents (identical
 pass, perturbed I/O fail, over-tolerance wall-time fail, within-
-tolerance pass, either side of the 10 ms floor) so CI can prove the gate
-itself still bites before trusting a green comparison.
+tolerance pass, either side of the 10 ms floor, either side of the
+peak-RSS bound) so CI can prove the gate itself still bites before trusting a green comparison.
 
 Exit status: 0 when everything matches, 1 on any mismatch, 2 on usage or
 schema errors. Pure stdlib; no third-party imports.
@@ -50,6 +52,10 @@ EXACT_IO_KEYS = [
 # A `_secs` baseline below this is reported, never gated: at sub-10 ms
 # one descheduling exceeds any sane ratio on an unchanged tree.
 WALL_GATE_FLOOR_SECS = 0.010
+# Peak resident set may grow by this factor before the gate fails: page
+# cache, allocator and runner noise stay inside it, a tree that moved
+# back into memory does not.
+PEAK_RSS_TOLERANCE = 1.25
 
 
 def load(path):
@@ -123,10 +129,21 @@ def compare(base_doc, cur_doc, tol):
                     f"{key}: {field} {cw:.4f} exceeds baseline {bw:.4f} x {tol} tolerance"
                     + ("" if gated else f" (baseline under {WALL_GATE_FLOOR_SECS} s: not gated)")
                 )
+    base_rss = base_doc.get("notes", {}).get("peak_rss_mb")
+    if base_rss is not None:
+        checked += 1
+        cur_rss = cur_doc.get("notes", {}).get("peak_rss_mb")
+        if cur_rss is None:
+            failures.append("notes.peak_rss_mb missing from current run")
+        elif cur_rss > base_rss * PEAK_RSS_TOLERANCE:
+            failures.append(
+                f"notes.peak_rss_mb {cur_rss:.1f} exceeds baseline {base_rss:.1f} "
+                f"x {PEAK_RSS_TOLERANCE} tolerance"
+            )
     return failures, notes, checked
 
 
-def synthetic_doc(avg="3.10", p95=12, wall=1.0):
+def synthetic_doc(avg="3.10", p95=12, wall=1.0, peak_rss=400.0):
     """A minimal but schema-complete document for the self-test."""
     return {
         "schema": "sti-bench/1",
@@ -148,6 +165,7 @@ def synthetic_doc(avg="3.10", p95=12, wall=1.0):
                 ]
             }
         ],
+        "notes": {"peak_rss_mb": peak_rss},
     }
 
 
@@ -175,6 +193,8 @@ def self_test():
             True,
             True,
         ),
+        ("peak RSS within x1.25 passes", synthetic_doc(), synthetic_doc(peak_rss=490.0), 1.5, True, False),
+        ("peak RSS beyond x1.25 fails", synthetic_doc(), synthetic_doc(peak_rss=510.0), 1.5, False, False),
     ]
     broken = 0
     for name, base, cur, tol, should_pass, should_note in cases:
@@ -231,7 +251,7 @@ def main(argv):
         return 1
     print(
         f"perf gate ok for {bench!r}: {len(base)} profiles, {checked} checks "
-        f"(I/O exact, *_secs x{tol} tolerance)"
+        f"(I/O exact, *_secs x{tol}, peak RSS x{PEAK_RSS_TOLERANCE} tolerance)"
     )
     return 0
 

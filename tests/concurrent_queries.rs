@@ -16,6 +16,11 @@
 //!    result, never a panic and never a torn (partially wrong) result
 //!    set.
 //!
+//! 4. **Pinned frames** — the page a reader was handed is the buffer
+//!    pool's own frame; other readers evicting that page underneath
+//!    never change the bytes it holds, and the pool stays within its
+//!    capacity meanwhile.
+//!
 //! Both tree backends are covered, across several shard counts
 //! including the single-shard default that reproduces the paper's one
 //! LRU exactly.
@@ -28,8 +33,9 @@ use spatiotemporal_index::obs::QueryStats;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
 use spatiotemporal_index::storage::{
-    FaultKind, FaultPlan, FaultyBackend, ScheduledFault, StorageError,
+    FaultKind, FaultPlan, FaultyBackend, PageId, PageStore, ReadProbe, ScheduledFault, StorageError,
 };
+use std::sync::Barrier;
 
 const THREADS: usize = 4;
 const QUERIES: usize = 32;
@@ -351,4 +357,102 @@ proptest! {
         // the read path and the test proves nothing.
         prop_assert!(failed > 0, "storm never hit a concurrent reader");
     }
+}
+
+// ---------------------------------------------------------------------
+// Property 4: a held page survives eviction by concurrent readers.
+// ---------------------------------------------------------------------
+
+/// One reader holds the page it read while three others drive many
+/// times `capacity` distinct misses through the *same* shard. The held
+/// bytes never change, the pool never exceeds its capacity in resident
+/// pages, and every access still lands in exactly one probe.
+#[test]
+fn a_held_page_survives_eviction_by_concurrent_readers() {
+    const CAPACITY: usize = 8;
+    const SHARDS: usize = 4;
+    let mut store = PageStore::new(CAPACITY);
+    let pages: Vec<PageId> = (0..400).map(|_| store.allocate().unwrap()).collect();
+    for &p in &pages {
+        store.write(p, &p.to_le_bytes().repeat(1024)).unwrap();
+    }
+    store.set_buffer_shards(SHARDS);
+    store.reset_stats();
+    let pool = store.share_buffer();
+    // Everything that routes where page 0 routes: one shard, capacity 2.
+    let same_shard: Vec<PageId> = pages
+        .iter()
+        .copied()
+        .filter(|&p| pool.shard_of(u64::from(p)) == pool.shard_of(0))
+        .collect();
+    let (held_id, evictors) = same_shard.split_first().unwrap();
+    assert!(evictors.len() > 10 * CAPACITY, "plenty of distinct misses");
+    let resident = || {
+        pages
+            .iter()
+            .filter(|&&p| pool.resident(u64::from(p)))
+            .count()
+    };
+
+    let store = &store;
+    let pinned = Barrier::new(THREADS);
+    let evicted = Barrier::new(THREADS);
+    let probes: Vec<ReadProbe> = std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let mut probe = ReadProbe::new();
+            let held = store.read(*held_id, &mut probe).unwrap();
+            let expected = held.clone();
+            pinned.wait();
+            // Racing the evictors: nothing they do reaches these bytes.
+            for _ in 0..200 {
+                assert!(held.bytes() == expected.bytes(), "held bytes changed");
+                assert!(resident() <= CAPACITY, "pool over capacity");
+            }
+            evicted.wait();
+            assert!(
+                !pool.resident(u64::from(*held_id)),
+                "it was evicted long ago"
+            );
+            assert!(held.bytes().chunks(4).all(|c| c == held_id.to_le_bytes()));
+            // A fresh read is a miss again, and the same content.
+            assert!(store.read(*held_id, &mut probe).unwrap() == held);
+            probe
+        });
+        let evictors: Vec<_> = (0..THREADS - 1)
+            .map(|t| {
+                let (pinned, evicted) = (&pinned, &evicted);
+                scope.spawn(move || {
+                    let mut probe = ReadProbe::new();
+                    pinned.wait();
+                    for &p in evictors.iter().skip(t).step_by(THREADS - 1) {
+                        let page = store.read(p, &mut probe).unwrap();
+                        assert!(page.bytes().chunks(4).all(|c| c == p.to_le_bytes()));
+                    }
+                    evicted.wait();
+                    probe
+                })
+            })
+            .collect();
+        let mut probes = vec![holder.join().expect("holder must not panic")];
+        probes.extend(
+            evictors
+                .into_iter()
+                .map(|h| h.join().expect("evictor must not panic")),
+        );
+        probes
+    });
+
+    let mut total = ReadProbe::new();
+    probes.iter().for_each(|p| total.merge(p));
+    let io = store.stats();
+    assert_eq!(
+        (io.reads, io.buffer_hits),
+        (total.disk_reads, total.buffer_hits)
+    );
+    assert_eq!(
+        io.reads,
+        same_shard.len() as u64 + 1,
+        "every page missed once, the held one twice"
+    );
+    assert!(resident() <= CAPACITY);
 }

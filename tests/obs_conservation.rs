@@ -8,7 +8,8 @@
 //!
 //! Runs across both tree backends and multiple buffer capacities,
 //! including the degenerate capacity-0 pool where every access is a
-//! disk read.
+//! disk read. The last test extends the law one layer down: a counted
+//! disk read is exactly one positional read of the page file.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ use spatiotemporal_index::geom::{Rect2, Rect3, TimeInterval};
 use spatiotemporal_index::obs::QueryStats;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
-use spatiotemporal_index::storage::IoStats;
+use spatiotemporal_index::storage::{FaultPlan, FaultyBackend, FileBackend, IoStats};
 
 const BUFFER_CAPACITIES: [usize; 3] = [0, 4, 10];
 
@@ -121,4 +122,73 @@ proptest! {
             assert_conserved("rstar", total, before, tree.io_stats());
         }
     }
+}
+
+/// Operations the fault-free injector under `tree` has passed through
+/// to the page file; queries only ever read, so a delta of this is a
+/// count of `read_at` calls.
+fn device_ops(tree: &mut PprTree) -> u64 {
+    let backend = tree.backend().as_any().downcast_ref::<FaultyBackend>();
+    backend.expect("built over a FaultyBackend").ops_executed()
+}
+
+/// "A disk read is one `read_at`": over a page file, the reads the
+/// queries report, the reads the store counts and the transfers the
+/// device performed are one number — and a pool that holds the whole
+/// tree performs none once it is warm.
+#[test]
+fn a_counted_disk_read_is_exactly_one_device_read() {
+    let path = std::env::temp_dir().join(format!("sti-one-read-{}.pages", std::process::id()));
+    let file = FileBackend::create(&path).expect("create page file");
+    let device = FaultyBackend::new(Box::new(file), FaultPlan::none());
+    let mut rng = StdRng::seed_from_u64(0x0ead);
+    let mut tree = PprTree::with_backend(
+        PprParams {
+            max_entries: 10,
+            ..PprParams::default()
+        },
+        Box::new(device),
+    );
+    for i in 0..3_000u32 {
+        tree.insert(u64::from(i), random_rect2(&mut rng), i)
+            .unwrap();
+    }
+    let horizon = tree.now();
+    let batch: Vec<(Rect2, TimeInterval)> = (0..300)
+        .map(|i| {
+            let start = rng.random_range(0..horizon);
+            let len = if i % 8 == 0 { 40 } else { 1 };
+            (
+                random_rect2(&mut rng),
+                TimeInterval::new(start, start + len),
+            )
+        })
+        .collect();
+    let run = |tree: &PprTree| {
+        let mut total = QueryStats::new();
+        for (area, range) in &batch {
+            total += tree.query_interval(area, range, &mut Vec::new()).unwrap();
+        }
+        total
+    };
+
+    assert!(tree.num_pages() > 4 * 256, "the tree dwarfs the pool");
+    tree.set_buffer_capacity(256);
+    let (stats_before, ops_before) = (tree.io_stats(), device_ops(&mut tree));
+    let total = run(&tree);
+    let transfers = device_ops(&mut tree) - ops_before;
+    assert!(total.disk_reads > 0 && total.buffer_hits > 0);
+    assert_eq!(total.disk_reads, transfers, "a reported read is a transfer");
+    assert_eq!(tree.io_stats().reads - stats_before.reads, transfers);
+
+    tree.set_buffer_capacity(tree.num_pages());
+    run(&tree); // warm-up: every page the batch touches becomes resident
+    let ops_before = device_ops(&mut tree);
+    let total = run(&tree);
+    assert_eq!(
+        (total.disk_reads, device_ops(&mut tree) - ops_before),
+        (0, 0)
+    );
+    assert!(total.buffer_hits > 0);
+    std::fs::remove_file(&path).ok();
 }
