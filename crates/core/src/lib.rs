@@ -32,11 +32,9 @@ pub use curve::VolumeCurve;
 pub use executor::{QueryExecutor, QueryOutcome, QueryRequest};
 pub use index::{BuildStats, IndexBackend, IndexConfig, SpatioTemporalIndex};
 pub use multi::{DistributionAlgorithm, SplitAllocation};
-pub use online::{
-    FinishError, ObserveError, OnlineError, OnlineIndexer, OnlineSplitConfig, OnlineSplitter,
-};
+pub use online::{FinishError, ObserveError, OnlineError, OnlineSplitConfig, OnlineSplitter};
 pub use parallel::{map_chunked, Parallelism};
-pub use pipeline::{CommitReport, IngestOp, IngestPipeline, IngestQueue, IngestReader, RejectedOp};
+pub use pipeline::{CommitReport, IngestOp, IngestPipeline, IngestReader, RejectedOp};
 pub use plan::{
     piecewise_records, record_events, total_volume, unsplit_records, ObjectRecord, PlanStats,
     RecordEvent, SplitBudget, SplitPlan,

@@ -1,12 +1,13 @@
-//! The single-writer/multi-reader live-ingestion pipeline.
+//! The single-writer/multi-reader live-ingestion pipeline: the one
+//! front-end that turns a stream of position updates into a queryable
+//! PPR-Tree (the on-line problem of the paper's §VII).
 //!
-//! [`crate::online::OnlineIndexer`] streams updates into *one* tree, so
-//! every reader must go through the same `&mut` choke point as the
-//! writer. This module removes that coupling with a left-right
-//! publication scheme built from three parts:
+//! Streaming into *one* tree would put every reader behind the same
+//! `&mut` choke point as the writer. This module removes that coupling
+//! with a left-right publication scheme built from three parts:
 //!
-//! * an [`IngestQueue`] of [`IngestOp`]s — producers enqueue position
-//!   updates and disappearances without touching any tree,
+//! * a FIFO of [`IngestOp`]s — producers enqueue position updates and
+//!   disappearances without touching any tree,
 //! * a committer ([`IngestPipeline::commit`]) that drains the queue,
 //!   validates operations through the [`OnlineSplitter`] (malformed
 //!   streams surface as typed rejects, never panics), reorders closed
@@ -19,9 +20,10 @@
 //!   the new one. Readers never lock anything the writer holds during
 //!   page work.
 //!
-//! The scheme keeps **two** trees, both over one shared buffer pool
-//! (tagged residency keys, see [`sti_storage::PageStore::with_backend_shared`]):
-//! while version `N` is published from tree A, the committer owns tree
+//! The scheme keeps **two** trees, each over its own page store and
+//! buffer pool (so a version's I/O counters count only its own reads,
+//! and a rolled-back batch cannot touch the readers' frames): while
+//! version `N` is published from tree A, the committer owns tree
 //! B, replays the batch A already has but B missed (the *lag*), applies
 //! the new batch, and publishes B as `N+1`. Tree A becomes the next
 //! private tree once the last reader of version `N` drops its handle.
@@ -53,7 +55,7 @@ use sti_obs::MetricSet;
 use sti_pprtree::{PprParams, PprTree};
 use sti_storage::{MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
 
-/// One queued ingest operation, mirroring the [`crate::online`] calls.
+/// One queued ingest operation, mirroring the [`OnlineSplitter`] calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestOp {
     /// Object `id` occupies `rect` during instant `t`.
@@ -72,39 +74,6 @@ pub enum IngestOp {
         /// Half-open lifetime end.
         end: Time,
     },
-}
-
-/// FIFO of operations awaiting the next commit. Producers only touch
-/// this; all tree work happens in the committer.
-#[derive(Debug, Default)]
-pub struct IngestQueue {
-    ops: VecDeque<IngestOp>,
-}
-
-impl IngestQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueue one operation.
-    pub fn push(&mut self, op: IngestOp) {
-        self.ops.push_back(op);
-    }
-
-    /// Operations waiting to be drained.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    fn drain_all(&mut self) -> Vec<IngestOp> {
-        self.ops.drain(..).collect()
-    }
 }
 
 /// An operation the committer refused, with the typed reason. The
@@ -159,6 +128,25 @@ pub struct CommitReport {
     pub trace: Vec<BatchState>,
 }
 
+impl CommitReport {
+    /// A report of a call that drained, applied and hit nothing; each
+    /// exit of `commit`/`seal` fills in what it actually did.
+    fn empty(state: BatchState, stamp: VersionStamp, trace: Vec<BatchState>) -> Self {
+        Self {
+            state,
+            stamp,
+            drained: 0,
+            rejected: Vec::new(),
+            batch_events: 0,
+            lag_events: 0,
+            error: None,
+            stalled: false,
+            durability: None,
+            trace,
+        }
+    }
+}
+
 /// A cloneable, `Send + Sync` handle readers use to acquire the current
 /// published version without touching the pipeline (or each other).
 ///
@@ -194,7 +182,9 @@ enum Standby {
 /// [`IngestPipeline::enqueue`] / [`IngestPipeline::commit`] /
 /// [`IngestPipeline::reader`].
 pub struct IngestPipeline {
-    queue: IngestQueue,
+    /// Operations awaiting the next commit, in arrival order. Producers
+    /// only touch this; all tree work happens in the committer.
+    queue: VecDeque<IngestOp>,
     splitter: OnlineSplitter,
     /// Closed pieces whose events are not yet below the watermark.
     reorder: BinaryHeap<Reverse<Ev>>,
@@ -235,31 +225,38 @@ impl IngestPipeline {
 
     /// A pipeline whose two tree versions sit on the given backends —
     /// the fault suites pass [`sti_storage::FaultyBackend`]s here to
-    /// storm the commit path. Both trees share one buffer pool sized by
-    /// `params.buffer_pages` (tags 0 and 1), so publication does not
-    /// silently double the paper's buffer budget.
+    /// storm the commit path. Each tree owns a buffer pool of
+    /// `params.buffer_pages`.
     pub fn with_backends(
         config: OnlineSplitConfig,
         params: PprParams,
         published_backend: Box<dyn PageBackend>,
         standby_backend: Box<dyn PageBackend>,
     ) -> Self {
-        let published = PprTree::with_backend(params, published_backend);
-        let standby =
-            PprTree::with_backend_shared(params, standby_backend, published.share_buffer(), 1);
+        Self::over_trees(
+            OnlineSplitter::new(config),
+            PublishedIndex::new(
+                PprTree::with_backend(params, published_backend),
+                VersionStamp::INITIAL,
+            ),
+            PprTree::with_backend(params, standby_backend),
+        )
+    }
+
+    /// A pipeline with nothing queued, buffered or counted over two
+    /// trees of equal content — how fresh and recovered pipelines alike
+    /// come to be.
+    fn over_trees(splitter: OnlineSplitter, published: PublishedIndex, standby: PprTree) -> Self {
         Self {
-            queue: IngestQueue::new(),
-            splitter: OnlineSplitter::new(config),
+            queue: VecDeque::new(),
+            splitter,
             reorder: BinaryHeap::new(),
             pending: Vec::new(),
             lag: Vec::new(),
             seq: 0,
             now: 0,
             standby: Standby::Owned(Box::new(standby)),
-            slot: Arc::new(Mutex::new(Arc::new(PublishedIndex::new(
-                published,
-                VersionStamp::INITIAL,
-            )))),
+            slot: Arc::new(Mutex::new(Arc::new(published))),
             commits: 0,
             rollbacks: 0,
             rejected_total: 0,
@@ -283,7 +280,7 @@ impl IngestPipeline {
     /// Enqueue one operation (no validation happens here — the
     /// committer validates at drain time and reports typed rejects).
     pub fn enqueue(&mut self, op: IngestOp) {
-        self.queue.push(op);
+        self.queue.push_back(op);
     }
 
     /// Convenience: enqueue an [`IngestOp::Update`].
@@ -452,25 +449,16 @@ impl IngestPipeline {
                 .and_then(|()| d.crash_check(CrashPoint::AfterCommitSync));
             if let Err(e) = prelude {
                 return CommitReport {
-                    state,
-                    stamp: self.published().stamp(),
-                    drained: 0,
-                    rejected: Vec::new(),
-                    batch_events: 0,
-                    lag_events: 0,
-                    error: None,
-                    stalled: false,
                     durability: Some(e),
-                    trace,
+                    ..CommitReport::empty(state, self.published().stamp(), trace)
                 };
             }
         }
 
         // Drain + validate through the splitter (typed rejects).
-        let ops = self.queue.drain_all();
-        let drained = ops.len();
+        let drained = self.queue.len();
         let mut rejected = Vec::new();
-        for op in ops {
+        while let Some(op) = self.queue.pop_front() {
             if let Err(error) = self.absorb(op) {
                 rejected.push(RejectedOp { op, error });
             }
@@ -500,16 +488,9 @@ impl IngestPipeline {
             // buffer above — `state: Queued` means "nothing published",
             // not "nothing happened".
             return CommitReport {
-                state,
-                stamp,
                 drained,
                 rejected,
-                batch_events: 0,
-                lag_events: 0,
-                error: None,
-                stalled: false,
-                durability: None,
-                trace,
+                ..CommitReport::empty(state, stamp, trace)
             };
         }
         Self::step(&mut state, BatchEvent::Drain, &mut trace);
@@ -534,16 +515,12 @@ impl IngestPipeline {
                 self.rollbacks += 1;
                 Self::step(&mut state, BatchEvent::Fail, &mut trace);
                 CommitReport {
-                    state,
-                    stamp,
                     drained,
                     rejected,
                     batch_events,
                     lag_events,
                     error: Some(e),
-                    stalled: false,
-                    durability: None,
-                    trace,
+                    ..CommitReport::empty(state, stamp, trace)
                 }
             }
             Ok(()) => {
@@ -573,16 +550,12 @@ impl IngestPipeline {
                     .as_mut()
                     .and_then(|d| d.crash_check(CrashPoint::AfterPublish).err());
                 CommitReport {
-                    state,
-                    stamp: new_stamp,
                     drained,
                     rejected,
                     batch_events,
                     lag_events,
-                    error: None,
-                    stalled: false,
                     durability,
-                    trace,
+                    ..CommitReport::empty(state, new_stamp, trace)
                 }
             }
         }
@@ -602,16 +575,12 @@ impl IngestPipeline {
             // any draining commit runs, so the queue/pending
             // diagnostics reflect the wedged state the caller sees.
             return CommitReport {
-                state: BatchState::Queued,
-                stamp: self.published().stamp(),
-                drained: 0,
-                rejected: Vec::new(),
-                batch_events: 0,
-                lag_events: 0,
-                error: None,
                 stalled: true,
-                durability: None,
-                trace: vec![BatchState::Queued],
+                ..CommitReport::empty(
+                    BatchState::Queued,
+                    self.published().stamp(),
+                    vec![BatchState::Queued],
+                )
             };
         }
         // Drain whatever producers queued first — the open-piece
@@ -738,7 +707,7 @@ impl IngestPipeline {
         // (at-least-once for unacknowledged ops, exactly-once for
         // acknowledged ones).
         d.crash_check(CrashPoint::AfterWalAppend)?;
-        self.queue.push(op);
+        self.queue.push_back(op);
         Ok(lsn)
     }
 
@@ -759,11 +728,11 @@ impl IngestPipeline {
         };
         let idx = idx_path(&dir, generation);
 
-        // Phase 2: the index image. The published tree sits behind an
-        // `Arc`, so the save works on a deep copy (recovery tolerates
-        // the copy's private buffer pool — DESIGN.md §8). An armed
-        // mid-save crash leaves a torn image at the final path; no meta
-        // ever points at it, so recovery never reads it.
+        // Phase 2: the index image, saved from the published version in
+        // place (a save reads pages at rest and needs no exclusive
+        // access). An armed mid-save crash leaves a torn image at the
+        // final path; no meta ever points at it, so recovery never
+        // reads it.
         if let Some(d) = self.durability.as_mut() {
             if let Err(e) = d.crash_check(CrashPoint::CheckpointMidTreeSave) {
                 if matches!(e, DurabilityError::InjectedCrash(_)) {
@@ -773,10 +742,7 @@ impl IngestPipeline {
             }
         }
         let meta = self.build_checkpoint_meta(generation, wal_lsn)?;
-        let published = self.published();
-        let mut tree = published.tree().clone();
-        tree.save_to_file(&idx)?;
-        drop(published);
+        self.published().tree().save_to_file(&idx)?;
 
         // Phase 3: commit the generation — meta temp, fsync, rename.
         let meta_target = meta_path(&dir, generation);
@@ -852,7 +818,7 @@ impl IngestPipeline {
             open_pieces: self.splitter.snapshot_open_pieces(),
             reorder,
             pending: self.pending.clone(),
-            queued: self.queue.ops.iter().copied().collect(),
+            queued: self.queue.iter().copied().collect(),
         })
     }
 
@@ -904,34 +870,20 @@ impl IngestPipeline {
         let (mut pipeline, meta) = match chosen {
             Some((meta, tree)) => {
                 // Both trees start from the checkpointed content (the
-                // standby is a deep copy), so there is no lag to
-                // replay; the clone's buffer pool is private, a
-                // documented deviation from the live shared pool.
+                // standby is a deep copy), so there is no lag to replay.
                 let standby = tree.clone();
-                let mut reorder = BinaryHeap::new();
-                for ev in &meta.reorder {
-                    reorder.push(Reverse(ev.clone()));
-                }
-                let pipeline = Self {
-                    queue: IngestQueue::new(),
-                    splitter: OnlineSplitter::restore(
-                        config,
-                        &meta.open_pieces,
-                        meta.splits_issued,
-                    ),
-                    reorder,
-                    pending: meta.pending.clone(),
-                    lag: Vec::new(),
-                    seq: meta.seq,
-                    now: meta.now,
-                    standby: Standby::Owned(Box::new(standby)),
-                    slot: Arc::new(Mutex::new(Arc::new(PublishedIndex::new(tree, meta.stamp)))),
-                    commits: meta.commits,
-                    rollbacks: meta.rollbacks,
-                    rejected_total: meta.rejected_total,
-                    wedge_seal: false,
-                    durability: None,
-                };
+                let mut pipeline = Self::over_trees(
+                    OnlineSplitter::restore(config, &meta.open_pieces, meta.splits_issued),
+                    PublishedIndex::new(tree, meta.stamp),
+                    standby,
+                );
+                pipeline.reorder = meta.reorder.iter().cloned().map(Reverse).collect();
+                pipeline.pending.clone_from(&meta.pending);
+                pipeline.seq = meta.seq;
+                pipeline.now = meta.now;
+                pipeline.commits = meta.commits;
+                pipeline.rollbacks = meta.rollbacks;
+                pipeline.rejected_total = meta.rejected_total;
                 (pipeline, Some(meta))
             }
             None => (Self::new(config, params), None),
@@ -942,7 +894,7 @@ impl IngestPipeline {
         let mut queued_restored = 0u64;
         if let Some(m) = &meta {
             for op in &m.queued {
-                pipeline.queue.push(*op);
+                pipeline.queue.push_back(*op);
                 queued_restored += 1;
             }
         }
@@ -956,7 +908,7 @@ impl IngestPipeline {
                 lsn: record.lsn,
                 what,
             })?;
-            pipeline.queue.push(op);
+            pipeline.queue.push_back(op);
             wal_records_replayed += 1;
         }
 
@@ -1043,9 +995,9 @@ impl IngestPipeline {
     /// after a bounded yield-spin, the committer refuses to block
     /// ingest on that reader: it deep-copies the retired tree and
     /// abandons the pinned `Arc` (the reader frees it whenever it
-    /// drops the handle). The copy costs O(pages) and its buffer pool
-    /// is private from then on — the price of a reader holding a
-    /// version across two later commits, not of normal operation.
+    /// drops the handle). The copy costs O(pages) — the price of a
+    /// reader holding a version across two later commits, not of normal
+    /// operation.
     ///
     /// The placeholder parked in `self.standby` is never observable:
     /// every `commit` path overwrites it before returning.
@@ -1091,6 +1043,7 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::FinishError;
     use sti_geom::{Point2, Rect2, TimeInterval};
 
     fn params() -> PprParams {
@@ -1344,5 +1297,310 @@ mod tests {
         assert!(json.contains("ingest_commits_total"));
         assert!(json.contains("ingest_published_version"));
         assert!(json.contains("ingest_commit_lag_instants"));
+    }
+
+    /// A finish the splitter refuses is a typed reject that leaves the
+    /// clock where it was: the object keeps streaming afterwards.
+    #[test]
+    fn rejected_finish_does_not_advance_the_clock() {
+        let mut p = IngestPipeline::new(config(), params());
+        p.enqueue_update(1, rect_at(1, 0), 0);
+        p.enqueue_finish(2, 5);
+        let report = p.commit();
+        assert_eq!(report.rejected.len(), 1);
+        assert_eq!(
+            report.rejected[0].error,
+            OnlineError::Split(FinishError::NotOpen { id: 2 })
+        );
+        assert_eq!(p.now(), 0, "the failed finish must not move the clock");
+        p.enqueue_update(1, rect_at(1, 1), 1);
+        p.enqueue_finish(1, 2);
+        assert!(p.commit().rejected.is_empty());
+    }
+
+    /// A stream-clock regression and a finish that does not follow the
+    /// object's last observation are both typed rejects; neither absorbs
+    /// anything, and the well-formed object still finishes cleanly.
+    #[test]
+    fn backwards_stream_is_rejected_with_typed_errors() {
+        let mut p = IngestPipeline::new(config(), params());
+        let r = Rect2::from_bounds(0.1, 0.1, 0.2, 0.2);
+        p.enqueue_update(1, r, 7);
+        p.enqueue_update(2, r, 3);
+        p.enqueue_finish(1, 5);
+        let report = p.commit();
+        let errors: Vec<_> = report.rejected.iter().map(|r| r.error.clone()).collect();
+        assert_eq!(
+            errors,
+            vec![
+                OnlineError::Observe(ObserveError::OutOfOrder {
+                    id: 2,
+                    t: 3,
+                    last: 7
+                }),
+                OnlineError::Split(FinishError::WrongEnd {
+                    id: 1,
+                    end: 5,
+                    expected: 8
+                }),
+            ]
+        );
+        // Object 2 was never absorbed; object 1 still finishes cleanly.
+        p.enqueue_update(1, r, 8);
+        p.enqueue_finish(1, 9);
+        assert!(p.commit().rejected.is_empty());
+        let report = p.seal();
+        assert_eq!(report.state, BatchState::Published);
+        let tree = p.into_published_tree();
+        assert_eq!(tree.total_records(), 1);
+        assert!(sti_pprtree::check::validate(&tree).is_ok());
+    }
+
+    /// Failed finishes change nothing — not the splitter watermark, not
+    /// the pending events, not the published stamp — the corrected call
+    /// succeeds, and the sealed tree passes the full-history sanitizer.
+    #[test]
+    fn failed_finish_then_corrected_retry() {
+        let mut p = IngestPipeline::new(config(), params());
+        let r = Rect2::from_bounds(0.3, 0.3, 0.35, 0.35);
+        for t in 0..10 {
+            p.enqueue_update(5, r, t);
+        }
+        assert!(p.commit().rejected.is_empty());
+        p.commit(); // replays the lag, so the next commit owes no publish
+        let before = (
+            p.now(),
+            p.pending_events(),
+            p.splitter.watermark(),
+            p.published().stamp(),
+        );
+
+        p.enqueue_finish(5, 25);
+        p.enqueue_finish(6, 10);
+        let report = p.commit();
+        let errors: Vec<_> = report.rejected.iter().map(|r| r.error.clone()).collect();
+        assert_eq!(
+            errors,
+            vec![
+                OnlineError::Split(FinishError::WrongEnd {
+                    id: 5,
+                    end: 25,
+                    expected: 10
+                }),
+                OnlineError::Split(FinishError::NotOpen { id: 6 }),
+            ]
+        );
+        let after = (
+            p.now(),
+            p.pending_events(),
+            p.splitter.watermark(),
+            p.published().stamp(),
+        );
+        assert_eq!(after, before, "failed finishes must move nothing");
+
+        p.enqueue_finish(5, 10);
+        assert!(p.commit().rejected.is_empty());
+        assert_eq!(p.seal().state, BatchState::Published);
+        let tree = p.into_published_tree();
+        assert_eq!(tree.alive_records(), 0);
+        assert!(sti_pprtree::check::validate(&tree).is_ok());
+    }
+
+    /// Two staggered movers and one stationary anchor, committed every
+    /// instant: the sealed version answers hand-computed history.
+    #[test]
+    fn streams_and_answers_history() {
+        let mover =
+            |i: Time| Rect2::centered(Point2::new(0.05 + 0.01 * f64::from(i), 0.5), 0.02, 0.02);
+        let mut p = IngestPipeline::new(OnlineSplitConfig::default(), params());
+        for t in 0..60 {
+            if t < 40 {
+                p.enqueue_update(1, mover(t), t);
+            }
+            if t == 40 {
+                p.enqueue_finish(1, 40);
+            }
+            if (10..50).contains(&t) {
+                p.enqueue_update(2, mover(t - 10), t);
+            }
+            if t == 50 {
+                p.enqueue_finish(2, 50);
+            }
+            p.enqueue_update(3, Rect2::from_bounds(0.9, 0.9, 0.95, 0.95), t);
+            assert!(p.commit().rejected.is_empty());
+        }
+        assert!(p.splitter.splits_issued() >= 2, "movers should have split");
+        assert_eq!(p.seal().state, BatchState::Published);
+        let v = p.published();
+        assert_eq!(v.stamp().watermark, 60);
+        v.tree().validate();
+        let mut out = Vec::new();
+        v.tree().query_snapshot(&Rect2::UNIT, 5, &mut out).unwrap();
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 3]);
+        out.clear();
+        v.tree().query_snapshot(&Rect2::UNIT, 45, &mut out).unwrap();
+        out.sort_unstable();
+        assert_eq!(out, vec![2, 3]);
+        out.clear();
+        // Each object is many pieces, found once over its whole life.
+        v.tree()
+            .query_interval(&Rect2::UNIT, &TimeInterval::new(0, 60), &mut out)
+            .unwrap();
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    /// Length-capped pieces keep the published watermark moving while
+    /// the object is still open, and history just below it is final.
+    #[test]
+    fn length_capped_pieces_advance_the_published_watermark() {
+        let capped = OnlineSplitConfig {
+            max_piece_instants: Some(4),
+            min_piece_instants: 1,
+            ..OnlineSplitConfig::default()
+        };
+        let mut p = IngestPipeline::new(capped, params());
+        for t in 0..30 {
+            p.enqueue_update(1, rect_at(1, t), t);
+        }
+        let report = p.commit();
+        assert_eq!(report.state, BatchState::Published);
+        let w = report.stamp.watermark;
+        assert!(w > 0, "length-capped pieces must advance the watermark");
+        assert_eq!(Some(w), p.splitter.watermark());
+        let mut out = Vec::new();
+        p.published()
+            .tree()
+            .query_snapshot(&Rect2::UNIT, w - 1, &mut out)
+            .unwrap();
+        assert_eq!(out, vec![1]);
+    }
+
+    /// Everything a rejected operation could have moved, captured with
+    /// same-module access to the private fields so the equality below
+    /// really is "nothing moved", not "the accessors still agree".
+    #[derive(Debug, PartialEq)]
+    struct PipelineSnapshot {
+        now: Time,
+        seq: u64,
+        watermark: Option<Time>,
+        splits_issued: u64,
+        open: Vec<crate::online::OpenPieceSnapshot>,
+        reorder: Vec<Ev>,
+        pending: Vec<Ev>,
+        lag: Vec<Ev>,
+        stamp: VersionStamp,
+        commits: u64,
+        published_pages: usize,
+    }
+
+    impl PipelineSnapshot {
+        fn of(p: &IngestPipeline) -> Self {
+            let mut reorder: Vec<Ev> = p.reorder.iter().map(|r| r.0.clone()).collect();
+            reorder.sort();
+            Self {
+                now: p.now,
+                seq: p.seq,
+                watermark: p.splitter.watermark(),
+                splits_issued: p.splitter.splits_issued(),
+                open: p.splitter.snapshot_open_pieces(),
+                reorder,
+                pending: p.pending.clone(),
+                lag: p.lag.clone(),
+                stamp: p.published().stamp(),
+                commits: p.commits,
+                published_pages: p.published().tree().num_pages(),
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Drive a live stream and, interleaved with the valid traffic,
+        /// throw every class of malformed operation at the pipeline.
+        /// Each must come back as the right kind of typed reject from a
+        /// commit that leaves the clock, the splitter, the buffered
+        /// events and the published version bit-identical; the stream
+        /// then carries on and the sealed tree passes the full-history
+        /// sanitizer.
+        #[test]
+        fn malformed_ops_leave_the_pipeline_unchanged(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = IngestPipeline::new(
+                OnlineSplitConfig {
+                    min_piece_instants: 2,
+                    max_piece_instants: Some(6),
+                    ..OnlineSplitConfig::default()
+                },
+                params(),
+            );
+            let mut alive: Vec<u64> = Vec::new();
+            let mut next_id = 0u64;
+            let horizon = 30 + (seed % 20) as Time;
+
+            for t in 0..horizon {
+                // Sprinkle one malformed op before the valid traffic. At
+                // this point every id in `alive` has been observed at
+                // least once (spawning happens below), so each really is
+                // a stream violation, not a first observation.
+                if t > 2 {
+                    // A second commit replays the lag onto the standby,
+                    // so the commit under test has nothing of its own
+                    // to publish.
+                    p.commit();
+                    let before = PipelineSnapshot::of(&p);
+                    let first = alive.first().copied();
+                    let op = match (rng.random_range(0..5u32), first) {
+                        (0, Some(id)) => IngestOp::Update { id, rect: Rect2::UNIT, t: t + 4 }, // gap
+                        (1, Some(id)) => IngestOp::Update { id, rect: Rect2::UNIT, t: t - 2 }, // behind the clock
+                        (2, Some(id)) => IngestOp::Finish { id, end: t + 7 }, // wrong end
+                        (3, _) => IngestOp::Finish { id: 9_999, end: t }, // never observed
+                        _ => IngestOp::Finish { id: first.unwrap_or(0), end: t.saturating_sub(3) }, // backwards
+                    };
+                    p.enqueue(op);
+                    let report = p.commit();
+                    prop_assert_eq!(report.state, BatchState::Queued);
+                    prop_assert_eq!(report.rejected.len(), 1, "malformed {:?} accepted at t={}", op, t);
+                    prop_assert_eq!(report.rejected[0].op, op);
+                    prop_assert!(
+                        !matches!(report.rejected[0].error, OnlineError::Storage(_)),
+                        "malformed input misreported as an I/O failure"
+                    );
+                    prop_assert_eq!(&PipelineSnapshot::of(&p), &before,
+                        "rejected {:?} at t={} moved pipeline state", op, t);
+                }
+                // Maybe bring a new object into the world at this instant.
+                if alive.len() < 4 && rng.random::<f64>() < 0.5 {
+                    alive.push(next_id);
+                    next_id += 1;
+                }
+                // The valid stream: every alive object observes this instant.
+                for &id in &alive {
+                    let x = ((id as f64) * 0.17 + f64::from(t) * 0.013).fract() * 0.9;
+                    p.enqueue_update(id, Rect2::from_bounds(x, 0.4, x + 0.02, 0.45), t);
+                }
+                // Maybe retire one object (end = t + 1 follows its last
+                // observation; later updates resume at t + 1).
+                if alive.len() > 1 && rng.random::<f64>() < 0.2 {
+                    let victim = alive.swap_remove(rng.random_range(0..alive.len()));
+                    p.enqueue_finish(victim, t + 1);
+                }
+                let report = p.commit();
+                prop_assert!(report.rejected.is_empty(), "valid traffic rejected: {:?}", report.rejected);
+            }
+            for &id in &alive {
+                p.enqueue_finish(id, horizon);
+            }
+            let report = p.seal();
+            prop_assert_eq!(report.state, BatchState::Published);
+            prop_assert!(report.rejected.is_empty());
+            let tree = p.into_published_tree();
+            prop_assert!(sti_pprtree::check::validate(&tree).is_ok());
+        }
     }
 }

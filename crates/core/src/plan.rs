@@ -322,8 +322,7 @@ pub enum RecordEvent {
 
 impl RecordEvent {
     /// Apply this event for `record` at instant `t` — the one ingest
-    /// step behind the offline build, [`crate::OnlineIndexer`] and the
-    /// live pipeline. A delete that finds nothing is a bug, not an I/O
+    /// step behind the offline build and the live pipeline. A delete that finds nothing is a bug, not an I/O
     /// condition: every event stream pairs each delete with the insert
     /// it emitted earlier.
     pub(crate) fn apply(

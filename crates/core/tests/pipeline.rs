@@ -2,9 +2,10 @@
 //! pipeline ([`sti_core::IngestPipeline`]):
 //!
 //! * **equivalence** — for any seeded op stream and any commit cadence,
-//!   the final published version answers queries exactly like the
-//!   synchronous [`OnlineIndexer`] fed the same stream (and never drops
-//!   a raw observation: no false negatives vs a brute-force shadow),
+//!   every published version answers the history below its watermark,
+//!   and the sealed one all of it, exactly like one brute-force pass
+//!   over the records a bare [`OnlineSplitter`] emits for the same
+//!   stream (and never drops a raw observation),
 //! * **conformance** — every [`CommitReport::trace`] replays through
 //!   the pure [`transition`] state machine (only documented edges),
 //! * **immutability** — a reader holding a published version across
@@ -12,18 +13,26 @@
 //! * **fault tolerance** — seeded non-transient fault storms mid-commit
 //!   roll the batch back to the exact published version (same `Arc`,
 //!   same stamp), and retried commits still converge to the fault-free
-//!   answer.
+//!   answer,
+//! * **isolation** — a published version's I/O counters and buffer
+//!   frames are its own: neither the committer's tree work nor a
+//!   rolled-back batch shows up in them.
+//!
+//! The oracle shares no code with the pipeline beyond the splitter: no
+//! tree, no reorder heap, no watermark. "One object, many index entries"
+//! is written down once, in [`brute_force`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sti_core::{
-    transition, BatchEvent, BatchState, CommitReport, IngestOp, IngestPipeline, OnlineIndexer,
-    OnlineSplitConfig, VersionStamp,
+    transition, BatchEvent, BatchState, CommitReport, IngestOp, IngestPipeline, ObjectRecord,
+    OnlineSplitConfig, OnlineSplitter, VersionStamp,
 };
 use sti_geom::{Rect2, Time, TimeInterval};
+use sti_obs::QueryStats;
 use sti_pprtree::{PprParams, PprTree};
-use sti_storage::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
+use sti_storage::{FaultKind, FaultPlan, FaultyBackend, MemBackend, ScheduledFault, StorageError};
 
 fn params() -> PprParams {
     PprParams {
@@ -49,7 +58,7 @@ fn config() -> OnlineSplitConfig {
 /// finish validates against the object's own last observation). The
 /// stream always keeps at least one active object so the final instant
 /// is observed and the sealed watermark reaches `horizon`. Also returns
-/// the raw observations for the brute-force shadow.
+/// the raw observations for the no-false-negatives check.
 fn gen_stream(
     seed: u64,
     max_objects: usize,
@@ -117,29 +126,47 @@ fn gen_stream(
     (ops, raw)
 }
 
-/// The same stream through the synchronous indexer — the trusted shadow
-/// the pipeline must agree with.
-fn shadow_tree(ops: &[IngestOp], horizon: Time) -> PprTree {
-    let mut idx = OnlineIndexer::new(config(), params());
+/// The oracle's half of the work: the clean stream through a bare
+/// splitter, keeping every record it emits.
+fn shadow_records(ops: &[IngestOp]) -> Vec<ObjectRecord> {
+    let mut splitter = OnlineSplitter::new(config());
+    let mut records = Vec::new();
     for op in ops {
         match *op {
-            IngestOp::Update { id, rect, t } => idx.update(id, rect, t).expect("clean stream"),
-            IngestOp::Finish { id, end } => idx.finish(id, end).expect("clean stream"),
+            IngestOp::Update { id, rect, t } => {
+                records.extend(splitter.observe(id, rect, t).expect("clean stream"));
+            }
+            IngestOp::Finish { id, end } => {
+                records.push(splitter.finish(id, end).expect("clean stream"));
+            }
         }
     }
-    idx.seal(horizon).expect("in-memory seal cannot fault")
+    assert_eq!(splitter.open_objects(), 0, "the stream finishes everyone");
+    records
 }
 
-/// Sorted, deduplicated interval answer; retries because the fault
-/// suites query trees on backends whose scheduled faults may fire
-/// during the read itself (each fault fires once, so retrying always
-/// terminates).
+/// The reference answer: every record is tested, and an object split
+/// into many records is reported once.
+fn brute_force(records: &[ObjectRecord], area: &Rect2, range: &TimeInterval) -> Vec<u64> {
+    let mut ids: Vec<u64> = records
+        .iter()
+        .filter(|r| r.stbox.matches(area, range))
+        .map(|r| r.id)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Sorted interval answer — never deduplicated here: the tree owes the
+/// id *set*. Retries because the fault suites query trees on backends
+/// whose scheduled faults may fire during the read itself (each fault
+/// fires once, so retrying always terminates).
 fn interval_ids(tree: &PprTree, area: &Rect2, range: &TimeInterval) -> Vec<u64> {
     for _ in 0..64 {
         let mut out = Vec::new();
         if tree.query_interval(area, range, &mut out).is_ok() {
             out.sort_unstable();
-            out.dedup();
             return out;
         }
     }
@@ -151,7 +178,6 @@ fn snapshot_ids(tree: &PprTree, area: &Rect2, t: Time) -> Vec<u64> {
         let mut out = Vec::new();
         if tree.query_snapshot(area, t, &mut out).is_ok() {
             out.sort_unstable();
-            out.dedup();
             return out;
         }
     }
@@ -194,19 +220,21 @@ fn probe_areas() -> Vec<Rect2> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For any stream and any commit cadence, the sealed pipeline's
-    /// published version answers interval and snapshot queries exactly
-    /// like the synchronous indexer — and never misses a raw
-    /// observation (piece MBRs cover their instants, so the brute-force
-    /// shadow is a lower bound on every snapshot answer).
+    /// For any stream and any commit cadence: every version published
+    /// mid-stream holds exactly the events below its watermark (its
+    /// clock never reaches it) and already answers that history like the
+    /// oracle does over the *final* records; the sealed version answers
+    /// every interval and snapshot probe exactly like the oracle — and
+    /// never misses a raw observation (piece MBRs cover their instants,
+    /// so the raw stream is a lower bound on every snapshot answer).
     #[test]
-    fn sealed_pipeline_matches_synchronous_indexer(
+    fn sealed_pipeline_matches_brute_force_over_splitter_records(
         seed in any::<u64>(),
         commit_every in 1usize..25,
     ) {
         let horizon: Time = 50;
         let (ops, raw) = gen_stream(seed, 6, horizon);
-        let shadow = shadow_tree(&ops, horizon);
+        let records = shadow_records(&ops);
 
         let mut p = IngestPipeline::new(config(), params());
         let mut last_stamp = VersionStamp::INITIAL;
@@ -219,6 +247,27 @@ proptest! {
                 assert_trace_conforms(&report);
                 prop_assert!(report.stamp >= last_stamp, "stamps regress");
                 last_stamp = report.stamp;
+                if report.state == BatchState::Published {
+                    // The stream always has an open piece mid-stream, so
+                    // the watermark is a real bound: nothing at or past
+                    // it may have reached the tree, and everything below
+                    // it is final.
+                    let v = p.published();
+                    let w = report.stamp.watermark;
+                    prop_assert!(
+                        v.tree().now() < w || w == 0,
+                        "version {} applied an event at {} >= its watermark {}",
+                        report.stamp.version, v.tree().now(), w,
+                    );
+                    for start in (0..w).step_by(5) {
+                        let range = TimeInterval::new(start, (start + 4).min(w));
+                        prop_assert_eq!(
+                            interval_ids(v.tree(), &Rect2::UNIT, &range),
+                            brute_force(&records, &Rect2::UNIT, &range),
+                            "history {} below watermark {} was not final", range, w,
+                        );
+                    }
+                }
             }
         }
         let report = p.seal();
@@ -231,22 +280,23 @@ proptest! {
         let v = p.published();
         prop_assert_eq!(v.stamp().watermark, horizon);
         v.tree().validate();
+        prop_assert_eq!(v.tree().total_records(), records.len() as u64);
 
         for area in probe_areas() {
             for start in (0..horizon).step_by(7) {
                 let range = TimeInterval::new(start, start + 1 + (start % 11));
                 prop_assert_eq!(
                     interval_ids(v.tree(), &area, &range),
-                    interval_ids(&shadow, &area, &range),
-                    "interval {} / area {:?} disagrees with the shadow", range, area,
+                    brute_force(&records, &area, &range),
+                    "interval {} / area {:?} disagrees with the oracle", range, area,
                 );
             }
             for t in (0..horizon).step_by(9) {
                 let got = snapshot_ids(v.tree(), &area, t);
                 prop_assert_eq!(
-                    got.clone(),
-                    snapshot_ids(&shadow, &area, t),
-                    "snapshot t={} / area {:?} disagrees with the shadow", t, area,
+                    &got,
+                    &brute_force(&records, &area, &TimeInterval::new(t, t + 1)),
+                    "snapshot t={} / area {:?} disagrees with the oracle", t, area,
                 );
                 // No false negatives vs the raw observations.
                 for (id, rect, rt) in raw.iter().filter(|&&(_, r, rt)| rt == t && r.intersects(&area)) {
@@ -262,12 +312,12 @@ proptest! {
     /// Seeded non-transient fault storms on both tree backends: every
     /// rolled-back commit leaves the published slot untouched (the very
     /// same `Arc`, no stamp movement), and retrying converges to the
-    /// fault-free shadow's answers.
+    /// fault-free oracle's answers.
     #[test]
     fn fault_storm_mid_commit_rolls_back_to_published_version(seed in any::<u64>()) {
         let horizon: Time = 40;
         let (ops, _) = gen_stream(seed, 5, horizon);
-        let shadow = shadow_tree(&ops, horizon);
+        let records = shadow_records(&ops);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5717_feed);
         let mut plan = |salt: u64| {
@@ -332,8 +382,8 @@ proptest! {
                 let range = TimeInterval::new(start, start + 5);
                 prop_assert_eq!(
                     interval_ids(v.tree(), &area, &range),
-                    interval_ids(&shadow, &area, &range),
-                    "storm-surviving index disagrees with the fault-free shadow at {}", range,
+                    brute_force(&records, &area, &range),
+                    "storm-surviving index disagrees with the fault-free oracle at {}", range,
                 );
             }
         }
@@ -398,13 +448,16 @@ fn pinned_versions_stay_byte_identical_while_commits_race() {
         stop.store(true, Ordering::Release);
     });
 
-    // After the race: the final version agrees with the shadow.
-    let shadow = shadow_tree(&ops, 60);
+    // After the race: the final version agrees with the oracle.
     let v = p.published();
     v.tree().validate();
     assert_eq!(
         interval_ids(v.tree(), &Rect2::UNIT, &TimeInterval::new(0, 60)),
-        interval_ids(&shadow, &Rect2::UNIT, &TimeInterval::new(0, 60)),
+        brute_force(
+            &shadow_records(&ops),
+            &Rect2::UNIT,
+            &TimeInterval::new(0, 60)
+        ),
     );
 }
 
@@ -443,4 +496,125 @@ fn reader_pinning_a_version_across_many_commits_never_blocks_the_writer() {
         answer,
         "a version pinned across many commits changed its answers",
     );
+}
+
+/// Run the fixed probe set on `tree`, returning the summed stats.
+fn probe(tree: &PprTree, watermark: Time) -> Result<QueryStats, StorageError> {
+    let mut total = QueryStats::new();
+    let mut out = Vec::new();
+    for area in probe_areas() {
+        for t in (0..watermark).step_by(3) {
+            out.clear();
+            total += tree.query_snapshot(&area, t, &mut out)?;
+        }
+        out.clear();
+        total += tree.query_interval(&area, &TimeInterval::new(0, watermark), &mut out)?;
+    }
+    Ok(total)
+}
+
+/// Enqueue instant `t` of a dense stream: forty objects, each observed
+/// every instant on its own diagonal drift.
+fn enqueue_dense_instant(p: &mut IngestPipeline, t: Time) {
+    for id in 0..40u64 {
+        let x = (0.023 * id as f64 + 0.007 * f64::from(t)).fract() * 0.9;
+        let y = (0.041 * id as f64 + 0.005 * f64::from(t)).fract() * 0.9;
+        p.enqueue_update(id, Rect2::from_bounds(x, y, x + 0.04, y + 0.04), t);
+    }
+}
+
+/// Counters mean what they say: while a reader holds one published
+/// version and the committer applies batch after batch to the other
+/// tree, the held tree's `io_stats()` move by exactly the reads and hits
+/// of the queries run on it.
+#[test]
+fn a_published_version_counts_only_its_own_reads() {
+    let mut p = IngestPipeline::new(config(), params());
+    let mut held = None;
+    let mut queried = QueryStats::new();
+    let mut commits_while_held = 0;
+    for t in 0..80 {
+        enqueue_dense_instant(&mut p, t);
+        if t % 4 != 3 {
+            continue;
+        }
+        let report = p.commit();
+        assert!(report.error.is_none() && report.rejected.is_empty());
+        if held.is_none() && report.stamp.watermark >= 20 {
+            let v = p.published();
+            let before = v.tree().io_stats();
+            held = Some((v, before));
+        } else if let Some((v, _)) = &held {
+            commits_while_held += u32::from(report.state == BatchState::Published);
+            queried += probe(v.tree(), v.stamp().watermark).unwrap();
+        }
+    }
+    let (v, before) = held.expect("eighty instants pass watermark 20");
+    assert!(commits_while_held >= 3, "several commits ran meanwhile");
+    assert!(
+        queried.disk_reads > 0,
+        "an 8-page pool cannot hold the probes"
+    );
+    let after = v.tree().io_stats();
+    assert_eq!(
+        (
+            after.reads - before.reads,
+            after.buffer_hits - before.buffer_hits
+        ),
+        (queried.disk_reads, queried.buffer_hits),
+        "the held version's counters moved by something other than its own queries",
+    );
+}
+
+/// A batch that rolls back on the committer's tree leaves the published
+/// version's buffer frames where they were: probes that were fully
+/// resident before the failed commit cost no disk read after it.
+#[test]
+fn a_rolled_back_batch_leaves_the_readers_frames_resident() {
+    // Permanent faults on one backend only, so every rollback happens
+    // while the tree on the *clean* backend is the published one (its
+    // warm probes are buffer hits and never reach a backend anyway).
+    let storm = FaultPlan::new(
+        (0..8)
+            .map(|i| ScheduledFault {
+                at_op: 300 + 97 * i,
+                kind: FaultKind::Fail { transient: false },
+            })
+            .collect(),
+    );
+    let roomy = PprParams {
+        buffer_pages: 1024,
+        ..params()
+    };
+    let mut p = IngestPipeline::with_backends(
+        config(),
+        roomy,
+        Box::new(MemBackend::new()),
+        Box::new(FaultyBackend::new_mem(storm)),
+    );
+    let mut rollbacks_checked = 0;
+    for t in 0..80 {
+        enqueue_dense_instant(&mut p, t);
+        if t % 4 != 3 {
+            continue;
+        }
+        let v = p.published();
+        let w = v.stamp().watermark;
+        // Warm the published version. One that sits on the faulty
+        // backend may fail to warm, and then proves nothing this round.
+        let warm = probe(v.tree(), w).and_then(|_| probe(v.tree(), w));
+        let report = p.commit();
+        let warmed = warm.is_ok_and(|again| again.disk_reads == 0 && again.buffer_hits > 0);
+        if report.state == BatchState::RolledBack && warmed {
+            assert!(std::sync::Arc::ptr_eq(&v, &p.published()));
+            assert_eq!(
+                probe(v.tree(), w).unwrap().disk_reads,
+                0,
+                "the rolled-back batch evicted the published version's frames",
+            );
+            rollbacks_checked += 1;
+        }
+    }
+    assert!(rollbacks_checked > 0, "the storm never rolled a batch back");
+    assert_eq!(p.seal().state, BatchState::Published, "and it blew over");
 }

@@ -4,12 +4,11 @@
 use crate::node::{NodeView, PprEntry, PprNode, PprParams};
 use crate::split::key_split;
 use std::collections::HashSet;
-use std::sync::Arc;
 use sti_geom::{Rect2, Time, TimeInterval};
 use sti_obs::QueryStats;
 use sti_storage::{
     CorruptReason, FaultStats, IoStats, Page, PageBackend, PageId, PageStore, ReadProbe,
-    RetryPolicy, ScratchPool, ShardedBuffer, StorageError,
+    RetryPolicy, ScratchPool, StorageError,
 };
 
 /// Failure of a [`PprTree::delete`] call. The tree is left unchanged.
@@ -221,22 +220,6 @@ impl PprTree {
         )
     }
 
-    /// Create an empty tree over `backend` whose page store shares
-    /// `buffer` with other store versions, tagged `tag` (see
-    /// [`PageStore::with_backend_shared`]). The ingest pipeline builds
-    /// its two tree versions this way so the published reader and the
-    /// committer's private tree compete for one pool — the paper's
-    /// buffer budget — instead of silently doubling it.
-    pub fn with_backend_shared(
-        params: PprParams,
-        backend: Box<dyn PageBackend>,
-        buffer: Arc<ShardedBuffer>,
-        tag: u32,
-    ) -> Self {
-        params.validate();
-        Self::from_store(PageStore::with_backend_shared(backend, buffer, tag), params)
-    }
-
     fn from_store(store: PageStore, params: PprParams) -> Self {
         Self {
             store,
@@ -272,12 +255,6 @@ impl PprTree {
         tree.alive_records = alive_records;
         tree.total_posted = total_posted;
         tree
-    }
-
-    /// Handle to the underlying buffer pool, for sharing with another
-    /// store version via [`PprTree::with_backend_shared`].
-    pub fn share_buffer(&self) -> Arc<ShardedBuffer> {
-        self.store.share_buffer()
     }
 
     /// The current clock (largest update time seen).
@@ -1175,7 +1152,7 @@ impl PprTree {
     /// temp sibling, synced, then renamed over `path`, so a crash at any
     /// point leaves either the previous complete file or the new one
     /// (see [`sti_storage::persist`]).
-    pub fn save_to_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+    pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         let meta_u32 = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| {
                 std::io::Error::new(
@@ -2057,33 +2034,5 @@ mod tests {
         }
         assert!(hit, "fault must fire");
         t.commit_batch();
-    }
-
-    /// Two trees sharing one pool keep distinct residency (tagged keys)
-    /// and pool-wide counters.
-    #[test]
-    fn shared_buffer_trees_do_not_alias_pages() {
-        let mut a = PprTree::new(small_params());
-        let mut b = PprTree::with_backend_shared(
-            small_params(),
-            Box::new(MemBackend::new()),
-            a.share_buffer(),
-            1,
-        );
-        for i in 0..20u64 {
-            a.insert(i, rect(0.04 * i as f64, 0.1), i as Time).unwrap();
-            b.insert(1000 + i, rect(0.04 * i as f64, 0.8), i as Time)
-                .unwrap();
-        }
-        let mut out = Vec::new();
-        a.query_snapshot(&Rect2::UNIT, 19, &mut out).unwrap();
-        assert_eq!(out.len(), 20);
-        assert!(out.iter().all(|&id| id < 1000));
-        out.clear();
-        b.query_snapshot(&Rect2::UNIT, 19, &mut out).unwrap();
-        assert_eq!(out.len(), 20);
-        assert!(out.iter().all(|&id| id >= 1000));
-        a.validate();
-        b.validate();
     }
 }

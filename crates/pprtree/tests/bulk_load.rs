@@ -179,8 +179,6 @@ fn spilled_and_in_memory_builds_are_byte_identical() {
 
     let a = dir.join("a.idx");
     let b = dir.join("b.idx");
-    let mut in_mem = in_mem;
-    let mut spilled = spilled;
     in_mem.save_to_file(&a).unwrap();
     spilled.save_to_file(&b).unwrap();
     assert_eq!(

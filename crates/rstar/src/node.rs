@@ -238,22 +238,20 @@ impl Node {
             "node too large for page"
         );
         let buf = page.bytes_mut();
-        let mut w = ByteWriter::new(&mut buf[..]);
+        let mut w = ByteWriter::new(buf.as_mut_slice());
         w.put_u32(self.level);
         // stilint::allow(no_panic, "the encoded_size assert above bounds entries by the page capacity, far below u16::MAX")
         w.put_u16(u16::try_from(self.entries.len()).expect("entry count fits u16"));
         for e in &self.entries {
-            for d in 0..3 {
-                w.put_f64(e.rect.lo[d]);
-            }
-            for d in 0..3 {
-                w.put_f64(e.rect.hi[d]);
+            for bound in e.rect.lo.iter().chain(&e.rect.hi) {
+                w.put_f64(*bound);
             }
             w.put_u64(e.ptr);
         }
         // Zero the tail so stale bytes from a previous, larger version of
         // this node can never be mis-decoded.
         let pos = w.position();
+        // stilint::allow(panic_path, "a ByteWriter's position never passes the end of the buffer it writes")
         buf[pos..].fill(0);
     }
 

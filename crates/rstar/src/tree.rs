@@ -492,7 +492,7 @@ impl RStarTree {
     /// The save is atomic and epoch-stamped: the image is written to a
     /// temp sibling, synced, then renamed over `path` (see
     /// [`sti_storage::persist`]).
-    pub fn save_to_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+    pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         let mut meta = vec![0u8; 1 + 4 + 8 + 8 + 4 + 4 + 4 + 8];
         {
             let mut w = sti_storage::ByteWriter::new(&mut meta);

@@ -1,14 +1,13 @@
 //! Hand-rolled JSON emission for `--json` output (the workspace is
-//! offline; no serde). Schema `stilint/1`:
+//! offline; no serde). Schema `stilint/2`:
 //!
 //! ```json
 //! {
-//!   "schema": "stilint/1",
+//!   "schema": "stilint/2",
 //!   "files_scanned": 42,
-//!   "total": 3, "new": 1, "baselined": 2,
+//!   "total": 3,
 //!   "diagnostics": [
-//!     {"path": "...", "line": 7, "rule": "...", "message": "...",
-//!      "baselined": false}
+//!     {"path": "...", "line": 7, "rule": "...", "message": "..."}
 //!   ]
 //! }
 //! ```
@@ -31,29 +30,24 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Render the report. `diags` is the full finding list, with a
-/// per-entry flag for whether the baseline absorbs it.
-pub fn render(files_scanned: usize, diags: &[(&Diagnostic, bool)]) -> String {
-    let baselined = diags.iter().filter(|(_, b)| *b).count();
+/// Render the report for the full finding list.
+pub fn render(files_scanned: usize, diags: &[Diagnostic]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"stilint/1\",\n");
+    out.push_str("  \"schema\": \"stilint/2\",\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str(&format!("  \"total\": {},\n", diags.len()));
-    out.push_str(&format!("  \"new\": {},\n", diags.len() - baselined));
-    out.push_str(&format!("  \"baselined\": {baselined},\n"));
     out.push_str("  \"diagnostics\": [");
-    for (i, (d, b)) in diags.iter().enumerate() {
+    for (i, d) in diags.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "\n    {{\"path\": \"{}\", \"line\": {}, \"rule\": \"{}\", \
-             \"message\": \"{}\", \"baselined\": {}}}",
+             \"message\": \"{}\"}}",
             escape(&d.path),
             d.line,
             escape(&d.rule),
-            escape(&d.message),
-            b
+            escape(&d.message)
         ));
     }
     if !diags.is_empty() {
@@ -75,12 +69,11 @@ mod tests {
             rule: "no_panic".to_string(),
             message: "`x.unwrap()` with \"quotes\"\nand newline".to_string(),
         };
-        let s = render(5, &[(&d, true)]);
-        assert!(s.contains("\"schema\": \"stilint/1\""));
+        let s = render(5, &[d]);
+        assert!(s.contains("\"schema\": \"stilint/2\""));
         assert!(s.contains("\"files_scanned\": 5"));
         assert!(s.contains("\\\"quotes\\\"\\nand newline"));
-        assert!(s.contains("\"baselined\": true"));
-        assert!(s.contains("\"new\": 0"));
+        assert!(s.contains("\"total\": 1"));
     }
 
     #[test]

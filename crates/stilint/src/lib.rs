@@ -17,7 +17,9 @@
 //! * **R5 `no_io_unwrap`** — no `.unwrap()`/`.expect(` on storage-I/O
 //!   results.
 //! * **R6 `panic_path`** — a `pub fn` must not transitively reach a
-//!   panic source; diagnostics carry the call chain.
+//!   panic source; diagnostics carry the call chain. `x[..]` indexing
+//!   is a source only in the files that decode bytes from outside the
+//!   process.
 //! * **R7 `lock_discipline`** — no backend I/O, second lock
 //!   acquisition, or unbounded `loop` while a lock guard is live.
 //! * **R8 `atomic_order`** — every atomic op names an explicit
@@ -33,12 +35,10 @@
 //!
 //! Allows without a reason string, with an unknown rule name, or that no
 //! longer suppress anything are themselves diagnostics, so the allowlist
-//! cannot rot. Pre-existing findings live in the committed
-//! `stilint.baseline` at the workspace root (see `baseline`): the CLI
-//! fails only on findings the baseline does not absorb.
+//! cannot rot. There is no baseline of tolerated findings: the CLI fails
+//! on any diagnostic.
 
 pub mod atomic_order;
-pub mod baseline;
 pub mod graph;
 pub mod json;
 pub mod lock_discipline;
@@ -84,6 +84,10 @@ pub struct FileClass {
     pub no_process_io: bool,
     pub no_io_unwrap: bool,
     pub panic_path: bool,
+    /// `x[..]` indexing is a `panic_path` source (files decoding bytes
+    /// from outside the process; elsewhere indices are loop-bounded
+    /// arithmetic). A modifier on `panic_path`, not a rule of its own.
+    pub index_panics: bool,
     pub lock_discipline: bool,
     pub atomic_order: bool,
     /// `Ordering::Relaxed` forbidden (the publication pointer path).
@@ -100,6 +104,7 @@ impl FileClass {
         no_process_io: false,
         no_io_unwrap: false,
         panic_path: false,
+        index_panics: false,
         lock_discipline: false,
         atomic_order: false,
         strict_atomic: false,
@@ -188,6 +193,7 @@ pub fn classify_full(rel: &str) -> Classification {
             no_process_io: false,
             no_io_unwrap: false,
             panic_path: false,
+            index_panics: false,
             lock_discipline: true,
             atomic_order: true,
             strict_atomic: false,
@@ -207,6 +213,19 @@ pub fn classify_full(rel: &str) -> Classification {
             || rel.starts_with("crates/rstar/")
             || rel == "crates/core/src/recover.rs",
         panic_path: true,
+        index_panics: [
+            "crates/storage/src/persist.rs",
+            "crates/storage/src/codec.rs",
+            "crates/storage/src/page.rs",
+            "crates/storage/src/checksum.rs",
+            "crates/storage/src/wal.rs",
+            "crates/pprtree/src/node.rs",
+            "crates/rstar/src/node.rs",
+            "crates/core/src/recover.rs",
+            "crates/server/src/http.rs",
+            "crates/datagen/src/io.rs",
+        ]
+        .contains(&rel),
         lock_discipline: true,
         atomic_order: true,
         strict_atomic: rel == "crates/core/src/version.rs" || rel == "crates/core/src/pipeline.rs",
@@ -492,7 +511,12 @@ pub fn scan_sources(files: &[(&str, &str, FileClass)]) -> Vec<Diagnostic> {
             }
         }
 
-        let model = parse::parse(&ascii, &masked.comments, &exempt);
+        let mut model = parse::parse(&ascii, &masked.comments, &exempt);
+        if !class.index_panics {
+            for f in &mut model.fns {
+                f.panics.retain(|p| p.token != "indexing");
+            }
+        }
 
         // A line-level allow (no_panic / no_io_unwrap) or an explicit
         // panic_path allow on a panic site also excuses it as a
@@ -681,6 +705,7 @@ mod tests {
         no_process_io: true,
         no_io_unwrap: true,
         panic_path: true,
+        index_panics: true,
         lock_discipline: true,
         atomic_order: true,
         strict_atomic: false,
@@ -716,6 +741,13 @@ mod tests {
         assert!(geom.panic_path && geom.lock_discipline && geom.atomic_order);
         assert!(!geom.strict_atomic);
         assert!(!tool.panic_path && tool.lock_discipline && tool.atomic_order);
+        // Indexing is a panic source where outside bytes are decoded,
+        // not in the loop-bounded numeric kernels.
+        assert!(classify("crates/storage/src/persist.rs").index_panics);
+        assert!(classify("crates/rstar/src/node.rs").index_panics);
+        assert!(classify("crates/server/src/http.rs").index_panics);
+        assert!(!geom.index_panics);
+        assert!(!classify("crates/core/src/single/mergesplit.rs").index_panics);
         assert!(classify("crates/core/src/version.rs").strict_atomic);
         assert!(classify("crates/core/src/pipeline.rs").strict_atomic);
         assert!(!classify("crates/core/src/store.rs").strict_atomic);
@@ -861,6 +893,7 @@ mod tests {
         no_process_io: false,
         no_io_unwrap: false,
         panic_path: true,
+        index_panics: true,
         lock_discipline: true,
         atomic_order: true,
         strict_atomic: false,
@@ -916,6 +949,37 @@ mod tests {
                    }\n";
         let d = scan_source("crates/core/src/a.rs", src, GRAPH_ONLY);
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    /// Outside the decode files an index is not a source at all — and
+    /// an allow written for one is rot, reported like any unused allow —
+    /// while `unwrap` reachability stays exactly as strict.
+    #[test]
+    fn indexing_is_a_source_only_where_the_class_says_so() {
+        let kernel = FileClass {
+            index_panics: false,
+            ..GRAPH_ONLY
+        };
+        let src = "pub fn get(v: &[u32]) -> u32 { inner(v) }\n\
+                   fn inner(v: &[u32]) -> u32 { v[0] }\n";
+        let d = scan_source("crates/core/src/a.rs", src, GRAPH_ONLY);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("indexing"), "{}", d[0].message);
+        assert!(scan_source("crates/core/src/a.rs", src, kernel).is_empty());
+
+        let allowed = "pub fn get(v: &[u32]) -> u32 {\n\
+                       // stilint::allow(panic_path, \"v is never empty\")\n\
+                       v[0]\n\
+                       }\n";
+        let d = scan_source("crates/core/src/a.rs", allowed, kernel);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "unused_allow");
+
+        let unwrap = "pub fn get(v: &[u32]) -> u32 { inner(v) }\n\
+                      fn inner(v: &[u32]) -> u32 { *v.first().unwrap() }\n";
+        let d = scan_source("crates/core/src/a.rs", unwrap, kernel);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "panic_path");
     }
 
     #[test]

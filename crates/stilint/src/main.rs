@@ -1,17 +1,12 @@
 //! Command-line driver: `cargo run -p stilint [-- [FLAGS] [ROOT]]`.
 //!
 //! Scans the workspace, prints `file:line: [rule] message` diagnostics
-//! to stdout, and exits non-zero when any finding is *not* absorbed by
-//! the committed `stilint.baseline` (so CI gates on new findings only).
+//! to stdout, and exits non-zero on any finding.
 //!
 //! Flags:
 //!
 //! * `--json[=PATH]` — emit the machine-readable report (schema
-//!   `stilint/1`) to stdout or PATH, in addition to the text output.
-//! * `--write-baseline` — rewrite `stilint.baseline` from the current
-//!   findings and exit 0.
-//! * `--no-baseline` — ignore the baseline; every finding is fresh.
-//! * `--baseline PATH` — use PATH instead of `ROOT/stilint.baseline`.
+//!   `stilint/2`) to stdout or PATH, in addition to the text output.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,16 +32,12 @@ struct Options {
     root: Option<PathBuf>,
     json: bool,
     json_path: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
-    baseline_path: Option<PathBuf>,
 }
 
 fn usage() {
-    println!("usage: stilint [--json[=PATH]] [--write-baseline] [--no-baseline]");
-    println!("               [--baseline PATH] [WORKSPACE_ROOT]");
+    println!("usage: stilint [--json[=PATH]] [WORKSPACE_ROOT]");
     println!("Lints the workspace's library crates; see CONTRIBUTING.md for the rules.");
-    println!("Exits non-zero only on findings the committed baseline does not absorb.");
+    println!("Exits non-zero on any finding.");
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
@@ -54,13 +45,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         root: None,
         json: false,
         json_path: None,
-        write_baseline: false,
-        no_baseline: false,
-        baseline_path: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    for arg in args {
         if arg == "--help" || arg == "-h" {
             return Ok(None);
         } else if arg == "--json" {
@@ -68,16 +54,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         } else if let Some(path) = arg.strip_prefix("--json=") {
             opts.json = true;
             opts.json_path = Some(PathBuf::from(path));
-        } else if arg == "--write-baseline" {
-            opts.write_baseline = true;
-        } else if arg == "--no-baseline" {
-            opts.no_baseline = true;
-        } else if arg == "--baseline" {
-            i += 1;
-            let Some(path) = args.get(i) else {
-                return Err("--baseline needs a PATH argument".to_string());
-            };
-            opts.baseline_path = Some(PathBuf::from(path));
         } else if arg.starts_with('-') {
             return Err(format!("unknown flag `{arg}`"));
         } else if opts.root.is_none() {
@@ -85,7 +61,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         } else {
             return Err(format!("unexpected extra argument `{arg}`"));
         }
-        i += 1;
     }
     Ok(Some(opts))
 }
@@ -126,42 +101,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = opts
-        .baseline_path
-        .unwrap_or_else(|| root.join(stilint::baseline::BASELINE_FILE));
-
-    if opts.write_baseline {
-        let rendered = stilint::baseline::render(&diags);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("stilint: writing {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "stilint: wrote {} ({} finding(s) from {scanned} files)",
-            baseline_path.display(),
-            diags.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if opts.no_baseline {
-        Default::default()
-    } else {
-        stilint::baseline::load(&baseline_path)
-    };
-    let (fresh, baselined) = stilint::baseline::partition(diags, &baseline);
-
     // With `--json` on stdout, the human-readable lines move to stderr
     // so the report stays machine-parseable.
     let mut json_on_stdout = false;
     if opts.json {
-        let mut tagged: Vec<(&stilint::Diagnostic, bool)> = Vec::new();
-        tagged.extend(fresh.iter().map(|d| (d, false)));
-        tagged.extend(baselined.iter().map(|d| (d, true)));
-        tagged.sort_by(|a, b| {
-            (&a.0.path, a.0.line, &a.0.rule).cmp(&(&b.0.path, b.0.line, &b.0.rule))
-        });
-        let report = stilint::json::render(scanned, &tagged);
+        let report = stilint::json::render(scanned, &diags);
         match &opts.json_path {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &report) {
@@ -183,24 +127,16 @@ fn main() -> ExitCode {
             println!("{line}");
         }
     };
-    for d in &fresh {
+    for d in &diags {
         human(d.to_string());
     }
-    if fresh.is_empty() {
-        if baselined.is_empty() {
-            human(format!("stilint: {scanned} files clean"));
-        } else {
-            human(format!(
-                "stilint: {scanned} files clean ({} baselined finding(s))",
-                baselined.len()
-            ));
-        }
+    if diags.is_empty() {
+        human(format!("stilint: {scanned} files clean"));
         ExitCode::SUCCESS
     } else {
         human(format!(
-            "stilint: {} new diagnostics in {scanned} files ({} baselined)",
-            fresh.len(),
-            baselined.len()
+            "stilint: {} diagnostics in {scanned} files",
+            diags.len()
         ));
         ExitCode::FAILURE
     }

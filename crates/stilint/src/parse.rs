@@ -62,8 +62,7 @@ pub struct PanicSite {
     pub line: usize,
     /// `panic!`, `.unwrap()`, `.expect`, or `indexing`.
     pub token: String,
-    /// A short snippet naming the offending expression (for messages
-    /// and stable baseline keys).
+    /// A short snippet naming the offending expression (for messages).
     pub what: String,
 }
 

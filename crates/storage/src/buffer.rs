@@ -22,19 +22,9 @@
 //! state — there is no second copy that a test hook or reset path could
 //! desync (see DESIGN.md §6, "Concurrency model").
 
-use crate::Page;
+use crate::{Page, PageId};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Residency key for the buffer pool.
-///
-/// Wider than [`crate::PageId`] on purpose: a pool shared by several
-/// store versions (see `PageStore::share_buffer`) tags each store's
-/// pages into a disjoint key range (`(tag << 32) | page`), so page 7 of
-/// the latest tree and page 7 of the published tree are distinct
-/// residents. A store that owns its pool privately uses the page id
-/// verbatim.
-pub type BufferKey = u64;
 
 /// Merged hit/miss counters across every shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +45,7 @@ pub struct BufferCounters {
 struct Shard {
     capacity: usize,
     slots: Vec<Slot>,
-    map: HashMap<BufferKey, usize>,
+    map: HashMap<PageId, usize>,
     free: Vec<usize>,
     head: Option<usize>,
     tail: Option<usize>,
@@ -69,7 +59,7 @@ struct Shard {
 /// One arena slot of the linked recency list.
 #[derive(Debug, Clone)]
 struct Slot {
-    key: BufferKey,
+    key: PageId,
     /// `None` only while the slot sits on the free list.
     frame: Option<Page>,
     prev: Option<usize>,
@@ -86,7 +76,8 @@ impl Shard {
 
     /// The slot at arena index `i`.
     fn slot(&mut self, i: usize) -> &mut Slot {
-        // stilint::allow(panic_path, "indices come only from `map`, `free`, `head`/`tail` and the slots' own links, which all hold indices of pushed slots")
+        // Indices come only from `map`, `free`, `head`/`tail` and the
+        // slots' own links, which all hold indices of pushed slots.
         &mut self.slots[i]
     }
 
@@ -153,7 +144,7 @@ impl Shard {
     /// Make `frame` the bytes of `key` at the most-recent position,
     /// evicting the least recently used key if the shard is full.
     /// Returns whether `key` was already resident.
-    fn install(&mut self, key: BufferKey, frame: Page) -> bool {
+    fn install(&mut self, key: PageId, frame: Page) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             self.promote(slot);
             let old = self.slot(slot).frame.replace(frame);
@@ -241,19 +232,20 @@ impl ShardedBuffer {
     }
 
     /// Which shard a page id routes to (stable for a given shard count).
-    pub fn shard_of(&self, page: BufferKey) -> usize {
+    pub fn shard_of(&self, page: PageId) -> usize {
         // Fibonacci multiplicative hash: consecutive page ids (the common
         // allocation pattern) spread across shards instead of clustering.
-        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let h = u64::from(page).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (h % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, page: BufferKey) -> MutexGuard<'_, Shard> {
+    fn shard(&self, page: PageId) -> MutexGuard<'_, Shard> {
         // Poison is unreachable in practice (no code path panics while
         // holding a shard lock; stilint's no_panic gate enforces this),
         // and a shard's list, frames and counters stay internally
         // consistent even if a panic did slip through.
-        // stilint::allow(panic_path, "`shard_of` reduces modulo `shards.len()`, and `with_shards` builds at least one shard")
+        // `shard_of` reduces modulo `shards.len()`, and `with_shards`
+        // builds at least one shard.
         self.shards[self.shard_of(page)]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -269,7 +261,7 @@ impl ShardedBuffer {
     /// refreshes recency. Returns `None` *without counting anything* on
     /// a miss, so the caller can fall through to the fetch path (which
     /// accounts the miss via [`ShardedBuffer::install`]).
-    pub fn get(&self, page: BufferKey) -> Option<Page> {
+    pub fn get(&self, page: PageId) -> Option<Page> {
         let mut shard = self.shard(page);
         let slot = *shard.map.get(&page)?;
         shard.promote(slot);
@@ -281,7 +273,7 @@ impl ShardedBuffer {
     /// [`ShardedBuffer::install`]: `page`'s shard's last evicted frame
     /// if it kept one, a fresh allocation otherwise. Its content is
     /// unspecified.
-    pub fn blank(&self, page: BufferKey) -> Page {
+    pub fn blank(&self, page: PageId) -> Page {
         let spare = self.shard(page).spare.take();
         spare.unwrap_or_else(Page::zeroed)
     }
@@ -296,7 +288,7 @@ impl ShardedBuffer {
     /// while this one was fetching — and the return value says which. A
     /// write-through install (`fetched == false`) is a caching side
     /// effect and moves no counter (see `PageStore::write`).
-    pub fn install(&self, page: BufferKey, frame: Page, fetched: bool) -> bool {
+    pub fn install(&self, page: PageId, frame: Page, fetched: bool) -> bool {
         let mut shard = self.shard(page);
         let hit = shard.install(page, frame);
         if fetched && hit {
@@ -309,7 +301,7 @@ impl ShardedBuffer {
 
     /// Drop `page` and its frame from its shard if resident (no counter
     /// movement).
-    pub fn invalidate(&self, page: BufferKey) {
+    pub fn invalidate(&self, page: PageId) {
         let mut shard = self.shard(page);
         if let Some(&slot) = shard.map.get(&page) {
             shard.release(slot);
@@ -318,14 +310,14 @@ impl ShardedBuffer {
 
     /// `page`'s frame if it is resident, with no counter or recency
     /// movement.
-    pub fn peek(&self, page: BufferKey) -> Option<Page> {
+    pub fn peek(&self, page: PageId) -> Option<Page> {
         let mut shard = self.shard(page);
         let slot = *shard.map.get(&page)?;
         shard.slot(slot).frame.clone()
     }
 
     /// Whether `page` is currently resident (no counter movement).
-    pub fn resident(&self, page: BufferKey) -> bool {
+    pub fn resident(&self, page: PageId) -> bool {
         self.peek(page).is_some()
     }
 
@@ -376,7 +368,7 @@ impl ShardedBuffer {
     /// A read of `page` with no bytes behind it: a hit, or a miss that
     /// installs an empty frame. Returns whether it hit (tests).
     #[cfg(test)]
-    pub(crate) fn access(&self, page: BufferKey) -> bool {
+    pub(crate) fn access(&self, page: PageId) -> bool {
         self.get(page).is_some() || self.install(page, self.blank(page), true)
     }
 }
@@ -402,7 +394,7 @@ pub(crate) mod tests {
     use super::*;
 
     /// Resident keys of a single-shard pool, most recently used first.
-    fn resident_mru(b: &ShardedBuffer) -> Vec<BufferKey> {
+    fn resident_mru(b: &ShardedBuffer) -> Vec<PageId> {
         let mut out = Vec::new();
         b.each_shard(|s| {
             let mut cursor = s.head;
@@ -499,7 +491,7 @@ pub(crate) mod tests {
     /// pinned, and an unpinned victim's allocation is the next frame.
     #[test]
     fn pins_are_stable_and_unpinned_victims_are_recycled() {
-        let fill = |b: &ShardedBuffer, key: BufferKey, byte: u8| {
+        let fill = |b: &ShardedBuffer, key: PageId, byte: u8| {
             let mut frame = b.blank(key);
             frame.bytes_mut().fill(byte);
             b.install(key, frame, false);
@@ -535,11 +527,11 @@ pub(crate) mod tests {
     /// used first, O(capacity) per touch, no bytes.
     pub(crate) struct VecLru {
         pub capacity: usize,
-        pub resident: Vec<BufferKey>,
+        pub resident: Vec<PageId>,
     }
 
     impl VecLru {
-        pub fn access(&mut self, page: BufferKey) -> bool {
+        pub fn access(&mut self, page: PageId) -> bool {
             if self.capacity == 0 {
                 return false;
             }
@@ -568,7 +560,7 @@ pub(crate) mod tests {
             let universe = (3 * capacity.max(1)) as u64;
             for step in 0..4_000 {
                 let roll = rng.next() % 100;
-                let page = rng.next() % universe;
+                let page = (rng.next() % universe) as PageId;
                 if roll < 80 {
                     assert_eq!(
                         scan.access(page),

@@ -32,6 +32,7 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 #[inline]
 fn read_u64(b: &[u8], at: usize) -> u64 {
     let mut buf = [0u8; 8];
+    // stilint::allow(panic_path, "every caller checks `at + 8 <= b.len()` in the condition of the loop it reads in")
     buf.copy_from_slice(&b[at..at + 8]);
     u64::from_le_bytes(buf)
 }
@@ -39,6 +40,7 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 #[inline]
 fn read_u32(b: &[u8], at: usize) -> u32 {
     let mut buf = [0u8; 4];
+    // stilint::allow(panic_path, "the one caller checks `at + 4 <= len` first")
     buf.copy_from_slice(&b[at..at + 4]);
     u32::from_le_bytes(buf)
 }
@@ -90,6 +92,7 @@ pub fn xxh64_seeded(data: &[u8], seed: u64) -> u64 {
         at += 4;
     }
     while at < len {
+        // stilint::allow(panic_path, "`at < len` is the loop condition")
         h ^= u64::from(data[at]).wrapping_mul(PRIME_5);
         h = h.rotate_left(11).wrapping_mul(PRIME_1);
         at += 1;

@@ -59,6 +59,7 @@ impl<'a> ByteWriter<'a> {
             "page overflow at byte {end}/{}",
             self.buf.len()
         );
+        // stilint::allow(panic_path, "the assert above bounds `end` by the buffer length")
         self.buf[self.pos..end].copy_from_slice(bytes);
         self.pos = end;
     }
@@ -120,6 +121,7 @@ impl<'a> ByteReader<'a> {
                 available: self.buf.len() - self.pos,
             });
         }
+        // stilint::allow(panic_path, "the check above returned OutOfBounds unless `pos + n <= buf.len()`")
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)

@@ -65,7 +65,9 @@ impl Page {
             src.len()
         );
         let data = self.bytes_mut();
+        // stilint::allow(panic_path, "the assert above bounds `src.len()` by the page size")
         data[..src.len()].copy_from_slice(src);
+        // stilint::allow(panic_path, "the assert above bounds `src.len()` by the page size")
         data[src.len()..].fill(0);
     }
 }

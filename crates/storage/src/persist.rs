@@ -220,18 +220,15 @@ impl PageStore {
         out.extend_from_slice(&meta_len.to_le_bytes());
         out.extend_from_slice(&page_count.to_le_bytes());
         out.extend_from_slice(&free_count.to_le_bytes());
-        let header_sum = xxh64(&out[..HEADER_LEN]);
+        let header_sum = xxh64(&out); // exactly the HEADER_LEN bytes so far
         out.extend_from_slice(&header_sum.to_le_bytes());
 
         out.extend_from_slice(meta);
         out.extend_from_slice(&xxh64(meta).to_le_bytes());
 
-        let free_start = out.len();
-        for id in free {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        let free_sum = xxh64(&out[free_start..]);
-        out.extend_from_slice(&free_sum.to_le_bytes());
+        let free_bytes: Vec<u8> = free.iter().flat_map(|id| id.to_le_bytes()).collect();
+        out.extend_from_slice(&free_bytes);
+        out.extend_from_slice(&xxh64(&free_bytes).to_le_bytes());
 
         for i in 0..self.num_pages() {
             let id = len_u32(i, "page id")?;
@@ -248,7 +245,12 @@ impl PageStore {
     /// atomically: the image goes to a `.tmp` sibling, is synced, then
     /// renamed over `path`. On success the store's save epoch is bumped;
     /// on any error the previous file at `path` is untouched.
-    pub fn save_to(&mut self, path: &Path, meta: &[u8]) -> io::Result<()> {
+    ///
+    /// Shared: a save reads pages at rest and bumps an atomic epoch, so
+    /// a store that readers are querying is saved in place. Saving one
+    /// store from two threads at once is the callers' to serialize
+    /// (both saves would stamp the same epoch).
+    pub fn save_to(&self, path: &Path, meta: &[u8]) -> io::Result<()> {
         self.save_impl(path, meta, None)
     }
 
@@ -256,16 +258,11 @@ impl PageStore {
     /// test/CI hook behind the mid-save-crash recovery scenario. Returns
     /// `Ok(())` at the crash point (the "process" died; there is no error
     /// to observe) without bumping the epoch.
-    pub fn save_to_crashing(
-        &mut self,
-        path: &Path,
-        meta: &[u8],
-        crash: SaveCrash,
-    ) -> io::Result<()> {
+    pub fn save_to_crashing(&self, path: &Path, meta: &[u8], crash: SaveCrash) -> io::Result<()> {
         self.save_impl(path, meta, Some(crash))
     }
 
-    fn save_impl(&mut self, path: &Path, meta: &[u8], crash: Option<SaveCrash>) -> io::Result<()> {
+    fn save_impl(&self, path: &Path, meta: &[u8], crash: Option<SaveCrash>) -> io::Result<()> {
         let epoch = self.epoch() + 1;
         let image = self.encode(meta, epoch)?;
         let tmp = temp_sibling(path);
@@ -274,8 +271,7 @@ impl PageStore {
             let mut f = std::fs::File::create(&tmp)?;
             match crash {
                 Some(SaveCrash::MidTemp { keep_bytes }) => {
-                    let keep = keep_bytes.min(image.len());
-                    f.write_all(&image[..keep])?;
+                    f.write_all(image.get(..keep_bytes).unwrap_or(&image))?;
                     f.sync_all()?;
                     // The simulated process died here; a real crash runs
                     // no destructors, so the torn temp stays on disk.
@@ -320,23 +316,24 @@ impl PageStore {
         // in the same Truncated arm here.
         let header = r.take(HEADER_LEN)?;
         let header_sum = r.take_u64()?;
+        let mut h = Reader {
+            bytes: header,
+            at: 0,
+        };
+        // Distinguish "different format entirely" from "our format,
+        // damaged": magic is checked on the raw bytes first.
+        if h.take(MAGIC.len())? != MAGIC {
+            return Err(OpenError::BadMagic);
+        }
         if xxh64(header) != header_sum {
-            // Distinguish "different format entirely" from "our format,
-            // damaged": magic is checked on the raw bytes first.
-            if &header[..8] != MAGIC {
-                return Err(OpenError::BadMagic);
-            }
             return Err(OpenError::Corrupt {
                 region: Region::Header,
             });
         }
-        if &header[..8] != MAGIC {
-            return Err(OpenError::BadMagic);
-        }
-        let epoch = u64::from_le_bytes(slice8(&header[8..16]));
-        let meta_len = u32::from_le_bytes(slice4(&header[16..20])) as usize;
-        let page_count = u32::from_le_bytes(slice4(&header[20..24])) as usize;
-        let free_count = u32::from_le_bytes(slice4(&header[24..28])) as usize;
+        let epoch = h.take_u64()?;
+        let meta_len = h.take_u32()? as usize;
+        let page_count = h.take_u32()? as usize;
+        let free_count = h.take_u32()? as usize;
         if meta_len > 1 << 24 {
             return Err(OpenError::Malformed("oversized metadata"));
         }
@@ -362,8 +359,12 @@ impl PageStore {
         }
         let mut free = Vec::with_capacity(free_count);
         let mut seen = std::collections::HashSet::with_capacity(free_count);
-        for chunk in free_bytes.chunks_exact(4) {
-            let id = u32::from_le_bytes(slice4(chunk));
+        let mut ids = Reader {
+            bytes: free_bytes,
+            at: 0,
+        };
+        for _ in 0..free_count {
+            let id = ids.take_u32()?;
             if id as usize >= page_count {
                 return Err(OpenError::Malformed("free id out of range"));
             }
@@ -417,32 +418,26 @@ impl<'a> Reader<'a> {
         let end = self.at.checked_add(n).ok_or(OpenError::Malformed(
             "region length overflows the file offset",
         ))?;
-        if end > self.bytes.len() {
-            return Err(OpenError::Truncated {
-                needed: n,
-                have: self.bytes.len() - self.at,
-            });
-        }
-        let out = &self.bytes[self.at..end];
+        let out = self.bytes.get(self.at..end).ok_or(OpenError::Truncated {
+            needed: n,
+            have: self.bytes.len() - self.at,
+        })?;
         self.at = end;
         Ok(out)
     }
 
-    fn take_u64(&mut self) -> Result<u64, OpenError> {
-        Ok(u64::from_le_bytes(slice8(self.take(8)?)))
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
+        let short = OpenError::Malformed("a take returned fewer bytes than asked");
+        self.take(N)?.try_into().map_err(|_| short)
     }
-}
 
-fn slice8(b: &[u8]) -> [u8; 8] {
-    let mut out = [0u8; 8];
-    out.copy_from_slice(&b[..8]);
-    out
-}
+    fn take_u64(&mut self) -> Result<u64, OpenError> {
+        self.take_array().map(u64::from_le_bytes)
+    }
 
-fn slice4(b: &[u8]) -> [u8; 4] {
-    let mut out = [0u8; 4];
-    out.copy_from_slice(&b[..4]);
-    out
+    fn take_u32(&mut self) -> Result<u32, OpenError> {
+        self.take_array().map(u32::from_le_bytes)
+    }
 }
 
 /// Encode a length field, rejecting sizes the `u32` file format can't
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn round_trip_pages_meta_free_list_and_epoch() {
-        let (mut store, a, b, c) = small_store();
+        let (store, a, b, c) = small_store();
         let meta = b"hello index metadata".to_vec();
 
         let path = temp_path("roundtrip");
@@ -508,7 +503,7 @@ mod tests {
 
     #[test]
     fn epoch_is_monotonic_across_saves() {
-        let (mut store, ..) = small_store();
+        let (store, ..) = small_store();
         let path = temp_path("epoch");
         store.save_to(&path, &[]).expect("save 1");
         store.save_to(&path, &[]).expect("save 2");
@@ -550,7 +545,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_file_at_any_cut() {
-        let (mut store, ..) = small_store();
+        let (store, ..) = small_store();
         let path = temp_path("trunc");
         store.save_to(&path, b"meta").expect("save");
         let full = std::fs::read(&path).expect("read");
@@ -567,7 +562,7 @@ mod tests {
 
     #[test]
     fn bit_flips_are_detected_in_every_region() {
-        let (mut store, ..) = small_store();
+        let (store, ..) = small_store();
         let path = temp_path("flip");
         store.save_to(&path, b"some meta").expect("save");
         let full = std::fs::read(&path).expect("read");
@@ -641,7 +636,7 @@ mod tests {
 
     #[test]
     fn capacity_zero_buffer_replays_recovery_reads() {
-        let (mut store, a, _, c) = small_store();
+        let (store, a, _, c) = small_store();
         let path = temp_path("cap0");
         store.save_to(&path, &[]).expect("save");
         let (back, _) = PageStore::load_from(&path, 0).expect("load");
@@ -680,7 +675,7 @@ mod tests {
     /// behind (the `stidx ingest` interrupted-mid-commit bug).
     #[test]
     fn failed_save_removes_its_temp_file() {
-        let (mut store, ..) = small_store();
+        let (store, ..) = small_store();
         let path = temp_path("tmp-cleanup");
         std::fs::remove_file(&path).ok();
         std::fs::create_dir_all(&path).expect("decoy directory");
@@ -695,7 +690,7 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_free_ids_and_trailing_garbage() {
-        let (mut store, ..) = small_store();
+        let (store, ..) = small_store();
         let path = temp_path("malformed");
         store.save_to(&path, &[]).expect("save");
         let mut full = std::fs::read(&path).expect("read");

@@ -89,11 +89,12 @@ impl<T: Default> ScratchPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{BufferCounters, BufferKey, ShardedBuffer};
+    use crate::buffer::{BufferCounters, ShardedBuffer};
+    use crate::PageId;
 
     /// Replay `trace` through the pool, returning the hit/miss outcome
     /// of each access.
-    fn replay(buf: &ShardedBuffer, trace: &[BufferKey]) -> Vec<bool> {
+    fn replay(buf: &ShardedBuffer, trace: &[PageId]) -> Vec<bool> {
         trace.iter().map(|&p| buf.access(p)).collect()
     }
 
@@ -127,7 +128,7 @@ mod tests {
             .unwrap();
         // A page routed to the zero-capacity shard can never become
         // resident; everything still gets counted.
-        let page = (0u64..64).find(|&p| buf.shard_of(p) == starved).unwrap();
+        let page = (0..64).find(|&p| buf.shard_of(p) == starved).unwrap();
         assert!(!buf.access(page));
         assert!(!buf.access(page), "uncacheable page misses forever");
         assert!(!buf.resident(page));
@@ -141,8 +142,8 @@ mod tests {
         // same total capacity.
         let n = 4;
         let buf = ShardedBuffer::with_shards(n, n);
-        let mut picks: Vec<BufferKey> = Vec::new();
-        let mut page = 0u64;
+        let mut picks: Vec<PageId> = Vec::new();
+        let mut page = 0;
         while picks.len() < n {
             if buf.shard_of(page) == picks.len() {
                 picks.push(page);
@@ -162,7 +163,7 @@ mod tests {
         // also keeps all four resident (they fit), but a second page in
         // one shard evicts only within that shard.
         let (a, b) = (picks[0], picks[1]);
-        let c = (picks[n - 1] + 1..u64::MAX)
+        let c = (picks[n - 1] + 1..PageId::MAX)
             .find(|&p| buf.shard_of(p) == buf.shard_of(a))
             .unwrap();
         buf.access(c); // evicts `a` (same shard, capacity 1)...
@@ -176,7 +177,7 @@ mod tests {
         // one global residency-only LRU on any access trace.
         let mut xs = crate::buffer::tests::XorShift(0x1234_5678);
         // xorshift so the trace mixes hot and cold pages.
-        let trace: Vec<BufferKey> = (0..400).map(|_| xs.next() % 23).collect();
+        let trace: Vec<PageId> = (0..400).map(|_| (xs.next() % 23) as PageId).collect();
         for capacity in [0usize, 1, 2, 7, 10, 32, 64] {
             let sharded = ShardedBuffer::new(capacity);
             let mut raw = crate::buffer::tests::VecLru {
@@ -220,19 +221,19 @@ mod tests {
     #[test]
     fn clear_preserves_counters_and_empties_residency() {
         let buf = ShardedBuffer::with_shards(8, 4);
-        for p in 0..8u64 {
+        for p in 0..8 {
             buf.access(p);
         }
         let before = buf.counters();
         buf.clear();
         assert_eq!(buf.counters(), before);
-        assert!((0..8u64).all(|p| !buf.resident(p)));
+        assert!((0..8).all(|p| !buf.resident(p)));
     }
 
     #[test]
     fn reconfiguration_preserves_counters() {
         let mut buf = ShardedBuffer::new(4);
-        for p in [1u64, 1, 2, 3] {
+        for p in [1, 1, 2, 3] {
             buf.access(p);
         }
         let counted = buf.counters();

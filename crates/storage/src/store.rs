@@ -12,7 +12,7 @@
 //! failure counters are atomics.
 
 use crate::backend::{MemBackend, PageBackend};
-use crate::buffer::{BufferKey, ShardedBuffer};
+use crate::buffer::ShardedBuffer;
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
 use crate::retry::{RetryClock, RetryPolicy, SimClock};
@@ -20,14 +20,7 @@ use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
-
-/// Residency key for page `id` of the store tagged `tag`: stores sharing
-/// one pool occupy disjoint key ranges, so equal page ids in different
-/// versions never alias.
-fn buffer_key(tag: u32, id: PageId) -> BufferKey {
-    (u64::from(tag) << 32) | u64::from(id)
-}
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard};
 
 /// Counters for logical disk traffic.
 ///
@@ -237,13 +230,7 @@ impl Retrier {
 pub struct PageStore {
     core: RwLock<StoreCore>,
     /// The frame pool: the only page bytes the store keeps in memory.
-    /// Normally uniquely owned; the versioned write pipeline shares one
-    /// pool across store versions (see [`PageStore::share_buffer`]),
-    /// with [`PageStore::buffer_tag`] keeping each version's pages in a
-    /// disjoint key range.
-    buffer: Arc<ShardedBuffer>,
-    /// High 32 bits of this store's residency keys.
-    tag: u32,
+    buffer: ShardedBuffer,
     free: Vec<PageId>,
     /// Logical writes. Atomic so [`PageStore::reset_stats`] can zero the
     /// counters from `&self` while readers run.
@@ -258,8 +245,10 @@ pub struct PageStore {
     /// so a batch can bracket many per-update transactions and still
     /// roll the whole batch back (see `PprTree::begin_batch`).
     txn_depth: u32,
-    /// Monotonic save epoch (bumped by `persist::save`).
-    epoch: u64,
+    /// Monotonic save epoch (bumped by `persist::save`). Atomic so a
+    /// save needs no exclusive access: a published, shared store can be
+    /// checkpointed in place.
+    epoch: AtomicU64,
 }
 
 impl Clone for PageStore {
@@ -270,10 +259,7 @@ impl Clone for PageStore {
         let snapshot = |counter: &AtomicU64| AtomicU64::new(counter.load(Ordering::Relaxed));
         Self {
             core: RwLock::new(self.core_read().clone()),
-            // A clone is an independent store: it gets a private copy
-            // of the pool even if the original was sharing one.
-            buffer: Arc::new((*self.buffer).clone()),
-            tag: self.tag,
+            buffer: self.buffer.clone(),
             free: self.free.clone(),
             writes: snapshot(&self.writes),
             retry: Retrier {
@@ -285,7 +271,7 @@ impl Clone for PageStore {
             injected_at_reset: snapshot(&self.injected_at_reset),
             txn: self.txn.clone(),
             txn_depth: self.txn_depth,
-            epoch: self.epoch,
+            epoch: snapshot(&self.epoch),
         }
     }
 }
@@ -299,25 +285,11 @@ impl PageStore {
 
     /// Create a store over an explicit backend (in-memory, file-backed,
     /// or fault-injecting).
-    pub fn with_backend(backend: Box<dyn PageBackend>, buffer_capacity: usize) -> Self {
-        Self::with_backend_shared(backend, Arc::new(ShardedBuffer::new(buffer_capacity)), 0)
-    }
-
-    /// Create a store over `backend` that shares `buffer` with other
-    /// store versions. `tag` must be unique among the sharing stores: it
-    /// prefixes this store's residency keys so equal page ids in
-    /// different versions stay distinct residents. Hit/miss counters are
-    /// pool-wide (the versions compete for — and are accounted against —
-    /// the same capacity); per-store `writes` stay per-store.
     ///
     /// Pages the backend already holds are adopted as they are: each is
     /// read once, off the books, to record the checksum later fetches
     /// are verified against. None of them becomes resident.
-    pub fn with_backend_shared(
-        backend: Box<dyn PageBackend>,
-        buffer: Arc<ShardedBuffer>,
-        tag: u32,
-    ) -> Self {
+    pub fn with_backend(backend: Box<dyn PageBackend>, buffer_capacity: usize) -> Self {
         let mut bytes = [0u8; PAGE_SIZE];
         let sums = (0..backend.num_pages())
             .map(|i| {
@@ -331,8 +303,7 @@ impl PageStore {
         let injected = backend.faults_injected();
         Self {
             core: RwLock::new(StoreCore { backend, sums }),
-            buffer,
-            tag,
+            buffer: ShardedBuffer::new(buffer_capacity),
             free: Vec::new(),
             writes: AtomicU64::new(0),
             retry: Retrier {
@@ -344,21 +315,14 @@ impl PageStore {
             injected_at_reset: AtomicU64::new(injected),
             txn: None,
             txn_depth: 0,
-            epoch: 0,
+            epoch: AtomicU64::new(0),
         }
     }
 
-    /// A handle to this store's buffer pool, for constructing another
-    /// version over the same residency/capacity via
-    /// [`PageStore::with_backend_shared`].
-    pub fn share_buffer(&self) -> Arc<ShardedBuffer> {
-        Arc::clone(&self.buffer)
-    }
-
-    /// The tag prefixing this store's residency keys (0 for a store
-    /// that owns its pool privately).
-    pub fn buffer_tag(&self) -> u32 {
-        self.tag
+    /// This store's buffer pool, for inspecting residency and shard
+    /// routing (tests and tooling).
+    pub fn buffer(&self) -> &ShardedBuffer {
+        &self.buffer
     }
 
     fn core_read(&self) -> RwLockReadGuard<'_, StoreCore> {
@@ -468,7 +432,7 @@ impl PageStore {
         // The linear double-free scan would make mass deallocation
         // quadratic in the free-list length; keep it as a debug check.
         debug_assert!(!self.free.contains(&id), "double free of page {id}");
-        self.buffer.invalidate(buffer_key(self.tag, id));
+        self.buffer.invalidate(id);
         self.free.push(id);
         if let Some(txn) = self.txn.as_mut() {
             txn.ops.push(UndoOp::Freed { id });
@@ -512,12 +476,11 @@ impl PageStore {
     /// transfer attempt, so readers racing on a fault-injecting backend
     /// may both see a fault that fired while they overlapped.)
     pub fn read(&self, id: PageId, probe: &mut ReadProbe) -> Result<Page, StorageError> {
-        let key = buffer_key(self.tag, id);
-        if let Some(frame) = self.buffer.get(key) {
+        if let Some(frame) = self.buffer.get(id) {
             probe.buffer_hits += 1;
             return Ok(frame);
         }
-        let mut frame = self.buffer.blank(key);
+        let mut frame = self.buffer.blank(id);
         let bytes = frame.bytes_mut();
         self.retry.run(probe, |probe| {
             let core = self.core_read();
@@ -531,7 +494,7 @@ impl PageStore {
         })?;
         // The shard counts the access; mirror whatever it counted so
         // the probe can never disagree with the global sum.
-        if self.buffer.install(key, frame.clone(), true) {
+        if self.buffer.install(id, frame.clone(), true) {
             probe.buffer_hits += 1;
         } else {
             probe.disk_reads += 1;
@@ -562,14 +525,12 @@ impl PageStore {
         let Self {
             core,
             buffer,
-            tag,
             writes,
             retry,
             txn,
             ..
         } = self;
         let core = core_mut(core);
-        let key = buffer_key(*tag, id);
         let prior_sum = core.sum(IoOp::Write, id)?;
         if payload.len() > PAGE_SIZE {
             return Err(StorageError::PayloadTooLarge { len: payload.len() });
@@ -577,7 +538,7 @@ impl PageStore {
         // Pre-image for this write's own rollback, and for the enclosing
         // transaction's (captured once per page per transaction): the
         // frame the page has, or its bytes at rest.
-        let prior = match buffer.peek(key) {
+        let prior = match buffer.peek(id) {
             Some(frame) => frame,
             None => core.page(id)?,
         };
@@ -590,7 +551,7 @@ impl PageStore {
                 });
             }
         }
-        let mut frame = buffer.blank(key);
+        let mut frame = buffer.blank(id);
         frame.fill_from(payload);
         let new_sum = xxh64(frame.bytes());
 
@@ -604,7 +565,7 @@ impl PageStore {
                 // Let go of the old frame first: unless a reader or the
                 // undo log still holds it, the pool recycles it.
                 drop(prior);
-                buffer.install(key, frame, false);
+                buffer.install(id, frame, false);
                 Ok(())
             }
             Err(e) => {
@@ -613,7 +574,7 @@ impl PageStore {
                 // device refuses that too, the recorded checksum still
                 // describes the prior content, so the page fails closed.
                 let _ = core.backend.restore(id, prior.bytes());
-                buffer.invalidate(key);
+                buffer.invalidate(id);
                 Err(e)
             }
         }
@@ -776,12 +737,10 @@ impl PageStore {
     }
 
     /// Replace the buffer pool capacity (clears residency, keeps the
-    /// shard count and accumulated counters). If the pool was shared
-    /// with other store versions, this store splits off its own copy
-    /// (`Arc::make_mut`): reconfiguration is a local decision.
+    /// shard count and accumulated counters).
     pub fn set_buffer_capacity(&mut self, capacity: usize) {
         let shards = self.buffer.shard_count();
-        Arc::make_mut(&mut self.buffer).reconfigure(capacity, shards);
+        self.buffer.reconfigure(capacity, shards);
     }
 
     /// Re-stripe the buffer pool across `shards` lock shards (clears
@@ -791,7 +750,7 @@ impl PageStore {
     /// contention (DESIGN.md §6).
     pub fn set_buffer_shards(&mut self, shards: usize) {
         let capacity = self.buffer.capacity();
-        Arc::make_mut(&mut self.buffer).reconfigure(capacity, shards);
+        self.buffer.reconfigure(capacity, shards);
     }
 
     /// Number of buffer pool lock shards.
@@ -802,7 +761,8 @@ impl PageStore {
     /// The save epoch this store was loaded at (0 for a fresh store);
     /// `persist::save` bumps it monotonically.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        // ordering: the epoch stamps files, it publishes no memory.
+        self.epoch.load(Ordering::Relaxed)
     }
 
     // --- persistence plumbing (see `crate::persist`) ------------------
@@ -818,8 +778,9 @@ impl PageStore {
     }
 
     /// Restore the save epoch after loading / bump it when saving.
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    pub(crate) fn set_epoch(&self, epoch: u64) {
+        // ordering: the epoch stamps files, it publishes no memory.
+        self.epoch.store(epoch, Ordering::Relaxed);
     }
 
     /// A page's bytes at rest with its *recorded* checksum (serialization
@@ -1308,46 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_keeps_versions_residency_distinct() {
-        // Two stores share one pool under different tags: page 0 of one
-        // must never register as resident for the other, and the pool's
-        // counters account both stores' traffic.
-        let mut v1 = PageStore::new(8);
-        let a = v1.allocate().unwrap();
-        v1.write(a, &[1]).unwrap();
-        let mut backend2 = MemBackend::new();
-        let b = backend2.allocate().unwrap();
-        backend2.write(b, &[2]).unwrap();
-        let v2 = PageStore::with_backend_shared(Box::new(backend2), v1.share_buffer(), 1);
-        assert_eq!((a, b), (0, 0), "same page id in both versions");
-        assert_eq!(v2.buffer_tag(), 1);
-
-        v1.reset_stats();
-        v1.reset_buffer(); // drop the write-through residency
-        read(&v1, a).unwrap(); // miss: installs tag-0 key
-        assert_eq!(read(&v2, b).unwrap().bytes()[0], 2);
-        // v2's read of the same page id was a *miss* — tag-1 keys do not
-        // alias tag-0 residency — and returned v2's bytes, not v1's.
-        let st = v1.stats();
-        assert_eq!(st.reads, 2, "pool-wide: both versions' misses counted");
-        assert_eq!(st.buffer_hits, 0);
-        assert!(read(&v1, a).is_ok());
-        assert_eq!(v1.stats().buffer_hits, 1, "v1 re-read hits its own key");
-    }
-
-    #[test]
-    fn clone_of_a_sharing_store_gets_a_private_pool() {
-        let v1 = PageStore::new(4);
-        let v2 = PageStore::with_backend_shared(Box::new(MemBackend::new()), v1.share_buffer(), 1);
-        let clone = v2.clone();
-        clone.reset_stats(); // zeroes the clone's pool counters...
-        v1.reset_stats();
-        let mut probe = ReadProbe::new();
-        let _ = clone.read(0, &mut probe); // unallocated: error, no counters
-        assert_eq!(v1.stats(), IoStats::default(), "clone's pool is detached");
-    }
-
-    #[test]
     fn nested_begin_folds_into_the_outer_txn() {
         let mut s = PageStore::new(4);
         let a = s.allocate().unwrap();
@@ -1389,7 +1310,7 @@ mod tests {
         }
 
         fn shard(&mut self, s: &PageStore, id: PageId) -> &mut VecLru {
-            &mut self.0[s.buffer.shard_of(buffer_key(s.tag, id))]
+            &mut self.0[s.buffer.shard_of(id)]
         }
     }
 
@@ -1453,15 +1374,12 @@ mod tests {
                     match s.write(id, &bytes[..len]) {
                         Ok(()) => {
                             pages[id as usize] = bytes;
-                            reference.shard(&s, id).access(u64::from(id));
+                            reference.shard(&s, id).access(id);
                         }
                         // A failed write leaves the old bytes and no frame.
                         Err(e) => {
                             injected(e);
-                            reference
-                                .shard(&s, id)
-                                .resident
-                                .retain(|&k| k != u64::from(id));
+                            reference.shard(&s, id).resident.retain(|&k| k != id);
                         }
                     }
                 } else if roll < 900 && live {
@@ -1469,7 +1387,7 @@ mod tests {
                     match s.read(id, &mut probe) {
                         Ok(got) => {
                             assert!(got.bytes() == &pages[id as usize], "{at}: stale bytes");
-                            let hit = reference.shard(&s, id).access(u64::from(id));
+                            let hit = reference.shard(&s, id).access(id);
                             assert_eq!(
                                 (probe.buffer_hits, probe.disk_reads),
                                 (u64::from(hit), u64::from(!hit)),
@@ -1485,10 +1403,7 @@ mod tests {
                 } else if roll < 920 && live && pages.len() > 1 {
                     s.free(id).unwrap();
                     free.push(id);
-                    reference
-                        .shard(&s, id)
-                        .resident
-                        .retain(|&k| k != u64::from(id));
+                    reference.shard(&s, id).resident.retain(|&k| k != id);
                 } else if roll < 950 && at_begin.is_none() {
                     s.begin_txn();
                     at_begin = Some((pages.clone(), free.clone()));

@@ -1,13 +1,14 @@
 //! Streaming ingestion: the paper's §VII future work in action.
 //!
-//! Position updates arrive one instant at a time; the online splitter
-//! decides artificial splits on the fly and the indexer keeps a
-//! partially persistent R-Tree current behind a watermark. Historical
-//! queries run *while* the stream is still flowing.
+//! Position updates arrive one instant at a time; the ingest pipeline's
+//! online splitter decides artificial splits on the fly, and each commit
+//! publishes a partially persistent R-Tree that is final up to a
+//! watermark. Historical queries run *while* the stream is still
+//! flowing.
 //!
 //! Run with: `cargo run --release --example online_stream`
 
-use spatiotemporal_index::core::online::{OnlineIndexer, OnlineSplitConfig};
+use spatiotemporal_index::core::{BatchState, IngestPipeline, OnlineSplitConfig};
 use spatiotemporal_index::pprtree::PprParams;
 use spatiotemporal_index::prelude::*;
 
@@ -21,7 +22,7 @@ fn main() {
         max_piece_instants: Some(40),
         max_piece_area: None,
     };
-    let mut indexer = OnlineIndexer::new(config, PprParams::default());
+    let mut pipeline = IngestPipeline::new(config, PprParams::default());
 
     // Replay the dataset as a global time-ordered stream of updates.
     let mut events: Vec<(Time, u64, usize, bool)> = Vec::new();
@@ -33,36 +34,50 @@ fn main() {
     }
     events.sort_unstable();
 
-    let mut asked = 0;
+    let mut committed = 0;
     for (t, id, i, done) in events {
         if done {
-            indexer.finish(id, t).expect("replayed stream is gap-free");
+            pipeline.enqueue_finish(id, t);
         } else {
-            indexer
-                .update(id, objects[id as usize].rect(i), t)
-                .expect("in-memory ingest cannot fail");
+            pipeline.enqueue_update(id, objects[id as usize].rect(i), t);
         }
-        // Every ~200 ticks, ask a question about finalized history.
-        if t % 200 == 0 && indexer.watermark() > 50 && asked < t / 200 {
-            asked = t / 200;
-            let probe = indexer.watermark() - 1;
-            let mut out = Vec::new();
-            indexer
-                .query_snapshot(&Rect2::from_bounds(0.25, 0.25, 0.75, 0.75), probe, &mut out)
-                .expect("in-memory query cannot fail");
-            println!(
-                "t={t:4}  watermark={:4}  objects in the center at t={probe}: {}",
-                indexer.watermark(),
-                out.len()
-            );
+        // Every 200 ticks, commit what arrived and ask a question about
+        // the history the new version has made final.
+        if t % 200 == 0 && committed < t / 200 {
+            committed = t / 200;
+            let report = pipeline.commit();
+            assert!(report.rejected.is_empty(), "replayed stream is gap-free");
+            assert!(report.error.is_none(), "in-memory ingest cannot fail");
+            let version = pipeline.published();
+            let watermark = version.stamp().watermark;
+            if watermark > 50 {
+                let probe = watermark - 1;
+                let mut out = Vec::new();
+                version
+                    .tree()
+                    .query_snapshot(&Rect2::from_bounds(0.25, 0.25, 0.75, 0.75), probe, &mut out)
+                    .expect("in-memory query cannot fail");
+                println!(
+                    "t={t:4}  version={:2}  watermark={watermark:4}  objects in the center at t={probe}: {}",
+                    version.stamp().version,
+                    out.len()
+                );
+            }
         }
     }
 
-    println!(
-        "\nstream done: {} artificial splits issued online",
-        indexer.splits_issued()
+    let report = pipeline.seal();
+    assert_eq!(
+        report.state,
+        BatchState::Published,
+        "seal publishes the rest"
     );
-    let tree = indexer.seal(1000).expect("in-memory seal cannot fail");
+    println!(
+        "\nstream done: {} commits, final watermark {}",
+        pipeline.commits(),
+        report.stamp.watermark
+    );
+    let tree = pipeline.into_published_tree();
     let mut out = Vec::new();
     tree.query_interval(
         &Rect2::from_bounds(0.45, 0.45, 0.55, 0.55),
@@ -75,7 +90,8 @@ fn main() {
         out.len()
     );
     println!(
-        "final index: {} pages over {} roots",
+        "final index: {} artificial splits issued online, {} pages over {} roots",
+        tree.total_records() - objects.len() as u64,
         tree.num_pages(),
         tree.roots().len()
     );

@@ -821,7 +821,7 @@ fn seal_and_save(
         pipeline.record_metrics(metrics);
     }
 
-    let mut tree = pipeline.into_published_tree();
+    let tree = pipeline.into_published_tree();
     tree.save_to_file(out)
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!("wrote {} pages to {}", tree.num_pages(), out.display());

@@ -378,21 +378,16 @@ fn a_held_page_survives_eviction_by_concurrent_readers() {
     }
     store.set_buffer_shards(SHARDS);
     store.reset_stats();
-    let pool = store.share_buffer();
+    let pool = store.buffer();
     // Everything that routes where page 0 routes: one shard, capacity 2.
     let same_shard: Vec<PageId> = pages
         .iter()
         .copied()
-        .filter(|&p| pool.shard_of(u64::from(p)) == pool.shard_of(0))
+        .filter(|&p| pool.shard_of(p) == pool.shard_of(0))
         .collect();
     let (held_id, evictors) = same_shard.split_first().unwrap();
     assert!(evictors.len() > 10 * CAPACITY, "plenty of distinct misses");
-    let resident = || {
-        pages
-            .iter()
-            .filter(|&&p| pool.resident(u64::from(p)))
-            .count()
-    };
+    let resident = || pages.iter().filter(|&&p| pool.resident(p)).count();
 
     let store = &store;
     let pinned = Barrier::new(THREADS);
@@ -409,10 +404,7 @@ fn a_held_page_survives_eviction_by_concurrent_readers() {
                 assert!(resident() <= CAPACITY, "pool over capacity");
             }
             evicted.wait();
-            assert!(
-                !pool.resident(u64::from(*held_id)),
-                "it was evicted long ago"
-            );
+            assert!(!pool.resident(*held_id), "it was evicted long ago");
             assert!(held.bytes().chunks(4).all(|c| c == held_id.to_le_bytes()));
             // A fresh read is a miss again, and the same content.
             assert!(store.read(*held_id, &mut probe).unwrap() == held);
