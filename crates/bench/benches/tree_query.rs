@@ -2,12 +2,19 @@
 //! I/O counts the figure binaries report).
 //!
 //! Snapshot and small-range queries against the PPR-Tree (150% splits)
-//! and the R\*-Tree (1% splits) over the same dataset.
+//! and the R\*-Tree (1% splits) over the same dataset; and `node_scan`,
+//! the two halves a PPR-Tree node visit is split into — the check a
+//! frame passes once, when it enters the pool, and the scan every hit
+//! runs over it — next to the owned decode the mutation paths keep and
+//! the validating cursor the query paths used to walk.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sti_bench::{build_index, random_dataset, split_records};
 use sti_core::{DistributionAlgorithm, IndexBackend, SingleSplitAlgorithm, SplitBudget};
 use sti_datagen::QuerySetSpec;
+use sti_geom::{Rect2, TimeInterval};
+use sti_pprtree::{NodeView, PprEntry, PprNode};
+use sti_storage::Page;
 
 fn bench_queries(c: &mut Criterion) {
     let objects = random_dataset(1000);
@@ -60,5 +67,84 @@ fn bench_queries(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_queries);
+/// One node per iteration, nanoseconds per node as printed. The pages
+/// are more than fit in L2, so each visit reads memory as a traversal
+/// does; 43 entries a leaf is what the bulk-loaded scale tier averages.
+fn bench_node_scan(c: &mut Criterion) {
+    const NODES: usize = 4096;
+    const ENTRIES: usize = 43;
+    // Half of every leaf lives in [0, 100), the other half in
+    // [100, 200): the span picks how many survive the stamp filter.
+    let pages: Vec<Page> = (0..NODES)
+        .map(|n| {
+            let entries = (0..ENTRIES)
+                .map(|i| {
+                    let x = ((n * ENTRIES + i) % 97) as f64 / 100.0;
+                    let insertion = if i % 2 == 0 { 0 } else { 100 };
+                    PprEntry {
+                        rect: Rect2::from_bounds(x, x, x + 0.02, x + 0.02),
+                        ptr: (n * ENTRIES + i) as u64,
+                        insertion,
+                        deletion: insertion + 100,
+                    }
+                })
+                .collect();
+            let mut page = Page::zeroed();
+            PprNode { level: 0, entries }.encode(&mut page);
+            page
+        })
+        .collect();
+    let mut at = 0;
+    let mut next = || {
+        at = (at + 1) % NODES;
+        &pages[at]
+    };
+
+    let mut group = c.benchmark_group("node_scan");
+    // The install check runs on a frame the fetch has just filled, so
+    // it is timed (and the owned decode, beside it) over a few pages
+    // that stay in cache.
+    let mut hot = pages.iter().take(8).cycle();
+    group.bench_function("validate_at_install", |b| {
+        b.iter(|| hot.next().is_some_and(PprNode::well_formed))
+    });
+    let mut hot = pages.iter().take(8).cycle();
+    group.bench_function(BenchmarkId::new("owned_decode", "in cache"), |b| {
+        b.iter(|| hot.next().map(PprNode::decode))
+    });
+    let area = Rect2::from_bounds(0.2, 0.2, 0.4, 0.4);
+    for (survival, span) in [
+        ("0%", TimeInterval::new(300, 301)),
+        ("50%", TimeInterval::new(50, 51)),
+        ("100%", TimeInterval::new(0, 200)),
+    ] {
+        group.bench_function(BenchmarkId::new("hit_scan", survival), |b| {
+            b.iter(|| {
+                let node = NodeView::new(next()).expect("a node header");
+                node.scan(span)
+                    .filter(|e| e.rect.intersects(&area))
+                    .fold(0, |sum, e| sum ^ e.ptr)
+            })
+        });
+    }
+    // The cursor the query paths walked before: every entry decoded and
+    // validated on every visit, then the same two tests.
+    let span = TimeInterval::new(0, 200);
+    group.bench_function(BenchmarkId::new("checked_scan", "100%"), |b| {
+        b.iter(|| {
+            let node = NodeView::new(next()).expect("a node header");
+            node.entries()
+                .map_while(Result::ok)
+                .filter(|e| e.lifetime().intersect(&span).is_some())
+                .filter(|e| e.rect.intersects(&area))
+                .fold(0, |sum, e| sum ^ e.ptr)
+        })
+    });
+    group.bench_function(BenchmarkId::new("owned_decode", "from memory"), |b| {
+        b.iter(|| PprNode::decode(next()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_queries, bench_node_scan);
 criterion_main!(benches);

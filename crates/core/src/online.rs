@@ -22,7 +22,6 @@
 use crate::plan::{ObjectRecord, RecordEvent};
 use std::collections::{BTreeMap, HashMap};
 use sti_geom::{Rect2, StBox, Time, TimeInterval};
-use sti_storage::StorageError;
 
 /// Failure of an [`OnlineSplitter::observe`] call (or of an
 /// [`crate::IngestOp::Update`] at drain time): the observation stream
@@ -126,18 +125,16 @@ impl std::fmt::Display for FinishError {
 
 impl std::error::Error for FinishError {}
 
-/// Failure of a streamed operation: either the splitter rejected the
-/// call (a caller error — what [`crate::RejectedOp`] carries) or the
-/// backing page store failed (an I/O error, possibly after retries).
+/// Why the splitter rejected a streamed operation — a caller error,
+/// what [`crate::RejectedOp`] carries. (A failing page store is not one
+/// of these: it rolls the batch back and surfaces in
+/// [`crate::CommitReport::error`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OnlineError {
     /// The observation stream was malformed; see [`ObserveError`].
     Observe(ObserveError),
     /// The splitter rejected the call; see [`FinishError`].
     Split(FinishError),
-    /// The tree's page store failed; the affected events stay buffered
-    /// and are retried on the next flush.
-    Storage(StorageError),
 }
 
 impl From<ObserveError> for OnlineError {
@@ -152,18 +149,11 @@ impl From<FinishError> for OnlineError {
     }
 }
 
-impl From<StorageError> for OnlineError {
-    fn from(e: StorageError) -> Self {
-        OnlineError::Storage(e)
-    }
-}
-
 impl std::fmt::Display for OnlineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OnlineError::Observe(e) => write!(f, "{e}"),
             OnlineError::Split(e) => write!(f, "{e}"),
-            OnlineError::Storage(e) => write!(f, "indexing halted by storage error: {e}"),
         }
     }
 }
@@ -173,7 +163,6 @@ impl std::error::Error for OnlineError {
         match self {
             OnlineError::Observe(e) => Some(e),
             OnlineError::Split(e) => Some(e),
-            OnlineError::Storage(e) => Some(e),
         }
     }
 }

@@ -374,7 +374,10 @@ impl BulkLoader {
             SortedStream::merge(&self.runs)?
         };
 
+        // Guard the pool from the first packed page on: the loader's
+        // write-through installs are checked like any other.
         let mut store = store;
+        store.set_validator(PprNode::well_formed);
         let fanout = self.params.max_entries;
         let a_max = (fanout / 2).max(1);
         let weak_min = self.params.weak_min();

@@ -3,7 +3,7 @@
 //! answered by a best-first MINDIST traversal of the ephemeral tree of
 //! instant `t`.
 
-use crate::tree::PprTree;
+use crate::tree::{instant_span, PprTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use sti_geom::{Point2, Time};
@@ -75,14 +75,12 @@ impl PprTree {
                 continue;
             };
             let page = PageId::try_from(item.ptr).unwrap_or(PageId::MAX);
-            self.visit(page, level, &mut ReadProbe::new(), |e| {
-                if e.alive_at(t) {
-                    heap.push(Reverse(Pending {
-                        dist2: e.rect.min_dist2(&point),
-                        level: level.checked_sub(1),
-                        ptr: e.ptr,
-                    }));
-                }
+            self.visit(page, level, instant_span(t), &mut ReadProbe::new(), |e| {
+                heap.push(Reverse(Pending {
+                    dist2: e.rect.min_dist2(&point),
+                    level: level.checked_sub(1),
+                    ptr: e.ptr,
+                }));
             })?;
         }
         Ok(out)

@@ -1,6 +1,6 @@
 //! PPR-Tree nodes, entries, parameters, and page serialization.
 
-use sti_geom::{Rect2, Time, TimeInterval};
+use sti_geom::{Point2, Rect2, Time, TimeInterval};
 use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PageId, PAGE_SIZE};
 
 /// Tuning parameters of the PPR-Tree. Defaults are the paper's §V setup.
@@ -139,47 +139,56 @@ impl PprEntry {
     }
 
     const ENCODED: usize = 4 * 8 + 8 + 4 + 4; // rect + ptr + 2 times
+    /// Offset of `(insertion, deletion)` within an encoded entry.
+    const STAMPS: usize = Self::ENCODED - 2 * 4;
+
+    /// Read one encoded entry as it stands, checking nothing.
+    #[inline]
+    fn load(raw: &[u8]) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(raw);
+        let lo = Point2::new(r.get_f64()?, r.get_f64()?);
+        let hi = Point2::new(r.get_f64()?, r.get_f64()?);
+        Ok(Self {
+            rect: Rect2 { lo, hi },
+            ptr: r.get_u64()?,
+            insertion: r.get_u32()?,
+            deletion: r.get_u32()?,
+        })
+    }
 
     /// Decode and validate one encoded entry of a node at `level`: the
-    /// single statement of what a well-formed entry is, shared by
-    /// [`PprNode::decode`] and the [`NodeView`] cursor.
+    /// written-down statement of what a well-formed entry is.
+    /// [`PprNode::well_formed`] is the same statement as one pass over a
+    /// page, and a proptest holds the two equal.
     #[inline]
     fn decode(raw: &[u8], level: u32) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(raw);
-        let (lx, ly) = (r.get_f64()?, r.get_f64()?);
-        let (hx, hy) = (r.get_f64()?, r.get_f64()?);
+        let e = Self::load(raw)?;
+        let (lo, hi) = (e.rect.lo, e.rect.hi);
         // Ordered, finite bounds; NaN fails the comparisons.
-        let finite = [lx, ly, hx, hy].iter().all(|v| v.is_finite());
-        if !(finite && lx <= hx && ly <= hy) {
+        let finite = [lo.x, lo.y, hi.x, hi.y].iter().all(|v| v.is_finite());
+        if !(finite && lo.x <= hi.x && lo.y <= hi.y) {
             return Err(CodecError::InvalidValue(
                 "node entry rectangle is reversed or not finite",
             ));
         }
-        let ptr = r.get_u64()?;
-        if level > 0 && PageId::try_from(ptr).is_err() {
+        if level > 0 && PageId::try_from(e.ptr).is_err() {
             return Err(CodecError::InvalidValue(
                 "directory entry does not hold a page id",
             ));
         }
-        let insertion = r.get_u32()?;
-        let deletion = r.get_u32()?;
-        if insertion > deletion {
+        if e.insertion > e.deletion {
             return Err(CodecError::InvalidValue("entry deleted before insertion"));
         }
-        Ok(Self {
-            rect: Rect2::from_bounds(lx, ly, hx, hy),
-            ptr,
-            insertion,
-            deletion,
-        })
+        Ok(e)
     }
 }
 
 /// A read-only cursor over a node still in its encoded page: what the
 /// query paths walk instead of decoding into an owned [`PprNode`], so a
-/// node visit allocates nothing. The header is checked once, here;
-/// every entry is decoded and validated as it is yielded, exactly as
-/// [`PprNode::decode`] would.
+/// node visit allocates nothing. The header is checked here, on every
+/// visit. The entries are not checked again by [`NodeView::scan`]: the
+/// frame a query pins passed [`PprNode::well_formed`] when it entered
+/// the pool and is never written through afterwards.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
     level: u32,
@@ -222,13 +231,38 @@ impl<'a> NodeView<'a> {
         self.entries.is_empty()
     }
 
-    /// The entries in page order; a malformed one is an `Err` item.
+    /// The entries in page order, each decoded and validated; a
+    /// malformed one is an `Err` item. What [`PprNode::decode`] collects.
     #[inline]
     pub fn entries(&self) -> impl Iterator<Item = Result<PprEntry, CodecError>> + 'a {
         let level = self.level;
         self.entries
             .chunks_exact(PprEntry::ENCODED)
             .map(move |raw| PprEntry::decode(raw, level))
+    }
+
+    /// The query cursor: the entries whose lifetime shares an instant
+    /// with `span`, in page order. Only the two lifetime stamps of an
+    /// entry are read, at their fixed offset, until it survives; the
+    /// rectangle and pointer are loaded for survivors alone.
+    ///
+    /// Nothing is validated here. Over a page that passed
+    /// [`PprNode::well_formed`] this yields exactly what
+    /// [`NodeView::entries`] yields, filtered by lifetime; over arbitrary
+    /// bytes it yields whatever they spell, without panicking.
+    #[inline]
+    pub fn scan(&self, span: TimeInterval) -> impl Iterator<Item = PprEntry> + 'a {
+        self.entries
+            .chunks_exact(PprEntry::ENCODED)
+            .filter_map(move |raw| {
+                let mut stamps = ByteReader::new(raw.get(PprEntry::STAMPS..)?);
+                let lifetime = TimeInterval {
+                    start: stamps.get_u32().ok()?,
+                    end: stamps.get_u32().ok()?,
+                };
+                lifetime.intersect(&span)?;
+                PprEntry::load(raw).ok()
+            })
     }
 }
 
@@ -333,6 +367,33 @@ impl PprNode {
             level: view.level(),
             entries,
         })
+    }
+
+    /// Whether [`PprNode::decode`] would accept `page`. This is the
+    /// check the tree's `PageStore` runs on every frame before it
+    /// enters the pool (DESIGN.md §6), so it is one pass with no early
+    /// exit per entry: a bound that is not finite or a reversed pair, a
+    /// directory pointer wider than a page id and a lifetime that ends
+    /// before it starts each clear one accumulated flag.
+    pub fn well_formed(page: &Page) -> bool {
+        let Ok(node) = NodeView::new(page) else {
+            return false;
+        };
+        let directory = node.level > 0;
+        let mut ok = true;
+        for raw in node.entries.chunks_exact(PprEntry::ENCODED) {
+            let Ok(e) = PprEntry::load(raw) else {
+                return false;
+            };
+            let (lo, hi) = (e.rect.lo, e.rect.hi);
+            // `lo <= hi` rules out NaN, and between two ordered bounds
+            // one comparison each rules out the infinities.
+            ok &= (lo.x >= f64::MIN) & (lo.x <= hi.x) & (hi.x <= f64::MAX);
+            ok &= (lo.y >= f64::MIN) & (lo.y <= hi.y) & (hi.y <= f64::MAX);
+            ok &= !directory | (e.ptr <= u64::from(PageId::MAX));
+            ok &= e.insertion <= e.deletion;
+        }
+        ok
     }
 }
 

@@ -101,6 +101,17 @@ fn apply_probe(stats: &mut QueryStats, probe: &ReadProbe) {
     stats.checksum_failures = probe.checksum_failures;
 }
 
+/// A snapshot at `t` as the span `[t, t + 1)` the entry cursor filters
+/// by. At `t == Time::MAX` that span is empty, which is the right
+/// answer: lifetimes are half-open, so nothing is alive at the instant
+/// that also spells "not deleted yet".
+pub(crate) fn instant_span(t: Time) -> TimeInterval {
+    TimeInterval {
+        start: t,
+        end: t.saturating_add(1),
+    }
+}
+
 /// Ops to apply to one node during bottom-up structure maintenance.
 #[derive(Debug, Default)]
 struct Ops {
@@ -220,7 +231,11 @@ impl PprTree {
         )
     }
 
-    fn from_store(store: PageStore, params: PprParams) -> Self {
+    /// The one place a tree takes ownership of a store: from here on
+    /// the pool holds only frames that pass [`PprNode::well_formed`],
+    /// which is what lets the query paths scan a pinned frame unchecked.
+    fn from_store(mut store: PageStore, params: PprParams) -> Self {
+        store.set_validator(PprNode::well_formed);
         Self {
             store,
             params,
@@ -235,11 +250,12 @@ impl PprTree {
         }
     }
 
-    /// Construct a tree directly over already-written pages — the bulk
-    /// loader's exit path (`crate::bulk`). The caller supplies the
-    /// metadata that incremental updates would have accumulated; the
-    /// result is indistinguishable from a tree built one update at a
-    /// time and is validated by the same `check::validate`.
+    /// Construct a tree directly over already-written pages — the exit
+    /// path of the bulk loader (`crate::bulk`) and of
+    /// [`PprTree::open_file`]. The caller supplies the metadata that
+    /// incremental updates would have accumulated; the result is
+    /// indistinguishable from a tree built one update at a time and is
+    /// validated by the same `check::validate`.
     pub(crate) fn assemble(
         store: PageStore,
         params: PprParams,
@@ -421,6 +437,9 @@ impl PprTree {
     /// # Errors
     /// A [`StorageError`] if the page store fails; the update is rolled
     /// back and the tree (pages, root log, clock, counters) is unchanged.
+    /// A rectangle with a bound that is not finite fails this way too
+    /// ([`CorruptReason::Decode`]): the store refuses to write a node
+    /// the decoder would refuse to read.
     ///
     /// # Panics
     /// If `t` precedes an earlier update (partial persistence) or the
@@ -586,11 +605,12 @@ impl PprTree {
         self.alive_records = n;
     }
 
-    /// Overwrite a page with garbage (sanitizer tests).
+    /// Overwrite a page with garbage at rest, below the pool — a store
+    /// write would refuse it (sanitizer tests).
     #[cfg(test)]
     pub(crate) fn corrupt_page_for_test(&mut self, page: PageId) {
         let junk = vec![0xFFu8; 64];
-        let _ = self.store.write(page, &junk);
+        let _ = self.store.backend_mut().write(page, &junk);
     }
 
     fn current_root(&self) -> Option<RootSpan> {
@@ -638,11 +658,11 @@ impl PprTree {
             let stack = &mut scratch.snap_stack;
             stack.clear();
             stack.push((span.page, span.level));
+            let instant = instant_span(t);
             while let Some((page, level)) = stack.pop() {
                 stats.nodes_visited += 1;
-                let visited = self.visit(page, level, &mut probe, |e| {
-                    stats.entries_scanned += 1;
-                    if e.alive_at(t) && e.rect.intersects(area) {
+                let visited = self.visit(page, level, instant, &mut probe, |e| {
+                    if e.rect.intersects(area) {
                         if level == 0 {
                             out.push(e.ptr);
                             stats.results += 1;
@@ -651,9 +671,12 @@ impl PprTree {
                         }
                     }
                 });
-                if let Err(e) = visited {
-                    failed = Some(e);
-                    break;
+                match visited {
+                    Ok(entries) => stats.entries_scanned += entries,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
                 }
             }
             // The scratch goes back even on the error path: capacity is
@@ -723,23 +746,22 @@ impl PprTree {
             stack.push((span.page, span.level, root_range));
             while let Some((page, level, clipped)) = stack.pop() {
                 stats.nodes_visited += 1;
-                let visited = self.visit(page, level, &mut probe, |e| {
-                    stats.entries_scanned += 1;
-                    let Some(sub) = e.lifetime().intersect(&clipped) else {
-                        return;
-                    };
+                let visited = self.visit(page, level, clipped, &mut probe, |e| {
                     if !e.rect.intersects(area) {
                         return;
                     }
                     if level == 0 {
                         seen.insert(e.ptr);
-                    } else {
+                    } else if let Some(sub) = e.lifetime().intersect(&clipped) {
                         stack.push((e.child_page(), level - 1, sub));
                     }
                 });
-                if let Err(e) = visited {
-                    failed = Some(e);
-                    break 'roots;
+                match visited {
+                    Ok(entries) => stats.entries_scanned += entries,
+                    Err(e) => {
+                        failed = Some(e);
+                        break 'roots;
+                    }
                 }
             }
         }
@@ -772,31 +794,37 @@ impl PprTree {
     }
 
     /// The query paths' node read: fetch `page` (I/O attributed to
-    /// `probe`) and hand `each` every entry of its node, in page order —
-    /// decoded and validated straight out of the pool's frame, so a
-    /// visit copies and allocates nothing. The node must sit at `level`,
-    /// one below the directory entry that led here: a damaged child
-    /// pointer can then never walk a traversal in a circle.
+    /// `probe`) and hand `each` the entries of its node alive at some
+    /// instant of `span`, in page order, straight out of the pool's
+    /// frame — a visit copies, allocates and validates nothing, because
+    /// no frame enters the pool without passing
+    /// [`PprNode::well_formed`]. Returns how many entries the node
+    /// holds, alive in `span` or not: what the visit scanned.
+    ///
+    /// Two things are still checked per visit. The header must bound
+    /// the entries within the page, and the node must sit at `level`,
+    /// one below the directory entry that led here: a child pointer
+    /// that is a perfectly well-formed page id can still point the
+    /// wrong way, and this is what keeps a traversal from walking in a
+    /// circle.
     pub(crate) fn visit(
         &self,
         page: PageId,
         level: u32,
+        span: TimeInterval,
         probe: &mut ReadProbe,
-        mut each: impl FnMut(PprEntry),
-    ) -> Result<(), StorageError> {
-        let corrupt = StorageError::Corrupt {
-            page,
-            reason: CorruptReason::Decode,
-        };
+        each: impl FnMut(PprEntry),
+    ) -> Result<u64, StorageError> {
         let frame = self.store.read(page, probe)?;
         let node = NodeView::new(&frame)
             .ok()
             .filter(|node| node.level() == level)
-            .ok_or_else(|| corrupt.clone())?;
-        for e in node.entries() {
-            each(e.map_err(|_| corrupt.clone())?);
-        }
-        Ok(())
+            .ok_or(StorageError::Corrupt {
+                page,
+                reason: CorruptReason::Decode,
+            })?;
+        node.scan(span).for_each(each);
+        Ok(node.len() as u64)
     }
 
     fn write_node(&mut self, page: PageId, node: &PprNode) -> Result<(), StorageError> {
@@ -1234,18 +1262,14 @@ impl PprTree {
                 level,
             });
         }
-        Ok(Self {
+        Ok(Self::assemble(
             store,
             params,
             roots,
             now,
             alive_records,
             total_posted,
-            scratch: ScratchPool::new(),
-            batch: None,
-            #[cfg(debug_assertions)]
-            debug_mutations: 0,
-        })
+        ))
     }
 
     /// Panic unless every structural invariant holds (test aid).
@@ -1369,6 +1393,64 @@ mod tests {
         t.query_interval(&r, &TimeInterval::new(0, 100), &mut out)
             .unwrap();
         assert_eq!(out, vec![1]);
+    }
+
+    /// The cursor filters a snapshot at `t` as the span `[t, t + 1)`:
+    /// at the last instants before `Time::MAX` — which doubles as the
+    /// "not deleted yet" stamp — that must neither overflow nor
+    /// disagree with `alive_at` / `lifetime().intersect` over the owned
+    /// decode, for open lifetimes and an instantaneous one alike.
+    #[test]
+    fn a_snapshot_at_the_end_of_time_cannot_overflow() {
+        const LAST: Time = Time::MAX - 1;
+        let mut t = PprTree::new(small_params());
+        t.insert(1, rect(0.1, 0.1), 5).unwrap();
+        t.insert(2, rect(0.2, 0.2), 7).unwrap();
+        t.delete(2, rect(0.2, 0.2), 7).unwrap(); // insertion == deletion
+        t.insert(3, rect(0.3, 0.3), 9).unwrap();
+        t.delete(3, rect(0.3, 0.3), LAST).unwrap();
+        t.insert(4, rect(0.4, 0.4), LAST).unwrap();
+        assert_eq!(t.num_pages(), 1, "one leaf: its owned decode is the oracle");
+        let frame = t.store.peek(t.roots[0].page).unwrap();
+        let leaf = PprNode::decode(&frame).unwrap();
+        let ids = |keep: &dyn Fn(&PprEntry) -> bool| -> Vec<u64> {
+            leaf.entries
+                .iter()
+                .filter(|e| keep(e))
+                .map(|e| e.ptr)
+                .collect()
+        };
+
+        for instant in [0, 5, 7, 9, LAST - 1, LAST, Time::MAX] {
+            let want = ids(&|e| e.alive_at(instant));
+            let mut got = Vec::new();
+            t.query_snapshot(&Rect2::UNIT, instant, &mut got).unwrap();
+            got.sort_unstable();
+            assert_eq!(got, want, "snapshot at {instant}");
+            let origin = sti_geom::Point2::new(0.0, 0.0);
+            let near = t.nearest_at(origin, instant, 10).unwrap();
+            let near: Vec<u64> = near.into_iter().map(|(id, _)| id).collect();
+            assert_eq!(near, want, "nearest at {instant}");
+            let view = NodeView::new(&frame).unwrap();
+            let scanned: Vec<u64> = view.scan(instant_span(instant)).map(|e| e.ptr).collect();
+            assert_eq!(scanned, want, "cursor at {instant}");
+        }
+        assert_eq!(ids(&|e| e.alive_at(LAST)), vec![1, 4]);
+        assert_eq!(ids(&|e| e.alive_at(Time::MAX)), Vec::<u64>::new());
+
+        for start in [0, 7, 8, LAST, Time::MAX] {
+            for end in [start, LAST, TimeInterval::OPEN_END] {
+                if end <= start {
+                    continue;
+                }
+                let range = TimeInterval::new(start, end);
+                let want = ids(&|e| e.lifetime().intersect(&range).is_some());
+                let mut got = Vec::new();
+                t.query_interval(&Rect2::UNIT, &range, &mut got).unwrap();
+                got.sort_unstable();
+                assert_eq!(got, want, "interval {range}");
+            }
+        }
     }
 
     /// Build a deterministic tree with inserts and deletes for the
@@ -1870,13 +1952,38 @@ mod tests {
         );
     }
 
+    /// `t` over a copy of its pages with `page` replaced by `bytes`: the
+    /// damage sits at rest under a checksum that matches it (adoption
+    /// records what it finds), below a pool that never saw it.
+    fn adopted_with(t: &PprTree, page: PageId, bytes: &Page) -> PprTree {
+        let mut pages = MemBackend::new();
+        for id in 0..PageId::try_from(t.num_pages()).unwrap() {
+            let at_rest = t.store.peek(id).unwrap();
+            let content = if id == page { bytes } else { &at_rest };
+            let copy = pages.allocate().unwrap();
+            pages.write(copy, &content.bytes()[..]).unwrap();
+        }
+        PprTree::assemble(
+            PageStore::with_backend(Box::new(pages), t.params.buffer_pages),
+            t.params,
+            t.roots.clone(),
+            t.now,
+            t.alive_records,
+            t.total_posted,
+        )
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Damage a node page *and refresh its checksum* (a store write
-        /// does), so the decoder — not xxh64 — is what stands between
-        /// the bytes and every query path: each one answers or fails
-        /// typed, and none panics or walks in circles.
+        /// Damage a node page under a checksum that matches the damage,
+        /// so the node check — not xxh64 — is what stands between the
+        /// bytes and every query path, and push it at the tree by both
+        /// roads into the pool: through a store write, and at rest
+        /// below the pool. A malformed page is refused by the write and
+        /// fails typed at every fetch, never resident; a well-formed but
+        /// wrong one answers or fails typed; nothing panics or walks in
+        /// circles.
         #[test]
         fn damaged_node_bytes_fail_typed(
             page in 0u32..40,
@@ -1899,25 +2006,44 @@ mod tests {
             ][kind];
             let mut bytes = t.store.peek(page).unwrap();
             bytes.bytes_mut()[at..at + 8].copy_from_slice(&patch);
-            t.store.write(page, &bytes.bytes()[..]).unwrap();
+            let malformed = !PprNode::well_formed(&bytes);
+            let refused = StorageError::Corrupt { page, reason: CorruptReason::Decode };
 
-            let typed = |outcome: Option<StorageError>| {
-                let decoder_caught_it = matches!(
-                    outcome,
-                    None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
-                        | Some(StorageError::Unallocated { .. })
-                );
-                proptest::prop_assert!(decoder_caught_it, "{outcome:?}");
-            };
-            let mut out = Vec::new();
-            for instant in [0, 60, 119, 150, 200] {
-                typed(t.query_snapshot(&Rect2::UNIT, instant, &mut out).err());
-                typed(t.nearest_at(sti_geom::Point2::new(0.4, 0.4), instant, 5).err());
+            let below = adopted_with(&t, page, &bytes);
+            let written = t.store.write(page, &bytes.bytes()[..]);
+            proptest::prop_assert_eq!(written, if malformed { Err(refused.clone()) } else { Ok(()) });
+
+            for tree in [&t, &below] {
+                let typed = |outcome: Option<StorageError>| {
+                    let decoder_caught_it = matches!(
+                        outcome,
+                        None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
+                            | Some(StorageError::Unallocated { .. })
+                    );
+                    proptest::prop_assert!(decoder_caught_it, "{outcome:?}");
+                };
+                let mut out = Vec::new();
+                for instant in [0, 60, 119, 150, 200] {
+                    typed(tree.query_snapshot(&Rect2::UNIT, instant, &mut out).err());
+                    typed(tree.nearest_at(sti_geom::Point2::new(0.4, 0.4), instant, 5).err());
+                }
+                let all = TimeInterval::new(0, 500);
+                typed(tree.query_interval(&Rect2::UNIT, &all, &mut out).err());
+                // The checker reads the same bytes through the owned decode.
+                let _ = crate::check::validate(tree);
             }
-            let all = TimeInterval::new(0, 500);
-            typed(t.query_interval(&Rect2::UNIT, &all, &mut out).err());
-            // The checker reads the same bytes through the owned decode.
-            let _ = crate::check::validate(&t);
+            if malformed {
+                // The refused write changed nothing; the copy damaged at
+                // rest fails at the page, at every touch, because the
+                // page never becomes resident.
+                proptest::prop_assert!(crate::check::validate(&t).is_ok());
+                let mut probe = ReadProbe::new();
+                for _ in 0..2 {
+                    proptest::prop_assert_eq!(below.store.read(page, &mut probe), Err(refused.clone()));
+                    proptest::prop_assert!(!below.store.buffer().resident(page));
+                }
+                proptest::prop_assert_eq!((probe.disk_reads, probe.buffer_hits), (0, 0));
+            }
         }
     }
 

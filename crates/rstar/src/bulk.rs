@@ -58,7 +58,7 @@ impl RStarTree {
     ) -> Result<Self, StorageError> {
         params.validate();
         assert!(!records.is_empty(), "cannot bulk load an empty record set");
-        let mut store = PageStore::new(params.buffer_pages);
+        let mut store = Self::guarded(PageStore::new(params.buffer_pages));
 
         let mut entries: Vec<Entry> = records
             .iter()

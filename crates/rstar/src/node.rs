@@ -101,42 +101,51 @@ impl Entry {
 
     const ENCODED: usize = 6 * 8 + 8; // rect + ptr
 
-    /// Decode and validate one encoded entry of a node at `level`: the
-    /// single statement of what a well-formed entry is, shared by
-    /// [`Node::decode`] and the [`NodeView`] cursor.
+    /// Read one encoded entry as it stands, checking nothing.
     #[inline]
-    fn decode(raw: &[u8], level: u32) -> Result<Self, CodecError> {
+    fn load(raw: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(raw);
         let mut lo = [0.0; 3];
         let mut hi = [0.0; 3];
         for v in lo.iter_mut().chain(&mut hi) {
             *v = r.get_f64()?;
         }
+        Ok(Self {
+            rect: Rect3 { lo, hi },
+            ptr: r.get_u64()?,
+        })
+    }
+
+    /// Decode and validate one encoded entry of a node at `level`: the
+    /// written-down statement of what a well-formed entry is.
+    /// [`Node::well_formed`] is the same statement as one pass over a
+    /// page, and a proptest holds the two equal.
+    #[inline]
+    fn decode(raw: &[u8], level: u32) -> Result<Self, CodecError> {
+        let e = Self::load(raw)?;
+        let (lo, hi) = (&e.rect.lo, &e.rect.hi);
         // Ordered, finite bounds; NaN fails the comparisons.
-        let finite = lo.iter().chain(&hi).all(|v| v.is_finite());
-        if !(finite && lo.iter().zip(&hi).all(|(l, h)| l <= h)) {
+        let finite = lo.iter().chain(hi).all(|v| v.is_finite());
+        if !(finite && lo.iter().zip(hi).all(|(l, h)| l <= h)) {
             return Err(CodecError::InvalidValue(
                 "node entry rectangle is reversed or not finite",
             ));
         }
-        let ptr = r.get_u64()?;
-        if level > 0 && PageId::try_from(ptr).is_err() {
+        if level > 0 && PageId::try_from(e.ptr).is_err() {
             return Err(CodecError::InvalidValue(
                 "internal entry does not hold a page id",
             ));
         }
-        Ok(Self {
-            rect: Rect3 { lo, hi },
-            ptr,
-        })
+        Ok(e)
     }
 }
 
 /// A read-only cursor over a node still in its encoded page: what the
 /// query paths walk instead of decoding into an owned [`Node`], so a
-/// node visit allocates nothing. The header is checked once, here;
-/// every entry is decoded and validated as it is yielded, exactly as
-/// [`Node::decode`] would.
+/// node visit allocates nothing. The header is checked here, on every
+/// visit. The entries are not checked again by [`NodeView::scan`]: the
+/// frame a query pins passed [`Node::well_formed`] when it entered the
+/// pool and is never written through afterwards.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
     level: u32,
@@ -179,13 +188,26 @@ impl<'a> NodeView<'a> {
         self.entries.is_empty()
     }
 
-    /// The entries in page order; a malformed one is an `Err` item.
+    /// The entries in page order, each decoded and validated; a
+    /// malformed one is an `Err` item. What [`Node::decode`] collects.
     #[inline]
     pub fn entries(&self) -> impl Iterator<Item = Result<Entry, CodecError>> + 'a {
         let level = self.level;
         self.entries
             .chunks_exact(Entry::ENCODED)
             .map(move |raw| Entry::decode(raw, level))
+    }
+
+    /// The query cursor: every entry in page order, loaded as it
+    /// stands. Nothing is validated here. Over a page that passed
+    /// [`Node::well_formed`] this yields exactly what
+    /// [`NodeView::entries`] yields; over arbitrary bytes it yields
+    /// whatever they spell, without panicking.
+    #[inline]
+    pub fn scan(&self) -> impl Iterator<Item = Entry> + 'a {
+        self.entries
+            .chunks_exact(Entry::ENCODED)
+            .filter_map(|raw| Entry::load(raw).ok())
     }
 }
 
@@ -267,6 +289,32 @@ impl Node {
             level: view.level(),
             entries,
         })
+    }
+
+    /// Whether [`Node::decode`] would accept `page`. This is the check
+    /// the tree's `PageStore` runs on every frame before it enters the
+    /// pool (DESIGN.md §6), so it is one pass with no early exit per
+    /// entry: a bound that is not finite or a reversed pair and an
+    /// internal pointer wider than a page id each clear one accumulated
+    /// flag.
+    pub fn well_formed(page: &Page) -> bool {
+        let Ok(node) = NodeView::new(page) else {
+            return false;
+        };
+        let internal = node.level > 0;
+        let mut ok = true;
+        for raw in node.entries.chunks_exact(Entry::ENCODED) {
+            let Ok(e) = Entry::load(raw) else {
+                return false;
+            };
+            // `lo <= hi` rules out NaN, and between two ordered bounds
+            // one comparison each rules out the infinities.
+            for (lo, hi) in e.rect.lo.iter().zip(&e.rect.hi) {
+                ok &= (*lo >= f64::MIN) & (lo <= hi) & (*hi <= f64::MAX);
+            }
+            ok &= !internal | (e.ptr <= u64::from(PageId::MAX));
+        }
+        ok
     }
 }
 

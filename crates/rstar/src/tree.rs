@@ -72,7 +72,7 @@ impl RStarTree {
         backend: Box<dyn PageBackend>,
     ) -> Result<Self, StorageError> {
         params.validate();
-        let mut store = PageStore::with_backend(backend, params.buffer_pages);
+        let mut store = Self::guarded(PageStore::with_backend(backend, params.buffer_pages));
         let root = store.allocate()?;
         let mut page = Page::zeroed();
         Node::new(0).encode(&mut page);
@@ -85,6 +85,15 @@ impl RStarTree {
             len: 0,
             scratch: ScratchPool::new(),
         })
+    }
+
+    /// Every way a tree takes ownership of a store goes through here:
+    /// from then on the pool holds only frames that pass
+    /// [`Node::well_formed`], which is what lets the query paths scan a
+    /// pinned frame unchecked.
+    pub(crate) fn guarded(mut store: PageStore) -> PageStore {
+        store.set_validator(Node::well_formed);
+        store
     }
 
     /// Number of data records.
@@ -164,7 +173,10 @@ impl RStarTree {
     ///
     /// # Errors
     /// A [`StorageError`] if the page store fails; the update is rolled
-    /// back and the tree (pages, root pointer, count) is unchanged.
+    /// back and the tree (pages, root pointer, count) is unchanged. A
+    /// box with a bound that is not finite fails this way too
+    /// ([`CorruptReason::Decode`]): the store refuses to write a node
+    /// the decoder would refuse to read.
     ///
     /// # Panics
     /// If the rectangle is the empty sentinel (a caller bug, rejected
@@ -247,30 +259,32 @@ impl RStarTree {
     }
 
     /// The query paths' node read: fetch `page` (I/O attributed to
-    /// `probe`) and hand `each` every entry of its node, in page order —
-    /// decoded and validated straight out of the pool's frame, so a
-    /// visit copies and allocates nothing. The node must sit at `level`,
-    /// one below the entry that led here: a damaged child pointer can
-    /// then never walk a traversal in a circle.
+    /// `probe`) and hand `each` every entry of its node, in page order,
+    /// straight out of the pool's frame — a visit copies, allocates and
+    /// validates nothing, because no frame enters the pool without
+    /// passing [`Node::well_formed`].
+    ///
+    /// Two things are still checked per visit. The header must bound
+    /// the entries within the page, and the node must sit at `level`,
+    /// one below the entry that led here: a child pointer that is a
+    /// perfectly well-formed page id can still point the wrong way, and
+    /// this is what keeps a traversal from walking in a circle.
     pub(crate) fn visit(
         &self,
         page: PageId,
         level: u32,
         probe: &mut ReadProbe,
-        mut each: impl FnMut(Entry),
+        each: impl FnMut(Entry),
     ) -> Result<(), StorageError> {
-        let corrupt = StorageError::Corrupt {
-            page,
-            reason: CorruptReason::Decode,
-        };
         let frame = self.store.read(page, probe)?;
         let node = NodeView::new(&frame)
             .ok()
             .filter(|node| node.level() == level)
-            .ok_or_else(|| corrupt.clone())?;
-        for e in node.entries() {
-            each(e.map_err(|_| corrupt.clone())?);
-        }
+            .ok_or(StorageError::Corrupt {
+                page,
+                reason: CorruptReason::Decode,
+            })?;
+        node.scan().for_each(each);
         Ok(())
     }
 
@@ -515,7 +529,8 @@ impl RStarTree {
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &'static str| Error::new(ErrorKind::InvalidData, m);
-        let (mut store, meta) = PageStore::load_from(path, 0)?;
+        let (store, meta) = PageStore::load_from(path, 0)?;
+        let mut store = Self::guarded(store);
         let mut r = sti_storage::ByteReader::new(&meta);
         match r.get_u8().map_err(|_| bad("backend tag"))? {
             b'R' => {}
@@ -1072,13 +1087,39 @@ mod tests {
         assert_eq!(t.nearest([0.5; 3], 500), Err(cycle));
     }
 
+    /// `t` over a copy of its pages with `page` replaced by `bytes`: the
+    /// damage sits at rest under a checksum that matches it (adoption
+    /// records what it finds), below a pool that never saw it.
+    fn adopted_with(t: &RStarTree, page: PageId, bytes: &Page) -> RStarTree {
+        let mut pages = MemBackend::new();
+        for id in 0..PageId::try_from(t.num_pages()).unwrap() {
+            let at_rest = t.store.peek(id).unwrap();
+            let content = if id == page { bytes } else { &at_rest };
+            let copy = pages.allocate().unwrap();
+            pages.write(copy, &content.bytes()[..]).unwrap();
+        }
+        let store = PageStore::with_backend(Box::new(pages), t.params.buffer_pages);
+        RStarTree {
+            store: RStarTree::guarded(store),
+            params: t.params,
+            root: t.root,
+            root_level: t.root_level,
+            len: t.len,
+            scratch: ScratchPool::new(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Damage a node page *and refresh its checksum* (a store write
-        /// does), so the decoder — not xxh64 — is what stands between
-        /// the bytes and every query path: each one answers or fails
-        /// typed, and none panics or walks in circles.
+        /// Damage a node page under a checksum that matches the damage,
+        /// so the node check — not xxh64 — is what stands between the
+        /// bytes and every query path, and push it at the tree by both
+        /// roads into the pool: through a store write, and at rest
+        /// below the pool. A malformed page is refused by the write and
+        /// fails typed at every fetch, never resident; a well-formed but
+        /// wrong one answers or fails typed; nothing panics or walks in
+        /// circles.
         #[test]
         fn damaged_node_bytes_fail_typed(
             seed in 0u64..4,
@@ -1104,19 +1145,40 @@ mod tests {
             ][kind];
             let mut bytes = t.store.peek(page).unwrap();
             bytes.bytes_mut()[at..at + 8].copy_from_slice(&patch);
-            t.store.write(page, &bytes.bytes()[..]).unwrap();
+            let malformed = !Node::well_formed(&bytes);
+            let refused = StorageError::Corrupt { page, reason: CorruptReason::Decode };
 
-            let typed = |outcome: Option<StorageError>| {
-                let decoder_caught_it = matches!(
-                    outcome,
-                    None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
-                        | Some(StorageError::Unallocated { .. })
-                );
-                prop_assert!(decoder_caught_it, "{outcome:?}");
-            };
+            let below = adopted_with(&t, page, &bytes);
+            let written = t.store.write(page, &bytes.bytes()[..]);
+            prop_assert_eq!(written, if malformed { Err(refused.clone()) } else { Ok(()) });
+
             let everything = Rect3::new([0.0; 3], [1.0; 3]);
-            typed(t.query(&everything, &mut Vec::new()).err());
-            typed(t.nearest([0.5; 3], 5).err());
+            for tree in [&t, &below] {
+                let typed = |outcome: Option<StorageError>| {
+                    let decoder_caught_it = matches!(
+                        outcome,
+                        None | Some(StorageError::Corrupt { reason: CorruptReason::Decode, .. })
+                            | Some(StorageError::Unallocated { .. })
+                    );
+                    prop_assert!(decoder_caught_it, "{outcome:?}");
+                };
+                typed(tree.query(&everything, &mut Vec::new()).err());
+                typed(tree.nearest([0.5; 3], 5).err());
+            }
+            if malformed {
+                // The refused write changed nothing; the copy damaged at
+                // rest fails at the page, at every touch, because the
+                // page never becomes resident.
+                let mut all = Vec::new();
+                t.query(&everything, &mut all).unwrap();
+                prop_assert_eq!(all.len(), 120);
+                let mut probe = ReadProbe::new();
+                for _ in 0..2 {
+                    prop_assert_eq!(below.store.read(page, &mut probe), Err(refused.clone()));
+                    prop_assert!(!below.store.buffer().resident(page));
+                }
+                prop_assert_eq!((probe.disk_reads, probe.buffer_hits), (0, 0));
+            }
         }
     }
 }

@@ -288,7 +288,11 @@ impl ShardedBuffer {
     /// while this one was fetching — and the return value says which. A
     /// write-through install (`fetched == false`) is a caching side
     /// effect and moves no counter (see `PageStore::write`).
-    pub fn install(&self, page: PageId, frame: Page, fetched: bool) -> bool {
+    ///
+    /// Crate-private: `PageStore` checks a frame against its owner's
+    /// validator before it calls this, and nothing else may put bytes
+    /// in a store's pool.
+    pub(crate) fn install(&self, page: PageId, frame: Page, fetched: bool) -> bool {
         let mut shard = self.shard(page);
         let hit = shard.install(page, frame);
         if fetched && hit {

@@ -53,5 +53,5 @@ pub use page::{Page, PageId, PAGE_SIZE};
 pub use persist::{OpenError, Region, SaveCrash};
 pub use retry::{RetryClock, RetryPolicy, SimClock};
 pub use shard::{ReadProbe, ScratchPool};
-pub use store::{FaultStats, IoStats, PageStore};
+pub use store::{FaultStats, IoStats, PageStore, PageValidator};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalConfig, WalError, WalOpen, WalRecord, WalStats};

@@ -10,6 +10,13 @@
 //! holds it for one positional read and its verification), hit/miss
 //! accounting and the page frames live in the sharded buffer pool, and
 //! failure counters are atomics.
+//!
+//! Pool invariant: a store whose owner gave it a [`PageValidator`]
+//! never holds a frame that validator rejects. There are exactly two
+//! places a frame enters the pool — the fetch install in
+//! [`PageStore::read`] and the write-through install in
+//! [`PageStore::write`] — and both run the validator first, so whoever
+//! pins a frame may read it without checking it again.
 
 use crate::backend::{MemBackend, PageBackend};
 use crate::buffer::ShardedBuffer;
@@ -59,6 +66,10 @@ pub struct FaultStats {
     /// intended payload).
     pub checksum_failures: u64,
 }
+
+/// What the owner of a store accepts as a page of its own: a tree's
+/// "this decodes as one of my nodes". See [`PageStore::set_validator`].
+pub type PageValidator = fn(&Page) -> bool;
 
 /// One recorded undo step; rollback applies them in reverse.
 #[derive(Debug, Clone)]
@@ -139,6 +150,18 @@ fn verify(page: PageId, bytes: &[u8; PAGE_SIZE], expected: u64) -> Result<(), St
             page,
             reason: CorruptReason::Checksum,
         })
+    }
+}
+
+/// Whether `frame` may become resident as page `id` of a store guarded
+/// by `validator`.
+fn admit(validator: Option<PageValidator>, id: PageId, frame: &Page) -> Result<(), StorageError> {
+    match validator {
+        Some(well_formed) if !well_formed(frame) => Err(StorageError::Corrupt {
+            page: id,
+            reason: CorruptReason::Decode,
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -249,6 +272,9 @@ pub struct PageStore {
     /// save needs no exclusive access: a published, shared store can be
     /// checkpointed in place.
     epoch: AtomicU64,
+    /// What every frame must pass before it becomes resident; `None`
+    /// for a bare store, whose pages are opaque bytes.
+    validator: Option<PageValidator>,
 }
 
 impl Clone for PageStore {
@@ -272,6 +298,7 @@ impl Clone for PageStore {
             txn: self.txn.clone(),
             txn_depth: self.txn_depth,
             epoch: snapshot(&self.epoch),
+            validator: self.validator,
         }
     }
 }
@@ -316,6 +343,22 @@ impl PageStore {
             txn: None,
             txn_depth: 0,
             epoch: AtomicU64::new(0),
+            validator: None,
+        }
+    }
+
+    /// Make `well_formed` the condition of residency: from here on a
+    /// page it rejects is never installed in the pool. A fetch of such a
+    /// page fails with [`CorruptReason::Decode`] and a write of one is
+    /// refused (see [`PageStore::read`] and [`PageStore::write`]).
+    ///
+    /// Not a tuning knob: a store has one owner, and each tree passes
+    /// its own node check when it takes ownership, before it reads or
+    /// writes a page through the store. Frames resident from before the
+    /// store had a validator are dropped, since nothing checked them.
+    pub fn set_validator(&mut self, well_formed: PageValidator) {
+        if self.validator.replace(well_formed).is_none() {
+            self.buffer.clear();
         }
     }
 
@@ -458,7 +501,11 @@ impl PageStore {
     /// *before* the frame becomes visible to anyone. Verification
     /// failures are retried (a re-fetch repairs corruption that happened
     /// in transfer) within the retry budget, then surface as
-    /// [`StorageError::Corrupt`]; a failed fetch leaves no frame behind.
+    /// [`StorageError::Corrupt`]. Bytes that checksum clean but fail the
+    /// owner's validator ([`PageStore::set_validator`]) are what was
+    /// written, so re-fetching cannot help: they fail at once with
+    /// [`CorruptReason::Decode`]. Either way a failed fetch leaves no
+    /// frame behind and moves no counter.
     ///
     /// Shared: concurrent readers are safe, and none of them ever takes
     /// a store-wide exclusive lock — a hit takes its shard's mutex for
@@ -492,6 +539,7 @@ impl PageStore {
                 .saturating_sub(injected_before);
             fetched
         })?;
+        admit(self.validator, id, &frame)?;
         // The shard counts the access; mirror whatever it counted so
         // the probe can never disagree with the global sum.
         if self.buffer.install(id, frame.clone(), true) {
@@ -521,6 +569,17 @@ impl PageStore {
     /// corruption — and on final failure the page's prior content is
     /// restored and its frame dropped, so a failed write never leaves a
     /// torn page behind.
+    ///
+    /// A payload the owner's validator rejects
+    /// ([`PageStore::set_validator`]) is refused before anything is
+    /// touched — [`CorruptReason::Decode`], with no byte written, no
+    /// undo step logged and no counter moved — so nothing this store
+    /// wrote can fail its own fetch install later, and the tree update
+    /// that produced the page rolls back like any other failed write.
+    /// Bytes that reach a slot by another road (pages adopted from a
+    /// backend or loaded from an image, pre-images a rollback restores,
+    /// damage at rest) are never installed by that road: they meet the
+    /// validator at their first fetch.
     pub fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
         let Self {
             core,
@@ -528,6 +587,7 @@ impl PageStore {
             writes,
             retry,
             txn,
+            validator,
             ..
         } = self;
         let core = core_mut(core);
@@ -535,6 +595,9 @@ impl PageStore {
         if payload.len() > PAGE_SIZE {
             return Err(StorageError::PayloadTooLarge { len: payload.len() });
         }
+        let mut frame = buffer.blank(id);
+        frame.fill_from(payload);
+        admit(*validator, id, &frame)?;
         // Pre-image for this write's own rollback, and for the enclosing
         // transaction's (captured once per page per transaction): the
         // frame the page has, or its bytes at rest.
@@ -551,8 +614,6 @@ impl PageStore {
                 });
             }
         }
-        let mut frame = buffer.blank(id);
-        frame.fill_from(payload);
         let new_sum = xxh64(frame.bytes());
 
         match retry.run(&mut ReadProbe::new(), |_| core.store(id, payload, new_sum)) {
@@ -1294,6 +1355,141 @@ mod tests {
         assert_eq!(s.num_pages(), 1);
         assert_eq!(&read(&s, id).unwrap().bytes()[..4], &[4; 4]);
         assert_eq!(s.fault_stats().checksum_failures, 0);
+    }
+
+    // --- the pool invariant ------------------------------------------
+
+    /// A toy owner: a page is one of its own unless it starts with 0xFF.
+    fn starts_sane(page: &Page) -> bool {
+        page.bytes()[0] != 0xFF
+    }
+
+    const BAD: PageId = 3;
+
+    /// Eight pages holding their own id, or `0xFF` at [`BAD`].
+    fn pages_with(bad: bool) -> Box<MemBackend> {
+        let mut m = MemBackend::new();
+        for i in 0..8u8 {
+            let id = m.allocate().unwrap();
+            let first = if bad && id == BAD { 0xFF } else { i };
+            m.write(id, &[first; 16]).unwrap();
+        }
+        Box::new(m)
+    }
+
+    fn guarded(backend: Box<dyn PageBackend>, capacity: usize) -> PageStore {
+        let mut s = PageStore::with_backend(backend, capacity);
+        s.set_validator(starts_sane);
+        s
+    }
+
+    /// No resident frame fails the validator, and a fetch of [`BAD`]
+    /// is refused at every touch without a count or a frame.
+    fn assert_refused_and_pool_clean(s: &PageStore, route: &str) {
+        let before = s.stats();
+        for _ in 0..2 {
+            let mut probe = ReadProbe::new();
+            assert_eq!(
+                s.read(BAD, &mut probe),
+                Err(StorageError::Corrupt {
+                    page: BAD,
+                    reason: CorruptReason::Decode
+                }),
+                "{route}"
+            );
+            assert_eq!(
+                probe,
+                ReadProbe::new(),
+                "{route}: a refused fetch counts nothing"
+            );
+        }
+        assert_eq!(s.stats(), before, "{route}");
+        for id in 0..8 {
+            assert!(
+                s.buffer.peek(id).is_none_or(|f| starts_sane(&f)),
+                "{route}: page {id}"
+            );
+        }
+    }
+
+    /// Every road by which bytes reach a slot, against a validator: the
+    /// two installs check, and no other road installs.
+    #[test]
+    fn no_route_into_the_pool_skips_the_validator() {
+        for capacity in [0, 1, 64] {
+            let at = |route: &str| format!("{route}, capacity {capacity}");
+
+            // A write the validator rejects: refused whole, and a pin
+            // taken before it still reads what it pinned.
+            let mut s = guarded(pages_with(false), capacity);
+            let pinned = read(&s, BAD).unwrap();
+            let before = (s.stats(), s.peek(BAD).unwrap());
+            s.begin_txn();
+            assert_eq!(
+                s.write(BAD, &[0xFF; 16]),
+                Err(StorageError::Corrupt {
+                    page: BAD,
+                    reason: CorruptReason::Decode
+                })
+            );
+            assert!(
+                s.txn.as_ref().is_some_and(|t| t.ops.is_empty()),
+                "{}",
+                at("write: nothing to undo")
+            );
+            s.commit_txn();
+            assert_eq!((s.stats(), s.peek(BAD).unwrap()), before, "{}", at("write"));
+            assert_eq!(read(&s, BAD).unwrap(), pinned, "{}", at("write"));
+
+            // Damage at rest under a store that wrote the page itself:
+            // the checksum is the guard, and a warm pool never looks.
+            let mut s = guarded(pages_with(false), capacity);
+            let pinned = read(&s, BAD).unwrap();
+            s.backend_mut().write(BAD, &[0xFF; 16]).unwrap();
+            match read(&s, BAD) {
+                Ok(frame) => assert!(capacity > 0 && frame == pinned, "{}", at("at rest")),
+                Err(e) => assert_eq!(
+                    e,
+                    StorageError::Corrupt {
+                        page: BAD,
+                        reason: CorruptReason::Checksum
+                    }
+                ),
+            }
+            assert_eq!(pinned.bytes()[0], 3, "{}", at("at rest: the pin"));
+
+            // Adopted from a backend: the recorded checksum matches the
+            // malformed bytes, so only the fetch install stands guard.
+            let mut s = guarded(pages_with(true), capacity);
+            assert_refused_and_pool_clean(&s, &at("adopted"));
+
+            // A rolled-back transaction puts the malformed pre-image
+            // back at rest, and no frame with it.
+            s.begin_txn();
+            s.write(BAD, &[7; 16]).unwrap();
+            let overwritten = read(&s, BAD).unwrap();
+            s.rollback_txn();
+            assert_refused_and_pool_clean(&s, &at("rolled back"));
+            assert_eq!(overwritten.bytes()[0], 7, "{}", at("rolled back: the pin"));
+
+            // Loaded from a saved image, which carries the page and a
+            // checksum that matches it.
+            let path = std::env::temp_dir().join(format!(
+                "sti-pool-invariant-{}-{capacity}.idx",
+                std::process::id()
+            ));
+            PageStore::with_backend(pages_with(true), capacity)
+                .save_to(&path, b"meta")
+                .unwrap();
+            let (mut s, _) = PageStore::load_from(&path, capacity).unwrap();
+            std::fs::remove_file(&path).ok();
+            // Unguarded, the page is opaque bytes and becomes resident…
+            assert_eq!(read(&s, BAD).unwrap().bytes()[0], 0xFF);
+            // …until the owner arrives: unchecked frames are dropped.
+            s.set_validator(starts_sane);
+            assert_refused_and_pool_clean(&s, &at("loaded"));
+            assert_eq!(read(&s, 5).unwrap().bytes()[0], 5, "{}", at("loaded"));
+        }
     }
 
     /// What the pool should hold, with no bytes: one residency-only
