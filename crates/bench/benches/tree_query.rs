@@ -6,15 +6,19 @@
 //! the two halves a PPR-Tree node visit is split into — the check a
 //! frame passes once, when it enters the pool, and the scan every hit
 //! runs over it — next to the owned decode the mutation paths keep and
-//! the validating cursor the query paths used to walk.
+//! the validating cursor the query paths used to walk; and `bulk_pack`,
+//! what it costs to get the tree those queries run on at the scale tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sti_bench::{build_index, random_dataset, split_records};
-use sti_core::{DistributionAlgorithm, IndexBackend, SingleSplitAlgorithm, SplitBudget};
-use sti_datagen::QuerySetSpec;
+use sti_bench::{build_index, object_record, random_dataset, split_records};
+use sti_core::{
+    DistributionAlgorithm, IndexBackend, IndexConfig, ObjectRecord, SingleSplitAlgorithm,
+    SpatioTemporalIndex, SplitBudget,
+};
+use sti_datagen::{QuerySetSpec, RandomDatasetSpec};
 use sti_geom::{Rect2, TimeInterval};
 use sti_pprtree::{NodeView, PprEntry, PprNode};
-use sti_storage::Page;
+use sti_storage::{Page, PageStore};
 
 fn bench_queries(c: &mut Criterion) {
     let objects = random_dataset(1000);
@@ -146,5 +150,36 @@ fn bench_node_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queries, bench_node_scan);
+/// One iteration bulk-loads 100 k big-spec pieces into a memory-backed
+/// store: external sort (two spooled runs and their merge), leaf pass,
+/// directory pass. Pieces per second is 100 000 over the printed time.
+fn bench_bulk_pack(c: &mut Criterion) {
+    const PIECES: usize = 100_000;
+    let records: Vec<ObjectRecord> = RandomDatasetSpec::big(PIECES)
+        .iter()
+        .map(|o| object_record(&o))
+        .collect();
+    let config = IndexConfig::paper(IndexBackend::PprTree);
+    let spool = std::env::temp_dir().join(format!("sti-bench-bulk-pack-{}", std::process::id()));
+
+    let mut group = c.benchmark_group("bulk_pack");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("big_spec", PIECES), |b| {
+        b.iter(|| {
+            let store = PageStore::new(config.ppr.buffer_pages);
+            let (_, stats) = SpatioTemporalIndex::bulk_build_ppr(
+                records.iter().copied(),
+                &config,
+                store,
+                &spool,
+            )
+            .expect("bulk build");
+            stats.pages_written
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+criterion_group!(benches, bench_queries, bench_node_scan, bench_bulk_pack);
 criterion_main!(benches);

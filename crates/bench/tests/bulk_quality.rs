@@ -1,0 +1,73 @@
+//! Packing quality of the bulk loader, against the incremental tree.
+//!
+//! The equivalence suites (`sti-pprtree`'s `bulk_load`) prove a
+//! bulk-loaded tree answers like an incrementally built one; nothing
+//! there says what the answer *costs*. This test builds the same unsplit
+//! records both ways and bounds the bulk tree by the incremental one —
+//! the structure the paper's space and query arguments are about — on
+//! pages and on disk reads per query, measured the paper's way (buffer
+//! reset before every query).
+
+use sti_bench::{avg_query_io, build_index, object_record};
+use sti_core::{IndexBackend, IndexConfig, ObjectRecord, SpatioTemporalIndex};
+use sti_datagen::{QuerySetSpec, RandomDatasetSpec};
+use sti_storage::PageStore;
+
+/// Pages may exceed the incremental tree's by this factor.
+const PAGES_BOUND: f64 = 1.5;
+/// Average reads per query may exceed the incremental tree's by this.
+const READS_BOUND: f64 = 2.0;
+
+fn bulk_index(records: &[ObjectRecord], tag: &str) -> SpatioTemporalIndex {
+    let dir = std::env::temp_dir().join(format!("sti-quality-{tag}-{}", std::process::id()));
+    let config = IndexConfig::paper(IndexBackend::PprTree);
+    let store = PageStore::new(config.ppr.buffer_pages);
+    let (index, _) =
+        SpatioTemporalIndex::bulk_build_ppr(records.iter().copied(), &config, store, &dir)
+            .expect("bulk build");
+    let _ = std::fs::remove_dir_all(&dir);
+    index
+}
+
+#[test]
+fn bulk_tree_is_bounded_by_the_incremental_tree() {
+    let query_sets = [
+        ("snapshot", QuerySetSpec::mixed_snapshot()),
+        ("interval", QuerySetSpec::small_range()),
+    ];
+    println!(
+        "{:<8} {:<10} {:>8} {:>10} {:>7}",
+        "dataset", "measure", "incr", "bulk", "ratio"
+    );
+    let mut failures = Vec::new();
+    for (name, spec) in [
+        ("paper", RandomDatasetSpec::paper(20_000)),
+        ("big", RandomDatasetSpec::big(20_000)),
+    ] {
+        let records: Vec<ObjectRecord> = spec.iter().map(|o| object_record(&o)).collect();
+        let mut incr = build_index(&records, IndexBackend::PprTree);
+        let mut bulk = bulk_index(&records, name);
+        let mut row = |measure: &str, incr: f64, bulk: f64, bound: f64| {
+            let ratio = bulk / incr;
+            println!("{name:<8} {measure:<10} {incr:>8.1} {bulk:>10.1} {ratio:>6.2}x");
+            if ratio > bound {
+                failures.push(format!("{name} {measure}: {ratio:.2}x > {bound}x"));
+            }
+        };
+        row(
+            "pages",
+            incr.num_pages() as f64,
+            bulk.num_pages() as f64,
+            PAGES_BOUND,
+        );
+        for (set, spec) in &query_sets {
+            let mut spec = spec.clone();
+            spec.cardinality = 300;
+            let queries = spec.generate();
+            let incr_reads = avg_query_io(&mut incr, &queries);
+            let bulk_reads = avg_query_io(&mut bulk, &queries);
+            row(set, incr_reads, bulk_reads, READS_BOUND);
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}

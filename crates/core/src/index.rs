@@ -156,11 +156,12 @@ impl SpatioTemporalIndex {
     /// Bulk-load a PPR-Tree bottom-up from a record stream, writing
     /// packed pages straight into `store` (pass a
     /// [`sti_storage::FileBackend`]-backed store for an out-of-core
-    /// build). Peak memory is one external-sort chunk plus the pending
-    /// directory edges — the record stream itself is spooled to sorted
-    /// runs under `spool_dir`, so million-record datasets never reside
-    /// in memory at once. The resulting index passes the same
-    /// full-history sanitizer as an incrementally built one.
+    /// build). Peak memory is one external-sort chunk, one packing
+    /// region and the pending directory edges — the record stream
+    /// itself is spooled to sorted runs under `spool_dir`, so
+    /// million-record datasets never reside in memory at once. The
+    /// resulting index passes the same full-history sanitizer as an
+    /// incrementally built one.
     ///
     /// # Errors
     /// Any [`BulkError`] from the loader (invalid piece, spool I/O, or
@@ -171,7 +172,7 @@ impl SpatioTemporalIndex {
         store: PageStore,
         spool_dir: &std::path::Path,
     ) -> Result<(Self, BulkStats), BulkError> {
-        let mut loader = BulkLoader::new(config.ppr, config.time_extent, spool_dir);
+        let mut loader = BulkLoader::new(config.ppr, spool_dir);
         let mut count = 0usize;
         for r in records {
             loader.push(BulkPiece {

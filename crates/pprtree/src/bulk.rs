@@ -8,23 +8,22 @@
 //! [`crate`]'s sibling `rstar::bulk` while respecting the partially
 //! persistent invariants that plain R-Tree packers ignore:
 //!
-//! 1. **Order**: closed pieces are sorted by the Hilbert value of
-//!    (MBR center, lifetime midpoint) — `hilbert3` over (x, y, t) — so
-//!    that spatially and temporally close pieces land in the same leaf.
-//!    The sort is external: pieces are spooled to sorted run files once a
-//!    chunk limit is reached and k-way merged back, so the dataset is
-//!    never resident in memory at once.
-//! 2. **Grouping**: consecutive sorted pieces are grouped under a
-//!    *concurrency cap* (`A_max = B/2`): the maximum number of group
-//!    members alive at any instant stays below node capacity, which
-//!    guarantees every packed node records fresh pieces (survivor
-//!    re-posting cannot fill a node by itself). A piece that would
-//!    breach the cap is *deferred* to seed the next group rather than
-//!    cutting the current group short — cut-on-rejection makes groups a
-//!    few instants wide, and such narrow groups never climb past the
-//!    weak minimum `D` before their next death, cascading into
-//!    near-empty pages.
-//! 3. **Replay**: each group's births and deaths are replayed in time
+//! 1. **Order**: pieces are sorted by the Hilbert value of their MBR
+//!    center — space only. The sort is external: pieces are spooled to
+//!    sorted run files once a chunk limit is reached and k-way merged
+//!    back, so the dataset is never resident in memory at once.
+//! 2. **Regions**: the ordered stream is cut into spatial *regions*
+//!    that each span the whole timeline, the way an incremental node
+//!    claims a patch of space and persists across the evolution. A
+//!    region closes once its lifetime mass sustains a standing
+//!    population of about `A_max = B/2` members, under a hard
+//!    per-instant ceiling of `B − D − 1`: a piece landing on a saturated
+//!    instant spills into the next region, so survivor re-posting can
+//!    never fill a node by itself. Cutting space *and* time into cells
+//!    instead makes every cell ramp a window chain up from empty and
+//!    back down to a carried remnant, and the ramps are half-empty
+//!    pages.
+//! 3. **Replay**: each region's births and deaths are replayed in time
 //!    order through a chain of *windows* (physical nodes). A window
 //!    closes exactly where the incremental tree would version-split:
 //!    when a kill batch leaves fewer than `D` alive entries (the kills
@@ -34,16 +33,13 @@
 //!    — precisely what an incremental version split leaves behind — and
 //!    are re-posted into the next window with `insertion = close`, so
 //!    the window population persists across closes and recovers from
-//!    transient dips below `D`; only a group's terminal decline carries
-//!    its stragglers out to the next group.
+//!    transient dips below `D`; only a region's terminal decline carries
+//!    its stragglers out to the next region.
 //! 4. **Recursion**: each closed window emits a directory edge
-//!    (`full_mbr`, `[start, close)`, page). Directory levels regroup
-//!    edges by *space only* — Hilbert order of the edge centers, cut
-//!    into regions that each span the whole timeline with a standing
-//!    population of about `A_max` children, mirroring how incremental
-//!    directory nodes partition space and persist — and pack level by
-//!    level until the edges fit a root chain, whose window intervals
-//!    become the [`RootSpan`] log.
+//!    (`full_mbr`, `[start, close)`, page). The edges of a level are
+//!    ordered and cut by the same rule and replayed one level up, until
+//!    they fit a root chain, whose window intervals become the
+//!    [`RootSpan`] log.
 //!
 //! The result passes the same [`crate::check::validate`] as an
 //! incrementally built tree, and the build is deterministic: the same
@@ -57,21 +53,16 @@ use std::collections::BinaryHeap;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
-use sti_geom::{hilbert2, hilbert3, Rect2, Time, TimeInterval};
+use sti_geom::{hilbert2, Rect2, Time, TimeInterval};
 use sti_storage::{Page, PageId, PageStore, StorageError};
 
-/// Upper bound on pieces per packing group. Groups are replayed in
-/// memory; this caps the replay working set independently of the
-/// concurrency cap. Larger groups span more of the timeline, so the
-/// low-occupancy ramp at each group boundary amortizes over more full
-/// capacity-closed pages.
-const GROUP_MAX: usize = 512;
-
-/// Upper bound on pieces deferred past the current group (they seed the
-/// next one). When the backlog hits this, the group is flushed even if
-/// it has room — the deferred pieces all landed on concurrency peaks,
-/// so the group has saturated its cap.
-const DEFER_MAX: usize = 128;
+/// Upper bound on pieces buffered for one region (members plus
+/// spill). A region needs about `A_max · span / mean lifetime` pieces to
+/// reach its target mass — independent of the dataset size but
+/// unbounded in the span — and regions are replayed in memory, so a
+/// sparse timeline is cut here instead. Where a region ends only
+/// affects packing density, never correctness.
+const REGION_MAX: usize = 1 << 15;
 
 /// Default in-memory chunk size (records) before a sorted run is
 /// spooled to disk. 64Ki × 56 B ≈ 3.5 MiB per chunk.
@@ -103,23 +94,12 @@ impl BulkPiece {
             end: self.deletion,
         }
     }
-
-    fn contains_time(&self, t: Time) -> bool {
-        self.insertion <= t && t < self.deletion
-    }
 }
 
-/// The packing order: Hilbert value of (MBR center, lifetime midpoint
-/// scaled by the evolution length). Still-alive pieces use their
-/// insertion time as the midpoint.
-fn hilbert_key(piece: &BulkPiece, max_time: Time) -> u64 {
+/// The packing order at every level: Hilbert value of the MBR center.
+fn space_key(piece: &BulkPiece) -> u64 {
     let c = piece.rect.center();
-    let mid = if piece.deletion == TimeInterval::OPEN_END {
-        piece.insertion
-    } else {
-        piece.insertion / 2 + piece.deletion / 2
-    };
-    hilbert3(c.x, c.y, f64::from(mid) / f64::from(max_time))
+    hilbert2(c.x, c.y)
 }
 
 /// Why a bulk load failed.
@@ -136,7 +116,7 @@ pub enum BulkError {
     },
     /// The root chain could not make progress: more pieces were alive at
     /// one instant than fit a root node. Unreachable through the capped
-    /// group formation; kept as a typed error so replay stays total.
+    /// region formation; kept as a typed error so replay stays total.
     RootOverflow {
         /// Alive entries that had to be carried.
         alive: usize,
@@ -188,8 +168,9 @@ pub struct BulkStats {
     pub entries_recorded: u64,
     /// `entries_recorded / (pages_written · B)` — page utilization.
     pub fill_factor: f64,
-    /// Peak node-sized working set held in memory during the build
-    /// (pending directory edges + the active group).
+    /// Peak number of pieces and edges held in memory during the build:
+    /// the open region, its spill and carry, and the pending directory
+    /// edges.
     pub peak_resident_pages: u64,
     /// Sorted runs spooled to disk (0 when the input fit one chunk).
     pub spilled_runs: u64,
@@ -207,14 +188,13 @@ struct SortRecord {
 
 type SortKey = (u64, u64, Time, Time);
 
+fn order_key(key: u64, piece: &BulkPiece) -> SortKey {
+    (key, piece.ptr, piece.insertion, piece.deletion)
+}
+
 impl SortRecord {
     fn order_key(&self) -> SortKey {
-        (
-            self.key,
-            self.piece.ptr,
-            self.piece.insertion,
-            self.piece.deletion,
-        )
+        order_key(self.key, &self.piece)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -258,41 +238,38 @@ impl SortRecord {
 
 /// Streaming bulk loader: [`BulkLoader::push`] pieces in any order,
 /// then [`BulkLoader::finish`] into a page store. Peak memory is one
-/// sort chunk plus the pending directory edges — the dataset itself is
-/// spooled to `spool_dir` in sorted runs.
+/// sort chunk, one region and the pending directory edges — the dataset
+/// itself is spooled to `spool_dir` in sorted runs.
 #[derive(Debug)]
 pub struct BulkLoader {
     params: PprParams,
-    max_time: Time,
     spool_dir: PathBuf,
     chunk_cap: usize,
     chunk: Vec<SortRecord>,
     runs: Vec<PathBuf>,
     pieces: u64,
     alive: u64,
+    min_seen: Time,
     max_seen: Time,
 }
 
 impl BulkLoader {
-    /// Start a bulk load. `max_time` is the (approximate) largest
-    /// timestamp in the input, used only to normalize lifetime midpoints
-    /// into the Hilbert cube — an under-estimate degrades packing
-    /// locality, never correctness. Spool files are created under
-    /// `spool_dir` (created if missing) and removed by `finish`.
+    /// Start a bulk load. Spool files are created under `spool_dir`
+    /// (created if missing) and removed by `finish`.
     ///
     /// # Panics
     /// If `params` fail their own [`PprParams::validate`].
-    pub fn new(params: PprParams, max_time: Time, spool_dir: impl Into<PathBuf>) -> Self {
+    pub fn new(params: PprParams, spool_dir: impl Into<PathBuf>) -> Self {
         params.validate();
         Self {
             params,
-            max_time: max_time.max(1),
             spool_dir: spool_dir.into(),
             chunk_cap: DEFAULT_CHUNK,
             chunk: Vec::new(),
             runs: Vec::new(),
             pieces: 0,
             alive: 0,
+            min_seen: Time::MAX,
             max_seen: 0,
         }
     }
@@ -316,8 +293,9 @@ impl BulkLoader {
         if piece.insertion >= piece.deletion || !finite || r.lo.x > r.hi.x || r.lo.y > r.hi.y {
             return Err(BulkError::InvalidPiece { ptr: piece.ptr });
         }
-        let key = hilbert_key(&piece, self.max_time);
+        let key = space_key(&piece);
         self.pieces += 1;
+        self.min_seen = self.min_seen.min(piece.insertion);
         if piece.deletion == TimeInterval::OPEN_END {
             self.alive += 1;
             self.max_seen = self.max_seen.max(piece.insertion);
@@ -379,95 +357,38 @@ impl BulkLoader {
         let mut store = store;
         store.set_validator(PprNode::well_formed);
         let fanout = self.params.max_entries;
-        let a_max = (fanout / 2).max(1);
         let weak_min = self.params.weak_min();
-
-        // Leaf pass: group the sorted stream, replay each group. Sub-`D`
-        // survivors of a weak close are carried into the next group
-        // (see `close_window`); cap-breaching pieces are deferred into
-        // it (see `LevelPacker`).
-        let mut edges: Vec<BulkPiece> = Vec::new();
-        let mut packer = LevelPacker::new(0, weak_min, fanout, a_max);
-        while let Some(piece) = stream.next()? {
-            packer.push(piece, &mut store, &mut edges, &mut stats)?;
-            let resident = (edges.len() + packer.resident()) as u64;
-            stats.peak_resident_pages = stats.peak_resident_pages.max(resident);
-        }
-        packer.drain(&mut store, &mut edges, &mut stats)?;
-        stats.leaf_pages = stats.pages_written;
-
-        // Pack directory levels until the edges fit a root chain.
-        // Directory edges are short-lived (every window closes within a
-        // few instants), so unlike the leaf level there is no
-        // space-and-time cell dense enough to keep `D` children alive at
-        // once. The incremental tree solves this by making directory
-        // nodes partition *space only* and persist across the whole
-        // evolution; the packer mirrors that: edges are ordered by the
-        // Hilbert value of their center alone and cut into regions whose
-        // total lifetime mass sustains a standing population of about
-        // `A_max` children, each region replayed as one timeline-spanning
-        // group. A level whose edges are too sparse for even one region
-        // to stay above the weak minimum (average concurrency below `D`)
-        // is left to the root chain, which is exempt from the weak
-        // condition — exactly how the incremental tree absorbs a
-        // near-sequential history, as root log spans.
         let horizon = self.max_seen.max(1);
-        let cc_cap = fanout.saturating_sub(weak_min + 1).max(1);
-        let mut node_level = 1u32;
-        let mut edge_level = 0u32;
-        while edges.len() > fanout {
-            if average_concurrency(&edges, horizon) < weak_min as f64 {
-                break;
-            }
+        let shape = LevelShape {
+            fanout,
+            weak_min,
+            lo: self.min_seen,
+            horizon,
+        };
+
+        // Level 0 reads the merged sort; every level above reads the
+        // edges of the one below, ordered by the same key. A level whose
+        // edges are too sparse for even one region to stay above the
+        // weak minimum (average concurrency below `D`) is left to the
+        // root chain, which is exempt from the weak condition — exactly
+        // how the incremental tree absorbs a near-sequential history, as
+        // root log spans.
+        let mut level = 0u32;
+        let mut edges = pack_level(|| stream.next(), level, &shape, &mut store, &mut stats)?;
+        stats.leaf_pages = stats.pages_written;
+        while edges.len() > fanout && average_concurrency(&edges, horizon) >= weak_min as f64 {
             let before = edges.len();
-            let regions = chunk_by_region(std::mem::take(&mut edges), horizon, a_max, cc_cap);
-            let mut next: Vec<BulkPiece> = Vec::new();
-            let mut carry: Vec<BulkPiece> = Vec::new();
-            for mut region in regions {
-                // Stragglers carried out of the previous region's
-                // terminal decline join the (spatially adjacent) next
-                // region; replay orders by time internally.
-                region.append(&mut carry);
-                replay_level(
-                    &region,
-                    node_level,
-                    weak_min,
-                    fanout,
-                    &mut ReplaySinks {
-                        store: &mut store,
-                        stats: &mut stats,
-                        carry: &mut carry,
-                    },
-                    &mut next,
-                )?;
-            }
-            // A trailing carry replays alone; each round records at
-            // least one death, so it strictly shrinks.
-            while !carry.is_empty() {
-                let region = std::mem::take(&mut carry);
-                replay_level(
-                    &region,
-                    node_level,
-                    weak_min,
-                    fanout,
-                    &mut ReplaySinks {
-                        store: &mut store,
-                        stats: &mut stats,
-                        carry: &mut carry,
-                    },
-                    &mut next,
-                )?;
-            }
-            stats.peak_resident_pages = stats.peak_resident_pages.max(next.len() as u64);
-            edges = next;
-            edge_level = node_level;
-            node_level += 1;
+            stats.peak_resident_pages = stats.peak_resident_pages.max(before as u64);
+            edges.sort_by_cached_key(|p| order_key(space_key(p), p));
+            let mut ordered = edges.into_iter();
+            level += 1;
+            edges = pack_level(|| Ok(ordered.next()), level, &shape, &mut store, &mut stats)?;
             if edges.len() >= before {
                 break;
             }
         }
 
-        let roots = pack_roots(&edges, edge_level, fanout, &mut store, &mut stats)?;
+        let roots = pack_roots(&edges, level, fanout, &mut store, &mut stats)?;
         stats.levels = roots.iter().map(|s| s.level).max().unwrap_or(0);
         stats.fill_factor = if stats.pages_written == 0 {
             0.0
@@ -523,16 +444,20 @@ fn average_concurrency(pieces: &[BulkPiece], horizon: Time) -> f64 {
 /// concurrency — the cap stays conservative, never violated.
 struct Occupancy {
     lo: Time,
+    span: u64,
     width: u64,
     counts: Vec<usize>,
 }
 
 impl Occupancy {
+    /// Saturating throughout: an empty input arrives as
+    /// `lo == Time::MAX`, `hi == 0`.
     fn new(lo: Time, hi: Time) -> Self {
-        let span = u64::from(hi.max(lo + 1) - lo);
+        let span = u64::from(hi.saturating_sub(lo)).max(1);
         let n = span.min(4096);
         Self {
             lo,
+            span,
             width: span.div_ceil(n),
             counts: vec![0; n as usize],
         }
@@ -563,269 +488,140 @@ impl Occupancy {
     }
 }
 
-/// Cut one directory level's edges into spatial regions. Edges are
-/// ordered by the Hilbert value of their center (space only — each
-/// region spans the whole timeline, like an incremental directory
-/// node), then split once a region's lifetime mass would sustain about
-/// `target_cc` concurrently alive children. `cc_cap` is a hard
-/// per-instant ceiling, checked against bucketed occupancy: an edge
+/// What every level of one build shares: node geometry and the
+/// timeline `[lo, horizon]` the data occupies.
+struct LevelShape {
+    fanout: usize,
+    weak_min: usize,
+    lo: Time,
+    horizon: Time,
+}
+
+/// Cuts a stream ordered by [`space_key`] into spatial regions — the one
+/// grouping rule, for leaves and directory levels alike. Each region
+/// spans the whole timeline, like an incremental node, and closes once
+/// its lifetime mass would sustain about `B/2` concurrently alive
+/// members (or at [`REGION_MAX`] buffered pieces). `cc_cap` is a hard
+/// per-instant ceiling, checked against bucketed occupancy: a piece
 /// landing on a saturated instant spills to the next region, so replay
 /// (which re-posts up to cap survivors plus a sub-`D` carry) can never
 /// overflow a node.
-fn chunk_by_region(
-    mut edges: Vec<BulkPiece>,
+struct RegionCutter {
     horizon: Time,
-    target_cc: usize,
+    target_mass: u64,
     cc_cap: usize,
-) -> Vec<Vec<BulkPiece>> {
-    edges.sort_unstable_by_key(|p| {
-        let c = p.rect.center();
-        (hilbert2(c.x, c.y), p.ptr, p.insertion, p.deletion)
-    });
-    let mut lo = Time::MAX;
-    let mut hi = 0;
-    for p in &edges {
-        lo = lo.min(p.insertion);
-        hi = hi.max(clamped_end(p, horizon));
-    }
-    let span = u64::from(hi.max(lo.saturating_add(1)) - lo);
-    let target_mass = target_cc as u64 * span;
-
-    let mut occ = Occupancy::new(lo, hi);
-    let mut regions: Vec<Vec<BulkPiece>> = Vec::new();
-    let mut cur: Vec<BulkPiece> = Vec::new();
-    let mut cur_mass = 0u64;
-    let mut spill: Vec<BulkPiece> = Vec::new();
-    let admit = |p: BulkPiece,
-                 occ: &mut Occupancy,
-                 cur: &mut Vec<BulkPiece>,
-                 cur_mass: &mut u64,
-                 spill: &mut Vec<BulkPiece>| {
-        if occ.fits(&p, horizon, cc_cap) {
-            occ.add(&p, horizon);
-            *cur_mass += u64::from(clamped_end(&p, horizon) - p.insertion);
-            cur.push(p);
-        } else {
-            spill.push(p);
-        }
-    };
-
-    for p in edges {
-        admit(p, &mut occ, &mut cur, &mut cur_mass, &mut spill);
-        if cur_mass >= target_mass {
-            regions.push(std::mem::take(&mut cur));
-            occ.clear();
-            cur_mass = 0;
-            // Spilled peak edges get first claim on the fresh region.
-            for s in std::mem::take(&mut spill) {
-                admit(s, &mut occ, &mut cur, &mut cur_mass, &mut spill);
-            }
-        }
-    }
-    // Drain the tail: every fresh region admits at least one spilled
-    // edge (a lone piece never exceeds the cap), so this terminates.
-    while !spill.is_empty() {
-        for s in std::mem::take(&mut spill) {
-            admit(s, &mut occ, &mut cur, &mut cur_mass, &mut spill);
-        }
-        if !spill.is_empty() {
-            regions.push(std::mem::take(&mut cur));
-            occ.clear();
-            cur_mass = 0;
-        }
-    }
-    if !cur.is_empty() {
-        regions.push(cur);
-    }
-    regions
+    occ: Occupancy,
+    cur: Vec<BulkPiece>,
+    cur_mass: u64,
+    spill: Vec<BulkPiece>,
 }
 
-/// Group formation: admit consecutive sorted pieces while the group's
-/// maximum concurrency (members alive at one instant) stays within
-/// `a_max` and its size within [`GROUP_MAX`]. Concurrency is tracked
-/// exactly: the maximum of a step function that rises only at
-/// insertions is attained at some member's insertion time, so the
-/// builder keeps, per member, the concurrency at that member's
-/// insertion and updates it in O(group) per candidate.
-#[derive(Debug)]
-struct GroupBuilder {
-    a_max: usize,
-    members: Vec<BulkPiece>,
-    cc_at_ins: Vec<usize>,
-}
-
-impl GroupBuilder {
-    fn new(a_max: usize) -> Self {
+impl RegionCutter {
+    fn new(shape: &LevelShape) -> Self {
+        let occ = Occupancy::new(shape.lo, shape.horizon.saturating_add(1));
+        let target_cc = (shape.fanout / 2).max(1) as u64;
         Self {
-            a_max,
-            members: Vec::new(),
-            cc_at_ins: Vec::new(),
+            horizon: shape.horizon,
+            target_mass: target_cc.saturating_mul(occ.span),
+            cc_cap: shape.fanout.saturating_sub(shape.weak_min + 1).max(1),
+            occ,
+            cur: Vec::new(),
+            cur_mass: 0,
+            spill: Vec::new(),
         }
     }
 
-    fn reset(&mut self) {
-        self.members.clear();
-        self.cc_at_ins.clear();
-    }
-
-    fn try_add(&mut self, p: &BulkPiece) -> bool {
-        if self.members.len() >= GROUP_MAX {
-            return false;
-        }
-        let mut cc_p = 1usize;
-        for m in &self.members {
-            if m.contains_time(p.insertion) {
-                cc_p += 1;
-            }
-        }
-        if cc_p > self.a_max {
-            return false;
-        }
-        for (m, &cc) in self.members.iter().zip(&self.cc_at_ins) {
-            if p.contains_time(m.insertion) && cc + 1 > self.a_max {
-                return false;
-            }
-        }
-        self.commit(p, cc_p);
-        true
-    }
-
-    /// Admit `p` unconditionally — used for carried-over survivors,
-    /// which must land in the very next group. Carry batches are smaller
-    /// than `D`, so the concurrency overshoot stays within the node
-    /// capacity margin (`A_max + D < B` for the paper's parameters).
-    fn force_add(&mut self, p: &BulkPiece) {
-        let mut cc_p = 1usize;
-        for m in &self.members {
-            if m.contains_time(p.insertion) {
-                cc_p += 1;
-            }
-        }
-        self.commit(p, cc_p);
-    }
-
-    fn commit(&mut self, p: &BulkPiece, cc_p: usize) {
-        for (m, cc) in self.members.iter().zip(self.cc_at_ins.iter_mut()) {
-            if p.contains_time(m.insertion) {
-                *cc += 1;
-            }
-        }
-        self.members.push(*p);
-        self.cc_at_ins.push(cc_p);
-    }
-}
-
-/// Streams one level's pieces into groups, replaying each full group
-/// and seeding its successor with carried survivors and deferred
-/// pieces. Deferral is load-bearing: a cap-breaching piece is held for
-/// the next group instead of ending the current one, so groups actually
-/// reach [`GROUP_MAX`] members and a timeline span wide enough for
-/// their windows to stay above the weak minimum between closes.
-struct LevelPacker {
-    level: u32,
-    weak_min: usize,
-    fanout: usize,
-    group: GroupBuilder,
-    deferred: Vec<BulkPiece>,
-    carry: Vec<BulkPiece>,
-}
-
-impl LevelPacker {
-    fn new(level: u32, weak_min: usize, fanout: usize, a_max: usize) -> Self {
-        Self {
-            level,
-            weak_min,
-            fanout,
-            group: GroupBuilder::new(a_max),
-            deferred: Vec::new(),
-            carry: Vec::new(),
-        }
-    }
-
-    /// Pieces buffered in memory (group members + deferral backlog).
+    /// Pieces buffered in memory (open region + spill).
     fn resident(&self) -> usize {
-        self.group.members.len() + self.deferred.len()
+        self.cur.len() + self.spill.len()
     }
 
-    /// Offer one piece; flushes the group when it or the deferral
-    /// backlog is full.
-    fn push(
-        &mut self,
-        p: BulkPiece,
-        store: &mut PageStore,
-        out: &mut Vec<BulkPiece>,
-        stats: &mut BulkStats,
-    ) -> Result<(), BulkError> {
-        if !self.group.try_add(&p) {
-            self.deferred.push(p);
+    fn admit(&mut self, p: BulkPiece) {
+        if self.occ.fits(&p, self.horizon, self.cc_cap) {
+            self.occ.add(&p, self.horizon);
+            self.cur_mass += u64::from(clamped_end(&p, self.horizon) - p.insertion);
+            self.cur.push(p);
+        } else {
+            self.spill.push(p);
         }
-        if self.group.members.len() >= GROUP_MAX || self.deferred.len() >= DEFER_MAX {
-            self.flush(store, out, stats)?;
-        }
-        Ok(())
     }
 
-    /// Replay the current group; seed the successor with carried
-    /// survivors, then re-offer the deferral backlog.
-    fn flush(
-        &mut self,
-        store: &mut PageStore,
-        out: &mut Vec<BulkPiece>,
-        stats: &mut BulkStats,
-    ) -> Result<(), BulkError> {
-        let members = std::mem::take(&mut self.group.members);
-        self.group.reset();
-        if !members.is_empty() {
-            replay_level(
-                &members,
-                self.level,
-                self.weak_min,
-                self.fanout,
-                &mut ReplaySinks {
-                    store,
-                    stats,
-                    carry: &mut self.carry,
-                },
-                out,
-            )?;
-        }
-        for c in self.carry.drain(..) {
-            self.group.force_add(&c);
-        }
-        let pending = std::mem::take(&mut self.deferred);
-        let mut admitted = false;
-        for p in pending {
-            if self.group.try_add(&p) {
-                admitted = true;
-            } else {
-                self.deferred.push(p);
-            }
-        }
-        if !admitted && !self.deferred.is_empty() {
-            // Progress guarantee: a backlog the carry-seeded successor
-            // keeps rejecting would flush empty groups forever. Admit
-            // the oldest piece by force — a one-piece cap overshoot,
-            // well inside the `A_max + D < B` margin.
-            let p = self.deferred.remove(0);
-            self.group.force_add(&p);
-        }
-        Ok(())
+    /// Offer the next piece in key order; returns the region it
+    /// completed, if any.
+    fn push(&mut self, p: BulkPiece) -> Option<Vec<BulkPiece>> {
+        self.admit(p);
+        (self.cur_mass >= self.target_mass || self.resident() >= REGION_MAX).then(|| self.cut())
     }
 
-    /// Flush until the group, the backlog, and the carry are all empty.
-    /// Terminates: every non-empty replay records at least one death
-    /// (or closes open-ended), so the piece population strictly shrinks.
-    fn drain(
-        &mut self,
-        store: &mut PageStore,
-        out: &mut Vec<BulkPiece>,
-        stats: &mut BulkStats,
-    ) -> Result<(), BulkError> {
-        while self.resident() > 0 {
-            self.flush(store, out, stats)?;
+    /// Close the open region. Spilled pieces get first claim on the
+    /// fresh one, which admits at least one of them (a lone piece never
+    /// exceeds the cap).
+    fn cut(&mut self) -> Vec<BulkPiece> {
+        let region = std::mem::take(&mut self.cur);
+        self.occ.clear();
+        self.cur_mass = 0;
+        for s in std::mem::take(&mut self.spill) {
+            self.admit(s);
         }
-        Ok(())
+        region
     }
+
+    /// After the stream ends: the remaining regions, one per call.
+    fn drain(&mut self) -> Option<Vec<BulkPiece>> {
+        (self.resident() > 0).then(|| self.cut())
+    }
+}
+
+/// Pack one level: cut the ordered stream `next` into regions and replay
+/// each into nodes at `level`, returning their edges. Stragglers carried
+/// out of a region's terminal decline join the (spatially adjacent) next
+/// region; replay orders by time internally.
+fn pack_level(
+    mut next: impl FnMut() -> Result<Option<BulkPiece>, BulkError>,
+    level: u32,
+    shape: &LevelShape,
+    store: &mut PageStore,
+    stats: &mut BulkStats,
+) -> Result<Vec<BulkPiece>, BulkError> {
+    let mut cutter = RegionCutter::new(shape);
+    let mut out: Vec<BulkPiece> = Vec::new();
+    let mut carry: Vec<BulkPiece> = Vec::new();
+    // The working set peaks right before a replay: `buffered` is what
+    // the cutter still holds past the region it just closed.
+    let mut replay = |mut region: Vec<BulkPiece>,
+                      carry: &mut Vec<BulkPiece>,
+                      buffered: usize|
+     -> Result<(), BulkError> {
+        let resident = (out.len() + region.len() + carry.len() + buffered) as u64;
+        stats.peak_resident_pages = stats.peak_resident_pages.max(resident);
+        region.append(carry);
+        replay_level(
+            &region,
+            level,
+            shape.weak_min,
+            shape.fanout,
+            &mut ReplaySinks {
+                store: &mut *store,
+                stats: &mut *stats,
+                carry,
+            },
+            &mut out,
+        )
+    };
+    while let Some(p) = next()? {
+        if let Some(region) = cutter.push(p) {
+            replay(region, &mut carry, cutter.resident())?;
+        }
+    }
+    while let Some(region) = cutter.drain() {
+        replay(region, &mut carry, cutter.resident())?;
+    }
+    // A trailing carry replays alone; each round records at least one
+    // death, so it strictly shrinks.
+    while !carry.is_empty() {
+        replay(Vec::new(), &mut carry, 0)?;
+    }
+    Ok(out)
 }
 
 /// An open window of the replay: one physical node under construction.
@@ -855,8 +651,8 @@ fn write_page(
 /// OPEN_END`), emit its edge, and return a successor window holding the
 /// re-posted survivors. When fewer than `min_keep` survive, the
 /// survivors go to `carry` instead: the caller passes `min_keep ==
-/// usize::MAX` on a group's terminal decline, handing the stragglers to
-/// the next group at this level — the bulk analogue of the incremental
+/// usize::MAX` on a region's terminal decline, handing the stragglers to
+/// the next region at this level — the bulk analogue of the incremental
 /// strong-underflow sibling merge — and `0` everywhere else, so a
 /// transient dip below the weak minimum keeps its population and
 /// recovers instead of resetting to an empty window.
@@ -917,7 +713,7 @@ fn close_window(
 
 /// The mutable sinks every replay pass threads through: the store the
 /// nodes land in, the running build stats, and the carry list that
-/// hands a group's terminal stragglers to the next group at its level.
+/// hands a region's terminal stragglers to the next region at its level.
 struct ReplaySinks<'a> {
     store: &'a mut PageStore,
     stats: &'a mut BulkStats,
@@ -975,7 +771,7 @@ fn replay_group(
                 // Kills at `t` land exactly at the close, which the weak
                 // version condition exempts — same shape a version split
                 // leaves behind. Survivors are re-posted into the
-                // successor while this group still has births to come —
+                // successor while this region still has births to come —
                 // exporting them would reset the window population and
                 // cascade into one near-empty page per death. Only the
                 // terminal decline (no births left) carries them out.

@@ -25,19 +25,30 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Random closed pieces in the unit square; a sprinkle of still-open
-/// lifetimes when `with_open`.
+/// Random pieces in the unit square: a mix of 1-instant, short and
+/// evolution-long lifetimes, with a third of the centers drawn from four
+/// fixed points — many pieces on one `hilbert2` key, alive together, so
+/// the cutter's spill and the replay's carry both run. A sprinkle of
+/// still-open lifetimes when `with_open`.
 fn random_pieces(seed: u64, n: usize, with_open: bool) -> Vec<BulkPiece> {
+    const CLUSTERS: [(f64, f64); 4] = [(0.1, 0.1), (0.3, 0.6), (0.6, 0.25), (0.62, 0.62)];
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let x = rng.random::<f64>() * 0.9;
-            let y = rng.random::<f64>() * 0.9;
+            let (x, y) = if rng.random_range(0..3u32) == 0 {
+                CLUSTERS[rng.random_range(0..4u32) as usize]
+            } else {
+                (rng.random::<f64>() * 0.9, rng.random::<f64>() * 0.9)
+            };
             let ins = rng.random_range(0..150u32);
             let deletion = if with_open && rng.random_range(0..10u32) == 0 {
                 TimeInterval::OPEN_END
             } else {
-                ins + rng.random_range(1..=40u32)
+                match rng.random_range(0..8u32) {
+                    0 => ins + 1,
+                    1 => ins + rng.random_range(100..=190u32),
+                    _ => ins + rng.random_range(1..=40u32),
+                }
             };
             BulkPiece {
                 rect: Rect2::from_bounds(x, y, x + 0.05, y + 0.05),
@@ -51,7 +62,7 @@ fn random_pieces(seed: u64, n: usize, with_open: bool) -> Vec<BulkPiece> {
 
 fn bulk_build(pieces: &[BulkPiece], store: PageStore, tag: &str) -> PprTree {
     let dir = scratch_dir(tag);
-    let mut loader = BulkLoader::new(params(), 200, &dir);
+    let mut loader = BulkLoader::new(params(), &dir);
     for p in pieces {
         loader.push(*p).unwrap();
     }
@@ -106,14 +117,14 @@ fn assert_equivalent(bulk: &PprTree, incr: &PprTree) {
         Rect2::from_bounds(0.55, 0.55, 0.7, 0.7),
     ];
     for area in &areas {
-        for t in (0..200).step_by(13) {
+        for t in (0..360).step_by(13) {
             assert_eq!(
                 snapshot(bulk, area, t),
                 snapshot(incr, area, t),
                 "snapshot diverged at t={t} area={area:?}"
             );
         }
-        for start in (0..180).step_by(19) {
+        for start in (0..340).step_by(19) {
             let range = TimeInterval::new(start, start + 1 + (start % 31));
             assert_eq!(
                 interval(bulk, area, &range),
@@ -161,59 +172,156 @@ proptest! {
     }
 }
 
-/// The spilled (external-sort) path and the in-memory path must produce
-/// byte-identical trees: same pieces, same pages, same saved file.
+/// The build is a function of the piece *set*: the spilled
+/// (external-sort) path, the in-memory path and a different push order
+/// must all produce byte-identical trees — same pages, same saved file.
+/// This is also what proves `(key, ptr, insertion, deletion)` is a total
+/// order.
 #[test]
 fn spilled_and_in_memory_builds_are_byte_identical() {
     let pieces = random_pieces(77, 2200, true);
     let dir = scratch_dir("det");
+    let image = |tree: &PprTree, name: &str| {
+        let path = dir.join(name);
+        tree.save_to_file(&path).unwrap();
+        std::fs::read(&path).unwrap()
+    };
 
     let in_mem = bulk_build(&pieces, PageStore::new(8), "det-mem");
-    let mut loader = BulkLoader::new(params(), 200, &dir).chunk_capacity(1024);
-    for p in &pieces {
-        loader.push(*p).unwrap();
+    let mut reversed = pieces.clone();
+    reversed.reverse();
+    let in_mem_reversed = bulk_build(&reversed, PageStore::new(8), "det-rev");
+    // Interleaved from both ends, so every spooled run differs from the
+    // runs the forward order would have written.
+    let mut loader = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+    let half = pieces.len() / 2;
+    for (a, b) in pieces[..half].iter().zip(pieces[half..].iter().rev()) {
+        loader.push(*a).unwrap();
+        loader.push(*b).unwrap();
     }
     let (spilled, stats) = loader.finish(PageStore::new(8)).unwrap();
+    assert_eq!(stats.pieces, pieces.len() as u64);
     assert!(stats.spilled_runs >= 2, "test must exercise the merge path");
     assert_valid(&spilled);
 
-    let a = dir.join("a.idx");
-    let b = dir.join("b.idx");
-    in_mem.save_to_file(&a).unwrap();
-    spilled.save_to_file(&b).unwrap();
+    let reference = image(&in_mem, "a.idx");
     assert_eq!(
-        std::fs::read(&a).unwrap(),
-        std::fs::read(&b).unwrap(),
+        reference,
+        image(&in_mem_reversed, "b.idx"),
+        "push order changed the packed tree"
+    );
+    assert_eq!(
+        reference,
+        image(&spilled, "c.idx"),
         "external sort changed the packed tree"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Degenerate timelines reach the region cutter through the leaf pass:
+/// no piece at all, one piece, nothing but still-open pieces (the
+/// horizon is then an insertion), and lifetimes at the top of the time
+/// domain. `cargo test` runs this with overflow checks on.
 #[test]
 fn empty_and_single_piece_edge_cases() {
-    let dir = scratch_dir("edge");
-    let (tree, stats) = BulkLoader::new(params(), 10, &dir)
-        .finish(PageStore::new(4))
-        .unwrap();
-    assert_eq!(stats.pages_written, 0);
-    assert_eq!(tree.total_records(), 0);
-    assert_valid(&tree);
+    let everywhere = Rect2::from_bounds(0.0, 0.0, 1.0, 1.0);
+    let build = |pieces: &[BulkPiece]| {
+        let tree = bulk_build(pieces, PageStore::new(4), "edge");
+        assert_valid(&tree);
+        assert_eq!(tree.total_records(), pieces.len() as u64);
+        tree
+    };
+    let piece = |ptr: u64, insertion: u32, deletion: u32| {
+        let x = ptr as f64 / 100.0;
+        BulkPiece {
+            rect: Rect2::from_bounds(x, 0.1, x + 0.05, 0.2),
+            ptr,
+            insertion,
+            deletion,
+        }
+    };
 
-    let mut loader = BulkLoader::new(params(), 10, &dir);
-    loader
-        .push(BulkPiece {
-            rect: Rect2::from_bounds(0.1, 0.1, 0.2, 0.2),
-            ptr: 42,
-            insertion: 3,
-            deletion: 8,
+    assert_eq!(build(&[]).num_pages(), 0);
+
+    let tree = build(&[piece(42, 3, 8)]);
+    assert_eq!(tree.num_pages(), 1);
+    assert_eq!(snapshot(&tree, &everywhere, 5), vec![42]);
+    assert_eq!(snapshot(&tree, &everywhere, 8), Vec::<u64>::new());
+
+    // One piece whose lifetime is the single instant 0.
+    let tree = build(&[piece(1, 0, 1)]);
+    assert_eq!(snapshot(&tree, &everywhere, 0), vec![1]);
+
+    // All still open, all born at the same instant: the data span is
+    // empty (`lo == horizon`).
+    let open: Vec<BulkPiece> = (0..40)
+        .map(|i| piece(i, 7, TimeInterval::OPEN_END))
+        .collect();
+    let tree = build(&open);
+    assert_eq!(tree.alive_records(), 40);
+    assert_eq!(snapshot(&tree, &everywhere, 7).len(), 40);
+    assert_eq!(snapshot(&tree, &everywhere, 6), Vec::<u64>::new());
+
+    // Still open, born at instant 0 only.
+    let tree = build(&[piece(9, 0, TimeInterval::OPEN_END)]);
+    assert_eq!(snapshot(&tree, &everywhere, 1_000_000), vec![9]);
+
+    // The top of the time domain: `horizon + 1` and `lo + 1` saturate.
+    let top = TimeInterval::OPEN_END - 1;
+    let near_max: Vec<BulkPiece> = (0..30)
+        .map(|i| match i % 3 {
+            0 => piece(i, top - 1, top),
+            1 => piece(i, top, TimeInterval::OPEN_END),
+            _ => piece(i, top - 3 - i as u32, top - 1),
         })
-        .unwrap();
-    let (tree, stats) = loader.finish(PageStore::new(4)).unwrap();
-    assert_eq!(stats.pages_written, 1);
+        .collect();
+    let tree = build(&near_max);
+    assert_eq!(tree.alive_records(), 10);
+    assert_eq!(snapshot(&tree, &everywhere, top).len(), 10);
+    assert_eq!(snapshot(&tree, &everywhere, top - 1).len(), 10);
+}
+
+/// A sparse timeline never reaches a region's target mass (`A_max ·
+/// span` with a 10⁶-instant span), so the cutter's piece ceiling is what
+/// bounds the replay working set: region + spill never exceed it,
+/// whatever the dataset size, and `peak_resident_pages` says so.
+#[test]
+fn sparse_timeline_is_cut_at_the_region_ceiling() {
+    const REGION_CEILING: u64 = 1 << 15;
+    const N: u64 = 2 * REGION_CEILING + 5_000;
+    let dir = scratch_dir("sparse");
+    let mut rng = StdRng::seed_from_u64(0x5ba5e);
+    let mut loader = BulkLoader::new(params(), &dir);
+    let mut born_at_zero = 0;
+    for i in 0..N {
+        // Ten births per occupied instant: more than the per-instant
+        // ceiling admits, so the spill path runs too.
+        let ins = rng.random_range(0..N as u32 / 10) * 140;
+        born_at_zero += usize::from(ins == 0);
+        let x = rng.random::<f64>() * 0.9;
+        let y = rng.random::<f64>() * 0.9;
+        loader
+            .push(BulkPiece {
+                rect: Rect2::from_bounds(x, y, x + 0.01, y + 0.01),
+                ptr: i,
+                insertion: ins,
+                deletion: ins + 1,
+            })
+            .unwrap();
+    }
+    let (tree, stats) = loader.finish(PageStore::new(8)).unwrap();
+    assert_eq!(stats.pieces, N);
     assert_valid(&tree);
+    let carry = params().weak_min() as u64;
+    assert!(
+        stats.peak_resident_pages <= REGION_CEILING + stats.leaf_pages + carry,
+        "working set {} exceeds the {REGION_CEILING}-piece ceiling + {} pending edges",
+        stats.peak_resident_pages,
+        stats.leaf_pages
+    );
     assert_eq!(
-        snapshot(&tree, &Rect2::from_bounds(0.0, 0.0, 1.0, 1.0), 5),
-        vec![42]
+        snapshot(&tree, &Rect2::from_bounds(0.0, 0.0, 1.0, 1.0), 0).len(),
+        born_at_zero
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -221,7 +329,7 @@ fn empty_and_single_piece_edge_cases() {
 #[test]
 fn rejects_empty_lifetimes_and_non_finite_rects() {
     let dir = scratch_dir("rej");
-    let mut loader = BulkLoader::new(params(), 10, &dir);
+    let mut loader = BulkLoader::new(params(), &dir);
     let bad_time = BulkPiece {
         rect: Rect2::from_bounds(0.0, 0.0, 0.1, 0.1),
         ptr: 1,
@@ -263,7 +371,7 @@ fn big_tier_million_piece_bulk_build() {
         PprParams::default().buffer_pages,
     );
     let mut rng = StdRng::seed_from_u64(0xb16);
-    let mut loader = BulkLoader::new(PprParams::default(), 1000, &dir);
+    let mut loader = BulkLoader::new(PprParams::default(), &dir);
     // `STI_BIG_N` shrinks the run for quick local iteration; CI and the
     // acceptance criterion use the one-million default.
     let n: u64 = std::env::var("STI_BIG_N")
@@ -286,7 +394,7 @@ fn big_tier_million_piece_bulk_build() {
     let (tree, stats) = loader.finish(store).unwrap();
     assert_eq!(stats.pieces, n);
     assert!(stats.spilled_runs > 0, "1M pieces must spill");
-    assert!(stats.fill_factor > 0.3, "fill factor {}", stats.fill_factor);
+    assert!(stats.fill_factor > 0.8, "fill factor {}", stats.fill_factor);
     assert_valid(&tree);
     drop(tree);
     let _ = std::fs::remove_dir_all(&dir);

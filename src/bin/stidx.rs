@@ -74,8 +74,9 @@ const USAGE: &str = "usage:
   big tier generates in constant space.
 
   --bulk streams the dataset through the external-sort bulk loader into
-  a file-backed PPR-Tree: sort by space-time Hilbert order, pack pages
-  bottom-up at target fanout. Never holds the dataset in memory.
+  a file-backed PPR-Tree: sort by the Hilbert order of the piece
+  centers, cut it into spatial regions that each replay the whole
+  timeline, pack pages bottom-up. Never holds the dataset in memory.
   --scale-stats prints pages written / peak resident / fill factor.
 
   --metrics FILE (any position) writes counters from the run — per-query
