@@ -4,36 +4,43 @@
 //!
 //! Streaming into *one* tree would put every reader behind the same
 //! `&mut` choke point as the writer. This module removes that coupling
-//! with a left-right publication scheme built from three parts:
+//! by publishing copy-on-write versions, built from three parts:
 //!
 //! * a FIFO of [`IngestOp`]s — producers enqueue position updates and
 //!   disappearances without touching any tree,
 //! * a committer ([`IngestPipeline::commit`]) that drains the queue,
 //!   validates operations through the [`OnlineSplitter`] (malformed
 //!   streams surface as typed rejects, never panics), reorders closed
-//!   pieces under the watermark, and applies the finalized batch to a
-//!   **private** tree inside a page-level batch transaction,
-//! * an atomically published [`PublishedIndex`] — on success the
-//!   private tree is frozen behind an `Arc` and swapped into the shared
-//!   slot with a bumped [`VersionStamp`]; readers that grabbed the old
-//!   `Arc` keep reading the old version undisturbed, new readers see
-//!   the new one. Readers never lock anything the writer holds during
-//!   page work.
+//!   pieces under the watermark, forks the published tree and applies
+//!   the finalized batch to the **private** fork, once,
+//! * an atomically published [`PublishedIndex`] — on success the fork
+//!   is frozen behind an `Arc` and swapped into the shared slot with a
+//!   bumped [`VersionStamp`]; readers that grabbed the old `Arc` keep
+//!   reading the old version undisturbed, new readers see the new one.
+//!   Readers never lock anything the writer holds during page work.
 //!
-//! The scheme keeps **two** trees, each over its own page store and
-//! buffer pool (so a version's I/O counters count only its own reads,
-//! and a rolled-back batch cannot touch the readers' frames): while
-//! version `N` is published from tree A, the committer owns tree
-//! B, replays the batch A already has but B missed (the *lag*), applies
-//! the new batch, and publishes B as `N+1`. Tree A becomes the next
-//! private tree once the last reader of version `N` drops its handle.
-//! Each batch is therefore applied exactly twice — once per tree —
-//! instead of deep-copying pages on every publish.
+//! A fork ([`PprTree::clone`]) copies one page pointer and one checksum
+//! per page, plus the buffer pool's frame handles; the bytes stay
+//! shared. Pages are copy-on-write `Arc`s, so the first write to a page
+//! the fork still shares with an older version copies that page alone
+//! ([`CommitReport::pages_copied`]): a batch costs the pages it
+//! touches, not the tree. Pages the batch does not touch stay shared
+//! with every older version, and a displaced page is freed when the
+//! last version holding it is dropped — memory is one tree plus the
+//! pages a pinned old version still holds on its own. Each version has
+//! its own pool (the fork's starts with its parent's frames), so a
+//! version's I/O counters count only its own reads and the committer's
+//! page work never evicts a reader's frames.
 //!
-//! A storage fault mid-commit rolls the whole batch (including the lag
-//! replay) back via [`sti_pprtree::PprTree::rollback_batch`]: the
-//! published version is untouched, the finalized events stay pending,
-//! and the next [`IngestPipeline::commit`] retries them. Every batch
+//! Before pages were copy-on-write, a fork meant copying every page, so
+//! the pipeline kept two trees instead (left-right publication): each
+//! batch went into the standby tree, which was then published, and was
+//! replayed into the retired tree once its readers let go — every event
+//! applied twice. DESIGN.md §11 keeps that design's numbers.
+//!
+//! A storage fault mid-commit drops the fork: the published version was
+//! never touched, the finalized events stay pending, and the next
+//! [`IngestPipeline::commit`] retries them on a fresh fork. Every batch
 //! walks the explicit [`BatchState`] machine in [`crate::version`] and
 //! reports the traversal in its [`CommitReport::trace`], which the
 //! property suite replays against the pure [`transition`] function.
@@ -106,10 +113,15 @@ pub struct CommitReport {
     /// Operations refused with typed errors.
     pub rejected: Vec<RejectedOp>,
     /// Finalized events this batch tried to apply (0 for a pure
-    /// watermark/catch-up publish).
+    /// watermark publish).
     pub batch_events: usize,
-    /// Catch-up events replayed onto the reclaimed tree first.
+    /// Always 0: every event is applied once, to the fork being
+    /// published. Kept for callers written when a second tree replayed
+    /// each batch (see the module docs).
     pub lag_events: usize,
+    /// Pages the batch copied because its fork still shared them with
+    /// an older version — the cost a commit pays per page it touches.
+    pub pages_copied: u64,
     /// The storage fault that rolled the batch back, if any.
     pub error: Option<StorageError>,
     /// Set only by [`IngestPipeline::seal`]: `true` when it gave up
@@ -139,6 +151,7 @@ impl CommitReport {
             rejected: Vec::new(),
             batch_events: 0,
             lag_events: 0,
+            pages_copied: 0,
             error: None,
             stalled: false,
             durability: None,
@@ -167,18 +180,9 @@ impl IngestReader {
     }
 }
 
-/// Which tree the committer will apply the next batch to.
-enum Standby {
-    /// The committer already owns it (initially, or after a rollback).
-    Owned(Box<PprTree>),
-    /// It is the version published before the current one; reclaimable
-    /// once every reader handle to it is dropped.
-    Retired(Arc<PublishedIndex>),
-}
-
 /// The single-writer side of the pipeline: owns the queue, the
-/// splitter, the reordering buffer, and both trees. See the module docs
-/// for the full data flow; the external surface is
+/// splitter, the reordering buffer, and the published slot. See the
+/// module docs for the full data flow; the external surface is
 /// [`IngestPipeline::enqueue`] / [`IngestPipeline::commit`] /
 /// [`IngestPipeline::reader`].
 pub struct IngestPipeline {
@@ -190,13 +194,10 @@ pub struct IngestPipeline {
     reorder: BinaryHeap<Reverse<Ev>>,
     /// Finalized events (popped in order) awaiting a successful commit.
     pending: Vec<Ev>,
-    /// Events the published tree has that the standby has not seen.
-    lag: Vec<Ev>,
     /// Event sequence counter (orders equal-time events).
     seq: u64,
     /// The pipeline clock: largest accepted operation time.
     now: Time,
-    standby: Standby,
     slot: Arc<Mutex<Arc<PublishedIndex>>>,
     /// Successful commits (also the published version number).
     commits: u64,
@@ -204,6 +205,8 @@ pub struct IngestPipeline {
     rollbacks: u64,
     /// Operations refused with typed errors, ever.
     rejected_total: u64,
+    /// Pages copied on write by every batch, rolled back or not.
+    pages_copied: u64,
     /// Test hook: force [`IngestPipeline::seal`] to take its stalled
     /// exit (see [`IngestPipeline::wedge_seal_for_test`]).
     wedge_seal: bool,
@@ -213,53 +216,48 @@ pub struct IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// A pipeline over in-memory backends.
+    /// A pipeline over an in-memory backend.
     pub fn new(config: OnlineSplitConfig, params: PprParams) -> Self {
-        Self::with_backends(
-            config,
-            params,
-            Box::new(MemBackend::new()),
-            Box::new(MemBackend::new()),
-        )
+        Self::with_backend(config, params, Box::new(MemBackend::new()))
     }
 
-    /// A pipeline whose two tree versions sit on the given backends —
-    /// the fault suites pass [`sti_storage::FaultyBackend`]s here to
-    /// storm the commit path. Each tree owns a buffer pool of
-    /// `params.buffer_pages`.
-    pub fn with_backends(
+    /// A pipeline whose tree sits on `backend` — the fault suites pass
+    /// a [`sti_storage::FaultyBackend`] here to storm the commit path.
+    /// Every version is a fork of this one device; each owns a buffer
+    /// pool of `params.buffer_pages`. Every commit clones the backend:
+    /// a [`MemBackend`] (bare or under a fault injector) clones copy-on-
+    /// write, while a [`sti_storage::FileBackend`] clone reads the whole
+    /// file into memory.
+    pub fn with_backend(
         config: OnlineSplitConfig,
         params: PprParams,
-        published_backend: Box<dyn PageBackend>,
-        standby_backend: Box<dyn PageBackend>,
+        backend: Box<dyn PageBackend>,
     ) -> Self {
-        Self::over_trees(
+        Self::publishing(
             OnlineSplitter::new(config),
             PublishedIndex::new(
-                PprTree::with_backend(params, published_backend),
+                PprTree::with_backend(params, backend),
                 VersionStamp::INITIAL,
             ),
-            PprTree::with_backend(params, standby_backend),
         )
     }
 
-    /// A pipeline with nothing queued, buffered or counted over two
-    /// trees of equal content — how fresh and recovered pipelines alike
+    /// A pipeline with nothing queued, buffered or counted that
+    /// publishes `published` — how fresh and recovered pipelines alike
     /// come to be.
-    fn over_trees(splitter: OnlineSplitter, published: PublishedIndex, standby: PprTree) -> Self {
+    fn publishing(splitter: OnlineSplitter, published: PublishedIndex) -> Self {
         Self {
             queue: VecDeque::new(),
             splitter,
             reorder: BinaryHeap::new(),
             pending: Vec::new(),
-            lag: Vec::new(),
             seq: 0,
             now: 0,
-            standby: Standby::Owned(Box::new(standby)),
             slot: Arc::new(Mutex::new(Arc::new(published))),
             commits: 0,
             rollbacks: 0,
             rejected_total: 0,
+            pages_copied: 0,
             wedge_seal: false,
             durability: None,
         }
@@ -352,6 +350,11 @@ impl IngestPipeline {
             "operations refused with typed errors",
             self.rejected_total as f64,
         );
+        set.counter(
+            "ingest_pages_copied_total",
+            "pages commits copied on write because an older version still shared them",
+            self.pages_copied as f64,
+        );
         set.gauge(
             "ingest_queue_depth",
             "operations awaiting drain",
@@ -429,10 +432,17 @@ impl IngestPipeline {
     /// carries the fault), because a rolled-back batch is a *retryable*
     /// outcome, not a broken pipeline.
     ///
-    /// Blocks only if the version published *before* the current one
-    /// still has a live reader handle (two-version concurrency: readers
-    /// of the current version never block anyone).
+    /// Never blocks on a reader: the batch goes into a fork of the
+    /// published version, and the one lock a commit shares with
+    /// readers is the slot's, held for the pointer swap.
     pub fn commit(&mut self) -> CommitReport {
+        self.commit_with(false)
+    }
+
+    /// [`IngestPipeline::commit`]; with `publish_unchanged`, a batch
+    /// that finalizes nothing new is published all the same (the sealed
+    /// version of [`IngestPipeline::seal`]).
+    fn commit_with(&mut self, publish_unchanged: bool) -> CommitReport {
         let mut trace = vec![BatchState::Queued];
         let mut state = BatchState::Queued;
 
@@ -480,8 +490,9 @@ impl IngestPipeline {
         }
         let watermark = flush_bound.unwrap_or(self.now);
 
-        let stamp = self.published().stamp();
-        if self.pending.is_empty() && self.lag.is_empty() && watermark == stamp.watermark {
+        let published = self.published();
+        let stamp = published.stamp();
+        if !publish_unchanged && self.pending.is_empty() && watermark == stamp.watermark {
             // Nothing finalized and no watermark motion: don't spin
             // version numbers on no-ops. Drained operations (if any)
             // were still absorbed into open pieces and the reordering
@@ -495,79 +506,78 @@ impl IngestPipeline {
         }
         Self::step(&mut state, BatchEvent::Drain, &mut trace);
 
-        // Reclaim the standby tree and catch it up + apply, all inside
-        // one batch transaction.
-        let mut tree = self.reclaim_standby();
+        // Fork the published version and apply the batch to the fork,
+        // inside one batch transaction.
+        let mut fork = published.tree().clone();
+        drop(published);
         Self::step(&mut state, BatchEvent::Begin, &mut trace);
-        tree.begin_batch();
-        let lag_events = self.lag.len();
+        fork.begin_batch();
+        let copied_before = fork.pages_copied();
         let batch_events = self.pending.len();
         let applied: Result<(), StorageError> = self
-            .lag
+            .pending
             .iter()
-            .chain(self.pending.iter())
-            .try_for_each(|ev| ev.kind.apply(&mut tree, &ev.record, ev.time));
+            .try_for_each(|ev| ev.kind.apply(&mut fork, &ev.record, ev.time));
+        let pages_copied = fork.pages_copied() - copied_before;
+        self.pages_copied += pages_copied;
 
+        let mut report = CommitReport {
+            drained,
+            rejected,
+            batch_events,
+            pages_copied,
+            ..CommitReport::empty(state, stamp, Vec::new())
+        };
         match applied {
             Err(e) => {
-                tree.rollback_batch();
-                self.standby = Standby::Owned(tree);
+                // The fork dies with the batch: the published version
+                // never saw it, so there is nothing to restore.
                 self.rollbacks += 1;
                 Self::step(&mut state, BatchEvent::Fail, &mut trace);
-                CommitReport {
-                    drained,
-                    rejected,
-                    batch_events,
-                    lag_events,
-                    error: Some(e),
-                    ..CommitReport::empty(state, stamp, trace)
-                }
+                report.error = Some(e);
             }
             Ok(()) => {
-                tree.commit_batch();
+                fork.commit_batch();
                 Self::step(&mut state, BatchEvent::Applied, &mut trace);
                 self.commits += 1;
-                let new_stamp = VersionStamp {
+                self.pending.clear();
+                report.stamp = VersionStamp {
                     version: stamp.version + 1,
                     watermark,
                 };
-                // The standby has now seen everything the old published
-                // tree saw *plus* this batch; next cycle the old tree
-                // must replay exactly this batch.
-                self.lag = std::mem::take(&mut self.pending);
-                let fresh = Arc::new(PublishedIndex::new(*tree, new_stamp));
-                let old = {
+                let fresh = Arc::new(PublishedIndex::new(fork, report.stamp));
+                let retired = {
                     let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
                     std::mem::replace(&mut *slot, fresh)
                 };
-                self.standby = Standby::Retired(old);
+                // Outside the lock: if no reader pins it, the retired
+                // version takes the pages only it still held with it.
+                drop(retired);
                 Self::step(&mut state, BatchEvent::Publish, &mut trace);
                 // The publish boundary: an armed crash here models a
                 // process dying with the new version already visible —
                 // recovery must converge to this same published state.
-                let durability = self
+                report.durability = self
                     .durability
                     .as_mut()
                     .and_then(|d| d.crash_check(CrashPoint::AfterPublish).err());
-                CommitReport {
-                    drained,
-                    rejected,
-                    batch_events,
-                    lag_events,
-                    durability,
-                    ..CommitReport::empty(state, new_stamp, trace)
-                }
             }
         }
+        report.state = state;
+        report.trace = trace;
+        report
     }
 
     /// Close every still-open piece (each at one past its last
     /// observation — stragglers whose last observation is behind the
-    /// pipeline clock included) and commit until nothing is pending, so
-    /// the final published version covers the whole stream. Returns the
-    /// last commit's report, with the rejects of *every* commit this
-    /// call made folded in; stops early (reporting the fault) if a
-    /// commit rolls back twice in a row, or (flagging
+    /// pipeline clock included), commit until nothing is pending, and
+    /// publish the result: the sealed version, which covers the whole
+    /// stream. It is a version of its own even when an earlier commit
+    /// already published every event, so the report of a successful
+    /// seal always says [`BatchState::Published`] and carries the sealed
+    /// stamp. Returns the last commit's report, with the rejects of
+    /// *every* commit this call made folded in; stops early (reporting
+    /// the fault) if a commit rolls back twice in a row, or (flagging
     /// [`CommitReport::stalled`]) if a commit makes no forward progress.
     pub fn seal(&mut self) -> CommitReport {
         if self.wedge_seal {
@@ -612,6 +622,11 @@ impl IngestPipeline {
                 }
             }
         }
+        if report.state == BatchState::Queued && report.durability.is_none() && !report.stalled {
+            // An earlier commit published the last event already.
+            report = self.commit_with(true);
+            rejected.extend(std::mem::take(&mut report.rejected));
+        }
         report.rejected = rejected;
         report
     }
@@ -620,21 +635,13 @@ impl IngestPipeline {
     /// it to a file after [`IngestPipeline::seal`]. Uncommitted state
     /// (queued ops, pending events) is discarded. If a reader handle to
     /// the published version is still alive somewhere, it keeps its
-    /// version and this returns an independent deep copy.
+    /// version and this returns a fork of it (see [`PprTree::clone`]).
     pub fn into_published_tree(self) -> PprTree {
-        drop(self.standby);
-        match Arc::try_unwrap(self.slot) {
-            Ok(mutex) => {
-                let inner = mutex.into_inner().unwrap_or_else(PoisonError::into_inner);
-                match Arc::try_unwrap(inner) {
-                    Ok(published) => published.into_tree(),
-                    Err(arc) => arc.tree().clone(),
-                }
-            }
-            Err(slot) => {
-                let inner = Arc::clone(&slot.lock().unwrap_or_else(PoisonError::into_inner));
-                inner.tree().clone()
-            }
+        let published = self.published();
+        drop(self);
+        match Arc::try_unwrap(published) {
+            Ok(published) => published.into_tree(),
+            Err(shared) => shared.tree().clone(),
         }
     }
 
@@ -869,13 +876,9 @@ impl IngestPipeline {
         let torn_tail = opened.torn.is_some();
         let (mut pipeline, meta) = match chosen {
             Some((meta, tree)) => {
-                // Both trees start from the checkpointed content (the
-                // standby is a deep copy), so there is no lag to replay.
-                let standby = tree.clone();
-                let mut pipeline = Self::over_trees(
+                let mut pipeline = Self::publishing(
                     OnlineSplitter::restore(config, &meta.open_pieces, meta.splits_issued),
                     PublishedIndex::new(tree, meta.stamp),
-                    standby,
                 );
                 pipeline.reorder = meta.reorder.iter().cloned().map(Reverse).collect();
                 pipeline.pending.clone_from(&meta.pending);
@@ -986,42 +989,6 @@ impl IngestPipeline {
             record,
         }));
         self.seq += 2;
-    }
-
-    /// Take ownership of the tree the next batch applies to.
-    ///
-    /// Normally the retired version's readers are gone and its tree is
-    /// reclaimed for free (an `Arc` unwrap). If a reader still pins it
-    /// after a bounded yield-spin, the committer refuses to block
-    /// ingest on that reader: it deep-copies the retired tree and
-    /// abandons the pinned `Arc` (the reader frees it whenever it
-    /// drops the handle). The copy costs O(pages) — the price of a
-    /// reader holding a version across two later commits, not of normal
-    /// operation.
-    ///
-    /// The placeholder parked in `self.standby` is never observable:
-    /// every `commit` path overwrites it before returning.
-    fn reclaim_standby(&mut self) -> Box<PprTree> {
-        const RECLAIM_SPINS: u32 = 1024;
-        let placeholder = Standby::Retired(self.published());
-        let mut slot = std::mem::replace(&mut self.standby, placeholder);
-        let mut spins = 0u32;
-        loop {
-            match slot {
-                Standby::Owned(tree) => return tree,
-                Standby::Retired(arc) => match Arc::try_unwrap(arc) {
-                    Ok(published) => return Box::new(published.into_tree()),
-                    Err(arc) => {
-                        if spins >= RECLAIM_SPINS {
-                            return Box::new(arc.tree().clone());
-                        }
-                        spins += 1;
-                        std::thread::yield_now();
-                        slot = Standby::Retired(arc);
-                    }
-                },
-            }
-        }
     }
 
     /// Advance the batch state machine through the pure transition
@@ -1290,13 +1257,29 @@ mod tests {
     #[test]
     fn metrics_report_version_and_lag() {
         let mut p = IngestPipeline::new(config(), params());
-        drive(&mut p, 3, 0..20, 10);
+        drive(&mut p, 3, 0..40, 5);
         let mut set = MetricSet::new();
         p.record_metrics(&mut set);
         let json = set.to_json();
         assert!(json.contains("ingest_commits_total"));
         assert!(json.contains("ingest_published_version"));
         assert!(json.contains("ingest_commit_lag_instants"));
+        let copied: f64 = set
+            .to_prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix("ingest_pages_copied_total "))
+            .and_then(|v| v.parse().ok())
+            .expect("the copy-on-write counter is exported");
+        assert_eq!(copied, p.pages_copied as f64);
+        // Every commit after the first rewrites pages the previous
+        // version still holds, and copies each of them at most once.
+        let bound = p.published().tree().num_pages() as u64 * p.commits();
+        assert!(p.commits() >= 3, "forty instants publish several versions");
+        assert!(
+            (1..=bound).contains(&p.pages_copied),
+            "{} pages copied",
+            p.pages_copied
+        );
     }
 
     /// A finish the splitter refuses is a typed reject that leaves the
@@ -1367,7 +1350,6 @@ mod tests {
             p.enqueue_update(5, r, t);
         }
         assert!(p.commit().rejected.is_empty());
-        p.commit(); // replays the lag, so the next commit owes no publish
         let before = (
             p.now(),
             p.pending_events(),
@@ -1489,7 +1471,6 @@ mod tests {
         open: Vec<crate::online::OpenPieceSnapshot>,
         reorder: Vec<Ev>,
         pending: Vec<Ev>,
-        lag: Vec<Ev>,
         stamp: VersionStamp,
         commits: u64,
         published_pages: usize,
@@ -1507,7 +1488,6 @@ mod tests {
                 open: p.splitter.snapshot_open_pieces(),
                 reorder,
                 pending: p.pending.clone(),
-                lag: p.lag.clone(),
                 stamp: p.published().stamp(),
                 commits: p.commits,
                 published_pages: p.published().tree().num_pages(),
@@ -1549,10 +1529,6 @@ mod tests {
                 // least once (spawning happens below), so each really is
                 // a stream violation, not a first observation.
                 if t > 2 {
-                    // A second commit replays the lag onto the standby,
-                    // so the commit under test has nothing of its own
-                    // to publish.
-                    p.commit();
                     let before = PipelineSnapshot::of(&p);
                     let first = alive.first().copied();
                     let op = match (rng.random_range(0..5u32), first) {

@@ -2,7 +2,7 @@
 //!
 //! The single-writer/multi-reader design in [`crate::pipeline`] never
 //! lets a reader observe a half-applied batch: the committer applies
-//! updates to a *private* tree and publishes the result as an immutable
+//! updates to a *private* fork and publishes the result as an immutable
 //! [`PublishedIndex`] behind an atomic pointer swap. This module holds
 //! the pieces that define what "published" means:
 //!
@@ -70,8 +70,8 @@ pub enum BatchState {
     /// The committer drained the queue and validated the operations
     /// (malformed ones were rejected with typed errors).
     Batched,
-    /// The batch is being applied to the committer's private tree under
-    /// a batch transaction.
+    /// The batch is being applied to the committer's private fork of the
+    /// published tree under a batch transaction.
     Committing,
     /// The batch transaction committed; the private tree holds the new
     /// version but readers cannot see it yet.
@@ -79,8 +79,8 @@ pub enum BatchState {
     /// The new version was atomically swapped into the published slot;
     /// readers acquire it from now on.
     Published,
-    /// The batch failed mid-commit and was fully undone; the published
-    /// version never changed. Terminal for this batch — its operations
+    /// The batch failed mid-commit and its fork was dropped; the
+    /// published version never changed. Terminal for this batch — its operations
     /// go back to the pending set and re-enter as a *new* batch.
     RolledBack,
 }
@@ -104,11 +104,11 @@ impl std::fmt::Display for BatchState {
 pub enum BatchEvent {
     /// The committer drained the queue into a validated batch.
     Drain,
-    /// The batch transaction opened on the private tree.
+    /// The batch transaction opened on the private fork.
     Begin,
     /// Every event in the batch applied; the transaction committed.
     Applied,
-    /// A storage fault aborted the batch; everything was undone.
+    /// A storage fault aborted the batch; its fork was dropped.
     Fail,
     /// The committed version was swapped into the published slot.
     Publish,
@@ -159,9 +159,9 @@ pub fn transition(state: BatchState, event: BatchEvent) -> Result<BatchState, In
         (S::Queued, E::Drain) => Ok(S::Batched),
         (S::Batched, E::Begin) => Ok(S::Committing),
         // Failure exists only while pages are being touched: the
-        // catch-up replay and the batch itself run inside one batch
-        // transaction, so there is nothing fallible before `Begin` and
-        // nothing left to fail after `Applied`.
+        // batch runs on a private fork inside one batch transaction, so
+        // there is nothing fallible before `Begin` and nothing left to
+        // fail after `Applied`.
         (S::Committing, E::Fail) => Ok(S::RolledBack),
         (S::Committing, E::Applied) => Ok(S::Committed),
         (S::Committed, E::Publish) => Ok(S::Published),
@@ -174,9 +174,9 @@ pub fn transition(state: BatchState, event: BatchEvent) -> Result<BatchState, In
 ///
 /// Readers obtain an `Arc<PublishedIndex>` from the pipeline and query
 /// it with plain `&self` — the tree inside will never change again, so
-/// there is nothing to coordinate with. The committer reclaims the
-/// tree's pages for the next version only once every reader's `Arc` is
-/// dropped (left-right publication; see [`crate::pipeline`]).
+/// there is nothing to coordinate with. The next version is a
+/// copy-on-write fork of this one; pages only this version still holds
+/// are freed when its last `Arc` is dropped (see [`crate::pipeline`]).
 pub struct PublishedIndex {
     tree: PprTree,
     stamp: VersionStamp,
@@ -208,8 +208,8 @@ impl PublishedIndex {
         self.stamp
     }
 
-    /// Tear the version back into its tree (committer-side reclaim;
-    /// callable only once no other `Arc` clone exists).
+    /// Tear the version back into its tree (callable only once no other
+    /// `Arc` clone exists).
     pub(crate) fn into_tree(self) -> PprTree {
         self.tree
     }

@@ -14,9 +14,11 @@
 //!   roll the batch back to the exact published version (same `Arc`,
 //!   same stamp), and retried commits still converge to the fault-free
 //!   answer,
-//! * **isolation** — a published version's I/O counters and buffer
-//!   frames are its own: neither the committer's tree work nor a
-//!   rolled-back batch shows up in them.
+//! * **isolation** — a published version's pages, I/O counters and
+//!   buffer frames are its own: neither the committer's tree work on
+//!   later forks nor a rolled-back batch shows up in them, and every
+//!   published tree is byte for byte the tree a fresh one becomes when
+//!   fed the same finalized events.
 //!
 //! The oracle shares no code with the pipeline beyond the splitter: no
 //! tree, no reorder heap, no watermark. "One object, many index entries"
@@ -27,12 +29,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sti_core::{
     transition, BatchEvent, BatchState, CommitReport, IngestOp, IngestPipeline, ObjectRecord,
-    OnlineSplitConfig, OnlineSplitter, VersionStamp,
+    OnlineSplitConfig, OnlineSplitter, RecordEvent, VersionStamp,
 };
 use sti_geom::{Rect2, Time, TimeInterval};
 use sti_obs::QueryStats;
 use sti_pprtree::{PprParams, PprTree};
-use sti_storage::{FaultKind, FaultPlan, FaultyBackend, MemBackend, ScheduledFault, StorageError};
+use sti_storage::{
+    FaultKind, FaultPlan, FaultyBackend, PageId, ScheduledFault, StorageError, PAGE_SIZE,
+};
 
 fn params() -> PprParams {
     PprParams {
@@ -309,34 +313,43 @@ proptest! {
         }
     }
 
-    /// Seeded non-transient fault storms on both tree backends: every
-    /// rolled-back commit leaves the published slot untouched (the very
-    /// same `Arc`, no stamp movement), and retrying converges to the
-    /// fault-free oracle's answers.
+    /// Seeded non-transient fault storms on the device every version
+    /// forks: every rolled-back commit leaves the published slot
+    /// untouched (the very same `Arc`, no stamp movement), and retrying
+    /// converges to the fault-free oracle's answers.
     #[test]
     fn fault_storm_mid_commit_rolls_back_to_published_version(seed in any::<u64>()) {
         let horizon: Time = 40;
         let (ops, _) = gen_stream(seed, 5, horizon);
         let records = shadow_records(&ops);
 
+        // A fault-free run says how many device operations the stream
+        // costs; the storm is scheduled among them.
+        let calm = FaultyBackend::new_mem(FaultPlan::none());
+        let calm_clock = calm.clone();
+        let mut p = IngestPipeline::with_backend(config(), params(), Box::new(calm));
+        for (i, op) in ops.iter().enumerate() {
+            p.enqueue(*op);
+            if i % 6 == 5 {
+                p.commit();
+            }
+        }
+        p.seal();
+        let device_ops = calm_clock.ops_executed();
+
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5717_feed);
-        let mut plan = |salt: u64| {
-            let _ = salt;
-            FaultPlan::new(
-                (0..5)
-                    .map(|_| ScheduledFault {
-                        at_op: rng.random_range(0..800),
-                        kind: FaultKind::Fail { transient: false },
-                    })
-                    .collect(),
-            )
-        };
-        let mut p = IngestPipeline::with_backends(
-            config(),
-            params(),
-            Box::new(FaultyBackend::new_mem(plan(0))),
-            Box::new(FaultyBackend::new_mem(plan(1))),
+        let plan = FaultPlan::new(
+            (0..5)
+                .map(|_| ScheduledFault {
+                    at_op: rng.random_range(0..device_ops.max(1)),
+                    kind: FaultKind::Fail { transient: false },
+                })
+                .collect(),
         );
+        let scheduled = plan.faults().len();
+        let device = FaultyBackend::new_mem(plan);
+        let clock = device.clone();
+        let mut p = IngestPipeline::with_backend(config(), params(), Box::new(device));
 
         for (i, op) in ops.iter().enumerate() {
             p.enqueue(*op);
@@ -374,6 +387,10 @@ proptest! {
             prop_assert!(retries < 64, "fault plans are finite; commits must converge");
         }
         prop_assert_eq!(report.state, BatchState::Published);
+        // One device: a fault fires once, whichever fork reaches its
+        // operation, and each one aborts exactly the batch it hit.
+        prop_assert_eq!(clock.journal().len(), scheduled, "every scheduled fault fired");
+        prop_assert_eq!(p.rollbacks(), scheduled as u64, "each fault rolled one batch back");
 
         let v = p.published();
         prop_assert_eq!(v.stamp().watermark, horizon);
@@ -461,22 +478,20 @@ fn pinned_versions_stay_byte_identical_while_commits_race() {
     );
 }
 
-/// A reader that pins one version across *multiple* later commits never
-/// deadlocks the writer: reclaim falls back to deep-copying the retired
-/// tree, and the pinned version keeps answering identically.
+/// A reader that pins one version across *many* later commits never
+/// holds the writer up — each commit forks the newest version, not the
+/// pinned one — and the pinned version keeps answering identically.
 #[test]
 fn reader_pinning_a_version_across_many_commits_never_blocks_the_writer() {
-    let (ops, _) = gen_stream(42, 6, 80);
     let mut p = IngestPipeline::new(config(), params());
-
     let mut pinned: Option<(std::sync::Arc<sti_core::PublishedIndex>, Vec<u64>)> = None;
     let probe = TimeInterval::new(0, 10);
-    for (i, op) in ops.iter().enumerate() {
-        p.enqueue(*op);
-        if i % 8 == 7 {
+    for t in 0..80 {
+        enqueue_dense_instant(&mut p, t);
+        if t % 2 == 1 {
             let report = p.commit();
             assert!(report.error.is_none());
-            if pinned.is_none() && report.stamp.version >= 2 {
+            if pinned.is_none() && report.stamp.watermark >= probe.end {
                 let v = p.published();
                 let answer = interval_ids(v.tree(), &Rect2::UNIT, &probe);
                 pinned = Some((v, answer));
@@ -486,10 +501,10 @@ fn reader_pinning_a_version_across_many_commits_never_blocks_the_writer() {
     let report = p.seal();
     assert_eq!(report.state, BatchState::Published);
 
-    let (v, answer) = pinned.expect("80 instants publish at least two versions");
+    let (v, answer) = pinned.expect("80 instants pass watermark 10");
     assert!(
-        p.published().stamp().version > v.stamp().version + 1,
-        "the pinned version must have been retired several commits ago",
+        p.published().stamp().version > v.stamp().version + 5,
+        "the pinned version must have been superseded many commits ago",
     );
     assert_eq!(
         interval_ids(v.tree(), &Rect2::UNIT, &probe),
@@ -571,9 +586,9 @@ fn a_published_version_counts_only_its_own_reads() {
 /// resident before the failed commit cost no disk read after it.
 #[test]
 fn a_rolled_back_batch_leaves_the_readers_frames_resident() {
-    // Permanent faults on one backend only, so every rollback happens
-    // while the tree on the *clean* backend is the published one (its
-    // warm probes are buffer hits and never reach a backend anyway).
+    // Permanent faults on the one device every version forks. Warm
+    // probes are buffer hits and never reach it; a fault that lands on
+    // a warming miss instead of on the batch proves nothing that round.
     let storm = FaultPlan::new(
         (0..8)
             .map(|i| ScheduledFault {
@@ -586,12 +601,8 @@ fn a_rolled_back_batch_leaves_the_readers_frames_resident() {
         buffer_pages: 1024,
         ..params()
     };
-    let mut p = IngestPipeline::with_backends(
-        config(),
-        roomy,
-        Box::new(MemBackend::new()),
-        Box::new(FaultyBackend::new_mem(storm)),
-    );
+    let mut p =
+        IngestPipeline::with_backend(config(), roomy, Box::new(FaultyBackend::new_mem(storm)));
     let mut rollbacks_checked = 0;
     for t in 0..80 {
         enqueue_dense_instant(&mut p, t);
@@ -600,8 +611,6 @@ fn a_rolled_back_batch_leaves_the_readers_frames_resident() {
         }
         let v = p.published();
         let w = v.stamp().watermark;
-        // Warm the published version. One that sits on the faulty
-        // backend may fail to warm, and then proves nothing this round.
         let warm = probe(v.tree(), w).and_then(|_| probe(v.tree(), w));
         let report = p.commit();
         let warmed = warm.is_ok_and(|again| again.disk_reads == 0 && again.buffer_hits > 0);
@@ -617,4 +626,207 @@ fn a_rolled_back_batch_leaves_the_readers_frames_resident() {
     }
     assert!(rollbacks_checked > 0, "the storm never rolled a batch back");
     assert_eq!(p.seal().state, BatchState::Published, "and it blew over");
+}
+
+/// A seeded stream of objects that never go quiet, one `Vec` of
+/// operations per instant: each object appears in one of the first
+/// eight instants, walks randomly every instant after, and finishes at
+/// `horizon` (those finishes close the last instant). The staggered
+/// starts spread length-capped piece closures over the instants, so
+/// nearly every commit moves the watermark and publishes.
+fn gen_steady_stream(seed: u64, objects: u64, horizon: Time) -> Vec<Vec<IngestOp>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut walkers: Vec<(Time, f64, f64)> = (0..objects)
+        .map(|_| {
+            let x = rng.random::<f64>() * 0.9;
+            (rng.random_range(0..8), x, rng.random::<f64>() * 0.9)
+        })
+        .collect();
+    let mut instants: Vec<Vec<IngestOp>> = (0..horizon)
+        .map(|t| {
+            let mut ops = Vec::new();
+            for (id, (start, x, y)) in (0u64..).zip(&mut walkers) {
+                if t >= *start {
+                    *x = (*x + (rng.random::<f64>() - 0.5) * 0.06).clamp(0.0, 0.9);
+                    *y = (*y + (rng.random::<f64>() - 0.5) * 0.06).clamp(0.0, 0.9);
+                    let rect = Rect2::from_bounds(*x, *y, *x + 0.05, *y + 0.05);
+                    ops.push(IngestOp::Update { id, rect, t });
+                }
+            }
+            ops
+        })
+        .collect();
+    if let Some(last) = instants.last_mut() {
+        last.extend((0..objects).map(|id| IngestOp::Finish { id, end: horizon }));
+    }
+    instants
+}
+
+/// Every page of `tree` at rest, read through a fork of it: the fork
+/// shares the bytes and reading them moves none of `tree`'s counters.
+fn pages_of(tree: &PprTree) -> Vec<Vec<u8>> {
+    let mut fork = tree.clone();
+    let device = fork.backend();
+    (0..device.num_pages())
+        .map(|id| {
+            let mut page = [0u8; PAGE_SIZE];
+            let id = PageId::try_from(id).expect("page ids fit");
+            device.peek_into(id, &mut page).expect("an allocated page");
+            page.to_vec()
+        })
+        .collect()
+}
+
+/// Snapshot answers at every fourth instant below `watermark` and the
+/// interval answer over all of it, for each probe area.
+fn answers_below(tree: &PprTree, watermark: Time) -> Vec<Vec<u64>> {
+    let mut out = Vec::new();
+    for area in probe_areas() {
+        for t in (0..watermark).step_by(4) {
+            out.push(snapshot_ids(tree, &area, t));
+        }
+        out.push(interval_ids(tree, &area, &TimeInterval::new(0, watermark)));
+    }
+    out
+}
+
+/// Apply `events` (of `records`) to `tree` one update at a time.
+fn feed(tree: &mut PprTree, records: &[ObjectRecord], events: &[(Time, RecordEvent, usize)]) {
+    for &(t, kind, i) in events {
+        let r = &records[i];
+        match kind {
+            RecordEvent::Insert => tree.insert(r.id, r.stbox.rect, t).unwrap(),
+            RecordEvent::Delete => tree.delete(r.id, r.stbox.rect, t).unwrap(),
+        }
+    }
+}
+
+/// Asserts that `published` is `reference`: same pages, root log,
+/// clock and record counters.
+fn assert_same_tree(published: &PprTree, reference: &PprTree) {
+    assert!(pages_of(published) == pages_of(reference), "pages differ");
+    assert_eq!(published.roots(), reference.roots());
+    assert_eq!(published.now(), reference.now());
+    assert_eq!(published.alive_records(), reference.alive_records());
+    assert_eq!(published.total_records(), reference.total_records());
+}
+
+/// Raises its flag when dropped, unwinding included, so a failing
+/// writer never leaves the reader it stops spinning.
+struct RaiseOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, std::sync::atomic::Ordering::Release);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Versions are isolated. A reader thread pins one version and keeps
+    /// re-reading it — every page at rest and a fixed set of answers —
+    /// while the writer runs fifty-odd later commits on the same device
+    /// and a fault storm rolls some of them back; nothing the pinned
+    /// version holds may change. And after every publish the published
+    /// tree is exactly the tree a fresh one becomes when fed the same
+    /// finalized events in order: every page, the root log, the clock
+    /// and the record counters.
+    #[test]
+    fn versions_are_isolated_from_later_commits_and_storms(seed in any::<u64>()) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc};
+
+        let instants = gen_steady_stream(seed, 24, 96);
+        let records = shadow_records(&instants.concat());
+        let events = sti_core::record_events(&records);
+        // Roomy enough that the pinned version's re-reads are all hits:
+        // once pinned, the reader never reaches the device the storm is on.
+        let roomy = PprParams { buffer_pages: 512, ..params() };
+
+        // A fault-free run says how many device operations the stream
+        // costs; the storm is scheduled among them.
+        let calm = FaultyBackend::new_mem(FaultPlan::none());
+        let calm_clock = calm.clone();
+        let mut p = IngestPipeline::with_backend(config(), roomy, Box::new(calm));
+        for ops in &instants {
+            ops.iter().for_each(|op| p.enqueue(*op));
+            p.commit();
+        }
+        p.seal();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x150_1a7e);
+        let storm = FaultPlan::new(
+            (0..6)
+                .map(|_| ScheduledFault {
+                    at_op: rng.random_range(0..calm_clock.ops_executed().max(1)),
+                    kind: FaultKind::Fail { transient: false },
+                })
+                .collect(),
+        );
+
+        let mut p = IngestPipeline::with_backend(config(), roomy, Box::new(FaultyBackend::new_mem(storm)));
+        let mut reference = PprTree::new(roomy);
+        let mut fed = 0usize;
+        let (pin_tx, pin_rx) = mpsc::channel::<Arc<sti_core::PublishedIndex>>();
+        let (ready_tx, ready_rx) = mpsc::channel::<()>();
+        let stop = AtomicBool::new(false);
+        let stop = &stop;
+        let mut publishes_after_pin = 0u32;
+        let rounds = std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                let Ok(pinned) = pin_rx.recv() else { return 0 };
+                let w = pinned.stamp().watermark;
+                let pages = pages_of(pinned.tree());
+                let answers = answers_below(pinned.tree(), w);
+                let _ = ready_tx.send(());
+                let mut rounds = 0;
+                loop {
+                    let last = stop.load(Ordering::Acquire);
+                    assert!(pages_of(pinned.tree()) == pages, "a page of the pinned version changed");
+                    assert_eq!(answers_below(pinned.tree(), w), answers, "a pinned answer changed");
+                    rounds += 1;
+                    if last {
+                        return rounds;
+                    }
+                }
+            });
+            // Owned here, so a failing writer drops the sender (the
+            // reader's `recv` returns) and raises `stop` as it unwinds.
+            let pin_tx = pin_tx;
+            let _stop = RaiseOnDrop(stop);
+            let mut pinned = false;
+            for ops in &instants {
+                ops.iter().for_each(|op| p.enqueue(*op));
+                let before = p.published();
+                let report = p.commit();
+                match report.state {
+                    BatchState::Published => {
+                        feed(&mut reference, &records, &events[fed..fed + report.batch_events]);
+                        fed += report.batch_events;
+                        assert_same_tree(p.published().tree(), &reference);
+                        publishes_after_pin += u32::from(pinned);
+                    }
+                    BatchState::RolledBack => assert!(Arc::ptr_eq(&before, &p.published())),
+                    _ => {}
+                }
+                if !pinned && report.stamp.watermark >= 8 {
+                    pin_tx.send(p.published()).expect("the reader waits for its version");
+                    ready_rx.recv().expect("the reader pins before the writer goes on");
+                    pinned = true;
+                }
+            }
+            let mut report = p.seal();
+            while p.pending_events() > 0 {
+                report = p.commit();
+            }
+            assert_eq!(report.state, BatchState::Published);
+            feed(&mut reference, &records, &events[fed..]);
+            assert_same_tree(p.published().tree(), &reference);
+            drop(_stop);
+            reader.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        prop_assert!(rounds > 0, "the reader never looked at its pinned version");
+        prop_assert!(publishes_after_pin >= 50, "{} publishes after the pin", publishes_after_pin);
+        prop_assert!(p.rollbacks() > 0, "the storm never rolled a batch back");
+    }
 }

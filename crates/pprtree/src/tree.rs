@@ -194,9 +194,11 @@ struct BatchSnapshot {
 }
 
 impl Clone for PprTree {
-    /// Deep copy: independent pages, an independent backend, and a
-    /// *private* buffer pool even if the original shared one (see
-    /// [`PageStore::clone`]); the query scratch pool starts empty.
+    /// A copy-on-write fork (see [`PageStore::clone`]): one page pointer
+    /// and one checksum per page plus the pool's frame handles are
+    /// copied, and the bytes stay shared until one side writes a page.
+    /// Updates to either tree never show in the other; the query
+    /// scratch pool starts empty.
     fn clone(&self) -> Self {
         Self {
             store: self.store.clone(),
@@ -296,6 +298,13 @@ impl PprTree {
     /// Number of allocated pages (disk footprint, fig. 16).
     pub fn num_pages(&self) -> usize {
         self.store.num_pages()
+    }
+
+    /// Pages copied on write because a fork of this tree (see
+    /// [`PprTree::clone`]) still shared them, counted since the tree was
+    /// created, forks included.
+    pub fn pages_copied(&self) -> u64 {
+        self.store.pages_copied()
     }
 
     /// Accumulated I/O counters.

@@ -63,6 +63,13 @@ pub trait PageBackend: std::fmt::Debug + Send + Sync {
         0
     }
 
+    /// Pages this backend copied because a clone still shared their
+    /// bytes (see [`MemBackend`]); zero for backends that share none.
+    /// Counted since the backend was created, clones included.
+    fn pages_copied(&self) -> u64 {
+        0
+    }
+
     /// Clone into a boxed backend (see the caveat on [`FileBackend`]).
     fn clone_box(&self) -> Box<dyn PageBackend>;
 
@@ -85,9 +92,14 @@ fn unallocated(op: IoOp, page: PageId, pages: usize) -> StorageError {
 
 /// The default in-memory backend: a growable array of pages. Operations
 /// never fail (the error type exists so wrappers can inject).
+///
+/// Cloning is copy-on-write: the clone shares every page's bytes with
+/// the original, and the first write to a shared page on either side
+/// copies that page alone ([`PageBackend::pages_copied`] counts them).
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
     pages: Vec<Page>,
+    copied: u64,
 }
 
 impl MemBackend {
@@ -117,6 +129,9 @@ impl PageBackend for MemBackend {
             .pages
             .get_mut(id as usize)
             .ok_or_else(|| unallocated(IoOp::Write, id, pages))?;
+        if !page.is_unshared() {
+            self.copied += 1;
+        }
         page.fill_from(payload);
         Ok(())
     }
@@ -133,6 +148,10 @@ impl PageBackend for MemBackend {
 
     fn sync(&mut self) -> Result<(), StorageError> {
         Ok(())
+    }
+
+    fn pages_copied(&self) -> u64 {
+        self.copied
     }
 
     fn clone_box(&self) -> Box<dyn PageBackend> {
@@ -292,7 +311,7 @@ impl PageBackend for FileBackend {
                 page
             })
             .collect();
-        Box::new(MemBackend { pages })
+        Box::new(MemBackend { pages, copied: 0 })
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -326,6 +345,31 @@ mod tests {
         ));
         b.truncate(0);
         assert_eq!(b.num_pages(), 0);
+    }
+
+    #[test]
+    fn mem_backend_clone_copies_a_page_on_its_first_write_only() {
+        let mut b = MemBackend::new();
+        let (x, y) = (b.allocate().unwrap(), b.allocate().unwrap());
+        b.write(x, &[1; 4]).unwrap();
+        assert_eq!(b.pages_copied(), 0, "nothing shares the original's pages");
+        let mut fork = b.clone();
+        fork.write(x, &[2; 4]).unwrap();
+        fork.write(x, &[3; 4]).unwrap();
+        assert_eq!(fork.pages_copied(), 1, "one page written, copied once");
+        assert_eq!(
+            &read(&b, x).unwrap()[..4],
+            &[1; 4],
+            "the original kept its bytes"
+        );
+        assert_eq!(&read(&fork, x).unwrap()[..4], &[3; 4]);
+        b.write(y, &[4; 4]).unwrap();
+        assert_eq!(
+            b.pages_copied(),
+            1,
+            "the original copies what it shares too"
+        );
+        assert_eq!(&read(&fork, y).unwrap()[..4], &[0; 4]);
     }
 
     #[test]

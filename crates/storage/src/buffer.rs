@@ -260,7 +260,7 @@ impl ShardedBuffer {
     /// Pin `page`'s frame if it is resident: counts a buffer hit and
     /// refreshes recency. Returns `None` *without counting anything* on
     /// a miss, so the caller can fall through to the fetch path (which
-    /// accounts the miss via [`ShardedBuffer::install`]).
+    /// accounts the miss when it installs the fetched frame).
     pub fn get(&self, page: PageId) -> Option<Page> {
         let mut shard = self.shard(page);
         let slot = *shard.map.get(&page)?;
@@ -269,8 +269,8 @@ impl ShardedBuffer {
         shard.slot(slot).frame.clone()
     }
 
-    /// A frame nobody else holds, for the caller to fill and hand to
-    /// [`ShardedBuffer::install`]: `page`'s shard's last evicted frame
+    /// A frame nobody else holds, for the caller to fill and install as
+    /// `page`'s bytes: `page`'s shard's last evicted frame
     /// if it kept one, a fresh allocation otherwise. Its content is
     /// unspecified.
     pub fn blank(&self, page: PageId) -> Page {
@@ -378,13 +378,18 @@ impl ShardedBuffer {
 }
 
 impl Clone for ShardedBuffer {
-    /// A deep copy of the residency lists; the frames themselves are
-    /// shared until either side replaces one.
+    /// A copy of the residency lists; the frames themselves are shared
+    /// until either side replaces one. Spares are not carried over: a
+    /// spare is a frame nobody else holds, which a shared one is not.
     fn clone(&self) -> Self {
         let shards = self
             .shards
             .iter()
-            .map(|s| Mutex::new(s.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+            .map(|s| {
+                let mut copy = s.lock().unwrap_or_else(PoisonError::into_inner).clone();
+                copy.spare = None;
+                Mutex::new(copy)
+            })
             .collect();
         Self {
             shards,

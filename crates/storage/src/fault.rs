@@ -41,7 +41,7 @@
 use crate::backend::PageBackend;
 use crate::error::{IoOp, StorageError};
 use crate::{PageId, PAGE_SIZE};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a scheduled fault does to its operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,15 +209,23 @@ pub struct FaultEvent {
 
 /// A [`PageBackend`] wrapper injecting the faults a [`FaultPlan`]
 /// schedules, with a journal of everything that fired.
-#[derive(Debug)]
+///
+/// A clone is the same simulated device seen through another handle
+/// (the copy-on-write fork of a tree version): it shares the plan, the
+/// operation clock and the journal with its original, so a fault fires
+/// once whichever handle reaches its operation, and a retried batch
+/// meets the faults still ahead of the clock, not a replay of the ones
+/// that failed it. Only the wrapped pages diverge, as the inner
+/// backend's clone does.
+#[derive(Debug, Clone)]
 pub struct FaultyBackend {
     inner: Box<dyn PageBackend>,
-    plan: FaultPlan,
+    plan: Arc<FaultPlan>,
     /// Behind a mutex because `read_into` is shared.
-    clock: Mutex<FaultClock>,
+    clock: Arc<Mutex<FaultClock>>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FaultClock {
     /// Cursor into `plan.faults`.
     next_fault: usize,
@@ -226,23 +234,13 @@ struct FaultClock {
     journal: Vec<FaultEvent>,
 }
 
-impl Clone for FaultyBackend {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            plan: self.plan.clone(),
-            clock: Mutex::new(self.clock().clone()),
-        }
-    }
-}
-
 impl FaultyBackend {
     /// Wrap `inner` with the given plan.
     pub fn new(inner: Box<dyn PageBackend>, plan: FaultPlan) -> Self {
         Self {
             inner,
-            plan,
-            clock: Mutex::default(),
+            plan: Arc::new(plan),
+            clock: Arc::default(),
         }
     }
 
@@ -414,6 +412,10 @@ impl PageBackend for FaultyBackend {
         self.clock().journal.len() as u64
     }
 
+    fn pages_copied(&self) -> u64 {
+        self.inner.pages_copied()
+    }
+
     fn clone_box(&self) -> Box<dyn PageBackend> {
         Box::new(self.clone())
     }
@@ -554,6 +556,24 @@ mod tests {
             let _ = read(&b2, 0);
         }
         assert_eq!(b.journal(), b2.journal());
+    }
+
+    #[test]
+    fn a_clone_is_the_same_device_with_its_own_pages() {
+        let plan = FaultPlan::new(vec![ScheduledFault {
+            at_op: 1,
+            kind: FaultKind::Fail { transient: false },
+        }]);
+        let mut b = mem_with(plan);
+        b.write(0, &[5]).unwrap(); // op 0
+        let mut fork = b.clone();
+        assert!(fork.write(0, &[6]).is_err(), "op 1 fires on the fork");
+        b.write(0, &[7]).unwrap(); // op 2: already fired, not replayed
+        fork.write(0, &[8]).unwrap(); // op 3
+        assert_eq!((b.ops_executed(), fork.ops_executed()), (4, 4));
+        assert_eq!(b.journal(), fork.journal());
+        assert_eq!(b.faults_injected(), 1);
+        assert_eq!((at_rest(&b, 0)[0], at_rest(&fork, 0)[0]), (7, 8));
     }
 
     #[test]

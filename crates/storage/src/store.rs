@@ -278,6 +278,12 @@ pub struct PageStore {
 }
 
 impl Clone for PageStore {
+    /// A copy-on-write fork: the backend's clone (one pointer per page
+    /// over a [`MemBackend`], whose pages the two stores then share until
+    /// either writes one), one recorded checksum per page, and a pool
+    /// holding the same frames as this one. From here on each side
+    /// writes, evicts and counts on its own; the counters start where
+    /// this store's stand.
     fn clone(&self) -> Self {
         // ordering: relaxed snapshot of independent stat counters; the
         // clone starts from whatever each counter held, no cross-counter
@@ -381,6 +387,12 @@ impl PageStore {
     /// Disk footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.num_pages() * PAGE_SIZE
+    }
+
+    /// Pages the backend copied on write because a fork of this store
+    /// still shared them ([`PageBackend::pages_copied`]).
+    pub fn pages_copied(&self) -> u64 {
+        self.core_read().backend.pages_copied()
     }
 
     /// The backend, for journal inspection and downcasts in tests.
@@ -560,8 +572,7 @@ impl PageStore {
     /// the buffer (and refreshes LRU recency), so a read immediately
     /// after a write hits; but that residency update is a caching side
     /// effect, not a read, so it must not increment `buffer_hits`. The
-    /// new frame is therefore installed uncounted
-    /// ([`ShardedBuffer::install`] with `fetched == false`).
+    /// new frame is therefore installed uncounted.
     ///
     /// Failure discipline: the stored bytes are read back and verified
     /// after the write (catching silent at-rest bit flips); a
