@@ -2,12 +2,16 @@
 //! online splitter.
 //!
 //! The PPR-Tree amortizes version splits; the online splitter is O(1)
-//! per observation.
+//! per observation. `node_write` is what one node write costs on the
+//! update path — encoding a node, the store's validated write inside a
+//! transaction — and a batch of updates applied the way the ingest
+//! pipeline applies one: inside `begin_batch`, on a fork of a tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sti_core::online::{OnlineSplitConfig, OnlineSplitter};
 use sti_geom::Rect2;
-use sti_pprtree::{PprParams, PprTree};
+use sti_pprtree::{PprEntry, PprNode, PprParams, PprTree};
+use sti_storage::{Page, PageStore};
 
 /// A deterministic churn workload: (id, rect, t, is_insert).
 fn workload(n: usize) -> Vec<(u64, Rect2, u32, bool)> {
@@ -32,17 +36,74 @@ fn bench_updates(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("PPR-Tree", n), &ops, |b, ops| {
             b.iter(|| {
                 let mut t = PprTree::new(PprParams::default());
-                for &(id, r, at, ins) in ops {
-                    if ins {
-                        t.insert(id, r, at).unwrap();
-                    } else {
-                        t.delete(id, r, at).unwrap();
-                    }
-                }
+                apply(&mut t, ops);
                 t.num_pages()
             })
         });
     }
+    group.finish();
+}
+
+/// Apply `ops` to `tree` in order.
+fn apply(tree: &mut PprTree, ops: &[(u64, Rect2, u32, bool)]) {
+    for &(id, r, at, ins) in ops {
+        if ins {
+            tree.insert(id, r, at).unwrap();
+        } else {
+            tree.delete(id, r, at).unwrap();
+        }
+    }
+}
+
+fn bench_node_write(c: &mut Criterion) {
+    let mut group = c.benchmark_group("node_write");
+    // A 45-entry leaf, about what an incremental tree's leaves hold.
+    let leaf = PprNode {
+        level: 0,
+        entries: (0..45u32)
+            .map(|i| {
+                let x = f64::from(i) / 50.0;
+                PprEntry::alive(
+                    Rect2::from_bounds(x, x, x + 0.02, x + 0.02),
+                    u64::from(i),
+                    i,
+                )
+            })
+            .collect(),
+    };
+    let mut page = Page::zeroed();
+    group.bench_function("encode", |b| {
+        b.iter(|| {
+            leaf.encode(&mut page);
+            page.bytes()[6]
+        })
+    });
+
+    let mut store = PageStore::new(10);
+    store.set_validator(PprNode::well_formed);
+    let id = store.allocate().unwrap();
+    leaf.encode(&mut page);
+    store.begin_txn();
+    group.bench_function("store_write", |b| {
+        b.iter(|| store.write(id, &page.bytes()[..]).unwrap())
+    });
+    store.commit_txn();
+
+    // The first 90 % of the churn workload, then the rest as one batch
+    // on a fork per iteration (the fork's cost included, as in a commit).
+    let ops = workload(2000);
+    let (base_ops, batch) = ops.split_at(ops.len() * 9 / 10);
+    let mut base = PprTree::new(PprParams::default());
+    apply(&mut base, base_ops);
+    group.bench_function(BenchmarkId::new("batch_on_fork", batch.len()), |b| {
+        b.iter(|| {
+            let mut fork = base.clone();
+            fork.begin_batch();
+            apply(&mut fork, batch);
+            fork.commit_batch();
+            fork.num_pages()
+        })
+    });
     group.finish();
 }
 
@@ -66,5 +127,10 @@ fn bench_online_splitter(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_updates, bench_online_splitter);
+criterion_group!(
+    benches,
+    bench_updates,
+    bench_node_write,
+    bench_online_splitter
+);
 criterion_main!(benches);

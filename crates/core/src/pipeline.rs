@@ -122,6 +122,11 @@ pub struct CommitReport {
     /// Pages the batch copied because its fork still shared them with
     /// an older version — the cost a commit pays per page it touches.
     pub pages_copied: u64,
+    /// Pages the batch wrote (its [`sti_storage::IoStats::writes`]
+    /// delta). An update writes a page only when it changes the page's
+    /// bytes, and a page is copied only by its first write, so a batch
+    /// that commits has `pages_copied ≤ pages_written`.
+    pub pages_written: u64,
     /// The storage fault that rolled the batch back, if any.
     pub error: Option<StorageError>,
     /// Set only by [`IngestPipeline::seal`]: `true` when it gave up
@@ -152,6 +157,7 @@ impl CommitReport {
             batch_events: 0,
             lag_events: 0,
             pages_copied: 0,
+            pages_written: 0,
             error: None,
             stalled: false,
             durability: None,
@@ -207,6 +213,8 @@ pub struct IngestPipeline {
     rejected_total: u64,
     /// Pages copied on write by every batch, rolled back or not.
     pages_copied: u64,
+    /// Pages written by every batch, rolled back or not.
+    pages_written: u64,
     /// Test hook: force [`IngestPipeline::seal`] to take its stalled
     /// exit (see [`IngestPipeline::wedge_seal_for_test`]).
     wedge_seal: bool,
@@ -258,6 +266,7 @@ impl IngestPipeline {
             rollbacks: 0,
             rejected_total: 0,
             pages_copied: 0,
+            pages_written: 0,
             wedge_seal: false,
             durability: None,
         }
@@ -354,6 +363,11 @@ impl IngestPipeline {
             "ingest_pages_copied_total",
             "pages commits copied on write because an older version still shared them",
             self.pages_copied as f64,
+        );
+        set.counter(
+            "ingest_pages_written_total",
+            "pages commits wrote, each because an update changed its bytes",
+            self.pages_written as f64,
         );
         set.gauge(
             "ingest_queue_depth",
@@ -513,19 +527,23 @@ impl IngestPipeline {
         Self::step(&mut state, BatchEvent::Begin, &mut trace);
         fork.begin_batch();
         let copied_before = fork.pages_copied();
+        let written_before = fork.io_stats().writes;
         let batch_events = self.pending.len();
         let applied: Result<(), StorageError> = self
             .pending
             .iter()
             .try_for_each(|ev| ev.kind.apply(&mut fork, &ev.record, ev.time));
         let pages_copied = fork.pages_copied() - copied_before;
+        let pages_written = fork.io_stats().writes - written_before;
         self.pages_copied += pages_copied;
+        self.pages_written += pages_written;
 
         let mut report = CommitReport {
             drained,
             rejected,
             batch_events,
             pages_copied,
+            pages_written,
             ..CommitReport::empty(state, stamp, Vec::new())
         };
         match applied {
@@ -1037,13 +1055,14 @@ mod tests {
     }
 
     /// Drive instants `range` of `n` objects, committing every
-    /// `commit_every` instants.
+    /// `commit_every` instants. Returns the pages the commits wrote.
     fn drive(
         pipeline: &mut IngestPipeline,
         n: u64,
         range: std::ops::Range<Time>,
         commit_every: Time,
-    ) {
+    ) -> u64 {
+        let mut written = 0;
         for t in range {
             for id in 0..n {
                 pipeline.enqueue_update(id, rect_at(id, t), t);
@@ -1052,8 +1071,16 @@ mod tests {
                 let report = pipeline.commit();
                 assert!(report.rejected.is_empty());
                 assert_ne!(report.state, BatchState::RolledBack);
+                assert!(
+                    report.pages_copied <= report.pages_written,
+                    "{} pages copied, {} written",
+                    report.pages_copied,
+                    report.pages_written
+                );
+                written += report.pages_written;
             }
         }
+        written
     }
 
     #[test]
@@ -1257,20 +1284,23 @@ mod tests {
     #[test]
     fn metrics_report_version_and_lag() {
         let mut p = IngestPipeline::new(config(), params());
-        drive(&mut p, 3, 0..40, 5);
+        let written = drive(&mut p, 3, 0..40, 5);
         let mut set = MetricSet::new();
         p.record_metrics(&mut set);
         let json = set.to_json();
         assert!(json.contains("ingest_commits_total"));
         assert!(json.contains("ingest_published_version"));
         assert!(json.contains("ingest_commit_lag_instants"));
-        let copied: f64 = set
-            .to_prometheus()
-            .lines()
-            .find_map(|l| l.strip_prefix("ingest_pages_copied_total "))
-            .and_then(|v| v.parse().ok())
-            .expect("the copy-on-write counter is exported");
-        assert_eq!(copied, p.pages_copied as f64);
+        let counter = |name: &str| -> f64 {
+            set.to_prometheus()
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{name} is exported"))
+        };
+        assert_eq!(counter("ingest_pages_copied_total"), p.pages_copied as f64);
+        assert_eq!(counter("ingest_pages_written_total"), written as f64);
+        assert!(written > 0, "forty instants finalize events");
         // Every commit after the first rewrites pages the previous
         // version still holds, and copies each of them at most once.
         let bound = p.published().tree().num_pages() as u64 * p.commits();

@@ -481,22 +481,27 @@ impl PprTree {
 
     fn insert_inner(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), StorageError> {
         self.advance(t);
-        if self.current_root().is_none() {
-            let page = self.store.allocate()?;
-            self.write_node(page, &PprNode::new(0))?;
-            self.roots.push(RootSpan {
-                interval: TimeInterval::open(t),
-                page,
-                level: 0,
-            });
-        }
-        let path = self.descend_for_insert(&rect)?;
+        let path = match self.current_root() {
+            Some(root) => self.descend_for_insert(root.page, &rect)?,
+            None => {
+                // A fresh page already holds an empty leaf: allocation
+                // zeroes it, and that is how an empty leaf encodes. The
+                // insert below is its first write.
+                let page = self.store.allocate()?;
+                self.roots.push(RootSpan {
+                    interval: TimeInterval::open(t),
+                    page,
+                    level: 0,
+                });
+                Path::leaf(page, PprNode::new(0))
+            }
+        };
         let ops = Ops {
             kills: Vec::new(),
             expand: None,
             adds: vec![PprEntry::alive(rect, id, t)],
         };
-        self.propagate(&path, ops, t)?;
+        self.propagate(path, ops, t)?;
         self.alive_records += 1;
         self.total_posted += 1;
         Ok(())
@@ -544,7 +549,7 @@ impl PprTree {
             expand: None,
             adds: Vec::new(),
         };
-        self.propagate(&path, ops, t)?;
+        self.propagate(path, ops, t)?;
         self.alive_records -= 1;
         Ok(())
     }
@@ -842,18 +847,19 @@ impl PprTree {
         self.store.write(page, &buf.bytes()[..])
     }
 
-    /// Choose-subtree descent for insertion: among *alive* directory
-    /// entries pick minimum area enlargement (ties: minimum area).
-    fn descend_for_insert(&mut self, rect: &Rect2) -> Result<Path, StorageError> {
-        // stilint::allow(no_panic, "insert creates a root before descending, so the root log is nonempty here")
-        let root = self.current_root().expect("insert ensured a root");
-        let mut page = root.page;
-        let mut pages = vec![page];
-        let mut entry_idx = Vec::new();
+    /// Choose-subtree descent for insertion from the current root at
+    /// `page`: among *alive* directory entries pick minimum area
+    /// enlargement (ties: minimum area).
+    fn descend_for_insert(&self, mut page: PageId, rect: &Rect2) -> Result<Path, StorageError> {
+        let mut ancestors = Vec::new();
         loop {
             let node = self.read_node(page)?;
             if node.is_leaf() {
-                return Ok(Path { pages, entry_idx });
+                return Ok(Path {
+                    ancestors,
+                    page,
+                    node,
+                });
             }
             let mut best: Option<(f64, f64, usize)> = None;
             for (i, e) in node.entries.iter().enumerate() {
@@ -866,168 +872,157 @@ impl PprTree {
                 }
             }
             // stilint::allow(no_panic, "the weak version condition keeps every reachable directory node at >= D alive children; check::validate reports EmptyDirectory if this is ever violated")
-            let (_, _, idx) = best.expect("alive directory node has an alive child");
-            entry_idx.push(idx);
-            page = node.entries[idx].child_page();
-            pages.push(page);
+            let (_, _, child) = best.expect("alive directory node has an alive child");
+            let next = node.entries[child].child_page();
+            ancestors.push(Ancestor { page, node, child });
+            page = next;
         }
     }
 
     /// DFS for the leaf holding the alive record `id` whose rect equals
     /// (is contained in) `rect`; returns the path to that leaf plus the
     /// record's entry index within it.
-    fn locate_alive(
-        &mut self,
-        id: u64,
-        rect: &Rect2,
-    ) -> Result<Option<(Path, usize)>, StorageError> {
+    fn locate_alive(&self, id: u64, rect: &Rect2) -> Result<Option<(Path, usize)>, StorageError> {
         let Some(root) = self.current_root() else {
             return Ok(None);
         };
-        let mut path = Path {
-            pages: vec![root.page],
-            entry_idx: Vec::new(),
-        };
-        Ok(self
-            .locate_rec(root.page, id, rect, &mut path)?
-            .map(|idx| (path, idx)))
+        let found = self.locate_rec(root.page, id, rect)?;
+        Ok(found.map(|(mut path, idx)| {
+            // `locate_rec` adds each ancestor on its way back up.
+            path.ancestors.reverse();
+            (path, idx)
+        }))
     }
 
+    /// [`PprTree::locate_alive`] below `page`, with the path's ancestors
+    /// nearest first.
     fn locate_rec(
-        &mut self,
+        &self,
         page: PageId,
         id: u64,
         rect: &Rect2,
-        path: &mut Path,
-    ) -> Result<Option<usize>, StorageError> {
+    ) -> Result<Option<(Path, usize)>, StorageError> {
         let node = self.read_node(page)?;
         if node.is_leaf() {
-            return Ok(node
+            let found = node
                 .entries
                 .iter()
-                .position(|e| e.is_alive() && e.ptr == id && e.rect == *rect));
+                .position(|e| e.is_alive() && e.ptr == id && e.rect == *rect);
+            return Ok(found.map(|idx| (Path::leaf(page, node), idx)));
         }
+        let mut hit = None;
         for (i, e) in node.entries.iter().enumerate() {
             if e.is_alive() && e.rect.contains_rect(rect) {
-                path.entry_idx.push(i);
-                path.pages.push(e.child_page());
-                if let Some(idx) = self.locate_rec(e.child_page(), id, rect, path)? {
-                    return Ok(Some(idx));
+                hit = self.locate_rec(e.child_page(), id, rect)?.map(|f| (i, f));
+                if hit.is_some() {
+                    break;
                 }
-                path.entry_idx.pop();
-                path.pages.pop();
             }
         }
-        Ok(None)
+        Ok(hit.map(|(child, (mut path, idx))| {
+            path.ancestors.push(Ancestor { page, node, child });
+            (path, idx)
+        }))
     }
 
-    /// Apply `ops` to the node at the end of `path` and walk structural
-    /// consequences up to the root.
-    fn propagate(&mut self, path: &Path, mut ops: Ops, t: Time) -> Result<(), StorageError> {
-        let mut i = path.pages.len() - 1;
+    /// Apply `ops` to the leaf of `path` and walk structural
+    /// consequences up to the root, over the nodes the descent decoded:
+    /// nothing on the path is written before the walk reaches it, so
+    /// they are still the nodes at rest.
+    fn propagate(&mut self, path: Path, mut ops: Ops, t: Time) -> Result<(), StorageError> {
+        let Path {
+            mut ancestors,
+            mut page,
+            mut node,
+        } = path;
         loop {
-            let page = path.pages[i];
-            let parent = if i > 0 {
-                Some(ParentCtx {
-                    page: path.pages[i - 1],
-                    entry_idx: path.entry_idx[i - 1],
-                })
-            } else {
-                None
+            let parent = ancestors.pop();
+            let up = self.apply_ops(page, node, ops, t, parent.as_ref())?;
+            let Some(parent) = parent else {
+                if let UpOps::Replace { adds, .. } = up {
+                    self.replace_root(adds, t)?;
+                }
+                return Ok(());
             };
-            let up = self.apply_ops(page, ops, t, parent.as_ref())?;
-            match up {
+            ops = match up {
                 UpOps::Done => return Ok(()),
-                UpOps::Expand(rect) => {
-                    if i == 0 {
-                        return Ok(());
-                    }
-                    ops = Ops {
-                        kills: Vec::new(),
-                        expand: Some((path.entry_idx[i - 1], rect)),
-                        adds: Vec::new(),
-                    };
-                }
-                UpOps::Replace { kill_sibling, adds } => {
-                    if i == 0 {
-                        self.replace_root(adds, t)?;
-                        return Ok(());
-                    }
-                    let mut kills = vec![path.entry_idx[i - 1]];
-                    if let Some(s) = kill_sibling {
-                        kills.push(s);
-                    }
-                    ops = Ops {
-                        kills,
-                        expand: None,
-                        adds,
-                    };
-                }
-            }
-            i -= 1;
+                UpOps::Expand(rect) => Ops {
+                    kills: Vec::new(),
+                    expand: Some((parent.child, rect)),
+                    adds: Vec::new(),
+                },
+                UpOps::Replace { kill_sibling, adds } => Ops {
+                    kills: std::iter::once(parent.child).chain(kill_sibling).collect(),
+                    expand: None,
+                    adds,
+                },
+            };
+            (page, node) = (parent.page, parent.node);
         }
     }
 
-    /// Apply kills/expands/adds to one node; version-split when the node
-    /// is full or (for non-roots) the weak version condition breaks.
+    /// Apply kills/expands/adds to `node`, the node at rest at `page`;
+    /// version-split when the node is full or (for non-roots) the weak
+    /// version condition breaks. The node is written only if the ops
+    /// changed a bit of it: an expand its entry already covers leaves
+    /// the page as it is, and the walk goes on up all the same.
     fn apply_ops(
         &mut self,
         page: PageId,
+        mut node: PprNode,
         ops: Ops,
         t: Time,
-        parent: Option<&ParentCtx>,
+        parent: Option<&Ancestor>,
     ) -> Result<UpOps, StorageError> {
-        let mut node = self.read_node(page)?;
+        let mut changed = false;
         for &k in &ops.kills {
             debug_assert!(node.entries[k].is_alive(), "killing a dead entry");
+            changed |= node.entries[k].deletion != t;
             node.entries[k].deletion = t;
         }
         if let Some((idx, rect)) = ops.expand {
+            let before = node.entries[idx].rect;
             node.entries[idx].rect.expand(&rect);
+            changed |= !same_bits(&before, &node.entries[idx].rect);
         }
-
-        if node.entries.len() + ops.adds.len() <= self.params.max_entries {
-            // Fits: apply in place.
-            let mut grow = ops.expand.map(|(_, r)| r).unwrap_or(Rect2::EMPTY);
-            for e in &ops.adds {
-                grow.expand(&e.rect);
-            }
-            let alive = node.alive_count() + ops.adds.len();
-            let is_root = parent.is_none();
-            if !is_root && alive < self.params.weak_min() {
-                // Weak version underflow: close this node and copy the
-                // survivors (possibly merging with a sibling). The adds
-                // must NOT be written into the closed node — it covers
-                // history strictly before `t`, and a never-deleted copy
-                // left behind would resurface in interval queries that
-                // span the split.
-                self.write_node(page, &node)?;
-                let mut with_adds = node.clone();
-                with_adds.entries.extend(ops.adds);
-                return self.version_split(&with_adds, t, parent);
-            }
-            node.entries.extend(ops.adds);
-            if is_root && !node.is_leaf() && alive == 0 {
-                // Directory root lost its last child: close the current
-                // evolution; a future insert starts a fresh root.
-                self.write_node(page, &node)?;
-                self.close_current_root(t);
-                return Ok(UpOps::Done);
-            }
+        let mut adds = ops.adds;
+        let mut grow = ops.expand.map(|(_, r)| r).unwrap_or(Rect2::EMPTY);
+        for e in &adds {
+            grow.expand(&e.rect);
+        }
+        let alive = node.alive_count() + adds.len();
+        let is_root = parent.is_none();
+        // A full node, or a non-root that breaks the weak version
+        // condition, is closed and its survivors copied (possibly merged
+        // with a sibling). The adds must NOT be written into the closed
+        // node — it covers history strictly before `t`, and a
+        // never-deleted copy left behind would resurface in interval
+        // queries that span the split — so only the kills and expands
+        // are persisted, historically, and the adds go into the copies.
+        let split = node.entries.len() + adds.len() > self.params.max_entries
+            || (!is_root && alive < self.params.weak_min());
+        if !split {
+            changed |= !adds.is_empty();
+            node.entries.append(&mut adds);
+        }
+        if changed {
             self.write_node(page, &node)?;
-            if grow.is_empty() {
-                return Ok(UpOps::Done);
-            }
-            return Ok(UpOps::Expand(grow));
         }
-
-        // Node is full: persist the kills/expands historically, then
-        // version-split with the pending adds folded into the copies.
-        let adds = ops.adds;
-        self.write_node(page, &node)?;
-        let mut with_adds = node.clone();
-        with_adds.entries.extend(adds);
-        self.version_split(&with_adds, t, parent)
+        if split {
+            node.entries.append(&mut adds);
+            return self.version_split(&node, t, parent);
+        }
+        if is_root && !node.is_leaf() && alive == 0 {
+            // Directory root lost its last child: close the current
+            // evolution; a future insert starts a fresh root.
+            self.close_current_root(t);
+            return Ok(UpOps::Done);
+        }
+        Ok(if grow.is_empty() {
+            UpOps::Done
+        } else {
+            UpOps::Expand(grow)
+        })
     }
 
     /// Copy the alive entries of `node` into fresh node(s) at time `t`,
@@ -1037,7 +1032,7 @@ impl PprTree {
         &mut self,
         node: &PprNode,
         t: Time,
-        parent: Option<&ParentCtx>,
+        parent: Option<&Ancestor>,
     ) -> Result<UpOps, StorageError> {
         let mut copies: Vec<PprEntry> = node
             .entries
@@ -1060,8 +1055,8 @@ impl PprTree {
         if copies.len() < svu {
             // Strong version underflow: merge with a version-split
             // sibling when one exists.
-            if let Some(ctx) = parent {
-                if let Some((sib_idx, sib_page)) = self.pick_sibling(ctx, node)? {
+            if let Some(parent) = parent {
+                if let Some((sib_idx, sib_page)) = pick_sibling(parent, node) {
                     let sib = self.read_node(sib_page)?;
                     debug_assert_eq!(sib.level, node.level, "merge across levels");
                     copies.extend(
@@ -1101,37 +1096,6 @@ impl PprTree {
             adds.push(PprEntry::alive(rect, u64::from(new_page), t));
         }
         Ok(UpOps::Replace { kill_sibling, adds })
-    }
-
-    /// Choose an alive sibling of the entry `ctx.entry_idx` in the parent,
-    /// preferring the one whose MBR is closest (smallest union area) to
-    /// the underflowing node.
-    fn pick_sibling(
-        &mut self,
-        ctx: &ParentCtx,
-        node: &PprNode,
-    ) -> Result<Option<(usize, PageId)>, StorageError> {
-        let parent = self.read_node(ctx.page)?;
-        let my_rect = node.alive_mbr();
-        let mut best: Option<(f64, usize, PageId)> = None;
-        for (i, e) in parent.entries.iter().enumerate() {
-            if i == ctx.entry_idx || !e.is_alive() {
-                continue;
-            }
-            // Any alive sibling is safe: the combined copies are at most
-            // (svu − 1) + B entries, and when that exceeds svo the key
-            // split's min-fill bound (svu each, checked by
-            // `PprParams::validate`) caps each half below B.
-            let key = if my_rect.is_empty() {
-                e.rect.area()
-            } else {
-                my_rect.union(&e.rect).area()
-            };
-            if best.is_none_or(|(b, _, _)| key < b) {
-                best = Some((key, i, e.child_page()));
-            }
-        }
-        Ok(best.map(|(_, i, p)| (i, p)))
     }
 
     /// Install replacements for a version-split root.
@@ -1298,19 +1262,68 @@ impl PprTree {
     }
 }
 
-/// Root-to-leaf path recorded during descent.
+/// Root-to-leaf path recorded during descent: every node on it as the
+/// descent decoded it, so the update that follows reads none of them
+/// again.
 struct Path {
-    /// Node pages, root first.
-    pages: Vec<PageId>,
-    /// `entry_idx[i]` = index within `pages[i]` of the entry pointing to
-    /// `pages[i + 1]`.
-    entry_idx: Vec<usize>,
+    /// The directory nodes above the leaf, root first.
+    ancestors: Vec<Ancestor>,
+    /// The leaf's page.
+    page: PageId,
+    /// The leaf.
+    node: PprNode,
 }
 
-/// Parent context for sibling selection during merges.
-struct ParentCtx {
+impl Path {
+    /// The path of a tree whose root is the leaf `node` at `page`.
+    fn leaf(page: PageId, node: PprNode) -> Self {
+        Self {
+            ancestors: Vec::new(),
+            page,
+            node,
+        }
+    }
+}
+
+/// A directory node on a [`Path`].
+struct Ancestor {
     page: PageId,
-    entry_idx: usize,
+    node: PprNode,
+    /// Index within `node` of the entry pointing one level down the path.
+    child: usize,
+}
+
+/// Choose an alive sibling of the entry `parent.child`, preferring the
+/// one whose MBR is closest (smallest union area) to the underflowing
+/// `node`.
+fn pick_sibling(parent: &Ancestor, node: &PprNode) -> Option<(usize, PageId)> {
+    let my_rect = node.alive_mbr();
+    let mut best: Option<(f64, usize, PageId)> = None;
+    for (i, e) in parent.node.entries.iter().enumerate() {
+        if i == parent.child || !e.is_alive() {
+            continue;
+        }
+        // Any alive sibling is safe: the combined copies are at most
+        // (svu − 1) + B entries, and when that exceeds svo the key
+        // split's min-fill bound (svu each, checked by
+        // `PprParams::validate`) caps each half below B.
+        let key = if my_rect.is_empty() {
+            e.rect.area()
+        } else {
+            my_rect.union(&e.rect).area()
+        };
+        if best.is_none_or(|(b, _, _)| key < b) {
+            best = Some((key, i, e.child_page()));
+        }
+    }
+    best.map(|(_, i, p)| (i, p))
+}
+
+/// Whether two rectangles encode to the same bytes: `-0.0` and `0.0`
+/// compare equal but are different bits on the page.
+fn same_bits(a: &Rect2, b: &Rect2) -> bool {
+    let bits = |r: &Rect2| [r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f64::to_bits);
+    bits(a) == bits(b)
 }
 
 #[cfg(test)]

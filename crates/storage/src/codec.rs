@@ -32,6 +32,10 @@ impl std::error::Error for CodecError {}
 
 /// Append-only little-endian writer over a byte buffer.
 ///
+/// Every method is `#[inline]`, for the reason [`ByteReader`]'s are:
+/// encoding a node is then a run of stores at known offsets, not a call
+/// and a bounds check per field.
+///
 /// # Panics
 /// Writing past the end of the buffer panics — encoders size their nodes
 /// against the page capacity statically, so an overflow is a programming
@@ -43,15 +47,18 @@ pub struct ByteWriter<'a> {
 
 impl<'a> ByteWriter<'a> {
     /// Start writing at the beginning of `buf`.
+    #[inline]
     pub fn new(buf: &'a mut [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         let end = self.pos + bytes.len();
         assert!(
@@ -65,26 +72,31 @@ impl<'a> ByteWriter<'a> {
     }
 
     /// Write a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.put(&[v]);
     }
 
     /// Write a `u16` (little-endian).
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.put(&v.to_le_bytes());
     }
 
     /// Write a `u32` (little-endian).
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.put(&v.to_le_bytes());
     }
 
     /// Write a `u64` (little-endian).
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.put(&v.to_le_bytes());
     }
 
     /// Write an `f64` (little-endian IEEE-754 bits).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put(&v.to_le_bytes());
     }

@@ -123,14 +123,21 @@ impl StoreCore {
         verify(id, buf, expected)
     }
 
-    /// One transfer of `payload` to page `id`, then a read-back of the
-    /// stored bytes against the intended payload's checksum (detects
-    /// silent write-side corruption).
-    fn store(&mut self, id: PageId, payload: &[u8], expected: u64) -> Result<(), StorageError> {
-        self.backend.write(id, payload)?;
+    /// One transfer of `intended` — a whole page: the payload and its
+    /// zero-padded tail — to page `id`, then a read-back of the stored
+    /// bytes compared with it (detects silent write-side corruption
+    /// anywhere in the page, as a checksum of the page would).
+    fn store(&mut self, id: PageId, intended: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        self.backend.write(id, intended)?;
         let mut stored = [0u8; PAGE_SIZE];
         self.backend.peek_into(id, &mut stored)?;
-        verify(id, &stored, expected)
+        if stored == *intended {
+            return Ok(());
+        }
+        Err(StorageError::Corrupt {
+            page: id,
+            reason: CorruptReason::Checksum,
+        })
     }
 
     /// The bytes of page `id` at rest: no accounting, no faults, no
@@ -574,12 +581,15 @@ impl PageStore {
     /// effect, not a read, so it must not increment `buffer_hits`. The
     /// new frame is therefore installed uncounted.
     ///
-    /// Failure discipline: the stored bytes are read back and verified
-    /// after the write (catching silent at-rest bit flips); a
-    /// verification failure is retried — rewriting heals medium
-    /// corruption — and on final failure the page's prior content is
-    /// restored and its frame dropped, so a failed write never leaves a
-    /// torn page behind.
+    /// Failure discipline: the stored bytes are read back after the
+    /// write and compared with the intended page, zero-padded tail
+    /// included (catching silent at-rest bit flips and torn writes the
+    /// device acknowledged); a mismatch is a
+    /// [`CorruptReason::Checksum`] failure and is retried — rewriting
+    /// heals medium corruption — and on final failure the page's prior
+    /// content is restored and its frame dropped, so a failed write never
+    /// leaves a torn page behind. The page is hashed once, for the
+    /// checksum later fetches are verified against.
     ///
     /// A payload the owner's validator rejects
     /// ([`PageStore::set_validator`]) is refused before anything is
@@ -625,12 +635,10 @@ impl PageStore {
                 });
             }
         }
-        let new_sum = xxh64(frame.bytes());
-
-        match retry.run(&mut ReadProbe::new(), |_| core.store(id, payload, new_sum)) {
+        match retry.run(&mut ReadProbe::new(), |_| core.store(id, frame.bytes())) {
             Ok(()) => {
                 if let Some(sum) = core.sums.get_mut(id as usize) {
-                    *sum = new_sum;
+                    *sum = xxh64(frame.bytes());
                 }
                 // ordering: independent stat counter, read only for reporting.
                 writes.fetch_add(1, Ordering::Relaxed);
@@ -1240,6 +1248,115 @@ mod tests {
         let fs = s.fault_stats();
         assert_eq!(fs.checksum_failures, 1);
         assert_eq!(fs.io_retries, 1);
+    }
+
+    /// A device that acknowledges every write, torn or not: what the
+    /// wrapped injector tears still lands, but its error never reaches
+    /// the store.
+    #[derive(Debug, Clone)]
+    struct AcksTornWrites(FaultyBackend);
+
+    impl PageBackend for AcksTornWrites {
+        fn num_pages(&self) -> usize {
+            self.0.num_pages()
+        }
+        fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+            self.0.read_into(id, buf)
+        }
+        fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+            let _ = self.0.write(id, payload);
+            Ok(())
+        }
+        fn allocate(&mut self) -> Result<PageId, StorageError> {
+            self.0.allocate()
+        }
+        fn truncate(&mut self, len: usize) {
+            self.0.truncate(len);
+        }
+        fn sync(&mut self) -> Result<(), StorageError> {
+            self.0.sync()
+        }
+        fn peek_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+            self.0.peek_into(id, buf)
+        }
+        fn restore(&mut self, id: PageId, bytes: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+            self.0.restore(id, bytes)
+        }
+        fn faults_injected(&self) -> u64 {
+            self.0.faults_injected()
+        }
+        fn clone_box(&self) -> Box<dyn PageBackend> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Damage on the write side of a transfer, wherever in the page it
+    /// lands — every byte offset of a short payload's page, its
+    /// zero-padded tail included, and torn writes the device
+    /// acknowledged — is caught by the read-back: each attempt surfaces
+    /// as `Corrupt { Checksum }`, counts as a checksum failure and is
+    /// retried. Damage on one attempt is healed by the next; damage on
+    /// every attempt fails the write, which leaves the pre-image.
+    #[test]
+    fn every_damaged_write_is_caught_retried_and_undone() {
+        const LEN: usize = 100;
+        let payload: Vec<u8> = (0..LEN as u8).map(|i| i | 0x80).collect();
+        let mut intended = [0u8; PAGE_SIZE];
+        intended[..LEN].copy_from_slice(&payload);
+        let pre_image = [0xA5u8; PAGE_SIZE];
+        let attempts = RetryPolicy::default().max_attempts;
+        let damage_by = |kind: FaultKind| {
+            (0..=attempts).map(move |damaged| {
+                // Op 0 allocates, op 1 writes the pre-image, ops 2.. are
+                // the attempts of the write under test.
+                let faults = (0..u64::from(damaged))
+                    .map(|i| ScheduledFault { at_op: 2 + i, kind })
+                    .collect();
+                (kind, damaged, FaultPlan::new(faults))
+            })
+        };
+        let flips = (0..PAGE_SIZE).flat_map(|byte| {
+            damage_by(FaultKind::BitFlip {
+                byte: byte as u16,
+                bit: (byte % 8) as u8,
+            })
+        });
+        let tears = [0, 1, 8, 57, LEN as u32 - 1]
+            .into_iter()
+            .flat_map(|keep_bytes| damage_by(FaultKind::TornWrite { keep_bytes }));
+        for (kind, damaged, plan) in flips.chain(tears) {
+            let at = format!("{kind:?} on {damaged} of {attempts} attempts");
+            let device = AcksTornWrites(FaultyBackend::new_mem(plan));
+            let mut s = PageStore::with_backend(Box::new(device), 4);
+            let a = s.allocate().unwrap();
+            s.write(a, &pre_image).unwrap();
+            s.reset_stats();
+
+            let outcome = s.write(a, &payload);
+            let failed = damaged == attempts;
+            let expected = if failed {
+                Err(StorageError::Corrupt {
+                    page: a,
+                    reason: CorruptReason::Checksum,
+                })
+            } else {
+                Ok(())
+            };
+            assert_eq!(outcome, expected, "{at}");
+            let fs = s.fault_stats();
+            assert_eq!(fs.checksum_failures, u64::from(damaged), "{at}");
+            assert_eq!(fs.io_retries, u64::from(damaged.min(attempts - 1)), "{at}");
+            assert_eq!(s.stats().writes, u64::from(!failed), "{at}");
+            let at_rest = if failed { &pre_image } else { &intended };
+            assert!(s.peek(a).unwrap().bytes() == at_rest, "{at}: bytes at rest");
+            assert!(read(&s, a).unwrap().bytes() == at_rest, "{at}: fetched");
+        }
     }
 
     // --- transactions -------------------------------------------------

@@ -269,17 +269,18 @@ fn storm_plan(period: u64, horizon: u64) -> FaultPlan {
 /// Build the same workload twice — once over a fault storm, once
 /// clean — keeping only the inserts that succeeded on the faulty tree
 /// (failed updates roll back completely), so both trees index exactly
-/// the same records.
-fn faulty_and_shadow_ppr(seed: u64) -> (PprTree, PprTree) {
+/// the same records. Also returns how many backend operations the
+/// faulty build executed.
+fn build_under(plan: FaultPlan, seed: u64) -> (PprTree, PprTree, u64) {
     let params = PprParams {
         max_entries: 10,
         buffer_pages: 4,
         ..PprParams::default()
     };
-    let mut faulty = PprTree::with_backend(
-        params,
-        Box::new(FaultyBackend::new_mem(storm_plan(97, 2_000_000))),
-    );
+    let device = FaultyBackend::new_mem(plan);
+    // A clone shares the device's operation clock.
+    let clock = device.clone();
+    let mut faulty = PprTree::with_backend(params, Box::new(device));
     let mut shadow = PprTree::new(params);
     let mut rng = StdRng::seed_from_u64(seed);
     for t in 0..120u32 {
@@ -288,6 +289,28 @@ fn faulty_and_shadow_ppr(seed: u64) -> (PprTree, PprTree) {
             shadow.insert(u64::from(t), rect, t).unwrap();
         }
     }
+    (faulty, shadow, clock.ops_executed())
+}
+
+/// [`build_under`] a storm that fires every 97 operations through the
+/// build and then starts over at the first operation after it, so the
+/// readers meet a permanent fault on their first backend operation and
+/// the storm's phase does not depend on how many operations the build
+/// happened to issue. A first build under the build-time storm alone
+/// measures that count; the build is deterministic, so the second one
+/// issues the same operations and meets the same faults.
+fn faulty_and_shadow_ppr(seed: u64) -> (PprTree, PprTree) {
+    const HORIZON: u64 = 2_000_000;
+    let storm = storm_plan(97, HORIZON);
+    let (_, _, build_ops) = build_under(storm.clone(), seed);
+    let during_build = storm.faults().iter().filter(|f| f.at_op < build_ops);
+    let after_build = storm.faults().iter().map(|f| ScheduledFault {
+        at_op: build_ops + f.at_op,
+        ..*f
+    });
+    let plan = FaultPlan::new(during_build.copied().chain(after_build).collect());
+    let (faulty, shadow, again) = build_under(plan, seed);
+    assert_eq!(again, build_ops, "the build is deterministic");
     (faulty, shadow)
 }
 
@@ -352,9 +375,10 @@ proptest! {
                 }
             }
         }
-        // The storm fires every 97 ops with capacity-4 buffers, so some
-        // queries genuinely fail; if none did, the storm never reached
-        // the read path and the test proves nothing.
+        // The storm restarts at the readers' first backend operation and
+        // fires every 97 ops with capacity-4 buffers, so some queries
+        // genuinely fail; if none did, the storm never reached the read
+        // path and the test proves nothing.
         prop_assert!(failed > 0, "storm never hit a concurrent reader");
     }
 }

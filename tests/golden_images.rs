@@ -1,0 +1,138 @@
+//! Golden images: the trees the update path builds, pinned byte for byte.
+//!
+//! One seeded stream of moving objects is indexed twice at the paper's
+//! parameters — once through [`PprTree::insert`] / [`PprTree::delete`]
+//! (one record per object, its whole-lifetime MBR), once through
+//! [`IngestPipeline`] (a position per instant, committed every few
+//! instants, then sealed) — and each tree is saved. The xxh64 of each
+//! saved image is a constant below. A change to how an update is carried
+//! out (which nodes it reads, when it writes one, how it encodes it) must
+//! leave both images as they are; a change that moves either constant
+//! changed the trees.
+//!
+//! How the constants were obtained: this test ran unchanged on commit
+//! `de0a2d3`, whose update path re-read every node on the way up and
+//! rewrote every ancestor whether or not its bytes changed, and printed
+//! the two digests its assertions report on a mismatch.
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use spatiotemporal_index::core::{IngestPipeline, OnlineSplitConfig};
+use spatiotemporal_index::geom::{Point2, Rect2, Time};
+use spatiotemporal_index::pprtree::{PprParams, PprTree};
+use spatiotemporal_index::storage::xxh64;
+
+/// xxh64 of the saved image of the tree built by `insert` / `delete`.
+const DIRECT_IMAGE: u64 = 0xf212_8bb2_79d4_6b68;
+/// xxh64 of the saved image of the sealed pipeline tree.
+const PIPELINE_IMAGE: u64 = 0x00d5_343c_dd61_2d56;
+
+const OBJECTS: u64 = 600;
+const INSTANTS: Time = 200;
+const COMMIT_EVERY: Time = 8;
+
+/// One object: alive over `[start, end)`, at `at(t)` in between.
+struct Mover {
+    start: Time,
+    end: Time,
+    origin: Point2,
+    velocity: (f64, f64),
+    half: f64,
+}
+
+impl Mover {
+    fn at(&self, t: Time) -> Rect2 {
+        let dt = f64::from(t - self.start);
+        let x = (self.origin.x + self.velocity.0 * dt).clamp(0.0, 1.0);
+        let y = (self.origin.y + self.velocity.1 * dt).clamp(0.0, 1.0);
+        Rect2::centered(Point2::new(x, y), self.half, self.half)
+    }
+
+    fn lifetime_mbr(&self) -> Rect2 {
+        let mut mbr = self.at(self.start);
+        for t in self.start + 1..self.end {
+            mbr.expand(&self.at(t));
+        }
+        mbr
+    }
+}
+
+fn movers() -> Vec<Mover> {
+    let mut rng = StdRng::seed_from_u64(0x601d_e11a);
+    (0..OBJECTS)
+        .map(|_| {
+            let start = rng.random_range(0..INSTANTS - 5);
+            let end = (start + rng.random_range(5..60)).min(INSTANTS);
+            Mover {
+                start,
+                end,
+                origin: Point2::new(rng.random::<f64>(), rng.random::<f64>()),
+                velocity: (
+                    (rng.random::<f64>() - 0.5) * 0.01,
+                    (rng.random::<f64>() - 0.5) * 0.01,
+                ),
+                half: 0.002 + rng.random::<f64>() * 0.01,
+            }
+        })
+        .collect()
+}
+
+fn image_digest(tree: &PprTree, name: &str) -> u64 {
+    let path = std::env::temp_dir().join(format!("sti-golden-{name}-{}.idx", std::process::id()));
+    tree.save_to_file(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    xxh64(&bytes)
+}
+
+#[test]
+fn insert_and_delete_build_the_pinned_tree() {
+    let movers = movers();
+    let mut tree = PprTree::new(PprParams::default());
+    for t in 0..=INSTANTS {
+        for (id, m) in (0u64..).zip(&movers) {
+            if m.end == t {
+                tree.delete(id, m.lifetime_mbr(), t).unwrap();
+            }
+        }
+        for (id, m) in (0u64..).zip(&movers) {
+            if m.start == t {
+                tree.insert(id, m.lifetime_mbr(), t).unwrap();
+            }
+        }
+    }
+    tree.validate();
+    let digest = image_digest(&tree, "direct");
+    assert_eq!(digest, DIRECT_IMAGE, "direct image digest {digest:#018x}");
+}
+
+#[test]
+fn the_ingest_pipeline_builds_the_pinned_tree() {
+    let movers = movers();
+    let mut pipeline = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
+    // Every object is finished in the stream itself: `seal` would close
+    // the still-open ones in hash order.
+    for t in 0..=INSTANTS {
+        for (id, m) in (0u64..).zip(&movers) {
+            if m.end == t {
+                pipeline.enqueue_finish(id, t);
+            } else if (m.start..m.end).contains(&t) {
+                pipeline.enqueue_update(id, m.at(t), t);
+            }
+        }
+        if (t + 1) % COMMIT_EVERY == 0 {
+            let report = pipeline.commit();
+            assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+            assert!(report.error.is_none(), "{:?}", report.error);
+        }
+    }
+    let sealed = pipeline.seal();
+    assert!(sealed.rejected.is_empty() && sealed.error.is_none());
+    let tree = pipeline.into_published_tree();
+    tree.validate();
+    let digest = image_digest(&tree, "pipeline");
+    assert_eq!(
+        digest, PIPELINE_IMAGE,
+        "pipeline image digest {digest:#018x}"
+    );
+}
