@@ -203,7 +203,6 @@ impl SpatioTemporalIndex {
     /// # Errors
     /// A [`StorageError`] if ingest fails (see
     /// [`SpatioTemporalIndex::build`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn build_from_objects(
         objects: &[RasterizedObject],
         single: SingleSplitAlgorithm,

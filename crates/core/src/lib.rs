@@ -14,6 +14,12 @@
 //!    [`SpatioTemporalIndex`] facade wires steps 2–4 to the partially
 //!    persistent R-Tree or the 3D R\*-Tree baseline.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub mod curve;
 pub mod executor;
 pub mod index;

@@ -484,7 +484,10 @@ fn remove_start(starts: &mut BTreeMap<Time, usize>, start: Time) {
         Some(_) => {
             starts.remove(&start);
         }
-        // stilint::allow(no_panic, "every open piece registers its start on open and unregisters exactly once on finish")
+        #[expect(
+            clippy::unreachable,
+            reason = "every open piece registers its start on open and unregisters exactly once on finish"
+        )]
         None => unreachable!("open piece start {start} missing from the multiset"),
     }
 }

@@ -1017,10 +1017,11 @@ impl IngestPipeline {
                 *state = next;
                 trace.push(next);
             }
-            Err(e) => {
-                // stilint::allow(no_panic, "the pipeline only drives documented edges; an illegal hop is a logic bug the state-machine tests exist to catch")
-                panic!("{e}");
-            }
+            #[expect(
+                clippy::panic,
+                reason = "the pipeline only drives documented edges; an illegal hop is a logic bug the state-machine tests exist to catch"
+            )]
+            Err(e) => panic!("{e}"),
         }
     }
 }

@@ -336,8 +336,11 @@ impl RecordEvent {
             RecordEvent::Delete => match tree.delete(record.id, record.stbox.rect, t) {
                 Ok(()) => Ok(()),
                 Err(DeleteError::Storage(e)) => Err(e),
+                #[expect(
+                    clippy::panic,
+                    reason = "every event stream derives each delete from a record it also emits an insert for, and deletes sort before inserts at equal times"
+                )]
                 Err(e @ DeleteError::NotFound { .. }) => {
-                    // stilint::allow(no_panic, "every event stream derives each delete from a record it also emits an insert for, and deletes sort before inserts at equal times")
                     panic!("every delete event matches an earlier insert: {e}")
                 }
             },

@@ -39,6 +39,8 @@
 //! meta_xxh: u64
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::online::{Ev, OpenPieceSnapshot};
 use crate::pipeline::IngestOp;
 use crate::plan::{ObjectRecord, RecordEvent};

@@ -85,7 +85,10 @@ impl MergeHierarchy {
 
         let mut merges = 0usize;
         while merges < n - 1 {
-            // stilint::allow(no_panic, "every merge posts a fresh candidate for the surviving pair, so the heap cannot run dry before n-1 merges")
+            #[expect(
+                clippy::expect_used,
+                reason = "every merge posts a fresh candidate for the surviving pair, so the heap cannot run dry before n-1 merges"
+            )]
             let Reverse((OrdF64(cost), p, vp, vq)) = heap.pop().expect("candidates remain");
             if !alive[p] || version[p] != vp {
                 continue;

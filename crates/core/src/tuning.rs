@@ -103,7 +103,10 @@ pub fn choose_splits_analytical(
 /// [`SplitBudget::Percent`] transfer to the full dataset unchanged; the
 /// paper's "the number of splits should be normalized to the full
 /// dataset" is exactly this.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the paper's method 2 has eight independent inputs; a config struct would only rename them"
+)]
 pub fn choose_splits_by_sampling(
     objects: &[RasterizedObject],
     single: SingleSplitAlgorithm,
@@ -140,13 +143,19 @@ pub fn choose_splits_by_sampling(
         let k = sampled_budget.resolve(sample.len());
         let allocation = distribution.distribute(&sample_curves, k);
         let records = crate::plan::records_for(&sample, &sample_sources, &allocation.splits);
+        #[expect(
+            clippy::expect_used,
+            reason = "the sampling tuner builds over the default in-memory store, which cannot fail"
+        )]
         let mut idx = SpatioTemporalIndex::build(&records, &IndexConfig::paper(backend))
-            // stilint::allow(no_panic, "the sampling tuner builds over the default in-memory store, which cannot fail")
             .expect("in-memory build cannot fail");
         let mut total_io = 0u64;
         for (area, range) in queries {
             idx.reset_for_query();
-            // stilint::allow(no_panic, "in-memory reads cannot fail; a skipped query would silently skew the measured cost")
+            #[expect(
+                clippy::expect_used,
+                reason = "in-memory reads cannot fail; a skipped query would silently skew the measured cost"
+            )]
             let _ = idx.query(area, range).expect("in-memory query cannot fail");
             total_io += idx.io_stats().reads;
         }
@@ -156,13 +165,16 @@ pub fn choose_splits_by_sampling(
     TuningResult { best, costs }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "choose_splits_by_sampling asserts the candidate list is non-empty before building costs"
+)]
 fn argmin(costs: &[(SplitBudget, f64)]) -> usize {
     costs
         .iter()
         .enumerate()
         .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
         .map(|(i, _)| i)
-        // stilint::allow(no_panic, "choose_splits_by_sampling asserts the candidate list is non-empty before building costs")
         .expect("nonempty")
 }
 

@@ -15,6 +15,13 @@
 //!   fanout, then applies the Pagel sum per level.
 //! * [`BoxStats`] — compact per-record-set statistics feeding the models.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod multiversion;
 pub mod pagel;
 pub mod rtree_model;

@@ -9,6 +9,8 @@
 //!             boundaries (u32 each) · rects (4 × f64 each)
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -161,7 +163,7 @@ impl DatasetReader {
         }
         // `with_boundaries` validates ordering; map its panic to an error
         // by pre-checking.
-        if boundaries.windows(2).any(|w| w[0] >= w[1])
+        if !boundaries.is_sorted_by(|a, b| a < b)
             || boundaries.iter().any(|&b| b == 0 || b >= instants)
         {
             return Err(bad("corrupt boundaries"));

@@ -15,6 +15,12 @@
 //!
 //! All generators are deterministic given their seed.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub mod io;
 pub mod map;
 pub mod orbits;

@@ -68,7 +68,10 @@ impl RailwayDatasetSpec {
         let mut hours_total = 0u32;
         let mut leg_hours: Vec<u32> = Vec::new();
         while route.len() <= legs_wanted {
-            // stilint::allow(no_panic, "route starts as vec![origin] and only grows")
+            #[expect(
+                clippy::expect_used,
+                reason = "route starts as vec![origin] and only grows"
+            )]
             let here = *route.last().expect("nonempty");
             let prev = if route.len() >= 2 {
                 Some(route[route.len() - 2])

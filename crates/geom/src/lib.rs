@@ -22,6 +22,13 @@
 //! splitting a moving object into tighter boxes strictly reduces total
 //! volume ("empty space").
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod hilbert;
 pub mod interval;
 pub mod point;

@@ -2,7 +2,7 @@
 //!
 //! [`MetricSet`] is an append-only list of samples. Rendering returns
 //! `String`s — writing them anywhere is the binary's job (see the
-//! workspace lint rule `no_process_io`).
+//! workspace lint rule `no_process_io`, `clippy::print_stdout`).
 
 use crate::hist::HistogramSnapshot;
 use crate::json::JsonValue;

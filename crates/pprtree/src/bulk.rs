@@ -471,7 +471,8 @@ impl Occupancy {
         let first = u64::from(p.insertion.saturating_sub(self.lo)) / self.width;
         let last = u64::from(clamped_end(p, horizon).saturating_sub(self.lo)) / self.width;
         let top = self.counts.len().saturating_sub(1);
-        (first as usize).min(top)..=(last as usize).min(top)
+        let clamp = |b: u64| usize::try_from(b).unwrap_or(top).min(top);
+        clamp(first)..=clamp(last)
     }
 
     fn fits(&self, p: &BulkPiece, horizon: Time, cap: usize) -> bool {
@@ -881,6 +882,10 @@ fn pack_roots(
     let mut roots: Vec<RootSpan> = Vec::new();
     match edges {
         [] => {}
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "an edge's ptr is the `u64::from(page)` replay_level gave it"
+        )]
         [only] => roots.push(RootSpan {
             interval: only.lifetime(),
             page: only.ptr as PageId,

@@ -28,6 +28,14 @@
 //! paper's 10-page LRU buffer is measured faithfully. Paper parameters:
 //! `B = 50`, `P_version = 0.22`, `P_svo = 0.8`, `P_svu = 0.4`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+
 pub mod bulk;
 pub mod check;
 pub mod knn;

@@ -1,5 +1,7 @@
 //! PPR-Tree nodes, entries, parameters, and page serialization.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use sti_geom::{Point2, Rect2, Time, TimeInterval};
 use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PageId, PAGE_SIZE};
 
@@ -36,17 +38,32 @@ impl Default for PprParams {
 
 impl PprParams {
     /// `D`: minimum alive entries for a non-root node to be alive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float-to-int `as` saturates, and validate() rejects a threshold outside 0..=max_entries"
+    )]
     pub fn weak_min(&self) -> usize {
         ((self.p_version * self.max_entries as f64).ceil() as usize).max(1)
     }
 
     /// Strong version overflow threshold (alive counts above this
     /// key-split).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float-to-int `as` saturates, and validate() rejects a threshold outside 0..=max_entries"
+    )]
     pub fn strong_overflow(&self) -> usize {
         (self.p_svo * self.max_entries as f64).floor() as usize
     }
 
     /// Strong version underflow threshold (alive counts below this merge).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float-to-int `as` saturates, and validate() rejects a threshold outside 0..=max_entries"
+    )]
     pub fn strong_underflow(&self) -> usize {
         (self.p_svu * self.max_entries as f64).ceil() as usize
     }
@@ -339,7 +356,10 @@ impl PprNode {
         let buf = page.bytes_mut();
         let mut w = ByteWriter::new(buf.as_mut_slice());
         w.put_u32(self.level);
-        // stilint::allow(no_panic, "the encoded_size assert above bounds entries by the page capacity, far below u16::MAX")
+        #[expect(
+            clippy::expect_used,
+            reason = "the encoded_size assert above bounds entries by the page capacity, far below u16::MAX"
+        )]
         w.put_u16(u16::try_from(self.entries.len()).expect("entry count fits u16"));
         for e in &self.entries {
             w.put_f64(e.rect.lo.x);
@@ -351,7 +371,10 @@ impl PprNode {
             w.put_u32(e.deletion);
         }
         let pos = w.position();
-        // stilint::allow(panic_path, "a ByteWriter's position never passes the end of the buffer it writes")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a ByteWriter's position never passes the end of the buffer it writes"
+        )]
         buf[pos..].fill(0);
     }
 

@@ -98,7 +98,10 @@ pub fn key_split(entries: Vec<PprEntry>, min_entries: usize) -> (Vec<PprEntry>, 
         }
     }
 
-    // stilint::allow(no_panic, "k_range is nonempty whenever n >= 2*min_entries (asserted on entry), so the distribution loop always ran")
+    #[expect(
+        clippy::expect_used,
+        reason = "k_range is nonempty whenever n >= 2*min_entries (asserted on entry), so the distribution loop always ran"
+    )]
     let (_, _, order, split_at) = best.expect("at least one distribution");
     let g1 = order[..split_at].iter().map(|&i| entries[i]).collect();
     let g2 = order[split_at..].iter().map(|&i| entries[i]).collect();

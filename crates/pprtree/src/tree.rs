@@ -562,9 +562,12 @@ impl PprTree {
     fn debug_check(&mut self) {
         self.debug_mutations += 1;
         if self.store.num_pages() <= 64 || self.debug_mutations.is_multiple_of(64) {
+            #[expect(
+                clippy::panic,
+                reason = "debug-only tripwire; release builds skip the check and the typed API is check::validate"
+            )]
             if let Err(violations) = crate::check::validate_current(self) {
                 let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-                // stilint::allow(no_panic, "debug-only tripwire; release builds skip the check and the typed API is check::validate")
                 panic!(
                     "PPR-Tree invariants broken after update at t={}:\n{}",
                     self.now,
@@ -871,7 +874,10 @@ impl PprTree {
                     best = Some((key.0, key.1, i));
                 }
             }
-            // stilint::allow(no_panic, "the weak version condition keeps every reachable directory node at >= D alive children; check::validate reports EmptyDirectory if this is ever violated")
+            #[expect(
+                clippy::expect_used,
+                reason = "the weak version condition keeps every reachable directory node at >= D alive children; check::validate reports EmptyDirectory if this is ever violated"
+            )]
             let (_, _, child) = best.expect("alive directory node has an alive child");
             let next = node.entries[child].child_page();
             ancestors.push(Ancestor { page, node, child });
@@ -1100,7 +1106,10 @@ impl PprTree {
 
     /// Install replacements for a version-split root.
     fn replace_root(&mut self, adds: Vec<PprEntry>, t: Time) -> Result<(), StorageError> {
-        // stilint::allow(no_panic, "only called from propagate while the current root overflows, so a current root exists")
+        #[expect(
+            clippy::expect_used,
+            reason = "only called from propagate while the current root overflows, so a current root exists"
+        )]
         let old = self.current_root().expect("a root was being split");
         self.close_current_root(t);
         match adds.len() {
@@ -1125,14 +1134,20 @@ impl PprTree {
                     level: old.level + 1,
                 });
             }
-            // stilint::allow(no_panic, "apply_version_split emits at most two replacement nodes (copy + optional key-split sibling)")
+            #[expect(
+                clippy::unreachable,
+                reason = "apply_version_split emits at most two replacement nodes (copy + optional key-split sibling)"
+            )]
             n => unreachable!("version split produced {n} nodes"),
         }
         Ok(())
     }
 
     fn close_current_root(&mut self, t: Time) {
-        // stilint::allow(no_panic, "callers close the root only after current_root() returned Some")
+        #[expect(
+            clippy::expect_used,
+            reason = "callers close the root only after current_root() returned Some"
+        )]
         let span = self.roots.last_mut().expect("root exists");
         debug_assert!(span.interval.is_open());
         span.interval.end = t;
@@ -1253,10 +1268,13 @@ impl PprTree {
     /// [`crate::check::Violation`]s; this wrapper only turns them into a
     /// panic for `assert!`-style test call sites.
     #[doc(hidden)]
+    #[expect(
+        clippy::panic,
+        reason = "test-only wrapper; the typed API is check::validate"
+    )]
     pub fn validate(&self) {
         if let Err(violations) = crate::check::validate(self) {
             let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-            // stilint::allow(no_panic, "test-only wrapper; the typed API is check::validate")
             panic!("PPR-Tree invariant check failed:\n{}", lines.join("\n"));
         }
     }

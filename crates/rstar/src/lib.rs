@@ -13,6 +13,12 @@
 //! buffer) is measured exactly as in the evaluation. The paper's setup
 //! uses a page capacity of 50 entries.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub mod bulk;
 pub mod knn;
 pub mod node;

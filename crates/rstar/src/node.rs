@@ -1,5 +1,7 @@
 //! R\*-Tree nodes and their page serialization.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use sti_geom::Rect3;
 use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PageId, PAGE_SIZE};
 
@@ -262,7 +264,10 @@ impl Node {
         let buf = page.bytes_mut();
         let mut w = ByteWriter::new(buf.as_mut_slice());
         w.put_u32(self.level);
-        // stilint::allow(no_panic, "the encoded_size assert above bounds entries by the page capacity, far below u16::MAX")
+        #[expect(
+            clippy::expect_used,
+            reason = "the encoded_size assert above bounds entries by the page capacity, far below u16::MAX"
+        )]
         w.put_u16(u16::try_from(self.entries.len()).expect("entry count fits u16"));
         for e in &self.entries {
             for bound in e.rect.lo.iter().chain(&e.rect.hi) {
@@ -273,7 +278,10 @@ impl Node {
         // Zero the tail so stale bytes from a previous, larger version of
         // this node can never be mis-decoded.
         let pos = w.position();
-        // stilint::allow(panic_path, "a ByteWriter's position never passes the end of the buffer it writes")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a ByteWriter's position never passes the end of the buffer it writes"
+        )]
         buf[pos..].fill(0);
     }
 

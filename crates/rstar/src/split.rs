@@ -101,7 +101,10 @@ pub fn rstar_split(entries: Vec<Entry>, min_entries: usize) -> (Vec<Entry>, Vec<
         }
     }
 
-    // stilint::allow(no_panic, "k_range is nonempty whenever n >= 2*min_entries (asserted on entry), so the distribution loop always ran")
+    #[expect(
+        clippy::expect_used,
+        reason = "k_range is nonempty whenever n >= 2*min_entries (asserted on entry), so the distribution loop always ran"
+    )]
     let (_, _, order, split_at) = best.expect("at least one distribution");
     let g1 = order[..split_at].iter().map(|&i| entries[i]).collect();
     let g2 = order[split_at..].iter().map(|&i| entries[i]).collect();

@@ -56,7 +56,10 @@ impl RStarTree {
     pub fn new(params: RStarParams) -> Self {
         match Self::with_backend(params, Box::new(MemBackend::new())) {
             Ok(t) => t,
-            // stilint::allow(no_panic, "a fresh MemBackend cannot fail the two bootstrap page operations")
+            #[expect(
+                clippy::unreachable,
+                reason = "a fresh MemBackend cannot fail the two bootstrap page operations"
+            )]
             Err(e) => unreachable!("in-memory bootstrap failed: {e}"),
         }
     }
@@ -590,7 +593,10 @@ impl RStarTree {
         let mut stack = vec![(self.root, root_level, None::<Rect3>)];
         let mut data_count = 0u64;
         while let Some((page, expect_level, parent_rect)) = stack.pop() {
-            // stilint::allow(no_io_unwrap, "test-only invariant walker whose contract is to panic on any defect, unreadable pages included")
+            #[expect(
+                clippy::expect_used,
+                reason = "test-only invariant walker whose contract is to panic on any defect, unreadable pages included"
+            )]
             let node = self.read_node(page).expect("validate: unreadable node");
             assert_eq!(node.level, expect_level, "level mismatch at page {page}");
             assert!(node.entries.len() <= max, "overfull node {page}");

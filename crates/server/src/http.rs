@@ -8,6 +8,8 @@
 //! every malformed shape maps to a typed [`RecvError`] the server turns
 //! into a 4xx instead of a panic.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 

@@ -24,6 +24,12 @@
 //! p50/p95/p99 through the `sti-bench/1` JSON shape, extending the
 //! repo's perf-gate pattern from I/O counts to serving latency.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub mod cli;
 pub mod http;
 pub mod server;

@@ -17,9 +17,6 @@ pub fn run(graph: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for &id in &graph.fn_ids {
         let file = &graph.files[id.0];
-        if !file.atomic_order {
-            continue;
-        }
         let f = graph.fn_item(id);
         if f.is_test {
             continue;
@@ -72,20 +69,9 @@ pub fn run(graph: &Graph) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::graph::FileInput;
-    use crate::mask;
 
-    fn input(path: &str, strict: bool, src: &str) -> FileInput {
-        let m = mask::mask(src);
-        let exempt = crate::test_exempt_lines(&m.text);
-        FileInput {
-            path: path.to_string(),
-            model: crate::parse::parse(&m.text, &m.comments, &exempt),
-            panic_path: true,
-            lock_discipline: true,
-            atomic_order: true,
-            strict_atomic: strict,
-            justified_panic_lines: Vec::new(),
-        }
+    fn input(path: &str, strict_atomic: bool, src: &str) -> FileInput {
+        crate::file_input(path, src, crate::FileClass { strict_atomic })
     }
 
     #[test]

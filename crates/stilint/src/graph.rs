@@ -62,15 +62,8 @@ pub struct FileInput {
     /// Workspace-relative path.
     pub path: String,
     pub model: FileModel,
-    /// Rule toggles from the file's [`crate::FileClass`].
-    pub panic_path: bool,
-    pub lock_discipline: bool,
-    pub atomic_order: bool,
+    /// From the file's [`crate::FileClass`].
     pub strict_atomic: bool,
-    /// 1-based lines whose panic sites carry a justifying allow
-    /// (`no_panic`, `no_io_unwrap`, or `panic_path`) and are therefore
-    /// not panic sources for R6.
-    pub justified_panic_lines: Vec<usize>,
 }
 
 /// Global id of a fn: (file index, fn index within the file).
@@ -375,20 +368,12 @@ fn name_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mask;
 
     fn input(path: &str, src: &str) -> FileInput {
-        let m = mask::mask(src);
-        let exempt = crate::test_exempt_lines(&m.text);
-        FileInput {
-            path: path.to_string(),
-            model: crate::parse::parse(&m.text, &m.comments, &exempt),
-            panic_path: true,
-            lock_discipline: true,
-            atomic_order: true,
+        let class = crate::FileClass {
             strict_atomic: false,
-            justified_panic_lines: Vec::new(),
-        }
+        };
+        crate::file_input(path, src, class)
     }
 
     #[test]

@@ -47,12 +47,7 @@ fn kind_name(kind: GuardKind) -> &'static str {
 pub fn run(graph: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for &id in &graph.fn_ids {
-        let file = &graph.files[id.0];
-        if !file.lock_discipline {
-            continue;
-        }
-        let f = graph.fn_item(id);
-        if f.is_test {
+        if graph.fn_item(id).is_test {
             continue;
         }
         let spans = collect_spans(graph, id);
@@ -229,20 +224,12 @@ fn check_span(graph: &Graph, id: FnId, span: &Span, out: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
     use crate::graph::FileInput;
-    use crate::mask;
 
     fn input(path: &str, src: &str) -> FileInput {
-        let m = mask::mask(src);
-        let exempt = crate::test_exempt_lines(&m.text);
-        FileInput {
-            path: path.to_string(),
-            model: crate::parse::parse(&m.text, &m.comments, &exempt),
-            panic_path: true,
-            lock_discipline: true,
-            atomic_order: true,
+        let class = crate::FileClass {
             strict_atomic: false,
-            justified_panic_lines: Vec::new(),
-        }
+        };
+        crate::file_input(path, src, class)
     }
 
     #[test]

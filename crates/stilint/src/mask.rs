@@ -25,7 +25,7 @@ pub struct Masked {
     /// space (newlines preserved), so offsets in `lines()` line up with
     /// the original file's lines.
     pub text: String,
-    /// Every `//` comment, for `stilint::allow` directive parsing.
+    /// Every `//` comment, for the `// bounded:` / `// ordering:` markers.
     pub comments: Vec<Comment>,
 }
 
@@ -332,8 +332,8 @@ mod tests {
 
     #[test]
     fn comment_text_is_captured_for_directives() {
-        let m = mask("x(); // stilint::allow(no_panic, \"why\")\n");
+        let m = mask("x.store(0, Ordering::Release); // ordering: pairs with the load\n");
         assert_eq!(m.comments.len(), 1);
-        assert!(m.comments[0].text.contains("stilint::allow(no_panic"));
+        assert!(m.comments[0].text.contains("ordering: pairs"));
     }
 }

@@ -7,8 +7,8 @@
 //! a Rust parser; the workspace is offline and `syn` is unavailable —
 //! extracts the facts the interprocedural rules need:
 //!
-//! * `fn` items with name, `impl` owner, visibility, receiver, body
-//!   span, and whether a guard type is returned,
+//! * `fn` items with name, `impl` owner, receiver, body span, and
+//!   whether a guard type is returned,
 //! * call sites (free, `Path::`-qualified, and method calls with their
 //!   receiver chain),
 //! * guard-producing expressions (`.lock()`, `.read()`/`.write()` on a
@@ -16,9 +16,7 @@
 //! * `loop` headers and whether they carry a `// bounded:` marker,
 //! * atomic operations with their `Ordering` arguments and whether a
 //!   `// ordering:` justification comment is attached,
-//! * direct backend-I/O marker lines,
-//! * panic sources (`panic!` family, `unwrap`/`expect`, slice/array
-//!   indexing).
+//! * direct backend-I/O marker lines.
 //!
 //! Everything here is an approximation with a deliberate bias: prefer
 //! missing an edge (under-approximate the call graph) over inventing
@@ -54,16 +52,6 @@ pub struct CallSite {
     pub is_method: bool,
     /// `Some(var)` when the call's result is `let`-bound on this line.
     pub let_binding: Option<String>,
-}
-
-/// A panic source inside a fn body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub line: usize,
-    /// `panic!`, `.unwrap()`, `.expect`, or `indexing`.
-    pub token: String,
-    /// A short snippet naming the offending expression (for messages).
-    pub what: String,
 }
 
 /// A guard-producing expression.
@@ -111,8 +99,6 @@ pub struct FnItem {
     pub name: String,
     /// The `impl` type the fn lives in, when known.
     pub owner: Option<String>,
-    /// Unrestricted `pub` (`pub(crate)`/`pub(super)` count as internal).
-    pub is_pub: bool,
     pub has_receiver: bool,
     /// Line of the `fn` keyword.
     pub line: usize,
@@ -123,7 +109,6 @@ pub struct FnItem {
     /// The declared return type produces a guard.
     pub returns_guard: Option<GuardKind>,
     pub calls: Vec<CallSite>,
-    pub panics: Vec<PanicSite>,
     pub guards: Vec<GuardSite>,
     pub loops: Vec<LoopSite>,
     pub atomics: Vec<AtomicSite>,
@@ -386,7 +371,6 @@ fn guard_return(sig_after_arrow: &str) -> Option<GuardKind> {
 struct PendingFn {
     text: String,
     start_line: usize,
-    is_pub: bool,
     owner: Option<String>,
     paren_depth: i32,
     bracket_depth: i32,
@@ -516,7 +500,6 @@ pub fn parse(ascii: &str, comments: &[Comment], exempt: &[bool]) -> FileModel {
             if let Some(fn_at) = find_fn_token(seg) {
                 scanned_header = true;
                 let abs = scan_from + fn_at;
-                let prefix = line.get(..abs).unwrap_or("");
                 let owner = stack.iter().rev().find_map(|c| match c {
                     Ctx::Impl { ty, .. } => Some(ty.clone()),
                     _ => None,
@@ -524,7 +507,6 @@ pub fn parse(ascii: &str, comments: &[Comment], exempt: &[bool]) -> FileModel {
                 let mut p = PendingFn {
                     text: String::new(),
                     start_line: line_no,
-                    is_pub: prefix_is_pub(prefix),
                     owner: owner.flatten(),
                     paren_depth: 0,
                     bracket_depth: 0,
@@ -690,14 +672,12 @@ fn finalize_fn(p: &PendingFn, is_test: bool, model: &mut FileModel) -> usize {
     model.fns.push(FnItem {
         name,
         owner: p.owner.clone(),
-        is_pub: p.is_pub,
         has_receiver,
         line: p.start_line,
         end_line: 0,
         is_test,
         returns_guard,
         calls: Vec::new(),
-        panics: Vec::new(),
         guards: Vec::new(),
         loops: Vec::new(),
         atomics: Vec::new(),
@@ -727,22 +707,12 @@ fn find_impl_token(seg: &str) -> Option<usize> {
     })
 }
 
-fn prefix_is_pub(prefix: &str) -> bool {
-    for at in token_positions(prefix, "pub") {
-        if !keyword_at(prefix, at, "pub") {
-            continue;
-        }
-        let after = prefix.get(at + 3..).unwrap_or("").trim_start();
-        if !after.starts_with('(') {
-            return true;
-        }
-    }
-    false
-}
-
 /// Scan one line's code (from byte `from`) for sites, attributing them
 /// to fn `fn_idx`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one line's scan needs the file-wide marker tables alongside the line itself"
+)]
 fn scan_sites(
     line: &str,
     from: usize,
@@ -765,7 +735,6 @@ fn scan_sites(
 
     // Collect into locals; the mutable model borrow is taken at the end.
     let mut calls: Vec<CallSite> = Vec::new();
-    let mut panics: Vec<PanicSite> = Vec::new();
     let mut guards: Vec<GuardSite> = Vec::new();
     let mut loops: Vec<LoopSite> = Vec::new();
     let mut atomics: Vec<AtomicSite> = Vec::new();
@@ -862,46 +831,6 @@ fn scan_sites(
         });
     }
 
-    // --- panic sources ---------------------------------------------
-    for needle in ["panic!", "unreachable!", "todo!", "unimplemented!"] {
-        for _ in token_positions(seg, needle) {
-            panics.push(PanicSite {
-                line: line_no,
-                token: needle.to_string(),
-                what: needle.to_string(),
-            });
-        }
-    }
-    for needle in [".unwrap()", ".expect("] {
-        for at in token_positions(seg, needle) {
-            let recv = receiver_chain(seg, at);
-            panics.push(PanicSite {
-                line: line_no,
-                token: needle.trim_end_matches('(').to_string(),
-                what: format!("{}{}", chain_tail(&recv), needle.trim_end_matches('(')),
-            });
-        }
-    }
-    // Indexing: `[` directly after an identifier, `)`, or `]`.
-    for (col, c) in seg.char_indices() {
-        if c != '[' {
-            continue;
-        }
-        let prev = seg.get(..col).and_then(|h| h.chars().next_back());
-        if !prev.is_some_and(|p| is_ident(p) || p == ')' || p == ']') {
-            continue;
-        }
-        let what = match ident_ending_at(seg, col) {
-            Some(name) => format!("{name}[..]"),
-            None => "[..]".to_string(),
-        };
-        panics.push(PanicSite {
-            line: line_no,
-            token: "indexing".to_string(),
-            what,
-        });
-    }
-
     // --- atomics ----------------------------------------------------
     for method in ATOMIC_METHODS {
         let needle = format!(".{method}(");
@@ -940,7 +869,6 @@ fn scan_sites(
         return;
     };
     f.calls.append(&mut calls);
-    f.panics.append(&mut panics);
     f.guards.append(&mut guards);
     f.loops.append(&mut loops);
     f.atomics.append(&mut atomics);
@@ -1171,7 +1099,7 @@ mod tests {
     }
 
     #[test]
-    fn extracts_fns_with_visibility_owner_and_receiver() {
+    fn extracts_fns_with_owner_and_receiver() {
         let src = "\
 impl Widget {
     pub fn api(&self) -> usize { self.helper() }
@@ -1181,25 +1109,18 @@ pub(crate) fn internal() {}
 pub fn free() {}
 ";
         let m = parse_src(src);
-        let names: Vec<(&str, bool, bool, Option<&str>)> = m
+        let names: Vec<(&str, bool, Option<&str>)> = m
             .fns
             .iter()
-            .map(|f| {
-                (
-                    f.name.as_str(),
-                    f.is_pub,
-                    f.has_receiver,
-                    f.owner.as_deref(),
-                )
-            })
+            .map(|f| (f.name.as_str(), f.has_receiver, f.owner.as_deref()))
             .collect();
         assert_eq!(
             names,
             vec![
-                ("api", true, true, Some("Widget")),
-                ("helper", false, true, Some("Widget")),
-                ("internal", false, false, None),
-                ("free", true, false, None),
+                ("api", true, Some("Widget")),
+                ("helper", true, Some("Widget")),
+                ("internal", false, None),
+                ("free", false, None),
             ]
         );
         assert_eq!(m.fns[0].calls.len(), 1);
@@ -1301,29 +1222,6 @@ impl S {
     }
 
     #[test]
-    fn indexing_and_panic_sites() {
-        let src = "\
-fn f(v: &[u32], i: usize) -> u32 {
-    let x = v[i];
-    let y = v.get(i).unwrap();
-    let a = [0u8; 4];
-    x + y + u32::from(a[0])
-}
-";
-        let m = parse_src(src);
-        let f = &m.fns[0];
-        let tokens: Vec<&str> = f.panics.iter().map(|p| p.token.as_str()).collect();
-        assert!(tokens.contains(&"indexing"));
-        assert!(tokens.contains(&".unwrap()"));
-        assert_eq!(
-            f.panics.iter().filter(|p| p.token == "indexing").count(),
-            2,
-            "{:?}",
-            f.panics
-        );
-    }
-
-    #[test]
     fn loops_and_bounded_markers() {
         let src = "\
 fn f() {
@@ -1354,7 +1252,7 @@ mod tests {
 ";
         let m = parse_src(src);
         let t = m.fns.iter().find(|f| f.name == "t");
-        assert!(t.is_some_and(|f| f.is_test && f.panics.is_empty()));
+        assert!(t.is_some_and(|f| f.is_test && f.calls.is_empty()));
     }
 
     #[test]

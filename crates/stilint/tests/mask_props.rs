@@ -121,7 +121,7 @@ fn nested_block_comments_track_depth() {
 
 #[test]
 fn comment_syntax_inside_strings_is_inert() {
-    let src = "let s = \"// stilint::allow(no_panic, \\\"nope\\\")\";\nx.unwrap();\n";
+    let src = "let s = \"// ordering: \\\"nope\\\"\";\nx.unwrap();\n";
     let m = mask(src);
     assert!(
         m.comments.is_empty(),

@@ -232,6 +232,10 @@ impl ShardedBuffer {
     }
 
     /// Which shard a page id routes to (stable for a given shard count).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `shards.len()`, itself a usize"
+    )]
     pub fn shard_of(&self, page: PageId) -> usize {
         // Fibonacci multiplicative hash: consecutive page ids (the common
         // allocation pattern) spread across shards instead of clustering.
@@ -241,7 +245,7 @@ impl ShardedBuffer {
 
     fn shard(&self, page: PageId) -> MutexGuard<'_, Shard> {
         // Poison is unreachable in practice (no code path panics while
-        // holding a shard lock; stilint's no_panic gate enforces this),
+        // holding a shard lock; clippy's `unwrap_used`/`panic` gates enforce this),
         // and a shard's list, frames and counters stay internally
         // consistent even if a panic did slip through.
         // `shard_of` reduces modulo `shards.len()`, and `with_shards`

@@ -9,6 +9,8 @@
 //! the on-disk index format (`crate::persist`, one checksum per region
 //! and per page).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
@@ -32,7 +34,10 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 #[inline]
 fn read_u64(b: &[u8], at: usize) -> u64 {
     let mut buf = [0u8; 8];
-    // stilint::allow(panic_path, "every caller checks `at + 8 <= b.len()` in the condition of the loop it reads in")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller checks `at + 8 <= b.len()` in the condition of the loop it reads in"
+    )]
     buf.copy_from_slice(&b[at..at + 8]);
     u64::from_le_bytes(buf)
 }
@@ -40,7 +45,10 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 #[inline]
 fn read_u32(b: &[u8], at: usize) -> u32 {
     let mut buf = [0u8; 4];
-    // stilint::allow(panic_path, "the one caller checks `at + 4 <= len` first")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the one caller checks `at + 4 <= len` first"
+    )]
     buf.copy_from_slice(&b[at..at + 4]);
     u32::from_le_bytes(buf)
 }
@@ -91,11 +99,9 @@ pub fn xxh64_seeded(data: &[u8], seed: u64) -> u64 {
             .wrapping_add(PRIME_3);
         at += 4;
     }
-    while at < len {
-        // stilint::allow(panic_path, "`at < len` is the loop condition")
-        h ^= u64::from(data[at]).wrapping_mul(PRIME_5);
+    for &byte in data.iter().skip(at) {
+        h ^= u64::from(byte).wrapping_mul(PRIME_5);
         h = h.rotate_left(11).wrapping_mul(PRIME_1);
-        at += 1;
     }
     h ^= h >> 33;
     h = h.wrapping_mul(PRIME_2);

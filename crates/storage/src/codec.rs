@@ -4,6 +4,8 @@
 //! are tiny, fixed, and version-controlled by the node code itself. These
 //! two cursors keep the call sites readable and panic-free.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 /// Error produced when decoding runs past the end of a page or encounters
 /// an impossible value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +68,10 @@ impl<'a> ByteWriter<'a> {
             "page overflow at byte {end}/{}",
             self.buf.len()
         );
-        // stilint::allow(panic_path, "the assert above bounds `end` by the buffer length")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the assert above bounds `end` by the buffer length"
+        )]
         self.buf[self.pos..end].copy_from_slice(bytes);
         self.pos = end;
     }
@@ -133,7 +138,10 @@ impl<'a> ByteReader<'a> {
                 available: self.buf.len() - self.pos,
             });
         }
-        // stilint::allow(panic_path, "the check above returned OutOfBounds unless `pos + n <= buf.len()`")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the check above returned OutOfBounds unless `pos + n <= buf.len()`"
+        )]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
@@ -151,7 +159,7 @@ impl<'a> ByteReader<'a> {
     /// Read a `u8`.
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `u16`.

@@ -30,6 +30,14 @@
 //! path through this crate and the trees above it is panic-free (see
 //! DESIGN.md §6, "Failure model & recovery").
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+
 pub mod backend;
 pub mod buffer;
 pub mod checksum;

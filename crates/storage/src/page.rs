@@ -1,5 +1,7 @@
 //! Fixed-size disk pages.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::sync::Arc;
 
 /// Size of every simulated disk page in bytes.
@@ -65,9 +67,15 @@ impl Page {
             src.len()
         );
         let data = self.bytes_mut();
-        // stilint::allow(panic_path, "the assert above bounds `src.len()` by the page size")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the assert above bounds `src.len()` by the page size"
+        )]
         data[..src.len()].copy_from_slice(src);
-        // stilint::allow(panic_path, "the assert above bounds `src.len()` by the page size")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the assert above bounds `src.len()` by the page size"
+        )]
         data[src.len()..].fill(0);
     }
 }

@@ -31,6 +31,8 @@
 //!   spliced file shows up as [`OpenError::EpochMismatch`] (or
 //!   [`OpenError::Truncated`]) before any page is trusted.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::checksum::xxh64;
 use crate::{MemBackend, PageBackend as _, PageId, PageStore, PAGE_SIZE};
 use std::io::{self, Write};

@@ -173,7 +173,7 @@ fn admit(validator: Option<PageValidator>, id: PageId, frame: &Page) -> Result<(
 }
 
 /// Poison-tolerant `get_mut`: no code path panics while holding the
-/// core lock (stilint's no_panic gate), and the core's invariants are
+/// core lock (clippy's `unwrap_used`/`panic` gates), and the core's invariants are
 /// re-established before every unlock, so a poisoned lock carries no
 /// broken state worth propagating.
 fn core_mut(lock: &mut RwLock<StoreCore>) -> &mut StoreCore {

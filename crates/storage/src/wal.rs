@@ -37,6 +37,8 @@
 //!   by pointing past the end of the file — and is a typed
 //!   [`WalError::Corrupt`], never a silent truncation.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::checksum::xxh64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

@@ -17,6 +17,12 @@
 //! Time is discrete, so the MBR of a movement over any interval is the
 //! union of the per-instant rectangles — no root finding is needed.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub mod motion;
 pub mod polynomial;
 pub mod raster;

@@ -129,9 +129,15 @@ impl Trajectory {
 
     /// Lifetime `[t_s, t_e)` of the whole object.
     pub fn lifetime(&self) -> TimeInterval {
-        // stilint::allow(no_panic, "the constructor rejects trajectories with no segments")
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects trajectories with no segments"
+        )]
         let first = self.segments.first().expect("nonempty");
-        // stilint::allow(no_panic, "the constructor rejects trajectories with no segments")
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects trajectories with no segments"
+        )]
         let last = self.segments.last().expect("nonempty");
         TimeInterval::new(first.interval.start, last.interval.end)
     }
@@ -166,7 +172,10 @@ impl Trajectory {
         let mut rects = Vec::with_capacity(life.len() as usize);
         for s in &self.segments {
             for t in s.interval.start..s.interval.end {
-                // stilint::allow(no_panic, "the loop ranges over exactly the instants rect_at accepts for this segment")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop ranges over exactly the instants rect_at accepts for this segment"
+                )]
                 rects.push(s.rect_at(t).expect("t inside segment"));
             }
         }

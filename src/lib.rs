@@ -12,6 +12,12 @@
 //! [`core::SplitPlan`], the `examples/` directory, or the `stidx` CLI
 //! (`src/bin/stidx.rs`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 pub use sti_core as core;
 pub use sti_costmodel as costmodel;
 pub use sti_datagen as datagen;
