@@ -82,6 +82,10 @@ fn run(args: &[String]) -> Result<(), String> {
         config.queue_depth = n;
     }
     if let Some(ms) = flags.parsed::<u64>("read-timeout-ms")? {
+        // A zero timeout would leave a stalled client holding a worker.
+        if ms == 0 {
+            return Err("--read-timeout-ms must be at least 1".to_string());
+        }
         config.read_timeout = Duration::from_millis(ms);
         config.write_timeout = Duration::from_millis(ms);
     }

@@ -1,30 +1,41 @@
 //! The query server: admission control → worker pools → executor →
 //! shared index snapshot.
 //!
-//! Two bounded stages keep overload from becoming collapse:
-//!
 //! ```text
-//! acceptor ─► conn queue ─► io workers ─► query queue ─► query workers
-//!                           (parse, route,  (bounded       (executor,
-//!                            health, 4xx)    admission)     respond)
+//! io workers ──(a query already in flight)──► query queue ─► query workers
+//! (accept, parse, route,                      (bounded       (executor,
+//!  health, 4xx; run the query                  admission)     respond)
+//!  when nothing else is in flight)
 //! ```
 //!
-//! The io workers answer `/healthz`, `/metrics`, and every error
-//! response inline, and *try* to enqueue `/query` work onto the bounded
-//! query queue. When that queue is full the request is refused
-//! immediately with `503` + `Retry-After` — so a saturated query pool
-//! sheds load in O(1) while health checks and scrapes keep answering,
-//! which is exactly the backpressure contract the load tests pin.
+//! Every io worker accepts on the one shared listener and answers one
+//! request per connection. `/healthz`, `/metrics` and every error
+//! response are answered on the io worker. So is a `/query` that finds
+//! no other query queued or running: the common, idle-server request
+//! crosses no thread. Any other query is *tried* onto the bounded query
+//! queue; when that queue is full it is refused immediately with `503` +
+//! `Retry-After` — so a saturated query pool sheds load in O(1) while
+//! health checks and scrapes keep answering, which is exactly the
+//! backpressure contract the load tests pin. A busy io worker does not
+//! accept, so a burst of connections waits in the kernel's accept
+//! backlog, not in server memory.
+//!
+//! A query run on an io worker holds the in-flight count above zero, so
+//! at most one runs that way at a time: up to `query_workers + 1`
+//! queries execute at once, and with two or more io workers one is
+//! always free for control requests (with one, a control request can
+//! wait for one query).
 //!
 //! Queries run against one shared [`SpatioTemporalIndex`] through the
-//! existing [`QueryExecutor`]: reads are `&self` end to end, so the
-//! worker pool shares a single `Arc` with no writer coordination.
+//! existing [`QueryExecutor`]: reads are `&self` end to end, so every
+//! worker shares a single `Arc` with no writer coordination.
 
 use crate::http::{self, RecvError, Request, Response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sti_core::{QueryExecutor, QueryRequest, SpatioTemporalIndex};
 use sti_geom::{Rect2, TimeInterval};
@@ -35,16 +46,22 @@ use sti_obs::{LatencyHistogram, MetricSet};
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
     pub addr: String,
-    /// Threads executing queries.
+    /// Threads executing the queries io workers hand off. One more query
+    /// may run on an io worker, so up to `query_workers + 1` execute at
+    /// once.
     pub query_workers: usize,
-    /// Threads parsing requests and writing control responses.
+    /// Threads accepting connections, parsing requests and answering
+    /// control endpoints and errors; one of them runs a query itself
+    /// when no other query is in flight. With `io_workers = 1` a control
+    /// request can wait for that query.
     pub io_workers: usize,
     /// Bound on admitted-but-unstarted queries; one more in-flight
     /// request beyond this is refused with 503.
     pub queue_depth: usize,
     /// Socket read timeout while receiving a request head (→ 408).
+    /// Must be non-zero.
     pub read_timeout: Duration,
-    /// Socket write timeout while sending a response.
+    /// Socket write timeout while sending a response. Must be non-zero.
     pub write_timeout: Duration,
     /// Artificial per-query delay. Zero in production; load tests use
     /// it to saturate the admission bound deterministically.
@@ -86,8 +103,12 @@ pub struct ServerMetrics {
     disconnects: AtomicU64,
     /// Admitted queries not yet answered.
     inflight: AtomicU64,
+    /// Queries an io worker sent to the query queue instead of running.
+    handoffs: AtomicU64,
     /// End-to-end `/query` latency: admission to response written.
     latency: LatencyHistogram,
+    /// Admission to dequeue, for handed-off queries only.
+    queue_wait: LatencyHistogram,
     /// Sums of per-query [`sti_obs::QueryStats`] fields.
     q_disk_reads: AtomicU64,
     q_buffer_hits: AtomicU64,
@@ -119,7 +140,9 @@ impl ServerMetrics {
             drain_rejected: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
+            handoffs: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
+            queue_wait: LatencyHistogram::new(),
             q_disk_reads: AtomicU64::new(0),
             q_buffer_hits: AtomicU64::new(0),
             q_nodes_visited: AtomicU64::new(0),
@@ -197,6 +220,18 @@ impl ServerMetrics {
         self.inflight.load(Ordering::Relaxed)
     }
 
+    /// Queries sent to the query queue; every other admitted query ran
+    /// on the io worker that read it.
+    pub fn handoffs(&self) -> u64 {
+        // ordering: scrape-time read.
+        self.handoffs.load(Ordering::Relaxed)
+    }
+
+    /// Handed-off queries a query worker has dequeued so far.
+    pub fn queue_waits(&self) -> u64 {
+        self.queue_wait.count()
+    }
+
     /// `/query` requests refused at the admission bound.
     pub fn admission_rejected(&self) -> u64 {
         // ordering: scrape-time read.
@@ -251,6 +286,11 @@ impl ServerMetrics {
             self.drain_rejected() as f64,
         );
         set.counter(
+            "sti_query_handoffs_total",
+            "queries an io worker sent to the query queue instead of running",
+            self.handoffs() as f64,
+        );
+        set.counter(
             "sti_http_disconnects_total",
             "connections lost before a response could be written",
             // ordering: scrape-time read.
@@ -265,6 +305,11 @@ impl ServerMetrics {
             "sti_request_seconds",
             "end-to-end query latency: admission to response written",
             self.latency.snapshot(),
+        );
+        set.histogram(
+            "sti_query_queue_wait_seconds",
+            "handed-off query wait: admission to dequeue",
+            self.queue_wait.snapshot(),
         );
         for (name, help, cell) in [
             (
@@ -311,11 +356,24 @@ impl ServerMetrics {
 }
 
 /// One admitted query: the connection to answer on, the parsed request,
-/// and the admission instant the latency histogram measures from.
+/// and the admission instant the latency histograms measure from.
 struct QueryJob {
     stream: TcpStream,
     request: QueryRequest,
     admitted: Instant,
+}
+
+/// What every worker thread reads.
+struct Shared {
+    index: Arc<SpatioTemporalIndex>,
+    metrics: Arc<ServerMetrics>,
+    config: ServerConfig,
+    /// Set by shutdown; an io worker that sees it after `accept` exits.
+    stop: AtomicBool,
+    /// Set by [`Server::shutdown_within`]: once this instant passes,
+    /// query workers answer still-queued jobs with 503 instead of
+    /// executing them.
+    drain_deadline: Mutex<Option<Instant>>,
 }
 
 /// A running server. Dropping it does *not* stop the threads; call
@@ -323,77 +381,61 @@ struct QueryJob {
 /// serve until the process dies.
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    /// Set by [`Server::shutdown_within`]: once this instant passes,
-    /// query workers answer still-queued jobs with 503 instead of
-    /// executing them.
-    drain_deadline: Arc<Mutex<Option<Instant>>>,
-    metrics: Arc<ServerMetrics>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    io_workers: Vec<std::thread::JoinHandle<()>>,
-    query_workers: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    io_workers: Vec<JoinHandle<()>>,
+    query_workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind, spawn the pools, and start serving `index`.
     ///
     /// # Errors
-    /// The bind error when the address is unavailable.
+    /// `InvalidInput` for a zero read or write timeout (the socket
+    /// would otherwise be left with no timeout at all, and one stalled
+    /// client could hold an io worker forever); the bind error when the
+    /// address is unavailable.
     pub fn start(index: Arc<SpatioTemporalIndex>, config: ServerConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
+        if config.read_timeout.is_zero() || config.write_timeout.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "read and write timeouts must be non-zero",
+            ));
+        }
+        let listener = Arc::new(TcpListener::bind(&config.addr)?);
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let drain_deadline = Arc::new(Mutex::new(None));
-        let metrics = Arc::new(ServerMetrics::new(&index));
-
-        let io_workers_n = config.io_workers.max(1);
-        let query_workers_n = config.query_workers.max(1);
-        // The conn queue sits between the acceptor and the io workers;
-        // it only needs to cover parse latency, the real admission
-        // bound is the query queue below.
-        let (conn_tx, conn_rx) =
-            std::sync::mpsc::sync_channel::<TcpStream>((io_workers_n * 2).max(8));
         let (query_tx, query_rx) =
             std::sync::mpsc::sync_channel::<QueryJob>(config.queue_depth.max(1));
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
         let query_rx = Arc::new(Mutex::new(query_rx));
+        let shared = Arc::new(Shared {
+            metrics: Arc::new(ServerMetrics::new(&index)),
+            index,
+            config,
+            stop: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+        });
 
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &stop))
-        };
-        let io_workers = (0..io_workers_n)
+        // The io workers hold the only listener handles and senders that
+        // outlive this call: the port closes, and the query channel with
+        // it, as soon as they exit.
+        let io_workers = (0..shared.config.io_workers.max(1))
             .map(|_| {
-                let conn_rx = Arc::clone(&conn_rx);
+                let listener = Arc::clone(&listener);
                 let query_tx = query_tx.clone();
-                let metrics = Arc::clone(&metrics);
-                let config = config.clone();
-                std::thread::spawn(move || io_loop(&conn_rx, &query_tx, &metrics, &config))
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || io_loop(&listener, &query_tx, &shared))
             })
             .collect();
-        // The io workers hold the only longer-lived clones; dropping
-        // the original here lets the query channel close as soon as
-        // they exit.
-        drop(query_tx);
-        let query_workers = (0..query_workers_n)
+        let query_workers = (0..shared.config.query_workers.max(1))
             .map(|_| {
                 let query_rx = Arc::clone(&query_rx);
-                let index = Arc::clone(&index);
-                let metrics = Arc::clone(&metrics);
-                let drain_deadline = Arc::clone(&drain_deadline);
-                let test_delay = config.test_delay;
-                std::thread::spawn(move || {
-                    query_loop(&query_rx, &index, &metrics, &drain_deadline, test_delay)
-                })
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || query_loop(&query_rx, &shared))
             })
             .collect();
 
         Ok(Self {
             addr,
-            stop,
-            drain_deadline,
-            metrics,
-            acceptor: Some(acceptor),
+            shared,
             io_workers,
             query_workers,
         })
@@ -406,14 +448,14 @@ impl Server {
 
     /// The live metrics handle.
     pub fn metrics(&self) -> Arc<ServerMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.shared.metrics)
     }
 
-    /// Stop accepting, drain the pipeline, and join every thread:
-    /// closing the conn channel stops the io workers, whose exit closes
-    /// the query channel and stops the query workers. In-flight
-    /// requests finish; queued ones are answered before their worker
-    /// sees the closed channel.
+    /// Stop accepting, drain the pipeline, and join every thread: each
+    /// io worker finishes its request (a query it runs itself included)
+    /// and exits, which closes the listener and the query channel; the
+    /// query workers answer what is still queued, then see the closed
+    /// channel and exit.
     pub fn shutdown(self) {
         self.stop_and_drain(None);
     }
@@ -428,85 +470,60 @@ impl Server {
         self.stop_and_drain(Some(grace));
     }
 
-    fn stop_and_drain(mut self, grace: Option<Duration>) {
+    fn stop_and_drain(self, grace: Option<Duration>) {
         if let Some(grace) = grace {
             *self
+                .shared
                 .drain_deadline
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now() + grace);
         }
-        // ordering: release pairs with the acceptor's acquire load, so
-        // the acceptor observes the flag no later than the wake-up
-        // connection below.
-        self.stop.store(true, Ordering::Release);
-        // Unblock the acceptor's blocking `accept`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+        // ordering: release pairs with the io workers' acquire load, so
+        // a worker woken by a connection below observes the flag.
+        self.shared.stop.store(true, Ordering::Release);
+        // One wake-up connection per io worker: each worker exits on the
+        // first connection it accepts after the flag, so every worker —
+        // blocked in `accept` or still busy with a request — takes one.
+        for _ in &self.io_workers {
+            let _ = TcpStream::connect(self.addr);
         }
-        for handle in self.io_workers.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self.query_workers.drain(..) {
+        for handle in self.io_workers.into_iter().chain(self.query_workers) {
             let _ = handle.join();
         }
     }
 
     /// Block this thread while the pools serve (until process death).
-    pub fn join(mut self) {
-        if let Some(handle) = self.acceptor.take() {
+    pub fn join(self) {
+        for handle in self.io_workers {
             let _ = handle.join();
         }
     }
 }
 
-/// Accept connections until the stop flag; forward each to the io pool.
-/// A full conn queue blocks the acceptor — overload then backs up into
-/// the kernel's accept backlog instead of growing server memory.
-fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, stop: &AtomicBool) {
-    for stream in listener.incoming() {
+/// Accept connections until the stop flag and answer one request on
+/// each: control endpoints and every error here, `/query` through
+/// [`admit_query`]. A worker busy with a request does not accept, so
+/// overload backs up into the kernel's accept backlog instead of
+/// growing server memory.
+fn io_loop(listener: &TcpListener, query_tx: &SyncSender<QueryJob>, shared: &Shared) {
+    let metrics = &*shared.metrics;
+    loop {
+        let accepted = listener.accept();
         // ordering: acquire pairs with shutdown's release store.
-        if stop.load(Ordering::Acquire) {
+        if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        match stream {
-            Ok(conn) => {
-                if conn_tx.send(conn).is_err() {
-                    break;
-                }
-            }
-            // Transient accept errors (aborted handshakes, fd pressure)
-            // must not kill the server.
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Parse one request per connection and route it: control endpoints and
-/// every error answer inline; `/query` admission-checks into the
-/// bounded query queue.
-fn io_loop(
-    conn_rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    query_tx: &SyncSender<QueryJob>,
-    metrics: &ServerMetrics,
-    config: &ServerConfig,
-) {
-    loop {
-        let conn = {
-            // Holding the lock across `recv` is the point: it makes the
-            // receiver single-consumer-at-a-time, which is all mpsc
-            // offers anyway.
-            let guard = conn_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
+        // Transient accept errors (aborted handshakes, fd pressure) must
+        // not kill the server.
+        let Ok((mut stream, _)) = accepted else {
+            continue;
         };
-        let Ok(mut stream) = conn else {
-            break; // channel closed: acceptor exited
-        };
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-        let _ = stream.set_write_timeout(Some(config.write_timeout));
+        // `Server::start` refuses the zero timeouts these calls reject.
+        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
         let _ = stream.set_nodelay(true);
         match http::read_request(&mut stream) {
-            Ok(request) => handle_request(stream, request, query_tx, metrics),
+            Ok(request) => handle_request(stream, request, query_tx, shared),
             Err(RecvError::Disconnected) => metrics.count_disconnect(),
             Err(e) => {
                 let status = match &e {
@@ -515,7 +532,8 @@ fn io_loop(
                     RecvError::HeadTooLarge => 431,
                     _ => 400,
                 };
-                respond(stream, Response::text(status, format!("{e}\n")), metrics);
+                let resp = Response::text(status, format!("{e}\n"));
+                respond(&mut stream, resp, metrics);
             }
         }
     }
@@ -523,72 +541,83 @@ fn io_loop(
 
 /// Route a parsed request.
 fn handle_request(
-    stream: TcpStream,
+    mut stream: TcpStream,
     request: Request,
     query_tx: &SyncSender<QueryJob>,
-    metrics: &ServerMetrics,
+    shared: &Shared,
 ) {
+    let metrics = &*shared.metrics;
     metrics.count_request(request.path());
     if request.method != "GET" {
         let resp = Response::text(405, format!("method {} not allowed\n", request.method))
             .header("Allow", "GET");
-        respond(stream, resp, metrics);
+        respond(&mut stream, resp, metrics);
         return;
     }
     match request.path() {
-        "/healthz" => respond(stream, Response::text(200, "ok\n"), metrics),
+        "/healthz" => respond(&mut stream, Response::text(200, "ok\n"), metrics),
         "/metrics" => {
             let body = metrics.render().to_prometheus();
-            respond(stream, Response::text(200, body), metrics);
+            respond(&mut stream, Response::text(200, body), metrics);
         }
-        "/query" => admit_query(stream, &request, query_tx, metrics),
+        "/query" => admit_query(stream, &request, query_tx, shared),
         other => respond(
-            stream,
+            &mut stream,
             Response::text(404, format!("no such path {other}\n")),
             metrics,
         ),
     }
 }
 
-/// Validate `/query` parameters and try to enqueue the job; a full
+/// Validate `/query` parameters and admit the job: answer it here when
+/// no other query is queued or running, else try to enqueue it; a full
 /// queue is an immediate 503 with `Retry-After`.
 fn admit_query(
-    stream: TcpStream,
+    mut stream: TcpStream,
     request: &Request,
     query_tx: &SyncSender<QueryJob>,
-    metrics: &ServerMetrics,
+    shared: &Shared,
 ) {
+    let metrics = &*shared.metrics;
     let parsed = match parse_query_params(request) {
         Ok(p) => p,
         Err(why) => {
-            respond(stream, Response::text(400, format!("{why}\n")), metrics);
+            let resp = Response::text(400, format!("{why}\n"));
+            respond(&mut stream, resp, metrics);
             return;
         }
     };
-    // ordering: relaxed gauge update; readers only need an eventually
-    // consistent in-flight count.
-    metrics.inflight.fetch_add(1, Ordering::Relaxed);
     let job = QueryJob {
         stream,
         request: parsed,
         admitted: Instant::now(),
     };
+    // ordering: read-modify-writes of one cell are totally ordered at
+    // any ordering, so two io workers never both read 0 while a query
+    // is unanswered; nothing else is published through the gauge.
+    if metrics.inflight.fetch_add(1, Ordering::Relaxed) == 0 {
+        answer(job, shared);
+        return;
+    }
     match query_tx.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(job)) => {
+        Ok(()) => {
+            // ordering: independent monotonic counter.
+            metrics.handoffs.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(TrySendError::Full(mut job)) => {
             // ordering: relaxed gauge update, paired with the add above.
             metrics.inflight.fetch_sub(1, Ordering::Relaxed);
             // ordering: independent monotonic counter.
             metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
             let resp = Response::text(503, "admission queue full; retry shortly\n")
                 .header("Retry-After", 1);
-            respond(job.stream, resp, metrics);
+            respond(&mut job.stream, resp, metrics);
         }
-        Err(TrySendError::Disconnected(job)) => {
+        Err(TrySendError::Disconnected(mut job)) => {
             // ordering: relaxed gauge update, paired with the add above.
             metrics.inflight.fetch_sub(1, Ordering::Relaxed);
             let resp = Response::text(503, "server is shutting down\n");
-            respond(job.stream, resp, metrics);
+            respond(&mut job.stream, resp, metrics);
         }
     }
 }
@@ -660,31 +689,27 @@ fn parse_area(raw: &str) -> Result<Rect2, String> {
     }
 }
 
-/// Execute admitted queries and answer on their connections. Each
-/// worker drives the shared index through a sequential
-/// [`QueryExecutor`] — the pool itself is the parallelism, so outcomes
-/// stay byte-identical to a one-at-a-time replay of the same requests.
-fn query_loop(
-    query_rx: &Arc<Mutex<Receiver<QueryJob>>>,
-    index: &SpatioTemporalIndex,
-    metrics: &ServerMetrics,
-    drain_deadline: &Mutex<Option<Instant>>,
-    test_delay: Duration,
-) {
-    let executor = QueryExecutor::sequential();
+/// Dequeue handed-off queries and answer each through [`answer`], the
+/// path a query run on an io worker takes too.
+fn query_loop(query_rx: &Mutex<Receiver<QueryJob>>, shared: &Shared) {
+    let metrics = &*shared.metrics;
     loop {
         let job = {
-            // Single-consumer-at-a-time receiver; see `io_loop`.
+            // Holding the lock across `recv` is the point: it makes the
+            // receiver single-consumer-at-a-time, which is all mpsc
+            // offers anyway.
             let guard = query_rx.lock().unwrap_or_else(PoisonError::into_inner);
             guard.recv()
         };
-        let Ok(mut job) = job else {
+        let Ok(job) = job else {
             break; // channel closed: io workers exited
         };
+        metrics.queue_wait.observe(job.admitted.elapsed());
         // Past the shutdown drain deadline, stragglers get a response
         // but not an execution — the backlog flushes in O(queue) writes
         // instead of O(queue) queries.
-        let expired = drain_deadline
+        let expired = shared
+            .drain_deadline
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .is_some_and(|deadline| Instant::now() >= deadline);
@@ -692,45 +717,57 @@ fn query_loop(
             // ordering: independent monotonic counter.
             metrics.drain_rejected.fetch_add(1, Ordering::Relaxed);
             let resp = Response::text(503, "server is shutting down\n");
-            respond_streamed(&mut job.stream, resp, metrics);
-            metrics.latency.observe(job.admitted.elapsed());
-            // ordering: relaxed gauge update, paired with the admission add.
-            metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-            continue;
+            finish(job, resp, metrics);
+        } else {
+            answer(job, shared);
         }
-        if test_delay > Duration::ZERO {
-            std::thread::sleep(test_delay);
-        }
-        let response = match executor.run(index, &[job.request]).into_iter().next() {
-            Some(Ok((ids, stats))) => {
-                metrics.absorb_query_stats(&stats);
-                let mut body = String::with_capacity(ids.len() * 8);
-                for id in &ids {
-                    body.push_str(&id.to_string());
-                    body.push('\n');
-                }
-                Response::text(200, body)
-                    .header("X-Sti-Results", ids.len())
-                    .header("X-Sti-Disk-Reads", stats.disk_reads)
-                    .header("X-Sti-Buffer-Hits", stats.buffer_hits)
-                    .header("X-Sti-Nodes-Visited", stats.nodes_visited)
-            }
-            Some(Err(e)) => Response::text(500, format!("query failed: {e}\n")),
-            None => Response::text(500, "executor returned no outcome\n"),
-        };
-        respond_streamed(&mut job.stream, response, metrics);
-        metrics.latency.observe(job.admitted.elapsed());
-        // ordering: relaxed gauge update, paired with the admission add.
-        metrics.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Write a response, counting its status or the disconnect.
-fn respond(mut stream: TcpStream, response: Response, metrics: &ServerMetrics) {
-    respond_streamed(&mut stream, response, metrics);
+/// Execute an admitted query and answer it, on whichever thread holds
+/// it. A sequential [`QueryExecutor`] per query keeps outcomes
+/// byte-identical to a one-at-a-time replay of the same requests.
+fn answer(job: QueryJob, shared: &Shared) {
+    let metrics = &*shared.metrics;
+    if !shared.config.test_delay.is_zero() {
+        std::thread::sleep(shared.config.test_delay);
+    }
+    let outcome = QueryExecutor::sequential()
+        .run(&shared.index, &[job.request])
+        .into_iter()
+        .next();
+    let response = match outcome {
+        Some(Ok((ids, stats))) => {
+            metrics.absorb_query_stats(&stats);
+            let mut body = String::with_capacity(ids.len() * 8);
+            for id in &ids {
+                body.push_str(&id.to_string());
+                body.push('\n');
+            }
+            Response::text(200, body)
+                .header("X-Sti-Results", ids.len())
+                .header("X-Sti-Disk-Reads", stats.disk_reads)
+                .header("X-Sti-Buffer-Hits", stats.buffer_hits)
+                .header("X-Sti-Nodes-Visited", stats.nodes_visited)
+        }
+        Some(Err(e)) => Response::text(500, format!("query failed: {e}\n")),
+        None => Response::text(500, "executor returned no outcome\n"),
+    };
+    finish(job, response, metrics);
 }
 
-fn respond_streamed(stream: &mut TcpStream, response: Response, metrics: &ServerMetrics) {
+/// Write an admitted query's response, observe its latency, and release
+/// its in-flight slot — before `job` drops and closes the connection, so
+/// a client that reads to EOF and asks again finds the server idle.
+fn finish(mut job: QueryJob, response: Response, metrics: &ServerMetrics) {
+    respond(&mut job.stream, response, metrics);
+    metrics.latency.observe(job.admitted.elapsed());
+    // ordering: relaxed gauge update, paired with the admission add.
+    metrics.inflight.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// Write a response, counting its status or the disconnect.
+fn respond(stream: &mut TcpStream, response: Response, metrics: &ServerMetrics) {
     match response.write_to(stream) {
         Ok(()) => metrics.count_response(response.status),
         Err(_) => metrics.count_disconnect(),

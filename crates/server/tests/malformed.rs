@@ -331,7 +331,7 @@ fn shutdown_joins_cleanly_after_hostile_traffic() {
     half.write_all(b"GET /he").unwrap();
     drop(half);
     wait_for_drain(&server);
-    server.shutdown(); // joins acceptor, io pool, and query pool
+    server.shutdown(); // joins the io pool and the query pool
 }
 
 fn disconnects(server: &Server) -> u64 {
