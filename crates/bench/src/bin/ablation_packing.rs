@@ -6,8 +6,8 @@
 //! to cluster together objects that might be consecutive in order even
 //! though they may correspond to large and small intervals."
 //!
-//! This binary tests that claim: STR and Hilbert bulk loading versus
-//! dynamic R\* insertion, over unsplit and split records.
+//! This binary tests that claim: STR bulk loading versus dynamic R\*
+//! insertion, over unsplit and split records.
 
 use sti_bench::{
     query_io_profile, random_dataset, rstar_query_io_profile, series, split_records, BenchReport,
@@ -19,7 +19,7 @@ use sti_core::{
 };
 use sti_datagen::{QuerySetSpec, TIME_EXTENT};
 use sti_geom::Rect3;
-use sti_rstar::{PackingAlgorithm, RStarParams, RStarTree};
+use sti_rstar::{RStarParams, RStarTree};
 
 fn main() {
     let scale = Scale::from_args_with(&sti_bench::IO_SIZES);
@@ -46,43 +46,30 @@ fn main() {
                 .expect("in-memory build cannot fail");
         let dyn_p = query_io_profile(&mut dynamic, &queries);
 
-        // Packed variants over the identical 3D boxes.
+        // STR packing over the identical 3D boxes.
         let boxes: Vec<(u64, Rect3)> = records
             .iter()
             .map(|r| (r.id, r.to_rect3(time_scale)))
             .collect();
-        let mut packed = Vec::new();
-        for algo in [PackingAlgorithm::Str, PackingAlgorithm::Hilbert] {
-            let mut tree = RStarTree::bulk_load(&boxes, RStarParams::default(), algo)
-                .expect("in-memory build cannot fail");
-            packed.push(rstar_query_io_profile(&mut tree, &queries, time_scale));
-        }
-        let hilbert_p = packed.pop().expect("two packed runs");
-        let str_p = packed.pop().expect("two packed runs");
+        let mut packed = RStarTree::bulk_load(&boxes, RStarParams::default())
+            .expect("in-memory build cannot fail");
+        let str_p = rstar_query_io_profile(&mut packed, &queries, time_scale);
 
         rows.push(vec![
             label.to_string(),
             records.len().to_string(),
             format!("{:.2}", dyn_p.avg),
             format!("{:.2}", str_p.avg),
-            format!("{:.2}", hilbert_p.avg),
         ]);
         profiles.push(series(label, "dynamic", dyn_p));
         profiles.push(series(label, "str_packed", str_p));
-        profiles.push(series(label, "hilbert_packed", hilbert_p));
     }
     report.table_with_profiles(
         &format!(
             "Ablation — packing the R*-Tree, small range query I/O ({} random dataset)",
             Scale::label(n)
         ),
-        &[
-            "Records",
-            "Count",
-            "Dynamic R*",
-            "STR packed",
-            "Hilbert packed",
-        ],
+        &["Records", "Count", "Dynamic R*", "STR packed"],
         &rows,
         profiles,
     );

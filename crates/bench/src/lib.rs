@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use sti_core::{
-    BuildStats, DistributionAlgorithm, IndexBackend, IndexConfig, ObjectRecord, Parallelism,
+    DistributionAlgorithm, IndexBackend, IndexConfig, ObjectRecord, Parallelism,
     SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget, SplitPlan,
 };
 use sti_datagen::{Query, RailwayDatasetSpec, RandomDatasetSpec};
@@ -298,30 +298,6 @@ pub fn build_index(records: &[ObjectRecord], backend: IndexBackend) -> SpatioTem
         .expect("in-memory build cannot fail")
 }
 
-/// Like [`avg_query_io`] for a raw [`sti_rstar::RStarTree`] (outside the
-/// facade): queries are converted with [`sti_geom::Rect3::from_query`]
-/// at `time_scale`, the buffer is reset per query, and the average read
-/// count is returned.
-pub fn avg_rstar_query_io(
-    tree: &mut sti_rstar::RStarTree,
-    queries: &[Query],
-    time_scale: f64,
-) -> f64 {
-    assert!(!queries.is_empty());
-    let mut total = 0u64;
-    for q in queries {
-        tree.reset_for_query();
-        let mut out = Vec::new();
-        tree.query(
-            &sti_geom::Rect3::from_query(&q.area, &q.range, time_scale),
-            &mut out,
-        )
-        .expect("in-memory query cannot fail");
-        total += tree.io_stats().reads;
-    }
-    total as f64 / queries.len() as f64
-}
-
 /// Run a query set (buffer reset before every query, as in §V) and
 /// return the average number of disk accesses.
 pub fn avg_query_io(index: &mut SpatioTemporalIndex, queries: &[Query]) -> f64 {
@@ -444,7 +420,9 @@ pub fn query_io_profile(index: &mut SpatioTemporalIndex, queries: &[Query]) -> I
     })
 }
 
-/// [`avg_rstar_query_io`], upgraded to a full [`IoProfile`].
+/// [`query_io_profile`] for a raw [`sti_rstar::RStarTree`] (outside the
+/// facade): queries are converted with [`sti_geom::Rect3::from_query`]
+/// at `time_scale`, and the buffer is reset per query.
 pub fn rstar_query_io_profile(
     tree: &mut sti_rstar::RStarTree,
     queries: &[Query],
@@ -462,7 +440,7 @@ pub fn rstar_query_io_profile(
 }
 
 /// Accumulates everything a figure binary prints — tables, measured
-/// profiles, build spans, free-form notes — and optionally serializes it
+/// profiles, free-form notes — and optionally serializes it
 /// as a `BENCH_<name>.json` record when the binary was invoked with
 /// `--json`.
 ///
@@ -555,12 +533,6 @@ impl BenchReport {
             );
         }
         self.tables.push(table);
-    }
-
-    /// Record the per-phase build spans for a dataset size.
-    pub fn build_spans(&mut self, label: &str, stats: &BuildStats) {
-        let spans = JsonValue::array(stats.spans().iter().map(sti_obs::Span::to_json));
-        self.notes.push((format!("build_spans_{label}"), spans));
     }
 
     /// Attach a free-form key/value to the record.

@@ -5,9 +5,9 @@ use crate::multi::DistributionAlgorithm;
 use crate::parallel::Parallelism;
 use crate::plan::{ObjectRecord, SplitBudget, SplitPlan};
 use crate::single::SingleSplitAlgorithm;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sti_geom::{Rect2, Rect3, Time, TimeInterval};
-use sti_obs::{QueryStats, Span, SpanSink, SpanTimer};
+use sti_obs::{QueryStats, Span};
 use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, PprParams, PprTree};
 use sti_rstar::{RStarParams, RStarTree};
 use sti_storage::{FaultStats, IoStats, PageStore, StorageError};
@@ -87,14 +87,6 @@ impl BuildStats {
             Span::from_duration("distribute", self.distribute_time),
             Span::from_duration("tree_build", self.tree_build_time),
         ]
-    }
-
-    /// Deliver the phase spans to a pluggable [`SpanSink`] (metrics
-    /// collectors, the bench JSON writer, ...).
-    pub fn emit_spans(&self, sink: &mut dyn SpanSink) {
-        for span in self.spans() {
-            sink.record(span);
-        }
     }
 }
 
@@ -220,7 +212,7 @@ impl SpatioTemporalIndex {
             max_splits_per_object,
             parallelism,
         );
-        let timer = SpanTimer::start("tree_build");
+        let tree_build = Instant::now();
         let records = plan.records(objects);
         let index = Self::build(&records, config)?;
         let plan_stats = plan.stats();
@@ -228,7 +220,7 @@ impl SpatioTemporalIndex {
             workers: plan_stats.workers,
             curve_time: plan_stats.curve_time,
             distribute_time: plan_stats.distribute_time,
-            tree_build_time: timer.finish_span().elapsed,
+            tree_build_time: tree_build.elapsed(),
             records_emitted: records.len(),
         };
         Ok((index, stats))

@@ -136,8 +136,6 @@ impl SplitSource {
 /// assert!(plan.total_volume() < objects[0].unsplit_volume());
 /// ```
 pub struct SplitPlan {
-    single: SingleSplitAlgorithm,
-    distribution: DistributionAlgorithm,
     allocation: SplitAllocation,
     sources: Vec<SplitSource>,
     stats: PlanStats,
@@ -179,23 +177,6 @@ impl SplitPlan {
         })
         .into_iter()
         .unzip()
-    }
-
-    /// Assemble a plan from prepared parts plus a distribution result.
-    pub(crate) fn from_parts(
-        single: SingleSplitAlgorithm,
-        distribution: DistributionAlgorithm,
-        allocation: SplitAllocation,
-        sources: Vec<SplitSource>,
-        stats: PlanStats,
-    ) -> Self {
-        Self {
-            single,
-            distribution,
-            allocation,
-            sources,
-            stats,
-        }
     }
 
     /// Plan the splits: build per-object volume curves with `single`,
@@ -248,22 +229,16 @@ impl SplitPlan {
             curve_time,
             distribute_time: start.elapsed(),
         };
-        Self::from_parts(single, distribution, allocation, sources, stats)
+        Self {
+            allocation,
+            sources,
+            stats,
+        }
     }
 
     /// Timing breakdown of the build that produced this plan.
     pub fn stats(&self) -> &PlanStats {
         &self.stats
-    }
-
-    /// The single-object algorithm used.
-    pub fn single_algorithm(&self) -> SingleSplitAlgorithm {
-        self.single
-    }
-
-    /// The distribution algorithm used.
-    pub fn distribution_algorithm(&self) -> DistributionAlgorithm {
-        self.distribution
     }
 
     /// The split allocation (per-object counts and total volume).

@@ -1,8 +1,8 @@
-//! Hilbert space-filling curves in 2 and 3 dimensions.
+//! The Hilbert space-filling curve over the unit square.
 //!
-//! Used by the Hilbert-packed R-Tree variant (Kamel & Faloutsos, VLDB
-//! 1994 — reference \[9\] of the paper): sorting rectangle centers by their
-//! Hilbert value clusters spatially close records into the same leaf.
+//! Sorting rectangle centers by their Hilbert value clusters spatially
+//! close records together (Kamel & Faloutsos, VLDB 1994 — reference \[9\]
+//! of the paper); the PPR-Tree bulk loader orders its regions this way.
 //!
 //! The implementation is the classic Butz/Lawder iterative bit
 //! manipulation (transpose form), exact for coordinates quantized to
@@ -29,11 +29,6 @@ fn quantize(v: f64) -> u32 {
 /// ```
 pub fn hilbert2(x: f64, y: f64) -> u64 {
     hilbert_transpose(&mut [quantize(x), quantize(y)])
-}
-
-/// Hilbert index of a point in the unit cube (`3 · ORDER` bits).
-pub fn hilbert3(x: f64, y: f64, t: f64) -> u64 {
-    hilbert_transpose(&mut [quantize(x), quantize(y), quantize(t)])
 }
 
 /// Convert axis coordinates to a Hilbert index (in place: `coords`
@@ -105,7 +100,6 @@ mod tests {
     #[test]
     fn origin_is_zero() {
         assert_eq!(hilbert2(0.0, 0.0), 0);
-        assert_eq!(hilbert3(0.0, 0.0, 0.0), 0);
     }
 
     #[test]
@@ -143,17 +137,6 @@ mod tests {
                 assert!(seen.insert(h), "collision at ({i}, {j})");
             }
         }
-    }
-
-    #[test]
-    fn three_dimensional_basics() {
-        let a = hilbert3(0.1, 0.2, 0.3);
-        let b = hilbert3(0.1, 0.2, 0.30001);
-        let c = hilbert3(0.9, 0.9, 0.9);
-        assert_ne!(a, c);
-        // tiny perturbation: indexes usually close; just require distinct
-        // handling didn't blow up and ordering is stable
-        assert_eq!(b, hilbert3(0.1, 0.2, 0.30001));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod rect2;
 pub mod rect3;
 pub mod stbox;
 
-pub use hilbert::{hilbert2, hilbert3};
+pub use hilbert::hilbert2;
 pub use interval::TimeInterval;
 pub use point::Point2;
 pub use rect2::Rect2;

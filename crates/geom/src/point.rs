@@ -28,22 +28,6 @@ impl Point2 {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Linear interpolation between `self` (at `f = 0`) and `other`
-    /// (at `f = 1`). `f` outside `[0, 1]` extrapolates.
-    #[inline]
-    pub fn lerp(&self, other: &Point2, f: f64) -> Point2 {
-        Point2::new(
-            self.x + (other.x - self.x) * f,
-            self.y + (other.y - self.y) * f,
-        )
-    }
-
-    /// Clamp both coordinates to the unit square.
-    #[inline]
-    pub fn clamp_unit(&self) -> Point2 {
-        Point2::new(self.x.clamp(0.0, 1.0), self.y.clamp(0.0, 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -63,33 +47,5 @@ mod tests {
     fn distance_to_self_is_zero() {
         let p = Point2::new(0.25, 0.75);
         assert_eq!(p.distance(&p), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point2::new(0.0, 1.0);
-        let b = Point2::new(1.0, 3.0);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert!(approx_eq(mid.x, 0.5));
-        assert!(approx_eq(mid.y, 2.0));
-    }
-
-    #[test]
-    fn lerp_extrapolates() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(1.0, 1.0);
-        let out = a.lerp(&b, 2.0);
-        assert!(approx_eq(out.x, 2.0));
-        assert!(approx_eq(out.y, 2.0));
-    }
-
-    #[test]
-    fn clamp_unit_clamps_both_axes() {
-        let p = Point2::new(-0.5, 1.5).clamp_unit();
-        assert_eq!(p, Point2::new(0.0, 1.0));
-        let q = Point2::new(0.3, 0.7).clamp_unit();
-        assert_eq!(q, Point2::new(0.3, 0.7));
     }
 }

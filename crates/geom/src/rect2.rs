@@ -30,15 +30,6 @@ impl Rect2 {
         Self::new(Point2::new(x_lo, y_lo), Point2::new(x_hi, y_hi))
     }
 
-    /// Rectangle from two arbitrary corner points (ordering them).
-    #[inline]
-    pub fn from_corners(a: Point2, b: Point2) -> Self {
-        Self {
-            lo: Point2::new(a.x.min(b.x), a.y.min(b.y)),
-            hi: Point2::new(a.x.max(b.x), a.y.max(b.y)),
-        }
-    }
-
     /// Degenerate rectangle containing exactly one point.
     #[inline]
     pub fn point(p: Point2) -> Self {
@@ -302,7 +293,7 @@ mod tests {
 
     fn arb_rect() -> impl Strategy<Value = Rect2> {
         (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64)
-            .prop_map(|(a, b, c, d)| Rect2::from_corners(Point2::new(a, b), Point2::new(c, d)))
+            .prop_map(|(a, b, c, d)| Rect2::from_bounds(a.min(c), b.min(d), a.max(c), b.max(d)))
     }
 
     proptest! {

@@ -193,22 +193,6 @@ impl Rect3 {
         self.union(other).volume() - self.volume()
     }
 
-    /// Squared Euclidean distance from `p` to the closest point of the
-    /// box (0 when `p` is inside). The MINDIST bound of best-first
-    /// nearest-neighbor search.
-    #[inline]
-    pub fn min_dist2(&self, p: &[f64; 3]) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        let mut d2 = 0.0;
-        for (d, &pd) in p.iter().enumerate() {
-            let delta = (self.lo[d] - pd).max(0.0).max(pd - self.hi[d]);
-            d2 += delta * delta;
-        }
-        d2
-    }
-
     /// The spatial (x, y) footprint.
     #[inline]
     pub fn footprint(&self) -> Rect2 {
@@ -269,15 +253,6 @@ mod tests {
         assert!(approx_eq(a.overlap_volume(&c), 1.0));
         assert_eq!(a.overlap_volume(&b([2.0; 3], [3.0; 3])), 0.0); // touching
         assert!(a.intersects(&b([2.0; 3], [3.0; 3]))); // but closed-intersecting
-    }
-
-    #[test]
-    fn min_dist2_cases() {
-        let r = b([0.2, 0.2, 0.2], [0.4, 0.4, 0.4]);
-        assert_eq!(r.min_dist2(&[0.3, 0.3, 0.3]), 0.0);
-        assert!(approx_eq(r.min_dist2(&[0.1, 0.3, 0.3]), 0.01));
-        assert!(approx_eq(r.min_dist2(&[0.1, 0.1, 0.1]), 0.03));
-        assert_eq!(Rect3::EMPTY.min_dist2(&[0.5; 3]), f64::INFINITY);
     }
 
     fn arb_box() -> impl Strategy<Value = Rect3> {

@@ -4,9 +4,8 @@
 //! The paper's evaluation (§V) is denominated in page accesses per query
 //! under a small LRU buffer, so the unit of observability here is the
 //! *operation*, not the process: trees return a [`QueryStats`] delta from
-//! each query, builds emit per-phase [`Span`]s through a pluggable
-//! [`SpanSink`], and [`MetricSet`] renders any of it as Prometheus text
-//! exposition format or JSON.
+//! each query, builds report per-phase [`Span`]s, and [`MetricSet`]
+//! renders any of it as Prometheus text exposition format or JSON.
 //!
 //! Everything in this crate returns `String`s or values; nothing here
 //! touches stdout, files, or the process environment. Binaries decide
@@ -27,5 +26,5 @@ mod stats;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use json::JsonValue;
 pub use metrics::{Metric, MetricKind, MetricSet};
-pub use span::{NullSink, Span, SpanSink, SpanTimer, VecSink};
+pub use span::Span;
 pub use stats::QueryStats;

@@ -1,14 +1,12 @@
-//! A lightweight span API for phase-level wall-clock tracing.
+//! Phase-level wall-clock spans.
 //!
 //! Builds in this workspace run in distinct phases (split planning,
 //! distribution/packing, tree insert/apply); a [`Span`] names one phase
-//! and carries its duration, and a [`SpanSink`] decides what happens to
-//! finished spans. The default sinks either collect ([`VecSink`]) or
-//! drop ([`NullSink`]) — rendering is left to [`crate::MetricSet`] and
-//! the callers.
+//! and carries its duration. Rendering is left to [`crate::MetricSet`]
+//! and the callers.
 
 use crate::json::JsonValue;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One named, finished wall-clock interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,113 +42,9 @@ impl Span {
     }
 }
 
-/// Receiver for finished spans. Implementations must not panic.
-pub trait SpanSink {
-    /// Accept one finished span.
-    fn record(&mut self, span: Span);
-}
-
-/// Collects every span, in completion order.
-#[derive(Debug, Default, Clone)]
-pub struct VecSink {
-    /// Finished spans in the order they were recorded.
-    pub spans: Vec<Span>,
-}
-
-impl VecSink {
-    /// An empty sink.
-    pub fn new() -> VecSink {
-        VecSink::default()
-    }
-
-    /// Total seconds across all recorded spans.
-    pub fn total_seconds(&self) -> f64 {
-        self.spans.iter().map(Span::seconds).sum()
-    }
-
-    /// Spans as a JSON array.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::array(self.spans.iter().map(Span::to_json))
-    }
-}
-
-impl SpanSink for VecSink {
-    fn record(&mut self, span: Span) {
-        self.spans.push(span);
-    }
-}
-
-/// Discards every span; the zero-cost default when tracing is off.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl SpanSink for NullSink {
-    fn record(&mut self, _span: Span) {}
-}
-
-/// Measures one span with `Instant`. Start it, do the work, then
-/// [`finish`](SpanTimer::finish) into a sink (or drop it to discard the
-/// measurement).
-#[derive(Debug)]
-pub struct SpanTimer {
-    name: String,
-    started: Instant,
-}
-
-impl SpanTimer {
-    /// Start timing a phase named `name`.
-    pub fn start(name: impl Into<String>) -> SpanTimer {
-        SpanTimer {
-            name: name.into(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Time elapsed so far.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Stop the clock and deliver the span to `sink`.
-    pub fn finish(self, sink: &mut dyn SpanSink) {
-        let elapsed = self.started.elapsed();
-        sink.record(Span {
-            name: self.name,
-            elapsed,
-        });
-    }
-
-    /// Stop the clock and return the span to the caller directly.
-    pub fn finish_span(self) -> Span {
-        Span {
-            elapsed: self.started.elapsed(),
-            name: self.name,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_records_into_sink() {
-        let mut sink = VecSink::new();
-        let t = SpanTimer::start("phase_a");
-        std::thread::sleep(Duration::from_millis(1));
-        t.finish(&mut sink);
-        assert_eq!(sink.spans.len(), 1);
-        assert_eq!(sink.spans[0].name, "phase_a");
-        assert!(sink.spans[0].elapsed >= Duration::from_millis(1));
-        assert!(sink.total_seconds() > 0.0);
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink;
-        SpanTimer::start("x").finish(&mut sink);
-        // Nothing to observe — the point is that this compiles and runs.
-    }
 
     #[test]
     fn span_json_has_name_and_seconds() {

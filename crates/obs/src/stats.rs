@@ -60,17 +60,6 @@ impl QueryStats {
         }
     }
 
-    /// Physical page transfers: reads that missed the buffer plus all
-    /// writes (writes always cost one transfer; see `PageStore::write`).
-    pub fn io_total(&self) -> u64 {
-        self.disk_reads + self.disk_writes
-    }
-
-    /// Logical page reads, whether or not the buffer absorbed them.
-    pub fn logical_reads(&self) -> u64 {
-        self.disk_reads + self.buffer_hits
-    }
-
     /// Fold another operation's counters into this one.
     pub fn merge(&mut self, other: &QueryStats) {
         self.disk_reads += other.disk_reads;
@@ -199,8 +188,6 @@ mod tests {
         let summed: QueryStats = [a, b].into_iter().sum();
         assert_eq!(summed, a + b);
         assert_eq!(summed.disk_reads, 13);
-        assert_eq!(summed.io_total(), 14);
-        assert_eq!(summed.logical_reads(), 15);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   legal — times when no record was alive), only the final span may be
 //!   open, closed spans are non-empty, and no span reaches past the
 //!   clock.
-//! - **Structure**: every reachable page is allocated, not on the free
-//!   list, and decodes as a node of the level its parent expects; fanout
-//!   never exceeds the page capacity `B`.
+//! - **Structure**: every reachable page is allocated and decodes as a
+//!   node of the level its parent expects; fanout never exceeds the page
+//!   capacity `B`.
 //! - **MBR containment** (R-Tree invariant, §2): a directory entry's
 //!   rectangle contains every child entry whose lifetime intersects the
 //!   directory entry's lifetime. Dead edges are checked against the
@@ -56,8 +56,6 @@ pub enum ViolationKind {
     ClockSkew,
     /// A directory entry points at an unallocated page.
     DanglingChild,
-    /// A reachable page sits on the free list.
-    FreedPageReachable,
     /// A reachable page does not decode as a PPR-Tree node.
     UnreadableNode,
     /// A node's stored level differs from what its parent expects.
@@ -87,7 +85,6 @@ impl ViolationKind {
             ViolationKind::RootLog => "root_log",
             ViolationKind::ClockSkew => "clock_skew",
             ViolationKind::DanglingChild => "dangling_child",
-            ViolationKind::FreedPageReachable => "freed_page_reachable",
             ViolationKind::UnreadableNode => "unreadable_node",
             ViolationKind::LevelMismatch => "level_mismatch",
             ViolationKind::Overfull => "overfull",
@@ -143,8 +140,6 @@ pub struct CheckReport {
     pub height: u32,
     /// Allocated pages in the store.
     pub pages: usize,
-    /// Pages on the free list.
-    pub free_pages: usize,
 }
 
 impl fmt::Display for CheckReport {
@@ -152,14 +147,8 @@ impl fmt::Display for CheckReport {
         write!(
             f,
             "{} root span(s), {} node(s) / {} entrie(s) checked; \
-             alive={}, height={}, {} page(s) ({} free)",
-            self.root_spans,
-            self.nodes,
-            self.entries,
-            self.alive_records,
-            self.height,
-            self.pages,
-            self.free_pages
+             alive={}, height={}, {} page(s)",
+            self.root_spans, self.nodes, self.entries, self.alive_records, self.height, self.pages
         )
     }
 }
@@ -411,13 +400,6 @@ impl Checker<'_> {
     /// once per unique page even when several spans share the subtree.
     fn check_node(&mut self, page: PageId, node: &PprNode, expected_level: u32) {
         self.entries_seen += node.entries.len();
-        if self.tree.store_ref().is_free(page) {
-            self.report(
-                Some(page),
-                ViolationKind::FreedPageReachable,
-                "reachable page is on the free list".to_string(),
-            );
-        }
         if node.level != expected_level {
             self.report(
                 Some(page),
@@ -745,15 +727,13 @@ impl Checker<'_> {
 
     fn finish(mut self) -> Result<CheckReport, Vec<Violation>> {
         if self.violations.is_empty() {
-            let store = self.tree.store_ref();
             Ok(CheckReport {
                 root_spans: self.tree.roots().len(),
                 nodes: self.nodes.len(),
                 entries: self.entries_seen,
                 alive_records: self.tree.alive_records(),
                 height: open_span(self.tree).map_or(0, |s| s.level + 1),
-                pages: store.num_pages(),
-                free_pages: store.free_pages(),
+                pages: self.tree.store_ref().num_pages(),
             })
         } else {
             // Traversal order depends on hash iteration; sort for

@@ -68,37 +68,65 @@ impl PprParams {
         (self.p_svu * self.max_entries as f64).ceil() as usize
     }
 
-    /// Validate thresholds: `D ≤ svu ≤ svo ≤ B` and the node fits a page.
-    pub fn validate(&self) {
-        assert!(self.max_entries >= 4, "max_entries too small");
-        assert!(
-            PprNode::encoded_size(self.max_entries) <= PAGE_SIZE,
-            "{} entries do not fit a {PAGE_SIZE}-byte page",
-            self.max_entries
-        );
+    /// The written-down ranges: at least 4 entries, a node of
+    /// `max_entries` fits a page, each fraction in `0..=1` (NaN is not),
+    /// and the thresholds ordered `D ≤ svu < svo ≤ B`. Parameters read
+    /// from a file go through this and fail typed.
+    ///
+    /// # Errors
+    /// The first range that does not hold, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.max_entries < 4 {
+            return Err("max_entries too small".into());
+        }
+        if PprNode::encoded_size(self.max_entries) > PAGE_SIZE {
+            return Err(format!(
+                "{} entries do not fit a {PAGE_SIZE}-byte page",
+                self.max_entries
+            ));
+        }
+        let fractions = [self.p_version, self.p_svo, self.p_svu];
+        if !fractions.iter().all(|p| (0.0..=1.0).contains(p)) {
+            return Err("p_version, p_svo and p_svu must lie in 0..=1".into());
+        }
         let (d, svu, svo) = (
             self.weak_min(),
             self.strong_underflow(),
             self.strong_overflow(),
         );
-        assert!(
-            d <= svu,
-            "weak_min {d} must not exceed strong_underflow {svu}"
-        );
-        assert!(
-            svu < svo,
-            "strong_underflow {svu} must be below strong_overflow {svo}"
-        );
-        assert!(
-            svo <= self.max_entries,
-            "strong_overflow exceeds node capacity"
-        );
+        if d > svu {
+            return Err(format!(
+                "weak_min {d} must not exceed strong_underflow {svu}"
+            ));
+        }
+        if svu >= svo {
+            return Err(format!(
+                "strong_underflow {svu} must be below strong_overflow {svo}"
+            ));
+        }
+        if svo > self.max_entries {
+            return Err("strong_overflow exceeds node capacity".into());
+        }
         // A key split must be able to give each half at least svu alive
         // entries: svo + 1 ≥ 2·svu.
-        assert!(
-            svo + 1 >= 2 * svu,
-            "overflow split cannot satisfy underflow bound"
-        );
+        if svo + 1 < 2 * svu {
+            return Err("overflow split cannot satisfy underflow bound".into());
+        }
+        Ok(())
+    }
+
+    /// [`PprParams::check`] for parameters a caller wrote.
+    ///
+    /// # Panics
+    /// If a range does not hold.
+    #[expect(
+        clippy::panic,
+        reason = "the constructors' documented contract; file loads use check()"
+    )]
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -312,15 +340,6 @@ impl PprNode {
         self.entries.iter().filter(|e| e.is_alive()).count()
     }
 
-    /// Clone out the alive entries.
-    pub fn alive_entries(&self) -> Vec<PprEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.is_alive())
-            .copied()
-            .collect()
-    }
-
     /// Union of the alive entries' rectangles.
     pub fn alive_mbr(&self) -> Rect2 {
         let mut m = Rect2::EMPTY;
@@ -453,6 +472,43 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_params_fail_check() {
+        let base = PprParams::default();
+        for bad in [
+            PprParams {
+                max_entries: 2,
+                ..base
+            },
+            PprParams {
+                max_entries: 86,
+                ..base
+            },
+            PprParams {
+                p_version: f64::NAN,
+                ..base
+            },
+            PprParams {
+                p_version: 1.5,
+                ..base
+            },
+            PprParams {
+                p_svo: f64::NAN,
+                ..base
+            },
+            PprParams {
+                p_svu: f64::NAN,
+                ..base
+            },
+            PprParams {
+                p_svu: -0.1,
+                ..base
+            },
+        ] {
+            assert!(bad.check().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn entry_lifetime_logic() {
         let e = PprEntry::alive(Rect2::UNIT, 7, 10);
         assert!(e.is_alive());
@@ -476,7 +532,6 @@ mod tests {
             ],
         };
         assert_eq!(node.alive_count(), 1);
-        assert_eq!(node.alive_entries().len(), 1);
         // alive MBR covers only the alive entry
         assert!(!node
             .alive_mbr()

@@ -1203,7 +1203,8 @@ impl PprTree {
     /// Load an index previously written by [`PprTree::save_to_file`].
     ///
     /// Fails closed: any checksum, magic, epoch or structural mismatch in
-    /// the file is a typed error before a single page is trusted.
+    /// the file, and parameters outside [`PprParams::check`]'s ranges,
+    /// are a typed error before a single page is trusted.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &'static str| Error::new(ErrorKind::InvalidData, m);
@@ -1229,7 +1230,9 @@ impl PprTree {
             p_svu,
             buffer_pages: r.get_u32().map_err(|_| bad("buffer_pages"))? as usize,
         };
-        params.validate();
+        params
+            .check()
+            .map_err(|e| Error::new(ErrorKind::InvalidData, format!("parameters: {e}")))?;
         store.set_buffer_capacity(params.buffer_pages);
         let now = r.get_u32().map_err(|_| bad("now"))?;
         let alive_records = r.get_u64().map_err(|_| bad("alive"))?;

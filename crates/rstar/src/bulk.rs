@@ -1,49 +1,26 @@
-//! Bulk loading (packing) algorithms for the R\*-Tree.
+//! Bulk loading (packing) for the R\*-Tree.
 //!
 //! The paper explicitly declined to pack its R\*-Tree: "packing does not
 //! help substantially with datasets of moving objects. Packing algorithms
 //! tend to cluster together objects that might be consecutive in order
 //! even though they may correspond to large and small intervals. This
-//! leads to more overlapping and empty space" (§V). These two classic
-//! packers exist to *test* that claim (see the `ablation_packing` bench
-//! target):
+//! leads to more overlapping and empty space" (§V). The one packer here,
+//! Sort-Tile-Recursive (Leutenegger, Lopez & Edgington, ICDE 1997 —
+//! reference \[15\]), exists to *test* that claim (see the
+//! `ablation_packing` bench target): recursively tile the space into
+//! vertical slabs by x, then y within slabs, then t.
 //!
-//! * [`PackingAlgorithm::Str`] — Sort-Tile-Recursive (Leutenegger, Lopez
-//!   & Edgington, ICDE 1997 — reference \[15\]): recursively tile the
-//!   space into vertical slabs by x, then y within slabs, then t.
-//! * [`PackingAlgorithm::Hilbert`] — Hilbert packing (Kamel & Faloutsos,
-//!   VLDB 1994 — reference \[9\]): order records by the Hilbert value of
-//!   their centers and chunk.
-//!
-//! Both produce fully packed nodes bottom-up; the resulting tree is a
+//! It produces fully packed nodes bottom-up; the resulting tree is a
 //! regular [`RStarTree`] and answers queries identically.
 
 use crate::node::{Entry, Node, RStarParams};
 use crate::tree::RStarTree;
-use sti_geom::{hilbert3, Rect3};
+use sti_geom::Rect3;
 use sti_storage::{Page, PageStore, ScratchPool, StorageError};
 
-/// Which packing order to use for bulk loading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PackingAlgorithm {
-    /// Sort-Tile-Recursive.
-    Str,
-    /// Hilbert-curve ordering of box centers.
-    Hilbert,
-}
-
-impl std::fmt::Display for PackingAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PackingAlgorithm::Str => write!(f, "STR"),
-            PackingAlgorithm::Hilbert => write!(f, "Hilbert"),
-        }
-    }
-}
-
 impl RStarTree {
-    /// Bulk load a tree from `(id, box)` records with the given packing
-    /// order. Nodes are filled to capacity, as the classic packers do.
+    /// Bulk load a tree from `(id, box)` records in STR order. Nodes are
+    /// filled to capacity, as the classic packers do.
     ///
     /// # Errors
     /// A [`StorageError`] if writing a packed page fails (only possible
@@ -51,11 +28,7 @@ impl RStarTree {
     ///
     /// # Panics
     /// On an empty input or an empty rectangle.
-    pub fn bulk_load(
-        records: &[(u64, Rect3)],
-        params: RStarParams,
-        algo: PackingAlgorithm,
-    ) -> Result<Self, StorageError> {
+    pub fn bulk_load(records: &[(u64, Rect3)], params: RStarParams) -> Result<Self, StorageError> {
         params.validate();
         assert!(!records.is_empty(), "cannot bulk load an empty record set");
         let mut store = Self::guarded(PageStore::new(params.buffer_pages));
@@ -67,7 +40,7 @@ impl RStarTree {
                 Entry { rect, ptr: id }
             })
             .collect();
-        order_entries(&mut entries, algo, params.max_entries);
+        str_tile(&mut entries, params.max_entries);
 
         // Pack level by level until a single node remains.
         let mut level = 0u32;
@@ -101,28 +74,11 @@ impl RStarTree {
                 store.write(page, &buf.bytes()[..])?;
                 parents.push(Entry::child(node.mbr(), page));
             }
-            // Upper levels keep the lower level's ordering for STR (the
-            // parents inherit the tiling); re-ordering by Hilbert value of
-            // parent centers keeps the Hilbert variant faithful.
-            if algo == PackingAlgorithm::Hilbert {
-                order_entries(&mut parents, algo, params.max_entries);
-            }
+            // Upper levels keep the lower level's ordering: the parents
+            // inherit the tiling.
             entries = parents;
             level += 1;
         }
-    }
-}
-
-/// Order entries for packing.
-fn order_entries(entries: &mut [Entry], algo: PackingAlgorithm, cap: usize) {
-    match algo {
-        PackingAlgorithm::Hilbert => {
-            entries.sort_by_key(|e| {
-                let c = e.rect.center();
-                hilbert3(c[0], c[1], c[2])
-            });
-        }
-        PackingAlgorithm::Str => str_tile(entries, cap),
     }
 }
 
@@ -178,50 +134,46 @@ mod tests {
     #[test]
     fn single_node_load() {
         let recs = random_records(5, 1);
-        for algo in [PackingAlgorithm::Str, PackingAlgorithm::Hilbert] {
-            let mut t = RStarTree::bulk_load(&recs, params(), algo).unwrap();
-            assert_eq!(t.height(), 0);
-            assert_eq!(t.len(), 5);
-            t.validate_packed();
-            let mut out = Vec::new();
-            t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut out).unwrap();
-            assert_eq!(out.len(), 5);
-        }
+        let mut t = RStarTree::bulk_load(&recs, params()).unwrap();
+        assert_eq!(t.height(), 0);
+        assert_eq!(t.len(), 5);
+        t.validate_packed();
+        let mut out = Vec::new();
+        t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut out).unwrap();
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
     fn queries_match_brute_force() {
         let recs = random_records(700, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        for algo in [PackingAlgorithm::Str, PackingAlgorithm::Hilbert] {
-            let mut t = RStarTree::bulk_load(&recs, params(), algo).unwrap();
-            assert!(t.height() >= 2, "{algo}: tree should be tall");
-            t.validate_packed();
-            for _ in 0..40 {
-                let lo = [
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                ];
-                let q = Rect3::new(lo, [lo[0] + 0.1, lo[1] + 0.1, lo[2] + 0.1]);
-                let mut got = Vec::new();
-                t.query(&q, &mut got).unwrap();
-                got.sort_unstable();
-                let mut want: Vec<u64> = recs
-                    .iter()
-                    .filter(|(_, r)| r.intersects(&q))
-                    .map(|&(id, _)| id)
-                    .collect();
-                want.sort_unstable();
-                assert_eq!(got, want, "{algo}");
-            }
+        let mut t = RStarTree::bulk_load(&recs, params()).unwrap();
+        assert!(t.height() >= 2, "tree should be tall");
+        t.validate_packed();
+        for _ in 0..40 {
+            let lo = [
+                rng.random::<f64>(),
+                rng.random::<f64>(),
+                rng.random::<f64>(),
+            ];
+            let q = Rect3::new(lo, [lo[0] + 0.1, lo[1] + 0.1, lo[2] + 0.1]);
+            let mut got = Vec::new();
+            t.query(&q, &mut got).unwrap();
+            got.sort_unstable();
+            let mut want: Vec<u64> = recs
+                .iter()
+                .filter(|(_, r)| r.intersects(&q))
+                .map(|&(id, _)| id)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want);
         }
     }
 
     #[test]
     fn packed_tree_is_smaller_than_inserted_tree() {
         let recs = random_records(700, 3);
-        let packed = RStarTree::bulk_load(&recs, params(), PackingAlgorithm::Str).unwrap();
+        let packed = RStarTree::bulk_load(&recs, params()).unwrap();
         let mut inserted = RStarTree::new(params());
         for &(id, r) in &recs {
             inserted.insert(id, r).unwrap();
@@ -237,7 +189,7 @@ mod tests {
     #[test]
     fn bulk_loaded_tree_accepts_further_inserts() {
         let recs = random_records(200, 11);
-        let mut t = RStarTree::bulk_load(&recs, params(), PackingAlgorithm::Hilbert).unwrap();
+        let mut t = RStarTree::bulk_load(&recs, params()).unwrap();
         for i in 0..100u64 {
             let v = i as f64 / 100.0;
             t.insert(
@@ -255,7 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty record set")]
     fn rejects_empty_input() {
-        let _ = RStarTree::bulk_load(&[], params(), PackingAlgorithm::Str);
+        let _ = RStarTree::bulk_load(&[], params());
     }
 
     #[test]

@@ -20,11 +20,9 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes))]
 
 pub mod bulk;
-pub mod knn;
 pub mod node;
 pub mod split;
 pub mod tree;
 
-pub use bulk::PackingAlgorithm;
-pub use node::{Entry, Node, NodeView, RStarParams, SplitStrategy};
+pub use node::{Entry, Node, NodeView, RStarParams};
 pub use tree::RStarTree;

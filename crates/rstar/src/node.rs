@@ -5,16 +5,6 @@
 use sti_geom::Rect3;
 use sti_storage::{ByteReader, ByteWriter, CodecError, Page, PageId, PAGE_SIZE};
 
-/// Node split algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SplitStrategy {
-    /// The R\* topological split (margin-driven axis choice) — default.
-    #[default]
-    RStar,
-    /// Guttman's quadratic split (R-Tree, 1984), for comparison.
-    QuadraticGuttman,
-}
-
 /// Tuning parameters of the R\*-Tree.
 #[derive(Debug, Clone, Copy)]
 pub struct RStarParams {
@@ -28,8 +18,6 @@ pub struct RStarParams {
     pub reinsert_fraction: f64,
     /// Buffer pool capacity in pages (paper: 10).
     pub buffer_pages: usize,
-    /// Which split algorithm overflowing nodes use.
-    pub split_strategy: SplitStrategy,
 }
 
 impl Default for RStarParams {
@@ -39,7 +27,6 @@ impl Default for RStarParams {
             min_fill: 0.4,
             reinsert_fraction: 0.3,
             buffer_pages: 10,
-            split_strategy: SplitStrategy::default(),
         }
     }
 }
@@ -55,23 +42,45 @@ impl RStarParams {
         ((self.reinsert_fraction * self.max_entries as f64).floor() as usize).max(1)
     }
 
-    /// Check a node of `max_entries` (+1 transient overflow slot is kept
-    /// in memory only) fits a page.
+    /// The written-down ranges: at least 4 entries, a node of
+    /// `max_entries` fits a page (the +1 transient overflow slot is kept
+    /// in memory only), `min_fill` in `0..=0.5` and `reinsert_fraction`
+    /// in `0..0.5` (NaN is in neither). Parameters read from a file go
+    /// through this and fail typed.
+    ///
+    /// # Errors
+    /// The first range that does not hold, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.max_entries < 4 {
+            return Err("max_entries too small".into());
+        }
+        if Node::encoded_size(self.max_entries) > PAGE_SIZE {
+            return Err(format!(
+                "{} entries do not fit a {PAGE_SIZE}-byte page",
+                self.max_entries
+            ));
+        }
+        if !(0.0..=0.5).contains(&self.min_fill) {
+            return Err("min_fill out of range".into());
+        }
+        if !(0.0..0.5).contains(&self.reinsert_fraction) {
+            return Err("reinsert_fraction out of range".into());
+        }
+        Ok(())
+    }
+
+    /// [`RStarParams::check`] for parameters a caller wrote.
+    ///
+    /// # Panics
+    /// If a range does not hold.
+    #[expect(
+        clippy::panic,
+        reason = "the constructors' documented contract; file loads use check()"
+    )]
     pub fn validate(&self) {
-        assert!(self.max_entries >= 4, "max_entries too small");
-        assert!(
-            Node::encoded_size(self.max_entries) <= PAGE_SIZE,
-            "{} entries do not fit a {PAGE_SIZE}-byte page",
-            self.max_entries
-        );
-        assert!(
-            (0.0..=0.5).contains(&self.min_fill),
-            "min_fill out of range"
-        );
-        assert!(
-            (0.0..0.5).contains(&self.reinsert_fraction),
-            "reinsert_fraction out of range"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -343,6 +352,49 @@ mod tests {
         p.validate();
         assert_eq!(p.min_entries(), 20);
         assert_eq!(p.reinsert_count(), 15);
+    }
+
+    #[test]
+    fn out_of_range_params_fail_check() {
+        let base = RStarParams::default();
+        for bad in [
+            RStarParams {
+                max_entries: 3,
+                ..base
+            },
+            RStarParams {
+                max_entries: 74,
+                ..base
+            },
+            RStarParams {
+                min_fill: 0.6,
+                ..base
+            },
+            RStarParams {
+                min_fill: f64::NAN,
+                ..base
+            },
+            RStarParams {
+                reinsert_fraction: 0.5,
+                ..base
+            },
+            RStarParams {
+                reinsert_fraction: f64::NAN,
+                ..base
+            },
+        ] {
+            assert!(bad.check().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "min_fill out of range")]
+    fn validate_panics_on_what_check_rejects() {
+        RStarParams {
+            min_fill: -0.1,
+            ..RStarParams::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -111,88 +111,6 @@ pub fn rstar_split(entries: Vec<Entry>, min_entries: usize) -> (Vec<Entry>, Vec<
     (g1, g2)
 }
 
-/// Guttman's quadratic split (R-Tree, SIGMOD 1984), generalized to 3D:
-/// PickSeeds maximizes wasted volume, PickNext assigns the entry with the
-/// strongest group preference. Provided as the classic alternative to
-/// [`rstar_split`]; the `ablation_split` bench target compares them.
-pub fn quadratic_split(entries: Vec<Entry>, min_entries: usize) -> (Vec<Entry>, Vec<Entry>) {
-    let n = entries.len();
-    assert!(
-        n >= 2 * min_entries,
-        "cannot split {n} entries with min fill {min_entries}"
-    );
-
-    let mut seed = (0usize, 1usize);
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..n {
-        for j in i + 1..n {
-            let waste = entries[i].rect.union(&entries[j].rect).volume()
-                - entries[i].rect.volume()
-                - entries[j].rect.volume();
-            if waste > worst {
-                worst = waste;
-                seed = (i, j);
-            }
-        }
-    }
-
-    let mut g1 = vec![entries[seed.0]];
-    let mut g2 = vec![entries[seed.1]];
-    let mut bb1 = entries[seed.0].rect;
-    let mut bb2 = entries[seed.1].rect;
-    let mut rest: Vec<Entry> = entries
-        .into_iter()
-        .enumerate()
-        .filter(|&(i, _)| i != seed.0 && i != seed.1)
-        .map(|(_, e)| e)
-        .collect();
-
-    while !rest.is_empty() {
-        if g1.len() + rest.len() == min_entries {
-            for e in rest.drain(..) {
-                bb1.expand(&e.rect);
-                g1.push(e);
-            }
-            break;
-        }
-        if g2.len() + rest.len() == min_entries {
-            for e in rest.drain(..) {
-                bb2.expand(&e.rect);
-                g2.push(e);
-            }
-            break;
-        }
-        let mut pick = 0usize;
-        let mut pick_diff = f64::NEG_INFINITY;
-        for (i, e) in rest.iter().enumerate() {
-            let diff = (bb1.enlargement(&e.rect) - bb2.enlargement(&e.rect)).abs();
-            if diff > pick_diff {
-                pick_diff = diff;
-                pick = i;
-            }
-        }
-        let e = rest.swap_remove(pick);
-        let d1 = bb1.enlargement(&e.rect);
-        let d2 = bb2.enlargement(&e.rect);
-        let to_first = match d1.total_cmp(&d2) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                bb1.volume() < bb2.volume()
-                    || (bb1.volume() == bb2.volume() && g1.len() <= g2.len())
-            }
-        };
-        if to_first {
-            bb1.expand(&e.rect);
-            g1.push(e);
-        } else {
-            bb2.expand(&e.rect);
-            g2.push(e);
-        }
-    }
-    (g1, g2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,40 +166,8 @@ mod tests {
         let _ = rstar_split(entries, 2);
     }
 
-    #[test]
-    fn quadratic_separates_clusters_too() {
-        let mut entries = Vec::new();
-        for i in 0..4 {
-            entries.push(cube(0.01 * i as f64, 0.0, 0.0, 0.05, i));
-        }
-        for i in 0..4 {
-            entries.push(cube(10.0, 10.0, 0.0, 0.05, 100 + i));
-        }
-        let (g1, g2) = quadratic_split(entries, 2);
-        let near1 = g1.iter().all(|e| e.ptr < 100);
-        let near2 = g2.iter().all(|e| e.ptr < 100);
-        assert!(near1 ^ near2);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn quadratic_preserves_entries_and_min_fill(
-            boxes in prop::collection::vec(
-                (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.001..0.2f64), 8..50),
-        ) {
-            let min_fill = 1 + boxes.len() / 5;
-            let entries: Vec<Entry> = boxes
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y, t, s))| cube(x, y, t, s, i as u64))
-                .collect();
-            let n = entries.len();
-            let (g1, g2) = quadratic_split(entries, min_fill);
-            prop_assert_eq!(g1.len() + g2.len(), n);
-            prop_assert!(g1.len() >= min_fill && g2.len() >= min_fill);
-        }
 
         #[test]
         fn split_preserves_entries_and_min_fill(

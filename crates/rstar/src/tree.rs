@@ -1,9 +1,8 @@
 //! The R\*-Tree proper: insertion with forced reinsertion, and box
 //! queries with I/O accounting.
 
-use crate::node::SplitStrategy;
 use crate::node::{Entry, Node, NodeView, RStarParams};
-use crate::split::{quadratic_split, rstar_split};
+use crate::split::rstar_split;
 use sti_geom::Rect3;
 use sti_obs::QueryStats;
 use sti_storage::{
@@ -19,15 +18,15 @@ use sti_storage::{
 /// [`RStarTree::reset_for_query`] before each measured query to reproduce
 /// the paper's buffer-reset methodology.
 ///
-/// Supports dynamic insertion (R\* forced reinsertion + topological
-/// split), Guttman-style deletion with CondenseTree, bulk loading (see
-/// [`crate::bulk`]), and window queries. The paper's experiments only
-/// build offline and query, but a production index needs the full set.
+/// Supports what the paper measures: dynamic insertion (R\* forced
+/// reinsertion + topological split) and window queries, plus STR bulk
+/// loading (see [`crate::bulk`]). Records are historical, so nothing is
+/// ever deleted and the store only ever appends pages.
 ///
-/// Every operation that touches the page store is fallible: updates run
-/// inside a page-level undo transaction and roll back completely on
-/// error (see DESIGN.md §6), so a failed `insert`/`delete` leaves the
-/// tree exactly as it was.
+/// Every operation that touches the page store is fallible: an insert
+/// runs inside a page-level undo transaction and rolls back completely
+/// on error (see DESIGN.md §6), so a failed `insert` leaves the tree
+/// exactly as it was.
 pub struct RStarTree {
     pub(crate) store: PageStore,
     pub(crate) params: RStarParams,
@@ -112,12 +111,6 @@ impl RStarTree {
     /// Height of the tree (level of the root node).
     pub fn height(&self) -> u32 {
         self.root_level
-    }
-
-    /// Page id of the root node (for traversals built on top of the
-    /// tree, e.g. the kNN search in [`crate::knn`]).
-    pub(crate) fn root_page(&self) -> PageId {
-        self.root
     }
 
     /// Number of allocated pages (disk footprint).
@@ -368,12 +361,7 @@ impl RStarTree {
             // Split.
             let level = node.level;
             let entries = std::mem::take(&mut node.entries);
-            let (g1, g2) = match self.params.split_strategy {
-                SplitStrategy::RStar => rstar_split(entries, self.params.min_entries()),
-                SplitStrategy::QuadraticGuttman => {
-                    quadratic_split(entries, self.params.min_entries())
-                }
-            };
+            let (g1, g2) = rstar_split(entries, self.params.min_entries());
             let node1 = Node { level, entries: g1 };
             let node2 = Node { level, entries: g2 };
             let new_page = self.store.allocate()?;
@@ -384,123 +372,6 @@ impl RStarTree {
 
         self.write_node(page, &node)?;
         Ok((node.mbr(), None))
-    }
-
-    /// Delete the record previously inserted as `(id, rect)`. Returns
-    /// `Ok(true)` when found and removed, `Ok(false)` when absent.
-    ///
-    /// Follows Guttman's CondenseTree: underfull nodes along the deletion
-    /// path are dissolved, their surviving entries re-inserted at their
-    /// original level, and the root is collapsed while it holds a single
-    /// child. Freed node pages return to the store's free list.
-    ///
-    /// (The paper's experiments never delete from the R\*-Tree — records
-    /// are historical — but a production index supports it.)
-    ///
-    /// # Errors
-    /// A [`StorageError`] if the page store fails; the update is rolled
-    /// back and the tree (pages, free list, root pointer, count) is
-    /// unchanged.
-    pub fn delete(&mut self, id: u64, rect: &Rect3) -> Result<bool, StorageError> {
-        let state_before = (self.root, self.root_level, self.len);
-        self.store.begin_txn();
-        match self.delete_inner(id, rect) {
-            Ok(found) => {
-                self.store.commit_txn();
-                Ok(found)
-            }
-            Err(e) => {
-                self.store.rollback_txn();
-                (self.root, self.root_level, self.len) = state_before;
-                Err(e)
-            }
-        }
-    }
-
-    fn delete_inner(&mut self, id: u64, rect: &Rect3) -> Result<bool, StorageError> {
-        let root = self.root;
-        let mut orphans: Vec<(Entry, u32)> = Vec::new();
-        let outcome = self.delete_rec(root, id, rect, &mut orphans)?;
-        if matches!(outcome, DelOutcome::NotHere) {
-            debug_assert!(orphans.is_empty());
-            return Ok(false);
-        }
-        self.len -= 1;
-        // Re-insert orphans *before* shrinking the root: a level-L orphan
-        // needs the tree to still be at least L+1 tall.
-        orphans.sort_by_key(|&(_, lvl)| std::cmp::Reverse(lvl));
-        for (e, lvl) in orphans {
-            self.insert_entry(e, lvl)?;
-        }
-        // Collapse trivial roots.
-        loop {
-            let node = self.read_node(self.root)?;
-            if !node.is_leaf() && node.entries.len() == 1 {
-                let child = node.entries[0].child_page();
-                self.store.free(self.root)?;
-                self.root = child;
-                self.root_level -= 1;
-            } else {
-                break;
-            }
-        }
-        Ok(true)
-    }
-
-    fn delete_rec(
-        &mut self,
-        page: PageId,
-        id: u64,
-        rect: &Rect3,
-        orphans: &mut Vec<(Entry, u32)>,
-    ) -> Result<DelOutcome, StorageError> {
-        let mut node = self.read_node(page)?;
-        if node.is_leaf() {
-            let Some(pos) = node
-                .entries
-                .iter()
-                .position(|e| e.ptr == id && e.rect == *rect)
-            else {
-                return Ok(DelOutcome::NotHere);
-            };
-            node.entries.remove(pos);
-            if page != self.root && node.entries.len() < self.params.min_entries() {
-                for e in node.entries {
-                    orphans.push((e, 0));
-                }
-                self.store.free(page)?;
-                return Ok(DelOutcome::Underflow);
-            }
-            self.write_node(page, &node)?;
-            return Ok(DelOutcome::Removed(node.mbr()));
-        }
-        for i in 0..node.entries.len() {
-            if !node.entries[i].rect.contains(rect) {
-                continue;
-            }
-            match self.delete_rec(node.entries[i].child_page(), id, rect, orphans)? {
-                DelOutcome::NotHere => continue,
-                DelOutcome::Removed(child_mbr) => {
-                    node.entries[i].rect = child_mbr;
-                    self.write_node(page, &node)?;
-                    return Ok(DelOutcome::Removed(node.mbr()));
-                }
-                DelOutcome::Underflow => {
-                    let level = node.level;
-                    node.entries.remove(i);
-                    if page != self.root && node.entries.len() < self.params.min_entries() {
-                        for e in node.entries {
-                            orphans.push((e, level));
-                        }
-                        self.store.free(page)?;
-                        return Ok(DelOutcome::Underflow);
-                    }
-                    self.write_node(page, &node)?;
-                    return Ok(DelOutcome::Removed(node.mbr()));
-                }
-            }
-        }
-        Ok(DelOutcome::NotHere)
     }
 
     /// Save the whole index (pages + parameters + root pointer) to a
@@ -528,7 +399,8 @@ impl RStarTree {
     /// Load an index previously written by [`RStarTree::save_to_file`].
     ///
     /// Fails closed: any checksum, magic, epoch or structural mismatch in
-    /// the file is a typed error before a single page is trusted.
+    /// the file, and parameters outside [`RStarParams::check`]'s ranges,
+    /// are a typed error before a single page is trusted.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &'static str| Error::new(ErrorKind::InvalidData, m);
@@ -545,11 +417,10 @@ impl RStarTree {
             min_fill: r.get_f64().map_err(|_| bad("min_fill"))?,
             reinsert_fraction: r.get_f64().map_err(|_| bad("reinsert_fraction"))?,
             buffer_pages: r.get_u32().map_err(|_| bad("buffer_pages"))? as usize,
-            // The split strategy only affects future insertions, not the
-            // stored structure; files reopen with the default.
-            split_strategy: SplitStrategy::default(),
         };
-        params.validate();
+        params
+            .check()
+            .map_err(|e| Error::new(ErrorKind::InvalidData, format!("parameters: {e}")))?;
         store.set_buffer_capacity(params.buffer_pages);
         let root = r.get_u32().map_err(|_| bad("root"))?;
         let root_level = r.get_u32().map_err(|_| bad("root_level"))?;
@@ -620,16 +491,6 @@ impl RStarTree {
         }
         assert_eq!(data_count, self.len, "record count mismatch");
     }
-}
-
-/// Result of one recursive deletion step.
-enum DelOutcome {
-    /// The record is not in this subtree.
-    NotHere,
-    /// Removed; the subtree's new MBR.
-    Removed(Rect3),
-    /// Removed, and this node dissolved (entries orphaned, page freed).
-    Underflow,
 }
 
 /// R\* ChooseSubtree: at the level just above the leaves pick the entry
@@ -845,99 +706,6 @@ mod tests {
         assert_eq!(t.len(), 800);
     }
 
-    #[test]
-    fn delete_roundtrip_small() {
-        let mut t = RStarTree::new(small_params());
-        let r = Rect3::new([0.2; 3], [0.3; 3]);
-        t.insert(1, r).unwrap();
-        assert!(t.delete(1, &r).unwrap());
-        assert!(!t.delete(1, &r).unwrap(), "double delete returns false");
-        assert_eq!(t.len(), 0);
-        let mut out = Vec::new();
-        t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut out).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn delete_missing_returns_false() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut t = RStarTree::new(small_params());
-        for id in 0..100u64 {
-            t.insert(id, random_box(&mut rng)).unwrap();
-        }
-        assert!(!t.delete(999, &random_box(&mut rng)).unwrap());
-        assert_eq!(t.len(), 100);
-    }
-
-    #[test]
-    fn interleaved_insert_delete_matches_brute_force() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut t = RStarTree::new(small_params());
-        let mut live: Vec<(u64, Rect3)> = Vec::new();
-        let mut next = 0u64;
-        for round in 0..60 {
-            for _ in 0..20 {
-                let r = random_box(&mut rng);
-                t.insert(next, r).unwrap();
-                live.push((next, r));
-                next += 1;
-            }
-            for _ in 0..(if round % 3 == 0 { 25 } else { 10 }) {
-                if live.is_empty() {
-                    break;
-                }
-                let k = rng.random_range(0..live.len());
-                let (id, r) = live.swap_remove(k);
-                assert!(t.delete(id, &r).unwrap(), "record {id} must be deletable");
-            }
-            t.validate();
-        }
-        assert_eq!(t.len(), live.len() as u64);
-        for _ in 0..30 {
-            let q = random_box(&mut rng);
-            let mut got = Vec::new();
-            t.query(&q, &mut got).unwrap();
-            got.sort_unstable();
-            let mut want: Vec<u64> = live
-                .iter()
-                .filter(|(_, r)| r.intersects(&q))
-                .map(|&(id, _)| id)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn delete_everything_shrinks_to_empty_root() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut t = RStarTree::new(small_params());
-        let mut recs = Vec::new();
-        for id in 0..300u64 {
-            let r = random_box(&mut rng);
-            t.insert(id, r).unwrap();
-            recs.push((id, r));
-        }
-        assert!(t.height() >= 2);
-        let pages_full = t.num_pages();
-        for (id, r) in recs {
-            assert!(t.delete(id, &r).unwrap());
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 0, "root must collapse back to a leaf");
-        // Freed pages are recycled on the next insert wave.
-        for id in 0..300u64 {
-            t.insert(1000 + id, random_box(&mut rng)).unwrap();
-        }
-        assert!(
-            t.num_pages() <= pages_full + pages_full / 2,
-            "page recycling should bound growth: {} vs {}",
-            t.num_pages(),
-            pages_full
-        );
-        t.validate();
-    }
-
     /// A permanent fault mid-insert rolls everything back — including
     /// root splits and forced reinsertions in flight — and the tree
     /// still validates and answers correctly.
@@ -974,70 +742,6 @@ mod tests {
         let mut got = Vec::new();
         t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut got).unwrap();
         assert_eq!(got.len(), inserted.len(), "failed insert left no record");
-    }
-
-    /// A permanent fault mid-delete rolls back the CondenseTree pass:
-    /// no record disappears, no page leaks from the free list.
-    #[test]
-    fn failed_delete_rolls_back_completely() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut seed_tree = RStarTree::new(small_params());
-        let mut recs = Vec::new();
-        for id in 0..120u64 {
-            let r = random_box(&mut rng);
-            seed_tree.insert(id, r).unwrap();
-            recs.push((id, r));
-        }
-
-        // Calibration run: measure how many backend ops the insert phase
-        // uses, so the fault can be scheduled inside the delete phase.
-        let calib = FaultyBackend::new_mem(FaultPlan::none());
-        let mut t = RStarTree::with_backend(small_params(), Box::new(calib)).unwrap();
-        for &(id, r) in &recs {
-            t.insert(id, r).unwrap();
-        }
-        let insert_ops = t
-            .store
-            .backend()
-            .as_any()
-            .downcast_ref::<FaultyBackend>()
-            .unwrap()
-            .ops_executed();
-
-        // Replay the same workload over a faulty backend, then delete
-        // until the fault fires mid-CondenseTree.
-        let plan = FaultPlan::new(vec![ScheduledFault {
-            at_op: insert_ops + 50,
-            kind: FaultKind::Fail { transient: false },
-        }]);
-        let backend = FaultyBackend::new(Box::new(sti_storage::MemBackend::new()), plan);
-        let mut t = RStarTree::with_backend(small_params(), Box::new(backend)).unwrap();
-        t.set_retry_policy(RetryPolicy::no_retry());
-        for &(id, r) in &recs {
-            t.insert(id, r).unwrap();
-        }
-        let mut deleted = 0usize;
-        let mut hit_fault = false;
-        for &(id, r) in &recs {
-            let len_before = t.len();
-            match t.delete(id, &r) {
-                Ok(found) => {
-                    assert!(found);
-                    deleted += 1;
-                }
-                Err(e) => {
-                    assert!(matches!(e, StorageError::Injected { .. }), "{e:?}");
-                    assert_eq!(t.len(), len_before, "failed delete must not count");
-                    hit_fault = true;
-                    break;
-                }
-            }
-        }
-        assert!(hit_fault, "fault plan never fired — tune at_op");
-        t.validate();
-        let mut got = Vec::new();
-        t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut got).unwrap();
-        assert_eq!(got.len(), recs.len() - deleted);
     }
 
     proptest! {
@@ -1089,8 +793,7 @@ mod tests {
             reason: CorruptReason::Decode,
         };
         let everything = Rect3::new([0.0; 3], [1.0; 3]);
-        assert_eq!(t.query(&everything, &mut Vec::new()), Err(cycle.clone()));
-        assert_eq!(t.nearest([0.5; 3], 500), Err(cycle));
+        assert_eq!(t.query(&everything, &mut Vec::new()), Err(cycle));
     }
 
     /// `t` over a copy of its pages with `page` replaced by `bytes`: the
@@ -1169,7 +872,6 @@ mod tests {
                     prop_assert!(decoder_caught_it, "{outcome:?}");
                 };
                 typed(tree.query(&everything, &mut Vec::new()).err());
-                typed(tree.nearest([0.5; 3], 5).err());
             }
             if malformed {
                 // The refused write changed nothing; the copy damaged at

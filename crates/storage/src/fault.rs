@@ -3,20 +3,16 @@
 //! A [`FaultyBackend`] wraps any [`PageBackend`] and injects failures
 //! scheduled by a [`FaultPlan`]: error-on-Nth-operation (permanent or
 //! transient), torn (partial) writes, and bit flips. Plans are plain
-//! data — seeded generation, a compact text spec, and a journal of what
-//! actually fired make every failure a reproducible test case:
+//! data — seeded generation, and a journal of what actually fired — so
+//! every failure is a reproducible test case:
 //!
 //! ```
-//! use sti_storage::fault::{FaultKind, FaultPlan, FaultyBackend};
+//! use sti_storage::fault::{FaultPlan, FaultyBackend};
 //! use sti_storage::PageStore;
 //!
 //! let plan = FaultPlan::seeded(42, 100, 3);
-//! let mut store = PageStore::with_backend(
-//!     Box::new(FaultyBackend::new_mem(plan.clone())),
-//!     10,
-//! );
-//! // ... run a workload; on failure, print `plan.to_spec()` and replay
-//! // it verbatim with `FaultPlan::parse_spec(..)`.
+//! let mut store = PageStore::with_backend(Box::new(FaultyBackend::new_mem(plan)), 10);
+//! // ... run a workload; the same seed replays the same faults.
 //! # let _ = store.allocate();
 //! ```
 //!
@@ -126,72 +122,6 @@ impl FaultPlan {
     pub fn faults(&self) -> &[ScheduledFault] {
         &self.faults
     }
-
-    /// Compact text form, e.g. `"3:transient 17:fail 40:torn@512
-    /// 99:flip@33.5"`. Round-trips through [`FaultPlan::parse_spec`].
-    pub fn to_spec(&self) -> String {
-        let mut out = String::new();
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            match f.kind {
-                FaultKind::Fail { transient: true } => {
-                    out.push_str(&format!("{}:transient", f.at_op));
-                }
-                FaultKind::Fail { transient: false } => {
-                    out.push_str(&format!("{}:fail", f.at_op));
-                }
-                FaultKind::TornWrite { keep_bytes } => {
-                    out.push_str(&format!("{}:torn@{}", f.at_op, keep_bytes));
-                }
-                FaultKind::BitFlip { byte, bit } => {
-                    out.push_str(&format!("{}:flip@{}.{}", f.at_op, byte, bit));
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse the [`FaultPlan::to_spec`] form back into a plan.
-    pub fn parse_spec(spec: &str) -> Result<Self, String> {
-        let mut faults = Vec::new();
-        for item in spec.split_whitespace() {
-            let (op, kind) = item
-                .split_once(':')
-                .ok_or_else(|| format!("fault `{item}`: expected `op:kind`"))?;
-            let at_op: u64 = op
-                .parse()
-                .map_err(|_| format!("fault `{item}`: bad operation index"))?;
-            let kind = if kind == "transient" {
-                FaultKind::Fail { transient: true }
-            } else if kind == "fail" {
-                FaultKind::Fail { transient: false }
-            } else if let Some(n) = kind.strip_prefix("torn@") {
-                FaultKind::TornWrite {
-                    keep_bytes: n
-                        .parse()
-                        .map_err(|_| format!("fault `{item}`: bad torn length"))?,
-                }
-            } else if let Some(pos) = kind.strip_prefix("flip@") {
-                let (byte, bit) = pos
-                    .split_once('.')
-                    .ok_or_else(|| format!("fault `{item}`: expected flip@byte.bit"))?;
-                FaultKind::BitFlip {
-                    byte: byte
-                        .parse()
-                        .map_err(|_| format!("fault `{item}`: bad flip byte"))?,
-                    bit: bit
-                        .parse()
-                        .map_err(|_| format!("fault `{item}`: bad flip bit"))?,
-                }
-            } else {
-                return Err(format!("fault `{item}`: unknown kind `{kind}`"));
-            };
-            faults.push(ScheduledFault { at_op, kind });
-        }
-        Ok(Self::new(faults))
-    }
 }
 
 /// One fault that actually fired, as recorded in the backend's journal.
@@ -259,8 +189,7 @@ impl FaultyBackend {
         self.clock().op
     }
 
-    /// Everything that fired, in order — replay with
-    /// [`FaultPlan::from_journal`].
+    /// Everything that fired, in order.
     pub fn journal(&self) -> Vec<FaultEvent> {
         self.clock().journal.clone()
     }
@@ -321,21 +250,6 @@ fn injected(op: IoOp, page: Option<PageId>, transient: bool) -> StorageError {
 fn flip(bytes: &mut [u8; PAGE_SIZE], byte: u16, bit: u8) {
     if let Some(b) = bytes.get_mut(byte as usize % PAGE_SIZE) {
         *b ^= 1 << (bit % 8);
-    }
-}
-
-impl FaultPlan {
-    /// Rebuild the exact plan a journal describes (for replays).
-    pub fn from_journal(journal: &[FaultEvent]) -> Self {
-        Self::new(
-            journal
-                .iter()
-                .map(|e| ScheduledFault {
-                    at_op: e.at_op,
-                    kind: e.kind,
-                })
-                .collect(),
-        )
     }
 }
 
@@ -475,16 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_deterministic_and_spec_round_trips() {
+    fn plans_are_deterministic() {
         let a = FaultPlan::seeded(7, 1000, 8);
         let b = FaultPlan::seeded(7, 1000, 8);
         assert_eq!(a, b);
         assert_ne!(a, FaultPlan::seeded(8, 1000, 8));
-        let spec = a.to_spec();
-        assert_eq!(FaultPlan::parse_spec(&spec).unwrap(), a, "{spec}");
-        assert_eq!(FaultPlan::parse_spec("").unwrap(), FaultPlan::none());
-        assert!(FaultPlan::parse_spec("x").is_err());
-        assert!(FaultPlan::parse_spec("3:explode").is_err());
     }
 
     #[test]
@@ -539,23 +448,6 @@ mod tests {
         assert_eq!(at_rest(&b, 0)[0], 0, "medium was never damaged");
         assert_eq!(read(&b, 0).unwrap()[0], 0, "a re-read is clean");
         assert_eq!(b.ops_executed(), 2, "peeks are off the fault clock");
-    }
-
-    #[test]
-    fn journal_replays_to_an_equivalent_plan() {
-        let plan = FaultPlan::seeded(3, 10, 4);
-        let b = mem_with(plan);
-        for _ in 0..12 {
-            let _ = read(&b, 0);
-        }
-        let replay = FaultPlan::from_journal(&b.journal());
-        // Journal indexes are the indexes that actually fired; replaying
-        // them against the same workload fires the same faults.
-        let b2 = mem_with(replay);
-        for _ in 0..12 {
-            let _ = read(&b2, 0);
-        }
-        assert_eq!(b.journal(), b2.journal());
     }
 
     #[test]

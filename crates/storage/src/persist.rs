@@ -6,17 +6,20 @@
 //!
 //! ```text
 //! magic "STIDX2\0\0" · epoch: u64 · meta_len: u32 · page_count: u32 ·
-//! free_count: u32                                  (header, 28 bytes)
+//! free_count: u32 (always 0)                       (header, 28 bytes)
 //! header_xxh: u64                                  (XXH64 of the header)
 //! meta bytes · meta_xxh: u64
-//! free page ids (u32 each) · free_xxh: u64
+//! free_xxh: u64                                    (XXH64 of no bytes)
 //! page_count × (PAGE_SIZE page bytes · page_xxh: u64)
 //! trailer_epoch: u64                               (must equal epoch)
 //! ```
 //!
 //! The `meta` region belongs to the structure owning the store (tree
 //! parameters, root log, counters); the store itself doesn't interpret
-//! it.
+//! it. The free list is a vestige: allocation is append-only, so the
+//! list is always written empty (keeping saved images byte-identical
+//! with the format's earlier writers), and an image whose count is not
+//! zero is [`OpenError::Malformed`].
 //!
 //! Three mechanisms make the format crash-safe (DESIGN.md §6):
 //!
@@ -51,7 +54,7 @@ pub enum Region {
     Header,
     /// The owner metadata block.
     Meta,
-    /// The free-list block.
+    /// The (always empty) free-list block.
     FreeList,
     /// One page slot.
     Page(PageId),
@@ -204,33 +207,22 @@ impl PageStore {
     fn encode(&self, meta: &[u8], epoch: u64) -> io::Result<Vec<u8>> {
         let meta_len = len_u32(meta.len(), "metadata")?;
         let page_count = len_u32(self.num_pages(), "page count")?;
-        let free = self.free_list();
-        let free_count = len_u32(free.len(), "free list")?;
 
         let mut out = Vec::with_capacity(
-            HEADER_LEN
-                + 8
-                + meta.len()
-                + 8
-                + free.len() * 4
-                + 8
-                + self.num_pages() * (PAGE_SIZE + 8)
-                + 8,
+            HEADER_LEN + 8 + meta.len() + 8 + 8 + self.num_pages() * (PAGE_SIZE + 8) + 8,
         );
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&epoch.to_le_bytes());
         out.extend_from_slice(&meta_len.to_le_bytes());
         out.extend_from_slice(&page_count.to_le_bytes());
-        out.extend_from_slice(&free_count.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // free_count
         let header_sum = xxh64(&out); // exactly the HEADER_LEN bytes so far
         out.extend_from_slice(&header_sum.to_le_bytes());
 
         out.extend_from_slice(meta);
         out.extend_from_slice(&xxh64(meta).to_le_bytes());
 
-        let free_bytes: Vec<u8> = free.iter().flat_map(|id| id.to_le_bytes()).collect();
-        out.extend_from_slice(&free_bytes);
-        out.extend_from_slice(&xxh64(&free_bytes).to_le_bytes());
+        out.extend_from_slice(&xxh64(&[]).to_le_bytes()); // the empty free list
 
         for i in 0..self.num_pages() {
             let id = len_u32(i, "page id")?;
@@ -335,12 +327,12 @@ impl PageStore {
         let epoch = h.take_u64()?;
         let meta_len = h.take_u32()? as usize;
         let page_count = h.take_u32()? as usize;
-        let free_count = h.take_u32()? as usize;
+        let free_count = h.take_u32()?;
         if meta_len > 1 << 24 {
             return Err(OpenError::Malformed("oversized metadata"));
         }
-        if free_count > page_count {
-            return Err(OpenError::Malformed("free list exceeds pages"));
+        if free_count != 0 {
+            return Err(OpenError::Malformed("non-empty free list"));
         }
 
         let meta = r.take(meta_len)?;
@@ -352,28 +344,10 @@ impl PageStore {
         }
         let meta = meta.to_vec();
 
-        let free_bytes = r.take(free_count * 4)?;
-        let free_sum = r.take_u64()?;
-        if xxh64(free_bytes) != free_sum {
+        if xxh64(&[]) != r.take_u64()? {
             return Err(OpenError::Corrupt {
                 region: Region::FreeList,
             });
-        }
-        let mut free = Vec::with_capacity(free_count);
-        let mut seen = std::collections::HashSet::with_capacity(free_count);
-        let mut ids = Reader {
-            bytes: free_bytes,
-            at: 0,
-        };
-        for _ in 0..free_count {
-            let id = ids.take_u32()?;
-            if id as usize >= page_count {
-                return Err(OpenError::Malformed("free id out of range"));
-            }
-            if !seen.insert(id) {
-                return Err(OpenError::Malformed("duplicate free id"));
-            }
-            free.push(id);
         }
 
         let mut pages = MemBackend::new();
@@ -389,7 +363,7 @@ impl PageStore {
                 });
             }
         }
-        let mut store = PageStore::with_backend(Box::new(pages), buffer_pages);
+        let store = PageStore::with_backend(Box::new(pages), buffer_pages);
 
         let trailer = r.take_u64()?;
         if trailer != epoch {
@@ -402,7 +376,6 @@ impl PageStore {
             return Err(OpenError::Malformed("trailing bytes after trailer"));
         }
 
-        store.set_free_list(free);
         store.set_epoch(epoch);
         Ok((store, meta))
     }
@@ -472,25 +445,41 @@ mod tests {
         store.write(a, &[1, 2, 3]).unwrap();
         store.write(b, &[4; 100]).unwrap();
         store.write(c, &[7]).unwrap();
-        store.free(b).unwrap();
         (store, a, b, c)
+    }
+
+    /// `image` with its free list replaced by `ids`, every checksum
+    /// re-stamped: what a writer that kept a free list would have saved.
+    fn with_free_list(image: &[u8], ids: &[PageId]) -> Vec<u8> {
+        let meta_len = u32::from_le_bytes(image[16..20].try_into().unwrap()) as usize;
+        let free_at = HEADER_LEN + 8 + meta_len + 8;
+        let mut out = image[..HEADER_LEN].to_vec();
+        out[24..28].copy_from_slice(&(ids.len() as u32).to_le_bytes());
+        out.extend_from_slice(&xxh64(&out).to_le_bytes());
+        out.extend_from_slice(&image[HEADER_LEN + 8..free_at]);
+        let free: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+        out.extend_from_slice(&free);
+        out.extend_from_slice(&xxh64(&free).to_le_bytes());
+        out.extend_from_slice(&image[free_at + 8..]);
+        out
     }
 
     #[test]
     fn round_trip_pages_meta_free_list_and_epoch() {
-        let (store, a, b, c) = small_store();
+        let (store, a, _, c) = small_store();
         let meta = b"hello index metadata".to_vec();
 
         let path = temp_path("roundtrip");
         store.save_to(&path, &meta).expect("save");
         assert_eq!(store.epoch(), 1, "save bumps the epoch");
+        let image = std::fs::read(&path).expect("read");
         let (mut back, meta2) = PageStore::load_from(&path, 4).expect("load");
         std::fs::remove_file(&path).ok();
 
+        assert_eq!(&image[24..28], &[0; 4], "the free list is written empty");
         assert_eq!(meta2, meta);
         assert_eq!(back.epoch(), 1, "loaded store adopts the file epoch");
         assert_eq!(back.num_pages(), 3);
-        assert_eq!(back.free_pages(), 1);
         assert_eq!(
             &back.read(a, &mut ReadProbe::new()).unwrap().bytes()[..3],
             &[1, 2, 3]
@@ -499,8 +488,7 @@ mod tests {
             &back.read(c, &mut ReadProbe::new()).unwrap().bytes()[..1],
             &[7]
         );
-        // Freed page is handed out again on allocate.
-        assert_eq!(back.allocate().unwrap(), b);
+        assert_eq!(back.allocate().unwrap(), 3, "allocation appends");
     }
 
     #[test]
@@ -697,8 +685,30 @@ mod tests {
         store.save_to(&path, &[]).expect("save");
         let mut full = std::fs::read(&path).expect("read");
         std::fs::remove_file(&path).ok();
+        let err = PageStore::decode(&with_free_list(&full, &[1, 1]), 2).unwrap_err();
+        assert!(matches!(err, OpenError::Malformed(_)), "{err:?}");
         full.push(0);
         let err = PageStore::decode(&full, 2).unwrap_err();
         assert!(matches!(err, OpenError::Malformed(_)), "{err:?}");
+    }
+
+    /// An image carrying a free list — checksums intact, ids in range —
+    /// fails typed: no writer of this format leaves one, and nothing
+    /// here would honour it.
+    #[test]
+    fn a_non_empty_free_list_fails_malformed() {
+        let (store, ..) = small_store();
+        let path = temp_path("free-list");
+        store.save_to(&path, b"meta").expect("save");
+        let full = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        assert!(PageStore::decode(&with_free_list(&full, &[]), 2).is_ok());
+        for ids in [&[1][..], &[0, 2]] {
+            let err = PageStore::decode(&with_free_list(&full, ids), 2).unwrap_err();
+            assert!(
+                matches!(err, OpenError::Malformed("non-empty free list")),
+                "{ids:?}: {err:?}"
+            );
+        }
     }
 }

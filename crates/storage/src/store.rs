@@ -80,10 +80,6 @@ enum UndoOp {
     /// `allocate` grew the backend by one page (always the current tail
     /// when undone in reverse order).
     Appended,
-    /// `allocate` reused this page from the free list.
-    ReusedFree { id: PageId },
-    /// `free` pushed this page onto the free list.
-    Freed { id: PageId },
 }
 
 #[derive(Debug, Clone, Default)]
@@ -261,7 +257,6 @@ pub struct PageStore {
     core: RwLock<StoreCore>,
     /// The frame pool: the only page bytes the store keeps in memory.
     buffer: ShardedBuffer,
-    free: Vec<PageId>,
     /// Logical writes. Atomic so [`PageStore::reset_stats`] can zero the
     /// counters from `&self` while readers run.
     writes: AtomicU64,
@@ -299,7 +294,6 @@ impl Clone for PageStore {
         Self {
             core: RwLock::new(self.core_read().clone()),
             buffer: self.buffer.clone(),
-            free: self.free.clone(),
             writes: snapshot(&self.writes),
             retry: Retrier {
                 policy: self.retry.policy,
@@ -344,7 +338,6 @@ impl PageStore {
         Self {
             core: RwLock::new(StoreCore { backend, sums }),
             buffer: ShardedBuffer::new(buffer_capacity),
-            free: Vec::new(),
             writes: AtomicU64::new(0),
             retry: Retrier {
                 policy: RetryPolicy::default(),
@@ -419,92 +412,25 @@ impl PageStore {
         self.retry.policy = policy;
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.policy
-    }
-
-    /// Replace the backoff clock (tests inject their own).
-    pub fn set_clock(&mut self, clock: Box<dyn RetryClock>) {
-        *self.retry.clock() = clock;
-    }
-
     /// A snapshot of the backoff clock, for asserting on the schedule
     /// taken (boxed clone: the live clock sits behind the retry mutex).
     pub fn clock(&self) -> Box<dyn RetryClock> {
         self.retry.clock().clone_box()
     }
 
-    /// Allocate a page and return its id, reusing freed pages first.
+    /// Append a page to the store and return its id. Allocation is
+    /// append-only: no page is ever handed out twice.
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
         let Self {
-            core,
-            free,
-            retry,
-            txn,
-            ..
+            core, retry, txn, ..
         } = self;
         let core = core_mut(core);
-        if let Some(&id) = free.last() {
-            // Free-list reuse is a metadata operation: the page is
-            // already on the device; only its content is reset, off the
-            // books. The pre-image is captured first — rollback must
-            // restore what the page held before this transaction zeroed
-            // it.
-            let image = match txn {
-                Some(txn) if !txn.imaged.contains(&id) => Some(UndoOp::Image {
-                    id,
-                    bytes: core.page(id)?,
-                    sum: core.sum(IoOp::Allocate, id)?,
-                }),
-                _ => None,
-            };
-            core.backend.restore(id, &[0u8; PAGE_SIZE])?;
-            if let Some(sum) = core.sums.get_mut(id as usize) {
-                *sum = zero_page_sum();
-            }
-            free.pop();
-            if let Some(txn) = txn.as_mut() {
-                txn.imaged.insert(id);
-                txn.ops.extend(image);
-                txn.ops.push(UndoOp::ReusedFree { id });
-            }
-            return Ok(id);
-        }
         let id = retry.run(&mut ReadProbe::new(), |_| core.backend.allocate())?;
         core.sums.push(zero_page_sum());
         if let Some(txn) = txn.as_mut() {
             txn.ops.push(UndoOp::Appended);
         }
         Ok(id)
-    }
-
-    /// Return a page to the free list for reuse by a later
-    /// [`PageStore::allocate`]. The page's content becomes invalid and it
-    /// is dropped from the buffer pool.
-    pub fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        let pages = self.num_pages();
-        if (id as usize) >= pages {
-            return Err(StorageError::Unallocated {
-                op: IoOp::Write,
-                page: id,
-                pages,
-            });
-        }
-        // The linear double-free scan would make mass deallocation
-        // quadratic in the free-list length; keep it as a debug check.
-        debug_assert!(!self.free.contains(&id), "double free of page {id}");
-        self.buffer.invalidate(id);
-        self.free.push(id);
-        if let Some(txn) = self.txn.as_mut() {
-            txn.ops.push(UndoOp::Freed { id });
-        }
-        Ok(())
-    }
-
-    /// Number of pages currently on the free list.
-    pub fn free_pages(&self) -> usize {
-        self.free.len()
     }
 
     /// Fetch a page for reading, going through the buffer pool. The
@@ -703,7 +629,7 @@ impl PageStore {
         }
     }
 
-    /// Undo every `write`/`allocate`/`free` since [`PageStore::begin_txn`],
+    /// Undo every `write`/`allocate` since [`PageStore::begin_txn`],
     /// in reverse order, then clear the buffer pool (residency and
     /// frames acquired during the transaction are no longer meaningful).
     /// Rollback restores pages off the books, bypassing fault injection:
@@ -730,14 +656,6 @@ impl PageStore {
                     core.backend.truncate(len);
                     core.sums.pop();
                 }
-                UndoOp::ReusedFree { id } => {
-                    self.free.push(id);
-                }
-                UndoOp::Freed { id } => {
-                    // Reverse order guarantees this id is the tail push.
-                    debug_assert_eq!(self.free.last(), Some(&id));
-                    self.free.pop();
-                }
             }
         }
         self.buffer.clear();
@@ -755,12 +673,6 @@ impl PageStore {
     /// the bytes at rest (write-through keeps them current), unverified.
     pub fn peek(&self, id: PageId) -> Option<Page> {
         self.core_read().page(id).ok()
-    }
-
-    /// Whether `id` currently sits on the free list (integrity checkers:
-    /// no reachable node may point at a freed page).
-    pub fn is_free(&self, id: PageId) -> bool {
-        self.free.contains(&id)
     }
 
     /// Accumulated I/O counters. Reads and hits are the sum of the
@@ -846,16 +758,6 @@ impl PageStore {
     }
 
     // --- persistence plumbing (see `crate::persist`) ------------------
-
-    /// The free list, for serialization.
-    pub(crate) fn free_list(&self) -> &[PageId] {
-        &self.free
-    }
-
-    /// Restore a free list after loading.
-    pub(crate) fn set_free_list(&mut self, free: Vec<PageId>) {
-        self.free = free;
-    }
 
     /// Restore the save epoch after loading / bump it when saving.
     pub(crate) fn set_epoch(&self, epoch: u64) {
@@ -1052,10 +954,6 @@ mod tests {
             s.write(5, &[1]),
             Err(StorageError::Unallocated { page: 5, .. })
         ));
-        assert!(matches!(
-            s.free(9),
-            Err(StorageError::Unallocated { page: 9, .. })
-        ));
     }
 
     #[test]
@@ -1081,45 +979,6 @@ mod tests {
             buffer_hits: 9,
         };
         assert_eq!(st.total(), 7);
-    }
-
-    #[test]
-    fn freed_pages_are_reused() {
-        let mut s = PageStore::new(2);
-        let a = s.allocate().unwrap();
-        let _b = s.allocate().unwrap();
-        s.write(a, &[9]).unwrap();
-        s.free(a).unwrap();
-        assert_eq!(s.free_pages(), 1);
-        let c = s.allocate().unwrap();
-        assert_eq!(c, a, "free list should hand back the freed page");
-        assert_eq!(s.free_pages(), 0);
-        // Reused page comes back zeroed.
-        assert!(read(&s, c).unwrap().bytes().iter().all(|&x| x == 0));
-        assert_eq!(s.num_pages(), 2, "no growth when reusing");
-    }
-
-    #[test]
-    fn free_invalidates_buffer_residency() {
-        let mut s = PageStore::new(2);
-        let a = s.allocate().unwrap();
-        read(&s, a).unwrap(); // resident
-        s.free(a).unwrap();
-        let b = s.allocate().unwrap();
-        assert_eq!(a, b);
-        s.reset_stats();
-        read(&s, b).unwrap();
-        assert_eq!(s.stats().reads, 1, "stale residency must not mask the read");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)] // the double-free scan is a debug-only check
-    #[should_panic(expected = "double free")]
-    fn double_free_panics() {
-        let mut s = PageStore::new(2);
-        let a = s.allocate().unwrap();
-        s.free(a).unwrap();
-        s.free(a).unwrap();
     }
 
     // --- retry and fault behaviour ------------------------------------
@@ -1362,7 +1221,7 @@ mod tests {
     // --- transactions -------------------------------------------------
 
     #[test]
-    fn rollback_restores_writes_allocations_and_frees() {
+    fn rollback_restores_writes_and_allocations() {
         let mut s = PageStore::new(4);
         let a = s.allocate().unwrap();
         let b = s.allocate().unwrap();
@@ -1373,19 +1232,14 @@ mod tests {
         s.write(a, &[9; 4]).unwrap();
         let c = s.allocate().unwrap();
         s.write(c, &[8; 4]).unwrap();
-        s.free(b).unwrap();
-        let d = s.allocate().unwrap(); // reuses b from the free list
-        assert_eq!(d, b);
+        let d = s.allocate().unwrap();
+        assert_eq!((c, d), (2, 3), "allocation only appends");
         s.rollback_txn();
 
-        assert_eq!(s.num_pages(), 2, "appended page gone");
+        assert_eq!(s.num_pages(), 2, "appended pages gone");
         assert_eq!(&read(&s, a).unwrap().bytes()[..4], &[1; 4], "write undone");
-        assert_eq!(
-            &read(&s, b).unwrap().bytes()[..4],
-            &[2; 4],
-            "free+reuse undone"
-        );
-        assert_eq!(s.free_pages(), 0);
+        assert_eq!(&read(&s, b).unwrap().bytes()[..4], &[2; 4]);
+        assert_eq!(s.allocate().unwrap(), 2, "the next page appends again");
         assert!(!s.in_txn());
     }
 
@@ -1665,10 +1519,9 @@ mod tests {
             s.set_buffer_shards(shards);
             let mut capacity = capacity;
             let mut reference = ReferencePool::new(capacity, shards);
-            // The model: committed bytes per page, which ids are free,
-            // and the copy of both a rollback returns to.
+            // The model: committed bytes per page, and the copy of it a
+            // rollback returns to.
             let mut pages: Vec<[u8; PAGE_SIZE]> = Vec::new();
-            let mut free: Vec<PageId> = Vec::new();
             let mut at_begin = None;
             let mut rng = XorShift(0xc0ffee + case as u64);
             // Only the injector may fail an operation; damage in flight
@@ -1681,10 +1534,9 @@ mod tests {
                 );
                 let roll = rng.next() % 1000;
                 let id = (rng.next() % (pages.len() as u64 + 1)) as PageId;
-                let live = (id as usize) < pages.len() && !free.contains(&id);
+                let live = (id as usize) < pages.len();
                 if roll < 40 {
                     match s.allocate() {
-                        Ok(got) if free.pop().is_some() => pages[got as usize] = [0; PAGE_SIZE],
                         Ok(got) => {
                             assert_eq!(got as usize, pages.len(), "{at}");
                             pages.push([0; PAGE_SIZE]);
@@ -1724,20 +1576,16 @@ mod tests {
                             assert_eq!((probe.buffer_hits, probe.disk_reads), (0, 0), "{at}");
                         }
                     }
-                } else if roll < 920 && live && pages.len() > 1 {
-                    s.free(id).unwrap();
-                    free.push(id);
-                    reference.shard(&s, id).resident.retain(|&k| k != id);
                 } else if roll < 950 && at_begin.is_none() {
                     s.begin_txn();
-                    at_begin = Some((pages.clone(), free.clone()));
+                    at_begin = Some(pages.clone());
                 } else if roll < 980 {
                     if let Some(snapshot) = at_begin.take() {
                         if roll < 960 {
                             s.commit_txn();
                         } else {
                             s.rollback_txn();
-                            (pages, free) = snapshot;
+                            pages = snapshot;
                             reference = ReferencePool::new(capacity, shards);
                         }
                     }

@@ -14,8 +14,7 @@ mkdir -p "$OUT"
 
 BINS="table1 table2 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 \
       railway tuning ablation_motion ablation_packing ablation_online \
-      ablation_orbits ablation_buffer \
-      ablation_split ablation_hybrid"
+      ablation_orbits ablation_buffer ablation_hybrid"
 SUFFIX=""
 for arg in "$@"; do
   case "$arg" in

@@ -1,6 +1,7 @@
-//! Fault-injection property tests: random insert/delete/query
-//! interleavings against randomly seeded [`FaultPlan`]s, on both tree
-//! structures.
+//! Fault-injection property tests against randomly seeded
+//! [`FaultPlan`]s: random insert/delete/query interleavings on the
+//! PPR-Tree, and random insert/query interleavings on the R\*-Tree
+//! (which, like the paper's, never deletes).
 //!
 //! The properties, per case:
 //!   1. No operation panics — faults surface as typed errors only.
@@ -192,7 +193,7 @@ fn rstar_case(seed: u64) {
         Err(_) => return,
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
-    let mut alive: Vec<(u64, Rect3)> = Vec::new();
+    let mut inserted: Vec<(u64, Rect3)> = Vec::new();
 
     let cube = |rng: &mut StdRng| {
         let x = rng.random::<f64>() * 0.9;
@@ -204,19 +205,7 @@ fn rstar_case(seed: u64) {
     for id in 0..u64::from(STEPS) {
         let r = cube(&mut rng);
         if tree.insert(id, r).is_ok() {
-            alive.push((id, r));
-        }
-
-        if !alive.is_empty() && rng.random::<f64>() < 0.3 {
-            let k = rng.random_range(0..alive.len());
-            let (id, r) = alive[k];
-            match tree.delete(id, &r) {
-                Ok(true) => {
-                    alive.swap_remove(k);
-                }
-                Ok(false) => panic!("shadow says {id} is present (seed={seed})"),
-                Err(_) => {}
-            }
+            inserted.push((id, r));
         }
 
         if rng.random::<f64>() < 0.4 {
@@ -229,7 +218,7 @@ fn rstar_case(seed: u64) {
             let mut out = Vec::new();
             if tree.query(&q, &mut out).is_ok() {
                 out.sort_unstable();
-                let mut want: Vec<u64> = alive
+                let mut want: Vec<u64> = inserted
                     .iter()
                     .filter(|(_, r)| r.intersects(&q))
                     .map(|&(id, _)| id)

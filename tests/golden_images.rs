@@ -4,21 +4,26 @@
 //! parameters — once through [`PprTree::insert`] / [`PprTree::delete`]
 //! (one record per object, its whole-lifetime MBR), once through
 //! [`IngestPipeline`] (a position per instant, committed every few
-//! instants, then sealed) — and each tree is saved. The xxh64 of each
-//! saved image is a constant below. A change to how an update is carried
-//! out (which nodes it reads, when it writes one, how it encodes it) must
-//! leave both images as they are; a change that moves either constant
-//! changed the trees.
+//! instants, then sealed) — and each tree is saved. The same records go
+//! through [`SpatioTemporalIndex::build`] into the R\*-Tree baseline too.
+//! The xxh64 of each saved image is a constant below. A change to how an
+//! update is carried out (which nodes it reads, when it writes one, how
+//! it encodes it) must leave every image as it is; a change that moves a
+//! constant changed the trees or the file format.
 //!
-//! How the constants were obtained: this test ran unchanged on commit
-//! `de0a2d3`, whose update path re-read every node on the way up and
-//! rewrote every ancestor whether or not its bytes changed, and printed
-//! the two digests its assertions report on a mismatch.
+//! How the constants were obtained: the PPR-Tree tests ran unchanged on
+//! commit `de0a2d3`, whose update path re-read every node on the way up
+//! and rewrote every ancestor whether or not its bytes changed, and
+//! printed the two digests their assertions report on a mismatch. The
+//! R\*-Tree test ran the same way on commit `88a1707`, the last one whose
+//! R\*-Tree carried deletion and whose page store kept a free list.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spatiotemporal_index::core::{IngestPipeline, OnlineSplitConfig};
-use spatiotemporal_index::geom::{Point2, Rect2, Time};
+use spatiotemporal_index::core::{
+    IndexBackend, IndexConfig, IngestPipeline, ObjectRecord, OnlineSplitConfig, SpatioTemporalIndex,
+};
+use spatiotemporal_index::geom::{Point2, Rect2, StBox, Time, TimeInterval};
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::storage::xxh64;
 
@@ -26,6 +31,8 @@ use spatiotemporal_index::storage::xxh64;
 const DIRECT_IMAGE: u64 = 0xf212_8bb2_79d4_6b68;
 /// xxh64 of the saved image of the sealed pipeline tree.
 const PIPELINE_IMAGE: u64 = 0x00d5_343c_dd61_2d56;
+/// xxh64 of the saved image of the R\*-Tree built over the same records.
+const RSTAR_IMAGE: u64 = 0xfab2_cdb5_23d0_e927;
 
 const OBJECTS: u64 = 600;
 const INSTANTS: Time = 200;
@@ -77,9 +84,9 @@ fn movers() -> Vec<Mover> {
         .collect()
 }
 
-fn image_digest(tree: &PprTree, name: &str) -> u64 {
+fn image_digest(name: &str, save: impl FnOnce(&std::path::Path) -> std::io::Result<()>) -> u64 {
     let path = std::env::temp_dir().join(format!("sti-golden-{name}-{}.idx", std::process::id()));
-    tree.save_to_file(&path).unwrap();
+    save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     xxh64(&bytes)
@@ -102,7 +109,7 @@ fn insert_and_delete_build_the_pinned_tree() {
         }
     }
     tree.validate();
-    let digest = image_digest(&tree, "direct");
+    let digest = image_digest("direct", |path| tree.save_to_file(path));
     assert_eq!(digest, DIRECT_IMAGE, "direct image digest {digest:#018x}");
 }
 
@@ -130,9 +137,26 @@ fn the_ingest_pipeline_builds_the_pinned_tree() {
     assert!(sealed.rejected.is_empty() && sealed.error.is_none());
     let tree = pipeline.into_published_tree();
     tree.validate();
-    let digest = image_digest(&tree, "pipeline");
+    let digest = image_digest("pipeline", |path| tree.save_to_file(path));
     assert_eq!(
         digest, PIPELINE_IMAGE,
         "pipeline image digest {digest:#018x}"
     );
+}
+
+#[test]
+fn the_rstar_baseline_builds_the_pinned_tree() {
+    let records: Vec<ObjectRecord> = (0u64..)
+        .zip(&movers())
+        .map(|(id, m)| ObjectRecord {
+            id,
+            stbox: StBox::new(m.lifetime_mbr(), TimeInterval::new(m.start, m.end)),
+        })
+        .collect();
+    let config = IndexConfig::paper(IndexBackend::RStar);
+    let index = SpatioTemporalIndex::build(&records, &config).unwrap();
+    let tree = index.as_rstar().unwrap();
+    assert_eq!(tree.len(), OBJECTS);
+    let digest = image_digest("rstar", |path| tree.save_to_file(path));
+    assert_eq!(digest, RSTAR_IMAGE, "rstar image digest {digest:#018x}");
 }

@@ -2,10 +2,14 @@
 //! "fresh process" (new object), and verify answers and I/O accounting
 //! are identical.
 
-use spatiotemporal_index::core::{IndexBackend, IndexConfig, SpatioTemporalIndex, SplitPlan};
-use spatiotemporal_index::pprtree::PprTree;
+use spatiotemporal_index::core::{
+    IndexBackend, IndexConfig, IngestOp, IngestPipeline, OnlineSplitConfig, SpatioTemporalIndex,
+    SplitPlan,
+};
+use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::prelude::*;
 use spatiotemporal_index::rstar::RStarTree;
+use spatiotemporal_index::storage::{xxh64, FsyncPolicy, WalConfig};
 use std::path::PathBuf;
 
 fn temp(name: &str) -> PathBuf {
@@ -236,4 +240,125 @@ fn corrupted_index_files_fail_closed() {
     let back = PprTree::open_file(&path).expect("pristine file reopens");
     assert!(check::validate(&back).is_ok());
     std::fs::remove_file(&path).ok();
+}
+
+/// `image` with `bytes` written at offset `at` of its owner metadata and
+/// the metadata checksum re-stamped: every checksum in the file passes,
+/// so only the tree's own parameter check stands between the value and
+/// the tree.
+fn patch_meta(image: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    const META: usize = 28 + 8; // the header and its checksum
+    let len = u32::from_le_bytes(image[16..20].try_into().unwrap()) as usize;
+    let mut out = image.to_vec();
+    out[META + at..META + at + bytes.len()].copy_from_slice(bytes);
+    let sum = xxh64(&out[META..META + len]);
+    out[META + len..META + len + 8].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Parameters outside the ranges the constructors assert fail typed at
+/// open — `InvalidData`, never the constructors' panic — through both
+/// trees, the facade, and `stidx check`.
+#[test]
+fn out_of_range_parameters_fail_typed_at_open() {
+    let nan = f64::NAN.to_le_bytes();
+    let (too_few, too_many) = (2u32.to_le_bytes(), 1000u32.to_le_bytes());
+    let half = 0.5f64.to_le_bytes();
+    let mut ppr = PprTree::new(PprParams::default());
+    let mut rstar = RStarTree::new(Default::default());
+    for i in 0..20u64 {
+        let x = i as f64 * 0.04;
+        ppr.insert(i, Rect2::from_bounds(x, x, x + 0.03, x + 0.03), i as u32)
+            .unwrap();
+        let cube = spatiotemporal_index::geom::Rect3::new([x; 3], [x + 0.03; 3]);
+        rstar.insert(i, cube).unwrap();
+    }
+    let path = temp("params");
+    // Meta offsets: backend tag at 0, then max_entries (u32) and the
+    // f64 fractions in save order.
+    let ppr_cases: [(usize, &[u8]); 6] = [
+        (1, &too_few),
+        (1, &too_many),
+        (5, &nan),  // p_version
+        (13, &nan), // p_svo
+        (21, &nan), // p_svu
+        (21, &0.9f64.to_le_bytes()),
+    ];
+    ppr.save_to_file(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    for (at, bytes) in ppr_cases {
+        std::fs::write(&path, patch_meta(&pristine, at, bytes)).unwrap();
+        let err = PprTree::open_file(&path).err().expect("out of range");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("parameters"), "{err}");
+        assert!(SpatioTemporalIndex::open_file(&path).is_err());
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_stidx"))
+            .arg("check")
+            .arg(&path)
+            .output()
+            .expect("run stidx check");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "stidx check accepted it");
+        assert!(stderr.contains("parameters"), "{stderr}");
+    }
+    let rstar_cases: [(usize, &[u8]); 6] = [
+        (1, &too_few),
+        (1, &too_many),
+        (5, &nan), // min_fill
+        (5, &0.9f64.to_le_bytes()),
+        (13, &nan), // reinsert_fraction
+        (13, &half),
+    ];
+    rstar.save_to_file(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    for (at, bytes) in rstar_cases {
+        std::fs::write(&path, patch_meta(&pristine, at, bytes)).unwrap();
+        let err = RStarTree::open_file(&path).err().expect("out of range");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("parameters"), "{err}");
+        assert!(SpatioTemporalIndex::open_file(&path).is_err());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A checkpoint whose image carries out-of-range parameters is one
+/// recovery skips, like a damaged one: it falls back a generation.
+#[test]
+fn recovery_skips_a_checkpoint_with_out_of_range_parameters() {
+    let dir = temp("recover-params");
+    std::fs::remove_dir_all(&dir).ok();
+    let wal = WalConfig {
+        segment_max_bytes: 4096,
+        fsync: FsyncPolicy::Always,
+    };
+    let config = OnlineSplitConfig::default();
+    let params = PprParams {
+        max_entries: 10,
+        buffer_pages: 4,
+        ..PprParams::default()
+    };
+    let mut pipeline = IngestPipeline::new(config, params);
+    pipeline.attach_durability(&dir, wal).unwrap();
+    let mut newest = 0;
+    for t in 0..2u32 {
+        for id in 0..8u64 {
+            let x = id as f64 * 0.1;
+            let rect = Rect2::from_bounds(x, x, x + 0.05, x + 0.05);
+            pipeline
+                .enqueue_durable(IngestOp::Update { id, rect, t })
+                .unwrap();
+        }
+        assert!(pipeline.commit().error.is_none());
+        newest = pipeline.checkpoint().unwrap().generation;
+    }
+    drop(pipeline);
+    let idx = dir.join(format!("checkpoint-{newest:016x}.idx"));
+    let image = std::fs::read(&idx).unwrap();
+    std::fs::write(&idx, patch_meta(&image, 1, &2u32.to_le_bytes())).unwrap();
+
+    let (_, report) =
+        IngestPipeline::recover(&dir, config, params, wal).expect("the older generation loads");
+    assert_eq!(report.checkpoints_skipped, 1);
+    assert_eq!(report.checkpoint_generation, Some(newest - 1));
+    std::fs::remove_dir_all(&dir).ok();
 }
