@@ -50,6 +50,9 @@ pub use recover::{
     RecoveryReport,
 };
 pub use single::{SingleObjectSplitter, SingleSplitAlgorithm};
+/// The workspace's one library `Mutex` type, re-exported so crates above
+/// this one (the HTTP server) need no direct storage dependency.
+pub use sti_storage::LeafMutex;
 pub use tuning::{QueryProfile, TuningResult};
 pub use version::{
     transition, BatchEvent, BatchState, InvalidTransition, PublishedIndex, VersionStamp,

@@ -56,11 +56,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use sti_geom::{Rect2, Time};
 use sti_obs::MetricSet;
 use sti_pprtree::{PprParams, PprTree};
-use sti_storage::{MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
+use sti_storage::{LeafMutex, MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
 
 /// One queued ingest operation, mirroring the [`OnlineSplitter`] calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,13 +176,13 @@ impl CommitReport {
 /// commits and will simply (and consistently) see the old version.
 #[derive(Debug, Clone)]
 pub struct IngestReader {
-    slot: Arc<Mutex<Arc<PublishedIndex>>>,
+    slot: Arc<LeafMutex<Arc<PublishedIndex>>>,
 }
 
 impl IngestReader {
     /// The currently published version.
     pub fn current(&self) -> Arc<PublishedIndex> {
-        Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.slot.lock())
     }
 }
 
@@ -204,7 +204,7 @@ pub struct IngestPipeline {
     seq: u64,
     /// The pipeline clock: largest accepted operation time.
     now: Time,
-    slot: Arc<Mutex<Arc<PublishedIndex>>>,
+    slot: Arc<LeafMutex<Arc<PublishedIndex>>>,
     /// Successful commits (also the published version number).
     commits: u64,
     /// Batches undone by storage faults.
@@ -261,7 +261,7 @@ impl IngestPipeline {
             pending: Vec::new(),
             seq: 0,
             now: 0,
-            slot: Arc::new(Mutex::new(Arc::new(published))),
+            slot: Arc::new(LeafMutex::new(Arc::new(published))),
             commits: 0,
             rollbacks: 0,
             rejected_total: 0,
@@ -325,7 +325,7 @@ impl IngestPipeline {
 
     /// The currently published version (writer-side convenience).
     pub fn published(&self) -> Arc<PublishedIndex> {
-        Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.slot.lock())
     }
 
     /// Successful commits so far.
@@ -565,7 +565,7 @@ impl IngestPipeline {
                 };
                 let fresh = Arc::new(PublishedIndex::new(fork, report.stamp));
                 let retired = {
-                    let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut slot = self.slot.lock();
                     std::mem::replace(&mut *slot, fresh)
                 };
                 // Outside the lock: if no reader pins it, the retired

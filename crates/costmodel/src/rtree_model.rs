@@ -50,6 +50,8 @@ impl RTreeCostModel {
 
         let mut cost = 1.0; // the root
         let mut level = 1u32;
+        // bounded: `level` grows by one per pass and the pass after
+        // level 64 breaks, if a level that fits in one node has not.
         loop {
             let nodes = nf / f.powi(level as i32);
             if nodes <= 1.0 {

@@ -854,9 +854,21 @@ impl PprTree {
     /// `page`: among *alive* directory entries pick minimum area
     /// enlargement (ties: minimum area).
     fn descend_for_insert(&self, mut page: PageId, rect: &Rect2) -> Result<Path, StorageError> {
-        let mut ancestors = Vec::new();
+        let mut ancestors: Vec<Ancestor> = Vec::new();
+        // bounded: one level down per pass, and a node must sit one
+        // level below its parent, so the leaf ends it within the root's
+        // level (a child pointer that leads elsewhere fails `Decode`).
         loop {
             let node = self.read_node(page)?;
+            if ancestors
+                .last()
+                .is_some_and(|parent| node.level.checked_add(1) != Some(parent.node.level))
+            {
+                return Err(StorageError::Corrupt {
+                    page,
+                    reason: CorruptReason::Decode,
+                });
+            }
             if node.is_leaf() {
                 return Ok(Path {
                     ancestors,
@@ -941,6 +953,8 @@ impl PprTree {
             mut page,
             mut node,
         } = path;
+        // bounded: every pass pops one ancestor and the root (no parent)
+        // returns, so it runs at most the path's length.
         loop {
             let parent = ancestors.pop();
             let up = self.apply_ops(page, node, ops, t, parent.as_ref())?;
@@ -1887,6 +1901,8 @@ mod tests {
         t.set_retry_policy(RetryPolicy::no_retry());
 
         let mut i = 0u64;
+        // bounded: the plan fails operation 40, and the assert stops it
+        // at 10 000 inserts if the fault never fires.
         let err = loop {
             match t.insert(i, rect(0.03 * (i % 25) as f64, 0.2), i as Time) {
                 Ok(()) => {
@@ -1971,8 +1987,9 @@ mod tests {
         let root = t.current_root().unwrap();
         assert!(root.level > 0, "the fixture has a directory root");
         let mut node = t.read_node(root.page).unwrap();
-        let alive = node.entries.iter_mut().find(|e| e.is_alive()).unwrap();
-        alive.ptr = u64::from(root.page);
+        for alive in node.entries.iter_mut().filter(|e| e.is_alive()) {
+            alive.ptr = u64::from(root.page);
+        }
         t.write_node(root.page, &node).unwrap();
         let cycle = StorageError::Corrupt {
             page: root.page,
@@ -1991,8 +2008,11 @@ mod tests {
         );
         assert_eq!(
             t.nearest_at(sti_geom::Point2::new(0.4, 0.4), now, 500),
-            Err(cycle)
+            Err(cycle.clone())
         );
+        // The insert descent ends at the cycle too, instead of going
+        // round it forever.
+        assert_eq!(t.insert(u64::MAX, rect(0.4, 0.4), now), Err(cycle));
     }
 
     /// `t` over a copy of its pages with `page` replaced by `bytes`: the

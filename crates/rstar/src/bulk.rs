@@ -44,6 +44,9 @@ impl RStarTree {
 
         // Pack level by level until a single node remains.
         let mut level = 0u32;
+        // bounded: each pass packs `entries` into ceil(len / max_entries)
+        // parents, and `validate` keeps max_entries >= 4, so it ends
+        // within the tree's level count, log_M(n) + 1.
         loop {
             if entries.len() <= params.max_entries {
                 let root_node = Node { level, entries };

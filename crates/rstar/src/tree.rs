@@ -721,6 +721,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
 
         let mut inserted = Vec::new();
+        // bounded: the plan fails operation 60, and the assert stops it
+        // at 10 000 inserts if the fault never fires.
         let err = loop {
             let r = random_box(&mut rng);
             let id = inserted.len() as u64;

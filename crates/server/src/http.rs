@@ -12,6 +12,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request line (method + target + version). Beyond
 /// this the request is refused with `414 URI Too Long`.
@@ -70,7 +71,7 @@ impl Request {
 pub enum RecvError {
     /// Clean EOF or reset before a full head arrived.
     Disconnected,
-    /// The socket read timed out mid-head (→ 408).
+    /// The head did not arrive within the read timeout (→ 408).
     TimedOut,
     /// The request line exceeded [`MAX_REQUEST_LINE`] (→ 414).
     LineTooLong,
@@ -97,14 +98,23 @@ impl std::fmt::Display for RecvError {
 
 /// Read one request head (everything through the blank line) off the
 /// stream and parse its request line. Split and partial reads are fine:
-/// the reader accumulates until the head terminator, a limit, a
-/// timeout, or EOF.
+/// the reader accumulates until the head terminator, a limit, the
+/// `timeout`, or EOF.
+///
+/// `timeout` bounds the whole head, not one read, so a client sending a
+/// byte at a time cannot hold the connection past it. The caller sets
+/// it as the stream's read timeout beforehand, which bounds the first
+/// read; each later read gets what is left of it.
 ///
 /// # Errors
 /// A typed [`RecvError`]; see each variant for the response it maps to.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RecvError> {
+pub fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request, RecvError> {
+    let deadline = Instant::now() + timeout;
     let mut head: Vec<u8> = Vec::with_capacity(256);
     let mut chunk = [0u8; 1024];
+    // bounded: every pass reads at least one byte or returns, so the
+    // head cap ends it within MAX_HEAD_BYTES bytes, and the deadline
+    // within `timeout`.
     loop {
         if find_head_end(&head).is_some() {
             break;
@@ -116,6 +126,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RecvError> {
         // the client hears 414, not 431.
         if !head.contains(&b'\n') && head.len() >= MAX_REQUEST_LINE {
             return Err(RecvError::LineTooLong);
+        }
+        if !head.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(RecvError::TimedOut);
+            }
+            stream.set_read_timeout(Some(left)).map_err(RecvError::Io)?;
         }
         let n = match stream.read(&mut chunk) {
             Ok(0) => return Err(RecvError::Disconnected),

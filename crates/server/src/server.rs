@@ -34,10 +34,10 @@ use crate::http::{self, RecvError, Request, Response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use sti_core::{QueryExecutor, QueryRequest, SpatioTemporalIndex};
+use sti_core::{LeafMutex, QueryExecutor, QueryRequest, SpatioTemporalIndex};
 use sti_geom::{Rect2, TimeInterval};
 use sti_obs::{LatencyHistogram, MetricSet};
 
@@ -58,8 +58,8 @@ pub struct ServerConfig {
     /// Bound on admitted-but-unstarted queries; one more in-flight
     /// request beyond this is refused with 503.
     pub queue_depth: usize,
-    /// Socket read timeout while receiving a request head (→ 408).
-    /// Must be non-zero.
+    /// Time allowed to receive a whole request head (→ 408), however
+    /// the client paces its bytes. Must be non-zero.
     pub read_timeout: Duration,
     /// Socket write timeout while sending a response. Must be non-zero.
     pub write_timeout: Duration,
@@ -210,7 +210,6 @@ impl ServerMetrics {
 
     /// `/query` requests answered so far (any status).
     pub fn queries_answered(&self) -> u64 {
-        // ordering: scrape-time read.
         self.latency.count()
     }
 
@@ -373,7 +372,7 @@ struct Shared {
     /// Set by [`Server::shutdown_within`]: once this instant passes,
     /// query workers answer still-queued jobs with 503 instead of
     /// executing them.
-    drain_deadline: Mutex<Option<Instant>>,
+    drain_deadline: LeafMutex<Option<Instant>>,
 }
 
 /// A running server. Dropping it does *not* stop the threads; call
@@ -405,13 +404,13 @@ impl Server {
         let addr = listener.local_addr()?;
         let (query_tx, query_rx) =
             std::sync::mpsc::sync_channel::<QueryJob>(config.queue_depth.max(1));
-        let query_rx = Arc::new(Mutex::new(query_rx));
+        let query_rx = Arc::new(LeafMutex::new(query_rx));
         let shared = Arc::new(Shared {
             metrics: Arc::new(ServerMetrics::new(&index)),
             index,
             config,
             stop: AtomicBool::new(false),
-            drain_deadline: Mutex::new(None),
+            drain_deadline: LeafMutex::new(None),
         });
 
         // The io workers hold the only listener handles and senders that
@@ -472,11 +471,7 @@ impl Server {
 
     fn stop_and_drain(self, grace: Option<Duration>) {
         if let Some(grace) = grace {
-            *self
-                .shared
-                .drain_deadline
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now() + grace);
+            *self.shared.drain_deadline.lock() = Some(Instant::now() + grace);
         }
         // ordering: release pairs with the io workers' acquire load, so
         // a worker woken by a connection below observes the flag.
@@ -507,6 +502,8 @@ impl Server {
 /// growing server memory.
 fn io_loop(listener: &TcpListener, query_tx: &SyncSender<QueryJob>, shared: &Shared) {
     let metrics = &*shared.metrics;
+    // bounded: shutdown sets `stop` and then makes one wake-up
+    // connection per io worker, so each worker's next accept breaks.
     loop {
         let accepted = listener.accept();
         // ordering: acquire pairs with shutdown's release store.
@@ -522,7 +519,7 @@ fn io_loop(listener: &TcpListener, query_tx: &SyncSender<QueryJob>, shared: &Sha
         let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
         let _ = stream.set_nodelay(true);
-        match http::read_request(&mut stream) {
+        match http::read_request(&mut stream, shared.config.read_timeout) {
             Ok(request) => handle_request(stream, request, query_tx, shared),
             Err(RecvError::Disconnected) => metrics.count_disconnect(),
             Err(e) => {
@@ -605,9 +602,9 @@ fn admit_query(
             metrics.handoffs.fetch_add(1, Ordering::Relaxed);
         }
         Err(TrySendError::Full(mut job)) => {
-            // ordering: relaxed gauge update, paired with the add above.
+            // ordering: a relaxed gauge update paired with the add above,
+            // then an independent monotonic counter.
             metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-            // ordering: independent monotonic counter.
             metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
             let resp = Response::text(503, "admission queue full; retry shortly\n")
                 .header("Retry-After", 1);
@@ -691,14 +688,16 @@ fn parse_area(raw: &str) -> Result<Rect2, String> {
 
 /// Dequeue handed-off queries and answer each through [`answer`], the
 /// path a query run on an io worker takes too.
-fn query_loop(query_rx: &Mutex<Receiver<QueryJob>>, shared: &Shared) {
+fn query_loop(query_rx: &LeafMutex<Receiver<QueryJob>>, shared: &Shared) {
     let metrics = &*shared.metrics;
+    // bounded: `recv` fails once the channel closes, which it does when
+    // the io workers, its only senders, have exited.
     loop {
         let job = {
             // Holding the lock across `recv` is the point: it makes the
             // receiver single-consumer-at-a-time, which is all mpsc
             // offers anyway.
-            let guard = query_rx.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = query_rx.lock();
             guard.recv()
         };
         let Ok(job) = job else {
@@ -711,7 +710,6 @@ fn query_loop(query_rx: &Mutex<Receiver<QueryJob>>, shared: &Shared) {
         let expired = shared
             .drain_deadline
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .is_some_and(|deadline| Instant::now() >= deadline);
         if expired {
             // ordering: independent monotonic counter.

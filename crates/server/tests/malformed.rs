@@ -300,6 +300,40 @@ fn slowloris_mid_head_times_out_as_408() {
 }
 
 #[test]
+fn trickled_head_times_out_as_408_on_the_whole_head() {
+    // Every byte arrives well inside the read timeout, so only a
+    // deadline on the whole head can end this before the trickle does.
+    let server = start_server(ServerConfig {
+        read_timeout: Duration::from_millis(150),
+        ..small_config()
+    });
+    let head = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(40));
+    let trickle = Duration::from_millis(50) * head.len() as u32;
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let started = Instant::now();
+    let trickler = std::thread::spawn(move || {
+        for byte in head.bytes() {
+            if writer.write_all(&[byte]).is_err() {
+                return; // refused: the server closed the connection
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    let resp = read_response(&mut stream);
+    let took = started.elapsed();
+    assert_eq!(status_of(&resp), 408, "{resp:?}");
+    assert!(
+        took < trickle / 2,
+        "408 after {took:?}; the trickle takes {trickle:?}"
+    );
+    drop(stream);
+    trickler.join().unwrap();
+    assert_pool_alive(&server);
+    server.shutdown();
+}
+
+#[test]
 fn client_gone_before_response_does_not_leak_a_worker() {
     // Delay each query so the client is guaranteed to be gone before
     // the worker tries to answer.

@@ -13,6 +13,7 @@
 //!   wrapper over either of the above.
 
 use crate::error::{IoOp, StorageError};
+use crate::lock::assert_unlocked;
 use crate::{Page, PageId, PAGE_SIZE};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
@@ -115,6 +116,7 @@ impl PageBackend for MemBackend {
     }
 
     fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         let page = self
             .pages
             .get(id as usize)
@@ -124,6 +126,7 @@ impl PageBackend for MemBackend {
     }
 
     fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         let pages = self.pages.len();
         let page = self
             .pages
@@ -137,6 +140,7 @@ impl PageBackend for MemBackend {
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
+        assert_unlocked("page transfer");
         let id = PageId::try_from(self.pages.len()).map_err(|_| StorageError::OutOfPageIds)?;
         self.pages.push(Page::zeroed());
         Ok(id)
@@ -147,6 +151,7 @@ impl PageBackend for MemBackend {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         Ok(())
     }
 
@@ -254,6 +259,7 @@ impl PageBackend for FileBackend {
     }
 
     fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         if (id as usize) >= self.pages {
             return Err(unallocated(IoOp::Read, id, self.pages));
         }
@@ -263,6 +269,7 @@ impl PageBackend for FileBackend {
     }
 
     fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         if (id as usize) >= self.pages {
             return Err(unallocated(IoOp::Write, id, self.pages));
         }
@@ -277,6 +284,7 @@ impl PageBackend for FileBackend {
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
+        assert_unlocked("page transfer");
         let id = PageId::try_from(self.pages).map_err(|_| StorageError::OutOfPageIds)?;
         self.file
             .set_len(Self::offset(id) + PAGE_SIZE as u64)
@@ -294,6 +302,7 @@ impl PageBackend for FileBackend {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
         self.file
             .sync_all()
             .map_err(|e| io_err(IoOp::Sync, None, &e))

@@ -22,9 +22,9 @@
 //! state — there is no second copy that a test hook or reset path could
 //! desync (see DESIGN.md §6, "Concurrency model").
 
+use crate::lock::{LeafGuard, LeafMutex};
 use crate::{Page, PageId};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Merged hit/miss counters across every shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,7 +196,7 @@ impl Shard {
 /// read.
 #[derive(Debug)]
 pub struct ShardedBuffer {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<LeafMutex<Shard>>,
     capacity: usize,
 }
 
@@ -211,7 +211,7 @@ impl ShardedBuffer {
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let n = shards.max(1);
         let shards = (0..n)
-            .map(|i| Mutex::new(Shard::new(Self::shard_capacity(capacity, n, i))))
+            .map(|i| LeafMutex::new(Shard::new(Self::shard_capacity(capacity, n, i))))
             .collect();
         Self { shards, capacity }
     }
@@ -243,21 +243,15 @@ impl ShardedBuffer {
         (h % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, page: PageId) -> MutexGuard<'_, Shard> {
-        // Poison is unreachable in practice (no code path panics while
-        // holding a shard lock; clippy's `unwrap_used`/`panic` gates enforce this),
-        // and a shard's list, frames and counters stay internally
-        // consistent even if a panic did slip through.
+    fn shard(&self, page: PageId) -> LeafGuard<'_, Shard> {
         // `shard_of` reduces modulo `shards.len()`, and `with_shards`
         // builds at least one shard.
-        self.shards[self.shard_of(page)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.shards[self.shard_of(page)].lock()
     }
 
     fn each_shard(&self, mut f: impl FnMut(&mut Shard)) {
         for shard in &self.shards {
-            f(&mut shard.lock().unwrap_or_else(PoisonError::into_inner));
+            f(&mut shard.lock());
         }
     }
 
@@ -357,7 +351,7 @@ impl ShardedBuffer {
         let carried = self.counters();
         *self = Self::with_shards(capacity, shards);
         if let Some(first) = self.shards.first_mut() {
-            let s = first.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let s = first.get_mut();
             (s.hits, s.misses) = (carried.hits, carried.misses);
         }
     }
@@ -390,9 +384,9 @@ impl Clone for ShardedBuffer {
             .shards
             .iter()
             .map(|s| {
-                let mut copy = s.lock().unwrap_or_else(PoisonError::into_inner).clone();
+                let mut copy = s.lock().clone();
                 copy.spare = None;
-                Mutex::new(copy)
+                LeafMutex::new(copy)
             })
             .collect();
         Self {

@@ -36,8 +36,9 @@
 
 use crate::backend::PageBackend;
 use crate::error::{IoOp, StorageError};
+use crate::lock::{LeafGuard, LeafMutex};
 use crate::{PageId, PAGE_SIZE};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// What a scheduled fault does to its operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +153,7 @@ pub struct FaultyBackend {
     inner: Box<dyn PageBackend>,
     plan: Arc<FaultPlan>,
     /// Behind a mutex because `read_into` is shared.
-    clock: Arc<Mutex<FaultClock>>,
+    clock: Arc<LeafMutex<FaultClock>>,
 }
 
 #[derive(Debug, Default)]
@@ -179,9 +180,8 @@ impl FaultyBackend {
         Self::new(Box::new(crate::backend::MemBackend::new()), plan)
     }
 
-    fn clock(&self) -> MutexGuard<'_, FaultClock> {
-        // The clock is plain counters and a log, valid at every step.
-        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    fn clock(&self) -> LeafGuard<'_, FaultClock> {
+        self.clock.lock()
     }
 
     /// Operations executed so far (the fault clock).

@@ -17,6 +17,8 @@
 //!   file-backed implementations,
 //! * [`fault`] — the deterministic [`FaultyBackend`] fault injector,
 //!   driven by replayable [`FaultPlan`]s,
+//! * [`lock`] — [`LeafMutex`], the one `Mutex` type library code uses,
+//!   whose guards debug builds check are leaves of the lock order,
 //! * [`persist`] — crash-safe save/load (checksummed regions, monotonic
 //!   epochs, atomic temp-then-rename) failing closed with a typed
 //!   [`OpenError`],
@@ -44,6 +46,7 @@ pub mod checksum;
 pub mod codec;
 pub mod error;
 pub mod fault;
+pub mod lock;
 pub mod page;
 pub mod persist;
 pub mod retry;
@@ -57,6 +60,7 @@ pub use checksum::xxh64;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use error::{CorruptReason, IoOp, StorageError};
 pub use fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
+pub use lock::LeafMutex;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use persist::{OpenError, Region, SaveCrash};
 pub use retry::{RetryClock, RetryPolicy, SimClock};

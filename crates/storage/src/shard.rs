@@ -2,7 +2,7 @@
 //! read path. (The lock-striped pool itself is [`crate::buffer`]; its
 //! striping tests live in this module's `tests`.)
 
-use std::sync::{Mutex, PoisonError};
+use crate::lock::LeafMutex;
 
 /// Per-call I/O attribution for the shared read path.
 ///
@@ -54,7 +54,7 @@ impl ReadProbe {
 /// to [`ScratchPool::MAX_POOLED`] for reuse.
 #[derive(Debug, Default)]
 pub struct ScratchPool<T> {
-    pool: Mutex<Vec<T>>,
+    pool: LeafMutex<Vec<T>>,
 }
 
 impl<T: Default> ScratchPool<T> {
@@ -64,22 +64,18 @@ impl<T: Default> ScratchPool<T> {
     /// An empty pool.
     pub fn new() -> Self {
         Self {
-            pool: Mutex::new(Vec::new()),
+            pool: LeafMutex::new(Vec::new()),
         }
     }
 
     /// Pop a pooled value, or default-construct a fresh one.
     pub fn take(&self) -> T {
-        self.pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
+        self.pool.lock().pop().unwrap_or_default()
     }
 
     /// Return a value (its internal buffers' capacity) to the pool.
     pub fn put(&self, value: T) {
-        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut pool = self.pool.lock();
         if pool.len() < Self::MAX_POOLED {
             pool.push(value);
         }

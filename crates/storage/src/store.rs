@@ -22,12 +22,13 @@ use crate::backend::{MemBackend, PageBackend};
 use crate::buffer::ShardedBuffer;
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
+use crate::lock::{LeafGuard, LeafMutex};
 use crate::retry::{RetryClock, RetryPolicy, SimClock};
 use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Counters for logical disk traffic.
 ///
@@ -183,15 +184,14 @@ struct Retrier {
     policy: RetryPolicy,
     /// Behind a mutex so shared readers can back off too; held only for
     /// the pause itself.
-    clock: Mutex<Box<dyn RetryClock>>,
+    clock: LeafMutex<Box<dyn RetryClock>>,
     io_retries: AtomicU64,
     checksum_failures: AtomicU64,
 }
 
 impl Retrier {
-    fn clock(&self) -> std::sync::MutexGuard<'_, Box<dyn RetryClock>> {
-        // The clock only accumulates; a poisoned one is still valid.
-        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    fn clock(&self) -> LeafGuard<'_, Box<dyn RetryClock>> {
+        self.clock.lock()
     }
 
     /// Run `op` until it succeeds, fails permanently, or the attempt
@@ -204,6 +204,8 @@ impl Retrier {
         mut op: impl FnMut(&mut ReadProbe) -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
         let mut attempt = 0u32;
+        // bounded: every pass counts an attempt, and the pass that
+        // reaches `policy.max_attempts` returns.
         loop {
             attempt += 1;
             let e = match op(probe) {
@@ -297,7 +299,7 @@ impl Clone for PageStore {
             writes: snapshot(&self.writes),
             retry: Retrier {
                 policy: self.retry.policy,
-                clock: Mutex::new(self.clock()),
+                clock: LeafMutex::new(self.clock()),
                 io_retries: snapshot(&self.retry.io_retries),
                 checksum_failures: snapshot(&self.retry.checksum_failures),
             },
@@ -341,7 +343,7 @@ impl PageStore {
             writes: AtomicU64::new(0),
             retry: Retrier {
                 policy: RetryPolicy::default(),
-                clock: Mutex::new(Box::new(SimClock::new())),
+                clock: LeafMutex::new(Box::new(SimClock::new())),
                 io_retries: AtomicU64::new(0),
                 checksum_failures: AtomicU64::new(0),
             },
@@ -691,13 +693,12 @@ impl PageStore {
     /// Accumulated failure-path counters since the last reset.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
-            // ordering: relaxed counter snapshot; stats are advisory.
+            // ordering: relaxed counter snapshots; stats are advisory.
             io_retries: self.retry.io_retries.load(Ordering::Relaxed),
             io_faults_injected: self
                 .core_read()
                 .backend
                 .faults_injected()
-                // ordering: relaxed counter snapshot; stats are advisory.
                 .saturating_sub(self.injected_at_reset.load(Ordering::Relaxed)),
             checksum_failures: self.retry.checksum_failures.load(Ordering::Relaxed),
         }

@@ -330,6 +330,7 @@ impl Wal {
     /// unchanged; the bytes that may have partially reached the file
     /// are exactly the torn tail [`Wal::open`] truncates away.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        crate::lock::assert_unlocked("WAL append");
         if payload.len() > MAX_RECORD_LEN {
             return Err(WalError::Malformed("record payload over MAX_RECORD_LEN"));
         }
@@ -367,6 +368,7 @@ impl Wal {
     /// pending). The pipeline calls this at each commit under
     /// [`FsyncPolicy::Commit`] and before every checkpoint.
     pub fn sync(&mut self) -> Result<(), WalError> {
+        crate::lock::assert_unlocked("WAL sync");
         if self.unsynced > 0 {
             self.active.sync_data()?;
             self.unsynced = 0;
