@@ -4,14 +4,16 @@
 //!
 //! The paper plots this on a log scale: DPSplit needed up to a day,
 //! MergeSplit minutes. The orders-of-magnitude gap is the result.
+//! Next to MergeSplit's time stands the heap a MergeSplit plan holds per
+//! instant while it distributes a budget (cut order plus volume curve).
 //!
 //! Per-object curves are independent, so the loop fans out over
 //! `--threads=auto|seq|N` (identical curves for every setting).
 
 use std::time::Duration;
 use sti_bench::{fmt_secs, print_table, random_dataset, timed, Scale};
-use sti_core::single::{DpSplit, MergeSplit, SingleObjectSplitter};
-use sti_core::{map_chunked, BuildStats};
+use sti_core::single::{DpSplit, MergeSplit, SingleObjectSplitter, SingleSplitAlgorithm};
+use sti_core::{map_chunked, BuildStats, DistributionAlgorithm, SplitBudget, SplitPlan};
 
 fn main() {
     let scale = Scale::from_args();
@@ -29,10 +31,21 @@ fn main() {
                 MergeSplit.volume_curve(o, o.len().saturating_sub(1))
             })
         });
+        let plan = SplitPlan::build_with(
+            &objects,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::Greedy,
+            SplitBudget::Count(0),
+            None,
+            scale.threads,
+        );
+        let instants: usize = objects.iter().map(|o| o.len()).sum();
+        let plan_bytes = plan.stats().heap_bytes;
         rows.push(vec![
             Scale::label(n),
             fmt_secs(dp_secs),
             fmt_secs(merge_secs),
+            format!("{:.1}", plan_bytes as f64 / instants.max(1) as f64),
             format!("{:.0}x", dp_secs / merge_secs.max(1e-9)),
         ]);
         stats_lines.push(format!(
@@ -41,16 +54,17 @@ fn main() {
             BuildStats {
                 workers: scale.threads.workers(),
                 curve_time: Duration::from_secs_f64(dp_secs + merge_secs),
+                plan_bytes,
                 ..BuildStats::default()
             }
         ));
     }
     print_table(
         "Figure 11 — CPU time, object split algorithms (random datasets)",
-        &["Dataset", "DPSplit", "MergeSplit", "Slowdown"],
+        &["Dataset", "DPSplit", "MergeSplit", "B/instant", "Slowdown"],
         &rows,
     );
-    println!("\nbuild stats (curve phase only, DPSplit + MergeSplit):");
+    println!("\nbuild stats (curve phase only, DPSplit + MergeSplit; plan_bytes of MergeSplit):");
     for line in &stats_lines {
         println!("  {line}");
     }

@@ -47,6 +47,7 @@ fn main() {
                 BuildStats {
                     workers: plan.stats().workers,
                     curve_time: plan.stats().curve_time,
+                    plan_bytes: plan.stats().heap_bytes,
                     distribute_time: plan.stats().distribute_time,
                     tree_build_time: Duration::from_secs_f64(tree_secs),
                     records_emitted: records.len(),

@@ -76,6 +76,11 @@ impl VolumeCurve {
         &self.vols
     }
 
+    /// Heap bytes held by the curve.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.vols.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// True when the monotonicity property of Claim 1 holds: marginal
     /// gains are non-increasing (concave curve). For *general* motion this
     /// frequently fails — exactly the situation LAGreedy exists for.

@@ -67,6 +67,9 @@ pub struct BuildStats {
     pub workers: usize,
     /// Wall-clock building per-object split sources and volume curves.
     pub curve_time: Duration,
+    /// Heap bytes of those sources and curves
+    /// ([`PlanStats::heap_bytes`](crate::PlanStats::heap_bytes)).
+    pub plan_bytes: usize,
     /// Wall-clock distributing the split budget across objects.
     pub distribute_time: Duration,
     /// Wall-clock materializing records and ingesting them into the
@@ -94,9 +97,10 @@ impl std::fmt::Display for BuildStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "workers={} curves={:.3}s distribute={:.3}s tree={:.3}s records={}",
+            "workers={} curves={:.3}s plan_bytes={} distribute={:.3}s tree={:.3}s records={}",
             self.workers,
             self.curve_time.as_secs_f64(),
+            self.plan_bytes,
             self.distribute_time.as_secs_f64(),
             self.tree_build_time.as_secs_f64(),
             self.records_emitted
@@ -219,6 +223,7 @@ impl SpatioTemporalIndex {
         let stats = BuildStats {
             workers: plan_stats.workers,
             curve_time: plan_stats.curve_time,
+            plan_bytes: plan_stats.heap_bytes,
             distribute_time: plan_stats.distribute_time,
             tree_build_time: tree_build.elapsed(),
             records_emitted: records.len(),

@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 /// the total volume so the loop terminates on its own, but a cap keeps a
 /// float-pathological input from looping long.
 fn max_exchanges(k: usize) -> usize {
-    10 * k + 100
+    k.saturating_mul(10).saturating_add(100)
 }
 
 /// Greedy distribution followed by the look-ahead-2 exchange refinement.
@@ -31,6 +31,12 @@ fn max_exchanges(k: usize) -> usize {
 /// excellent — exactly the objects the plain greedy starves. Worst-case
 /// complexity matches the greedy; the paper measured ≈10% extra time.
 pub fn distribute_lagreedy(curves: &[VolumeCurve], k: usize) -> SplitAllocation {
+    // Splits past what the curves can absorb stay unassigned either way;
+    // clamping keeps them out of the exchange bound.
+    let capacity = curves
+        .iter()
+        .fold(0usize, |sum, c| sum.saturating_add(c.max_splits()));
+    let k = k.min(capacity);
     let seed = distribute_greedy(curves, k);
     let mut splits = seed.splits;
     let mut total = seed.total_volume;
@@ -200,6 +206,16 @@ mod tests {
             let la = distribute_lagreedy(&curves, k);
             let opt = distribute_optimal(&curves, k);
             assert!((la.total_volume - opt.total_volume).abs() < 1e-9, "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_budget_past_every_curve_assigns_every_split() {
+        let curves = [concave(), trap(), flat()];
+        for k in [9, 10, usize::MAX / 10 + 1, usize::MAX] {
+            let la = distribute_lagreedy(&curves, k);
+            assert_eq!(la.splits, vec![4, 3, 2], "k={k}");
+            assert_eq!(la, distribute_greedy(&curves, k), "k={k}");
         }
     }
 

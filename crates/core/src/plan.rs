@@ -3,8 +3,8 @@
 
 use crate::multi::{DistributionAlgorithm, SplitAllocation};
 use crate::parallel::{map_chunked, Parallelism};
-use crate::single::dpsplit::DpTable;
-use crate::single::mergesplit::MergeHierarchy;
+use crate::single::dpsplit::{DpCuts, DpTable};
+use crate::single::mergesplit::{MergeHierarchy, RemovalOrder};
 use crate::single::{piecewise_cuts, SingleSplitAlgorithm};
 use crate::VolumeCurve;
 use std::time::{Duration, Instant};
@@ -28,11 +28,18 @@ pub enum SplitBudget {
 }
 
 impl SplitBudget {
-    /// Resolve to an absolute split count for `n` objects.
+    /// Resolve to an absolute split count for `n` objects. A percentage
+    /// past `usize::MAX` splits (an infinite one) saturates to
+    /// `usize::MAX`, and the distribution then assigns every split the
+    /// curves can absorb.
+    ///
+    /// # Panics
+    /// On a NaN or negative percentage.
     pub fn resolve(&self, n: usize) -> usize {
         match *self {
             SplitBudget::Count(k) => k,
             SplitBudget::Percent(p) => {
+                assert!(!p.is_nan(), "split percentage is NaN");
                 assert!(p >= 0.0, "negative split percentage");
                 (p / 100.0 * n as f64).round() as usize
             }
@@ -82,31 +89,44 @@ impl ObjectRecord {
 
 /// Per-object split state retained by a [`SplitPlan`] so cut positions for
 /// the allocated split counts can be emitted without re-running the
-/// splitter.
+/// splitter. The volume curves are moved out of it, not copied.
 pub(crate) enum SplitSource {
-    Dp(DpTable),
-    Merge(MergeHierarchy),
+    Dp(DpCuts),
+    Merge(RemovalOrder),
 }
 
 impl SplitSource {
-    fn build(obj: &RasterizedObject, algo: SingleSplitAlgorithm, cap: usize) -> Self {
+    /// Run `algo` over `obj` with at most `cap` splits, returning the cut
+    /// state and the volume curve.
+    fn build(
+        obj: &RasterizedObject,
+        algo: SingleSplitAlgorithm,
+        cap: usize,
+    ) -> (Self, VolumeCurve) {
         match algo {
-            SingleSplitAlgorithm::DpSplit => SplitSource::Dp(DpTable::build(obj, cap)),
-            SingleSplitAlgorithm::MergeSplit => SplitSource::Merge(MergeHierarchy::build(obj)),
-        }
-    }
-
-    fn curve(&self, cap: usize) -> VolumeCurve {
-        match self {
-            SplitSource::Dp(t) => t.curve(), // already capped at build time
-            SplitSource::Merge(h) => h.curve(cap),
+            SingleSplitAlgorithm::DpSplit => {
+                let (cuts, curve) = DpTable::build(obj, cap).into_parts();
+                (SplitSource::Dp(cuts), curve)
+            }
+            SingleSplitAlgorithm::MergeSplit => {
+                let (order, curve) = MergeHierarchy::build(obj).into_parts(cap);
+                (SplitSource::Merge(order), curve)
+            }
         }
     }
 
     fn cuts(&self, k: usize) -> Vec<usize> {
         match self {
             SplitSource::Dp(t) => t.cuts(k),
-            SplitSource::Merge(h) => h.cuts(k),
+            SplitSource::Merge(o) => o.cuts(k),
+        }
+    }
+
+    /// Heap bytes held by this source.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            SplitSource::Dp(t) => t.heap_bytes(),
+            SplitSource::Merge(o) => o.heap_bytes(),
         }
     }
 }
@@ -152,6 +172,11 @@ pub struct PlanStats {
     /// Wall-clock spent distributing the budget (sequential by nature:
     /// the algorithms make globally ordered greedy/DP decisions).
     pub distribute_time: Duration,
+    /// Heap bytes of the per-object split state while the budget is
+    /// distributed: the sources the plan keeps plus the volume curves.
+    /// MergeSplit keeps 12 B per instant (a `u32` cut, an `f64` curve
+    /// point) plus a constant per object.
+    pub heap_bytes: usize,
 }
 
 impl SplitPlan {
@@ -171,9 +196,7 @@ impl SplitPlan {
             let cap = max_splits_per_object
                 .unwrap_or(o.len() - 1)
                 .min(o.len() - 1);
-            let source = SplitSource::build(o, single, cap);
-            let curve = source.curve(cap);
-            (source, curve)
+            SplitSource::build(o, single, cap)
         })
         .into_iter()
         .unzip()
@@ -222,12 +245,14 @@ impl SplitPlan {
         let start = Instant::now();
         let (sources, curves) = Self::prepare(objects, single, max_splits_per_object, parallelism);
         let curve_time = start.elapsed();
+        let heap_bytes = split_state_bytes(&sources, &curves);
         let start = Instant::now();
         let allocation = distribution.distribute(&curves, k);
         let stats = PlanStats {
             workers: parallelism.workers(),
             curve_time,
             distribute_time: start.elapsed(),
+            heap_bytes,
         };
         Self {
             allocation,
@@ -260,6 +285,14 @@ impl SplitPlan {
     pub fn records(&self, objects: &[RasterizedObject]) -> Vec<ObjectRecord> {
         records_for(objects, &self.sources, &self.allocation.splits)
     }
+}
+
+/// Heap bytes held by prepared sources and curves, their vectors included.
+fn split_state_bytes(sources: &[SplitSource], curves: &[VolumeCurve]) -> usize {
+    std::mem::size_of_val(sources)
+        + std::mem::size_of_val(curves)
+        + sources.iter().map(SplitSource::heap_bytes).sum::<usize>()
+        + curves.iter().map(VolumeCurve::heap_bytes).sum::<usize>()
 }
 
 /// Materialize records from prepared sources and a per-object split
@@ -389,6 +422,50 @@ mod tests {
         assert_eq!(SplitBudget::Percent(50.0).resolve(100), 50);
         assert_eq!(SplitBudget::Percent(150.0).resolve(10), 15);
         assert_eq!(SplitBudget::Percent(1.0).resolve(50), 1); // 0.5 rounds up
+        assert_eq!(SplitBudget::Percent(f64::INFINITY).resolve(3), usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "split percentage is NaN")]
+    fn a_nan_percentage_is_named() {
+        let _ = SplitBudget::Percent(f64::NAN).resolve(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative split percentage")]
+    fn a_negative_percentage_is_named() {
+        let _ = SplitBudget::Percent(-1.0).resolve(10);
+    }
+
+    /// Every split the curves can absorb: `n − 1` per object.
+    fn every_split(objs: &[RasterizedObject]) -> Vec<usize> {
+        objs.iter().map(|o| o.len() - 1).collect()
+    }
+
+    #[test]
+    fn a_count_past_every_curve_splits_every_instant() {
+        let objs = objects();
+        let plan = SplitPlan::build(
+            &objs,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::LaGreedy,
+            SplitBudget::Count(usize::MAX),
+            None,
+        );
+        assert_eq!(plan.allocation().splits, every_split(&objs));
+    }
+
+    #[test]
+    fn an_infinite_percentage_splits_every_instant() {
+        let objs = objects();
+        let plan = SplitPlan::build(
+            &objs,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::LaGreedy,
+            SplitBudget::Percent(f64::INFINITY),
+            None,
+        );
+        assert_eq!(plan.allocation().splits, every_split(&objs));
     }
 
     #[test]
@@ -523,6 +600,43 @@ mod tests {
             assert_eq!(par.records(&objs), seq.records(&objs));
             assert_eq!(par.stats().workers, workers);
         }
+    }
+
+    #[test]
+    fn a_merge_plan_keeps_twelve_bytes_per_instant() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use sti_geom::Rect2;
+        let mut rng = StdRng::seed_from_u64(0x1a7e_5eed);
+        let objs: Vec<RasterizedObject> = (0..20_000)
+            .map(|id| {
+                let (x, y) = (rng.random::<f64>() * 0.9, rng.random::<f64>() * 0.9);
+                let (dx, dy) = (rng.random::<f64>() * 1e-3, rng.random::<f64>() * 1e-3);
+                let rects = (0..rng.random_range(1..100))
+                    .map(|i| {
+                        let (x, y) = (x + dx * f64::from(i), y + dy * f64::from(i));
+                        Rect2::from_bounds(x, y, x + 0.01, y + 0.01)
+                    })
+                    .collect();
+                RasterizedObject::new(id, rng.random_range(0..900), rects)
+            })
+            .collect();
+        let instants: usize = objs.iter().map(RasterizedObject::len).sum();
+        let plan = SplitPlan::build(
+            &objs,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::LaGreedy,
+            SplitBudget::Percent(50.0),
+            None,
+        );
+        let per_object = std::mem::size_of::<SplitSource>() + std::mem::size_of::<VolumeCurve>();
+        let bytes = plan.stats().heap_bytes;
+        // n − 1 cuts of 4 B and n curve points of 8 B per object.
+        assert!(
+            bytes <= 12 * instants + per_object * objs.len(),
+            "{bytes} B"
+        );
+        assert!(bytes >= 12 * instants - 4 * objs.len(), "{bytes} B");
     }
 
     #[test]

@@ -23,13 +23,44 @@ pub struct DpSplit;
 /// quadratic cost.
 #[derive(Debug, Clone)]
 pub struct DpTable {
-    n: usize,
+    cuts: DpCuts,
     /// `vol[l]` = optimal total volume with `l` splits.
     vols: Vec<f64>,
+}
+
+/// The cut half of a [`DpTable`]: what reconstructing the optimal cuts
+/// needs once the volumes have gone to a [`VolumeCurve`].
+#[derive(Debug, Clone)]
+pub(crate) struct DpCuts {
+    n: usize,
     /// `choice[l][i]` = the optimal last-cut position `j` for `V_l[0, i]`
-    /// (flattened `l * (n + 1) + i`); `usize::MAX` marks unreachable
+    /// (flattened `l * (n + 1) + i`); `u32::MAX` marks unreachable
     /// states.
     choice: Vec<u32>,
+}
+
+impl DpCuts {
+    /// Reconstruct the optimal cut positions for `l` splits (clamped).
+    pub(crate) fn cuts(&self, l: usize) -> Vec<usize> {
+        let width = self.n + 1;
+        let l = l.min(self.choice.len() / width - 1);
+        let mut cuts = Vec::with_capacity(l);
+        let mut i = self.n;
+        let mut lev = l;
+        while lev > 0 {
+            let j = self.choice[lev * width + i] as usize;
+            cuts.push(j);
+            i = j;
+            lev -= 1;
+        }
+        cuts.reverse();
+        cuts
+    }
+
+    /// Heap bytes held by the table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.choice.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 impl DpTable {
@@ -88,12 +119,15 @@ impl DpTable {
         // too-large l for small prefixes stays INFINITY; at i = n all
         // l ≤ kmax ≤ n − 1 are feasible.
         let vols = (0..=kmax).map(|l| dp[l * width + n]).collect();
-        Self { n, vols, choice }
+        Self {
+            cuts: DpCuts { n, choice },
+            vols,
+        }
     }
 
     /// Number of instants of the underlying object.
     pub fn n(&self) -> usize {
-        self.n
+        self.cuts.n
     }
 
     /// Largest split count covered by this table.
@@ -108,24 +142,19 @@ impl DpTable {
 
     /// Reconstruct the optimal cut positions for `l` splits (clamped).
     pub fn cuts(&self, l: usize) -> Vec<usize> {
-        let l = l.min(self.vols.len() - 1);
-        let width = self.n + 1;
-        let mut cuts = Vec::with_capacity(l);
-        let mut i = self.n;
-        let mut lev = l;
-        while lev > 0 {
-            let j = self.choice[lev * width + i] as usize;
-            cuts.push(j);
-            i = j;
-            lev -= 1;
-        }
-        cuts.reverse();
-        cuts
+        self.cuts.cuts(l)
     }
 
-    /// The whole optimal volume curve.
-    pub fn curve(&self) -> VolumeCurve {
-        VolumeCurve::new(self.vols.clone())
+    /// The whole optimal volume curve, moved out of the table.
+    pub fn curve(self) -> VolumeCurve {
+        self.into_parts().1
+    }
+
+    /// Split the table into its cut half and its volume curve, moving
+    /// both: the plan keeps the cuts and hands the curve to the
+    /// distribution.
+    pub(crate) fn into_parts(self) -> (DpCuts, VolumeCurve) {
+        (self.cuts, VolumeCurve::new(self.vols))
     }
 }
 
@@ -240,10 +269,10 @@ mod tests {
         #[test]
         fn curve_non_increasing_and_cuts_valid(obj in arb_object()) {
             let kmax = obj.len() - 1;
-            let t = DpTable::build(&obj, kmax);
-            let curve = t.curve(); // constructor checks non-increasing
+            // The curve's constructor checks non-increasing.
+            let (table, curve) = DpTable::build(&obj, kmax).into_parts();
             for l in 0..=kmax {
-                let cuts = t.cuts(l);
+                let cuts = table.cuts(l);
                 prop_assert_eq!(cuts.len(), l);
                 let realized = obj.volume_for_cuts(&cuts);
                 prop_assert!((realized - curve.volume(l)).abs() < 1e-9);

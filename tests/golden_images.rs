@@ -6,7 +6,10 @@
 //! [`IngestPipeline`] (a position per instant, committed every few
 //! instants, then sealed) — and each tree is saved. The same records go
 //! through [`SpatioTemporalIndex::build`] into the R\*-Tree baseline too.
-//! The xxh64 of each saved image is a constant below. A change to how an
+//! Last, the split planner runs over the same movers (a rectangle per
+//! instant): a MergeSplit + LAGreedy plan at a 50 % budget, whose records
+//! build a PPR-Tree. The xxh64 of each saved image, and of the plan's
+//! records, is a constant below. A change to how an
 //! update is carried out (which nodes it reads, when it writes one, how
 //! it encodes it) must leave every image as it is; a change that moves a
 //! constant changed the trees or the file format.
@@ -16,16 +19,20 @@
 //! and rewrote every ancestor whether or not its bytes changed, and
 //! printed the two digests their assertions report on a mismatch. The
 //! R\*-Tree test ran the same way on commit `88a1707`, the last one whose
-//! R\*-Tree carried deletion and whose page store kept a free list.
+//! R\*-Tree carried deletion and whose page store kept a free list. The
+//! planner test ran the same way on commit `87800fe`, whose MergeSplit
+//! still picked each merge from a lazily invalidated binary heap.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spatiotemporal_index::core::{
-    IndexBackend, IndexConfig, IngestPipeline, ObjectRecord, OnlineSplitConfig, SpatioTemporalIndex,
+    DistributionAlgorithm, IndexBackend, IndexConfig, IngestPipeline, ObjectRecord,
+    OnlineSplitConfig, SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget, SplitPlan,
 };
 use spatiotemporal_index::geom::{Point2, Rect2, StBox, Time, TimeInterval};
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::storage::xxh64;
+use spatiotemporal_index::trajectory::RasterizedObject;
 
 /// xxh64 of the saved image of the tree built by `insert` / `delete`.
 const DIRECT_IMAGE: u64 = 0xf212_8bb2_79d4_6b68;
@@ -33,6 +40,10 @@ const DIRECT_IMAGE: u64 = 0xf212_8bb2_79d4_6b68;
 const PIPELINE_IMAGE: u64 = 0x00d5_343c_dd61_2d56;
 /// xxh64 of the saved image of the R\*-Tree built over the same records.
 const RSTAR_IMAGE: u64 = 0xfab2_cdb5_23d0_e927;
+/// xxh64 of the records of the MergeSplit + LAGreedy 50 % plan.
+const PLAN_RECORDS: u64 = 0x0350_872f_5b6c_e2e9;
+/// xxh64 of the saved image of the PPR-Tree built from those records.
+const PLAN_IMAGE: u64 = 0x6b48_959c_de5e_c556;
 
 const OBJECTS: u64 = 600;
 const INSTANTS: Time = 200;
@@ -159,4 +170,42 @@ fn the_rstar_baseline_builds_the_pinned_tree() {
     assert_eq!(tree.len(), OBJECTS);
     let digest = image_digest("rstar", |path| tree.save_to_file(path));
     assert_eq!(digest, RSTAR_IMAGE, "rstar image digest {digest:#018x}");
+}
+
+#[test]
+fn the_split_planner_emits_the_pinned_records_and_tree() {
+    let objects: Vec<RasterizedObject> = (0u64..)
+        .zip(&movers())
+        .map(|(id, m)| {
+            RasterizedObject::new(id, m.start, (m.start..m.end).map(|t| m.at(t)).collect())
+        })
+        .collect();
+    let plan = SplitPlan::build(
+        &objects,
+        SingleSplitAlgorithm::MergeSplit,
+        DistributionAlgorithm::LaGreedy,
+        SplitBudget::Percent(50.0),
+        None,
+    );
+    let records = plan.records(&objects);
+    assert_eq!(records.len(), objects.len() * 3 / 2);
+    let mut bytes = Vec::with_capacity(records.len() * 48);
+    for r in &records {
+        let rect = r.stbox.rect;
+        bytes.extend(r.id.to_le_bytes());
+        for v in [rect.lo.x, rect.lo.y, rect.hi.x, rect.hi.y] {
+            bytes.extend(v.to_bits().to_le_bytes());
+        }
+        bytes.extend(r.stbox.lifetime.start.to_le_bytes());
+        bytes.extend(r.stbox.lifetime.end.to_le_bytes());
+    }
+    let digest = xxh64(&bytes);
+    assert_eq!(digest, PLAN_RECORDS, "plan records digest {digest:#018x}");
+
+    let config = IndexConfig::paper(IndexBackend::PprTree);
+    let index = SpatioTemporalIndex::build(&records, &config).unwrap();
+    let tree = index.as_ppr().unwrap();
+    tree.validate();
+    let digest = image_digest("plan", |path| tree.save_to_file(path));
+    assert_eq!(digest, PLAN_IMAGE, "plan image digest {digest:#018x}");
 }
