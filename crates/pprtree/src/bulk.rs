@@ -45,6 +45,27 @@
 //! incrementally built tree, and the build is deterministic: the same
 //! pieces in the same order produce byte-identical pages whether or not
 //! the sort spilled to disk.
+//!
+//! Cost per page and per piece:
+//!
+//! * **Runs of new pages.** Every page the loader packs is new, so it
+//!   has no pre-image to keep. A node gets the id it will have once the
+//!   pending run lands — the store's length plus the pages ahead of it —
+//!   and 8 pages (`RUN_PAGES`) at a time go to the store as one
+//!   [`PageStore::append_run`]: one write and one read-back of the whole
+//!   run on a file, with every check `PageStore::write` makes per page.
+//! * **Keys.** The Hilbert key is a table walk ([`hilbert2`]), computed
+//!   per chunk when it is sorted; each region's births and deaths are
+//!   replayed from one packed `u64` per event, sorted in place.
+//! * **Spool.** Each loader names its runs after a process-wide loader
+//!   number and creates them exclusively, so two loads sharing a spool
+//!   directory cannot overwrite each other; a run's record count is kept
+//!   at spill, and a run that comes back shorter or longer fails the
+//!   merge instead of dropping pieces. A loader's runs are removed when
+//!   it is dropped, finished or not.
+//! * **Phases.** [`BulkStats`] reports seconds for the sort, the leaf
+//!   pass, the directory and the page writes, from one clock pair per
+//!   chunk, level or run.
 
 use crate::node::{PprEntry, PprNode, PprParams};
 use crate::tree::{PprTree, RootSpan};
@@ -53,8 +74,10 @@ use std::collections::BinaryHeap;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 use sti_geom::{hilbert2, Rect2, Time, TimeInterval};
-use sti_storage::{Page, PageId, PageStore, StorageError};
+use sti_storage::{PageId, PageStore, StorageError, PAGE_SIZE};
 
 /// Upper bound on pieces buffered for one region (members plus
 /// spill). A region needs about `A_max · span / mean lifetime` pieces to
@@ -70,6 +93,13 @@ const DEFAULT_CHUNK: usize = 1 << 16;
 
 /// Bytes per spooled sort record: key + rect + ptr + lifetime.
 const RECORD_BYTES: usize = 8 + 32 + 8 + 4 + 4;
+
+/// Packed pages per [`PageStore::append_run`]: 32 KiB.
+const RUN_PAGES: usize = 8;
+
+/// Loaders started in this process. Each takes the next number and
+/// names its spool runs after it.
+static LOADERS: AtomicU64 = AtomicU64::new(0);
 
 /// One closed input piece: a rectangle alive over `[insertion,
 /// deletion)`. `deletion == TimeInterval::OPEN_END` marks a
@@ -107,7 +137,8 @@ fn space_key(piece: &BulkPiece) -> u64 {
 pub enum BulkError {
     /// Writing a packed page failed.
     Storage(StorageError),
-    /// Reading or writing a sort spool file failed.
+    /// Reading or writing a sort spool file failed, or a spooled run did
+    /// not hold exactly the records spilled to it (`InvalidData`).
     Spool(std::io::Error),
     /// A piece had an empty lifetime or a non-finite rectangle.
     InvalidPiece {
@@ -121,6 +152,13 @@ pub enum BulkError {
         /// Alive entries that had to be carried.
         alive: usize,
     },
+    /// A replay group held more pieces than a packed event key can name
+    /// (2³¹). A region holds at most `REGION_MAX` pieces plus a carry,
+    /// so only a root chain over that many edges could get here.
+    GroupTooLarge {
+        /// Pieces in the group.
+        pieces: usize,
+    },
 }
 
 impl std::fmt::Display for BulkError {
@@ -133,6 +171,9 @@ impl std::fmt::Display for BulkError {
             }
             BulkError::RootOverflow { alive } => {
                 write!(f, "root chain stuck: {alive} concurrently alive entries")
+            }
+            BulkError::GroupTooLarge { pieces } => {
+                write!(f, "replay group of {pieces} pieces exceeds 2^31")
             }
         }
     }
@@ -153,8 +194,10 @@ impl From<std::io::Error> for BulkError {
 }
 
 /// Counters from one bulk load, for `stidx build --bulk --scale-stats`
-/// and the scale-tier benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// and the scale-tier benchmarks. The four phase times are wall-clock
+/// seconds, so two builds of the same pieces agree on every field but
+/// those; the type has no `==` for that reason.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BulkStats {
     /// Input pieces accepted by [`BulkLoader::push`].
     pub pieces: u64,
@@ -174,6 +217,16 @@ pub struct BulkStats {
     pub peak_resident_pages: u64,
     /// Sorted runs spooled to disk (0 when the input fit one chunk).
     pub spilled_runs: u64,
+    /// Seconds keying the pieces, sorting each chunk and writing the
+    /// spooled runs.
+    pub sort_s: f64,
+    /// Seconds in the leaf pass, the merge of the spooled runs included.
+    pub leaf_s: f64,
+    /// Seconds packing the directory levels and the root chain.
+    pub directory_s: f64,
+    /// Seconds inside [`PageStore::append_run`]: a part of `leaf_s` and
+    /// `directory_s`.
+    pub write_s: f64,
 }
 
 /// One 56-byte sort record: Hilbert key plus the piece itself. The
@@ -236,6 +289,13 @@ impl SortRecord {
     }
 }
 
+/// A sorted run on disk and the number of records spilled to it.
+#[derive(Debug)]
+struct SpoolRun {
+    path: PathBuf,
+    records: u64,
+}
+
 /// Streaming bulk loader: [`BulkLoader::push`] pieces in any order,
 /// then [`BulkLoader::finish`] into a page store. Peak memory is one
 /// sort chunk, one region and the pending directory edges — the dataset
@@ -244,18 +304,25 @@ impl SortRecord {
 pub struct BulkLoader {
     params: PprParams,
     spool_dir: PathBuf,
+    /// This loader's number in the process, in its run file names.
+    id: u64,
     chunk_cap: usize,
+    /// Pieces pushed since the last spill; their keys are set when the
+    /// chunk is sorted.
     chunk: Vec<SortRecord>,
-    runs: Vec<PathBuf>,
+    runs: Vec<SpoolRun>,
     pieces: u64,
     alive: u64,
     min_seen: Time,
     max_seen: Time,
+    /// Seconds sorting and spilling so far.
+    sort_s: f64,
 }
 
 impl BulkLoader {
     /// Start a bulk load. Spool files are created under `spool_dir`
-    /// (created if missing) and removed by `finish`.
+    /// (created if missing) and removed when the loader is dropped,
+    /// whether or not it finished. Loaders may share a spool directory.
     ///
     /// # Panics
     /// If `params` fail their own [`PprParams::validate`].
@@ -264,6 +331,8 @@ impl BulkLoader {
         Self {
             params,
             spool_dir: spool_dir.into(),
+            // ordering: a unique number per loader; it publishes no memory.
+            id: LOADERS.fetch_add(1, Ordering::Relaxed),
             chunk_cap: DEFAULT_CHUNK,
             chunk: Vec::new(),
             runs: Vec::new(),
@@ -271,6 +340,7 @@ impl BulkLoader {
             alive: 0,
             min_seen: Time::MAX,
             max_seen: 0,
+            sort_s: 0.0,
         }
     }
 
@@ -293,7 +363,6 @@ impl BulkLoader {
         if piece.insertion >= piece.deletion || !finite || r.lo.x > r.hi.x || r.lo.y > r.hi.y {
             return Err(BulkError::InvalidPiece { ptr: piece.ptr });
         }
-        let key = space_key(&piece);
         self.pieces += 1;
         self.min_seen = self.min_seen.min(piece.insertion);
         if piece.deletion == TimeInterval::OPEN_END {
@@ -302,22 +371,36 @@ impl BulkLoader {
         } else {
             self.max_seen = self.max_seen.max(piece.deletion);
         }
-        self.chunk.push(SortRecord { key, piece });
+        self.chunk.push(SortRecord { key: 0, piece });
         if self.chunk.len() >= self.chunk_cap {
             self.spill_run()?;
         }
         Ok(())
     }
 
+    /// Sort the chunk and write it to a run file of this loader's own.
+    /// The file is created exclusively, so a name another load holds is
+    /// an error, never an overwrite.
     fn spill_run(&mut self) -> Result<(), BulkError> {
-        self.chunk.sort_unstable_by_key(SortRecord::order_key);
+        let start = Instant::now();
+        sort_chunk(&mut self.chunk);
         fs::create_dir_all(&self.spool_dir)?;
         let path = self.spool_dir.join(format!(
-            "sti-bulk-{}-run{}.tmp",
+            "sti-bulk-{}-{}-run{}.tmp",
             std::process::id(),
+            self.id,
             self.runs.len()
         ));
-        let mut w = BufWriter::new(fs::File::create(&path)?);
+        let file = fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        // Ours from here on: dropping the loader removes it.
+        self.runs.push(SpoolRun {
+            path,
+            records: self.chunk.len() as u64,
+        });
+        let mut w = BufWriter::new(file);
         let mut buf = Vec::with_capacity(RECORD_BYTES);
         for rec in &self.chunk {
             buf.clear();
@@ -325,8 +408,8 @@ impl BulkLoader {
             w.write_all(&buf)?;
         }
         w.flush()?;
-        self.runs.push(path);
         self.chunk.clear();
+        self.sort_s += start.elapsed().as_secs_f64();
         Ok(())
     }
 
@@ -334,28 +417,37 @@ impl BulkLoader {
     /// writes). Returns the finished tree and the build counters.
     ///
     /// # Errors
-    /// Any [`BulkError`]; spool runs are removed on success and left
-    /// behind (under the caller's `spool_dir`) on failure.
+    /// Any [`BulkError`]. A spooled run that does not hold exactly the
+    /// records spilled to it fails the merge with [`BulkError::Spool`]
+    /// (`InvalidData`), as does a merge that yields a number of pieces
+    /// other than the number pushed. The spool runs are removed either
+    /// way.
     pub fn finish(mut self, store: PageStore) -> Result<(PprTree, BulkStats), BulkError> {
         let mut stats = BulkStats {
             pieces: self.pieces,
             ..BulkStats::default()
         };
+        if self.runs.is_empty() {
+            let start = Instant::now();
+            sort_chunk(&mut self.chunk);
+            self.sort_s += start.elapsed().as_secs_f64();
+        } else if !self.chunk.is_empty() {
+            self.spill_run()?;
+        }
+        stats.sort_s = self.sort_s;
+
+        let leaf_start = Instant::now();
         let mut stream = if self.runs.is_empty() {
-            self.chunk.sort_unstable_by_key(SortRecord::order_key);
             SortedStream::Mem(std::mem::take(&mut self.chunk).into_iter())
         } else {
-            if !self.chunk.is_empty() {
-                self.spill_run()?;
-            }
             stats.spilled_runs = self.runs.len() as u64;
             SortedStream::merge(&self.runs)?
         };
-
         // Guard the pool from the first packed page on: the loader's
         // write-through installs are checked like any other.
         let mut store = store;
         store.set_validator(PprNode::well_formed);
+        let mut pages = PageRun::new(store);
         let fanout = self.params.max_entries;
         let weak_min = self.params.weak_min();
         let horizon = self.max_seen.max(1);
@@ -374,21 +466,27 @@ impl BulkLoader {
         // how the incremental tree absorbs a near-sequential history, as
         // root log spans.
         let mut level = 0u32;
-        let mut edges = pack_level(|| stream.next(), level, &shape, &mut store, &mut stats)?;
+        let mut edges = pack_level(|| stream.next(), level, &shape, &mut pages, &mut stats)?;
+        stream.merged_all(self.pieces)?;
         stats.leaf_pages = stats.pages_written;
+        stats.leaf_s = leaf_start.elapsed().as_secs_f64();
+
+        let directory_start = Instant::now();
         while edges.len() > fanout && average_concurrency(&edges, horizon) >= weak_min as f64 {
             let before = edges.len();
             stats.peak_resident_pages = stats.peak_resident_pages.max(before as u64);
             edges.sort_by_cached_key(|p| order_key(space_key(p), p));
             let mut ordered = edges.into_iter();
             level += 1;
-            edges = pack_level(|| Ok(ordered.next()), level, &shape, &mut store, &mut stats)?;
+            edges = pack_level(|| Ok(ordered.next()), level, &shape, &mut pages, &mut stats)?;
             if edges.len() >= before {
                 break;
             }
         }
-
-        let roots = pack_roots(&edges, level, fanout, &mut store, &mut stats)?;
+        let roots = pack_roots(&edges, level, fanout, &mut pages, &mut stats)?;
+        pages.flush()?;
+        stats.directory_s = directory_start.elapsed().as_secs_f64();
+        stats.write_s = pages.write_s;
         stats.levels = roots.iter().map(|s| s.level).max().unwrap_or(0);
         stats.fill_factor = if stats.pages_written == 0 {
             0.0
@@ -396,13 +494,8 @@ impl BulkLoader {
             stats.entries_recorded as f64 / (stats.pages_written * fanout as u64) as f64
         };
 
-        for path in &self.runs {
-            let _ = fs::remove_file(path);
-        }
-        self.runs.clear();
-
         let tree = PprTree::assemble(
-            store,
+            pages.store,
             self.params,
             roots,
             self.max_seen,
@@ -411,6 +504,23 @@ impl BulkLoader {
         );
         Ok((tree, stats))
     }
+}
+
+impl Drop for BulkLoader {
+    /// The loader's spool runs go with it, finished or not.
+    fn drop(&mut self) {
+        for run in &self.runs {
+            let _ = fs::remove_file(&run.path);
+        }
+    }
+}
+
+/// Key every record of `chunk` and sort it into the build's total order.
+fn sort_chunk(chunk: &mut [SortRecord]) {
+    for rec in chunk.iter_mut() {
+        rec.key = space_key(&rec.piece);
+    }
+    chunk.sort_unstable_by_key(SortRecord::order_key);
 }
 
 /// Lifetime end clamped to the data horizon: still-open pieces count as
@@ -581,7 +691,7 @@ fn pack_level(
     mut next: impl FnMut() -> Result<Option<BulkPiece>, BulkError>,
     level: u32,
     shape: &LevelShape,
-    store: &mut PageStore,
+    pages: &mut PageRun,
     stats: &mut BulkStats,
 ) -> Result<Vec<BulkPiece>, BulkError> {
     let mut cutter = RegionCutter::new(shape);
@@ -602,7 +712,7 @@ fn pack_level(
             shape.weak_min,
             shape.fanout,
             &mut ReplaySinks {
-                store: &mut *store,
+                pages: &mut *pages,
                 stats: &mut *stats,
                 carry,
             },
@@ -633,16 +743,61 @@ struct Window {
     alive: Vec<(usize, usize)>,
 }
 
-/// Write `node` to a fresh page.
+/// Packed pages on their way to the store: up to [`RUN_PAGES`] encoded
+/// nodes, appended as one run when it is full and at the end of the
+/// build. Both the run and the store's read-back buffer are reused from
+/// run to run.
+struct PageRun {
+    store: PageStore,
+    pending: Vec<[u8; PAGE_SIZE]>,
+    /// Seconds inside [`PageStore::append_run`].
+    write_s: f64,
+}
+
+impl PageRun {
+    fn new(store: PageStore) -> Self {
+        Self {
+            store,
+            pending: Vec::with_capacity(RUN_PAGES),
+            write_s: 0.0,
+        }
+    }
+
+    /// Encode `node` into the run and return the id its page will have:
+    /// the store's length plus the pages ahead of it in the run. A full
+    /// run goes to the store at once.
+    fn push(&mut self, node: &PprNode) -> Result<PageId, BulkError> {
+        let id = PageId::try_from(self.store.num_pages() + self.pending.len())
+            .map_err(|_| StorageError::OutOfPageIds)?;
+        let mut page = [0u8; PAGE_SIZE];
+        node.encode_into(&mut page);
+        self.pending.push(page);
+        if self.pending.len() == RUN_PAGES {
+            self.flush()?;
+        }
+        Ok(id)
+    }
+
+    /// Append the pending pages to the store.
+    fn flush(&mut self) -> Result<(), BulkError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let start = Instant::now();
+        self.store.append_run(&self.pending)?;
+        self.write_s += start.elapsed().as_secs_f64();
+        self.pending.clear();
+        Ok(())
+    }
+}
+
+/// Pack `node` into a fresh page.
 fn write_page(
-    store: &mut PageStore,
+    pages: &mut PageRun,
     node: &PprNode,
     stats: &mut BulkStats,
 ) -> Result<PageId, BulkError> {
-    let page = store.allocate()?;
-    let mut buf = Page::zeroed();
-    node.encode(&mut buf);
-    store.write(page, buf.bytes().as_slice())?;
+    let page = pages.push(node)?;
     stats.pages_written += 1;
     stats.entries_recorded += node.entries.len() as u64;
     Ok(page)
@@ -665,7 +820,7 @@ fn close_window(
     sinks: &mut ReplaySinks<'_>,
     emit: &mut impl FnMut(Rect2, TimeInterval, PageId),
 ) -> Result<Option<Window>, BulkError> {
-    let page = write_page(sinks.store, &w.node, sinks.stats)?;
+    let page = write_page(sinks.pages, &w.node, sinks.stats)?;
     emit(
         w.node.full_mbr(),
         TimeInterval {
@@ -712,11 +867,12 @@ fn close_window(
     Ok(Some(next))
 }
 
-/// The mutable sinks every replay pass threads through: the store the
-/// nodes land in, the running build stats, and the carry list that
-/// hands a region's terminal stragglers to the next region at its level.
+/// The mutable sinks every replay pass threads through: the run the
+/// nodes are packed into, the running build stats, and the carry list
+/// that hands a region's terminal stragglers to the next region at its
+/// level.
 struct ReplaySinks<'a> {
-    store: &'a mut PageStore,
+    pages: &'a mut PageRun,
     stats: &'a mut BulkStats,
     carry: &'a mut Vec<BulkPiece>,
 }
@@ -733,14 +889,14 @@ fn replay_group(
     sinks: &mut ReplaySinks<'_>,
     mut emit: impl FnMut(Rect2, TimeInterval, PageId),
 ) -> Result<(), BulkError> {
-    // (time, kind, piece): deaths (kind 0) sort before births (kind 1)
+    // One packed key per event (see `event`): deaths sort before births
     // at the same instant, so a kill batch is complete before any birth
     // decision at that time.
-    let mut events: Vec<(Time, u8, usize)> = Vec::with_capacity(pieces.len() * 2);
+    let mut events: Vec<u64> = Vec::with_capacity(pieces.len() * 2);
     for (i, p) in pieces.iter().enumerate() {
-        events.push((p.insertion, 1, i));
+        events.push(event(p.insertion, true, i, pieces.len())?);
         if p.deletion != TimeInterval::OPEN_END {
-            events.push((p.deletion, 0, i));
+            events.push(event(p.deletion, false, i, pieces.len())?);
         }
     }
     events.sort_unstable();
@@ -749,14 +905,19 @@ fn replay_group(
     let mut window: Option<Window> = None;
     let mut births_done = 0usize;
     let mut i = 0usize;
-    while let Some(&(t, _, _)) = events.get(i) {
+    while let Some(&first) = events.get(i) {
+        let t = event_time(first);
+        // The key's top 33 bits: the instant, then the kind.
+        let deaths = (first >> 31) & !1;
+        let births = deaths | 1;
         let mut any_death = false;
-        while let Some(&(et, kind, pi)) = events.get(i) {
-            if et != t || kind != 0 {
+        while let Some(&e) = events.get(i) {
+            if e >> 31 != deaths {
                 break;
             }
             i += 1;
             any_death = true;
+            let pi = event_piece(e);
             if let Some(w) = window.as_mut() {
                 if let Some(pos) = w.alive.iter().position(|&(p, _)| p == pi) {
                     let (_, ei) = w.alive.swap_remove(pos);
@@ -786,12 +947,13 @@ fn replay_group(
                 }
             }
         }
-        while let Some(&(et, kind, pi)) = events.get(i) {
-            if et != t || kind != 1 {
+        while let Some(&e) = events.get(i) {
+            if e >> 31 != births {
                 break;
             }
             i += 1;
             births_done += 1;
+            let pi = event_piece(e);
             let Some(p) = pieces.get(pi) else {
                 continue;
             };
@@ -841,6 +1003,32 @@ fn replay_group(
     Ok(())
 }
 
+/// The kind bit of a packed event: set for a birth.
+const BIRTH: u64 = 1 << 31;
+
+/// One replay event packed as `time << 32 | kind << 31 | piece`, kind 0
+/// for a death and 1 for a birth. The keys sort as the `(time, kind,
+/// piece)` tuples they pack, and `group` pieces must be indexable in
+/// the low 31 bits.
+fn event(time: Time, birth: bool, piece: usize, group: usize) -> Result<u64, BulkError> {
+    let piece = u64::try_from(piece)
+        .ok()
+        .filter(|&p| p < BIRTH)
+        .ok_or(BulkError::GroupTooLarge { pieces: group })?;
+    let kind = if birth { BIRTH } else { 0 };
+    Ok((u64::from(time) << 32) | kind | piece)
+}
+
+/// The instant of a packed event.
+fn event_time(event: u64) -> Time {
+    (event >> 32) as Time
+}
+
+/// The piece index of a packed event.
+fn event_piece(event: u64) -> usize {
+    usize::try_from(event & (BIRTH - 1)).unwrap_or(usize::MAX)
+}
+
 /// Replay a non-root group, appending the emitted edges to `out` as
 /// pieces for the next level up.
 fn replay_level(
@@ -876,7 +1064,7 @@ fn pack_roots(
     edges: &[BulkPiece],
     edge_level: u32,
     fanout: usize,
-    store: &mut PageStore,
+    pages: &mut PageRun,
     stats: &mut BulkStats,
 ) -> Result<Vec<RootSpan>, BulkError> {
     let mut roots: Vec<RootSpan> = Vec::new();
@@ -902,7 +1090,7 @@ fn pack_roots(
                 0,
                 fanout,
                 &mut ReplaySinks {
-                    store,
+                    pages,
                     stats,
                     carry: &mut no_carry,
                 },
@@ -929,21 +1117,48 @@ enum SortedStream {
     Merge {
         readers: Vec<RunReader>,
         heap: BinaryHeap<Reverse<HeapItem>>,
+        /// Records the merge has yielded.
+        merged: u64,
     },
 }
 
+/// Reads back exactly the records spilled to one run.
 struct RunReader {
     inner: BufReader<fs::File>,
+    /// Records still to read.
+    left: u64,
 }
 
 impl RunReader {
-    fn next(&mut self) -> Result<Option<SortRecord>, BulkError> {
-        let mut buf = [0u8; RECORD_BYTES];
-        match self.inner.read_exact(&mut buf) {
-            Ok(()) => Ok(Some(SortRecord::decode(&buf))),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(BulkError::Spool(e)),
+    /// Open `run`, failing unless it holds exactly its records: a short
+    /// run, one cut mid-record and one that runs long are all damage.
+    fn open(run: &SpoolRun) -> Result<Self, BulkError> {
+        let file = fs::File::open(&run.path)?;
+        let len = file.metadata()?.len();
+        if Some(len) != run.records.checked_mul(RECORD_BYTES as u64) {
+            return Err(BulkError::Spool(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "spool run {} holds {len} bytes; {} records were spilled to it",
+                    run.path.display(),
+                    run.records
+                ),
+            )));
         }
+        Ok(Self {
+            inner: BufReader::new(file),
+            left: run.records,
+        })
+    }
+
+    fn next(&mut self) -> Result<Option<SortRecord>, BulkError> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        let mut buf = [0u8; RECORD_BYTES];
+        self.inner.read_exact(&mut buf)?;
+        self.left -= 1;
+        Ok(Some(SortRecord::decode(&buf)))
     }
 }
 
@@ -971,13 +1186,11 @@ impl Ord for HeapItem {
 }
 
 impl SortedStream {
-    fn merge(runs: &[PathBuf]) -> Result<Self, BulkError> {
+    fn merge(runs: &[SpoolRun]) -> Result<Self, BulkError> {
         let mut readers = Vec::with_capacity(runs.len());
         let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, path) in runs.iter().enumerate() {
-            let mut r = RunReader {
-                inner: BufReader::new(fs::File::open(path)?),
-            };
+        for (i, run) in runs.iter().enumerate() {
+            let mut r = RunReader::open(run)?;
             if let Some(rec) = r.next()? {
                 heap.push(Reverse(HeapItem {
                     key: rec.order_key(),
@@ -987,16 +1200,25 @@ impl SortedStream {
             }
             readers.push(r);
         }
-        Ok(SortedStream::Merge { readers, heap })
+        Ok(SortedStream::Merge {
+            readers,
+            heap,
+            merged: 0,
+        })
     }
 
     fn next(&mut self) -> Result<Option<BulkPiece>, BulkError> {
         match self {
             SortedStream::Mem(it) => Ok(it.next().map(|r| r.piece)),
-            SortedStream::Merge { readers, heap } => {
+            SortedStream::Merge {
+                readers,
+                heap,
+                merged,
+            } => {
                 let Some(Reverse(item)) = heap.pop() else {
                     return Ok(None);
                 };
+                *merged += 1;
                 if let Some(r) = readers.get_mut(item.run) {
                     if let Some(rec) = r.next()? {
                         heap.push(Reverse(HeapItem {
@@ -1009,5 +1231,71 @@ impl SortedStream {
                 Ok(Some(item.rec.piece))
             }
         }
+    }
+
+    /// After the stream ran dry: fail unless the merge yielded exactly
+    /// the `pieces` pushed.
+    fn merged_all(&self, pieces: u64) -> Result<(), BulkError> {
+        match self {
+            SortedStream::Merge { merged, .. } if *merged != pieces => {
+                Err(BulkError::Spool(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("the spool merge yielded {merged} of {pieces} pieces"),
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Packed event keys sort as the `(time, kind, piece)` tuples they
+    /// pack, the extremes of each field included, and unpack to them.
+    #[test]
+    fn packed_events_sort_like_their_tuples() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [0, 1, (1 << 31) - 2, (1 << 31) - 1];
+        let mut tuples: Vec<(Time, u8, usize)> = (0..20_000)
+            .map(|i| {
+                let time = match i % 3 {
+                    0 => [0, 1, Time::MAX - 1, Time::MAX][(next() % 4) as usize],
+                    _ => (next() % 64) as Time,
+                };
+                let piece = match i % 5 {
+                    0 => edges[(next() % 4) as usize],
+                    _ => (next() % 1000) as usize,
+                };
+                (time, (next() % 2) as u8, piece)
+            })
+            .collect();
+        let mut keys: Vec<u64> = tuples
+            .iter()
+            .map(|&(t, kind, p)| event(t, kind == 1, p, 1 << 31).unwrap())
+            .collect();
+        tuples.sort_unstable();
+        keys.sort_unstable();
+        for (&key, &tuple) in keys.iter().zip(&tuples) {
+            let kind = u8::from(key & BIRTH != 0);
+            assert_eq!((event_time(key), kind, event_piece(key)), tuple);
+        }
+    }
+
+    #[test]
+    fn a_piece_index_past_31_bits_is_a_typed_error() {
+        let last = (1 << 31) - 1;
+        assert_eq!(event_piece(event(7, false, last, last + 1).unwrap()), last);
+        assert!(matches!(
+            event(7, true, last + 1, last + 2),
+            Err(BulkError::GroupTooLarge { pieces }) if pieces == last + 2
+        ));
     }
 }

@@ -368,11 +368,15 @@ impl PprNode {
 
     /// Serialize into a page buffer, zeroing the tail.
     pub fn encode(&self, page: &mut Page) {
+        self.encode_into(page.bytes_mut());
+    }
+
+    /// Serialize into the bytes of a page, zeroing the tail.
+    pub fn encode_into(&self, buf: &mut [u8; PAGE_SIZE]) {
         assert!(
             Self::encoded_size(self.entries.len()) <= PAGE_SIZE,
             "node too large for page"
         );
-        let buf = page.bytes_mut();
         let mut w = ByteWriter::new(buf.as_mut_slice());
         w.put_u32(self.level);
         #[expect(

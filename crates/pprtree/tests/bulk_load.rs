@@ -1,15 +1,20 @@
 //! Bulk-loader oracles: a bulk-loaded tree must answer exactly like an
 //! incrementally built one (both backends), pass the full-history
 //! sanitizer, and build deterministically whether or not the external
-//! sort spilled to disk.
+//! sort spilled to disk. Loads that share a spool directory stay apart,
+//! a damaged spool run fails the build, and storage faults under the
+//! packed pages are retried or fail typed.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::path::PathBuf;
 use sti_geom::{Rect2, TimeInterval};
-use sti_pprtree::{check, BulkLoader, BulkPiece, PprParams, PprTree};
-use sti_storage::{FileBackend, PageStore};
+use sti_pprtree::{check, BulkError, BulkLoader, BulkPiece, PprParams, PprTree};
+use sti_storage::{
+    FaultKind, FaultPlan, FaultyBackend, FileBackend, PageStore, ScheduledFault, StorageError,
+    PAGE_SIZE,
+};
 
 fn params() -> PprParams {
     PprParams {
@@ -323,6 +328,223 @@ fn sparse_timeline_is_cut_at_the_region_ceiling() {
         snapshot(&tree, &Rect2::from_bounds(0.0, 0.0, 1.0, 1.0), 0).len(),
         born_at_zero
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every id a tree holds, over all of space and time.
+fn all_ids(tree: &PprTree) -> Vec<u64> {
+    let everywhere = Rect2::from_bounds(0.0, 0.0, 1.0, 1.0);
+    let mut ids = interval(tree, &everywhere, &TimeInterval::new(0, 1_000));
+    ids.dedup();
+    ids
+}
+
+/// The files a spool directory holds.
+fn spool_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    files
+}
+
+/// Three loads share one spool directory and spill in turns: each run
+/// is its loader's own, so each tree holds exactly its own pieces, and
+/// a loader dropped without `finish` takes its runs with it.
+#[test]
+fn loaders_sharing_a_spool_directory_keep_their_own_runs() {
+    let dir = scratch_dir("shared");
+    let with_ids = |seed: u64, n: usize, first: u64| -> Vec<BulkPiece> {
+        let mut pieces = random_pieces(seed, n, false);
+        for (p, id) in pieces.iter_mut().zip(first..) {
+            p.ptr = id;
+        }
+        pieces
+    };
+    let a_pieces = with_ids(1, 2048, 0);
+    let b_pieces = with_ids(2, 1024, 100_000);
+    let c_pieces = with_ids(3, 2048, 200_000);
+    let mut a = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+    let mut b = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+    let mut c = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+    // Each loader's first run, then A's and C's second: every spill
+    // lands next to another loader's run of the same number.
+    let turns = [
+        (0, 0..1024),
+        (1, 0..1024),
+        (2, 0..1024),
+        (0, 1024..2048),
+        (2, 1024..2048),
+    ];
+    for (i, half) in turns {
+        for p in [&a_pieces, &b_pieces, &c_pieces][i][half].iter() {
+            [&mut a, &mut b, &mut c][i].push(*p).unwrap();
+        }
+    }
+    let own = |pieces: &[BulkPiece]| pieces.iter().map(|p| p.ptr).collect::<Vec<u64>>();
+    let (b_tree, b_stats) = b.finish(PageStore::new(8)).unwrap();
+    assert_eq!(
+        all_ids(&b_tree),
+        own(&b_pieces),
+        "B holds exactly its own ids"
+    );
+    let (a_tree, a_stats) = a.finish(PageStore::new(8)).unwrap();
+    assert_eq!(
+        all_ids(&a_tree),
+        own(&a_pieces),
+        "A holds exactly its own ids"
+    );
+    assert_eq!((a_stats.spilled_runs, b_stats.spilled_runs), (2, 1));
+    assert_valid(&a_tree);
+    assert_valid(&b_tree);
+    assert_eq!(
+        spool_files(&dir).len(),
+        2,
+        "C's runs are left, A's and B's are gone"
+    );
+    drop(c);
+    assert!(
+        spool_files(&dir).is_empty(),
+        "a dropped loader removes its runs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spool run that comes back shorter than it was spilled — cut at a
+/// record boundary or mid-record — or longer fails the build with a
+/// typed `InvalidData` spool error and returns no tree; the runs are
+/// removed all the same.
+#[test]
+fn a_damaged_spool_run_fails_the_build() {
+    let pieces = random_pieces(11, 2200, true);
+    const RECORD: i64 = 56;
+    // A change to each run's length, in bytes.
+    let damages = [
+        ("100 records short", -100 * RECORD),
+        ("7 bytes short", -7),
+        ("a record long", RECORD),
+    ];
+    for (what, delta) in damages {
+        let dir = scratch_dir(&format!("damaged-{}", what.replace(' ', "-")));
+        let mut loader = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+        for p in &pieces {
+            loader.push(*p).unwrap();
+        }
+        let runs = spool_files(&dir);
+        assert_eq!(runs.len(), 2, "{what}");
+        for run in &runs {
+            let file = std::fs::OpenOptions::new().write(true).open(run).unwrap();
+            let len = file.metadata().unwrap().len();
+            assert_eq!(len, 1024 * RECORD as u64, "{what}");
+            file.set_len(len.checked_add_signed(delta).unwrap())
+                .unwrap();
+        }
+        match loader.finish(PageStore::new(8)) {
+            Err(BulkError::Spool(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}")
+            }
+            Err(e) => panic!("{what}: wrong error {e}"),
+            Ok((tree, stats)) => panic!(
+                "{what}: built a tree of {} ids from {} pieces",
+                all_ids(&tree).len(),
+                stats.pieces
+            ),
+        }
+        assert!(spool_files(&dir).is_empty(), "{what}: runs removed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A bulk build over a fault-injecting device. Transient write faults
+/// and write-side bit flips are retried, and the build finishes with
+/// the fault-free build's page file and image, byte for byte, and its
+/// write count. A permanent fault fails the build typed, and the page
+/// file holds nothing past the start of the run it hit: the packed pages
+/// before it, as the fault-free build wrote them.
+#[test]
+fn a_bulk_build_over_a_faulty_device_retries_or_fails_typed() {
+    let pieces = random_pieces(5, 3000, true);
+    let dir = scratch_dir("faulty");
+    let page_file = |name: &str| dir.join(format!("{name}.pages"));
+    let build = |name: &str, plan: Option<FaultPlan>| {
+        let file = Box::new(FileBackend::create(&page_file(name)).unwrap());
+        let backend: Box<dyn sti_storage::PageBackend> = match plan {
+            Some(plan) => Box::new(FaultyBackend::new(file, plan)),
+            None => file,
+        };
+        let mut loader = BulkLoader::new(params(), &dir);
+        for p in &pieces {
+            loader.push(*p).unwrap();
+        }
+        loader.finish(PageStore::with_backend(backend, params().buffer_pages))
+    };
+    let image = |tree: &PprTree, name: &str| {
+        let path = dir.join(format!("{name}.idx"));
+        tree.save_to_file(&path).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+
+    let (clean, _) = build("clean", None).unwrap();
+    let clean_pages = std::fs::read(page_file("clean")).unwrap();
+    let pages = clean.num_pages();
+    assert!(pages > 100, "{pages} pages");
+    // On the device, each packed page is one allocate and one write.
+    let ops = 2 * pages as u64;
+
+    // Odd operations are writes. A failed attempt of a run costs an
+    // even number of them, so every later fault still lands on a write;
+    // a hundred operations apart, no run meets two.
+    let faults = (51..ops)
+        .step_by(102)
+        .enumerate()
+        .map(|(i, at_op)| ScheduledFault {
+            at_op,
+            kind: if i % 2 == 0 {
+                FaultKind::Fail { transient: true }
+            } else {
+                FaultKind::BitFlip {
+                    byte: (i * 397 % PAGE_SIZE) as u16,
+                    bit: (i % 8) as u8,
+                }
+            },
+        })
+        .collect::<Vec<_>>();
+    let injected = faults.len() as u64;
+    let (healed, _) = build("healed", Some(FaultPlan::new(faults))).unwrap();
+    let fs = healed.fault_stats();
+    assert_eq!((fs.io_faults_injected, fs.io_retries), (injected, injected));
+    assert_eq!(healed.io_stats(), clean.io_stats());
+    assert!(std::fs::read(page_file("healed")).unwrap() == clean_pages);
+    assert!(image(&healed, "healed") == image(&clean, "clean"));
+
+    let at_op = ops / 2 + 1;
+    let permanent = ScheduledFault {
+        at_op,
+        kind: FaultKind::Fail { transient: false },
+    };
+    let failed = build("failed", Some(FaultPlan::new(vec![permanent])));
+    assert!(
+        matches!(
+            failed,
+            Err(BulkError::Storage(StorageError::Injected {
+                transient: false,
+                ..
+            }))
+        ),
+        "{:?}",
+        failed.map(|_| ())
+    );
+    let hit = (at_op / 2) as usize;
+    let run_start = hit - hit % 8;
+    let left = std::fs::read(page_file("failed")).unwrap();
+    assert_eq!(
+        left.len(),
+        run_start * PAGE_SIZE,
+        "no page past the run's start"
+    );
+    assert!(left[..] == clean_pages[..left.len()]);
+    drop((clean, healed));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -41,6 +41,22 @@ pub trait PageBackend: std::fmt::Debug + Send + Sync {
     /// Append one zeroed page, returning its id.
     fn allocate(&mut self) -> Result<PageId, StorageError>;
 
+    /// Append `pages` as consecutive new pages, returning the first id.
+    /// On an error some of them may have landed; the caller truncates
+    /// back (see [`crate::PageStore::append_run`]).
+    ///
+    /// The default is one [`PageBackend::allocate`] and one
+    /// [`PageBackend::write`] per page, so a fault-injecting backend
+    /// keeps a fault point for each of them.
+    fn append_run(&mut self, pages: &[[u8; PAGE_SIZE]]) -> Result<PageId, StorageError> {
+        let first = PageId::try_from(self.num_pages()).map_err(|_| StorageError::OutOfPageIds)?;
+        for page in pages {
+            let id = self.allocate()?;
+            self.write(id, page)?;
+        }
+        Ok(first)
+    }
+
     /// Drop pages from the tail until `len` remain (undo of `allocate`;
     /// infallible because rollback cannot itself fail).
     fn truncate(&mut self, len: usize);
@@ -51,6 +67,19 @@ pub trait PageBackend: std::fmt::Debug + Send + Sync {
     /// [`PageBackend::read_into`] with no accounting and no faults.
     fn peek_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.read_into(id, buf)
+    }
+
+    /// [`PageBackend::peek_into`] of the consecutive pages from `first`
+    /// on, one per buffer.
+    fn peek_run_into(
+        &self,
+        first: PageId,
+        bufs: &mut [[u8; PAGE_SIZE]],
+    ) -> Result<(), StorageError> {
+        for (id, buf) in (first..).zip(bufs) {
+            self.peek_into(id, buf)?;
+        }
+        Ok(())
     }
 
     /// [`PageBackend::write`] of a whole page with no accounting and no
@@ -291,6 +320,35 @@ impl PageBackend for FileBackend {
             .map_err(|e| io_err(IoOp::Allocate, Some(id), &e))?;
         self.pages += 1;
         Ok(id)
+    }
+
+    /// One positional write past the last page: the file grows by the
+    /// write itself, with no `set_len` per page.
+    fn append_run(&mut self, pages: &[[u8; PAGE_SIZE]]) -> Result<PageId, StorageError> {
+        assert_unlocked("page transfer");
+        let first = PageId::try_from(self.pages).map_err(|_| StorageError::OutOfPageIds)?;
+        let end = self.pages + pages.len();
+        PageId::try_from(end).map_err(|_| StorageError::OutOfPageIds)?;
+        self.file
+            .write_all_at(pages.as_flattened(), Self::offset(first))
+            .map_err(|e| io_err(IoOp::Write, Some(first), &e))?;
+        self.pages = end;
+        Ok(first)
+    }
+
+    /// One positional read of the whole run.
+    fn peek_run_into(
+        &self,
+        first: PageId,
+        bufs: &mut [[u8; PAGE_SIZE]],
+    ) -> Result<(), StorageError> {
+        assert_unlocked("page transfer");
+        if (first as usize) + bufs.len() > self.pages {
+            return Err(unallocated(IoOp::Read, first, self.pages));
+        }
+        self.file
+            .read_exact_at(bufs.as_flattened_mut(), Self::offset(first))
+            .map_err(|e| io_err(IoOp::Read, Some(first), &e))
     }
 
     fn truncate(&mut self, len: usize) {

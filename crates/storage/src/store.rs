@@ -12,11 +12,12 @@
 //! failure counters are atomics.
 //!
 //! Pool invariant: a store whose owner gave it a [`PageValidator`]
-//! never holds a frame that validator rejects. There are exactly two
+//! never holds a frame that validator rejects. There are exactly three
 //! places a frame enters the pool — the fetch install in
-//! [`PageStore::read`] and the write-through install in
-//! [`PageStore::write`] — and both run the validator first, so whoever
-//! pins a frame may read it without checking it again.
+//! [`PageStore::read`] and the write-through installs in
+//! [`PageStore::write`] and [`PageStore::append_run`] — and all of them
+//! run the validator first, so whoever pins a frame may read it without
+//! checking it again.
 
 use crate::backend::{MemBackend, PageBackend};
 use crate::buffer::ShardedBuffer;
@@ -135,6 +136,28 @@ impl StoreCore {
             page: id,
             reason: CorruptReason::Checksum,
         })
+    }
+
+    /// One append of `pages` past the last page, then one read-back of
+    /// the run compared page by page with what was meant to land (the
+    /// check [`StoreCore::store`] makes for a single page). A mismatch
+    /// names the first page that differs.
+    fn append(
+        &mut self,
+        pages: &[[u8; PAGE_SIZE]],
+        stored: &mut Vec<[u8; PAGE_SIZE]>,
+    ) -> Result<(), StorageError> {
+        let first = self.backend.append_run(pages)?;
+        stored.resize(pages.len(), [0u8; PAGE_SIZE]);
+        self.backend.peek_run_into(first, stored)?;
+        let mut pairs = (first..).zip(pages.iter().zip(stored.iter()));
+        match pairs.find(|(_, (meant, landed))| meant != landed) {
+            Some((page, _)) => Err(StorageError::Corrupt {
+                page,
+                reason: CorruptReason::Checksum,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The bytes of page `id` at rest: no accounting, no faults, no
@@ -279,6 +302,9 @@ pub struct PageStore {
     /// What every frame must pass before it becomes resident; `None`
     /// for a bare store, whose pages are opaque bytes.
     validator: Option<PageValidator>,
+    /// The read-back buffer of [`PageStore::append_run`], kept between
+    /// runs.
+    run_readback: Vec<[u8; PAGE_SIZE]>,
 }
 
 impl Clone for PageStore {
@@ -308,6 +334,7 @@ impl Clone for PageStore {
             txn_depth: self.txn_depth,
             epoch: snapshot(&self.epoch),
             validator: self.validator,
+            run_readback: Vec::new(),
         }
     }
 }
@@ -352,6 +379,7 @@ impl PageStore {
             txn_depth: 0,
             epoch: AtomicU64::new(0),
             validator: None,
+            run_readback: Vec::new(),
         }
     }
 
@@ -586,6 +614,64 @@ impl PageStore {
                 Err(e)
             }
         }
+    }
+
+    /// Append `pages` as consecutive new pages and return the first id:
+    /// what [`PageStore::allocate`] and [`PageStore::write`] do for each
+    /// page, with one backend transfer and one read-back for the whole
+    /// run where the backend can ([`PageBackend::append_run`]).
+    ///
+    /// Each page gets exactly what `write` gives it: the owner's
+    /// validator passes it before anything is touched, it is read back
+    /// and compared byte for byte, its checksum is recorded, it counts as
+    /// one write, and it is installed write-through, uncounted. A new
+    /// page has no pre-image to restore: a failed attempt is retried from
+    /// the store's length before the run, and a final failure truncates
+    /// back to that length, installs no frame and moves no write counter.
+    /// Inside a transaction each page is logged as an allocation, so a
+    /// rollback drops the run.
+    pub fn append_run(&mut self, pages: &[[u8; PAGE_SIZE]]) -> Result<PageId, StorageError> {
+        let Self {
+            core,
+            buffer,
+            writes,
+            retry,
+            txn,
+            validator,
+            run_readback,
+            ..
+        } = self;
+        let core = core_mut(core);
+        let len = core.backend.num_pages();
+        let first = PageId::try_from(len).map_err(|_| StorageError::OutOfPageIds)?;
+        PageId::try_from(len + pages.len()).map_err(|_| StorageError::OutOfPageIds)?;
+        let mut frames = Vec::with_capacity(pages.len());
+        for (id, bytes) in (first..).zip(pages) {
+            let mut frame = buffer.blank(id);
+            *frame.bytes_mut() = *bytes;
+            admit(*validator, id, &frame)?;
+            frames.push(frame);
+        }
+        let appended = retry.run(&mut ReadProbe::new(), |_| {
+            if core.backend.num_pages() != len {
+                core.backend.truncate(len);
+            }
+            core.append(pages, run_readback)
+        });
+        if let Err(e) = appended {
+            core.backend.truncate(len);
+            return Err(e);
+        }
+        for (id, frame) in (first..).zip(frames) {
+            core.sums.push(xxh64(frame.bytes()));
+            if let Some(txn) = txn.as_mut() {
+                txn.ops.push(UndoOp::Appended);
+            }
+            buffer.install(id, frame, false);
+        }
+        // ordering: independent stat counter, read only for reporting.
+        writes.fetch_add(pages.len() as u64, Ordering::Relaxed);
+        Ok(first)
     }
 
     /// Flush the backend to durable storage, retrying transient faults.
@@ -1156,67 +1242,195 @@ mod tests {
         }
     }
 
+    /// What the damaged-write sweep damages: a `write` over a page, or
+    /// an `append_run` of [`RUN`] new pages, damaged in its page `page`.
+    #[derive(Debug, Clone, Copy)]
+    enum Damaged {
+        Write,
+        Run { page: usize },
+    }
+
+    const RUN: usize = 2;
+
     /// Damage on the write side of a transfer, wherever in the page it
     /// lands — every byte offset of a short payload's page, its
-    /// zero-padded tail included, and torn writes the device
-    /// acknowledged — is caught by the read-back: each attempt surfaces
-    /// as `Corrupt { Checksum }`, counts as a checksum failure and is
-    /// retried. Damage on one attempt is healed by the next; damage on
-    /// every attempt fails the write, which leaves the pre-image.
+    /// zero-padded tail included, every byte offset of either page of a
+    /// run, and torn writes the device acknowledged — is caught by the
+    /// read-back (one for the whole run): each attempt surfaces as
+    /// `Corrupt { Checksum }` naming the damaged page, counts as a
+    /// checksum failure and is retried. Damage on one attempt is healed
+    /// by the next; damage on every attempt fails the operation, which
+    /// leaves the write's pre-image, or no page past the run's start, no
+    /// frame and no write.
     #[test]
     fn every_damaged_write_is_caught_retried_and_undone() {
         const LEN: usize = 100;
         let payload: Vec<u8> = (0..LEN as u8).map(|i| i | 0x80).collect();
         let mut intended = [0u8; PAGE_SIZE];
         intended[..LEN].copy_from_slice(&payload);
+        let mut run = [intended; RUN];
+        run[1][0] = 0x7F;
         let pre_image = [0xA5u8; PAGE_SIZE];
         let attempts = RetryPolicy::default().max_attempts;
-        let damage_by = |kind: FaultKind| {
+        // Op 0 allocates, op 1 writes the pre-image; from op 2 on, each
+        // attempt of a write is one op, and each attempt of a run an
+        // allocate and a write per page.
+        let op = |target: Damaged, attempt: u64| match target {
+            Damaged::Write => 2 + attempt,
+            Damaged::Run { page } => 2 + attempt * 2 * RUN as u64 + 2 * page as u64 + 1,
+        };
+        let damage_by = |target: Damaged, kind: FaultKind| {
             (0..=attempts).map(move |damaged| {
-                // Op 0 allocates, op 1 writes the pre-image, ops 2.. are
-                // the attempts of the write under test.
                 let faults = (0..u64::from(damaged))
-                    .map(|i| ScheduledFault { at_op: 2 + i, kind })
+                    .map(|i| ScheduledFault {
+                        at_op: op(target, i),
+                        kind,
+                    })
                     .collect();
-                (kind, damaged, FaultPlan::new(faults))
+                (target, kind, damaged, FaultPlan::new(faults))
             })
         };
-        let flips = (0..PAGE_SIZE).flat_map(|byte| {
-            damage_by(FaultKind::BitFlip {
-                byte: byte as u16,
-                bit: (byte % 8) as u8,
-            })
+        let flip = |offset: usize| FaultKind::BitFlip {
+            byte: (offset % PAGE_SIZE) as u16,
+            bit: (offset % 8) as u8,
+        };
+        let flips = (0..PAGE_SIZE).flat_map(|byte| damage_by(Damaged::Write, flip(byte)));
+        let run_flips = (0..RUN * PAGE_SIZE).flat_map(|offset| {
+            damage_by(
+                Damaged::Run {
+                    page: offset / PAGE_SIZE,
+                },
+                flip(offset),
+            )
         });
+        let targets = [
+            Damaged::Write,
+            Damaged::Run { page: 0 },
+            Damaged::Run { page: 1 },
+        ];
         let tears = [0, 1, 8, 57, LEN as u32 - 1]
             .into_iter()
-            .flat_map(|keep_bytes| damage_by(FaultKind::TornWrite { keep_bytes }));
-        for (kind, damaged, plan) in flips.chain(tears) {
-            let at = format!("{kind:?} on {damaged} of {attempts} attempts");
+            .flat_map(|keep_bytes| {
+                targets
+                    .into_iter()
+                    .flat_map(move |target| damage_by(target, FaultKind::TornWrite { keep_bytes }))
+            });
+        for (target, kind, damaged, plan) in flips.chain(run_flips).chain(tears) {
+            let at = format!("{kind:?} on {target:?}, {damaged} of {attempts} attempts");
             let device = AcksTornWrites(FaultyBackend::new_mem(plan));
             let mut s = PageStore::with_backend(Box::new(device), 4);
             let a = s.allocate().unwrap();
             s.write(a, &pre_image).unwrap();
             s.reset_stats();
 
-            let outcome = s.write(a, &payload);
             let failed = damaged == attempts;
+            let (outcome, first, bad_page) = match target {
+                Damaged::Write => (s.write(a, &payload).map(|()| a), a, a),
+                Damaged::Run { page } => (s.append_run(&run), a + 1, a + 1 + page as PageId),
+            };
             let expected = if failed {
                 Err(StorageError::Corrupt {
-                    page: a,
+                    page: bad_page,
                     reason: CorruptReason::Checksum,
                 })
             } else {
-                Ok(())
+                Ok(first)
             };
             assert_eq!(outcome, expected, "{at}");
             let fs = s.fault_stats();
             assert_eq!(fs.checksum_failures, u64::from(damaged), "{at}");
             assert_eq!(fs.io_retries, u64::from(damaged.min(attempts - 1)), "{at}");
-            assert_eq!(s.stats().writes, u64::from(!failed), "{at}");
-            let at_rest = if failed { &pre_image } else { &intended };
-            assert!(s.peek(a).unwrap().bytes() == at_rest, "{at}: bytes at rest");
-            assert!(read(&s, a).unwrap().bytes() == at_rest, "{at}: fetched");
+            let (writes, at_rest): (u64, Vec<&[u8; PAGE_SIZE]>) = match (target, failed) {
+                (_, true) => (0, vec![&pre_image]),
+                (Damaged::Write, false) => (1, vec![&intended]),
+                (Damaged::Run { .. }, false) => {
+                    (RUN as u64, [&pre_image].into_iter().chain(&run).collect())
+                }
+            };
+            assert_eq!(s.stats().writes, writes, "{at}");
+            if failed {
+                let mut run_ids = a + 1..=a + RUN as PageId;
+                assert!(
+                    run_ids.all(|id| s.buffer.peek(id).is_none()),
+                    "{at}: no frame"
+                );
+            }
+            assert_eq!(
+                s.num_pages(),
+                at_rest.len(),
+                "{at}: no page past the run's start"
+            );
+            for (id, bytes) in (a..).zip(at_rest) {
+                assert!(
+                    s.peek(id).unwrap().bytes() == bytes,
+                    "{at}: page {id} at rest"
+                );
+                assert!(
+                    read(&s, id).unwrap().bytes() == bytes,
+                    "{at}: page {id} fetched"
+                );
+            }
         }
+    }
+
+    /// A run lands like the pages `allocate` + `write` would have made
+    /// one by one: same ids, same bytes, same checksums, same counters,
+    /// on memory and on a file. A page the validator refuses stops the
+    /// run before anything is touched, and a rolled-back transaction
+    /// drops it.
+    #[test]
+    fn a_run_is_the_pages_written_one_by_one() {
+        let path = std::env::temp_dir().join(format!("sti-run-{}.pages", std::process::id()));
+        let mut run = [[0u8; PAGE_SIZE]; 5];
+        for (i, page) in run.iter_mut().enumerate() {
+            page[..8].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+        }
+        for on_file in [false, true] {
+            let backend: Box<dyn PageBackend> = if on_file {
+                Box::new(crate::FileBackend::create(&path).unwrap())
+            } else {
+                Box::new(MemBackend::new())
+            };
+            let mut one_by_one = PageStore::new(8);
+            one_by_one.allocate().unwrap();
+            for page in &run {
+                let id = one_by_one.allocate().unwrap();
+                one_by_one.write(id, page).unwrap();
+            }
+            let mut s = PageStore::with_backend(backend, 8);
+            s.set_validator(starts_sane);
+            s.allocate().unwrap();
+            assert_eq!(s.append_run(&run), Ok(1), "file {on_file}");
+            assert_eq!(s.stats(), one_by_one.stats(), "file {on_file}");
+            for id in 0..6 {
+                let (got, want) = (s.page_and_sum(id), one_by_one.page_and_sum(id));
+                assert_eq!(got.unwrap(), want.unwrap(), "file {on_file}, page {id}");
+            }
+
+            let mut refused = run;
+            refused[3][0] = 0xFF;
+            let before = (s.stats(), s.num_pages());
+            assert_eq!(
+                s.append_run(&refused),
+                Err(StorageError::Corrupt {
+                    page: 9,
+                    reason: CorruptReason::Decode
+                })
+            );
+            assert_eq!((s.stats(), s.num_pages()), before, "file {on_file}");
+
+            s.begin_txn();
+            assert_eq!(s.append_run(&run[..2]), Ok(6));
+            s.rollback_txn();
+            assert_eq!(s.num_pages(), 6, "file {on_file}: rollback drops the run");
+            assert_eq!(s.append_run(&run[..1]), Ok(6), "file {on_file}");
+            drop(s);
+            if on_file {
+                let len = std::fs::metadata(&path).unwrap().len();
+                assert_eq!(len, 7 * PAGE_SIZE as u64, "the file holds every page");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     // --- transactions -------------------------------------------------

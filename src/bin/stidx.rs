@@ -77,12 +77,14 @@ const USAGE: &str = "usage:
   a file-backed PPR-Tree: sort by the Hilbert order of the piece
   centers, cut it into spatial regions that each replay the whole
   timeline, pack pages bottom-up. Never holds the dataset in memory.
-  --scale-stats prints pages written / peak resident / fill factor.
+  --scale-stats prints pages written / peak resident / fill factor and
+  the seconds spent sorting, in the leaf pass, in the directory and
+  writing pages (a part of the leaf pass and the directory).
 
   --metrics FILE (any position) writes counters from the run — per-query
   I/O, build phase timings, index gauges — in Prometheus text format, or
   JSON when FILE ends in .json. A --bulk build exports
-  bulk_pages_written.";
+  bulk_pages_written and bulk_{sort,leaf,directory,write}_seconds.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -586,6 +588,21 @@ fn bulk_build_in(
         "sorted runs spooled to disk by the external sort",
         stats.spilled_runs as f64,
     );
+    // Write is the time spent appending page runs, a part of the leaf
+    // and directory phases.
+    let phases = [
+        ("sort", stats.sort_s),
+        ("leaf", stats.leaf_s),
+        ("directory", stats.directory_s),
+        ("write", stats.write_s),
+    ];
+    for (phase, seconds) in phases {
+        metrics.gauge(
+            &format!("bulk_{phase}_seconds"),
+            &format!("seconds in the bulk build's {phase} phase"),
+            seconds,
+        );
+    }
     if scale_stats {
         println!("pages written     {}", stats.pages_written);
         println!("  leaf pages      {}", stats.leaf_pages);
@@ -593,6 +610,9 @@ fn bulk_build_in(
         println!("peak resident     {} pages", stats.peak_resident_pages);
         println!("fill factor       {:.3}", stats.fill_factor);
         println!("spilled runs      {}", stats.spilled_runs);
+        for (phase, seconds) in phases {
+            println!("{:<18}{seconds:.4} s", format!("{phase} phase"));
+        }
     }
 
     let tree = index.as_ppr_mut().expect("bulk build is ppr-only");

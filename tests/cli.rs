@@ -270,6 +270,81 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
     }
 }
 
+/// A bulk build large enough to spill its sort reports its four phase
+/// times, as `--scale-stats` lines and as `--metrics` gauges: each one
+/// positive, the page writes inside the leaf pass and the directory,
+/// and all four together within the build's wall time.
+#[test]
+fn a_spilled_bulk_build_reports_its_phase_seconds() {
+    let data = temp("phases.stdat");
+    let idx = temp("phases.stidx");
+    let prom = temp("phases.prom");
+    // More objects than one 64Ki-record sort chunk holds.
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "70000", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    let start = std::time::Instant::now();
+    let out = stidx()
+        .arg("--metrics")
+        .arg(&prom)
+        .args(["build", "--bulk", "--scale-stats", "--data"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&idx)
+        .output()
+        .expect("bulk build");
+    let wall = start.elapsed().as_secs_f64();
+    assert!(
+        out.status.success(),
+        "bulk build failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let metrics = std::fs::read_to_string(&prom).expect("metrics file written");
+    let gauge = |name: &str| -> f64 {
+        let line = metrics
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("no gauge {name}:\n{metrics}"));
+        line[name.len()..].trim().parse().expect("gauge value")
+    };
+    assert!(gauge("bulk_spilled_runs") >= 1.0, "the sort must spill");
+    let mut seconds = Vec::new();
+    for phase in ["sort", "leaf", "directory", "write"] {
+        let printed: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{phase} phase")))
+            .and_then(|rest| rest.trim().strip_suffix(" s"))
+            .unwrap_or_else(|| panic!("no {phase} line in:\n{text}"))
+            .parse()
+            .expect("seconds");
+        let exported = gauge(&format!("bulk_{phase}_seconds"));
+        assert!(exported > 0.0 && printed > 0.0, "{phase}: {exported} s");
+        assert!(
+            (printed - exported).abs() < 1e-4,
+            "{phase}: {printed} vs {exported}"
+        );
+        seconds.push(exported);
+    }
+    let [sort, leaf, directory, write] = seconds[..] else {
+        unreachable!()
+    };
+    assert!(
+        write <= leaf + directory,
+        "writes happen inside those passes"
+    );
+    assert!(
+        sort + leaf + directory + write <= wall,
+        "phases {seconds:?} exceed the {wall:.3} s build"
+    );
+    for p in [&data, &idx, &prom] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 #[test]
 fn helpful_errors() {
     let out = stidx().args(["frobnicate"]).output().expect("run");

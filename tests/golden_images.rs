@@ -8,8 +8,10 @@
 //! through [`SpatioTemporalIndex::build`] into the R\*-Tree baseline too.
 //! Last, the split planner runs over the same movers (a rectangle per
 //! instant): a MergeSplit + LAGreedy plan at a 50 % budget, whose records
-//! build a PPR-Tree. The xxh64 of each saved image, and of the plan's
-//! records, is a constant below. A change to how an
+//! build a PPR-Tree. Last, the bulk loader packs the movers' pieces (a
+//! rectangle per few instants) into a page file through its external
+//! sort. The xxh64 of each saved image, of the plan's records and of the
+//! bulk loader's page file is a constant below. A change to how an
 //! update is carried out (which nodes it reads, when it writes one, how
 //! it encodes it) must leave every image as it is; a change that moves a
 //! constant changed the trees or the file format.
@@ -21,7 +23,11 @@
 //! R\*-Tree test ran the same way on commit `88a1707`, the last one whose
 //! R\*-Tree carried deletion and whose page store kept a free list. The
 //! planner test ran the same way on commit `87800fe`, whose MergeSplit
-//! still picked each merge from a lazily invalidated binary heap.
+//! still picked each merge from a lazily invalidated binary heap. The
+//! bulk-loader test ran the same way on commit `a2c3c32`, whose loader
+//! still allocated and wrote each packed page on its own, keyed the sort
+//! with the transpose-form Hilbert curve and sorted each region's events
+//! as tuples; its I/O counters were pinned on that commit too.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -30,8 +36,8 @@ use spatiotemporal_index::core::{
     OnlineSplitConfig, SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget, SplitPlan,
 };
 use spatiotemporal_index::geom::{Point2, Rect2, StBox, Time, TimeInterval};
-use spatiotemporal_index::pprtree::{PprParams, PprTree};
-use spatiotemporal_index::storage::xxh64;
+use spatiotemporal_index::pprtree::{BulkLoader, BulkPiece, PprParams, PprTree};
+use spatiotemporal_index::storage::{xxh64, FileBackend, IoStats, PageStore};
 use spatiotemporal_index::trajectory::RasterizedObject;
 
 /// xxh64 of the saved image of the tree built by `insert` / `delete`.
@@ -44,6 +50,21 @@ const RSTAR_IMAGE: u64 = 0xfab2_cdb5_23d0_e927;
 const PLAN_RECORDS: u64 = 0x0350_872f_5b6c_e2e9;
 /// xxh64 of the saved image of the PPR-Tree built from those records.
 const PLAN_IMAGE: u64 = 0x6b48_959c_de5e_c556;
+/// xxh64 of the page file the bulk loader packed the movers' pieces into.
+const BULK_PAGES: u64 = 0xdeaf_27b6_e3d9_4202;
+/// xxh64 of the saved image of that bulk-loaded tree.
+const BULK_IMAGE: u64 = 0x3618_7cb4_ebde_df64;
+/// Pages of that tree, and the store's counters right after the build.
+const BULK_COUNTS: (usize, IoStats) = (
+    287,
+    IoStats {
+        reads: 0,
+        writes: 287,
+        buffer_hits: 0,
+    },
+);
+/// Instants per bulk-loaded piece of a mover.
+const PIECE_INSTANTS: Time = 4;
 
 const OBJECTS: u64 = 600;
 const INSTANTS: Time = 200;
@@ -208,4 +229,55 @@ fn the_split_planner_emits_the_pinned_records_and_tree() {
     tree.validate();
     let digest = image_digest("plan", |path| tree.save_to_file(path));
     assert_eq!(digest, PLAN_IMAGE, "plan image digest {digest:#018x}");
+}
+
+#[test]
+fn the_bulk_loader_packs_the_pinned_pages() {
+    let dir = std::env::temp_dir().join(format!("sti-golden-bulk-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let page_file = dir.join("tree.pages");
+    let params = PprParams::default();
+    let store = PageStore::with_backend(
+        Box::new(FileBackend::create(&page_file).unwrap()),
+        params.buffer_pages,
+    );
+    // A small sort chunk, so the pieces spill to sorted runs and come
+    // back through the merge.
+    let mut loader = BulkLoader::new(params, &dir).chunk_capacity(1024);
+    let mut pieces = 0;
+    for (id, m) in (0u64..).zip(&movers()) {
+        for start in (m.start..m.end).step_by(PIECE_INSTANTS as usize) {
+            let end = (start + PIECE_INSTANTS).min(m.end);
+            let mut rect = m.at(start);
+            for t in start + 1..end {
+                rect.expand(&m.at(t));
+            }
+            let deletion = if m.end == INSTANTS && end == m.end {
+                TimeInterval::OPEN_END
+            } else {
+                end
+            };
+            loader
+                .push(BulkPiece {
+                    rect,
+                    ptr: id,
+                    insertion: start,
+                    deletion,
+                })
+                .unwrap();
+            pieces += 1;
+        }
+    }
+    let (tree, stats) = loader.finish(store).unwrap();
+    assert_eq!(stats.pieces, pieces);
+    assert!(stats.spilled_runs >= 2, "the merge must run");
+    tree.validate();
+    let counts = (tree.num_pages(), tree.io_stats());
+    let pages = xxh64(&std::fs::read(&page_file).unwrap());
+    let image = image_digest("bulk", |path| tree.save_to_file(path));
+    drop(tree);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(counts, BULK_COUNTS, "bulk build counts");
+    assert_eq!(pages, BULK_PAGES, "bulk page file digest {pages:#018x}");
+    assert_eq!(image, BULK_IMAGE, "bulk image digest {image:#018x}");
 }
