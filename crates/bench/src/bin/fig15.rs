@@ -37,6 +37,7 @@ fn scale_tier(scale: Scale) {
             ("pages_written", JsonValue::UInt(stats.pages_written)),
             ("leaf_pages", JsonValue::UInt(stats.leaf_pages)),
             ("levels", JsonValue::UInt(u64::from(stats.levels))),
+            ("slabs", JsonValue::UInt(stats.slabs)),
             ("fill_factor", JsonValue::Num(stats.fill_factor)),
             ("spilled_runs", JsonValue::UInt(stats.spilled_runs)),
             ("sort_s", JsonValue::Num(stats.sort_s)),

@@ -10,13 +10,16 @@
 
 use sti_bench::{avg_query_io, build_index, object_record};
 use sti_core::{IndexBackend, IndexConfig, ObjectRecord, SpatioTemporalIndex};
-use sti_datagen::{QuerySetSpec, RandomDatasetSpec};
+use sti_datagen::{QuerySetSpec, RailwayDatasetSpec, RandomDatasetSpec};
 use sti_storage::PageStore;
 
-/// Pages may exceed the incremental tree's by this factor.
-const PAGES_BOUND: f64 = 1.5;
-/// Average reads per query may exceed the incremental tree's by this.
-const READS_BOUND: f64 = 2.0;
+/// Pages may exceed the incremental tree's by this factor: the largest
+/// ratio reached (paper, 1.196), rounded up to the next 0.05.
+const PAGES_BOUND: f64 = 1.2;
+/// Average reads per query may exceed the incremental tree's by this:
+/// the largest ratio reached (railway interval, 1.553), rounded up to the
+/// next 0.05.
+const READS_BOUND: f64 = 1.6;
 
 fn bulk_index(records: &[ObjectRecord], tag: &str) -> SpatioTemporalIndex {
     let dir = std::env::temp_dir().join(format!("sti-quality-{tag}-{}", std::process::id()));
@@ -40,11 +43,22 @@ fn bulk_tree_is_bounded_by_the_incremental_tree() {
         "dataset", "measure", "incr", "bulk", "ratio"
     );
     let mut failures = Vec::new();
-    for (name, spec) in [
-        ("paper", RandomDatasetSpec::paper(20_000)),
-        ("big", RandomDatasetSpec::big(20_000)),
+    let random = |spec: RandomDatasetSpec| -> Vec<ObjectRecord> {
+        spec.iter().map(|o| object_record(&o)).collect()
+    };
+    // The railway trains crowd a few tracks: the loader's slabs hold a
+    // fixed count of pieces, not a fixed width of space, and must pack
+    // this skew as well as the uniform datasets.
+    let railway = RailwayDatasetSpec::paper(20_000)
+        .generate_rasterized()
+        .iter()
+        .map(object_record)
+        .collect();
+    for (name, records) in [
+        ("paper", random(RandomDatasetSpec::paper(20_000))),
+        ("big", random(RandomDatasetSpec::big(20_000))),
+        ("railway", railway),
     ] {
-        let records: Vec<ObjectRecord> = spec.iter().map(|o| object_record(&o)).collect();
         let mut incr = build_index(&records, IndexBackend::PprTree);
         let mut bulk = bulk_index(&records, name);
         let mut row = |measure: &str, incr: f64, bulk: f64, bound: f64| {

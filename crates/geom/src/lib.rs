@@ -29,14 +29,12 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes))]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod hilbert;
 pub mod interval;
 pub mod point;
 pub mod rect2;
 pub mod rect3;
 pub mod stbox;
 
-pub use hilbert::hilbert2;
 pub use interval::TimeInterval;
 pub use point::Point2;
 pub use rect2::Rect2;

@@ -4,14 +4,21 @@
 //! choose-subtree descent and version splits — faithful to the paper but
 //! O(height) page I/O per update, which at millions of pieces means hours
 //! of redundant reads. This module builds the same *kind* of structure
-//! bottom-up and append-only, borrowing the Hilbert packing shape of
-//! [`crate`]'s sibling `rstar::bulk` while respecting the partially
-//! persistent invariants that plain R-Tree packers ignore:
+//! bottom-up and append-only, borrowing the Sort-Tile-Recursive packing
+//! shape of [`crate`]'s sibling `rstar::bulk` while respecting the
+//! partially persistent invariants that plain R-Tree packers ignore:
 //!
-//! 1. **Order**: pieces are sorted by the Hilbert value of their MBR
-//!    center — space only. The sort is external: pieces are spooled to
-//!    sorted run files once a chunk limit is reached and k-way merged
-//!    back, so the dataset is never resident in memory at once.
+//! 1. **Order**: pieces are tiled the STR way by their MBR center —
+//!    space only. The external sort orders them by center x: pieces are
+//!    spooled to sorted run files once a chunk limit is reached and
+//!    k-way merged back, so the dataset is never resident in memory at
+//!    once. The merged stream is cut into `S` *slabs* of `⌈N/S⌉` pieces,
+//!    and each slab is sorted in memory by center y, the direction
+//!    alternating from slab to slab, so consecutive pieces stay
+//!    neighbours across a slab boundary too. `S` is not a knob: with `R`
+//!    the number of regions the leaf level cuts into (its average
+//!    concurrency over `B/2`), `S = ⌈√(2R)⌉`, never more than `R`
+//!    (`slab_count`).
 //! 2. **Regions**: the ordered stream is cut into spatial *regions*
 //!    that each span the whole timeline, the way an incremental node
 //!    claims a patch of space and persists across the evolution. A
@@ -37,7 +44,9 @@
 //!    its stragglers out to the next region.
 //! 4. **Recursion**: each closed window emits a directory edge
 //!    (`full_mbr`, `[start, close)`, page). The edges of a level are
-//!    ordered and cut by the same rule and replayed one level up, until
+//!    ordered by the leaves' tiling — each goes to its slab by binary
+//!    search over the leaf slabs' first x keys, then by y in that slab's
+//!    direction — cut by the same rule and replayed one level up, until
 //!    they fit a root chain, whose window intervals become the
 //!    [`RootSpan`] log.
 //!
@@ -54,18 +63,20 @@
 //!   and 8 pages (`RUN_PAGES`) at a time go to the store as one
 //!   [`PageStore::append_run`]: one write and one read-back of the whole
 //!   run on a file, with every check `PageStore::write` makes per page.
-//! * **Keys.** The Hilbert key is a table walk ([`hilbert2`]), computed
-//!   per chunk when it is sorted; each region's births and deaths are
-//!   replayed from one packed `u64` per event, sorted in place.
+//! * **Keys.** A center coordinate's key is its float bits, remapped so
+//!   integer order is float order (`ordered_bits`). The x key is set
+//!   per chunk when it is sorted and the y key once per piece when its
+//!   slab is; each region's births and deaths are replayed from one
+//!   packed `u64` per event, sorted in place.
 //! * **Spool.** Each loader names its runs after a process-wide loader
 //!   number and creates them exclusively, so two loads sharing a spool
 //!   directory cannot overwrite each other; a run's record count is kept
 //!   at spill, and a run that comes back shorter or longer fails the
 //!   merge instead of dropping pieces. A loader's runs are removed when
 //!   it is dropped, finished or not.
-//! * **Phases.** [`BulkStats`] reports seconds for the sort, the leaf
-//!   pass, the directory and the page writes, from one clock pair per
-//!   chunk, level or run.
+//! * **Phases.** [`BulkStats`] reports seconds for the sort (chunks and
+//!   slabs), the leaf pass, the directory and the page writes, from one
+//!   clock pair per chunk, slab, level or run.
 
 use crate::node::{PprEntry, PprNode, PprParams};
 use crate::tree::{PprTree, RootSpan};
@@ -76,7 +87,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use sti_geom::{hilbert2, Rect2, Time, TimeInterval};
+use sti_geom::{Rect2, Time, TimeInterval};
 use sti_storage::{PageId, PageStore, StorageError, PAGE_SIZE};
 
 /// Upper bound on pieces buffered for one region (members plus
@@ -93,6 +104,9 @@ const DEFAULT_CHUNK: usize = 1 << 16;
 
 /// Bytes per spooled sort record: key + rect + ptr + lifetime.
 const RECORD_BYTES: usize = 8 + 32 + 8 + 4 + 4;
+
+/// Most pieces in one leaf slab: one default sort chunk.
+const SLAB_MAX: usize = DEFAULT_CHUNK;
 
 /// Packed pages per [`PageStore::append_run`]: 32 KiB.
 const RUN_PAGES: usize = 8;
@@ -126,10 +140,43 @@ impl BulkPiece {
     }
 }
 
-/// The packing order at every level: Hilbert value of the MBR center.
-fn space_key(piece: &BulkPiece) -> u64 {
-    let c = piece.rect.center();
-    hilbert2(c.x, c.y)
+/// A float's bits, remapped so that unsigned order is the float's
+/// order: the sign bit flipped for positives, every bit for negatives.
+fn ordered_bits(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The external sort's key: MBR center x.
+fn x_key(piece: &BulkPiece) -> u64 {
+    ordered_bits(piece.rect.center().x)
+}
+
+/// The key within a slab: MBR center y, descending in odd slabs.
+fn y_key(piece: &BulkPiece, slab: usize) -> u64 {
+    let y = ordered_bits(piece.rect.center().y);
+    if slab.is_multiple_of(2) {
+        y
+    } else {
+        !y
+    }
+}
+
+/// Slabs of the tiling for a level of lifetime mass `mass` whose regions
+/// each take `region_mass`, so `R = mass / region_mass` regions:
+/// the least `S` with `S² ≥ 2R`, but never more slabs than regions, so a
+/// slab holds at least one region. `R ≤ 1` gives one slab — plain y
+/// order. DESIGN.md §11 has the sweep that chose the rule.
+fn slab_count(mass: u128, region_mass: u128) -> usize {
+    let mut s: u128 = 1;
+    while region_mass > 0 && s * s * region_mass < 2 * mass && (s + 1) * region_mass <= mass {
+        s += 1;
+    }
+    usize::try_from(s).unwrap_or(usize::MAX)
 }
 
 /// Why a bulk load failed.
@@ -212,15 +259,18 @@ pub struct BulkStats {
     /// `entries_recorded / (pages_written · B)` — page utilization.
     pub fill_factor: f64,
     /// Peak number of pieces and edges held in memory during the build:
-    /// the open region, its spill and carry, and the pending directory
-    /// edges.
+    /// the leaf slab being cut, the open region, its spill and carry, and
+    /// the pending directory edges.
     pub peak_resident_pages: u64,
+    /// Slabs of the tiling every level is ordered by.
+    pub slabs: u64,
     /// Sorted runs spooled to disk (0 when the input fit one chunk).
     pub spilled_runs: u64,
-    /// Seconds keying the pieces, sorting each chunk and writing the
-    /// spooled runs.
+    /// Seconds keying the pieces, sorting each chunk, writing the
+    /// spooled runs and sorting each leaf slab by y.
     pub sort_s: f64,
-    /// Seconds in the leaf pass, the merge of the spooled runs included.
+    /// Seconds in the leaf pass, the merge of the spooled runs included
+    /// and the slab sorts not.
     pub leaf_s: f64,
     /// Seconds packing the directory levels and the root chain.
     pub directory_s: f64,
@@ -229,7 +279,7 @@ pub struct BulkStats {
     pub write_s: f64,
 }
 
-/// One 56-byte sort record: Hilbert key plus the piece itself. The
+/// One 56-byte sort record: x or y key plus the piece itself. The
 /// total order used everywhere is `(key, ptr, insertion, deletion)` —
 /// rect coordinates are excluded so the comparator is total without
 /// trusting float ordering.
@@ -315,6 +365,11 @@ pub struct BulkLoader {
     alive: u64,
     min_seen: Time,
     max_seen: Time,
+    /// Lifetime mass of the closed pieces pushed.
+    closed_mass: u128,
+    /// Sum of the open pieces' insertions: their mass once `finish`
+    /// knows the horizon they are clamped to.
+    open_starts: u128,
     /// Seconds sorting and spilling so far.
     sort_s: f64,
 }
@@ -340,6 +395,8 @@ impl BulkLoader {
             alive: 0,
             min_seen: Time::MAX,
             max_seen: 0,
+            closed_mass: 0,
+            open_starts: 0,
             sort_s: 0.0,
         }
     }
@@ -367,8 +424,10 @@ impl BulkLoader {
         self.min_seen = self.min_seen.min(piece.insertion);
         if piece.deletion == TimeInterval::OPEN_END {
             self.alive += 1;
+            self.open_starts += u128::from(piece.insertion);
             self.max_seen = self.max_seen.max(piece.insertion);
         } else {
+            self.closed_mass += u128::from(piece.deletion - piece.insertion);
             self.max_seen = self.max_seen.max(piece.deletion);
         }
         self.chunk.push(SortRecord { key: 0, piece });
@@ -413,6 +472,34 @@ impl BulkLoader {
         Ok(())
     }
 
+    /// Slabs of the leaf level's tiling: [`slab_count`] of the regions
+    /// the cutter will make. That is the pushed pieces' lifetime mass —
+    /// still-open pieces clamped to the horizon the way
+    /// [`average_concurrency`] clamps them — over the mass of one
+    /// `B/2`-member region across the occupied span, or, on a timeline
+    /// too sparse to reach that mass, the pieces over [`REGION_MAX`].
+    fn slab_count(&self) -> usize {
+        let horizon = self.max_seen.max(1);
+        let hi = if self.alive > 0 {
+            horizon.saturating_add(1)
+        } else {
+            horizon
+        };
+        let open_mass = u128::from(self.alive) * u128::from(hi) - self.open_starts;
+        let span = u128::from(hi.saturating_sub(self.min_seen));
+        let half = (self.params.max_entries / 2).max(1) as u128;
+        // The rule grows with `R`, so the larger `R` gives the larger count.
+        slab_count(self.closed_mass + open_mass, span * half)
+            .max(slab_count(u128::from(self.pieces), REGION_MAX as u128))
+    }
+
+    /// Pieces per leaf slab: `⌈N/S⌉`, but never more than a default sort
+    /// chunk, so the working set stays bounded whatever `N`.
+    fn slab_len(&self) -> usize {
+        let len = self.pieces.div_ceil(self.slab_count() as u64);
+        usize::try_from(len).map_or(SLAB_MAX, |l| l.clamp(1, SLAB_MAX))
+    }
+
     /// Sort, pack, and assemble the tree into `store` (append-only page
     /// writes). Returns the finished tree and the build counters.
     ///
@@ -434,14 +521,16 @@ impl BulkLoader {
         } else if !self.chunk.is_empty() {
             self.spill_run()?;
         }
-        stats.sort_s = self.sort_s;
 
         let leaf_start = Instant::now();
-        let mut stream = if self.runs.is_empty() {
-            SortedStream::Mem(std::mem::take(&mut self.chunk).into_iter())
+        // A spilled sort is done with its chunk buffer: the leaf slabs
+        // reuse it.
+        let chunk = std::mem::take(&mut self.chunk);
+        let (stream, slab_buf) = if self.runs.is_empty() {
+            (SortedStream::Mem(chunk.into_iter()), Vec::new())
         } else {
             stats.spilled_runs = self.runs.len() as u64;
-            SortedStream::merge(&self.runs)?
+            (SortedStream::merge(&self.runs)?, chunk)
         };
         // Guard the pool from the first packed page on: the loader's
         // write-through installs are checked like any other.
@@ -458,27 +547,35 @@ impl BulkLoader {
             horizon,
         };
 
-        // Level 0 reads the merged sort; every level above reads the
-        // edges of the one below, ordered by the same key. A level whose
-        // edges are too sparse for even one region to stay above the
-        // weak minimum (average concurrency below `D`) is left to the
-        // root chain, which is exempt from the weak condition — exactly
-        // how the incremental tree absorbs a near-sequential history, as
-        // root log spans.
+        // Level 0 reads the merged sort a slab at a time; every level
+        // above reads the edges of the one below, ordered by the same
+        // tiling. A level whose edges are too sparse for even one region
+        // to stay above the weak minimum (average concurrency below `D`)
+        // is left to the root chain, which is exempt from the weak
+        // condition — exactly how the incremental tree absorbs a
+        // near-sequential history, as root log spans.
+        let mut slabs = Slabs::new(stream, self.slab_len(), slab_buf);
         let mut level = 0u32;
-        let mut edges = pack_level(|| stream.next(), level, &shape, &mut pages, &mut stats)?;
-        stream.merged_all(self.pieces)?;
+        let mut edges = pack_level(&mut slabs, level, &shape, &mut pages, &mut stats)?;
+        slabs.stream.merged_all(self.pieces)?;
+        stats.slabs = slabs.filled as u64;
         stats.leaf_pages = stats.pages_written;
-        stats.leaf_s = leaf_start.elapsed().as_secs_f64();
+        stats.sort_s = self.sort_s + slabs.sort_s;
+        stats.leaf_s = leaf_start.elapsed().as_secs_f64() - slabs.sort_s;
 
         let directory_start = Instant::now();
         while edges.len() > fanout && average_concurrency(&edges, horizon) >= weak_min as f64 {
             let before = edges.len();
             stats.peak_resident_pages = stats.peak_resident_pages.max(before as u64);
-            edges.sort_by_cached_key(|p| order_key(space_key(p), p));
-            let mut ordered = edges.into_iter();
+            tile_order(&mut edges, &slabs.bounds);
             level += 1;
-            edges = pack_level(|| Ok(ordered.next()), level, &shape, &mut pages, &mut stats)?;
+            edges = pack_level(
+                &mut edges.into_iter(),
+                level,
+                &shape,
+                &mut pages,
+                &mut stats,
+            )?;
             if edges.len() >= before {
                 break;
             }
@@ -515,12 +612,116 @@ impl Drop for BulkLoader {
     }
 }
 
-/// Key every record of `chunk` and sort it into the build's total order.
+/// Key every record of `chunk` by x and sort it into the build's total
+/// order.
 fn sort_chunk(chunk: &mut [SortRecord]) {
     for rec in chunk.iter_mut() {
-        rec.key = space_key(&rec.piece);
+        rec.key = x_key(&rec.piece);
     }
     chunk.sort_unstable_by_key(SortRecord::order_key);
+}
+
+/// A level's input, in tile order.
+trait Ordered {
+    fn next(&mut self) -> Result<Option<BulkPiece>, BulkError>;
+
+    /// Pieces buffered in memory and not yet handed out.
+    fn held(&self) -> usize;
+}
+
+/// A directory level's edges, already in [`tile_order`]. They are
+/// counted as resident whole, before their level is packed.
+impl Ordered for std::vec::IntoIter<BulkPiece> {
+    fn next(&mut self) -> Result<Option<BulkPiece>, BulkError> {
+        Ok(Iterator::next(self))
+    }
+
+    fn held(&self) -> usize {
+        0
+    }
+}
+
+/// The leaf level's tiling: the x-ordered sort cut into slabs of `len`
+/// pieces, each sorted by y in its own direction as it is reached. The
+/// slab buffer is the only part of the sorted stream held in memory.
+struct Slabs {
+    stream: SortedStream,
+    len: usize,
+    buf: Vec<SortRecord>,
+    /// Next record of `buf` to hand out.
+    at: usize,
+    /// Slabs filled so far.
+    filled: usize,
+    /// The x key of each slab's first piece, from the second slab on:
+    /// where the directory levels cut their slabs.
+    bounds: Vec<u64>,
+    /// Seconds keying and sorting the slabs.
+    sort_s: f64,
+}
+
+impl Slabs {
+    fn new(stream: SortedStream, len: usize, buf: Vec<SortRecord>) -> Self {
+        Self {
+            stream,
+            len,
+            buf,
+            at: 0,
+            filled: 0,
+            bounds: Vec::new(),
+            sort_s: 0.0,
+        }
+    }
+
+    /// Fill the next slab from the stream and sort it by y.
+    fn fill(&mut self) -> Result<(), BulkError> {
+        self.buf.clear();
+        self.at = 0;
+        while self.buf.len() < self.len {
+            let Some(rec) = self.stream.next()? else {
+                break;
+            };
+            self.buf.push(rec);
+        }
+        let start = Instant::now();
+        if let Some(first) = self.buf.first() {
+            if self.filled > 0 {
+                self.bounds.push(first.key);
+            }
+            for rec in &mut self.buf {
+                rec.key = y_key(&rec.piece, self.filled);
+            }
+            self.buf.sort_unstable_by_key(SortRecord::order_key);
+            self.filled += 1;
+        }
+        self.sort_s += start.elapsed().as_secs_f64();
+        Ok(())
+    }
+}
+
+impl Ordered for Slabs {
+    fn next(&mut self) -> Result<Option<BulkPiece>, BulkError> {
+        if self.at == self.buf.len() {
+            self.fill()?;
+        }
+        let piece = self.buf.get(self.at).map(|r| r.piece);
+        self.at = self.buf.len().min(self.at + 1);
+        Ok(piece)
+    }
+
+    fn held(&self) -> usize {
+        self.buf.len() - self.at
+    }
+}
+
+/// Order a directory level's edges by the leaves' tiling: each edge goes
+/// to the slab whose x range holds its center, by binary search over the
+/// leaf slab bounds, then by y in that slab's direction.
+fn tile_order(edges: &mut [BulkPiece], bounds: &[u64]) {
+    edges.sort_by_cached_key(|p| {
+        let x = x_key(p);
+        let slab = bounds.partition_point(|&b| b <= x);
+        (slab, order_key(y_key(p, slab), p))
+    });
 }
 
 /// Lifetime end clamped to the data horizon: still-open pieces count as
@@ -608,7 +809,7 @@ struct LevelShape {
     horizon: Time,
 }
 
-/// Cuts a stream ordered by [`space_key`] into spatial regions — the one
+/// Cuts a stream in tile order into spatial regions — the one
 /// grouping rule, for leaves and directory levels alike. Each region
 /// spans the whole timeline, like an incremental node, and closes once
 /// its lifetime mass would sustain about `B/2` concurrently alive
@@ -683,12 +884,12 @@ impl RegionCutter {
     }
 }
 
-/// Pack one level: cut the ordered stream `next` into regions and replay
+/// Pack one level: cut the ordered `source` into regions and replay
 /// each into nodes at `level`, returning their edges. Stragglers carried
 /// out of a region's terminal decline join the (spatially adjacent) next
 /// region; replay orders by time internally.
 fn pack_level(
-    mut next: impl FnMut() -> Result<Option<BulkPiece>, BulkError>,
+    source: &mut impl Ordered,
     level: u32,
     shape: &LevelShape,
     pages: &mut PageRun,
@@ -698,7 +899,7 @@ fn pack_level(
     let mut out: Vec<BulkPiece> = Vec::new();
     let mut carry: Vec<BulkPiece> = Vec::new();
     // The working set peaks right before a replay: `buffered` is what
-    // the cutter still holds past the region it just closed.
+    // the cutter and the source still hold past the region just closed.
     let mut replay = |mut region: Vec<BulkPiece>,
                       carry: &mut Vec<BulkPiece>,
                       buffered: usize|
@@ -719,9 +920,9 @@ fn pack_level(
             &mut out,
         )
     };
-    while let Some(p) = next()? {
+    while let Some(p) = source.next()? {
         if let Some(region) = cutter.push(p) {
-            replay(region, &mut carry, cutter.resident())?;
+            replay(region, &mut carry, cutter.resident() + source.held())?;
         }
     }
     while let Some(region) = cutter.drain() {
@@ -1207,9 +1408,9 @@ impl SortedStream {
         })
     }
 
-    fn next(&mut self) -> Result<Option<BulkPiece>, BulkError> {
+    fn next(&mut self) -> Result<Option<SortRecord>, BulkError> {
         match self {
-            SortedStream::Mem(it) => Ok(it.next().map(|r| r.piece)),
+            SortedStream::Mem(it) => Ok(it.next()),
             SortedStream::Merge {
                 readers,
                 heap,
@@ -1228,7 +1429,7 @@ impl SortedStream {
                         }));
                     }
                 }
-                Ok(Some(item.rec.piece))
+                Ok(Some(item.rec))
             }
         }
     }
@@ -1287,6 +1488,62 @@ mod tests {
             let kind = u8::from(key & BIRTH != 0);
             assert_eq!((event_time(key), kind, event_piece(key)), tuple);
         }
+    }
+
+    /// The slab rule: `⌈√(2R)⌉` slabs for `R` regions — 11 at the
+    /// benchmark tree's `R = 60` — never more slabs than regions, and one
+    /// slab, plain y order, at `R ≤ 1`.
+    #[test]
+    fn the_slab_rule_pins_its_counts() {
+        let region = 25 * 1001;
+        assert_eq!(slab_count(60 * region, region), 11);
+        assert_eq!(slab_count(60 * region - 1, region), 11);
+        assert_eq!(slab_count(240 * region, region), 22);
+        for mass in [0, 1, region / 2, region, 2 * region - 1] {
+            assert_eq!(slab_count(mass, region), 1, "R = {mass}/{region}");
+        }
+        assert_eq!(slab_count(2 * region, region), 2);
+        assert_eq!(slab_count(3 * region, region), 3);
+        assert_eq!(slab_count(5 * region, 0), 1, "a zero region mass");
+    }
+
+    /// The mass `push` accumulates is the mass [`average_concurrency`]
+    /// sums over the same pieces, open ones clamped to the horizon.
+    #[test]
+    fn the_pushed_mass_is_the_leaf_levels_mass() {
+        let mut loader = BulkLoader::new(PprParams::default(), std::env::temp_dir());
+        let mut pieces = Vec::new();
+        for i in 0..500u32 {
+            let insertion = (i * 37) % 400;
+            let piece = BulkPiece {
+                rect: Rect2::from_bounds(0.1, 0.1, 0.2, 0.2),
+                ptr: u64::from(i),
+                insertion,
+                deletion: if i % 7 == 0 {
+                    TimeInterval::OPEN_END
+                } else {
+                    insertion + 1 + i % 90
+                },
+            };
+            loader.push(piece).unwrap();
+            pieces.push(piece);
+        }
+        let horizon = loader.max_seen.max(1);
+        let cc = average_concurrency(&pieces, horizon);
+        let half = (PprParams::default().max_entries / 2) as f64;
+        let rule = ((2.0 * cc / half).sqrt().ceil())
+            .min((cc / half).floor())
+            .max(1.0);
+        assert_eq!(loader.slab_count() as f64, rule, "average concurrency {cc}");
+        assert!(loader.slab_count() > 1, "the test needs more than one slab");
+    }
+
+    #[test]
+    fn ordered_bits_sort_like_the_floats() {
+        let mut values = [-2.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, f64::MAX, -f64::MAX];
+        values.sort_by(f64::total_cmp);
+        let keys: Vec<u64> = values.iter().map(|&v| ordered_bits(v)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
 
     #[test]

@@ -37,14 +37,18 @@
 //!   two entries for the same `(id, rect)` with overlapping lifetimes.
 //! - **Record accounting**: the alive-entry count over the current
 //!   ephemeral tree equals [`PprTree::alive_records`].
+//!
+//! [`profile`] describes instead of checking: per level, the nodes a
+//! query at a sampled instant meets, their area, and how much siblings
+//! overlap — peeked the same way, off the I/O books.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use sti_geom::{Time, TimeInterval};
+use sti_geom::{Rect2, Time, TimeInterval};
 use sti_storage::PageId;
 
-use crate::node::PprNode;
+use crate::node::{PprEntry, PprNode};
 use crate::tree::{PprTree, RootSpan};
 
 /// Which invariant a [`Violation`] breaks.
@@ -743,6 +747,118 @@ impl Checker<'_> {
             });
             Err(self.violations)
         }
+    }
+}
+
+/// Instants a [`profile`] samples, evenly spaced over the root log.
+pub const PROFILE_INSTANTS: u64 = 16;
+
+/// One level of a [`profile`]: the ephemeral trees at the sampled
+/// instants, seen at that level.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LevelProfile {
+    /// Level (leaf = 0).
+    pub level: u32,
+    /// Nodes alive at a sampled instant, mean over the instants.
+    pub nodes_mean: f64,
+    /// Nodes alive at a sampled instant, max over the instants.
+    pub nodes_max: usize,
+    /// Mean area of those nodes' MBRs: the rectangle of the edge that
+    /// leads to the node, or a root's hull of its alive entries.
+    pub mean_area: f64,
+    /// Mean overlap area of two siblings alive at the same instant, over
+    /// every such pair (0 when there is none).
+    pub mean_overlap: f64,
+}
+
+/// Per-level shape of the tree at [`PROFILE_INSTANTS`] instants evenly
+/// spaced over the root log, leaf first: one row per level up to the
+/// tallest root. Pages are peeked, so the profile costs no counted I/O; a
+/// page that fails to decode, or is not at the level its parent expects,
+/// is skipped (see [`validate`]).
+pub fn profile(tree: &PprTree) -> Vec<LevelProfile> {
+    let spans = tree.roots();
+    let (Some(first), Some(last)) = (spans.first(), spans.last()) else {
+        return Vec::new();
+    };
+    let lo = u64::from(first.interval.start);
+    let hi = u64::from(last.interval.end.min(tree.now().saturating_add(1))).max(lo + 1);
+    let levels = spans.iter().map(|s| s.level).max().unwrap_or(0);
+    let mut sums = vec![LevelSums::default(); levels as usize + 1];
+    let mut nodes: HashMap<PageId, Option<PprNode>> = HashMap::new();
+    for i in 0..PROFILE_INSTANTS {
+        let t = Time::try_from(lo + (2 * i + 1) * (hi - lo) / (2 * PROFILE_INSTANTS))
+            .unwrap_or(Time::MAX);
+        let mut alive = vec![0usize; sums.len()];
+        let span = spans.iter().find(|s| s.interval.contains(t));
+        let mut stack: Vec<(PageId, Option<Rect2>, u32)> =
+            span.map(|s| (s.page, None, s.level)).into_iter().collect();
+        while let Some((page, edge, level)) = stack.pop() {
+            let node = nodes.entry(page).or_insert_with(|| {
+                let raw = tree.store_ref().peek(page)?;
+                PprNode::decode(&raw).ok()
+            });
+            let Some(node) = node.as_ref().filter(|n| n.level == level) else {
+                continue;
+            };
+            let children: Vec<&PprEntry> = node.entries.iter().filter(|e| e.alive_at(t)).collect();
+            let mbr = edge.or_else(|| children.iter().map(|e| e.rect).reduce(|a, b| a.union(&b)));
+            let Some(row) = sums.get_mut(node.level as usize) else {
+                continue;
+            };
+            row.area += mbr.map_or(0.0, |r| r.area());
+            if let Some(n) = alive.get_mut(node.level as usize) {
+                *n += 1;
+            }
+            if node.is_leaf() {
+                continue;
+            }
+            if let Some(below) = sums.get_mut(node.level as usize - 1) {
+                for (i, a) in children.iter().enumerate() {
+                    for b in children.iter().skip(i + 1) {
+                        below.overlap += a.rect.overlap_area(&b.rect);
+                        below.pairs += 1;
+                    }
+                }
+            }
+            stack.extend(
+                children
+                    .iter()
+                    .map(|e| (e.child_page(), Some(e.rect), level - 1)),
+            );
+        }
+        for (row, n) in sums.iter_mut().zip(alive) {
+            row.nodes += n;
+            row.nodes_max = row.nodes_max.max(n);
+        }
+    }
+    sums.iter()
+        .zip(0..)
+        .map(|(row, level)| LevelProfile {
+            level,
+            nodes_mean: row.nodes as f64 / PROFILE_INSTANTS as f64,
+            nodes_max: row.nodes_max,
+            mean_area: ratio(row.area, row.nodes),
+            mean_overlap: ratio(row.overlap, row.pairs),
+        })
+        .collect()
+}
+
+/// Running sums of one level of a [`profile`].
+#[derive(Debug, Clone, Copy, Default)]
+struct LevelSums {
+    nodes: usize,
+    nodes_max: usize,
+    area: f64,
+    overlap: f64,
+    pairs: usize,
+}
+
+fn ratio(sum: f64, count: usize) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
     }
 }
 

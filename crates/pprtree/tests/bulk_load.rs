@@ -32,7 +32,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Random pieces in the unit square: a mix of 1-instant, short and
 /// evolution-long lifetimes, with a third of the centers drawn from four
-/// fixed points — many pieces on one `hilbert2` key, alive together, so
+/// fixed points — many pieces on one sort key, alive together, so
 /// the cutter's spill and the replay's carry both run. A sprinkle of
 /// still-open lifetimes when `with_open`.
 fn random_pieces(seed: u64, n: usize, with_open: bool) -> Vec<BulkPiece> {

@@ -38,7 +38,7 @@
 
 use crate::checksum::xxh64;
 use crate::{MemBackend, PageBackend as _, PageId, PageStore, PAGE_SIZE};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix identifying index files (format version 2).
@@ -296,30 +296,37 @@ impl PageStore {
     ///
     /// Fails closed: any truncation, checksum mismatch, epoch mismatch,
     /// or inconsistent length field rejects the whole file.
+    ///
+    /// The file is decoded as it is read, a page at a time, so opening
+    /// holds the decoded store and one page of the file, never the whole
+    /// image beside it.
     pub fn load_from(path: &Path, buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        let bytes = std::fs::read(path)?;
-        Self::decode(&bytes, buffer_pages)
+        let file = std::fs::File::open(path)?;
+        Self::decode_from(BufReader::new(file), buffer_pages)
     }
 
     /// Validate and decode a version-2 byte image (see
     /// [`PageStore::load_from`]).
     pub fn decode(bytes: &[u8], buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        let mut r = Reader { bytes, at: 0 };
+        Self::decode_from(bytes, buffer_pages)
+    }
+
+    /// Validate and decode a version-2 image read from `image`, in file
+    /// order: every check runs as soon as its region has been read.
+    fn decode_from(image: impl Read, buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
+        let mut r = Reader { inner: image };
 
         // Header: a zero-byte file and a half-written header both land
         // in the same Truncated arm here.
-        let header = r.take(HEADER_LEN)?;
+        let header: [u8; HEADER_LEN] = r.take_array()?;
         let header_sum = r.take_u64()?;
-        let mut h = Reader {
-            bytes: header,
-            at: 0,
-        };
+        let mut h = Reader { inner: &header[..] };
         // Distinguish "different format entirely" from "our format,
         // damaged": magic is checked on the raw bytes first.
-        if h.take(MAGIC.len())? != MAGIC {
+        if &h.take_array::<8>()? != MAGIC {
             return Err(OpenError::BadMagic);
         }
-        if xxh64(header) != header_sum {
+        if xxh64(&header) != header_sum {
             return Err(OpenError::Corrupt {
                 region: Region::Header,
             });
@@ -335,14 +342,14 @@ impl PageStore {
             return Err(OpenError::Malformed("non-empty free list"));
         }
 
-        let meta = r.take(meta_len)?;
+        let mut meta = vec![0u8; meta_len];
+        r.fill(&mut meta)?;
         let meta_sum = r.take_u64()?;
-        if xxh64(meta) != meta_sum {
+        if xxh64(&meta) != meta_sum {
             return Err(OpenError::Corrupt {
                 region: Region::Meta,
             });
         }
-        let meta = meta.to_vec();
 
         if xxh64(&[]) != r.take_u64()? {
             return Err(OpenError::Corrupt {
@@ -351,13 +358,14 @@ impl PageStore {
         }
 
         let mut pages = MemBackend::new();
+        let mut page_bytes = [0u8; PAGE_SIZE];
         for _ in 0..page_count {
-            let page_bytes = r.take(PAGE_SIZE)?;
+            r.fill(&mut page_bytes)?;
             let page_sum = r.take_u64()?;
             let id = pages
                 .allocate()
                 .map_err(|_| OpenError::Malformed("page id overflow"))?;
-            if xxh64(page_bytes) != page_sum || pages.write(id, page_bytes).is_err() {
+            if xxh64(&page_bytes) != page_sum || pages.write(id, &page_bytes).is_err() {
                 return Err(OpenError::Corrupt {
                     region: Region::Page(id),
                 });
@@ -372,8 +380,10 @@ impl PageStore {
                 trailer,
             });
         }
-        if r.at != bytes.len() {
-            return Err(OpenError::Malformed("trailing bytes after trailer"));
+        match r.fill(&mut [0u8; 1]) {
+            Err(OpenError::Truncated { .. }) => {}
+            Ok(()) => return Err(OpenError::Malformed("trailing bytes after trailer")),
+            Err(e) => return Err(e),
         }
 
         store.set_epoch(epoch);
@@ -381,29 +391,37 @@ impl PageStore {
     }
 }
 
-/// Cursor over the raw file image; every short read is a typed
+/// Cursor over the image as it is read; every short read is a typed
 /// [`OpenError::Truncated`].
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
+struct Reader<R> {
+    inner: R,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], OpenError> {
-        let end = self.at.checked_add(n).ok_or(OpenError::Malformed(
-            "region length overflows the file offset",
-        ))?;
-        let out = self.bytes.get(self.at..end).ok_or(OpenError::Truncated {
-            needed: n,
-            have: self.bytes.len() - self.at,
-        })?;
-        self.at = end;
-        Ok(out)
+impl<R: Read> Reader<R> {
+    /// Fill `buf` from the image. The file ending first is
+    /// [`OpenError::Truncated`], with the bytes that were left.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), OpenError> {
+        let mut have = 0;
+        while let Some(rest) = buf.get_mut(have..).filter(|r| !r.is_empty()) {
+            match self.inner.read(rest) {
+                Ok(0) => {
+                    return Err(OpenError::Truncated {
+                        needed: buf.len(),
+                        have,
+                    })
+                }
+                Ok(n) => have += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(OpenError::Io(e)),
+            }
+        }
+        Ok(())
     }
 
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
-        let short = OpenError::Malformed("a take returned fewer bytes than asked");
-        self.take(N)?.try_into().map_err(|_| short)
+        let mut out = [0u8; N];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 
     fn take_u64(&mut self) -> Result<u64, OpenError> {
@@ -489,6 +507,59 @@ mod tests {
             &[7]
         );
         assert_eq!(back.allocate().unwrap(), 3, "allocation appends");
+    }
+
+    /// Hands out at most one byte per read, and is interrupted before
+    /// every one of them.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            match (self.bytes.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.bytes = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_read_a_byte_at_a_time_decodes_to_the_same_store() {
+        let (store, ..) = small_store();
+        let image = store.encode(b"trickled meta", 5).unwrap();
+        let trickle = |bytes| Trickle {
+            bytes,
+            interrupt: false,
+        };
+        let (back, meta) = PageStore::decode_from(trickle(&image), 2).unwrap();
+        assert_eq!(meta, b"trickled meta");
+        assert_eq!(back.epoch(), 5);
+        assert_eq!(back.encode(&meta, 5).unwrap(), image, "same pages");
+
+        // A damaged image fails the same way however it is delivered.
+        let mut flipped = image.clone();
+        flipped[image.len() - 100] ^= 1;
+        let mut long = image.clone();
+        long.push(0);
+        let mut damaged = vec![flipped, long];
+        for cut in [0, 20, 40, 80, image.len() / 2, image.len() - 1] {
+            damaged.push(image[..cut].to_vec());
+        }
+        for bytes in &damaged {
+            let whole = PageStore::decode(bytes, 2).unwrap_err();
+            let trickled = PageStore::decode_from(trickle(bytes), 2).unwrap_err();
+            assert_eq!(format!("{whole:?}"), format!("{trickled:?}"));
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ const USAGE: &str = "usage:
   stidx ingest   --data FILE --out FILE [--commit-every N]
                  [--wal DIR] [--fsync always|commit|N] [--checkpoint-every N]
   stidx recover  --wal DIR --out FILE [--fsync always|commit|N]
-  stidx check    FILE | --index FILE
+  stidx check    FILE | --index FILE [--profile]
 
   --wal DIR makes ingest durable: every accepted operation is logged
   (fsynced per --fsync: every append, at commit only, or every N
@@ -74,12 +74,18 @@ const USAGE: &str = "usage:
   big tier generates in constant space.
 
   --bulk streams the dataset through the external-sort bulk loader into
-  a file-backed PPR-Tree: sort by the Hilbert order of the piece
-  centers, cut it into spatial regions that each replay the whole
-  timeline, pack pages bottom-up. Never holds the dataset in memory.
-  --scale-stats prints pages written / peak resident / fill factor and
-  the seconds spent sorting, in the leaf pass, in the directory and
-  writing pages (a part of the leaf pass and the directory).
+  a file-backed PPR-Tree: sort the piece centers into STR tiles (x
+  slabs, y within each), cut that order into spatial regions that each
+  replay the whole timeline, pack pages bottom-up. Never holds the
+  dataset in memory. --scale-stats prints pages written / slabs / peak
+  resident / fill factor and the seconds spent sorting, in the leaf
+  pass, in the directory and writing pages (a part of the leaf pass and
+  the directory).
+
+  --profile adds one row per tree level: nodes alive (mean and max over
+  16 evenly spaced instants), their mean MBR area, and the mean overlap
+  area of siblings alive at the same instant. Pages are peeked, so the
+  profile reads nothing through the buffer pool.
 
   --metrics FILE (any position) writes counters from the run — per-query
   I/O, build phase timings, index gauges — in Prometheus text format, or
@@ -148,13 +154,21 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
     // `check` and `stats` take their file as a bare positional too
     // (`stidx stats index.stidx`), matching fsck-style tools.
     if cmd == "check" {
-        if let [path] = rest {
-            if !path.starts_with("--") {
-                return check(&PathBuf::from(path));
-            }
-        }
-        let opts = parse_flags(rest, &["index"], &[])?;
-        return check(&PathBuf::from(opts.need("index")?));
+        let (positional, flags) = match rest.split_first() {
+            Some((path, flags)) if !path.starts_with("--") => (Some(path), flags),
+            _ => (None, rest),
+        };
+        let vocabulary: &[&str] = if positional.is_some() {
+            &[]
+        } else {
+            &["index"]
+        };
+        let opts = parse_flags(flags, vocabulary, &["profile"])?;
+        let path = match positional {
+            Some(path) => PathBuf::from(path),
+            None => PathBuf::from(opts.need("index")?),
+        };
+        return check(&path, opts.has("profile"), metrics);
     }
     if cmd == "stats" {
         if let [path] = rest {
@@ -212,8 +226,9 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
 }
 
 /// Open a saved PPR-Tree index and run the full-history invariant
-/// sanitizer over it ([`spatiotemporal_index::pprtree::check`]).
-fn check(path: &Path) -> Result<(), String> {
+/// sanitizer over it ([`spatiotemporal_index::pprtree::check`]); with
+/// `profile`, print and export its per-level profile too.
+fn check(path: &Path, profile: bool, metrics: &mut MetricSet) -> Result<(), String> {
     use spatiotemporal_index::pprtree::check::validate;
     let tree = PprTree::open_file(path).map_err(|e| {
         format!(
@@ -224,6 +239,9 @@ fn check(path: &Path) -> Result<(), String> {
     match validate(&tree) {
         Ok(report) => {
             println!("{}: ok — {report}", path.display());
+            if profile {
+                print_profile(&tree, metrics);
+            }
             Ok(())
         }
         Err(violations) => {
@@ -503,6 +521,53 @@ fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     Ok(())
 }
 
+/// `stidx check --profile`: one row per level, leaf first, printed and
+/// exported as gauges labelled by level.
+fn print_profile(tree: &PprTree, metrics: &mut MetricSet) {
+    use spatiotemporal_index::pprtree::check::{profile, PROFILE_INSTANTS};
+    let rows = profile(tree);
+    println!(
+        "profile over {PROFILE_INSTANTS} instants:\n{:>5} {:>10} {:>9} {:>12} {:>12}",
+        "level", "nodes_mean", "nodes_max", "mean_area", "mean_overlap"
+    );
+    for row in &rows {
+        println!(
+            "{:>5} {:>10.2} {:>9} {:>12.6} {:>12.6}",
+            row.level, row.nodes_mean, row.nodes_max, row.mean_area, row.mean_overlap
+        );
+    }
+    let gauges = [
+        (
+            "check_profile_nodes_alive_mean",
+            "nodes alive at a sampled instant, mean over the instants",
+        ),
+        (
+            "check_profile_nodes_alive_max",
+            "nodes alive at a sampled instant, max over the instants",
+        ),
+        (
+            "check_profile_mean_area",
+            "mean MBR area of the nodes alive at a sampled instant",
+        ),
+        (
+            "check_profile_mean_overlap",
+            "mean overlap area of two siblings alive at the same instant",
+        ),
+    ];
+    for (k, (name, help)) in gauges.into_iter().enumerate() {
+        for row in &rows {
+            let values = [
+                row.nodes_mean,
+                row.nodes_max as f64,
+                row.mean_area,
+                row.mean_overlap,
+            ];
+            let level = row.level.to_string();
+            metrics.gauge_with(name, help, &[("level", &level)], values[k]);
+        }
+    }
+}
+
 /// `stidx build --bulk`: stream the dataset through the external-sort
 /// bulk loader into a file-backed PPR-Tree, then persist it in the
 /// standard `STIDX1` format (so `stidx check` / `query` / `stats` work
@@ -607,6 +672,7 @@ fn bulk_build_in(
         println!("pages written     {}", stats.pages_written);
         println!("  leaf pages      {}", stats.leaf_pages);
         println!("levels            {}", stats.levels);
+        println!("slabs             {}", stats.slabs);
         println!("peak resident     {} pages", stats.peak_resident_pages);
         println!("fill factor       {:.3}", stats.fill_factor);
         println!("spilled runs      {}", stats.spilled_runs);

@@ -346,6 +346,84 @@ fn a_spilled_bulk_build_reports_its_phase_seconds() {
 }
 
 #[test]
+fn check_profile_prints_one_finite_row_per_level() {
+    let data = temp("profile.stdat");
+    let idx = temp("profile.stidx");
+    let prom = temp("profile.prom");
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "4000", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    let out = stidx()
+        .args(["build", "--bulk", "--scale-stats", "--data"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&idx)
+        .output()
+        .expect("bulk build");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let height: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("levels"))
+        .expect("levels line")
+        .trim()
+        .parse()
+        .expect("levels");
+
+    let out = stidx()
+        .arg("--metrics")
+        .arg(&prom)
+        .arg("check")
+        .arg(&idx)
+        .arg("--profile")
+        .output()
+        .expect("check --profile");
+    assert!(
+        out.status.success(),
+        "check --profile failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let nodes: f64 = text
+        .split(" node(s)")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .expect("node count")
+        .parse()
+        .expect("node count");
+    let rows: Vec<Vec<f64>> = text
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("level"))
+        .skip(1)
+        .map(|l| l.split_whitespace().map(|v| v.parse().unwrap()).collect())
+        .collect();
+    assert_eq!(rows.len(), height + 1, "one row per level:\n{text}");
+    for (level, row) in rows.iter().enumerate() {
+        let [lvl, mean, max, area, overlap] = row[..] else {
+            panic!("row {row:?}")
+        };
+        assert_eq!(lvl, level as f64);
+        assert!(row.iter().all(|v| v.is_finite()), "{row:?}");
+        assert!(
+            0.0 < mean && mean <= max && max <= nodes,
+            "{row:?} of {nodes}"
+        );
+        assert!(area >= 0.0 && overlap >= 0.0, "{row:?}");
+    }
+    let metrics = std::fs::read_to_string(&prom).expect("metrics file written");
+    for level in 0..=height {
+        let gauge = format!("check_profile_nodes_alive_mean{{level=\"{level}\"}} ");
+        assert!(metrics.contains(&gauge), "no {gauge} in:\n{metrics}");
+    }
+    for p in [&data, &idx, &prom] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
 fn helpful_errors() {
     let out = stidx().args(["frobnicate"]).output().expect("run");
     assert!(!out.status.success());
