@@ -1,6 +1,6 @@
-//! Shared harness for the figure/table reproduction binaries.
+//! Shared harness for the `sti-bench` registry binary.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
+//! Every entry of `sti-bench` regenerates one table or figure of the
 //! paper (see `DESIGN.md` for the experiment index). By default the
 //! datasets are scaled down (500–4000 objects instead of 10k–80k) so the
 //! whole suite runs in minutes; pass `--paper` for the published sizes,
@@ -16,7 +16,7 @@ use sti_datagen::{Query, RailwayDatasetSpec, RandomDatasetSpec};
 use sti_obs::{JsonValue, QueryStats};
 use sti_trajectory::RasterizedObject;
 
-/// Dataset sizes used when a binary is invoked without flags. The ratios
+/// Dataset sizes used when an entry is invoked without flags. The ratios
 /// mirror the paper's 10k/30k/50k/80k ladder.
 pub const DEFAULT_SIZES: [usize; 4] = [500, 1000, 2000, 4000];
 
@@ -29,7 +29,7 @@ pub const PAPER_SIZES: [usize; 4] = [10_000, 30_000, 50_000, 80_000];
 pub const IO_SIZES: [usize; 4] = [2_500, 5_000, 10_000, 20_000];
 
 /// Scale tier beyond the paper ladder. `--scale=mid|big` switches the
-/// tier-aware binaries (`fig15`, `throughput`) from the in-memory
+/// tier-aware entries (`fig15`, `throughput`) from the in-memory
 /// incremental build onto the out-of-core bulk-loaded `FileBackend`
 /// path, with a warm shared buffer — at a million objects the paper's
 /// reset-per-query methodology measures nothing but compulsory misses.
@@ -55,7 +55,7 @@ impl Tier {
     }
 
     /// Objects in the tier's generated dataset (0 for `Paper`, whose
-    /// binaries use their own size ladders).
+    /// entries use their own size ladders).
     pub fn objects(self) -> usize {
         match self {
             Tier::Paper => 0,
@@ -100,19 +100,13 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Parse `--paper`, `--sizes=a,b,c`, `--queries=n`, `--threads=t`
-    /// from `std::env`, with [`DEFAULT_SIZES`] as the unscaled ladder.
-    pub fn from_args() -> Self {
-        Self::from_args_with(&DEFAULT_SIZES)
-    }
-
-    /// Like [`Scale::from_args`] with a caller-chosen default ladder
-    /// (the I/O figures pass [`IO_SIZES`]).
-    pub fn from_args_with(defaults: &[usize]) -> Self {
-        Self::parse(defaults, std::env::args().skip(1).collect())
-    }
-
-    fn parse(defaults: &[usize], args: Vec<String>) -> Self {
+    /// Parse `--paper`, `--sizes=a,b,c`, `--queries=n`, `--threads=t`,
+    /// `--json[=path]`, `--scale=mid|big` and `--data=path`, with
+    /// `defaults` as the unscaled size ladder.
+    ///
+    /// # Panics
+    /// On an unknown or malformed flag.
+    pub fn parse(defaults: &[usize], args: Vec<String>) -> Self {
         let mut scale = Scale {
             sizes: defaults.to_vec(),
             paper: false,
@@ -139,7 +133,7 @@ impl Scale {
                 scale.threads = Parallelism::parse(t).expect("--threads takes auto, seq, or N");
             } else if arg == "--json" {
                 // Optional value: `--json out.json` or a bare `--json`
-                // (empty path = the binary's default BENCH_<name>.json).
+                // (empty path = the entry's default BENCH_<name>.json).
                 if let Some(next) = args.get(i + 1).filter(|a| !a.starts_with("--")) {
                     scale.json = Some(PathBuf::from(next));
                     i += 1;
@@ -215,7 +209,7 @@ pub fn tier_records(
             Box::new(reader.map(|o| object_record(&o.expect("corrupt dataset object"))))
         }
         None => {
-            // The spec iterator borrows the spec; a bench binary builds
+            // The spec iterator borrows the spec; a bench run builds
             // exactly one, so leaking it buys a 'static stream.
             let spec: &'static _ = Box::leak(Box::new(RandomDatasetSpec::big(tier.objects())));
             Box::new(spec.iter().map(|o| object_record(&o)))
@@ -400,7 +394,7 @@ pub fn series(
 
 /// Run one [`QueryStats`]-returning closure per query (the closure is in
 /// charge of the per-query buffer reset) and aggregate the deltas.
-pub fn profile_queries(queries: &[Query], mut run: impl FnMut(&Query) -> QueryStats) -> IoProfile {
+fn profile_queries(queries: &[Query], mut run: impl FnMut(&Query) -> QueryStats) -> IoProfile {
     assert!(!queries.is_empty());
     let start = Instant::now();
     let per: Vec<QueryStats> = queries.iter().map(&mut run).collect();
@@ -439,12 +433,12 @@ pub fn rstar_query_io_profile(
     })
 }
 
-/// Accumulates everything a figure binary prints — tables, measured
+/// Accumulates everything an entry prints — tables, measured
 /// profiles, free-form notes — and optionally serializes it
-/// as a `BENCH_<name>.json` record when the binary was invoked with
+/// as a `BENCH_<name>.json` record when the entry was invoked with
 /// `--json`.
 ///
-/// Usage: create one per binary, route every `print_table` call through
+/// Usage: create one per entry, route every `print_table` call through
 /// [`BenchReport::table`] / [`BenchReport::table_with_profiles`], and
 /// call [`BenchReport::finish`] last.
 pub struct BenchReport {
@@ -457,7 +451,7 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Start a report for the binary `name` (e.g. "fig15").
+    /// Start a report for the entry `name` (e.g. "fig15").
     pub fn new(name: &str, scale: &Scale) -> BenchReport {
         let out_path = scale.json.as_ref().map(|p| {
             if p.as_os_str().is_empty() {

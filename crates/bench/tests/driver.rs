@@ -1,0 +1,95 @@
+//! The `sti-bench` registry binary: dispatch, listing and the committed
+//! tables it must reproduce.
+
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn sti_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sti-bench"))
+        .args(args)
+        .output()
+        .expect("run sti-bench")
+}
+
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+fn listing() -> Vec<String> {
+    let out = sti_bench(&[]);
+    assert!(out.status.success());
+    String::from_utf8(out.stdout)
+        .expect("utf-8 listing")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn table2_prints_the_committed_table_byte_for_byte() {
+    let out = sti_bench(&["table2"]);
+    assert!(out.status.success());
+    let committed = std::fs::read(results_dir().join("table2.txt")).expect("results/table2.txt");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&committed)
+    );
+}
+
+#[test]
+fn an_unknown_name_fails_and_lists_the_entries() {
+    let out = sti_bench(&["fig99"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("fig99"), "{stderr}");
+    for name in listing() {
+        assert!(
+            stderr.lines().any(|l| l.trim() == name),
+            "{name} missing from {stderr}"
+        );
+    }
+}
+
+/// Each name once, and none of the ablations whose binaries were
+/// removed: a frozen `results/` table opens with a `#` header saying
+/// where it was measured.
+#[test]
+fn the_listing_names_each_entry_once_and_no_frozen_table() {
+    let names = listing();
+    let unique: BTreeSet<&String> = names.iter().collect();
+    assert_eq!(unique.len(), names.len(), "{names:?}");
+    assert!(names.iter().any(|n| n == "fig15"), "{names:?}");
+    let mut frozen = 0;
+    for entry in std::fs::read_dir(results_dir()).expect("results/") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        if path.extension().is_some_and(|e| e == "txt") && text.starts_with('#') {
+            frozen += 1;
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("stem");
+            assert!(!names.iter().any(|n| n == stem), "{stem} is frozen");
+        }
+    }
+    assert!(frozen >= 5, "only {frozen} frozen tables found");
+}
+
+/// The three entries that share one comparison function still record
+/// their own names.
+#[test]
+fn a_json_run_records_the_entry_name() {
+    for name in ["fig17", "fig18", "railway"] {
+        let path = std::env::temp_dir().join(format!(
+            "sti-bench-driver-{}-{name}.json",
+            std::process::id()
+        ));
+        let json = format!("--json={}", path.display());
+        let out = sti_bench(&[name, "--sizes=150", "--queries=5", &json]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        let doc = std::fs::read_to_string(&path).expect("json written");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            doc.contains(&format!("\"bench\": \"{name}\"")),
+            "{name}: {doc}"
+        );
+    }
+}

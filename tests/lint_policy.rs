@@ -84,7 +84,7 @@ fn classify(rel: &str) -> Class {
     if !rel.ends_with(".rs") {
         return Class::Exempt("not a Rust source file");
     }
-    if ["crates/rand/", "crates/proptest/", "crates/criterion/"]
+    if ["crates/rand/", "crates/proptest/"]
         .iter()
         .any(|v| rel.starts_with(v))
     {
@@ -368,7 +368,7 @@ fn every_rust_file_gets_a_deliberate_classification() {
             Class::Exempt("vendored offline stand-in"),
         ),
         (
-            "crates/bench/src/bin/fig11.rs",
+            "crates/bench/src/figures.rs",
             Class::Exempt("test, bench, or binary harness"),
         ),
         (
