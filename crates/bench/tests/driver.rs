@@ -1,7 +1,7 @@
 //! The `sti-bench` registry binary: dispatch, listing and the committed
 //! tables it must reproduce.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -92,4 +92,50 @@ fn a_json_run_records_the_entry_name() {
             "{name}: {doc}"
         );
     }
+}
+
+/// fig15's `--json` report holds the table it printed: the PPR and R\*
+/// I/O cells of each row are that row's profiles' `avg_formatted`.
+#[test]
+fn fig15_json_matches_the_printed_table() {
+    let path = std::env::temp_dir().join(format!(
+        "sti-bench-driver-{}-fig15.json",
+        std::process::id()
+    ));
+    let json = format!("--json={}", path.display());
+    let out = sti_bench(&["fig15", "--sizes=300", "--queries=20", &json]);
+    assert!(out.status.success(), "{out:?}");
+    let doc = std::fs::read_to_string(&path).expect("json written");
+    let _ = std::fs::remove_file(&path);
+    assert!(doc.contains("\"schema\": \"sti-bench/1\""), "{doc}");
+    assert!(doc.contains("\"bench\": \"fig15\""), "{doc}");
+    let field = |chunk: &str, key: &str| -> String {
+        let tag = format!("\"{key}\": \"");
+        let at = chunk.find(&tag).expect(key) + tag.len();
+        chunk[at..].split('"').next().expect(key).to_string()
+    };
+    // One chunk per profile, from its `"row"` field on.
+    let profiles: BTreeMap<(String, String), String> = doc
+        .split("\"row\": \"")
+        .skip(1)
+        .map(|chunk| {
+            let row = chunk.split('"').next().expect("row").to_string();
+            ((row, field(chunk, "series")), field(chunk, "avg_formatted"))
+        })
+        .collect();
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert!(!rows.is_empty(), "{stdout}");
+    for row in &rows {
+        let cell = |series: &str| &profiles[&(row[0].to_string(), series.to_string())];
+        assert_eq!(cell("ppr"), row[2], "{row:?}");
+        assert_eq!(cell("rstar"), row[3], "{row:?}");
+    }
+    assert_eq!(profiles.len(), 2 * rows.len(), "{profiles:?}");
 }

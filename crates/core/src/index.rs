@@ -231,50 +231,19 @@ impl SpatioTemporalIndex {
         Ok((index, stats))
     }
 
-    /// Open a saved index, sniffing the backend from the file's
-    /// metadata tag: the PPR-Tree decoder is tried first and the
-    /// R\*-Tree decoder on its tag mismatch, mirroring how `stidx`
-    /// inspects saved images. An R\*-Tree is interpreted with the
-    /// paper's 1000-instant time extent; use
-    /// [`SpatioTemporalIndex::open_file_with`] when the index was built
-    /// against a different evolution length.
+    /// Open a PPR-Tree index saved with [`PprTree::save_to_file`]. The
+    /// R\*-Tree baseline is built in-process only and has no saved form.
     ///
     /// # Errors
-    /// The PPR decoder's error when neither backend accepts the file
-    /// (the first byte names the backend, so the PPR error is the
-    /// authoritative one for a file that is not an index at all).
+    /// [`PprTree::open_file`]'s: an unreadable or damaged file, or one
+    /// that holds an R\*-Tree image, which is no longer supported.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
-        Self::open_file_with(path, 1000)
-    }
-
-    /// [`SpatioTemporalIndex::open_file`] with an explicit evolution
-    /// length for interpreting R\*-Tree query times.
-    ///
-    /// # Errors
-    /// See [`SpatioTemporalIndex::open_file`].
-    pub fn open_file_with(path: &std::path::Path, time_extent: Time) -> std::io::Result<Self> {
-        match PprTree::open_file(path) {
-            Ok(tree) => {
-                let record_count = usize::try_from(tree.total_records()).unwrap_or(usize::MAX);
-                Ok(Self {
-                    backend: Backend::Ppr(tree),
-                    record_count,
-                })
-            }
-            Err(first) => match RStarTree::open_file(path) {
-                Ok(tree) => {
-                    let record_count = usize::try_from(tree.len()).unwrap_or(usize::MAX);
-                    Ok(Self {
-                        backend: Backend::RStar {
-                            tree,
-                            time_scale: f64::from(time_extent),
-                        },
-                        record_count,
-                    })
-                }
-                Err(_) => Err(first),
-            },
-        }
+        let tree = PprTree::open_file(path)?;
+        let record_count = usize::try_from(tree.total_records()).unwrap_or(usize::MAX);
+        Ok(Self {
+            backend: Backend::Ppr(tree),
+            record_count,
+        })
     }
 
     /// Borrow the underlying PPR-Tree, when that backend is active.
@@ -292,23 +261,6 @@ impl SpatioTemporalIndex {
         match &mut self.backend {
             Backend::Ppr(t) => Some(t),
             Backend::RStar { .. } => None,
-        }
-    }
-
-    /// Borrow the underlying R\*-Tree, when that backend is active.
-    pub fn as_rstar(&self) -> Option<&RStarTree> {
-        match &self.backend {
-            Backend::RStar { tree, .. } => Some(tree),
-            Backend::Ppr(_) => None,
-        }
-    }
-
-    /// Mutably borrow the underlying R\*-Tree, when that backend is
-    /// active.
-    pub fn as_rstar_mut(&mut self) -> Option<&mut RStarTree> {
-        match &mut self.backend {
-            Backend::RStar { tree, .. } => Some(tree),
-            Backend::Ppr(_) => None,
         }
     }
 
@@ -542,35 +494,27 @@ mod tests {
         out
     }
 
-    /// `open_file` sniffs the backend from the saved image and answers
-    /// the same queries as the in-memory index it came from.
+    /// `open_file` answers the same queries as the in-memory index the
+    /// saved image came from.
     #[test]
-    fn open_file_round_trips_both_backends() {
+    fn open_file_round_trips_a_ppr_index() {
         let objs = dataset();
         let records = unsplit_records(&objs);
         let area = Rect2::from_bounds(0.2, 0.2, 0.6, 0.5);
         let range = TimeInterval::new(100, 300);
-        for backend in [IndexBackend::PprTree, IndexBackend::RStar] {
-            let mut idx = SpatioTemporalIndex::build(&records, &small_config(backend)).unwrap();
-            let want = idx.query(&area, &range).unwrap();
-            let path = std::env::temp_dir().join(format!(
-                "sti-core-open-{backend:?}-{}.idx",
-                std::process::id()
-            ));
-            match backend {
-                IndexBackend::PprTree => idx.as_ppr_mut().unwrap().save_to_file(&path).unwrap(),
-                IndexBackend::RStar => idx.as_rstar_mut().unwrap().save_to_file(&path).unwrap(),
-            }
-            let opened = SpatioTemporalIndex::open_file(&path).unwrap();
-            assert_eq!(opened.backend(), backend);
-            assert_eq!(opened.record_count(), idx.record_count());
-            assert_eq!(opened.query(&area, &range).unwrap(), want, "{backend}");
-            let _ = std::fs::remove_file(&path);
-        }
+        let mut idx =
+            SpatioTemporalIndex::build(&records, &small_config(IndexBackend::PprTree)).unwrap();
+        let want = idx.query(&area, &range).unwrap();
+        let path = std::env::temp_dir().join(format!("sti-core-open-{}.idx", std::process::id()));
+        idx.as_ppr_mut().unwrap().save_to_file(&path).unwrap();
+        let opened = SpatioTemporalIndex::open_file(&path).unwrap();
+        assert_eq!(opened.backend(), IndexBackend::PprTree);
+        assert_eq!(opened.record_count(), idx.record_count());
+        assert_eq!(opened.query(&area, &range).unwrap(), want);
+        let _ = std::fs::remove_file(&path);
     }
 
-    /// A file that is not an index at all reports the PPR decoder's
-    /// error (the authoritative one for an unrecognized image).
+    /// A file that is not an index at all fails to open.
     #[test]
     fn open_file_rejects_garbage() {
         let path =

@@ -176,19 +176,6 @@ impl Rect2 {
     pub fn enlargement(&self, other: &Rect2) -> f64 {
         self.union(other).area() - self.area()
     }
-
-    /// Squared Euclidean distance from `p` to the closest point of the
-    /// rectangle (0 when `p` is inside). The MINDIST bound of
-    /// best-first nearest-neighbor search.
-    #[inline]
-    pub fn min_dist2(&self, p: &Point2) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        let dx = (self.lo.x - p.x).max(0.0).max(p.x - self.hi.x);
-        let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
-        dx * dx + dy * dy
-    }
 }
 
 #[cfg(test)]
@@ -273,24 +260,6 @@ mod tests {
         assert_eq!(a, u);
     }
 
-    #[test]
-    fn min_dist2_cases() {
-        let r = Rect2::from_bounds(0.2, 0.2, 0.4, 0.4);
-        // inside → 0
-        assert_eq!(r.min_dist2(&Point2::new(0.3, 0.3)), 0.0);
-        // boundary → 0
-        assert_eq!(r.min_dist2(&Point2::new(0.2, 0.3)), 0.0);
-        // straight left: distance 0.1
-        assert!(approx_eq(r.min_dist2(&Point2::new(0.1, 0.3)), 0.01));
-        // diagonal corner: (0.1, 0.1) from corner (0.2, 0.2)
-        assert!(approx_eq(r.min_dist2(&Point2::new(0.1, 0.1)), 0.02));
-        // empty rect is infinitely far
-        assert_eq!(
-            Rect2::EMPTY.min_dist2(&Point2::new(0.5, 0.5)),
-            f64::INFINITY
-        );
-    }
-
     fn arb_rect() -> impl Strategy<Value = Rect2> {
         (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64)
             .prop_map(|(a, b, c, d)| Rect2::from_bounds(a.min(c), b.min(d), a.max(c), b.max(d)))
@@ -331,16 +300,6 @@ mod tests {
             prop_assert!(o >= 0.0);
             prop_assert!(o <= a.area() + 1e-12);
             prop_assert!(o <= b.area() + 1e-12);
-        }
-
-        #[test]
-        fn min_dist2_lower_bounds_member_distances(a in arb_rect(), px in 0.0..1.0f64, py in 0.0..1.0f64) {
-            // The bound must never exceed the distance to the center (a
-            // point inside the rectangle).
-            let p = Point2::new(px, py);
-            let c = a.center();
-            let d2 = (c.x - px).powi(2) + (c.y - py).powi(2);
-            prop_assert!(a.min_dist2(&p) <= d2 + 1e-12);
         }
 
         #[test]

@@ -38,7 +38,6 @@
 
 pub mod bulk;
 pub mod check;
-pub mod knn;
 pub mod node;
 pub mod split;
 pub mod tree;

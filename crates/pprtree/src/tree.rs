@@ -589,8 +589,7 @@ impl PprTree {
         self.now = t;
     }
 
-    /// Root span covering instant `t`, if any (for traversals layered on
-    /// the tree, e.g. the kNN search in [`crate::knn`]).
+    /// Root span covering instant `t`, if any.
     pub(crate) fn root_span_at(&self, t: Time) -> Option<RootSpan> {
         self.roots
             .iter()
@@ -1228,7 +1227,7 @@ impl PprTree {
         let mut r = sti_storage::ByteReader::new(&meta);
         match r.get_u8().map_err(|_| bad("backend tag"))? {
             b'P' => {}
-            b'R' => return Err(bad("this file holds an R*-Tree, not a PPR-Tree")),
+            b'R' => return Err(bad("R*-Tree images are no longer supported")),
             _ => return Err(bad("unknown index backend tag")),
         }
         let mut take = |what: &'static str| r.get_u32().map_err(move |_| bad(what));
@@ -1484,10 +1483,6 @@ mod tests {
             t.query_snapshot(&Rect2::UNIT, instant, &mut got).unwrap();
             got.sort_unstable();
             assert_eq!(got, want, "snapshot at {instant}");
-            let origin = sti_geom::Point2::new(0.0, 0.0);
-            let near = t.nearest_at(origin, instant, 10).unwrap();
-            let near: Vec<u64> = near.into_iter().map(|(id, _)| id).collect();
-            assert_eq!(near, want, "nearest at {instant}");
             let view = NodeView::new(&frame).unwrap();
             let scanned: Vec<u64> = view.scan(instant_span(instant)).map(|e| e.ptr).collect();
             assert_eq!(scanned, want, "cursor at {instant}");
@@ -2006,10 +2001,6 @@ mod tests {
             t.query_interval(&Rect2::UNIT, &recent, &mut out),
             Err(cycle.clone())
         );
-        assert_eq!(
-            t.nearest_at(sti_geom::Point2::new(0.4, 0.4), now, 500),
-            Err(cycle.clone())
-        );
         // The insert descent ends at the cycle too, instead of going
         // round it forever.
         assert_eq!(t.insert(u64::MAX, rect(0.4, 0.4), now), Err(cycle));
@@ -2088,7 +2079,6 @@ mod tests {
                 let mut out = Vec::new();
                 for instant in [0, 60, 119, 150, 200] {
                     typed(tree.query_snapshot(&Rect2::UNIT, instant, &mut out).err());
-                    typed(tree.nearest_at(sti_geom::Point2::new(0.4, 0.4), instant, 5).err());
                 }
                 let all = TimeInterval::new(0, 500);
                 typed(tree.query_interval(&Rect2::UNIT, &all, &mut out).err());

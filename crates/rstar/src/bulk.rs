@@ -138,7 +138,7 @@ mod tests {
     fn single_node_load() {
         let recs = random_records(5, 1);
         let mut t = RStarTree::bulk_load(&recs, params()).unwrap();
-        assert_eq!(t.height(), 0);
+        assert_eq!(t.root_level, 0);
         assert_eq!(t.len(), 5);
         t.validate_packed();
         let mut out = Vec::new();
@@ -151,7 +151,7 @@ mod tests {
         let recs = random_records(700, 7);
         let mut rng = StdRng::seed_from_u64(8);
         let mut t = RStarTree::bulk_load(&recs, params()).unwrap();
-        assert!(t.height() >= 2, "tree should be tall");
+        assert!(t.root_level >= 2, "tree should be tall");
         t.validate_packed();
         for _ in 0..40 {
             let lo = [

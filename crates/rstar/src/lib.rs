@@ -12,6 +12,9 @@
 //! [`sti_storage::PageStore`], so query I/O (with the paper's 10-page LRU
 //! buffer) is measured exactly as in the evaluation. The paper's setup
 //! uses a page capacity of 50 entries.
+//!
+//! The tree is built in-process, over any [`sti_storage::PageBackend`],
+//! and has no saved-file format: only the PPR-Tree is written to disk.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]

@@ -45,8 +45,7 @@ impl RStarParams {
     /// The written-down ranges: at least 4 entries, a node of
     /// `max_entries` fits a page (the +1 transient overflow slot is kept
     /// in memory only), `min_fill` in `0..=0.5` and `reinsert_fraction`
-    /// in `0..0.5` (NaN is in neither). Parameters read from a file go
-    /// through this and fail typed.
+    /// in `0..0.5` (NaN is in neither).
     ///
     /// # Errors
     /// The first range that does not hold, as a message.
@@ -69,14 +68,11 @@ impl RStarParams {
         Ok(())
     }
 
-    /// [`RStarParams::check`] for parameters a caller wrote.
+    /// [`RStarParams::check`], as the constructors' contract.
     ///
     /// # Panics
     /// If a range does not hold.
-    #[expect(
-        clippy::panic,
-        reason = "the constructors' documented contract; file loads use check()"
-    )]
+    #[expect(clippy::panic, reason = "the constructors' documented contract")]
     pub fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("{e}");

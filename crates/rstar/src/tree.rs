@@ -108,11 +108,6 @@ impl RStarTree {
         self.len == 0
     }
 
-    /// Height of the tree (level of the root node).
-    pub fn height(&self) -> u32 {
-        self.root_level
-    }
-
     /// Number of allocated pages (disk footprint).
     pub fn num_pages(&self) -> usize {
         self.store.num_pages()
@@ -374,70 +369,6 @@ impl RStarTree {
         Ok((node.mbr(), None))
     }
 
-    /// Save the whole index (pages + parameters + root pointer) to a
-    /// file.
-    ///
-    /// The save is atomic and epoch-stamped: the image is written to a
-    /// temp sibling, synced, then renamed over `path` (see
-    /// [`sti_storage::persist`]).
-    pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut meta = vec![0u8; 1 + 4 + 8 + 8 + 4 + 4 + 4 + 8];
-        {
-            let mut w = sti_storage::ByteWriter::new(&mut meta);
-            w.put_u8(b'R'); // backend tag: 3D R*-Tree
-            w.put_u32(self.params.max_entries as u32);
-            w.put_f64(self.params.min_fill);
-            w.put_f64(self.params.reinsert_fraction);
-            w.put_u32(self.params.buffer_pages as u32);
-            w.put_u32(self.root);
-            w.put_u32(self.root_level);
-            w.put_u64(self.len);
-        }
-        self.store.save_to(path, &meta)
-    }
-
-    /// Load an index previously written by [`RStarTree::save_to_file`].
-    ///
-    /// Fails closed: any checksum, magic, epoch or structural mismatch in
-    /// the file, and parameters outside [`RStarParams::check`]'s ranges,
-    /// are a typed error before a single page is trusted.
-    pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let bad = |m: &'static str| Error::new(ErrorKind::InvalidData, m);
-        let (store, meta) = PageStore::load_from(path, 0)?;
-        let mut store = Self::guarded(store);
-        let mut r = sti_storage::ByteReader::new(&meta);
-        match r.get_u8().map_err(|_| bad("backend tag"))? {
-            b'R' => {}
-            b'P' => return Err(bad("this file holds a PPR-Tree, not an R*-Tree")),
-            _ => return Err(bad("unknown index backend tag")),
-        }
-        let params = RStarParams {
-            max_entries: r.get_u32().map_err(|_| bad("max_entries"))? as usize,
-            min_fill: r.get_f64().map_err(|_| bad("min_fill"))?,
-            reinsert_fraction: r.get_f64().map_err(|_| bad("reinsert_fraction"))?,
-            buffer_pages: r.get_u32().map_err(|_| bad("buffer_pages"))? as usize,
-        };
-        params
-            .check()
-            .map_err(|e| Error::new(ErrorKind::InvalidData, format!("parameters: {e}")))?;
-        store.set_buffer_capacity(params.buffer_pages);
-        let root = r.get_u32().map_err(|_| bad("root"))?;
-        let root_level = r.get_u32().map_err(|_| bad("root_level"))?;
-        let len = r.get_u64().map_err(|_| bad("len"))?;
-        if (root as usize) >= store.num_pages() {
-            return Err(bad("root page out of range"));
-        }
-        Ok(Self {
-            store,
-            params,
-            root,
-            root_level,
-            len,
-            scratch: ScratchPool::new(),
-        })
-    }
-
     /// Walk the whole tree and assert structural invariants. Test/debug
     /// aid; O(tree size) and counts I/O.
     #[doc(hidden)]
@@ -593,7 +524,7 @@ mod tests {
         t.query(&Rect3::new([0.0; 3], [1.0; 3]), &mut out).unwrap();
         assert!(out.is_empty());
         assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
+        assert_eq!(t.root_level, 0);
     }
 
     #[test]
@@ -622,7 +553,7 @@ mod tests {
             data.push((id, r));
         }
         t.validate();
-        assert!(t.height() >= 2, "tree should have grown");
+        assert!(t.root_level >= 2, "tree should have grown");
 
         for _ in 0..50 {
             let q = random_box(&mut rng);
@@ -665,7 +596,7 @@ mod tests {
             "selective query must read fewer pages ({point} vs {full_scan})"
         );
         assert!(
-            point >= t.height() as u64,
+            point >= u64::from(t.root_level),
             "must at least walk one root-to-leaf path"
         );
     }

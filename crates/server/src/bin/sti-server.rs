@@ -3,9 +3,12 @@
 //! ```text
 //! sti-server --index index.stidx [--addr 127.0.0.1:7070]
 //!            [--workers N] [--io-workers N] [--queue DEPTH]
-//!            [--time-extent T] [--read-timeout-ms MS]
-//!            [--test-delay-ms MS]
+//!            [--read-timeout-ms MS] [--test-delay-ms MS]
 //! ```
+//!
+//! The index is a PPR-Tree saved by `stidx build`, `stidx ingest` or
+//! `PprTree::save_to_file`; an R\*-Tree image from an older release is
+//! refused at start.
 //!
 //! Endpoints:
 //! - `GET /query?area=x0,y0,x1,y1&time=T[&until=T2]` — result ids, one
@@ -30,7 +33,7 @@ use sti_server::{Server, ServerConfig};
 
 const USAGE: &str = "usage:
   sti-server --index FILE [--addr HOST:PORT] [--workers N]
-             [--io-workers N] [--queue DEPTH] [--time-extent T]
+             [--io-workers N] [--queue DEPTH]
              [--read-timeout-ms MS] [--test-delay-ms MS]
              [--shutdown-on-stdin-close] [--drain-ms MS]
 
@@ -59,7 +62,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "workers",
             "io-workers",
             "queue",
-            "time-extent",
             "read-timeout-ms",
             "test-delay-ms",
             "drain-ms",
@@ -67,7 +69,6 @@ fn run(args: &[String]) -> Result<(), String> {
         &["shutdown-on-stdin-close"],
     )?;
     let index_path = std::path::PathBuf::from(flags.need("index")?);
-    let time_extent: u32 = flags.parsed("time-extent")?.unwrap_or(1000);
     let mut config = ServerConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7070").to_string(),
         ..ServerConfig::default()
@@ -93,7 +94,7 @@ fn run(args: &[String]) -> Result<(), String> {
         config.test_delay = Duration::from_millis(ms);
     }
 
-    let index = sti_core::SpatioTemporalIndex::open_file_with(&index_path, time_extent)
+    let index = sti_core::SpatioTemporalIndex::open_file(&index_path)
         .map_err(|e| format!("opening {}: {e}", index_path.display()))?;
     let server =
         Server::start(Arc::new(index), config).map_err(|e| format!("binding the listener: {e}"))?;

@@ -288,3 +288,35 @@ fn cli_refuses_a_zero_read_timeout() {
         "{stderr}"
     );
 }
+
+/// An R\*-Tree image written by an older release — a PPR image whose
+/// backend tag says `R`, under a re-stamped metadata checksum — is
+/// refused at start, with the reason.
+#[test]
+fn cli_refuses_an_rstar_image() {
+    const META: usize = 28 + 8; // the file header and its checksum
+    let path = std::env::temp_dir().join(format!("sti-server-rstar-{}.idx", std::process::id()));
+    let index = build_index();
+    index.as_ppr().unwrap().save_to_file(&path).unwrap();
+    let mut image = std::fs::read(&path).unwrap();
+    let len = u32::from_le_bytes(image[16..20].try_into().unwrap()) as usize;
+    image[META] = b'R';
+    let sum = sti_storage::xxh64(&image[META..META + len]);
+    image[META + len..META + len + 8].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, image).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sti-server"))
+        .arg("--index")
+        .arg(&path)
+        // Were the image accepted, the closed stdin stops the server.
+        .args(["--addr", "127.0.0.1:0", "--shutdown-on-stdin-close"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("R*-Tree images are no longer supported"),
+        "{stderr}"
+    );
+}

@@ -4,26 +4,19 @@
 //! stidx generate --kind random --n 10000 --out data.stdat [--seed 7]
 //! stidx stats    --data data.stdat
 //! stidx build    --data data.stdat --out index.stidx
-//!                [--backend ppr|rstar] [--splits 150%|--splits 5000]
+//!                [--splits 150%|--splits 5000]
 //!                [--single merge|dp] [--dist lagreedy|greedy|optimal]
 //!                [--threads auto|seq|N]
-//! stidx query    --index index.stidx [--backend ppr|rstar]
+//! stidx query    --index index.stidx
 //!                --area x0,y0,x1,y1 --time T [--until T2]
 //!                [--threads auto|seq|N]
-//! stidx nearest  --index index.stidx --backend ppr
-//!                --point x,y --time T [--k 5]
 //! stidx ingest   --data data.stdat --out index.stidx [--commit-every 8]
 //! ```
 //!
 //! Datasets use the `STDAT1` format (`sti_datagen::io`); indexes use the
-//! `STIDX1` page-store format with tree metadata. Index files carry a
-//! backend tag, so `query --backend` is an optional assertion: naming
-//! the wrong one fails with a clear error naming the actual backend.
-//!
-//! R\*-Tree indexes are interpreted with the paper's 1000-instant
-//! evolution (time scaled by `TIME_EXTENT`); `stidx build` always writes
-//! that scale, but an R\* file saved by library code with a custom
-//! `IndexConfig::time_extent` would be misread here.
+//! `STIDX1` page-store format with PPR-Tree metadata. Every index is a
+//! PPR-Tree: an R\*-Tree image written by an older release fails to
+//! open with an error saying so.
 
 use spatiotemporal_index::core::{
     DistributionAlgorithm, IndexBackend, IndexConfig, IngestOp, IngestPipeline, ObjectRecord,
@@ -49,15 +42,12 @@ const USAGE: &str = "usage:
   stidx generate --kind random|railway|orbits|regions --n N --out FILE [--seed S]
   stidx generate --kind random --scale mid|big --out FILE [--n N] [--seed S]
   stidx stats    FILE | --data FILE | --index FILE
-  stidx build    --data FILE --out FILE [--backend ppr|rstar]
+  stidx build    --data FILE --out FILE
                  [--splits P% | --splits N] [--single merge|dp]
                  [--dist lagreedy|greedy|optimal] [--threads auto|seq|N]
   stidx build    --data FILE --out FILE --bulk [--scale-stats]
-  stidx query    --index FILE [--backend ppr|rstar]
-                 --area x0,y0,x1,y1 --time T [--until T2]
+  stidx query    --index FILE --area x0,y0,x1,y1 --time T [--until T2]
                  [--threads auto|seq|N]
-  stidx nearest  --index FILE --backend ppr
-                 --point x,y --time T [--k 5]
   stidx ingest   --data FILE --out FILE [--commit-every N]
                  [--wal DIR] [--fsync always|commit|N] [--checkpoint-every N]
   stidx recover  --wal DIR --out FILE [--fsync always|commit|N]
@@ -189,16 +179,10 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
     let (vocabulary, switches): (&[&str], &[&str]) = match cmd.as_str() {
         "generate" => (&["kind", "n", "out", "seed", "scale"], &[]),
         "build" => (
-            &[
-                "data", "out", "backend", "splits", "single", "dist", "threads",
-            ],
+            &["data", "out", "splits", "single", "dist", "threads"],
             &["bulk", "scale-stats"],
         ),
-        "query" => (
-            &["index", "backend", "area", "time", "until", "threads"],
-            &[],
-        ),
-        "nearest" => (&["index", "backend", "point", "time", "k"], &[]),
+        "query" => (&["index", "area", "time", "until", "threads"], &[]),
         "ingest" => (
             &[
                 "data",
@@ -218,7 +202,6 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
         "generate" => generate(&opts),
         "build" => build(&opts, metrics),
         "query" => query(&opts, metrics),
-        "nearest" => nearest(&opts),
         "ingest" => ingest(&opts, metrics),
         "recover" => recover(&opts, metrics),
         other => Err(format!("unknown command {other}")),
@@ -230,12 +213,7 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
 /// `profile`, print and export its per-level profile too.
 fn check(path: &Path, profile: bool, metrics: &mut MetricSet) -> Result<(), String> {
     use spatiotemporal_index::pprtree::check::validate;
-    let tree = PprTree::open_file(path).map_err(|e| {
-        format!(
-            "opening {}: {e} (only ppr indexes can be checked)",
-            path.display()
-        )
-    })?;
+    let tree = PprTree::open_file(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
     match validate(&tree) {
         Ok(report) => {
             println!("{}: ok — {report}", path.display());
@@ -385,33 +363,19 @@ fn index_stats(path: &Path, metrics: &mut MetricSet) -> Result<(), String> {
     let bytes = std::fs::metadata(path)
         .map_err(|e| format!("reading {}: {e}", path.display()))?
         .len();
-    let index = SpatioTemporalIndex::open_file_with(path, TIME_EXTENT)
-        .map_err(|e| format!("opening {}: {e}", path.display()))?;
-    let (backend, height, detail) = match (index.as_ppr(), index.as_rstar()) {
-        (Some(tree), _) => {
-            let height = tree.roots().iter().map(|r| r.level + 1).max().unwrap_or(0);
-            let detail = vec![
-                ("records posted", tree.total_records()),
-                ("records alive", tree.alive_records()),
-                ("root log spans", tree.roots().len() as u64),
-                ("height", u64::from(height)),
-                ("clock (now)", u64::from(tree.now())),
-            ];
-            ("ppr (partially persistent R-Tree)", height, detail)
-        }
-        (None, Some(tree)) => {
-            let detail = vec![
-                ("records", tree.len()),
-                ("height", u64::from(tree.height())),
-            ];
-            ("rstar (3D R*-Tree)", tree.height(), detail)
-        }
-        (None, None) => unreachable!("an index is backed by one of the two trees"),
-    };
+    let tree = PprTree::open_file(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
+    let height = tree.roots().iter().map(|r| r.level + 1).max().unwrap_or(0);
+    let detail = [
+        ("records posted", tree.total_records()),
+        ("records alive", tree.alive_records()),
+        ("root log spans", tree.roots().len() as u64),
+        ("height", u64::from(height)),
+        ("clock (now)", u64::from(tree.now())),
+    ];
     let mut out = format!(
-        "backend          {backend}\nfile             {} ({bytes} bytes)\npages            {}\n",
+        "backend          ppr (partially persistent R-Tree)\nfile             {} ({bytes} bytes)\npages            {}\n",
         path.display(),
-        index.num_pages()
+        tree.num_pages()
     );
     for (label, value) in detail {
         out.push_str(&format!("{label:<17}{value}\n"));
@@ -420,12 +384,12 @@ fn index_stats(path: &Path, metrics: &mut MetricSet) -> Result<(), String> {
     metrics.gauge(
         "stidx_index_pages",
         "pages in the index",
-        index.num_pages() as f64,
+        tree.num_pages() as f64,
     );
     metrics.gauge(
         "stidx_index_records",
         "records posted to the index",
-        index.record_count() as f64,
+        tree.total_records() as f64,
     );
     metrics.gauge("stidx_index_height", "tree height", f64::from(height));
     Ok(())
@@ -436,11 +400,11 @@ fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     let out = PathBuf::from(opts.need("out")?);
     remove_stale_temp(&out)?;
     if opts.has("bulk") {
-        for flag in ["backend", "splits", "single", "dist", "threads"] {
+        for flag in ["splits", "single", "dist", "threads"] {
             if opts.get(flag).is_some() {
                 return Err(format!(
-                    "--{flag} does not apply to --bulk (the bulk loader is ppr-only \
-                     and indexes whole lifetimes, no split planning)"
+                    "--{flag} does not apply to --bulk (the bulk loader indexes \
+                     whole lifetimes, no split planning)"
                 ));
             }
         }
@@ -449,7 +413,6 @@ fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     if opts.has("scale-stats") {
         return Err("--scale-stats needs --bulk".into());
     }
-    let backend = parse_backend(opts.get("backend").unwrap_or("ppr"))?;
     let budget = match opts.get("splits") {
         None => SplitBudget::Percent(150.0),
         Some(s) => match s.strip_suffix('%') {
@@ -487,13 +450,13 @@ fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         "planning splits for {} objects ({single} + {dist}, threads={threads})...",
         objects.len()
     );
-    let (mut index, stats) = SpatioTemporalIndex::build_from_objects(
+    let (index, stats) = SpatioTemporalIndex::build_from_objects(
         &objects,
         single,
         dist,
         budget,
         None,
-        &IndexConfig::paper(backend),
+        &IndexConfig::paper(IndexBackend::PprTree),
         threads,
     )
     .map_err(|e| format!("building the index: {e}"))?;
@@ -509,14 +472,11 @@ fn build(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         "pages in the index",
         index.num_pages() as f64,
     );
-    let saved = match backend {
-        IndexBackend::PprTree => index.as_ppr_mut().expect("ppr backend").save_to_file(&out),
-        IndexBackend::RStar => index
-            .as_rstar_mut()
-            .expect("rstar backend")
-            .save_to_file(&out),
-    };
-    saved.map_err(|e| format!("writing {}: {e}", out.display()))?;
+    index
+        .as_ppr()
+        .expect("ppr backend")
+        .save_to_file(&out)
+        .map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!("wrote {} pages to {}", index.num_pages(), out.display());
     Ok(())
 }
@@ -948,7 +908,6 @@ fn remove_stale_temp(out: &Path) -> Result<(), String> {
 
 fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     let path = PathBuf::from(opts.need("index")?);
-    let expected_backend = opts.get("backend").map(parse_backend).transpose()?;
     let area = parse_area(opts.need("area")?)?;
     let t: u32 = opts
         .need("time")?
@@ -956,7 +915,7 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         .map_err(|_| "--time must be an integer")?;
     let until: u32 = match opts.get("until") {
         Some(s) => s.parse().map_err(|_| "--until must be an integer")?,
-        None => t + 1,
+        None => t.saturating_add(1),
     };
     if until <= t {
         return Err("--until must be after --time".into());
@@ -968,21 +927,8 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     };
     let workers = parallelism.workers();
 
-    let mut index = SpatioTemporalIndex::open_file_with(&path, TIME_EXTENT)
+    let mut index = SpatioTemporalIndex::open_file(&path)
         .map_err(|e| format!("opening {}: {e}", path.display()))?;
-    // The file names its own backend; `--backend` only asserts it.
-    if let Some(expected) = expected_backend.filter(|&b| b != index.backend()) {
-        let name = |b| match b {
-            IndexBackend::PprTree => "a PPR-Tree",
-            IndexBackend::RStar => "an R*-Tree",
-        };
-        return Err(format!(
-            "opening {}: this file holds {}, not {}",
-            path.display(),
-            name(index.backend()),
-            name(expected)
-        ));
-    }
     index.reset_for_query();
     if workers > 1 {
         index.set_buffer_shards(workers);
@@ -1022,64 +968,6 @@ fn print_or_pipe(text: &str) -> Result<(), String> {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(format!("writing to stdout: {e}")),
-    }
-}
-
-fn nearest(opts: &Flags) -> Result<(), String> {
-    let path = PathBuf::from(opts.need("index")?);
-    let backend = parse_backend(opts.need("backend")?)?;
-    let point = parse_point(opts.need("point")?)?;
-    let t: u32 = opts
-        .need("time")?
-        .parse()
-        .map_err(|_| "--time must be an integer")?;
-    let k: usize = match opts.get("k") {
-        Some(s) => s.parse().map_err(|_| "--k must be an integer")?,
-        None => 5,
-    };
-
-    let results = match backend {
-        IndexBackend::PprTree => {
-            let tree = PprTree::open_file(&path)
-                .map_err(|e| format!("opening {}: {e}", path.display()))?;
-            tree.nearest_at(point, t, k)
-                .map_err(|e| format!("querying {}: {e}", path.display()))?
-        }
-        IndexBackend::RStar => {
-            // The R*-Tree has no aliveness notion: its kNN ranks by 3D
-            // spatiotemporal distance (time scaled into the unit range),
-            // which can surface records dead at `t` and is not comparable
-            // to the ppr backend's pure-spatial, alive-only ranking.
-            return Err(
-                "historical kNN needs the ppr backend; the rstar backend's 3D distance \
-                 mixes space with scaled time and ignores aliveness"
-                    .into(),
-            );
-        }
-    };
-    let mut out = format!("{} nearest at t={t}:\n", results.len());
-    for (id, d2) in results {
-        out.push_str(&format!("{id}  dist {:.6}\n", d2.sqrt()));
-    }
-    print_or_pipe(&out)
-}
-
-fn parse_point(s: &str) -> Result<spatiotemporal_index::geom::Point2, String> {
-    let parts: Vec<f64> = s
-        .split(',')
-        .map(|p| p.trim().parse().map_err(|_| format!("bad coordinate {p}")))
-        .collect::<Result<_, _>>()?;
-    if parts.len() != 2 {
-        return Err("--point takes x,y".into());
-    }
-    Ok(spatiotemporal_index::geom::Point2::new(parts[0], parts[1]))
-}
-
-fn parse_backend(s: &str) -> Result<IndexBackend, String> {
-    match s {
-        "ppr" => Ok(IndexBackend::PprTree),
-        "rstar" => Ok(IndexBackend::RStar),
-        other => Err(format!("unknown backend {other} (expected ppr or rstar)")),
     }
 }
 

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `stidx` command-line tool: generate → stats →
-//! build (both backends) → query, plus error handling.
+//! build → query, plus error handling.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -15,7 +15,7 @@ fn temp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn full_pipeline_both_backends() {
+fn full_pipeline() {
     let data = temp("data.stdat");
     let out = stidx()
         .args(["generate", "--kind", "random", "--n", "300", "--out"])
@@ -40,64 +40,44 @@ fn full_pipeline_both_backends() {
         "stats output: {text}"
     );
 
-    for backend in ["ppr", "rstar"] {
-        let idx = temp(&format!("index.{backend}"));
-        let out = stidx()
-            .args(["build", "--data"])
-            .arg(&data)
-            .args(["--out"])
-            .arg(&idx)
-            .args(["--backend", backend, "--splits", "100%"])
-            .output()
-            .expect("run build");
-        assert!(
-            out.status.success(),
-            "build {backend} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    let idx = temp("index.ppr");
+    let out = stidx()
+        .args(["build", "--data"])
+        .arg(&data)
+        .args(["--out"])
+        .arg(&idx)
+        .args(["--splits", "100%"])
+        .output()
+        .expect("run build");
+    assert!(
+        out.status.success(),
+        "build failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-        let out = stidx()
-            .args(["query", "--index"])
-            .arg(&idx)
-            .args([
-                "--backend",
-                backend,
-                "--area",
-                "0.0,0.0,1.0,1.0",
-                "--time",
-                "500",
-            ])
-            .output()
-            .expect("run query");
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        let first = text.lines().next().expect("summary line");
-        assert!(
-            first.contains("objects") && first.contains("disk reads"),
-            "{first}"
-        );
-        // The whole-space snapshot finds a plausible number of objects
-        // (~ objects-per-instant = 300 * 50 / 1000 = 15).
-        let found: usize = first
-            .split_whitespace()
-            .next()
-            .expect("count")
-            .parse()
-            .expect("int");
-        assert!((3..=60).contains(&found), "implausible hit count {found}");
-
-        // The file names its own backend: without `--backend` the
-        // answer is the same, byte for byte.
-        let sniffed = stidx()
-            .args(["query", "--index"])
-            .arg(&idx)
-            .args(["--area", "0.0,0.0,1.0,1.0", "--time", "500"])
-            .output()
-            .expect("run query without --backend");
-        assert!(sniffed.status.success());
-        assert_eq!(sniffed.stdout, out.stdout, "{backend} without --backend");
-        std::fs::remove_file(&idx).ok();
-    }
+    let out = stidx()
+        .args(["query", "--index"])
+        .arg(&idx)
+        .args(["--area", "0.0,0.0,1.0,1.0", "--time", "500"])
+        .output()
+        .expect("run query");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let first = text.lines().next().expect("summary line");
+    assert!(
+        first.contains("objects") && first.contains("disk reads"),
+        "{first}"
+    );
+    // The whole-space snapshot finds a plausible number of objects
+    // (~ objects-per-instant = 300 * 50 / 1000 = 15).
+    let found: usize = first
+        .split_whitespace()
+        .next()
+        .expect("count")
+        .parse()
+        .expect("int");
+    assert!((3..=60).contains(&found), "implausible hit count {found}");
+    std::fs::remove_file(&idx).ok();
     std::fs::remove_file(&data).ok();
 }
 
@@ -124,7 +104,6 @@ fn interval_queries_return_supersets_of_snapshots() {
         let out = stidx()
             .args(["query", "--index"])
             .arg(&idx)
-            .args(["--backend", "ppr"])
             .args(args)
             .output()
             .expect("query");
@@ -198,14 +177,7 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
         .arg(&prom)
         .args(["query", "--index"])
         .arg(&idx)
-        .args([
-            "--backend",
-            "ppr",
-            "--area",
-            "0.0,0.0,1.0,1.0",
-            "--time",
-            "500",
-        ])
+        .args(["--area", "0.0,0.0,1.0,1.0", "--time", "500"])
         .output()
         .expect("query with metrics");
     assert!(
@@ -434,8 +406,6 @@ fn helpful_errors() {
             "query",
             "--index",
             "/nonexistent",
-            "--backend",
-            "ppr",
             "--area",
             "0,0,1,1",
             "--time",
@@ -445,6 +415,11 @@ fn helpful_errors() {
         .expect("run");
     assert!(!out.status.success());
 
+    // Every index is a PPR-Tree: no kNN command, no backend to name.
+    let out = stidx().args(["nearest"]).output().expect("run");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command nearest"));
+
     let out = stidx()
         .args([
             "generate", "--kind", "martian", "--n", "5", "--out", "/tmp/x",
@@ -453,6 +428,22 @@ fn helpful_errors() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset kind"));
+}
+
+/// `--time` at the last instant leaves no room for the default
+/// one-instant range: the end saturates and the query is refused with
+/// an error, not an overflow panic.
+#[test]
+fn a_query_at_the_last_instant_is_refused_not_a_panic() {
+    let out = stidx()
+        .args(["query", "--index", "/nonexistent", "--area", "0,0,1,1"])
+        .args(["--time", "4294967295"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--until must be after --time"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
@@ -490,11 +481,15 @@ fn unknown_and_duplicate_flags_are_refused_with_suggestions() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The buffer pool has one eviction policy and no readahead, so
-    // there is no flag to select either.
-    for removed in [&["--policy", "2q"][..], &["--readahead"]] {
+    // The buffer pool has one eviction policy and no readahead, and an
+    // index has one tree kind, so there is no flag to select any of them.
+    for removed in [
+        &["--policy", "2q"][..],
+        &["--readahead"],
+        &["--backend", "rstar"],
+    ] {
         let out = stidx()
-            .args(["query", "--index", "/tmp/x", "--backend", "ppr"])
+            .args(["query", "--index", "/tmp/x"])
             .args(["--area", "0,0,1,1", "--time", "1"])
             .args(removed)
             .output()
@@ -571,57 +566,6 @@ fn stalled_seal_fails_the_ingest_run() {
         "unwedged ingest failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&idx).ok();
-}
-
-#[test]
-fn nearest_subcommand_works() {
-    let data = temp("knn.stdat");
-    let idx = temp("knn.ppr");
-    assert!(stidx()
-        .args(["generate", "--kind", "random", "--n", "200", "--out"])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
-    assert!(stidx()
-        .args(["build", "--data"])
-        .arg(&data)
-        .args(["--out"])
-        .arg(&idx)
-        .status()
-        .expect("build")
-        .success());
-    let out = stidx()
-        .args(["nearest", "--index"])
-        .arg(&idx)
-        .args([
-            "--backend",
-            "ppr",
-            "--point",
-            "0.5,0.5",
-            "--time",
-            "500",
-            "--k",
-            "3",
-        ])
-        .output()
-        .expect("nearest");
-    assert!(
-        out.status.success(),
-        "nearest failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("nearest at t=500"), "{text}");
-    // Distances are printed ascending.
-    let dists: Vec<f64> = text
-        .lines()
-        .skip(1)
-        .filter_map(|l| l.split_whitespace().last()?.parse().ok())
-        .collect();
-    assert!(dists.windows(2).all(|w| w[0] <= w[1]), "{dists:?}");
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&idx).ok();
 }
@@ -800,14 +744,9 @@ fn durable_ingest_crash_and_recover_round_trip() {
         let mut answers = Vec::new();
         for idx in [&control, &recovered] {
             let mut cmd = stidx();
-            cmd.args(["query", "--index"]).arg(idx).args([
-                "--backend",
-                "ppr",
-                "--area",
-                "0,0,1,1",
-                "--time",
-                t,
-            ]);
+            cmd.args(["query", "--index"])
+                .arg(idx)
+                .args(["--area", "0,0,1,1", "--time", t]);
             if let Some(u) = until {
                 cmd.args(["--until", u]);
             }

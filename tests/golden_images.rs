@@ -4,14 +4,15 @@
 //! parameters — once through [`PprTree::insert`] / [`PprTree::delete`]
 //! (one record per object, its whole-lifetime MBR), once through
 //! [`IngestPipeline`] (a position per instant, committed every few
-//! instants, then sealed) — and each tree is saved. The same records go
-//! through [`SpatioTemporalIndex::build`] into the R\*-Tree baseline too.
-//! Last, the split planner runs over the same movers (a rectangle per
-//! instant): a MergeSplit + LAGreedy plan at a 50 % budget, whose records
-//! build a PPR-Tree. Last, the bulk loader packs the movers' pieces (a
-//! rectangle per few instants) into a page file through its external
-//! sort. The xxh64 of each saved image, of the plan's records and of the
-//! bulk loader's page file is a constant below. A change to how an
+//! instants, then sealed) — and each tree is saved. The same records
+//! build the R\*-Tree baseline too, into a page file, in the order
+//! [`SpatioTemporalIndex::build`] inserts them. Then the split planner
+//! runs over the same movers (a rectangle per instant): a MergeSplit +
+//! LAGreedy plan at a 50 % budget, whose records build a PPR-Tree. Last,
+//! the bulk loader packs the movers' pieces (a rectangle per few
+//! instants) into a page file through its external sort. The xxh64 of
+//! each saved image, of the plan's records and of the two page files is
+//! a constant below. A change to how an
 //! update is carried out (which nodes it reads, when it writes one, how
 //! it encodes it) must leave every image as it is; a change that moves a
 //! constant changed the trees or the file format.
@@ -20,8 +21,11 @@
 //! commit `de0a2d3`, whose update path re-read every node on the way up
 //! and rewrote every ancestor whether or not its bytes changed, and
 //! printed the two digests their assertions report on a mismatch. The
-//! R\*-Tree test ran the same way on commit `88a1707`, the last one whose
-//! R\*-Tree carried deletion and whose page store kept a free list. The
+//! R\*-Tree has no saved image any more: its page-file constant was
+//! printed on commit `f714203`, in the same run that still asserted that
+//! commit's image digest (`RSTAR_IMAGE` `0xfab2_cdb5_23d0_e927`, which
+//! commit `88a1707`, the last one whose R\*-Tree carried deletion and
+//! whose page store kept a free list, had produced byte for byte). The
 //! planner test ran the same way on commit `87800fe`, whose MergeSplit
 //! still picked each merge from a lazily invalidated binary heap. The
 //! bulk-loader constants are the tree's own, not a reference's: the
@@ -40,6 +44,7 @@ use spatiotemporal_index::core::{
 };
 use spatiotemporal_index::geom::{Point2, Rect2, StBox, Time, TimeInterval};
 use spatiotemporal_index::pprtree::{BulkLoader, BulkPiece, PprParams, PprTree};
+use spatiotemporal_index::rstar::RStarTree;
 use spatiotemporal_index::storage::{xxh64, FileBackend, IoStats, PageStore};
 use spatiotemporal_index::trajectory::RasterizedObject;
 
@@ -47,8 +52,9 @@ use spatiotemporal_index::trajectory::RasterizedObject;
 const DIRECT_IMAGE: u64 = 0xf212_8bb2_79d4_6b68;
 /// xxh64 of the saved image of the sealed pipeline tree.
 const PIPELINE_IMAGE: u64 = 0x00d5_343c_dd61_2d56;
-/// xxh64 of the saved image of the R\*-Tree built over the same records.
-const RSTAR_IMAGE: u64 = 0xfab2_cdb5_23d0_e927;
+/// xxh64 of the page file of the R\*-Tree built over the same records,
+/// and its pages.
+const RSTAR_PAGES: (u64, usize) = (0x1e39_9f7c_c3e8_ad91, 16);
 /// xxh64 of the records of the MergeSplit + LAGreedy 50 % plan.
 const PLAN_RECORDS: u64 = 0x0350_872f_5b6c_e2e9;
 /// xxh64 of the saved image of the PPR-Tree built from those records.
@@ -188,12 +194,36 @@ fn the_rstar_baseline_builds_the_pinned_tree() {
             stbox: StBox::new(m.lifetime_mbr(), TimeInterval::new(m.start, m.end)),
         })
         .collect();
+    let dir = std::env::temp_dir().join(format!("sti-golden-rstar-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let page_file = dir.join("tree.pages");
     let config = IndexConfig::paper(IndexBackend::RStar);
-    let index = SpatioTemporalIndex::build(&records, &config).unwrap();
-    let tree = index.as_rstar().unwrap();
+    let mut tree = RStarTree::with_backend(
+        config.rstar,
+        Box::new(FileBackend::create(&page_file).unwrap()),
+    )
+    .unwrap();
+    // `SpatioTemporalIndex::build`'s order: a multiplicative-hash shuffle.
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_by_key(|&i| {
+        (i as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(17)
+    });
+    for i in order {
+        let r = &records[i];
+        tree.insert(r.id, r.to_rect3(f64::from(config.time_extent)))
+            .unwrap();
+    }
     assert_eq!(tree.len(), OBJECTS);
-    let digest = image_digest("rstar", |path| tree.save_to_file(path));
-    assert_eq!(digest, RSTAR_IMAGE, "rstar image digest {digest:#018x}");
+    let pages = (xxh64(&std::fs::read(&page_file).unwrap()), tree.num_pages());
+    drop(tree);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        pages, RSTAR_PAGES,
+        "rstar page file digest {:#018x}",
+        pages.0
+    );
 }
 
 #[test]

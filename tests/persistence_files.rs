@@ -3,12 +3,10 @@
 //! are identical.
 
 use spatiotemporal_index::core::{
-    IndexBackend, IndexConfig, IngestOp, IngestPipeline, OnlineSplitConfig, SpatioTemporalIndex,
-    SplitPlan,
+    IngestOp, IngestPipeline, OnlineSplitConfig, SpatioTemporalIndex, SplitPlan,
 };
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::prelude::*;
-use spatiotemporal_index::rstar::RStarTree;
 use spatiotemporal_index::storage::{xxh64, FsyncPolicy, WalConfig};
 use std::path::PathBuf;
 
@@ -87,82 +85,10 @@ fn pprtree_survives_a_round_trip() {
 }
 
 #[test]
-fn rstar_survives_a_round_trip() {
-    let recs = records();
-    let idx = SpatioTemporalIndex::build(&recs, &IndexConfig::paper(IndexBackend::RStar)).unwrap();
-    // Rebuild a raw tree the same way the facade does, then persist it.
-    let mut tree = RStarTree::new(Default::default());
-    for r in &recs {
-        tree.insert(r.id, r.to_rect3(1000.0)).unwrap();
-    }
-    let path = temp("rstar");
-    tree.save_to_file(&path).expect("save");
-    let mut back = RStarTree::open_file(&path).expect("open");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(back.len(), tree.len());
-    assert_eq!(back.num_pages(), tree.num_pages());
-    back.validate();
-
-    for t in (0..1000u32).step_by(129) {
-        let area = Rect2::from_bounds(0.1, 0.3, 0.6, 0.8);
-        let q = spatiotemporal_index::geom::Rect3::new(
-            [area.lo.x, area.lo.y, f64::from(t) / 1000.0],
-            [area.hi.x, area.hi.y, f64::from(t) / 1000.0],
-        );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        tree.query(&q, &mut a).unwrap();
-        back.query(&q, &mut b).unwrap();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "query at {t}");
-        // And the loaded tree agrees with the facade-built index.
-        let mut facade = idx.query(&area, &TimeInterval::instant(t)).unwrap();
-        facade.sort_unstable();
-        b.sort_unstable();
-        b.dedup();
-        assert_eq!(b, facade, "facade agreement at {t}");
-    }
-}
-
-#[test]
 fn loading_garbage_fails_cleanly() {
     let path = temp("garbage");
     std::fs::write(&path, b"definitely not an index file").expect("write");
     assert!(PprTree::open_file(&path).is_err());
-    assert!(RStarTree::open_file(&path).is_err());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn backend_mismatch_is_a_clean_error() {
-    let recs = records();
-    let mut ppr = PprTree::new(Default::default());
-    let mut events: Vec<(u32, u8, usize)> = Vec::new();
-    for (i, r) in recs.iter().enumerate() {
-        events.push((r.stbox.lifetime.start, 1, i));
-        events.push((r.stbox.lifetime.end, 0, i));
-    }
-    events.sort_unstable();
-    for (t, kind, i) in events {
-        if kind == 1 {
-            ppr.insert(recs[i].id, recs[i].stbox.rect, t).unwrap();
-        } else {
-            ppr.delete(recs[i].id, recs[i].stbox.rect, t).unwrap();
-        }
-    }
-    let path = temp("mismatch");
-    ppr.save_to_file(&path).expect("save");
-    let err = match RStarTree::open_file(&path) {
-        Err(e) => e,
-        Ok(_) => panic!("opening a PPR file as R* must fail"),
-    };
-    assert!(
-        err.to_string().contains("PPR-Tree"),
-        "mismatch should name the actual backend: {err}"
-    );
-    // And the right backend still opens it.
-    assert!(PprTree::open_file(&path).is_ok());
     std::fs::remove_file(&path).ok();
 }
 
@@ -242,6 +168,17 @@ fn corrupted_index_files_fail_closed() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Twenty small records, one an instant.
+fn small_tree() -> PprTree {
+    let mut tree = PprTree::new(PprParams::default());
+    for i in 0..20u64 {
+        let x = i as f64 * 0.04;
+        tree.insert(i, Rect2::from_bounds(x, x, x + 0.03, x + 0.03), i as u32)
+            .unwrap();
+    }
+    tree
+}
+
 /// `image` with `bytes` written at offset `at` of its owner metadata and
 /// the metadata checksum re-stamped: every checksum in the file passes,
 /// so only the tree's own parameter check stands between the value and
@@ -257,22 +194,13 @@ fn patch_meta(image: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Parameters outside the ranges the constructors assert fail typed at
-/// open — `InvalidData`, never the constructors' panic — through both
-/// trees, the facade, and `stidx check`.
+/// open — `InvalidData`, never the constructors' panic — through the
+/// tree, the facade, and `stidx check`.
 #[test]
 fn out_of_range_parameters_fail_typed_at_open() {
     let nan = f64::NAN.to_le_bytes();
     let (too_few, too_many) = (2u32.to_le_bytes(), 1000u32.to_le_bytes());
-    let half = 0.5f64.to_le_bytes();
-    let mut ppr = PprTree::new(PprParams::default());
-    let mut rstar = RStarTree::new(Default::default());
-    for i in 0..20u64 {
-        let x = i as f64 * 0.04;
-        ppr.insert(i, Rect2::from_bounds(x, x, x + 0.03, x + 0.03), i as u32)
-            .unwrap();
-        let cube = spatiotemporal_index::geom::Rect3::new([x; 3], [x + 0.03; 3]);
-        rstar.insert(i, cube).unwrap();
-    }
+    let ppr = small_tree();
     let path = temp("params");
     // Meta offsets: backend tag at 0, then max_entries (u32) and the
     // f64 fractions in save order.
@@ -301,22 +229,46 @@ fn out_of_range_parameters_fail_typed_at_open() {
         assert!(!out.status.success(), "stidx check accepted it");
         assert!(stderr.contains("parameters"), "{stderr}");
     }
-    let rstar_cases: [(usize, &[u8]); 6] = [
-        (1, &too_few),
-        (1, &too_many),
-        (5, &nan), // min_fill
-        (5, &0.9f64.to_le_bytes()),
-        (13, &nan), // reinsert_fraction
-        (13, &half),
-    ];
-    rstar.save_to_file(&path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    for (at, bytes) in rstar_cases {
-        std::fs::write(&path, patch_meta(&pristine, at, bytes)).unwrap();
-        let err = RStarTree::open_file(&path).err().expect("out of range");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("parameters"), "{err}");
-        assert!(SpatioTemporalIndex::open_file(&path).is_err());
+    std::fs::remove_file(&path).ok();
+}
+
+/// An R\*-Tree image written by an older release — a PPR image whose
+/// backend tag says `R`, under a re-stamped metadata checksum — fails
+/// typed on every path a user opens an index by: the tree, the facade,
+/// and `stidx query`, `stats --index` and `check`. (`sti-server --index`
+/// is the fourth; its suite spawns that binary.)
+#[test]
+fn old_rstar_images_fail_typed_on_every_path() {
+    const GONE: &str = "R*-Tree images are no longer supported";
+    let path = temp("old-rstar");
+    small_tree().save_to_file(&path).unwrap();
+    let image = patch_meta(&std::fs::read(&path).unwrap(), 0, b"R");
+    std::fs::write(&path, image).unwrap();
+
+    let err = PprTree::open_file(&path).err().expect("an R* image");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(GONE), "{err}");
+    let err = SpatioTemporalIndex::open_file(&path)
+        .err()
+        .expect("an R* image");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(GONE), "{err}");
+    let index = path.to_str().unwrap();
+    let area = ["--area", "0,0,1,1", "--time", "5"];
+    for args in [
+        &["query", "--index", index][..],
+        &["stats", "--index", index],
+        &["check", index],
+    ] {
+        let query = if args[0] == "query" { &area[..] } else { &[] };
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_stidx"))
+            .args(args)
+            .args(query)
+            .output()
+            .expect("run stidx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stidx {args:?}: {stderr}");
+        assert!(stderr.contains(GONE), "stidx {args:?}: {stderr}");
     }
     std::fs::remove_file(&path).ok();
 }
