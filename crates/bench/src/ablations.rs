@@ -2,19 +2,22 @@
 
 use crate::figures::DISTRIBUTIONS;
 use sti_bench::{
-    build_index, print_table, query_io_profile, random_dataset, rstar_query_io_profile, series,
-    split_records, BenchReport, Scale,
+    build_index, print_table, query_io_profile, railway_dataset, random_dataset,
+    rstar_query_io_profile, series, split_records, BenchReport, Scale,
 };
 use sti_core::single::{MergeSplit, SingleObjectSplitter};
 use sti_core::tuning::{choose_splits_analytical, choose_splits_by_sampling, QueryProfile};
 use sti_core::{
-    DistributionAlgorithm, IndexBackend, IndexConfig, SingleSplitAlgorithm, SpatioTemporalIndex,
-    SplitBudget, SplitPlan,
+    total_volume, unsplit_records, BatchState, DistributionAlgorithm, IndexBackend, IndexConfig,
+    IngestPipeline, ObjectRecord, OnlineSplitConfig, OnlineSplitter, SingleSplitAlgorithm,
+    SpatioTemporalIndex, SplitBudget, SplitPlan,
 };
 use sti_datagen::{OrbitDatasetSpec, QuerySetSpec, RandomDatasetSpec, TIME_EXTENT};
-use sti_geom::Rect3;
+use sti_geom::{Rect3, Time};
 use sti_obs::JsonValue;
+use sti_pprtree::PprParams;
 use sti_rstar::{RStarParams, RStarTree};
+use sti_trajectory::RasterizedObject;
 
 /// §IV: finding a good number of splits with the analytical model and
 /// by sampling, on the "50k" random dataset.
@@ -290,4 +293,123 @@ pub fn packing(scale: Scale) {
         profiles,
     );
     report.finish();
+}
+
+/// §VII's on-line problem, measured on the live tree: each dataset is
+/// streamed through an [`IngestPipeline`] at the default
+/// [`OnlineSplitConfig`] (150 % budget), and its sealed tree is queried
+/// against the offline MergeSplit + LAGreedy plan given the same number
+/// of splits, built incrementally like the pipeline's.
+pub fn online(scale: Scale) {
+    let mut report = BenchReport::new("ablation_online", &scale);
+    let n = scale.sizes[scale.sizes.len().saturating_sub(2)];
+    let mut spec = QuerySetSpec::small_range();
+    spec.cardinality = scale.queries;
+    let queries = spec.generate();
+    let config = OnlineSplitConfig::default();
+    type Gen = fn(usize) -> Vec<RasterizedObject>;
+    for (name, generate) in [
+        ("random", random_dataset as Gen),
+        ("railway", railway_dataset as Gen),
+    ] {
+        let objects = generate(n);
+        let mut rows = Vec::new();
+        let mut profiles = Vec::new();
+        let mut measure =
+            |label: String, records: &[ObjectRecord], mut idx: SpatioTemporalIndex| {
+                let profile = query_io_profile(&mut idx, &queries);
+                let splits = records.len() - objects.len();
+                rows.push(vec![
+                    label.clone(),
+                    records.len().to_string(),
+                    format!("{:.1}%", 100.0 * splits as f64 / objects.len() as f64),
+                    idx.num_pages().to_string(),
+                    format!("{:.3}", total_volume(records)),
+                    format!("{:.2}", profile.avg),
+                ]);
+                profiles.push(series(label, "ppr", profile));
+                splits
+            };
+
+        let unsplit = unsplit_records(&objects);
+        let idx = build_index(&unsplit, IndexBackend::PprTree);
+        measure("unsplit".into(), &unsplit, idx);
+
+        let (records, tree) = stream_through_pipeline(&objects, config);
+        let splits = measure(
+            format!("pipeline {:?}", config.budget),
+            &records,
+            tree.into(),
+        );
+
+        let offline = split_records(
+            &objects,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::LaGreedy,
+            SplitBudget::Count(splits),
+        );
+        let idx = build_index(&offline, IndexBackend::PprTree);
+        measure(format!("offline LAGreedy, {splits} splits"), &offline, idx);
+
+        report.table_with_profiles(
+            &format!(
+                "Ablation — online vs offline splitting, small range queries ({} {name} dataset, PPR-Tree)",
+                Scale::label(n)
+            ),
+            &["Configuration", "Records", "Splits", "Pages", "Total volume", "Avg I/O"],
+            &rows,
+            profiles,
+        );
+    }
+    report.finish();
+}
+
+/// Replay `objects` as a live stream — every position at its instant,
+/// each disappearance at its lifetime end — through an
+/// [`IngestPipeline`] committing every instant, and seal it. Returns
+/// the records the splitter emitted (a bare [`OnlineSplitter`] fed the
+/// same operations decides identically) and the sealed tree.
+fn stream_through_pipeline(
+    objects: &[RasterizedObject],
+    config: OnlineSplitConfig,
+) -> (Vec<ObjectRecord>, sti_pprtree::PprTree) {
+    let mut ops: Vec<(Time, u64, Option<usize>)> = Vec::new();
+    for o in objects {
+        ops.extend((0..o.len()).map(|i| (o.start() + i as Time, o.id(), Some(i))));
+        ops.push((o.lifetime().end, o.id(), None));
+    }
+    ops.sort_unstable();
+
+    let mut pipeline = IngestPipeline::new(config, PprParams::default());
+    let mut shadow = OnlineSplitter::new(config);
+    let mut records = Vec::new();
+    let mut clock = 0;
+    for (t, id, at) in ops {
+        if t > clock {
+            clock = t;
+            assert!(
+                pipeline.commit().rejected.is_empty(),
+                "replayed stream is gap-free"
+            );
+        }
+        let o = &objects[id as usize];
+        let record = match at {
+            Some(i) => {
+                pipeline.enqueue_update(id, o.rect(i), t);
+                shadow
+                    .observe(id, o.rect(i), t)
+                    .expect("replayed stream is gap-free")
+            }
+            None => {
+                pipeline.enqueue_finish(id, t);
+                Some(shadow.finish(id, t).expect("replayed stream is gap-free"))
+            }
+        };
+        records.extend(record);
+    }
+    let sealed = pipeline.seal();
+    assert_eq!(sealed.state, BatchState::Published, "{sealed:?}");
+    let tree = pipeline.into_published_tree();
+    assert_eq!(tree.total_records(), records.len() as u64);
+    (records, tree)
 }

@@ -32,6 +32,7 @@ const ENTRIES: &[Entry] = &[
     ("railway", &IO_SIZES, figures::railway),
     ("tuning", &DEFAULT_SIZES, ablations::tuning),
     ("ablation_motion", &IO_SIZES, ablations::motion),
+    ("ablation_online", &IO_SIZES, ablations::online),
     ("ablation_orbits", &IO_SIZES, ablations::orbits),
     ("ablation_packing", &IO_SIZES, ablations::packing),
     ("throughput", &IO_SIZES, throughput::throughput),

@@ -238,12 +238,7 @@ impl SpatioTemporalIndex {
     /// [`PprTree::open_file`]'s: an unreadable or damaged file, or one
     /// that holds an R\*-Tree image, which is no longer supported.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
-        let tree = PprTree::open_file(path)?;
-        let record_count = usize::try_from(tree.total_records()).unwrap_or(usize::MAX);
-        Ok(Self {
-            backend: Backend::Ppr(tree),
-            record_count,
-        })
+        Ok(PprTree::open_file(path)?.into())
     }
 
     /// Borrow the underlying PPR-Tree, when that backend is active.
@@ -399,6 +394,18 @@ impl SpatioTemporalIndex {
         parallelism: crate::parallel::Parallelism,
     ) -> Vec<crate::executor::QueryOutcome> {
         crate::executor::QueryExecutor::new(parallelism).run(self, requests)
+    }
+}
+
+/// Serve a PPR-Tree built elsewhere — opened from a file, or sealed by
+/// an [`crate::IngestPipeline`] — through the facade.
+impl From<PprTree> for SpatioTemporalIndex {
+    fn from(tree: PprTree) -> Self {
+        let record_count = usize::try_from(tree.total_records()).unwrap_or(usize::MAX);
+        Self {
+            backend: Backend::Ppr(tree),
+            record_count,
+        }
     }
 }
 

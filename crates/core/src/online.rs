@@ -8,18 +8,20 @@
 //!
 //! * [`OnlineSplitter`] — one-pass piece construction: an object's
 //!   current piece is closed (an artificial update is issued) as soon as
-//!   its MBR's *empty-space overhead* crosses a threshold. No lookahead,
-//!   O(1) state per alive object.
+//!   the empty space its MBR holds crosses a threshold, which a
+//!   controller moves so that the splits issued track a [`SplitBudget`].
+//!   No lookahead, O(1) state per alive object.
 //! * [`crate::IngestPipeline`] — feeds the emitted pieces into a
 //!   PPR-Tree while updates stream in, using a watermark reordering
 //!   buffer: a piece's insertion time lies in the past by construction
 //!   (its start), so events are buffered until no still-open piece could
 //!   precede them.
 //!
-//! The `ablation_online` bench target compares the one-pass splitter
-//! against the offline LAGreedy plan in both total volume and query I/O.
+//! The `ablation_online` `sti-bench` entry streams datasets through the
+//! pipeline and compares its tree with the offline MergeSplit + LAGreedy
+//! plan at the same split count, in total volume and query I/O.
 
-use crate::plan::{ObjectRecord, RecordEvent};
+use crate::plan::{ObjectRecord, RecordEvent, SplitBudget};
 use std::collections::{BTreeMap, HashMap};
 use sti_geom::{Rect2, StBox, Time, TimeInterval};
 
@@ -167,44 +169,61 @@ impl std::error::Error for OnlineError {
     }
 }
 
-/// Tuning of the online split decision.
+/// Tuning of the online split decision: how many splits to spend, and
+/// how stale a piece may grow. Everything else about the rule is fixed
+/// (see [`OnlineSplitter`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineSplitConfig {
-    /// Close the current piece when
-    /// `volume(piece MBR) / Σ per-instant volumes ≥ overhead_threshold`.
-    /// 1.0 splits on any empty space at all. The right value is
-    /// workload-dependent: for an object of spatial extent `w` moving `v`
-    /// per instant, pieces close after roughly `(θ−1)·w/v` instants, so
-    /// pick θ to hit the record budget you can afford (the
-    /// `ablation_online` bench sweeps it).
-    pub overhead_threshold: f64,
-    /// Never close a piece before it covers this many instants (keeps the
-    /// record count bounded: at most `lifetime / min_piece_instants`
-    /// pieces per object).
-    pub min_piece_instants: u32,
-    /// Close any piece reaching this length regardless of overhead.
+    /// Splits to spend, resolved against the objects admitted so far —
+    /// the offline planner's budget, so a live tree and a planned one
+    /// can be asked for the same thing. `Percent(150.0)` is what Fig. 15
+    /// and the `tuning` entry both pick for the random datasets.
+    pub budget: SplitBudget,
+    /// Close any piece reaching this length regardless of its waste.
     /// This bounds the pipeline's watermark staleness — without it a
     /// single stationary object would freeze the queryable horizon
     /// forever — so it defaults to `Some(64)`; set `None` only for pure
     /// volume-optimization experiments.
     pub max_piece_instants: Option<u32>,
-    /// Absolute spatial-area trigger: close when the piece MBR's area
-    /// crosses this value. The relative criterion is blind to objects
-    /// with (near-)zero extent — moving *points* have zero per-instant
-    /// volume — so point workloads rely on this knob (and on
-    /// `max_piece_instants` for purely axis-parallel motion, whose MBR
-    /// area also stays zero).
-    pub max_piece_area: Option<f64>,
 }
 
 impl Default for OnlineSplitConfig {
     fn default() -> Self {
         Self {
-            overhead_threshold: 8.0,
-            min_piece_instants: 5,
+            budget: SplitBudget::Percent(150.0),
             max_piece_instants: Some(64),
-            max_piece_area: None,
         }
+    }
+}
+
+/// The waste threshold when the splitter is exactly on budget.
+const TAU_0: f64 = 1e-4;
+/// How far one split above (below) budget raises (lowers) the threshold.
+const ETA: f64 = 0.05;
+/// Bound on the threshold's exponent, so it stays finite and positive:
+/// `1.05^±400` spans `τ` from ≈ 3e-13 (below any real motion, above the
+/// rounding noise of a stationary piece) to ≈ 3e4 (above the waste of
+/// any 64-instant piece of the unit square).
+const MAX_EXPONENT: i128 = 400;
+
+/// `τ = τ₀ · (1 + η)^(splits − target)`, the exponent clamped.
+fn waste_threshold(budget: SplitBudget, splits_issued: u64, objects_admitted: u64) -> f64 {
+    let target = budget.resolve(usize::try_from(objects_admitted).unwrap_or(usize::MAX));
+    let over = i128::from(splits_issued) - target as i128;
+    TAU_0 * (1.0 + ETA).powi(over.clamp(-MAX_EXPONENT, MAX_EXPONENT) as i32)
+}
+
+/// The objects a splitter must have admitted for `splits_issued` to be
+/// exactly on `budget` — where a checkpoint written before the admitted
+/// count was recorded restores it (the threshold then starts at `τ₀`).
+pub(crate) fn objects_on_budget(budget: SplitBudget, splits_issued: u64) -> u64 {
+    match budget {
+        SplitBudget::Percent(p) if p > 0.0 && p.is_finite() => {
+            (splits_issued as f64 * 100.0 / p).round() as u64
+        }
+        // A count or a zero percentage resolves alike for every admitted
+        // count, an infinite one for none: either way, start from zero.
+        _ => 0,
     }
 }
 
@@ -214,11 +233,21 @@ struct OpenPiece {
     /// Last instant observed (inclusive).
     last: Time,
     mbr: Rect2,
-    /// Σ per-instant areas, the denominator of the overhead ratio.
+    /// Σ per-instant areas: what the piece would cost with no empty
+    /// space.
     area_sum: f64,
 }
 
 impl OpenPiece {
+    fn new(rect: Rect2, t: Time) -> Self {
+        Self {
+            start: t,
+            last: t,
+            mbr: rect,
+            area_sum: rect.area(),
+        }
+    }
+
     fn to_record(self, id: u64) -> ObjectRecord {
         ObjectRecord {
             id,
@@ -232,7 +261,23 @@ impl OpenPiece {
 }
 
 /// One-pass artificial-split decisions over a stream of per-instant
-/// position updates.
+/// position updates, spending a [`SplitBudget`].
+///
+/// Each observation grows the object's open piece and measures its
+/// *waste*: `area(piece MBR) · instants − Σ per-instant areas`, the
+/// empty space the piece's box holds. The measure is absolute, so a
+/// moving point (zero area at every instant) has waste too. The piece
+/// closes — an artificial split — when its waste reaches a threshold
+/// `τ`, or when it reaches `max_piece_instants`.
+///
+/// `τ` is a controller, not a knob: `τ₀ · (1 + η)^(splits − target)`,
+/// where `target` is the budget resolved against the objects admitted
+/// so far. Running over budget raises `τ` by 5 % per split, running
+/// under lowers it, so the splits issued track the budget whatever the
+/// data's speeds and extents. `τ` is a pure function of the two
+/// counters, which is what lets a recovered splitter repeat the
+/// uninterrupted run's decisions exactly; it is cached and recomputed
+/// only when a counter moves.
 ///
 /// ```
 /// use sti_core::online::{OnlineSplitConfig, OnlineSplitter};
@@ -262,25 +307,40 @@ pub struct OnlineSplitter {
     /// pipeline consults it at every commit.
     open_starts: BTreeMap<Time, usize>,
     splits_issued: u64,
+    /// Objects whose first observation opened a piece.
+    objects_admitted: u64,
+    /// The waste threshold for the current counters.
+    tau: f64,
 }
 
 impl OnlineSplitter {
-    /// Create a splitter with the given thresholds.
+    /// Create a splitter that spends `config.budget`.
+    ///
+    /// # Panics
+    /// On a NaN or negative budget percentage (as
+    /// [`SplitBudget::resolve`] does), or a zero `max_piece_instants`.
     pub fn new(config: OnlineSplitConfig) -> Self {
-        assert!(
-            config.overhead_threshold >= 1.0,
-            "threshold below 1 splits every instant"
+        assert_ne!(
+            config.max_piece_instants,
+            Some(0),
+            "a piece covers an instant"
         );
-        assert!(config.min_piece_instants >= 1);
-        if let Some(max) = config.max_piece_instants {
-            assert!(max >= config.min_piece_instants);
-        }
         Self {
             config,
             open: HashMap::new(),
             open_starts: BTreeMap::new(),
             splits_issued: 0,
+            objects_admitted: 0,
+            tau: waste_threshold(config.budget, 0, 0),
         }
+    }
+
+    fn retune(&mut self) {
+        self.tau = waste_threshold(
+            self.config.budget,
+            self.splits_issued,
+            self.objects_admitted,
+        );
     }
 
     /// Observe object `id` occupying `rect` at instant `t`. Returns the
@@ -292,8 +352,8 @@ impl OnlineSplitter {
     /// # Errors
     /// A typed [`ObserveError`] when `t` breaks contiguity — a gap, a
     /// duplicate instant, or a backwards step. The splitter is unchanged
-    /// on error: the open piece, the watermark, and the split counter
-    /// all stay as they were, so the stream can resume at the expected
+    /// on error: the open piece, the watermark, and the counters all
+    /// stay as they were, so the stream can resume at the expected
     /// instant.
     pub fn observe(
         &mut self,
@@ -302,16 +362,10 @@ impl OnlineSplitter {
         t: Time,
     ) -> Result<Option<ObjectRecord>, ObserveError> {
         let Some(piece) = self.open.get_mut(&id) else {
-            self.open.insert(
-                id,
-                OpenPiece {
-                    start: t,
-                    last: t,
-                    mbr: rect,
-                    area_sum: rect.area(),
-                },
-            );
+            self.open.insert(id, OpenPiece::new(rect, t));
             *self.open_starts.entry(t).or_insert(0) += 1;
+            self.objects_admitted += 1;
+            self.retune();
             return Ok(None);
         };
         if t != piece.last + 1 {
@@ -333,38 +387,21 @@ impl OnlineSplitter {
         }
 
         let grown = piece.mbr.union(&rect);
-        let instants = f64::from(piece.instants() + 1);
         let area_sum = piece.area_sum + rect.area();
-        let overhead = if area_sum > 0.0 {
-            grown.area() * instants / area_sum
-        } else {
-            1.0 // zero-extent objects never trip the relative criterion
-        };
-
-        let long_enough = piece.instants() >= self.config.min_piece_instants;
+        let waste = grown.area() * f64::from(piece.instants() + 1) - area_sum;
         let too_long = self
             .config
             .max_piece_instants
             .is_some_and(|m| piece.instants() >= m);
-        let too_big = self
-            .config
-            .max_piece_area
-            .is_some_and(|a| grown.area() >= a);
-        let should_split =
-            long_enough && (too_long || (overhead >= self.config.overhead_threshold) || too_big);
 
-        if should_split {
+        if waste >= self.tau || too_long {
             let closed = piece.to_record(id);
             let old_start = piece.start;
-            *piece = OpenPiece {
-                start: t,
-                last: t,
-                mbr: rect,
-                area_sum: rect.area(),
-            };
+            *piece = OpenPiece::new(rect, t);
             remove_start(&mut self.open_starts, old_start);
             *self.open_starts.entry(t).or_insert(0) += 1;
             self.splits_issued += 1;
+            self.retune();
             Ok(Some(closed))
         } else {
             piece.mbr = grown;
@@ -400,6 +437,12 @@ impl OnlineSplitter {
     /// Number of artificial splits issued so far.
     pub fn splits_issued(&self) -> u64 {
         self.splits_issued
+    }
+
+    /// Number of objects admitted so far: first observations that
+    /// opened a piece. The budget is resolved against this count.
+    pub fn objects_admitted(&self) -> u64 {
+        self.objects_admitted
     }
 
     /// Number of objects with an open piece.
@@ -438,13 +481,15 @@ impl OnlineSplitter {
     }
 
     /// Rebuild a splitter from a checkpointed image: the inverse of
-    /// [`OnlineSplitter::snapshot_open_pieces`]. The start-time multiset
-    /// is re-derived from the pieces, so the watermark invariant holds
-    /// by construction.
+    /// [`OnlineSplitter::snapshot_open_pieces`] plus the two counters
+    /// the threshold is a function of. The start-time multiset is
+    /// re-derived from the pieces, so the watermark invariant holds by
+    /// construction.
     pub(crate) fn restore(
         config: OnlineSplitConfig,
         pieces: &[OpenPieceSnapshot],
         splits_issued: u64,
+        objects_admitted: u64,
     ) -> Self {
         let mut s = Self::new(config);
         for p in pieces {
@@ -462,6 +507,8 @@ impl OnlineSplitter {
             *s.open_starts.entry(piece.start).or_insert(0) += 1;
         }
         s.splits_issued = splits_issued;
+        s.objects_admitted = objects_admitted;
+        s.retune();
         s
     }
 }
@@ -547,10 +594,17 @@ mod tests {
         }
 
         let pieces = original.snapshot_open_pieces();
-        let mut restored = OnlineSplitter::restore(config, &pieces, original.splits_issued());
+        let mut restored = OnlineSplitter::restore(
+            config,
+            &pieces,
+            original.splits_issued(),
+            original.objects_admitted(),
+        );
         assert_eq!(restored.watermark(), original.watermark());
         assert_eq!(restored.open_objects(), original.open_objects());
         assert_eq!(restored.splits_issued(), original.splits_issued());
+        assert_eq!(restored.objects_admitted(), original.objects_admitted());
+        assert_eq!(restored.tau, original.tau);
 
         // Identical future inputs produce identical outputs.
         for (t, r) in rects.iter().enumerate().skip(20) {
@@ -633,72 +687,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn min_piece_length_is_respected() {
-        let cfg = OnlineSplitConfig {
-            min_piece_instants: 10,
+    /// Observe one moving point for 50 instants under an 8-instant cap.
+    fn point_pieces(step: fn(f64) -> Point2) -> Vec<ObjectRecord> {
+        let mut s = OnlineSplitter::new(OnlineSplitConfig {
+            max_piece_instants: Some(8),
             ..OnlineSplitConfig::default()
-        };
-        let mut s = OnlineSplitter::new(cfg);
+        });
         let mut pieces = Vec::new();
-        for (i, r) in mover(60).iter().enumerate() {
-            if let Some(p) = s.observe(1, *r, i as Time).unwrap() {
-                pieces.push(p);
-            }
+        for t in 0..50u32 {
+            let p = Rect2::point(step(0.01 * f64::from(t)));
+            pieces.extend(s.observe(9, p, t).unwrap());
         }
-        pieces.push(s.finish(1, 60).unwrap());
-        for p in &pieces[..pieces.len() - 1] {
-            assert!(
-                p.stbox.lifetime.len() >= 10,
-                "piece shorter than minimum: {}",
-                p.stbox
-            );
-        }
+        pieces.push(s.finish(9, 50).unwrap());
+        pieces
     }
 
+    /// Moving points have no area at any instant, so only an absolute
+    /// waste can split them: a diagonal mover's box grows an area and
+    /// splits under the budget, before the cap.
+    #[test]
+    fn diagonal_moving_points_split_on_their_waste() {
+        let pieces = point_pieces(|d| Point2::new(d, d));
+        assert!(
+            pieces.len() >= 8,
+            "a diagonal point should split on its waste, got {} pieces",
+            pieces.len()
+        );
+        assert!(
+            pieces.iter().all(|p| p.stbox.lifetime.len() < 8),
+            "every diagonal piece closes before the cap"
+        );
+    }
+
+    /// An axis-parallel mover's box stays a segment with no waste, so
+    /// only `max_piece_instants` closes its pieces.
     #[test]
     fn max_piece_length_forces_splits() {
-        let cfg = OnlineSplitConfig {
-            max_piece_instants: Some(5),
-            min_piece_instants: 1,
-            overhead_threshold: 1e9, // relative criterion never fires
-            ..OnlineSplitConfig::default()
-        };
-        let mut s = OnlineSplitter::new(cfg);
-        let r = Rect2::from_bounds(0.1, 0.1, 0.12, 0.12);
-        let mut count = 0;
-        for t in 0..20 {
-            if s.observe(3, r, t).unwrap().is_some() {
-                count += 1;
-            }
-        }
-        assert!(
-            count >= 3,
-            "length cap should force periodic splits, got {count}"
+        let pieces = point_pieces(|d| Point2::new(d, 0.5));
+        let lengths: Vec<u64> = pieces.iter().map(|p| p.stbox.lifetime.len()).collect();
+        assert_eq!(
+            lengths,
+            [8, 8, 8, 8, 8, 8, 2],
+            "only the cap closes a segment"
         );
     }
 
+    /// Many objects admitted over time: the controller issues splits at
+    /// the budget's rate, whatever the budget.
     #[test]
-    fn zero_extent_points_use_area_cap() {
-        // Relative overhead is undefined for points; the area cap drives.
-        let cfg = OnlineSplitConfig {
-            max_piece_area: Some(0.001),
-            min_piece_instants: 1,
-            ..OnlineSplitConfig::default()
-        };
-        let mut s = OnlineSplitter::new(cfg);
-        let mut splits = 0;
-        for t in 0..50u32 {
-            // Diagonal motion: the piece MBR's area genuinely grows.
-            let p = Point2::new(0.01 * f64::from(t), 0.01 * f64::from(t));
-            if s.observe(9, Rect2::point(p), t).unwrap().is_some() {
-                splits += 1;
+    fn splits_track_the_budget() {
+        for pct in [50.0, 150.0, 400.0] {
+            let mut s = OnlineSplitter::new(OnlineSplitConfig {
+                budget: SplitBudget::Percent(pct),
+                max_piece_instants: None,
+            });
+            // 4000 movers of 40 instants each, a new one every instant.
+            let n = 4000u64;
+            for t in 0..(n as Time + 40) {
+                for id in u64::from(t).saturating_sub(39)..u64::from(t + 1).min(n) {
+                    let born = id as Time;
+                    let x = 0.05 + 0.002 * f64::from(t - born) * (1.0 + (id % 5) as f64);
+                    let r = Rect2::centered(Point2::new(x, 0.5), 0.01, 0.01);
+                    s.observe(id, r, t).unwrap();
+                }
             }
+            let realised = 100.0 * s.splits_issued() as f64 / s.objects_admitted() as f64;
+            assert_eq!(s.objects_admitted(), n);
+            assert!(
+                (realised - pct).abs() <= 5.0,
+                "budget {pct} %: realised {realised:.1} %"
+            );
         }
-        assert!(
-            splits >= 5,
-            "moving point should split via the area cap, got {splits}"
-        );
     }
 
     #[test]

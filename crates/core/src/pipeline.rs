@@ -360,6 +360,16 @@ impl IngestPipeline {
             self.rejected_total as f64,
         );
         set.counter(
+            "ingest_splits_total",
+            "artificial splits the online splitter issued",
+            self.splitter.splits_issued() as f64,
+        );
+        set.counter(
+            "ingest_objects_admitted_total",
+            "objects whose first observation opened a piece; the split budget resolves against them",
+            self.splitter.objects_admitted() as f64,
+        );
+        set.counter(
             "ingest_pages_copied_total",
             "pages commits copied on write because an older version still shared them",
             self.pages_copied as f64,
@@ -840,6 +850,7 @@ impl IngestPipeline {
             rollbacks: self.rollbacks,
             rejected_total: self.rejected_total,
             splits_issued: self.splitter.splits_issued(),
+            objects_admitted: self.splitter.objects_admitted(),
             open_pieces: self.splitter.snapshot_open_pieces(),
             reorder,
             pending: self.pending.clone(),
@@ -873,7 +884,7 @@ impl IngestPipeline {
                 checkpoints_skipped += 1;
                 continue;
             };
-            let Ok(meta) = CheckpointMeta::decode(&bytes) else {
+            let Ok(meta) = CheckpointMeta::decode(&bytes, config.budget) else {
                 checkpoints_skipped += 1;
                 continue;
             };
@@ -895,7 +906,12 @@ impl IngestPipeline {
         let (mut pipeline, meta) = match chosen {
             Some((meta, tree)) => {
                 let mut pipeline = Self::publishing(
-                    OnlineSplitter::restore(config, &meta.open_pieces, meta.splits_issued),
+                    OnlineSplitter::restore(
+                        config,
+                        &meta.open_pieces,
+                        meta.splits_issued,
+                        meta.objects_admitted,
+                    ),
                     PublishedIndex::new(tree, meta.stamp),
                 );
                 pipeline.reorder = meta.reorder.iter().cloned().map(Reverse).collect();
@@ -1044,7 +1060,6 @@ mod tests {
 
     fn config() -> OnlineSplitConfig {
         OnlineSplitConfig {
-            min_piece_instants: 2,
             max_piece_instants: Some(8),
             ..OnlineSplitConfig::default()
         }
@@ -1470,7 +1485,6 @@ mod tests {
     fn length_capped_pieces_advance_the_published_watermark() {
         let capped = OnlineSplitConfig {
             max_piece_instants: Some(4),
-            min_piece_instants: 1,
             ..OnlineSplitConfig::default()
         };
         let mut p = IngestPipeline::new(capped, params());
@@ -1499,6 +1513,7 @@ mod tests {
         seq: u64,
         watermark: Option<Time>,
         splits_issued: u64,
+        objects_admitted: u64,
         open: Vec<crate::online::OpenPieceSnapshot>,
         reorder: Vec<Ev>,
         pending: Vec<Ev>,
@@ -1516,6 +1531,7 @@ mod tests {
                 seq: p.seq,
                 watermark: p.splitter.watermark(),
                 splits_issued: p.splitter.splits_issued(),
+                objects_admitted: p.splitter.objects_admitted(),
                 open: p.splitter.snapshot_open_pieces(),
                 reorder,
                 pending: p.pending.clone(),
@@ -1544,7 +1560,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut p = IngestPipeline::new(
                 OnlineSplitConfig {
-                    min_piece_instants: 2,
                     max_piece_instants: Some(6),
                     ..OnlineSplitConfig::default()
                 },

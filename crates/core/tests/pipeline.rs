@@ -48,7 +48,6 @@ fn params() -> PprParams {
 
 fn config() -> OnlineSplitConfig {
     OnlineSplitConfig {
-        min_piece_instants: 2,
         max_piece_instants: Some(8),
         ..OnlineSplitConfig::default()
     }

@@ -15,12 +15,12 @@ use spatiotemporal_index::prelude::*;
 fn main() {
     let objects = RandomDatasetSpec::paper(500).generate();
     let config = OnlineSplitConfig {
-        overhead_threshold: 8.0,
-        min_piece_instants: 5,
+        // The paper's best offline budget: 1.5 artificial splits per
+        // object, spent where the boxes hold the most empty space.
+        budget: SplitBudget::Percent(150.0),
         // Cap piece length so the watermark keeps advancing even when
         // some object barely moves.
         max_piece_instants: Some(40),
-        max_piece_area: None,
     };
     let mut pipeline = IngestPipeline::new(config, PprParams::default());
 

@@ -6,7 +6,8 @@
 //!   2. never loses an acknowledged operation under `fsync = Always`,
 //!   3. never resurrects an operation the pipeline rejected, and
 //!   4. produces an index that answers snapshot and interval queries
-//!      exactly like a shadow pipeline that ran uninterrupted.
+//!      exactly like a shadow pipeline that ran uninterrupted, from the
+//!      same records, after the same split decisions.
 //!
 //! A byte-level corruption sweep then flips every byte of every WAL
 //! segment (and of checkpoint artifacts) and re-runs recovery: every
@@ -40,9 +41,12 @@ fn wal_config() -> WalConfig {
     }
 }
 
+/// Object `id` drifts up at `0.0004 · id` per instant: slowly enough
+/// that how long a piece runs before its waste reaches the splitter's
+/// threshold depends on the threshold, i.e. on the splitter's counters.
 fn rect_for(id: u64, t: u32) -> Rect2 {
     let x = id as f64 * 0.1;
-    let y = f64::from(t) * 0.02;
+    let y = 0.3 + 0.0004 * id as f64 * f64::from(t);
     Rect2::from_bounds(x, y, x + 0.05, y + 0.05)
 }
 
@@ -145,15 +149,58 @@ fn drive(
     Ok(())
 }
 
-/// Seal and return the sorted, deduplicated answers to a fixed probe
-/// battery of snapshot and interval queries.
-fn seal_and_probe(mut pipeline: IngestPipeline) -> Vec<Vec<u64>> {
+/// What a sealed pipeline is compared on.
+#[derive(Debug, PartialEq)]
+struct Sealed {
+    /// The probe battery's answers.
+    answers: Vec<Vec<u64>>,
+    /// At every instant, the objects each horizontal line crosses. An
+    /// object moves along y only, by at least 0.0004 an instant, so the
+    /// lines 0.0001 apart that its live record crosses pin the y-extent
+    /// of that record's box: equal strips at every instant mean the
+    /// splitter emitted the same records.
+    records: Vec<Vec<u64>>,
+    /// `ingest_splits_total`: the split decisions.
+    splits: f64,
+    /// `ingest_objects_admitted_total`: what the budget resolves against.
+    admitted: f64,
+}
+
+/// Seal and describe the result (see [`Sealed`]).
+fn seal_and_probe(mut pipeline: IngestPipeline) -> Sealed {
     let report = pipeline.seal();
     assert!(report.error.is_none(), "seal hit a storage fault");
     assert!(report.durability.is_none(), "seal hit a durability fault");
     assert!(!report.stalled, "seal stalled");
     assert_eq!(pipeline.pending_events(), 0, "seal left events pending");
-    probe(&pipeline)
+    let tree = pipeline.published();
+    let mut records = Vec::new();
+    for t in 0..16 {
+        for k in 0..800 {
+            let y = 0.300_05 + 0.0001 * f64::from(k);
+            let mut out = Vec::new();
+            tree.tree()
+                .query_snapshot(&Rect2::from_bounds(0.0, y, 1.0, y), t, &mut out)
+                .expect("strip");
+            out.sort_unstable();
+            records.push(out);
+        }
+    }
+    let mut metrics = MetricSet::new();
+    pipeline.record_metrics(&mut metrics);
+    let text = metrics.to_prometheus();
+    let counter = |name: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} is exported"))
+    };
+    Sealed {
+        answers: probe(&pipeline),
+        records,
+        splits: counter("ingest_splits_total"),
+        admitted: counter("ingest_objects_admitted_total"),
+    }
 }
 
 fn probe(pipeline: &IngestPipeline) -> Vec<Vec<u64>> {
@@ -185,7 +232,7 @@ fn probe(pipeline: &IngestPipeline) -> Vec<Vec<u64>> {
 }
 
 /// The uninterrupted reference: same stream, no WAL, sealed.
-fn shadow_answers(ops: &[IngestOp]) -> Vec<Vec<u64>> {
+fn shadow_answers(ops: &[IngestOp]) -> Sealed {
     let mut shadow = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
     drive(&mut shadow, ops, 0, false).unwrap_or_else(|_| unreachable!("volatile drive"));
     seal_and_probe(shadow)
@@ -210,7 +257,15 @@ fn every_crash_point_recovers_to_the_shadow_answers() {
     let reference = shadow_answers(&ops);
     // The rejected corner must stay empty in the reference too — the
     // probe battery includes it at every instant.
-    assert!(reference.iter().all(|ids| !ids.contains(&99)));
+    assert!(reference.answers.iter().all(|ids| !ids.contains(&99)));
+    // The four objects are admitted and split (the rejected op is not
+    // an object), so the comparison below covers split decisions.
+    assert_eq!(reference.admitted, 4.0);
+    assert!(
+        (4.0..36.0).contains(&reference.splits),
+        "{} splits: some pieces, not every instant",
+        reference.splits
+    );
 
     for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
         let dir = temp_dir(&format!("point-{i}"));
@@ -237,9 +292,9 @@ fn every_crash_point_recovers_to_the_shadow_answers() {
         );
         drive(&mut recovered, &ops, stop.resume_from, true)
             .unwrap_or_else(|_| panic!("resumed drive crashed again after {point}"));
-        let answers = seal_and_probe(recovered);
+        let sealed = seal_and_probe(recovered);
         assert_eq!(
-            answers, reference,
+            sealed, reference,
             "recovered index diverges from the shadow after a crash at {point}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -314,3 +314,74 @@ fn recovery_skips_a_checkpoint_with_out_of_range_parameters() {
     assert_eq!(report.checkpoint_generation, Some(newest - 1));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `STICKPT1` checkpoint meta — written before the splitter recorded
+/// its admitted-object count — still opens: recovery restores the
+/// count at which the recorded splits are exactly on budget, and the
+/// recovered pipeline seals a valid tree.
+#[test]
+fn a_version_1_checkpoint_meta_opens_on_budget() {
+    let dir = temp("recover-v1");
+    std::fs::remove_dir_all(&dir).ok();
+    let wal = WalConfig {
+        segment_max_bytes: 4096,
+        fsync: FsyncPolicy::Always,
+    };
+    let config = OnlineSplitConfig::default();
+    let counter = |p: &IngestPipeline, name: &str| -> f64 {
+        let mut set = MetricSet::new();
+        p.record_metrics(&mut set);
+        set.to_prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} is exported"))
+    };
+    let mut pipeline = IngestPipeline::new(config, PprParams::default());
+    pipeline.attach_durability(&dir, wal).unwrap();
+    for t in 0..20u32 {
+        for id in 0..6u64 {
+            let d = 0.01 * f64::from(t);
+            let rect = Rect2::point(Point2::new(0.1 * id as f64 + d, d));
+            pipeline
+                .enqueue_durable(IngestOp::Update { id, rect, t })
+                .unwrap();
+        }
+    }
+    assert!(pipeline.commit().error.is_none());
+    let generation = pipeline.checkpoint().unwrap().generation;
+    let splits = counter(&pipeline, "ingest_splits_total");
+    assert_eq!(counter(&pipeline, "ingest_objects_admitted_total"), 6.0);
+    assert!(
+        splits > 9.0,
+        "six diagonal movers over-spend early: {splits}"
+    );
+    drop(pipeline);
+
+    // Rewrite the meta as version 1: its magic, no admitted count (the
+    // u64 after the magic, eight u64s and two u32s), the checksum
+    // re-stamped.
+    let meta = dir.join(format!("checkpoint-{generation:016x}.meta"));
+    let v2 = std::fs::read(&meta).unwrap();
+    assert_eq!(&v2[..8], b"STICKPT2");
+    assert_eq!(v2[80..88], 6u64.to_le_bytes());
+    let mut v1 = [b"STICKPT1".as_slice(), &v2[8..80], &v2[88..v2.len() - 8]].concat();
+    let sum = xxh64(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(&meta, &v1).unwrap();
+
+    let (mut recovered, report) =
+        IngestPipeline::recover(&dir, config, PprParams::default(), wal).expect("v1 opens");
+    assert_eq!(report.checkpoint_generation, Some(generation));
+    assert_eq!(report.checkpoints_skipped, 0);
+    assert_eq!(counter(&recovered, "ingest_splits_total"), splits);
+    assert_eq!(
+        counter(&recovered, "ingest_objects_admitted_total"),
+        (splits / 1.5).round(),
+        "admitted restored where the splits are on a 150 % budget"
+    );
+    let sealed = recovered.seal();
+    assert!(sealed.error.is_none() && sealed.rejected.is_empty());
+    recovered.published().tree().validate();
+    std::fs::remove_dir_all(&dir).ok();
+}
