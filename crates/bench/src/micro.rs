@@ -160,9 +160,8 @@ fn apply(tree: &mut PprTree, ops: &[(u64, Rect2, u32, bool)]) {
 
 /// What one node write costs on the update path — encoding a node, the
 /// store's validated write inside a transaction — and a batch of
-/// updates applied the way the ingest pipeline applies one: inside
-/// `begin_batch`, on a fork of a tree (the fork's cost included, as in
-/// a commit).
+/// updates applied the way the ingest pipeline applies one: on a fork
+/// of a tree (the fork's cost included, as in a commit).
 pub fn node_write(scale: Scale) {
     // A 45-entry leaf, about what an incremental tree's leaves hold.
     let leaf = PprNode {
@@ -205,9 +204,7 @@ pub fn node_write(scale: Scale) {
     apply(&mut base, base_ops);
     let ns = ns_per_op(|| {
         let mut fork = base.clone();
-        fork.begin_batch();
         apply(&mut fork, batch);
-        fork.commit_batch();
         fork.num_pages()
     });
     cases.push((format!("batch_on_fork/{}", batch.len()), ns));

@@ -40,10 +40,12 @@
 //!
 //! A storage fault mid-commit drops the fork: the published version was
 //! never touched, the finalized events stay pending, and the next
-//! [`IngestPipeline::commit`] retries them on a fresh fork. Every batch
-//! walks the explicit [`BatchState`] machine in [`crate::version`] and
-//! reports the traversal in its [`CommitReport::trace`], which the
-//! property suite replays against the pure [`transition`] function.
+//! [`IngestPipeline::commit`] retries them on a fresh fork. Dropping the
+//! fork is the commit's only undo; the store's transaction spans one
+//! update, never the batch. Every batch walks the explicit
+//! [`BatchState`] machine in [`crate::version`] and reports the
+//! traversal in its [`CommitReport::trace`], which the property suite
+//! replays against the pure [`transition`] function.
 
 use crate::online::{Ev, ObserveError, OnlineError, OnlineSplitConfig, OnlineSplitter};
 use crate::plan::RecordEvent;
@@ -530,12 +532,10 @@ impl IngestPipeline {
         }
         Self::step(&mut state, BatchEvent::Drain, &mut trace);
 
-        // Fork the published version and apply the batch to the fork,
-        // inside one batch transaction.
+        // Fork the published version and apply the batch to the fork.
         let mut fork = published.tree().clone();
         drop(published);
         Self::step(&mut state, BatchEvent::Begin, &mut trace);
-        fork.begin_batch();
         let copied_before = fork.pages_copied();
         let written_before = fork.io_stats().writes;
         let batch_events = self.pending.len();
@@ -565,7 +565,6 @@ impl IngestPipeline {
                 report.error = Some(e);
             }
             Ok(()) => {
-                fork.commit_batch();
                 Self::step(&mut state, BatchEvent::Applied, &mut trace);
                 self.commits += 1;
                 self.pending.clear();

@@ -71,9 +71,9 @@ pub enum BatchState {
     /// (malformed ones were rejected with typed errors).
     Batched,
     /// The batch is being applied to the committer's private fork of the
-    /// published tree under a batch transaction.
+    /// published tree.
     Committing,
-    /// The batch transaction committed; the private tree holds the new
+    /// Every event applied; the private fork holds the new
     /// version but readers cannot see it yet.
     Committed,
     /// The new version was atomically swapped into the published slot;
@@ -104,9 +104,9 @@ impl std::fmt::Display for BatchState {
 pub enum BatchEvent {
     /// The committer drained the queue into a validated batch.
     Drain,
-    /// The batch transaction opened on the private fork.
+    /// The committer forked the published tree.
     Begin,
-    /// Every event in the batch applied; the transaction committed.
+    /// Every event in the batch applied to the fork.
     Applied,
     /// A storage fault aborted the batch; its fork was dropped.
     Fail,
@@ -158,10 +158,9 @@ pub fn transition(state: BatchState, event: BatchEvent) -> Result<BatchState, In
     match (state, event) {
         (S::Queued, E::Drain) => Ok(S::Batched),
         (S::Batched, E::Begin) => Ok(S::Committing),
-        // Failure exists only while pages are being touched: the
-        // batch runs on a private fork inside one batch transaction, so
-        // there is nothing fallible before `Begin` and nothing left to
-        // fail after `Applied`.
+        // Failure exists only while pages are being touched: the batch
+        // runs on a private fork, so there is nothing fallible before
+        // `Begin` and nothing left to fail after `Applied`.
         (S::Committing, E::Fail) => Ok(S::RolledBack),
         (S::Committing, E::Applied) => Ok(S::Committed),
         (S::Committed, E::Publish) => Ok(S::Published),

@@ -174,23 +174,9 @@ pub struct PprTree {
     alive_records: u64,
     total_posted: u64,
     scratch: ScratchPool<QueryScratch>,
-    /// Tree metadata captured at [`PprTree::begin_batch`], restored by
-    /// [`PprTree::rollback_batch`]. `None` outside a batch.
-    batch: Option<BatchSnapshot>,
     /// Updates seen, for the debug-build check sampling schedule.
     #[cfg(debug_assertions)]
     debug_mutations: u64,
-}
-
-/// Tree metadata at the start of an open batch (the page-level state is
-/// covered by the store's undo transaction; this covers everything the
-/// store cannot see).
-#[derive(Debug, Clone)]
-struct BatchSnapshot {
-    roots: Vec<RootSpan>,
-    now: Time,
-    alive_records: u64,
-    total_posted: u64,
 }
 
 impl Clone for PprTree {
@@ -208,7 +194,6 @@ impl Clone for PprTree {
             alive_records: self.alive_records,
             total_posted: self.total_posted,
             scratch: ScratchPool::new(),
-            batch: self.batch.clone(),
             #[cfg(debug_assertions)]
             debug_mutations: self.debug_mutations,
         }
@@ -246,7 +231,6 @@ impl PprTree {
             alive_records: 0,
             total_posted: 0,
             scratch: ScratchPool::new(),
-            batch: None,
             #[cfg(debug_assertions)]
             debug_mutations: 0,
         }
@@ -368,78 +352,6 @@ impl PprTree {
     // Updates
     // ------------------------------------------------------------------
 
-    /// Open a multi-update batch: snapshot the tree metadata and start
-    /// an outer store transaction, so every [`PprTree::insert`] /
-    /// [`PprTree::delete`] until [`PprTree::commit_batch`] can be undone
-    /// as a unit by [`PprTree::rollback_batch`]. The per-update
-    /// transactions inside fold into this one (see
-    /// [`PageStore::begin_txn`]), so a batch costs one metadata snapshot
-    /// up front instead of a page-log copy per update.
-    ///
-    /// If an update fails mid-batch, its own rollback already undoes the
-    /// *entire* page log (depth-counted transactions cannot partially
-    /// unwind) but only restores metadata to just before that update —
-    /// the caller **must** then call `rollback_batch` to restore the
-    /// batch-start metadata before using the tree again.
-    ///
-    /// # Panics
-    /// If a batch is already open (caller bug).
-    pub fn begin_batch(&mut self) {
-        assert!(self.batch.is_none(), "batch already open");
-        self.batch = Some(BatchSnapshot {
-            roots: self.roots.clone(),
-            now: self.now,
-            alive_records: self.alive_records,
-            total_posted: self.total_posted,
-        });
-        self.store.begin_txn();
-    }
-
-    /// Make every update since [`PprTree::begin_batch`] permanent and
-    /// discard the undo log.
-    ///
-    /// # Panics
-    /// If no batch is open, or an update inside the batch failed without
-    /// a subsequent [`PprTree::rollback_batch`] — committing a
-    /// half-rolled-back batch would persist the torn metadata.
-    pub fn commit_batch(&mut self) {
-        assert!(self.batch.is_some(), "no batch open");
-        assert!(
-            self.store.txn_depth() == 1,
-            "an update inside this batch failed; only rollback_batch is valid now"
-        );
-        self.store.commit_txn();
-        self.batch = None;
-        self.debug_check();
-    }
-
-    /// Undo every update since [`PprTree::begin_batch`]: pages via the
-    /// store's undo log, metadata (root log, clock, record counters)
-    /// from the batch snapshot. Also the mandatory recovery step after
-    /// an update error inside a batch (the pages are already rolled back
-    /// by then; this re-aligns the metadata).
-    ///
-    /// # Panics
-    /// If no batch is open (caller bug).
-    pub fn rollback_batch(&mut self) {
-        assert!(self.batch.is_some(), "no batch open");
-        let Some(snap) = self.batch.take() else {
-            return;
-        };
-        // No-op if a failed update already tore the txn down.
-        self.store.rollback_txn();
-        self.roots = snap.roots;
-        self.now = snap.now;
-        self.alive_records = snap.alive_records;
-        self.total_posted = snap.total_posted;
-        self.debug_check();
-    }
-
-    /// Whether a batch transaction is currently open.
-    pub fn in_batch(&self) -> bool {
-        self.batch.is_some()
-    }
-
     /// Insert a record alive from `t` (until a matching
     /// [`PprTree::delete`]).
     ///
@@ -461,22 +373,7 @@ impl PprTree {
             "updates must be time-ordered: {t} < {}",
             self.now
         );
-        let roots_before = self.roots.clone();
-        let counters_before = (self.now, self.alive_records, self.total_posted);
-        self.store.begin_txn();
-        match self.insert_inner(id, rect, t) {
-            Ok(()) => {
-                self.store.commit_txn();
-                self.debug_check();
-                Ok(())
-            }
-            Err(e) => {
-                self.store.rollback_txn();
-                self.roots = roots_before;
-                (self.now, self.alive_records, self.total_posted) = counters_before;
-                Err(e)
-            }
-        }
+        self.atomically(|tree| tree.insert_inner(id, rect, t))
     }
 
     fn insert_inner(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), StorageError> {
@@ -521,10 +418,17 @@ impl PprTree {
     /// # Panics
     /// If `t` precedes an earlier update (partial persistence).
     pub fn delete(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), DeleteError> {
+        self.atomically(|tree| tree.delete_inner(id, rect, t))
+    }
+
+    /// Run one update inside a store transaction: on success keep it, on
+    /// failure undo its pages and restore the metadata the store cannot
+    /// see (root log, clock, record counters).
+    fn atomically<E>(&mut self, update: impl FnOnce(&mut Self) -> Result<(), E>) -> Result<(), E> {
         let roots_before = self.roots.clone();
         let counters_before = (self.now, self.alive_records, self.total_posted);
         self.store.begin_txn();
-        match self.delete_inner(id, rect, t) {
+        match update(self) {
             Ok(()) => {
                 self.store.commit_txn();
                 self.debug_check();
@@ -2098,120 +2002,5 @@ mod tests {
                 proptest::prop_assert_eq!((probe.disk_reads, probe.buffer_hits), (0, 0));
             }
         }
-    }
-
-    /// Current-view snapshot of everything `rollback_batch` must restore.
-    fn meta(t: &PprTree) -> (Vec<RootSpan>, Time, u64, u64, usize) {
-        (
-            t.roots().to_vec(),
-            t.now(),
-            t.alive_records(),
-            t.total_records(),
-            t.num_pages(),
-        )
-    }
-
-    #[test]
-    fn committed_batch_is_permanent_and_queryable() {
-        let mut t = PprTree::new(small_params());
-        for i in 0..10u64 {
-            t.insert(i, rect(0.05 * i as f64, 0.1), i as Time).unwrap();
-        }
-        t.begin_batch();
-        assert!(t.in_batch());
-        for i in 10..30u64 {
-            t.insert(i, rect(0.03 * (i - 10) as f64, 0.5), 10 + i as Time)
-                .unwrap();
-        }
-        t.delete(3, rect(0.05 * 3.0, 0.1), 45).unwrap();
-        t.commit_batch();
-        assert!(!t.in_batch());
-        assert_eq!(t.alive_records(), 29);
-        let mut out = Vec::new();
-        t.query_snapshot(&Rect2::UNIT, 45, &mut out).unwrap();
-        assert_eq!(out.len(), 29);
-        t.validate();
-    }
-
-    #[test]
-    fn rolled_back_batch_restores_everything() {
-        let mut t = PprTree::new(small_params());
-        for i in 0..10u64 {
-            t.insert(i, rect(0.05 * i as f64, 0.1), i as Time).unwrap();
-        }
-        let before = meta(&t);
-        t.begin_batch();
-        for i in 10..40u64 {
-            t.insert(i, rect(0.02 * (i - 10) as f64, 0.5), 10 + i as Time)
-                .unwrap();
-        }
-        t.delete(2, rect(0.05 * 2.0, 0.1), 60).unwrap();
-        t.rollback_batch();
-        assert_eq!(meta(&t), before);
-        let mut out = Vec::new();
-        t.query_snapshot(&Rect2::UNIT, 9, &mut out).unwrap();
-        assert_eq!(out.len(), 10);
-        t.validate();
-    }
-
-    /// A storage fault mid-batch rolls the page log back immediately;
-    /// `rollback_batch` then re-aligns the metadata, and the tree is the
-    /// batch-start tree.
-    #[test]
-    fn faulted_batch_recovers_to_batch_start() {
-        let backend = FaultyBackend::new(
-            Box::new(MemBackend::new()),
-            FaultPlan::new(vec![ScheduledFault {
-                at_op: 60,
-                kind: FaultKind::Fail { transient: false },
-            }]),
-        );
-        let mut t = PprTree::with_backend(small_params(), Box::new(backend));
-        t.set_retry_policy(RetryPolicy::no_retry());
-        for i in 0..6u64 {
-            t.insert(i, rect(0.05 * i as f64, 0.1), i as Time).unwrap();
-        }
-        let before = meta(&t);
-        t.begin_batch();
-        let mut failed = false;
-        for i in 6..40u64 {
-            if t.insert(i, rect(0.02 * (i - 6) as f64, 0.5), 6 + i as Time)
-                .is_err()
-            {
-                failed = true;
-                break;
-            }
-        }
-        assert!(failed, "the scheduled fault must fire inside the batch");
-        t.rollback_batch();
-        assert_eq!(meta(&t), before);
-        let mut out = Vec::new();
-        t.query_snapshot(&Rect2::UNIT, 5, &mut out).unwrap();
-        assert_eq!(out.len(), 6);
-        t.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "only rollback_batch is valid")]
-    fn committing_a_faulted_batch_is_rejected() {
-        let backend = FaultyBackend::new(
-            Box::new(MemBackend::new()),
-            FaultPlan::new(vec![ScheduledFault {
-                at_op: 10,
-                kind: FaultKind::Fail { transient: false },
-            }]),
-        );
-        let mut t = PprTree::with_backend(small_params(), Box::new(backend));
-        t.set_retry_policy(RetryPolicy::no_retry());
-        t.begin_batch();
-        let mut hit = false;
-        for i in 0..30u64 {
-            if t.insert(i, rect(0.03 * i as f64, 0.2), i as Time).is_err() {
-                hit = true;
-                break;
-            }
-        }
-        assert!(hit, "fault must fire");
-        t.commit_batch();
     }
 }

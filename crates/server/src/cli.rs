@@ -1,11 +1,14 @@
 //! A strict `--flag value` parser shared by every binary in the
-//! workspace (`stidx`, `sti-server`, `sti-load`).
+//! workspace (`stidx`, `sti-server`, `sti-load`), and the one parser of
+//! a query area.
 //!
 //! The predecessor parser accepted any `--key value` pair, so a typo
 //! like `--commit-evry 8` silently fell back to the default commit
 //! cadence. Here every flag must come from the caller's declared set,
 //! duplicates are refused, and an unknown flag's error names the
 //! nearest valid one.
+
+use sti_geom::Rect2;
 
 /// Parsed flags: `--key value` pairs plus bare `--switch`es.
 #[derive(Debug, Default, Clone)]
@@ -146,6 +149,36 @@ fn edit_distance(a: &str, b: &str) -> usize {
         prev = cur;
     }
     prev.last().copied().unwrap_or(usize::MAX)
+}
+
+/// `x0,y0,x1,y1` → a validated [`Rect2`]: four finite coordinates,
+/// corners not reversed. `stidx --area` and the server's `area=` both
+/// parse through here.
+pub fn parse_area(raw: &str) -> Result<Rect2, String> {
+    let parts: Vec<f64> = raw
+        .split(',')
+        .map(|p| {
+            p.trim()
+                .parse::<f64>()
+                .map_err(|_| format!("bad coordinate {p:?} in area"))
+                .and_then(|v| {
+                    if v.is_finite() {
+                        Ok(v)
+                    } else {
+                        Err("area coordinates must be finite".to_string())
+                    }
+                })
+        })
+        .collect::<Result<_, _>>()?;
+    match parts.as_slice() {
+        &[x0, y0, x1, y1] => {
+            if x0 > x1 || y0 > y1 {
+                return Err("area corners are reversed".to_string());
+            }
+            Ok(Rect2::from_bounds(x0, y0, x1, y1))
+        }
+        _ => Err("area takes exactly x0,y0,x1,y1".to_string()),
+    }
 }
 
 #[cfg(test)]

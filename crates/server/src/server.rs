@@ -30,6 +30,7 @@
 //! existing [`QueryExecutor`]: reads are `&self` end to end, so every
 //! worker shares a single `Arc` with no writer coordination.
 
+use crate::cli::parse_area;
 use crate::http::{self, RecvError, Request, Response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +39,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sti_core::{LeafMutex, QueryExecutor, QueryRequest, SpatioTemporalIndex};
-use sti_geom::{Rect2, TimeInterval};
+use sti_geom::TimeInterval;
 use sti_obs::{LatencyHistogram, MetricSet};
 
 /// Tuning for [`Server::start`].
@@ -656,34 +657,6 @@ fn parse_query_params(request: &Request) -> Result<QueryRequest, String> {
         area,
         range: TimeInterval::new(time, until),
     })
-}
-
-/// `x0,y0,x1,y1` → a validated [`Rect2`].
-fn parse_area(raw: &str) -> Result<Rect2, String> {
-    let parts: Vec<f64> = raw
-        .split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("bad coordinate {p:?} in area"))
-                .and_then(|v| {
-                    if v.is_finite() {
-                        Ok(v)
-                    } else {
-                        Err("area coordinates must be finite".to_string())
-                    }
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    match parts.as_slice() {
-        &[x0, y0, x1, y1] => {
-            if x0 > x1 || y0 > y1 {
-                return Err("area corners are reversed".to_string());
-            }
-            Ok(Rect2::from_bounds(x0, y0, x1, y1))
-        }
-        _ => Err("area takes exactly x0,y0,x1,y1".to_string()),
-    }
 }
 
 /// Dequeue handed-off queries and answer each through [`answer`], the

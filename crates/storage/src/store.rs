@@ -27,7 +27,6 @@ use crate::lock::{LeafGuard, LeafMutex};
 use crate::retry::{RetryClock, RetryPolicy, SimClock};
 use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
@@ -74,7 +73,7 @@ pub struct FaultStats {
 pub type PageValidator = fn(&Page) -> bool;
 
 /// One recorded undo step; rollback applies them in reverse.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum UndoOp {
     /// First write to a page inside the transaction: its prior content
     /// (sharing the frame it had, when it was resident).
@@ -82,13 +81,6 @@ enum UndoOp {
     /// `allocate` grew the backend by one page (always the current tail
     /// when undone in reverse order).
     Appended,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Txn {
-    ops: Vec<UndoOp>,
-    /// Pages whose pre-image is already captured this transaction.
-    imaged: HashSet<PageId>,
 }
 
 /// The bytes at rest and what they should hash to. Shared-read
@@ -272,7 +264,8 @@ impl Retrier {
 /// bytes before returning, so a single write is atomic; multi-page
 /// mutations bracket themselves with [`PageStore::begin_txn`] /
 /// [`PageStore::rollback_txn`] so a failure midway leaves the store
-/// exactly as it was.
+/// exactly as it was. A transaction spans one tree update and does not
+/// nest.
 ///
 /// Accounting invariant: `stats().reads` and `stats().buffer_hits` are
 /// *defined* as the sum of the buffer shards' miss/hit counters, so no
@@ -289,12 +282,10 @@ pub struct PageStore {
     /// Backend fault count when fault stats were last reset, so
     /// [`PageStore::fault_stats`] reports a delta.
     injected_at_reset: AtomicU64,
-    txn: Option<Txn>,
-    /// How many `begin_txn` calls the open transaction has absorbed.
-    /// Only the matching outermost `commit_txn` discards the undo log,
-    /// so a batch can bracket many per-update transactions and still
-    /// roll the whole batch back (see `PprTree::begin_batch`).
-    txn_depth: u32,
+    /// The open transaction's undo log, `None` outside one. A
+    /// transaction spans one update, which writes O(height) pages, so
+    /// a page's pre-image is deduplicated by scanning this short list.
+    txn: Option<Vec<UndoOp>>,
     /// Monotonic save epoch (bumped by `persist::save`). Atomic so a
     /// save needs no exclusive access: a published, shared store can be
     /// checkpointed in place.
@@ -313,7 +304,8 @@ impl Clone for PageStore {
     /// either writes one), one recorded checksum per page, and a pool
     /// holding the same frames as this one. From here on each side
     /// writes, evicts and counts on its own; the counters start where
-    /// this store's stand.
+    /// this store's stand. An open undo log is not copied: forks are
+    /// taken between updates, and every update holds `&mut self`.
     fn clone(&self) -> Self {
         // ordering: relaxed snapshot of independent stat counters; the
         // clone starts from whatever each counter held, no cross-counter
@@ -330,8 +322,7 @@ impl Clone for PageStore {
                 checksum_failures: snapshot(&self.retry.checksum_failures),
             },
             injected_at_reset: snapshot(&self.injected_at_reset),
-            txn: self.txn.clone(),
-            txn_depth: self.txn_depth,
+            txn: None,
             epoch: snapshot(&self.epoch),
             validator: self.validator,
             run_readback: Vec::new(),
@@ -376,7 +367,6 @@ impl PageStore {
             },
             injected_at_reset: AtomicU64::new(injected),
             txn: None,
-            txn_depth: 0,
             epoch: AtomicU64::new(0),
             validator: None,
             run_readback: Vec::new(),
@@ -458,7 +448,7 @@ impl PageStore {
         let id = retry.run(&mut ReadProbe::new(), |_| core.backend.allocate())?;
         core.sums.push(zero_page_sum());
         if let Some(txn) = txn.as_mut() {
-            txn.ops.push(UndoOp::Appended);
+            txn.push(UndoOp::Appended);
         }
         Ok(id)
     }
@@ -583,8 +573,11 @@ impl PageStore {
             None => core.page(id)?,
         };
         if let Some(txn) = txn.as_mut() {
-            if txn.imaged.insert(id) {
-                txn.ops.push(UndoOp::Image {
+            let imaged = txn
+                .iter()
+                .any(|op| matches!(op, UndoOp::Image { id: seen, .. } if *seen == id));
+            if !imaged {
+                txn.push(UndoOp::Image {
                     id,
                     bytes: prior.clone(),
                     sum: prior_sum,
@@ -665,7 +658,7 @@ impl PageStore {
         for (id, frame) in (first..).zip(frames) {
             core.sums.push(xxh64(frame.bytes()));
             if let Some(txn) = txn.as_mut() {
-                txn.ops.push(UndoOp::Appended);
+                txn.push(UndoOp::Appended);
             }
             buffer.install(id, frame, false);
         }
@@ -683,38 +676,19 @@ impl PageStore {
 
     // --- transactions -------------------------------------------------
 
-    /// Start recording undo information. One undo log at a time; nested
-    /// `begin_txn` calls fold into the outer transaction and only bump a
-    /// depth counter, so a batch can bracket many per-update
-    /// begin/commit pairs and a rollback at *any* depth undoes the whole
-    /// batch.
+    /// Start recording undo information for one multi-page update.
+    /// Transactions do not nest: a failure in a larger unit of work
+    /// (a pipeline commit) is undone by dropping the copy-on-write fork
+    /// it ran on, not by an enclosing log.
     pub fn begin_txn(&mut self) {
-        if self.txn.is_none() {
-            self.txn = Some(Txn::default());
-            self.txn_depth = 0;
-        }
-        self.txn_depth += 1;
+        debug_assert!(self.txn.is_none(), "a transaction is already open");
+        self.txn = Some(Vec::new());
     }
 
-    /// Whether a transaction is currently recording.
-    pub fn in_txn(&self) -> bool {
-        self.txn.is_some()
-    }
-
-    /// Nesting depth of the open transaction (0 when none is recording).
-    pub fn txn_depth(&self) -> u32 {
-        self.txn_depth
-    }
-
-    /// Leave the innermost `begin_txn` scope. Only the outermost commit
-    /// discards the undo log and keeps the changes; an inner commit
-    /// merely pops one nesting level, leaving the enclosing
-    /// transaction's rollback able to undo everything.
+    /// Keep every change since [`PageStore::begin_txn`] and drop the
+    /// undo log.
     pub fn commit_txn(&mut self) {
-        self.txn_depth = self.txn_depth.saturating_sub(1);
-        if self.txn_depth == 0 {
-            self.txn = None;
-        }
+        self.txn = None;
     }
 
     /// Undo every `write`/`allocate` since [`PageStore::begin_txn`],
@@ -726,12 +700,11 @@ impl PageStore {
     /// leaves a page that no longer matches its restored checksum, which
     /// fails closed on the next fetch.
     pub fn rollback_txn(&mut self) {
-        self.txn_depth = 0;
         let Some(txn) = self.txn.take() else {
             return;
         };
         let core = core_mut(&mut self.core);
-        for op in txn.ops.into_iter().rev() {
+        for op in txn.into_iter().rev() {
             match op {
                 UndoOp::Image { id, bytes, sum } => {
                     let _ = core.backend.restore(id, bytes.bytes());
@@ -830,11 +803,6 @@ impl PageStore {
     pub fn set_buffer_shards(&mut self, shards: usize) {
         let capacity = self.buffer.capacity();
         self.buffer.reconfigure(capacity, shards);
-    }
-
-    /// Number of buffer pool lock shards.
-    pub fn buffer_shards(&self) -> usize {
-        self.buffer.shard_count()
     }
 
     /// The save epoch this store was loaded at (0 for a fresh store);
@@ -1455,7 +1423,7 @@ mod tests {
         assert_eq!(&read(&s, a).unwrap().bytes()[..4], &[1; 4], "write undone");
         assert_eq!(&read(&s, b).unwrap().bytes()[..4], &[2; 4]);
         assert_eq!(s.allocate().unwrap(), 2, "the next page appends again");
-        assert!(!s.in_txn());
+        assert!(s.txn.is_none());
     }
 
     #[test]
@@ -1465,82 +1433,10 @@ mod tests {
         s.begin_txn();
         s.write(a, &[5]).unwrap();
         s.commit_txn();
-        assert!(!s.in_txn());
+        assert!(s.txn.is_none());
         assert_eq!(read(&s, a).unwrap().bytes()[0], 5);
         s.rollback_txn(); // no-op outside a txn
         assert_eq!(read(&s, a).unwrap().bytes()[0], 5);
-    }
-
-    #[test]
-    fn inner_commit_keeps_the_outer_txn_rollbackable() {
-        // The batch pattern: an outer txn brackets several inner
-        // begin/commit pairs (one per tree update). Committing an inner
-        // pair must NOT discard the undo log — the outer rollback still
-        // undoes everything since the outer begin.
-        let mut s = PageStore::new(4);
-        let a = s.allocate().unwrap();
-        s.write(a, &[1]).unwrap();
-        s.begin_txn(); // outer (batch)
-        assert_eq!(s.txn_depth(), 1);
-        s.begin_txn(); // inner (one update)
-        assert_eq!(s.txn_depth(), 2);
-        s.write(a, &[2]).unwrap();
-        s.commit_txn(); // inner commit: update done, batch still open
-        assert!(s.in_txn(), "outer txn survives the inner commit");
-        assert_eq!(s.txn_depth(), 1);
-        s.begin_txn(); // second update
-        s.write(a, &[3]).unwrap();
-        s.commit_txn();
-        s.rollback_txn(); // batch fails: everything comes back
-        assert_eq!(read(&s, a).unwrap().bytes()[0], 1, "both updates undone");
-        assert_eq!(s.txn_depth(), 0);
-        assert!(!s.in_txn());
-    }
-
-    #[test]
-    fn outermost_commit_discards_the_log() {
-        let mut s = PageStore::new(4);
-        let a = s.allocate().unwrap();
-        s.begin_txn();
-        s.begin_txn();
-        s.write(a, &[7]).unwrap();
-        s.commit_txn();
-        s.commit_txn(); // outermost: log gone
-        assert!(!s.in_txn());
-        s.rollback_txn(); // no-op
-        assert_eq!(read(&s, a).unwrap().bytes()[0], 7);
-    }
-
-    #[test]
-    fn inner_rollback_aborts_the_whole_nest() {
-        let mut s = PageStore::new(4);
-        let a = s.allocate().unwrap();
-        s.write(a, &[1]).unwrap();
-        s.begin_txn();
-        s.write(a, &[2]).unwrap();
-        s.begin_txn();
-        s.write(a, &[3]).unwrap();
-        s.rollback_txn(); // at depth 2: undoes back to the outer begin
-        assert_eq!(read(&s, a).unwrap().bytes()[0], 1);
-        assert_eq!(s.txn_depth(), 0, "rollback closes every level");
-        assert!(!s.in_txn());
-    }
-
-    #[test]
-    fn nested_begin_folds_into_the_outer_txn() {
-        let mut s = PageStore::new(4);
-        let a = s.allocate().unwrap();
-        s.write(a, &[1]).unwrap();
-        s.begin_txn();
-        s.write(a, &[2]).unwrap();
-        s.begin_txn(); // folds
-        s.write(a, &[3]).unwrap();
-        s.rollback_txn();
-        assert_eq!(
-            read(&s, a).unwrap().bytes()[0],
-            1,
-            "outer rollback undoes all"
-        );
     }
 
     #[test]
@@ -1630,7 +1526,7 @@ mod tests {
                 })
             );
             assert!(
-                s.txn.as_ref().is_some_and(|t| t.ops.is_empty()),
+                s.txn.as_ref().is_some_and(Vec::is_empty),
                 "{}",
                 at("write: nothing to undo")
             );
@@ -1875,7 +1771,7 @@ mod tests {
         let before = s.stats();
         assert_eq!(before.reads, 6);
         s.set_buffer_shards(4);
-        assert_eq!(s.buffer_shards(), 4);
+        assert_eq!(s.buffer.shard_count(), 4);
         assert_eq!(s.stats(), before, "re-striping moves no counters");
         for &p in &pages {
             read(&s, p).unwrap();

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Datasets use the `STDAT1` format (`sti_datagen::io`); indexes use the
-//! `STIDX1` page-store format with PPR-Tree metadata. Every index is a
+//! `STIDX2` page-store format with PPR-Tree metadata. Every index is a
 //! PPR-Tree: an R\*-Tree image written by an older release fails to
 //! open with an error saying so.
 
@@ -30,7 +30,7 @@ use spatiotemporal_index::datagen::{
 use spatiotemporal_index::geom::{Rect2, StBox, TimeInterval};
 use spatiotemporal_index::obs::MetricSet;
 use spatiotemporal_index::pprtree::{PprParams, PprTree};
-use spatiotemporal_index::server::cli::{parse_flags, Flags};
+use spatiotemporal_index::server::cli::{parse_area, parse_flags, Flags};
 use spatiotemporal_index::storage::{FileBackend, FsyncPolicy, PageStore, WalConfig};
 use spatiotemporal_index::trajectory::RasterizedObject;
 use std::io::{Read, Write};
@@ -327,7 +327,7 @@ fn generate_scale(
 }
 
 /// `stidx stats FILE` — sniff the 8-byte magic and describe either a
-/// dataset (`STDAT1`) or a saved index (`STIDX1`).
+/// dataset (`STDAT1`) or a saved index (`STIDX2`).
 fn stats(path: &Path, metrics: &mut MetricSet) -> Result<(), String> {
     let mut magic = [0u8; 8];
     {
@@ -530,7 +530,7 @@ fn print_profile(tree: &PprTree, metrics: &mut MetricSet) {
 
 /// `stidx build --bulk`: stream the dataset through the external-sort
 /// bulk loader into a file-backed PPR-Tree, then persist it in the
-/// standard `STIDX1` format (so `stidx check` / `query` / `stats` work
+/// standard `STIDX2` format (so `stidx check` / `query` / `stats` work
 /// on it unchanged). The dataset is never materialized: objects flow
 /// from [`DatasetReader`] straight into the loader's spill files, and
 /// the tree pages land in a scratch `FileBackend` as they are packed.
@@ -969,18 +969,4 @@ fn print_or_pipe(text: &str) -> Result<(), String> {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(format!("writing to stdout: {e}")),
     }
-}
-
-fn parse_area(s: &str) -> Result<Rect2, String> {
-    let parts: Vec<f64> = s
-        .split(',')
-        .map(|p| p.trim().parse().map_err(|_| format!("bad coordinate {p}")))
-        .collect::<Result<_, _>>()?;
-    if parts.len() != 4 {
-        return Err("--area takes x0,y0,x1,y1".into());
-    }
-    if parts[0] > parts[2] || parts[1] > parts[3] {
-        return Err("--area corners are reversed".into());
-    }
-    Ok(Rect2::from_bounds(parts[0], parts[1], parts[2], parts[3]))
 }

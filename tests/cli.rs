@@ -428,6 +428,19 @@ fn helpful_errors() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset kind"));
+
+    // A non-finite corner is refused before any index is opened.
+    for area in ["nan,0,1,1", "0,0,inf,1"] {
+        let out = stidx()
+            .args(["query", "--index", "/nonexistent", "--area", area])
+            .args(["--time", "3"])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{area}: {stderr}");
+        assert!(stderr.contains("must be finite"), "{area}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{area}: {stderr}");
+    }
 }
 
 /// `--time` at the last instant leaves no room for the default
@@ -769,4 +782,91 @@ fn durable_ingest_crash_and_recover_round_trip() {
     std::fs::remove_file(&recovered).ok();
     std::fs::remove_file(&metrics).ok();
     std::fs::remove_dir_all(&wal).ok();
+}
+
+/// A live stream through `stidx ingest`: every op admitted, every batch
+/// published once, and each commit's fork copies some pages but never
+/// more than the tree, nor more than it writes.
+#[test]
+fn live_ingestion_round_trip_publishes_every_commit() {
+    let data = temp("live.stdat");
+    let idx = temp("live.ppr");
+    let prom = temp("live.prom");
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "400", "--seed", "11", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    let out = stidx()
+        .arg("--metrics")
+        .arg(&prom)
+        .args(["ingest", "--data"])
+        .arg(&data)
+        .args(["--out"])
+        .arg(&idx)
+        .args(["--commit-every", "16"])
+        .output()
+        .expect("ingest");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "ingest failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stidx()
+        .arg("check")
+        .arg(&idx)
+        .status()
+        .expect("check")
+        .success());
+
+    let text = std::fs::read_to_string(&prom).expect("metrics file");
+    let metric = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing:\n{text}"))
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} not an integer:\n{text}"))
+    };
+    for zero in [
+        "ingest_rejected_ops_total",
+        "ingest_rollbacks_total",
+        "ingest_pending_events",
+    ] {
+        assert_eq!(metric(zero), 0, "{zero}:\n{text}");
+    }
+    let commits = metric("ingest_commits_total");
+    assert!(commits > 0, "{text}");
+    assert_eq!(commits, metric("ingest_published_version"), "{text}");
+
+    let pages: u64 = stdout
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("wrote ")?
+                .strip_suffix(&format!(" pages to {}", idx.display()))
+        })
+        .expect("a `wrote N pages` line")
+        .parse()
+        .expect("page count");
+    // Each commit forks the published tree and copies a page at its
+    // first write: some pages, never more than the tree per commit.
+    let copied = metric("ingest_pages_copied_total");
+    assert!(
+        0 < copied && copied <= pages * commits,
+        "{pages} pages:\n{text}"
+    );
+    // A commit copies a page only at a write, and writes a page only
+    // when its bytes change: every page of the tree was written at
+    // least once, and no commit copies more pages than it writes.
+    let written = metric("ingest_pages_written_total");
+    assert!(
+        copied <= written && pages <= written,
+        "{pages} pages:\n{text}"
+    );
+
+    for p in [&data, &idx, &prom] {
+        std::fs::remove_file(p).ok();
+    }
 }

@@ -231,13 +231,14 @@ fn a_node_the_decoder_would_refuse_is_never_written() {
     );
     assert_eq!(state(&tree), before, "a refused write changes nothing");
 
-    // The same inside a batch, after updates that did go through.
-    tree.begin_batch();
-    tree.insert(901, rect_for(1), 200).unwrap();
-    tree.insert(902, rect_for(2), 201).unwrap();
-    assert!(tree.insert(903, unbounded(), 202).is_err());
-    tree.rollback_batch();
-    assert_eq!(state(&tree), before, "a rolled-back batch changes nothing");
+    // The same on a fork, after updates that did go through: dropping
+    // the fork is the whole undo.
+    let mut fork = tree.clone();
+    fork.insert(901, rect_for(1), 200).unwrap();
+    fork.insert(902, rect_for(2), 201).unwrap();
+    assert!(fork.insert(903, unbounded(), 202).is_err());
+    drop(fork);
+    assert_eq!(state(&tree), before, "a dropped fork changes nothing");
     assert!(check::validate(&tree).is_ok());
     tree.insert(904, rect_for(4), 203).unwrap();
 
