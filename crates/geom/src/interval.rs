@@ -37,12 +37,15 @@ impl TimeInterval {
         }
     }
 
-    /// A degenerate single-instant interval `[t, t+1)`.
+    /// The single instant `t` as the interval `[t, t+1)`. At
+    /// `t == Time::MAX` it is the empty `[MAX, MAX)`: lifetimes are
+    /// half-open and `MAX` also spells "not deleted yet", so nothing is
+    /// alive at that instant.
     #[inline]
     pub fn instant(t: Time) -> Self {
         Self {
             start: t,
-            end: t + 1,
+            end: t.saturating_add(1),
         }
     }
 
@@ -109,6 +112,27 @@ impl std::fmt::Display for TimeInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_last_instant_is_empty_and_overlaps_nothing() {
+        let last = TimeInterval::instant(Time::MAX);
+        assert_eq!(last, TimeInterval::new(Time::MAX, Time::MAX));
+        assert!(last.is_empty());
+        assert_eq!(last.len(), 0);
+        for other in [
+            last,
+            TimeInterval::open(0),
+            TimeInterval::open(Time::MAX - 1),
+            TimeInterval::new(0, Time::MAX),
+        ] {
+            assert!(!last.overlaps(&other), "{last} overlaps {other}");
+            assert_eq!(last.intersect(&other), None);
+        }
+        assert_eq!(
+            TimeInterval::instant(Time::MAX - 1),
+            TimeInterval::new(Time::MAX - 1, Time::MAX)
+        );
+    }
 
     #[test]
     fn len_and_empty() {

@@ -24,7 +24,9 @@ pub struct QueryStats {
     /// Pages written. Queries are read-only, so this is zero for them,
     /// but the same struct describes mixed operations.
     pub disk_writes: u64,
-    /// Tree nodes whose entries were examined.
+    /// Tree nodes whose entries were examined. A query counts each page
+    /// at most once: an interval query that reaches a page from several
+    /// parents visits it once, with the hull of their ranges.
     pub nodes_visited: u64,
     /// Node entries tested against the query predicate.
     pub entries_scanned: u64,

@@ -81,11 +81,13 @@ pub struct RootSpan {
 struct QueryScratch {
     /// Dedup set for interval queries.
     seen: HashSet<u64>,
-    /// Root spans overlapping the query range.
+    /// Root spans overlapping the query range, each clipped to it.
     spans: Vec<RootSpan>,
-    /// Descent stack for interval queries (page, its level, clipped
-    /// range).
-    stack: Vec<(PageId, u32, TimeInterval)>,
+    /// The interval query's current level: (page, a range clipped on
+    /// one path to it), one pair per parent entry that reaches the page.
+    frontier: Vec<(PageId, TimeInterval)>,
+    /// The level below, filled while `frontier` is visited.
+    next: Vec<(PageId, TimeInterval)>,
     /// Descent stack for snapshot queries (page, its level).
     snap_stack: Vec<(PageId, u32)>,
 }
@@ -99,17 +101,6 @@ fn apply_probe(stats: &mut QueryStats, probe: &ReadProbe) {
     stats.io_retries = probe.io_retries;
     stats.io_faults_injected = probe.io_faults_injected;
     stats.checksum_failures = probe.checksum_failures;
-}
-
-/// A snapshot at `t` as the span `[t, t + 1)` the entry cursor filters
-/// by. At `t == Time::MAX` that span is empty, which is the right
-/// answer: lifetimes are half-open, so nothing is alive at the instant
-/// that also spells "not deleted yet".
-pub(crate) fn instant_span(t: Time) -> TimeInterval {
-    TimeInterval {
-        start: t,
-        end: t.saturating_add(1),
-    }
 }
 
 /// Ops to apply to one node during bottom-up structure maintenance.
@@ -578,7 +569,7 @@ impl PprTree {
             let stack = &mut scratch.snap_stack;
             stack.clear();
             stack.push((span.page, span.level));
-            let instant = instant_span(t);
+            let instant = TimeInterval::instant(t);
             while let Some((page, level)) = stack.pop() {
                 stats.nodes_visited += 1;
                 let visited = self.visit(page, level, instant, &mut probe, |e| {
@@ -622,6 +613,28 @@ impl PprTree {
     /// record was deleted after the node was copied, so matching them
     /// against the unclipped range would resurrect dead records.
     ///
+    /// The descent goes level by level, and each page is visited at most
+    /// once. The root spans that overlap `range` seed one frontier of
+    /// `(page, clipped range)` pairs per level. From the top level down,
+    /// the frontier is sorted by page id. The pairs of one page (one per
+    /// parent entry that reaches it: after a version split, the old and
+    /// the new copy of a parent both point at the same live children)
+    /// are merged into the *hull* of their ranges. The page is visited
+    /// once with that hull, and its matching children form the next
+    /// level's frontier.
+    ///
+    /// The hull is safe: it reaches no page and no record that one of
+    /// the page's own paths would not. Every clipped range lies inside
+    /// the query range and inside the span over which the page is
+    /// reachable from a root. That span is one interval (a page is
+    /// alive from its creation until its version split), so the hull
+    /// lies inside it too, and no dead copy is resurrected. An instant
+    /// of the hull that no single path covered is one at which every
+    /// path to the page passed an entry whose rectangle missed `area`.
+    /// By MBR containment over lifetimes (which [`crate::check`]
+    /// enforces), no entry of the page alive then intersects `area`
+    /// either, so the hull adds no child and no match.
+    ///
     /// Append contract: matches are *appended* to `out`; the vector is
     /// never cleared here, so a caller can accumulate several queries
     /// into one buffer (all three tree backends share this contract).
@@ -647,43 +660,56 @@ impl PprTree {
         let mut probe = ReadProbe::new();
         let mut scratch = self.scratch.take();
         let QueryScratch {
-            seen, spans, stack, ..
+            seen,
+            spans,
+            frontier,
+            next,
+            ..
         } = &mut scratch;
         seen.clear();
         spans.clear();
-        stack.clear();
-        spans.extend(
-            self.roots
-                .iter()
-                .filter(|s| s.interval.overlaps(range))
-                .copied(),
-        );
+        frontier.clear();
+        next.clear();
+        spans.extend(self.roots.iter().filter_map(|s| {
+            let interval = s.interval.intersect(range)?;
+            Some(RootSpan { interval, ..*s })
+        }));
+        let top = spans.iter().map(|s| s.level).max().unwrap_or(0);
         let mut failed = None;
-        'roots: for span in spans.iter() {
-            let Some(root_range) = span.interval.intersect(range) else {
-                continue;
-            };
-            stack.push((span.page, span.level, root_range));
-            while let Some((page, level, clipped)) = stack.pop() {
+        'levels: for level in (0..=top).rev() {
+            frontier.extend(
+                spans
+                    .iter()
+                    .filter(|s| s.level == level)
+                    .map(|s| (s.page, s.interval)),
+            );
+            frontier.sort_unstable_by_key(|&(page, _)| page);
+            for group in frontier.chunk_by(|a, b| a.0 == b.0) {
+                let Some(&(page, first)) = group.first() else {
+                    continue;
+                };
+                let hull = group.iter().fold(first, |hull, (_, r)| hull.cover(r));
                 stats.nodes_visited += 1;
-                let visited = self.visit(page, level, clipped, &mut probe, |e| {
+                let visited = self.visit(page, level, hull, &mut probe, |e| {
                     if !e.rect.intersects(area) {
                         return;
                     }
                     if level == 0 {
                         seen.insert(e.ptr);
-                    } else if let Some(sub) = e.lifetime().intersect(&clipped) {
-                        stack.push((e.child_page(), level - 1, sub));
+                    } else if let Some(sub) = e.lifetime().intersect(&hull) {
+                        next.push((e.child_page(), sub));
                     }
                 });
                 match visited {
                     Ok(entries) => stats.entries_scanned += entries,
                     Err(e) => {
                         failed = Some(e);
-                        break 'roots;
+                        break 'levels;
                     }
                 }
             }
+            std::mem::swap(frontier, next);
+            next.clear();
         }
         if failed.is_none() {
             stats.dedup_candidates = seen.len() as u64;
@@ -720,6 +746,11 @@ impl PprTree {
     /// no frame enters the pool without passing
     /// [`PprNode::well_formed`]. Returns how many entries the node
     /// holds, alive in `span` or not: what the visit scanned.
+    ///
+    /// A snapshot passes the one-instant span of its `t`. An interval
+    /// query passes the hull of every range that reaches the page in
+    /// this query, so it visits each page once (see
+    /// [`PprTree::query_interval`]).
     ///
     /// Two things are still checked per visit. The header must bound
     /// the entries within the page, and the node must sit at `level`,
@@ -1388,7 +1419,10 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, want, "snapshot at {instant}");
             let view = NodeView::new(&frame).unwrap();
-            let scanned: Vec<u64> = view.scan(instant_span(instant)).map(|e| e.ptr).collect();
+            let scanned: Vec<u64> = view
+                .scan(TimeInterval::instant(instant))
+                .map(|e| e.ptr)
+                .collect();
             assert_eq!(scanned, want, "cursor at {instant}");
         }
         assert_eq!(ids(&|e| e.alive_at(LAST)), vec![1, 4]);
@@ -1407,6 +1441,28 @@ mod tests {
                 assert_eq!(got, want, "interval {range}");
             }
         }
+    }
+
+    /// `TimeInterval::instant(Time::MAX)` is the empty span, so a
+    /// snapshot at the last instant finds nothing even in a tree whose
+    /// records are all still open, and costs no page read.
+    #[test]
+    fn a_snapshot_at_time_max_returns_nothing() {
+        let mut t = PprTree::new(small_params());
+        for i in 0..40u32 {
+            t.insert(u64::from(i), rect(0.02 * f64::from(i), 0.5), i)
+                .unwrap();
+        }
+        assert!(t.num_pages() > 1, "a directory above the leaves");
+        let mut out = Vec::new();
+        let stats = t.query_snapshot(&Rect2::UNIT, Time::MAX, &mut out).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(stats, QueryStats::new(), "no root span holds MAX");
+        let stats = t
+            .query_interval(&Rect2::UNIT, &TimeInterval::instant(Time::MAX), &mut out)
+            .unwrap();
+        assert!(out.is_empty());
+        assert_eq!(stats, QueryStats::new());
     }
 
     /// Build a deterministic tree with inserts and deletes for the
@@ -2000,6 +2056,449 @@ mod tests {
                     proptest::prop_assert!(!below.store.buffer().resident(page));
                 }
                 proptest::prop_assert_eq!((probe.disk_reads, probe.buffer_hits), (0, 0));
+            }
+        }
+    }
+
+    mod descent_reference {
+        //! Differential test of the interval query's level-by-level descent
+        //! against the depth-first walk it replaced.
+        //!
+        //! The depth-first walk pushes a child once per parent path, so a page
+        //! that the old and the new copy of a version-split parent both point
+        //! at is scanned twice when a range crosses the split. It is kept here
+        //! as the reference: the descent must return the same ids, visit
+        //! exactly the walk's distinct pages, and fetch each page once. The
+        //! trees are the ones the index builds: incremental trees over 0 % and
+        //! 150 % LAGreedy plans of random and railway data, a bulk tree whose
+        //! sort spilled, and a tree sealed by the live ingest pipeline.
+
+        use crate::tree::{apply_probe, PprTree};
+        use crate::{BulkLoader, BulkPiece, PprNode, PprParams};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+        use sti_core::{
+            DistributionAlgorithm, IndexBackend, IndexConfig, IngestPipeline, ObjectRecord,
+            OnlineSplitConfig, SingleSplitAlgorithm, SplitBudget, SplitPlan,
+        };
+        use sti_datagen::{RailwayDatasetSpec, RandomDatasetSpec};
+        use sti_geom::{Rect2, Time, TimeInterval};
+        use sti_obs::QueryStats;
+        use sti_storage::{
+            MemBackend, PageBackend, PageId, PageStore, ReadProbe, StorageError, PAGE_SIZE,
+        };
+        use sti_trajectory::RasterizedObject;
+
+        /// The depth-first `query_interval` the descent replaced. Every visit
+        /// is appended to `pages`, repeats included; the ids come back sorted.
+        fn depth_first(
+            tree: &PprTree,
+            area: &Rect2,
+            range: &TimeInterval,
+            pages: &mut Vec<PageId>,
+        ) -> (Vec<u64>, QueryStats) {
+            let mut stats = QueryStats::new();
+            let mut probe = ReadProbe::new();
+            let mut seen = HashSet::new();
+            let mut stack = Vec::new();
+            for span in tree.roots().iter().filter(|s| s.interval.overlaps(range)) {
+                let Some(root_range) = span.interval.intersect(range) else {
+                    continue;
+                };
+                stack.push((span.page, span.level, root_range));
+                while let Some((page, level, clipped)) = stack.pop() {
+                    stats.nodes_visited += 1;
+                    pages.push(page);
+                    let entries = tree.visit(page, level, clipped, &mut probe, |e| {
+                        if !e.rect.intersects(area) {
+                            return;
+                        }
+                        if level == 0 {
+                            seen.insert(e.ptr);
+                        } else if let Some(sub) = e.lifetime().intersect(&clipped) {
+                            stack.push((e.child_page(), level - 1, sub));
+                        }
+                    });
+                    stats.entries_scanned += entries.unwrap();
+                }
+            }
+            stats.dedup_candidates = seen.len() as u64;
+            stats.results = stats.dedup_candidates;
+            apply_probe(&mut stats, &probe);
+            let mut ids: Vec<u64> = seen.into_iter().collect();
+            ids.sort_unstable();
+            (ids, stats)
+        }
+
+        /// A page device that counts the reads of each page below the pool.
+        #[derive(Debug, Clone)]
+        struct Counted {
+            pages: MemBackend,
+            reads: Arc<Vec<AtomicU32>>,
+        }
+
+        impl PageBackend for Counted {
+            fn num_pages(&self) -> usize {
+                self.pages.num_pages()
+            }
+
+            fn read_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+                if let Some(count) = self.reads.get(id as usize) {
+                    // ordering: a tally read after the query returns; it
+                    // publishes no memory.
+                    count.fetch_add(1, Ordering::Relaxed);
+                }
+                self.pages.read_into(id, buf)
+            }
+
+            fn peek_into(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+                self.pages.peek_into(id, buf)
+            }
+
+            fn write(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+                self.pages.write(id, payload)
+            }
+
+            fn allocate(&mut self) -> Result<PageId, StorageError> {
+                self.pages.allocate()
+            }
+
+            fn truncate(&mut self, len: usize) {
+                self.pages.truncate(len);
+            }
+
+            fn sync(&mut self) -> Result<(), StorageError> {
+                self.pages.sync()
+            }
+
+            fn clone_box(&self) -> Box<dyn PageBackend> {
+                Box::new(self.clone())
+            }
+
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+
+        /// A copy of `tree` over a [`Counted`] device, with a pool that holds
+        /// every page: after `reset_for_query`, a page read twice in one query
+        /// is a buffer hit, and the device sees each page at most once.
+        fn counted(tree: &PprTree) -> (PprTree, Arc<Vec<AtomicU32>>) {
+            let n = tree.num_pages();
+            let mut pages = MemBackend::new();
+            for id in 0..PageId::try_from(n).unwrap() {
+                let copy = pages.allocate().unwrap();
+                let bytes = tree.store_ref().peek(id).unwrap();
+                pages.write(copy, &bytes.bytes()[..]).unwrap();
+            }
+            let reads: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
+            let device = Counted {
+                pages,
+                reads: Arc::clone(&reads),
+            };
+            let copy = PprTree::assemble(
+                PageStore::with_backend(Box::new(device), n),
+                *tree.params(),
+                tree.roots().to_vec(),
+                tree.now(),
+                tree.alive_records(),
+                tree.total_records(),
+            );
+            (copy, reads)
+        }
+
+        /// Drain the per-page read counts: the pages the device served since
+        /// the last drain, each with how often.
+        fn drain(reads: &[AtomicU32]) -> Vec<(PageId, u32)> {
+            (0..)
+                .zip(reads)
+                // ordering: the query that bumped the counts ran on this thread.
+                .map(|(id, count)| (id, count.swap(0, Ordering::Relaxed)))
+                .filter(|&(_, count)| count > 0)
+                .collect()
+        }
+
+        /// What one tree's query set added up to, for the revisit check.
+        #[derive(Debug, Default)]
+        struct Totals {
+            queries: u64,
+            nodes: u64,
+            reference_nodes: u64,
+        }
+
+        /// Run seeded interval queries (durations 1–400) and a snapshot at each
+        /// range's start through `tree` and the reference, asserting every
+        /// property the descent promises.
+        fn differential(name: &str, tree: &PprTree, seed: u64, queries: usize) -> Totals {
+            tree.validate();
+            let (mut tree, reads) = counted(tree);
+            let horizon = tree.now().max(1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut totals = Totals::default();
+            for q in 0..queries {
+                let side = 0.05 + 0.35 * rng.random::<f64>();
+                let (x, y) = (
+                    rng.random::<f64>() * (1.0 - side),
+                    rng.random::<f64>() * (1.0 - side),
+                );
+                let area = Rect2::from_bounds(x, y, x + side, y + side);
+                let duration = if q % 2 == 0 {
+                    rng.random_range(1..=50)
+                } else {
+                    rng.random_range(1..=400)
+                };
+                let start = rng.random_range(0..horizon);
+                let range = TimeInterval::new(start, start.saturating_add(duration));
+                let what = format!("{name}: query {q}, {range}");
+
+                tree.reset_for_query();
+                drain(&reads);
+                let mut got = Vec::new();
+                let stats = tree.query_interval(&area, &range, &mut got).unwrap();
+                got.sort_unstable();
+                let fetched = drain(&reads);
+                assert!(
+                    fetched.iter().all(|&(_, count)| count == 1),
+                    "{what}: a page fetched twice"
+                );
+                assert_eq!(stats.buffer_hits, 0, "{what}: a page visited twice");
+                assert_eq!(stats.disk_reads, stats.nodes_visited, "{what}");
+                assert_eq!(stats.nodes_visited, fetched.len() as u64, "{what}");
+
+                tree.reset_for_query();
+                let mut walked = Vec::new();
+                let (want, reference) = depth_first(&tree, &area, &range, &mut walked);
+                drain(&reads);
+                assert_eq!(got, want, "{what}: ids");
+                assert_eq!(stats.results, reference.results, "{what}");
+                walked.sort_unstable();
+                walked.dedup();
+                let visited: Vec<PageId> = fetched.iter().map(|&(page, _)| page).collect();
+                assert_eq!(visited, walked, "{what}: pages visited");
+                assert!(stats.nodes_visited <= reference.nodes_visited, "{what}");
+                assert!(stats.entries_scanned <= reference.entries_scanned, "{what}");
+                totals.queries += 1;
+                totals.nodes += stats.nodes_visited;
+                totals.reference_nodes += reference.nodes_visited;
+
+                // A snapshot walks one root span depth first, exactly as the
+                // reference walks a one-instant range; only the dedup tally,
+                // which a snapshot does not keep, differs.
+                tree.reset_for_query();
+                let mut snap = Vec::new();
+                let snap_stats = tree.query_snapshot(&area, start, &mut snap).unwrap();
+                snap.sort_unstable();
+                tree.reset_for_query();
+                let (want, reference) =
+                    depth_first(&tree, &area, &TimeInterval::instant(start), &mut Vec::new());
+                assert_eq!(snap, want, "{name}: snapshot {q} at {start}");
+                assert_eq!(
+                    snap_stats,
+                    QueryStats {
+                        dedup_candidates: 0,
+                        ..reference
+                    },
+                    "{name}: snapshot {q} at {start}"
+                );
+            }
+            totals
+        }
+
+        fn params() -> PprParams {
+            PprParams {
+                max_entries: 12,
+                buffer_pages: 10,
+                ..PprParams::default()
+            }
+        }
+
+        fn lagreedy(objects: &[RasterizedObject], percent: f64) -> Vec<ObjectRecord> {
+            let plan = SplitPlan::build(
+                objects,
+                SingleSplitAlgorithm::MergeSplit,
+                DistributionAlgorithm::LaGreedy,
+                SplitBudget::Percent(percent),
+                None,
+            );
+            plan.records(objects)
+        }
+
+        /// Time-ordered updates, deletions first at an instant, so an object's
+        /// consecutive pieces never coexist.
+        fn incremental(records: &[ObjectRecord]) -> PprTree {
+            let mut events: Vec<(Time, bool, usize)> = Vec::new();
+            for (i, r) in records.iter().enumerate() {
+                events.push((r.stbox.lifetime.start, true, i));
+                events.push((r.stbox.lifetime.end, false, i));
+            }
+            events.sort_unstable();
+            let mut tree = PprTree::new(params());
+            for (t, insert, i) in events {
+                let r = &records[i];
+                if insert {
+                    tree.insert(r.id, r.stbox.rect, t).unwrap();
+                } else {
+                    tree.delete(r.id, r.stbox.rect, t).unwrap();
+                }
+            }
+            tree
+        }
+
+        fn scratch_path(name: &str) -> std::path::PathBuf {
+            std::env::temp_dir().join(format!("sti-descent-{name}-{}", std::process::id()))
+        }
+
+        /// Every query set must show revisits for the descent to remove;
+        /// otherwise the trees are too small to test anything.
+        fn assert_revisits_removed(name: &str, totals: &Totals) {
+            assert!(
+                totals.nodes < totals.reference_nodes,
+                "{name}: {totals:?} — no page was ever reached twice"
+            );
+        }
+
+        #[test]
+        fn incremental_trees_match_the_depth_first_walk() {
+            let random = RandomDatasetSpec::paper(300).generate();
+            let railway = RailwayDatasetSpec::paper(400).generate_rasterized();
+            let mut all = Totals::default();
+            for (data, objects) in [("random", &random), ("railway", &railway)] {
+                for percent in [0.0, 150.0] {
+                    let name = format!("{data} {percent} %");
+                    let tree = incremental(&lagreedy(objects, percent));
+                    let totals = differential(&name, &tree, 7, 120);
+                    all.queries += totals.queries;
+                    all.nodes += totals.nodes;
+                    all.reference_nodes += totals.reference_nodes;
+                }
+            }
+            assert_revisits_removed("incremental", &all);
+        }
+
+        #[test]
+        fn a_spilled_bulk_tree_matches_the_depth_first_walk() {
+            let records = lagreedy(&RandomDatasetSpec::paper(600).generate(), 150.0);
+            assert!(
+                records.len() > 1024,
+                "{} pieces cannot spill",
+                records.len()
+            );
+            let dir = scratch_path("bulk");
+            let mut loader = BulkLoader::new(params(), &dir).chunk_capacity(1024);
+            for r in &records {
+                loader
+                    .push(BulkPiece {
+                        rect: r.stbox.rect,
+                        ptr: r.id,
+                        insertion: r.stbox.lifetime.start,
+                        deletion: r.stbox.lifetime.end,
+                    })
+                    .unwrap();
+            }
+            let (tree, stats) = loader.finish(PageStore::new(10)).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(stats.spilled_runs > 0, "{stats:?}");
+            differential("bulk", &tree, 11, 120);
+        }
+
+        #[test]
+        fn a_sealed_pipeline_tree_matches_the_depth_first_walk() {
+            let objects = RandomDatasetSpec::paper(200).generate();
+            let mut ops: Vec<(Time, u64, Option<usize>)> = Vec::new();
+            for o in &objects {
+                ops.extend((0..o.len()).map(|i| (o.start() + i as Time, o.id(), Some(i))));
+                ops.push((o.lifetime().end, o.id(), None));
+            }
+            ops.sort_unstable();
+            // The pipeline's tree is the library's own type, not this test
+            // build's: so are its parameters, and it is handed over as the
+            // saved image.
+            let mut fanout = IndexConfig::paper(IndexBackend::PprTree).ppr;
+            fanout.max_entries = params().max_entries;
+            let mut pipeline = IngestPipeline::new(OnlineSplitConfig::default(), fanout);
+            let mut clock = 0;
+            for (t, id, at) in ops {
+                if t >= clock + 16 {
+                    clock = t;
+                    assert!(pipeline.commit().rejected.is_empty());
+                }
+                match at {
+                    Some(i) => pipeline.enqueue_update(id, objects[id as usize].rect(i), t),
+                    None => pipeline.enqueue_finish(id, t),
+                }
+            }
+            let sealed = pipeline.seal();
+            assert!(sealed.rejected.is_empty() && sealed.error.is_none());
+            let path = scratch_path("pipeline.idx");
+            pipeline.into_published_tree().save_to_file(&path).unwrap();
+            let tree = PprTree::open_file(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let totals = differential("pipeline", &tree, 13, 120);
+            assert_revisits_removed("pipeline", &totals);
+        }
+
+        /// DESIGN.md §10's case: a version split leaves the old leaf's copy of
+        /// a record with an open `deletion`, and the record dies after the
+        /// split. A range that starts before the split reaches the old leaf,
+        /// and no range after the death may report the record.
+        #[test]
+        fn a_dead_copy_with_an_open_deletion_is_not_resurrected() {
+            const X: u64 = 1_000;
+            let target = Rect2::from_bounds(0.5, 0.5, 0.51, 0.51);
+            let mut tree = PprTree::new(PprParams {
+                max_entries: 10,
+                ..params()
+            });
+            tree.insert(X, target, 0).unwrap();
+            for i in 0..30u32 {
+                let at = 0.5 + 0.01 * f64::from(i % 5);
+                let r = Rect2::from_bounds(at, 0.45, at + 0.01, 0.46);
+                tree.insert(u64::from(i), r, 1 + i).unwrap();
+                if i >= 3 {
+                    let j = i - 3;
+                    let at = 0.5 + 0.01 * f64::from(j % 5);
+                    let r = Rect2::from_bounds(at, 0.45, at + 0.01, 0.46);
+                    tree.delete(u64::from(j), r, 1 + i).unwrap();
+                }
+            }
+            let death: Time = 40;
+            tree.delete(X, target, death).unwrap();
+            tree.validate();
+
+            let copies: Vec<TimeInterval> = (0..PageId::try_from(tree.num_pages()).unwrap())
+                .filter_map(|page| PprNode::decode(&tree.store_ref().peek(page)?).ok())
+                .filter(|node| node.is_leaf())
+                .flat_map(|node| node.entries)
+                .filter(|e| e.ptr == X)
+                .map(|e| e.lifetime())
+                .collect();
+            assert!(
+                copies.iter().any(|life| life.is_open())
+                    && copies.iter().any(|life| life.end == death),
+                "X needs a dead open copy and a killed live one: {copies:?}"
+            );
+
+            let (tree, reads) = counted(&tree);
+            for range in [
+                TimeInterval::new(0, 100),
+                TimeInterval::new(death - 1, death + 20),
+                TimeInterval::new(death, death + 20),
+                TimeInterval::new(death + 5, 100),
+            ] {
+                let mut got = Vec::new();
+                tree.query_interval(&target, &range, &mut got).unwrap();
+                let (want, _) = depth_first(&tree, &target, &range, &mut Vec::new());
+                drain(&reads);
+                assert_eq!(got, want, "{range}");
+                let alive = range.start < death;
+                assert_eq!(got, if alive { vec![X] } else { Vec::new() }, "{range}");
             }
         }
     }

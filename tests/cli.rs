@@ -661,14 +661,23 @@ fn failed_save_leaves_no_temp_file_behind() {
     std::fs::remove_dir_all(&out_dir).ok();
 }
 
+/// A durable ingest killed after its third commit recovers from the WAL
+/// into an index that passes `stidx check` and answers like an
+/// uninterrupted run, under the default fsync policy and under
+/// `--fsync always`.
 #[test]
 fn durable_ingest_crash_and_recover_round_trip() {
-    let data = temp("durable.stdat");
-    let control = temp("durable-control.ppr");
-    let recovered = temp("durable-recovered.ppr");
-    let crashed = temp("durable-crashed.ppr");
-    let wal = temp("durable-wal");
-    let metrics = temp("durable-recover.prom");
+    crash_and_recover("durable", &[]);
+    crash_and_recover("durable-fsync", &["--fsync", "always"]);
+}
+
+fn crash_and_recover(name: &str, fsync: &[&str]) {
+    let data = temp(&format!("{name}.stdat"));
+    let control = temp(&format!("{name}-control.ppr"));
+    let recovered = temp(&format!("{name}-recovered.ppr"));
+    let crashed = temp(&format!("{name}-crashed.ppr"));
+    let wal = temp(&format!("{name}-wal"));
+    let metrics = temp(&format!("{name}-recover.prom"));
     std::fs::remove_dir_all(&wal).ok();
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "60", "--seed", "11", "--out"])
@@ -696,6 +705,7 @@ fn durable_ingest_crash_and_recover_round_trip() {
         .arg(&crashed)
         .args(["--wal"])
         .arg(&wal)
+        .args(fsync)
         .args(["--checkpoint-every", "2"])
         .output()
         .expect("crashed ingest");
@@ -726,19 +736,23 @@ fn durable_ingest_crash_and_recover_round_trip() {
         "{stdout}"
     );
     let text = std::fs::read_to_string(&metrics).expect("metrics file");
-    let queue_depth: f64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("ingest_queue_depth "))
-        .expect("queue gauge present")
-        .trim()
-        .parse()
-        .expect("queue gauge numeric");
+    let gauge = |name: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing, metrics:\n{text}"))
+            .trim()
+            .parse()
+            .expect("gauge numeric")
+    };
     assert!(
-        queue_depth > 0.0,
+        gauge("ingest_queue_depth") > 0.0,
         "restored queue depth must be non-zero, metrics:\n{text}"
     );
-    assert!(text.contains("recovery_wal_records_replayed"), "{text}");
-    assert!(text.contains("recovery_checkpoint_generation"), "{text}");
+    assert!(
+        gauge("recovery_wal_records_replayed") > 0.0,
+        "recovery must replay the WAL tail, metrics:\n{text}"
+    );
+    gauge("recovery_checkpoint_generation");
 
     // The recovered index passes the invariant checker...
     assert!(stidx()
@@ -782,6 +796,46 @@ fn durable_ingest_crash_and_recover_round_trip() {
     std::fs::remove_file(&recovered).ok();
     std::fs::remove_file(&metrics).ok();
     std::fs::remove_dir_all(&wal).ok();
+}
+
+/// `stidx check` passes an intact image and fails the torn `.tmp`
+/// sibling a re-save that died mid-write leaves next to it (the atomic
+/// save protocol never touches the current image).
+#[test]
+fn check_fails_a_torn_temp_image_beside_an_intact_one() {
+    let data = temp("torn.stdat");
+    let idx = temp("torn.idx");
+    let torn = temp("torn.idx.tmp");
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "400", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    assert!(stidx()
+        .args(["build", "--data"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&idx)
+        .status()
+        .expect("build")
+        .success());
+    let bytes = std::fs::read(&idx).expect("read image");
+    assert!(bytes.len() > 1000, "{} bytes", bytes.len());
+    std::fs::write(&torn, &bytes[..1000]).expect("write torn prefix");
+    let check = |path: &PathBuf| stidx().arg("check").arg(path).output().expect("check");
+    let intact = check(&idx);
+    assert!(
+        intact.status.success(),
+        "intact image failed: {}",
+        String::from_utf8_lossy(&intact.stderr)
+    );
+    let out = check(&torn);
+    assert!(!out.status.success(), "torn temp image passed fsck");
+    assert_ne!(out.status.code(), Some(101), "check panicked");
+    for path in [&data, &idx, &torn] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// A live stream through `stidx ingest`: every op admitted, every batch
