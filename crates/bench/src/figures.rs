@@ -3,9 +3,9 @@
 
 use std::time::Duration;
 use sti_bench::{
-    avg_query_io, build_index, bulk_tier_index, fmt_secs, print_table, query_io_profile,
-    railway_dataset, random_dataset, series, split_records, tier_records, timed,
-    warm_query_io_profile, BenchReport, Scale, Tier,
+    build_index, bulk_tier_index, fmt_secs, print_table, query_io_profile, railway_dataset,
+    random_dataset, series, split_records, tier_records, timed, warm_query_io_profile, BenchReport,
+    Scale, Tier,
 };
 use sti_core::single::{DpSplit, MergeSplit, SingleObjectSplitter, SingleSplitAlgorithm};
 use sti_core::{
@@ -278,7 +278,7 @@ pub fn fig14(scale: Scale) {
             ));
             cells.push(format!(
                 "{:.2} (vol {:.1})",
-                avg_query_io(&mut idx, &queries),
+                query_io_profile(&mut idx, &queries).avg,
                 plan.total_volume()
             ));
         }

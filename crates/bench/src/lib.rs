@@ -292,27 +292,11 @@ pub fn build_index(records: &[ObjectRecord], backend: IndexBackend) -> SpatioTem
         .expect("in-memory build cannot fail")
 }
 
-/// Run a query set (buffer reset before every query, as in §V) and
-/// return the average number of disk accesses.
-pub fn avg_query_io(index: &mut SpatioTemporalIndex, queries: &[Query]) -> f64 {
-    assert!(!queries.is_empty());
-    let mut total = 0u64;
-    for q in queries {
-        index.reset_for_query();
-        let _ = index
-            .query(&q.area, &q.range)
-            .expect("in-memory query cannot fail");
-        total += index.io_stats().reads;
-    }
-    total as f64 / queries.len() as f64
-}
-
 /// Per-query-set I/O distribution, measured via `sti-obs` deltas: the
 /// paper's average plus percentiles and the summed [`QueryStats`].
 ///
-/// `avg` uses the exact arithmetic of [`avg_query_io`] (total disk reads
-/// over query count), so a table cell printed from one matches a JSON
-/// field computed from the other digit for digit.
+/// `avg` is total disk reads over query count, so a table cell printed
+/// from it matches the JSON field digit for digit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoProfile {
     /// Average disk reads per query (the paper's figure of merit).
@@ -401,9 +385,9 @@ fn profile_queries(queries: &[Query], mut run: impl FnMut(&Query) -> QueryStats)
     IoProfile::from_stats(&per, start.elapsed().as_secs_f64())
 }
 
-/// [`avg_query_io`], upgraded: same buffer-reset-per-query methodology,
-/// but the full [`IoProfile`] comes back. `profile.avg` equals what
-/// [`avg_query_io`] returns for the same index and queries.
+/// Run a query set with the buffer reset before every query, as in §V,
+/// and return its [`IoProfile`]; `profile.avg` is the paper's average
+/// number of disk accesses.
 pub fn query_io_profile(index: &mut SpatioTemporalIndex, queries: &[Query]) -> IoProfile {
     profile_queries(queries, |q| {
         index.reset_for_query();
@@ -657,8 +641,26 @@ mod tests {
         let mut idx = build_index(&records, IndexBackend::PprTree);
         let mut spec = QuerySetSpec::mixed_snapshot();
         spec.cardinality = 20;
-        let io = avg_query_io(&mut idx, &spec.generate());
+        let queries = spec.generate();
+        let profile = query_io_profile(&mut idx, &queries);
+        let io = profile.avg;
         assert!(io >= 1.0, "every query reads at least the root: {io}");
+        assert_eq!(profile.queries, queries.len());
+        assert!(profile.max >= profile.p95 && profile.p95 >= profile.p50);
+        assert_eq!(profile.totals.disk_writes, 0, "queries are read-only");
+        assert!(profile.totals.nodes_visited > 0);
+        // The formatted average is what the tables print.
+        let cell = format!("{io:.2}");
+        match profile.to_json() {
+            JsonValue::Obj(fields) => {
+                let formatted = fields
+                    .iter()
+                    .find(|(k, _)| k == "avg_formatted")
+                    .map(|(_, v)| v.clone());
+                assert_eq!(formatted, Some(JsonValue::str(cell)));
+            }
+            other => panic!("expected object, got {other:?}"),
+        }
     }
 
     #[test]
@@ -675,40 +677,6 @@ mod tests {
         assert!(s.paper);
         let s = Scale::parse(&DEFAULT_SIZES, args(&[]));
         assert_eq!(s.json, None);
-    }
-
-    #[test]
-    fn io_profile_matches_avg_query_io_exactly() {
-        let objs = random_dataset(200);
-        let records = split_records(
-            &objs,
-            SingleSplitAlgorithm::MergeSplit,
-            DistributionAlgorithm::Greedy,
-            SplitBudget::Percent(50.0),
-        );
-        let mut spec = QuerySetSpec::mixed_snapshot();
-        spec.cardinality = 25;
-        let queries = spec.generate();
-        let mut idx = build_index(&records, IndexBackend::PprTree);
-        let avg = avg_query_io(&mut idx, &queries);
-        let profile = query_io_profile(&mut idx, &queries);
-        assert_eq!(profile.avg.to_bits(), avg.to_bits(), "identical arithmetic");
-        assert_eq!(profile.queries, queries.len());
-        assert!(profile.max >= profile.p95 && profile.p95 >= profile.p50);
-        assert_eq!(profile.totals.disk_writes, 0, "queries are read-only");
-        assert!(profile.totals.nodes_visited > 0);
-        // The formatted average is what the tables print.
-        let cell = format!("{:.2}", avg);
-        match profile.to_json() {
-            JsonValue::Obj(fields) => {
-                let formatted = fields
-                    .iter()
-                    .find(|(k, _)| k == "avg_formatted")
-                    .map(|(_, v)| v.clone());
-                assert_eq!(formatted, Some(JsonValue::str(cell)));
-            }
-            other => panic!("expected object, got {other:?}"),
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! pages and on disk reads per query, measured the paper's way (buffer
 //! reset before every query).
 
-use sti_bench::{avg_query_io, build_index, object_record};
+use sti_bench::{build_index, object_record, query_io_profile};
 use sti_core::{IndexBackend, IndexConfig, ObjectRecord, SpatioTemporalIndex};
 use sti_datagen::{QuerySetSpec, RailwayDatasetSpec, RandomDatasetSpec};
 use sti_storage::PageStore;
@@ -78,8 +78,8 @@ fn bulk_tree_is_bounded_by_the_incremental_tree() {
             let mut spec = spec.clone();
             spec.cardinality = 300;
             let queries = spec.generate();
-            let incr_reads = avg_query_io(&mut incr, &queries);
-            let bulk_reads = avg_query_io(&mut bulk, &queries);
+            let incr_reads = query_io_profile(&mut incr, &queries).avg;
+            let bulk_reads = query_io_profile(&mut bulk, &queries).avg;
             row(set, incr_reads, bulk_reads, READS_BOUND);
         }
     }

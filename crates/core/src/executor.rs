@@ -26,8 +26,7 @@ use sti_storage::StorageError;
 pub struct QueryRequest {
     /// Spatial window.
     pub area: Rect2,
-    /// Temporal window (must be non-empty, like
-    /// [`SpatioTemporalIndex::query`]).
+    /// Temporal window; an empty one answers nothing.
     pub range: TimeInterval,
 }
 
@@ -36,7 +35,7 @@ impl QueryRequest {
     pub fn snapshot(area: Rect2, t: sti_geom::Time) -> Self {
         Self {
             area,
-            range: TimeInterval::new(t, t + 1),
+            range: TimeInterval::instant(t),
         }
     }
 }
@@ -75,11 +74,6 @@ impl QueryExecutor {
 
     /// Run every request against one shared index, returning one
     /// [`QueryOutcome`] per request, in request order.
-    ///
-    /// # Panics
-    /// If a request's `range` is empty (the same caller contract as
-    /// [`SpatioTemporalIndex::query`]); worker panics propagate to the
-    /// caller after all workers have been joined.
     pub fn run(&self, index: &SpatioTemporalIndex, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         self.run_with(requests, |req| {
             index.query_with_stats(&req.area, &req.range)
@@ -182,6 +176,34 @@ mod tests {
         }
     }
 
+    /// An empty request in a batch answers nothing, and its siblings
+    /// answer as they would alone.
+    #[test]
+    fn a_batch_with_an_empty_request_answers_it_with_nothing() {
+        for backend in [IndexBackend::PprTree, IndexBackend::RStar] {
+            let index = build(backend);
+            let mut reqs = requests();
+            reqs.insert(3, QueryRequest::snapshot(Rect2::UNIT, sti_geom::Time::MAX));
+            reqs.insert(
+                9,
+                QueryRequest {
+                    range: TimeInterval::new(70, 70),
+                    ..reqs[0]
+                },
+            );
+            let outcomes = QueryExecutor::new(Parallelism::fixed(2)).run(&index, &reqs);
+            for (req, got) in reqs.iter().zip(outcomes) {
+                let got = got.unwrap();
+                if req.range.is_empty() {
+                    assert_eq!(got, (Vec::new(), QueryStats::new()), "{backend}");
+                } else {
+                    let alone = index.query(&req.area, &req.range).unwrap();
+                    assert_eq!(got.0, alone, "{backend}: {req:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn run_with_preserves_input_order() {
         let exec = QueryExecutor::new(Parallelism::fixed(5));
@@ -195,5 +217,10 @@ mod tests {
         let r = QueryRequest::snapshot(Rect2::from_bounds(0.0, 0.0, 1.0, 1.0), 42);
         assert_eq!(r.range, TimeInterval::new(42, 43));
         assert_eq!(r.range.len(), 1);
+        let last = QueryRequest::snapshot(Rect2::UNIT, sti_geom::Time::MAX);
+        assert!(
+            last.range.is_empty(),
+            "nothing is alive at the last instant"
+        );
     }
 }

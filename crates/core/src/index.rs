@@ -337,7 +337,9 @@ impl SpatioTemporalIndex {
     }
 
     /// Answer a topological query: ids of objects intersecting `area`
-    /// at any instant of `range`, de-duplicated and sorted.
+    /// at any instant of `range`, de-duplicated and sorted. An empty
+    /// `range` (such as `TimeInterval::instant(Time::MAX)`) answers
+    /// nothing.
     ///
     /// # Errors
     /// A [`StorageError`] if a page read fails after retries; the index
@@ -358,7 +360,9 @@ impl SpatioTemporalIndex {
         area: &Rect2,
         range: &TimeInterval,
     ) -> Result<(Vec<u64>, QueryStats), StorageError> {
-        assert!(!range.is_empty(), "empty query range");
+        if range.is_empty() {
+            return Ok((Vec::new(), QueryStats::new()));
+        }
         let mut out = Vec::new();
         let mut stats = match &self.backend {
             Backend::Ppr(t) => {
@@ -384,10 +388,6 @@ impl SpatioTemporalIndex {
     /// for every `parallelism` setting; each query's [`QueryStats`] is
     /// attributed to that query alone, so the batch sum reconciles with
     /// the global [`IoStats`] delta even under concurrency.
-    ///
-    /// # Panics
-    /// If any request's `range` is empty (the
-    /// [`SpatioTemporalIndex::query`] caller contract).
     pub fn query_batch_with_stats(
         &self,
         requests: &[crate::executor::QueryRequest],
@@ -531,6 +531,28 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// An empty range — the last instant `[MAX, MAX)` or any `[t, t)` —
+    /// answers nothing on either backend, reading no page.
+    #[test]
+    fn an_empty_range_answers_nothing_on_both_backends() {
+        let records = unsplit_records(&dataset());
+        for backend in [IndexBackend::PprTree, IndexBackend::RStar] {
+            let idx = SpatioTemporalIndex::build(&records, &small_config(backend)).unwrap();
+            let before = idx.io_stats();
+            for range in [
+                TimeInterval::instant(Time::MAX),
+                TimeInterval::new(300, 300),
+            ] {
+                assert_eq!(
+                    idx.query_with_stats(&Rect2::UNIT, &range).unwrap(),
+                    (Vec::new(), QueryStats::new()),
+                    "{backend}: {range:?}"
+                );
+            }
+            assert_eq!(idx.io_stats(), before, "{backend}: no page was read");
+        }
+    }
+
     #[test]
     fn both_backends_have_no_false_negatives_on_unsplit_data() {
         let objs = dataset();
@@ -626,14 +648,5 @@ mod tests {
         assert!(idx.num_pages() > 0);
         assert_eq!(idx.record_count(), records.len());
         assert_eq!(idx.backend(), IndexBackend::PprTree);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty query range")]
-    fn rejects_empty_range() {
-        let objs = dataset();
-        let records = unsplit_records(&objs);
-        let idx = SpatioTemporalIndex::build(&records, &small_config(IndexBackend::RStar)).unwrap();
-        let _ = idx.query(&Rect2::UNIT, &TimeInterval::new(5, 5));
     }
 }

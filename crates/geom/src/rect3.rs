@@ -1,14 +1,16 @@
 //! Axis-aligned boxes in (x, y, t) space.
 
-use crate::{Rect2, StBox};
+use crate::Rect2;
 
 /// An axis-aligned box in 3-dimensional (x, y, t) space.
 ///
 /// This is the record format of the 3D R\*-Tree baseline: the time axis is
 /// treated as just another spatial dimension. Following the paper (§V), the
 /// time extent of a dataset is scaled down to the unit range before
-/// insertion so that time does not dominate the split criteria; the
-/// conversion from [`StBox`] is performed by [`Rect3::from_stbox_scaled`].
+/// insertion so that time does not dominate the split criteria. A
+/// record's half-open lifetime `[start, end)` becomes the closed slab
+/// `[start, end − 1] / time_scale`, the same slab [`Rect3::from_query`]
+/// builds for a query range.
 ///
 /// Invariant: `lo[d] <= hi[d]` on every axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,26 +57,6 @@ impl Rect3 {
         Rect3::new(
             [area.lo.x, area.lo.y, f64::from(range.start) / time_scale],
             [area.hi.x, area.hi.y, f64::from(range.end - 1) / time_scale],
-        )
-    }
-
-    /// Convert a space-time box into a 3D box, scaling its time interval by
-    /// `1.0 / time_scale` (pass the dataset's total time extent so time
-    /// lands in the unit range, as the paper does for the R\*-Tree).
-    #[inline]
-    pub fn from_stbox_scaled(b: &StBox, time_scale: f64) -> Self {
-        debug_assert!(time_scale > 0.0);
-        Rect3::new(
-            [
-                b.rect.lo.x,
-                b.rect.lo.y,
-                f64::from(b.lifetime.start) / time_scale,
-            ],
-            [
-                b.rect.hi.x,
-                b.rect.hi.y,
-                f64::from(b.lifetime.end) / time_scale,
-            ],
         )
     }
 
@@ -203,7 +185,7 @@ impl Rect3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, Rect2, StBox, TimeInterval};
+    use crate::approx_eq;
     use proptest::prelude::*;
 
     fn b(lo: [f64; 3], hi: [f64; 3]) -> Rect3 {
@@ -231,19 +213,6 @@ mod tests {
         assert_eq!(Rect3::EMPTY.volume(), 0.0);
         assert!(!Rect3::EMPTY.intersects(&a));
         assert!(a.contains(&Rect3::EMPTY));
-    }
-
-    #[test]
-    fn from_stbox_scales_time() {
-        let sb = StBox::new(
-            Rect2::from_bounds(0.1, 0.2, 0.3, 0.4),
-            TimeInterval::new(100, 300),
-        );
-        let r3 = Rect3::from_stbox_scaled(&sb, 1000.0);
-        assert!(approx_eq(r3.lo[2], 0.1));
-        assert!(approx_eq(r3.hi[2], 0.3));
-        assert!(approx_eq(r3.lo[0], 0.1));
-        assert!(approx_eq(r3.volume(), 0.2 * 0.2 * 0.2));
     }
 
     #[test]

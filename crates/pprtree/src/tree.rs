@@ -8,7 +8,7 @@ use sti_geom::{Rect2, Time, TimeInterval};
 use sti_obs::QueryStats;
 use sti_storage::{
     CorruptReason, FaultStats, IoStats, Page, PageBackend, PageId, PageStore, ReadProbe,
-    RetryPolicy, ScratchPool, StorageError,
+    ScratchPool, StorageError,
 };
 
 /// Failure of a [`PprTree::delete`] call. The tree is left unchanged.
@@ -292,11 +292,6 @@ impl PprTree {
         self.store.fault_stats()
     }
 
-    /// Replace the retry budget for transient storage faults.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.store.set_retry_policy(policy);
-    }
-
     /// Replace the buffer pool capacity (clears residency). The paper
     /// fixes this at 10 pages; the `ablation_buffer` bench sweeps it.
     pub fn set_buffer_capacity(&mut self, pages: usize) {
@@ -494,7 +489,7 @@ impl PprTree {
     }
 
     /// The page device under the tree (see [`PageStore::backend`]), for
-    /// downcasts in tests and tooling.
+    /// tests and tooling.
     pub fn backend(&mut self) -> &dyn PageBackend {
         self.store.backend()
     }
@@ -1853,7 +1848,6 @@ mod tests {
         }]);
         let backend = FaultyBackend::new(Box::new(MemBackend::new()), plan);
         let mut t = PprTree::with_backend(small_params(), Box::new(backend));
-        t.set_retry_policy(RetryPolicy::no_retry());
 
         let mut i = 0u64;
         // bounded: the plan fails operation 40, and the assert stops it
@@ -1921,7 +1915,6 @@ mod tests {
         }]);
         let backend = FaultyBackend::new(Box::new(MemBackend::new()), plan);
         let mut ft = PprTree::with_backend(small_params(), Box::new(backend));
-        ft.set_retry_policy(RetryPolicy::no_retry());
         let err = ft
             .insert(1, rect(0.1, 0.1), 0)
             .expect_err("fault on op 1 must surface");
@@ -2176,14 +2169,6 @@ mod tests {
 
             fn clone_box(&self) -> Box<dyn PageBackend> {
                 Box::new(self.clone())
-            }
-
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
 

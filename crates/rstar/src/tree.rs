@@ -7,7 +7,7 @@ use sti_geom::Rect3;
 use sti_obs::QueryStats;
 use sti_storage::{
     CorruptReason, FaultStats, IoStats, MemBackend, Page, PageBackend, PageId, PageStore,
-    ReadProbe, RetryPolicy, ScratchPool, StorageError,
+    ReadProbe, ScratchPool, StorageError,
 };
 
 /// A disk-based 3D R\*-Tree.
@@ -121,11 +121,6 @@ impl RStarTree {
     /// Accumulated fault/retry counters from the backing store.
     pub fn fault_stats(&self) -> FaultStats {
         self.store.fault_stats()
-    }
-
-    /// Replace the retry budget for transient storage faults.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.store.set_retry_policy(policy);
     }
 
     /// Replace the buffer pool capacity (clears residency). The paper
@@ -648,7 +643,6 @@ mod tests {
         }]);
         let backend = FaultyBackend::new(Box::new(sti_storage::MemBackend::new()), plan);
         let mut t = RStarTree::with_backend(small_params(), Box::new(backend)).unwrap();
-        t.set_retry_policy(RetryPolicy::no_retry());
         let mut rng = StdRng::seed_from_u64(23);
 
         let mut inserted = Vec::new();

@@ -102,12 +102,6 @@ pub trait PageBackend: std::fmt::Debug + Send + Sync {
 
     /// Clone into a boxed backend (see the caveat on [`FileBackend`]).
     fn clone_box(&self) -> Box<dyn PageBackend>;
-
-    /// Downcast support for tests and tooling.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support for tests and tooling.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 impl Clone for Box<dyn PageBackend> {
@@ -190,14 +184,6 @@ impl PageBackend for MemBackend {
 
     fn clone_box(&self) -> Box<dyn PageBackend> {
         Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -379,14 +365,6 @@ impl PageBackend for FileBackend {
             })
             .collect();
         Box::new(MemBackend { pages, copied: 0 })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

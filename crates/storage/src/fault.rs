@@ -333,14 +333,6 @@ impl PageBackend for FaultyBackend {
     fn clone_box(&self) -> Box<dyn PageBackend> {
         Box::new(self.clone())
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// SplitMix64: the tiny, well-distributed generator behind the seeded

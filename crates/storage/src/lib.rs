@@ -11,8 +11,8 @@
 //! * [`PageStore`] — a "disk" of pages over a pluggable [`backend`] with
 //!   an LRU buffer pool in front ([`buffer`]: the pool owns the only
 //!   page bytes kept in memory), [`IoStats`] counting logical
-//!   reads/writes, per-page checksums, bounded [`retry`] for transient
-//!   faults ([`FaultStats`]), and page-level undo transactions,
+//!   reads/writes, per-page checksums, a bounded immediate retry of
+//!   transient faults ([`FaultStats`]), and page-level undo transactions,
 //! * [`backend`] — the [`PageBackend`] device trait with in-memory and
 //!   file-backed implementations,
 //! * [`fault`] — the deterministic [`FaultyBackend`] fault injector,
@@ -49,7 +49,6 @@ pub mod fault;
 pub mod lock;
 pub mod page;
 pub mod persist;
-pub mod retry;
 pub mod shard;
 pub mod store;
 pub mod wal;
@@ -63,7 +62,6 @@ pub use fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
 pub use lock::LeafMutex;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use persist::{OpenError, Region, SaveCrash};
-pub use retry::{RetryClock, RetryPolicy, SimClock};
 pub use shard::{ReadProbe, ScratchPool};
 pub use store::{FaultStats, IoStats, PageStore, PageValidator};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalConfig, WalError, WalOpen, WalRecord, WalStats};

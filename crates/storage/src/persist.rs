@@ -150,8 +150,9 @@ impl From<OpenError> for io::Error {
     }
 }
 
-/// Where a simulated crash interrupts a save (test/CI hook for the
-/// fault-matrix job; the public [`PageStore::save_to`] never crashes).
+/// Where a simulated crash interrupts a save (a test hook for the
+/// fault-injection suite; the public [`PageStore::save_to`] never
+/// crashes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaveCrash {
     /// Power loss after `keep_bytes` of the temp file reached the disk;
@@ -303,12 +304,6 @@ impl PageStore {
     pub fn load_from(path: &Path, buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
         let file = std::fs::File::open(path)?;
         Self::decode_from(BufReader::new(file), buffer_pages)
-    }
-
-    /// Validate and decode a version-2 byte image (see
-    /// [`PageStore::load_from`]).
-    pub fn decode(bytes: &[u8], buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::decode_from(bytes, buffer_pages)
     }
 
     /// Validate and decode a version-2 image read from `image`, in file
@@ -556,7 +551,7 @@ mod tests {
             damaged.push(image[..cut].to_vec());
         }
         for bytes in &damaged {
-            let whole = PageStore::decode(bytes, 2).unwrap_err();
+            let whole = PageStore::decode_from(bytes.as_slice(), 2).unwrap_err();
             let trickled = PageStore::decode_from(trickle(bytes), 2).unwrap_err();
             assert_eq!(format!("{whole:?}"), format!("{trickled:?}"));
         }
@@ -613,7 +608,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         // Every prefix must be rejected, without panicking.
         for cut in [0, 1, 35, 36, 40, full.len() / 2, full.len() - 1] {
-            let err = PageStore::decode(&full[..cut], 2).unwrap_err();
+            let err = PageStore::decode_from(&full[..cut], 2).unwrap_err();
             assert!(
                 matches!(err, OpenError::Truncated { .. } | OpenError::Corrupt { .. }),
                 "cut at {cut}: {err:?}"
@@ -639,7 +634,7 @@ mod tests {
         for at in [header_at, meta_at, free_at, page_at, trailer_at] {
             let mut corrupted = full.clone();
             corrupted[at] ^= 0x40;
-            let err = PageStore::decode(&corrupted, 2).unwrap_err();
+            let err = PageStore::decode_from(corrupted.as_slice(), 2).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -756,10 +751,10 @@ mod tests {
         store.save_to(&path, &[]).expect("save");
         let mut full = std::fs::read(&path).expect("read");
         std::fs::remove_file(&path).ok();
-        let err = PageStore::decode(&with_free_list(&full, &[1, 1]), 2).unwrap_err();
+        let err = PageStore::decode_from(with_free_list(&full, &[1, 1]).as_slice(), 2).unwrap_err();
         assert!(matches!(err, OpenError::Malformed(_)), "{err:?}");
         full.push(0);
-        let err = PageStore::decode(&full, 2).unwrap_err();
+        let err = PageStore::decode_from(full.as_slice(), 2).unwrap_err();
         assert!(matches!(err, OpenError::Malformed(_)), "{err:?}");
     }
 
@@ -773,9 +768,9 @@ mod tests {
         store.save_to(&path, b"meta").expect("save");
         let full = std::fs::read(&path).expect("read");
         std::fs::remove_file(&path).ok();
-        assert!(PageStore::decode(&with_free_list(&full, &[]), 2).is_ok());
+        assert!(PageStore::decode_from(with_free_list(&full, &[]).as_slice(), 2).is_ok());
         for ids in [&[1][..], &[0, 2]] {
-            let err = PageStore::decode(&with_free_list(&full, ids), 2).unwrap_err();
+            let err = PageStore::decode_from(with_free_list(&full, ids).as_slice(), 2).unwrap_err();
             assert!(
                 matches!(err, OpenError::Malformed("non-empty free list")),
                 "{ids:?}: {err:?}"

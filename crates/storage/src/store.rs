@@ -23,8 +23,6 @@ use crate::backend::{MemBackend, PageBackend};
 use crate::buffer::ShardedBuffer;
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
-use crate::lock::{LeafGuard, LeafMutex};
-use crate::retry::{RetryClock, RetryPolicy, SimClock};
 use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,27 +190,23 @@ fn core_mut(lock: &mut RwLock<StoreCore>) -> &mut StoreCore {
     lock.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Attempts per backend operation, the first included: a transient
+/// error is re-attempted at once, up to two times.
+const MAX_ATTEMPTS: u32 = 3;
+
 /// The bounded retry loop every backend operation runs in, with the
 /// counters it moves.
 #[derive(Debug)]
 struct Retrier {
-    policy: RetryPolicy,
-    /// Behind a mutex so shared readers can back off too; held only for
-    /// the pause itself.
-    clock: LeafMutex<Box<dyn RetryClock>>,
     io_retries: AtomicU64,
     checksum_failures: AtomicU64,
 }
 
 impl Retrier {
-    fn clock(&self) -> LeafGuard<'_, Box<dyn RetryClock>> {
-        self.clock.lock()
-    }
-
-    /// Run `op` until it succeeds, fails permanently, or the attempt
-    /// budget is spent; the last error is returned unchanged. `probe`
-    /// receives exactly the counter movement of this call (and is what
-    /// `op` itself may attribute to).
+    /// Run `op` until it succeeds, fails permanently, or
+    /// [`MAX_ATTEMPTS`] are spent; the last error is returned unchanged.
+    /// `probe` receives exactly the counter movement of this call (and
+    /// is what `op` itself may attribute to).
     fn run<T>(
         &self,
         probe: &mut ReadProbe,
@@ -220,7 +214,7 @@ impl Retrier {
     ) -> Result<T, StorageError> {
         let mut attempt = 0u32;
         // bounded: every pass counts an attempt, and the pass that
-        // reaches `policy.max_attempts` returns.
+        // reaches `MAX_ATTEMPTS` returns.
         loop {
             attempt += 1;
             let e = match op(probe) {
@@ -238,13 +232,12 @@ impl Retrier {
                 // ordering: independent stat counter, read only for reporting.
                 self.checksum_failures.fetch_add(1, Ordering::Relaxed);
             }
-            if !e.is_transient() || attempt >= self.policy.max_attempts {
+            if !e.is_transient() || attempt >= MAX_ATTEMPTS {
                 return Err(e);
             }
             probe.io_retries += 1;
             // ordering: independent stat counter, read only for reporting.
             self.io_retries.fetch_add(1, Ordering::Relaxed);
-            self.clock().pause(self.policy.delay_for(attempt));
         }
     }
 }
@@ -316,8 +309,6 @@ impl Clone for PageStore {
             buffer: self.buffer.clone(),
             writes: snapshot(&self.writes),
             retry: Retrier {
-                policy: self.retry.policy,
-                clock: LeafMutex::new(self.clock()),
                 io_retries: snapshot(&self.retry.io_retries),
                 checksum_failures: snapshot(&self.retry.checksum_failures),
             },
@@ -360,8 +351,6 @@ impl PageStore {
             buffer: ShardedBuffer::new(buffer_capacity),
             writes: AtomicU64::new(0),
             retry: Retrier {
-                policy: RetryPolicy::default(),
-                clock: LeafMutex::new(Box::new(SimClock::new())),
                 io_retries: AtomicU64::new(0),
                 checksum_failures: AtomicU64::new(0),
             },
@@ -415,7 +404,7 @@ impl PageStore {
         self.core_read().backend.pages_copied()
     }
 
-    /// The backend, for journal inspection and downcasts in tests.
+    /// The backend, for inspection in tests and tooling.
     /// `&mut self` because the backend lives under the read-path lock;
     /// exclusive access borrows it without locking.
     pub fn backend(&mut self) -> &dyn PageBackend {
@@ -425,17 +414,6 @@ impl PageStore {
     /// Mutable backend access, for tests and tooling.
     pub fn backend_mut(&mut self) -> &mut dyn PageBackend {
         core_mut(&mut self.core).backend.as_mut()
-    }
-
-    /// Replace the retry budget/backoff schedule.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry.policy = policy;
-    }
-
-    /// A snapshot of the backoff clock, for asserting on the schedule
-    /// taken (boxed clone: the live clock sits behind the retry mutex).
-    pub fn clock(&self) -> Box<dyn RetryClock> {
-        self.retry.clock().clone_box()
     }
 
     /// Append a page to the store and return its id. Allocation is
@@ -1057,7 +1035,6 @@ mod tests {
         let fs = s.fault_stats();
         assert_eq!(fs.io_retries, 1, "one transient fault, one retry");
         assert_eq!(fs.io_faults_injected, 1);
-        assert!(s.clock().pauses() >= 1, "backoff was recorded");
     }
 
     #[test]
@@ -1084,8 +1061,8 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_surfaces_the_transient_error() {
-        // Three consecutive transient faults exceed max_attempts=3's two
-        // retries: ops 1, 2, 3 all fail.
+        // Three consecutive transient faults exceed MAX_ATTEMPTS = 3's
+        // two retries: ops 1, 2, 3 all fail.
         let plan = FaultPlan::new(
             (1..=3)
                 .map(|at_op| ScheduledFault {
@@ -1202,12 +1179,6 @@ mod tests {
         fn clone_box(&self) -> Box<dyn PageBackend> {
             Box::new(self.clone())
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// What the damaged-write sweep damages: a `write` over a page, or
@@ -1239,7 +1210,6 @@ mod tests {
         let mut run = [intended; RUN];
         run[1][0] = 0x7F;
         let pre_image = [0xA5u8; PAGE_SIZE];
-        let attempts = RetryPolicy::default().max_attempts;
         // Op 0 allocates, op 1 writes the pre-image; from op 2 on, each
         // attempt of a write is one op, and each attempt of a run an
         // allocate and a write per page.
@@ -1248,7 +1218,7 @@ mod tests {
             Damaged::Run { page } => 2 + attempt * 2 * RUN as u64 + 2 * page as u64 + 1,
         };
         let damage_by = |target: Damaged, kind: FaultKind| {
-            (0..=attempts).map(move |damaged| {
+            (0..=MAX_ATTEMPTS).map(move |damaged| {
                 let faults = (0..u64::from(damaged))
                     .map(|i| ScheduledFault {
                         at_op: op(target, i),
@@ -1284,14 +1254,14 @@ mod tests {
                     .flat_map(move |target| damage_by(target, FaultKind::TornWrite { keep_bytes }))
             });
         for (target, kind, damaged, plan) in flips.chain(run_flips).chain(tears) {
-            let at = format!("{kind:?} on {target:?}, {damaged} of {attempts} attempts");
+            let at = format!("{kind:?} on {target:?}, {damaged} of {MAX_ATTEMPTS} attempts");
             let device = AcksTornWrites(FaultyBackend::new_mem(plan));
             let mut s = PageStore::with_backend(Box::new(device), 4);
             let a = s.allocate().unwrap();
             s.write(a, &pre_image).unwrap();
             s.reset_stats();
 
-            let failed = damaged == attempts;
+            let failed = damaged == MAX_ATTEMPTS;
             let (outcome, first, bad_page) = match target {
                 Damaged::Write => (s.write(a, &payload).map(|()| a), a, a),
                 Damaged::Run { page } => (s.append_run(&run), a + 1, a + 1 + page as PageId),
@@ -1307,7 +1277,11 @@ mod tests {
             assert_eq!(outcome, expected, "{at}");
             let fs = s.fault_stats();
             assert_eq!(fs.checksum_failures, u64::from(damaged), "{at}");
-            assert_eq!(fs.io_retries, u64::from(damaged.min(attempts - 1)), "{at}");
+            assert_eq!(
+                fs.io_retries,
+                u64::from(damaged.min(MAX_ATTEMPTS - 1)),
+                "{at}"
+            );
             let (writes, at_rest): (u64, Vec<&[u8; PAGE_SIZE]>) = match (target, failed) {
                 (_, true) => (0, vec![&pre_image]),
                 (Damaged::Write, false) => (1, vec![&intended]),

@@ -461,7 +461,6 @@ fn library_files_justify_every_ordering_and_loop_and_use_only_leaf_mutexes() {
     for rel in [
         "crates/storage/src/buffer.rs",
         "crates/storage/src/shard.rs",
-        "crates/storage/src/store.rs",
         "crates/storage/src/fault.rs",
         "crates/core/src/pipeline.rs",
         "crates/server/src/server.rs",

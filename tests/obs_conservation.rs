@@ -124,14 +124,6 @@ proptest! {
     }
 }
 
-/// Operations the fault-free injector under `tree` has passed through
-/// to the page file; queries only ever read, so a delta of this is a
-/// count of `read_at` calls.
-fn device_ops(tree: &mut PprTree) -> u64 {
-    let backend = tree.backend().as_any().downcast_ref::<FaultyBackend>();
-    backend.expect("built over a FaultyBackend").ops_executed()
-}
-
 /// "A disk read is one `read_at`": over a page file, the reads the
 /// queries report, the reads the store counts and the transfers the
 /// device performed are one number — and a pool that holds the whole
@@ -141,6 +133,10 @@ fn a_counted_disk_read_is_exactly_one_device_read() {
     let path = std::env::temp_dir().join(format!("sti-one-read-{}.pages", std::process::id()));
     let file = FileBackend::create(&path).expect("create page file");
     let device = FaultyBackend::new(Box::new(file), FaultPlan::none());
+    // A clone shares the device's operation clock: it counts every
+    // operation the tree's store passes through to the page file, and
+    // queries only ever read, so a delta of it counts `read_at` calls.
+    let probe = device.clone();
     let mut rng = StdRng::seed_from_u64(0x0ead);
     let mut tree = PprTree::with_backend(
         PprParams {
@@ -174,19 +170,19 @@ fn a_counted_disk_read_is_exactly_one_device_read() {
 
     assert!(tree.num_pages() > 4 * 256, "the tree dwarfs the pool");
     tree.set_buffer_capacity(256);
-    let (stats_before, ops_before) = (tree.io_stats(), device_ops(&mut tree));
+    let (stats_before, ops_before) = (tree.io_stats(), probe.ops_executed());
     let total = run(&tree);
-    let transfers = device_ops(&mut tree) - ops_before;
+    let transfers = probe.ops_executed() - ops_before;
     assert!(total.disk_reads > 0 && total.buffer_hits > 0);
     assert_eq!(total.disk_reads, transfers, "a reported read is a transfer");
     assert_eq!(tree.io_stats().reads - stats_before.reads, transfers);
 
     tree.set_buffer_capacity(tree.num_pages());
     run(&tree); // warm-up: every page the batch touches becomes resident
-    let ops_before = device_ops(&mut tree);
+    let ops_before = probe.ops_executed();
     let total = run(&tree);
     assert_eq!(
-        (total.disk_reads, device_ops(&mut tree) - ops_before),
+        (total.disk_reads, probe.ops_executed() - ops_before),
         (0, 0)
     );
     assert!(total.buffer_hits > 0);

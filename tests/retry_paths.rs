@@ -1,12 +1,12 @@
 //! Retry-path coverage through the public workspace API: transient
-//! faults are retried within the bounded budget (and counted), while
-//! permanent faults surface the original error unchanged — both at the
-//! raw [`PageStore`] level and through a whole tree.
+//! faults are re-attempted at once, up to three attempts in all (and
+//! counted), while permanent faults surface the original error
+//! unchanged — both at the raw [`PageStore`] level and through a whole
+//! tree.
 
 use spatiotemporal_index::pprtree::{check, PprParams, PprTree};
 use spatiotemporal_index::storage::{
-    FaultKind, FaultPlan, FaultyBackend, IoOp, PageStore, ReadProbe, RetryPolicy, ScheduledFault,
-    StorageError,
+    FaultKind, FaultPlan, FaultyBackend, IoOp, PageStore, ReadProbe, ScheduledFault, StorageError,
 };
 use sti_geom::Rect2;
 
@@ -22,28 +22,22 @@ fn transient_run(at_ops: impl IntoIterator<Item = u64>) -> FaultPlan {
     )
 }
 
-fn store_with(plan: FaultPlan, policy: RetryPolicy) -> PageStore {
-    let mut s = PageStore::with_backend(Box::new(FaultyBackend::new_mem(plan)), 4);
-    s.set_retry_policy(policy);
-    s
+fn store_with(plan: FaultPlan) -> PageStore {
+    PageStore::with_backend(Box::new(FaultyBackend::new_mem(plan)), 4)
 }
 
-/// A transient fault on every attempt `1..k` (with `k` strictly inside
-/// the budget) succeeds on the last attempt and records exactly `k`
-/// retries — each re-execution advances the fault clock, so the faults
-/// sit on consecutive operation indexes.
+/// One or two consecutive transient faults (inside the three-attempt
+/// budget) are absorbed: the write succeeds on the next attempt and
+/// records exactly `k` retries — each re-execution advances the fault
+/// clock, so the faults sit on consecutive operation indexes.
 #[test]
 fn transient_faults_within_budget_succeed_and_count_retries() {
-    for k in 1..=4u64 {
-        let policy = RetryPolicy {
-            max_attempts: 6,
-            ..RetryPolicy::default()
-        };
+    for k in 1..=2u64 {
         // Op 0 is the allocate; the write occupies ops 1..=k+1.
-        let mut s = store_with(transient_run(1..=k), policy);
+        let mut s = store_with(transient_run(1..=k));
         let a = s.allocate().unwrap();
         s.write(a, &[42]).unwrap_or_else(|e| {
-            panic!("{k} transient faults inside a budget of 6 must succeed: {e}")
+            panic!("{k} transient faults inside a budget of 3 must succeed: {e}")
         });
         assert_eq!(
             &s.read(a, &mut ReadProbe::new()).unwrap().bytes()[..1],
@@ -52,7 +46,6 @@ fn transient_faults_within_budget_succeed_and_count_retries() {
         let fs = s.fault_stats();
         assert_eq!(fs.io_retries, k, "one retry per transient fault");
         assert_eq!(fs.io_faults_injected, k);
-        assert_eq!(s.clock().pauses(), k, "each retry spent backoff time");
     }
 }
 
@@ -64,7 +57,7 @@ fn permanent_fault_is_not_retried_and_surfaces_unchanged() {
         at_op: 2,
         kind: FaultKind::Fail { transient: false },
     }]);
-    let mut s = store_with(plan, RetryPolicy::default());
+    let mut s = store_with(plan);
     let a = s.allocate().unwrap();
     s.write(a, &[7]).unwrap();
     let err = s.write(a, &[9]).unwrap_err();
@@ -85,16 +78,13 @@ fn permanent_fault_is_not_retried_and_surfaces_unchanged() {
     );
 }
 
-/// Exhausting the budget surfaces the *original* transient error (typed,
-/// still marked transient) after exactly `max_attempts - 1` retries.
+/// Three consecutive transient faults exhaust the budget: the
+/// *original* transient error (typed, still marked transient) surfaces
+/// after exactly two retries.
 #[test]
 fn budget_exhaustion_returns_the_original_transient_error() {
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    };
     // Ops 1, 2, 3: every attempt of the write fails.
-    let mut s = store_with(transient_run(1..=3), policy);
+    let mut s = store_with(transient_run(1..=3));
     let a = s.allocate().unwrap();
     let err = s.write(a, &[1]).unwrap_err();
     assert!(err.is_transient(), "typed transient error: {err:?}");
@@ -117,18 +107,6 @@ fn budget_exhaustion_returns_the_original_transient_error() {
     );
 }
 
-/// `RetryPolicy::no_retry` turns even a transient fault into an
-/// immediate error.
-#[test]
-fn no_retry_policy_fails_on_the_first_transient_fault() {
-    let mut s = store_with(transient_run([1]), RetryPolicy::no_retry());
-    let a = s.allocate().unwrap();
-    let err = s.write(a, &[1]).unwrap_err();
-    assert!(err.is_transient());
-    assert_eq!(s.fault_stats().io_retries, 0);
-    assert_eq!(s.clock().pauses(), 0, "no backoff without a retry");
-}
-
 /// The same behaviour holds end-to-end through a tree: a transient
 /// fault mid-insert is absorbed by the retry loop, the insert succeeds,
 /// the retry shows up in [`PprTree::fault_stats`], and the tree still
@@ -145,7 +123,6 @@ fn tree_absorbs_transient_faults_and_reports_them() {
         },
         Box::new(backend),
     );
-    tree.set_retry_policy(RetryPolicy::default());
     for i in 0..40u64 {
         let x = (i % 10) as f64 * 0.09;
         let y = (i / 10) as f64 * 0.2;
