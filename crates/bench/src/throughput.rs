@@ -2,7 +2,7 @@
 //!
 //! The paper's figures reset the buffer before every query to reproduce
 //! §V's cold-cache methodology; this bench does the opposite. It keeps
-//! one index (and its sharded buffer pool) shared and warm, fans the
+//! one index (and its buffer pool) shared and warm, fans the
 //! whole query set across worker threads with
 //! [`SpatioTemporalIndex::query_batch_with_stats`], and reports queries
 //! per second as the thread count grows.
@@ -130,12 +130,11 @@ fn scale_tier(scale: Scale) {
         })
         .collect();
 
-    let (mut index, stats, dir) = bulk_tier_index(
+    let (index, stats, dir) = bulk_tier_index(
         tier_records(scale.tier, scale.data.as_deref()),
         "throughput",
     );
     let threads = ladder(scale.threads.workers());
-    index.set_buffer_shards(*threads.iter().max().unwrap_or(&1));
 
     let host = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -204,13 +203,7 @@ pub fn throughput(scale: Scale) {
     let mut rows = Vec::new();
     let mut profiles = Vec::new();
     for backend in [IndexBackend::PprTree, IndexBackend::RStar] {
-        let mut index = build_index(&records, backend);
-        // One shard per worker at the widest fan-out, fixed for the
-        // whole sweep so the eviction behavior (and the gated
-        // sequential profile) does not depend on which ladder step is
-        // running. This is the only genuinely exclusive step; the sweep
-        // itself borrows the index shared.
-        index.set_buffer_shards(*threads.iter().max().unwrap_or(&1));
+        let index = build_index(&records, backend);
         let label = match backend {
             IndexBackend::PprTree => "ppr",
             IndexBackend::RStar => "rstar",

@@ -139,3 +139,29 @@ fn fig15_json_matches_the_printed_table() {
     }
     assert_eq!(profiles.len(), 2 * rows.len(), "{profiles:?}");
 }
+
+/// The throughput gate's exact I/O is one LRU's: the sequential
+/// profiles' `io` blocks read the same whatever `--threads` the ladder
+/// climbs to.
+#[test]
+fn throughput_io_does_not_depend_on_the_thread_count() {
+    let io_blocks = |threads: &str| -> Vec<String> {
+        let path = std::env::temp_dir().join(format!(
+            "sti-bench-driver-{}-throughput-{threads}.json",
+            std::process::id()
+        ));
+        let json = format!("--json={}", path.display());
+        let threads = format!("--threads={threads}");
+        let out = sti_bench(&["throughput", "--sizes=500", "--queries=64", &threads, &json]);
+        assert!(out.status.success(), "{out:?}");
+        let doc = std::fs::read_to_string(&path).expect("json written");
+        let _ = std::fs::remove_file(&path);
+        doc.split("\"io\": {")
+            .skip(1)
+            .map(|chunk| chunk.split('}').next().expect("io block").to_string())
+            .collect()
+    };
+    let one = io_blocks("1");
+    assert_eq!(one.len(), 2, "one profile per backend: {one:?}");
+    assert_eq!(one, io_blocks("4"));
+}

@@ -1,9 +1,9 @@
 //! Parallel query execution over one shared index.
 //!
-//! Queries take `&self` all the way down (tree → page store → sharded
-//! buffer), so a single [`SpatioTemporalIndex`] can serve many reader
-//! threads at once: the only coordination is the buffer pool's lock
-//! shards. [`QueryExecutor`] packages that capability: it fans a batch
+//! Queries take `&self` all the way down (tree → page store → buffer
+//! pool), so a single [`SpatioTemporalIndex`] can serve many reader
+//! threads at once: the only coordination is the buffer pool's one
+//! lock, held for the LRU bookkeeping alone. [`QueryExecutor`] packages that capability: it fans a batch
 //! of [`QueryRequest`]s across [`map_chunked`] workers and reassembles
 //! the per-query outcomes **in request order**, so for every
 //! [`Parallelism`] setting the output is byte-identical to running the

@@ -325,17 +325,6 @@ impl SpatioTemporalIndex {
         self.clear_buffer();
     }
 
-    /// Re-stripe the backend's buffer pool across `shards` lock shards
-    /// (clears residency, preserves counters). One shard — the default —
-    /// reproduces the paper's single LRU exactly; more shards reduce
-    /// lock contention between concurrent `&self` queries.
-    pub fn set_buffer_shards(&mut self, shards: usize) {
-        match &mut self.backend {
-            Backend::Ppr(t) => t.set_buffer_shards(shards),
-            Backend::RStar { tree, .. } => tree.set_buffer_shards(shards),
-        }
-    }
-
     /// Answer a topological query: ids of objects intersecting `area`
     /// at any instant of `range`, de-duplicated and sorted. An empty
     /// `range` (such as `TimeInterval::instant(Time::MAX)`) answers

@@ -867,6 +867,7 @@ mod tests {
     use super::*;
     use crate::node::PprParams;
     use sti_geom::Rect2;
+    use sti_storage::Page;
 
     fn small_params() -> PprParams {
         // B = 10: D = ceil(2.2) = 3, svo = 8, svu = 4; svo+1 ≥ 2·svu ✓
@@ -949,7 +950,12 @@ mod tests {
         for i in 0..120u64 {
             tree.insert(i, rect(i), i as u32 + 1).unwrap();
         }
-        tree.corrupt_page_for_test(tree.roots()[tree.roots().len() - 1].page);
+        // Garbage at rest below the pool, under a checksum that matches
+        // it: a store write would refuse it.
+        let mut junk = Page::zeroed();
+        junk.fill_from(&[0xFF; 64]);
+        let root = tree.roots()[tree.roots().len() - 1].page;
+        let tree = crate::tree::tests::adopted_with(&tree, root, &junk);
         let violations = validate(&tree).expect_err("clobbered root must be caught");
         assert!(!violations.is_empty());
     }

@@ -298,13 +298,6 @@ impl PprTree {
         self.store.set_buffer_capacity(pages);
     }
 
-    /// Re-stripe the buffer pool across `shards` lock shards for
-    /// concurrent readers (1 — the default — reproduces the paper's
-    /// global-LRU figures exactly; see DESIGN.md §6).
-    pub fn set_buffer_shards(&mut self, shards: usize) {
-        self.store.set_buffer_shards(shards);
-    }
-
     /// Zero the I/O and fault counters without touching buffer
     /// residency. Shared: the counters are interior-mutable, so a bench
     /// can start a fresh accounting window between passes while other
@@ -326,9 +319,9 @@ impl PprTree {
     /// Reset I/O counters and the buffer pool (before each measured
     /// query, per the paper's methodology) — the union of
     /// [`PprTree::reset_counters`] and [`PprTree::clear_buffer`].
-    /// Counters and residency both live inside the store's sharded
-    /// buffer, so this cannot drift from the per-shard accounting that
-    /// [`PprTree::io_stats`] sums.
+    /// Counters and residency both live inside the store's buffer
+    /// pool, so this cannot drift from the accounting that
+    /// [`PprTree::io_stats`] reads.
     pub fn reset_for_query(&mut self) {
         self.reset_counters();
         self.clear_buffer();
@@ -509,14 +502,6 @@ impl PprTree {
     #[cfg(test)]
     pub(crate) fn corrupt_alive_records_for_test(&mut self, n: u64) {
         self.alive_records = n;
-    }
-
-    /// Overwrite a page with garbage at rest, below the pool — a store
-    /// write would refuse it (sanitizer tests).
-    #[cfg(test)]
-    pub(crate) fn corrupt_page_for_test(&mut self, page: PageId) {
-        let junk = vec![0xFFu8; 64];
-        let _ = self.store.backend_mut().write(page, &junk);
     }
 
     fn current_root(&self) -> Option<RootSpan> {
@@ -1291,7 +1276,7 @@ fn same_bits(a: &Rect2, b: &Rect2) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1962,7 +1947,7 @@ mod tests {
     /// `t` over a copy of its pages with `page` replaced by `bytes`: the
     /// damage sits at rest under a checksum that matches it (adoption
     /// records what it finds), below a pool that never saw it.
-    fn adopted_with(t: &PprTree, page: PageId, bytes: &Page) -> PprTree {
+    pub(crate) fn adopted_with(t: &PprTree, page: PageId, bytes: &Page) -> PprTree {
         let mut pages = MemBackend::new();
         for id in 0..PageId::try_from(t.num_pages()).unwrap() {
             let at_rest = t.store.peek(id).unwrap();

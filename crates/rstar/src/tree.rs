@@ -129,13 +129,6 @@ impl RStarTree {
         self.store.set_buffer_capacity(pages);
     }
 
-    /// Re-stripe the buffer pool across `shards` lock shards (clears
-    /// residency, preserves counters). More shards reduce lock contention
-    /// between concurrent `&self` queries.
-    pub fn set_buffer_shards(&mut self, shards: usize) {
-        self.store.set_buffer_shards(shards);
-    }
-
     /// Zero the I/O counters without touching residency; shared so a
     /// fresh accounting window can start while readers hold `&self`.
     pub fn reset_counters(&self) {

@@ -3,8 +3,7 @@
 //! ```text
 //! sti-load --addr 127.0.0.1:7070 [--rate 200] [--requests 1000]
 //!          [--concurrency 4] [--seed 1] [--time-extent 1000]
-//!          [--json FILE] [--sample FILE] [--sample-every 50]
-//!          [--allow-errors]
+//!          [--json FILE] [--allow-errors]
 //! ```
 //!
 //! Open-loop means arrivals are *scheduled*, not reactive: request `i`
@@ -18,9 +17,7 @@
 //! over the unit square. `--json` writes the run in the `sti-bench/1`
 //! report shape (`p50_secs`/`p95_secs`/`p99_secs` latency profile), so
 //! `scripts/check_regression.py` can gate it against a committed
-//! baseline. `--sample FILE` records every `--sample-every`-th
-//! request's parameters and response body so CI can replay them through
-//! `stidx query` and check the server byte-for-byte.
+//! baseline.
 //!
 //! Exits non-zero when any request failed (transport error or non-200),
 //! unless `--allow-errors` is given (saturation tests expect 503s).
@@ -37,8 +34,7 @@ use sti_server::cli::parse_flags;
 
 const USAGE: &str = "usage:
   sti-load --addr HOST:PORT [--rate R] [--requests N] [--concurrency C]
-           [--seed S] [--time-extent T] [--json FILE]
-           [--sample FILE] [--sample-every K] [--allow-errors]";
+           [--seed S] [--time-extent T] [--json FILE] [--allow-errors]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,19 +47,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// One sampled request: enough to replay it through `stidx query`.
-struct Sample {
-    index: usize,
-    area: String,
-    time: u32,
-    until: u32,
-    status: u16,
-    body: String,
-}
-
 /// What one issued request came back with.
 enum Outcome {
-    Status(u16, String),
+    Status(u16),
     Transport(String),
 }
 
@@ -78,8 +64,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "seed",
             "time-extent",
             "json",
-            "sample",
-            "sample-every",
         ],
         &["allow-errors"],
     )?;
@@ -89,7 +73,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let concurrency: usize = flags.parsed("concurrency")?.unwrap_or(4).max(1);
     let seed: u64 = flags.parsed("seed")?.unwrap_or(1);
     let time_extent: u32 = flags.parsed("time-extent")?.unwrap_or(1000);
-    let sample_every: usize = flags.parsed("sample-every")?.unwrap_or(50).max(1);
     if !(rate.is_finite() && rate > 0.0) {
         return Err("--rate must be a positive number".into());
     }
@@ -100,9 +83,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let histogram = LatencyHistogram::new();
     let statuses: Mutex<BTreeMap<u16, u64>> = Mutex::new(BTreeMap::new());
     let transport_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let samples: Mutex<Vec<Sample>> = Mutex::new(Vec::new());
     let next = AtomicUsize::new(0);
-    let want_samples = flags.get("sample").is_some();
 
     // Schedule the first arrival slightly in the future so thread
     // spawn time cannot create an artificial initial backlog.
@@ -126,18 +107,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 // caused by a slow server belongs in the measurement.
                 histogram.observe(due.elapsed());
                 match outcome {
-                    Outcome::Status(code, body) => {
+                    Outcome::Status(code) => {
                         *statuses.lock().unwrap().entry(code).or_insert(0) += 1;
-                        if want_samples && i.is_multiple_of(sample_every) {
-                            samples.lock().unwrap().push(Sample {
-                                index: i,
-                                area: area.clone(),
-                                time,
-                                until,
-                                status: code,
-                                body,
-                            });
-                        }
                     }
                     Outcome::Transport(why) => {
                         let mut errs = transport_errors.lock().unwrap();
@@ -193,23 +164,6 @@ fn run(args: &[String]) -> Result<(), String> {
         std::fs::write(json_path, report).map_err(|e| format!("writing {json_path}: {e}"))?;
     }
 
-    if let Some(sample_path) = flags.get("sample") {
-        let mut recorded = samples.into_inner().unwrap();
-        recorded.sort_by_key(|s| s.index);
-        let items = recorded.iter().map(|s| {
-            JsonValue::object([
-                ("i", JsonValue::UInt(s.index as u64)),
-                ("area", JsonValue::str(s.area.clone())),
-                ("time", JsonValue::UInt(u64::from(s.time))),
-                ("until", JsonValue::UInt(u64::from(s.until))),
-                ("status", JsonValue::UInt(u64::from(s.status))),
-                ("body", JsonValue::str(s.body.clone())),
-            ])
-        });
-        std::fs::write(sample_path, JsonValue::array(items).render_pretty())
-            .map_err(|e| format!("writing {sample_path}: {e}"))?;
-    }
-
     if errors > 0 && !flags.has("allow-errors") {
         return Err(format!(
             "{errors} of {requests} requests failed (non-200 or transport error)"
@@ -255,12 +209,12 @@ fn next_unit(state: &mut u64) -> f64 {
 /// transport failure.
 fn issue(addr: &str, path: &str) -> Outcome {
     match issue_inner(addr, path) {
-        Ok((status, body)) => Outcome::Status(status, body),
+        Ok(status) => Outcome::Status(status),
         Err(why) => Outcome::Transport(why),
     }
 }
 
-fn issue_inner(addr: &str, path: &str) -> Result<(u16, String), String> {
+fn issue_inner(addr: &str, path: &str) -> Result<u16, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -274,8 +228,7 @@ fn issue_inner(addr: &str, path: &str) -> Result<(u16, String), String> {
         .read_to_end(&mut raw)
         .map_err(|e| format!("recv: {e}"))?;
     let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split(' ')
+    text.split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
@@ -283,12 +236,7 @@ fn issue_inner(addr: &str, path: &str) -> Result<(u16, String), String> {
                 "unparseable response: {:?}",
                 text.chars().take(40).collect::<String>()
             )
-        })?;
-    let body = match text.split_once("\r\n\r\n") {
-        Some((_, b)) => b.to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
+        })
 }
 
 /// The `sti-bench/1` report shape `scripts/check_regression.py` gates.

@@ -1,48 +1,46 @@
-//! The buffer pool: lock-striped LRU shards that own their page frames.
+//! The buffer pool: one LRU list that owns its page frames.
 //!
-//! [`ShardedBuffer`] is N independent shards, each behind its own
-//! mutex, with pages routed to shards by a multiplicative hash of the
-//! page id. Every resident key owns the bytes of its page (a *frame*,
-//! a [`Page`] materialised when the key is first installed), so the
-//! pool capacity is what bounds a store's memory. A hit hands the caller
-//! a *pin* — a clone of the frame, which shares its bytes by reference
-//! count, taken under the shard lock — and the caller reads the bytes
-//! outside every lock; a pinned frame that is evicted or rewritten
-//! meanwhile is simply replaced in its slot, never mutated, so pins
-//! need no bookkeeping and eviction never looks at them.
+//! [`BufferPool`] is a single global LRU behind one mutex, the
+//! configuration the paper measures. Every resident key owns the bytes
+//! of its page (a *frame*, a [`Page`] materialised when the key is first
+//! installed), so the pool capacity is what bounds a store's memory. A
+//! hit hands the caller a *pin* — a clone of the frame, which shares its
+//! bytes by reference count, taken under the pool lock — and the caller
+//! reads the bytes outside every lock; a pinned frame that is evicted or
+//! rewritten meanwhile is simply replaced in its slot, never mutated, so
+//! pins need no bookkeeping and eviction never looks at them.
 //!
-//! Concurrent readers touching different shards never contend; readers
-//! on the same shard serialize only for the O(1) LRU bookkeeping. LRU is
-//! the only eviction policy: it is what the paper measures, and with one
-//! shard (the default) the pool is a single global LRU, which keeps the
-//! paper's sequential figures byte-identical.
+//! One lock is enough because nothing slow runs under it: readers
+//! serialize only for the O(1) LRU bookkeeping, and a miss fetches its
+//! page outside the lock (see `PageStore::read`), so concurrent misses
+//! still overlap.
 //!
-//! Hit/miss counters live *inside* the shards and are summed on demand,
-//! so the global [`crate::IoStats`] is a pure function of per-shard
-//! state — there is no second copy that a test hook or reset path could
-//! desync (see DESIGN.md §6, "Concurrency model").
+//! Hit/miss counters live *inside* the pool, under the same lock as the
+//! residency they describe, so the global [`crate::IoStats`] is a pure
+//! function of pool state — there is no second copy that a test hook or
+//! reset path could desync (see DESIGN.md §6, "Concurrency model").
 
-use crate::lock::{LeafGuard, LeafMutex};
+use crate::lock::LeafMutex;
 use crate::{Page, PageId};
 use std::collections::HashMap;
 
-/// Merged hit/miss counters across every shard.
+/// The pool's hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferCounters {
-    /// Accesses absorbed by some shard's LRU.
+    /// Accesses absorbed by the LRU.
     pub hits: u64,
     /// Accesses that missed and were installed (disk reads).
     pub misses: u64,
 }
 
-/// One lock stripe: an LRU list over an arena of frame-owning slots.
+/// The pool's state: an LRU list over an arena of frame-owning slots.
 ///
 /// O(1) per touch at any capacity: `map` finds a key's slot, the slot
 /// links maintain recency order (`head` = most recent, `tail` = eviction
 /// victim), and `free` recycles slots so the arena never exceeds the
 /// capacity.
 #[derive(Debug, Clone, Default)]
-struct Shard {
+struct Lru {
     capacity: usize,
     slots: Vec<Slot>,
     map: HashMap<PageId, usize>,
@@ -66,7 +64,7 @@ struct Slot {
     next: Option<usize>,
 }
 
-impl Shard {
+impl Lru {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -142,7 +140,7 @@ impl Shard {
     }
 
     /// Make `frame` the bytes of `key` at the most-recent position,
-    /// evicting the least recently used key if the shard is full.
+    /// evicting the least recently used key if the pool is full.
     /// Returns whether `key` was already resident.
     fn install(&mut self, key: PageId, frame: Page) -> bool {
         if let Some(&slot) = self.map.get(&key) {
@@ -181,77 +179,22 @@ impl Shard {
     }
 }
 
-/// A lock-striped, frame-owning LRU buffer pool shared by concurrent
-/// readers.
-///
-/// The total capacity is split as evenly as possible across shards
-/// (the first `capacity % shards` shards get one extra page). Per-shard
-/// LRU is *not* global LRU: a hot page in one shard cannot evict a cold
-/// page in another. That skew is bounded by the shard count and is the
-/// price of lock striping; the paper's measured configuration uses one
-/// shard, where per-shard LRU *is* global LRU.
+/// A frame-owning LRU buffer pool shared by concurrent readers: one
+/// global LRU behind one lock, as the paper measures.
 ///
 /// Frames are materialised on install, never `capacity` of them up
 /// front: a pool sized to hold a whole tree costs what was actually
 /// read.
 #[derive(Debug)]
-pub struct ShardedBuffer {
-    shards: Vec<LeafMutex<Shard>>,
-    capacity: usize,
+pub struct BufferPool {
+    lru: LeafMutex<Lru>,
 }
 
-impl ShardedBuffer {
-    /// A single-shard pool: one global LRU.
+impl BufferPool {
+    /// An empty pool of `capacity` pages.
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, 1)
-    }
-
-    /// A pool of `shards` independent stripes sharing `capacity` pages.
-    /// A shard count of zero is treated as one.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1);
-        let shards = (0..n)
-            .map(|i| LeafMutex::new(Shard::new(Self::shard_capacity(capacity, n, i))))
-            .collect();
-        Self { shards, capacity }
-    }
-
-    /// Pages granted to shard `i` out of `n` sharing `capacity`.
-    pub(crate) fn shard_capacity(capacity: usize, n: usize, i: usize) -> usize {
-        capacity / n + usize::from(i < capacity % n)
-    }
-
-    /// Total pool capacity across all shards.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a page id routes to (stable for a given shard count).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the remainder is below `shards.len()`, itself a usize"
-    )]
-    pub fn shard_of(&self, page: PageId) -> usize {
-        // Fibonacci multiplicative hash: consecutive page ids (the common
-        // allocation pattern) spread across shards instead of clustering.
-        let h = u64::from(page).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, page: PageId) -> LeafGuard<'_, Shard> {
-        // `shard_of` reduces modulo `shards.len()`, and `with_shards`
-        // builds at least one shard.
-        self.shards[self.shard_of(page)].lock()
-    }
-
-    fn each_shard(&self, mut f: impl FnMut(&mut Shard)) {
-        for shard in &self.shards {
-            f(&mut shard.lock());
+        Self {
+            lru: LeafMutex::new(Lru::new(capacity)),
         }
     }
 
@@ -260,26 +203,25 @@ impl ShardedBuffer {
     /// a miss, so the caller can fall through to the fetch path (which
     /// accounts the miss when it installs the fetched frame).
     pub fn get(&self, page: PageId) -> Option<Page> {
-        let mut shard = self.shard(page);
-        let slot = *shard.map.get(&page)?;
-        shard.promote(slot);
-        shard.hits += 1;
-        shard.slot(slot).frame.clone()
+        let mut lru = self.lru.lock();
+        let slot = *lru.map.get(&page)?;
+        lru.promote(slot);
+        lru.hits += 1;
+        lru.slot(slot).frame.clone()
     }
 
-    /// A frame nobody else holds, for the caller to fill and install as
-    /// `page`'s bytes: `page`'s shard's last evicted frame
-    /// if it kept one, a fresh allocation otherwise. Its content is
-    /// unspecified.
-    pub fn blank(&self, page: PageId) -> Page {
-        let spare = self.shard(page).spare.take();
+    /// A frame nobody else holds, for the caller to fill and install:
+    /// the pool's last evicted frame if it kept one, a fresh allocation
+    /// otherwise. Its content is unspecified.
+    pub fn blank(&self) -> Page {
+        let spare = self.lru.lock().spare.take();
         spare.unwrap_or_else(Page::zeroed)
     }
 
     /// Make `frame` the resident bytes of `page` at the most-recent
-    /// position, evicting within the shard. A frame `page` already had
-    /// is replaced, never written through, so pins taken earlier keep
-    /// reading what they pinned.
+    /// position, evicting the least recently used page. A frame `page`
+    /// already had is replaced, never written through, so pins taken
+    /// earlier keep reading what they pinned.
     ///
     /// `fetched` says whether this is the outcome of a read: then it is
     /// counted — a miss, or a hit when another reader installed `page`
@@ -291,31 +233,30 @@ impl ShardedBuffer {
     /// validator before it calls this, and nothing else may put bytes
     /// in a store's pool.
     pub(crate) fn install(&self, page: PageId, frame: Page, fetched: bool) -> bool {
-        let mut shard = self.shard(page);
-        let hit = shard.install(page, frame);
+        let mut lru = self.lru.lock();
+        let hit = lru.install(page, frame);
         if fetched && hit {
-            shard.hits += 1;
+            lru.hits += 1;
         } else if fetched {
-            shard.misses += 1;
+            lru.misses += 1;
         }
         hit
     }
 
-    /// Drop `page` and its frame from its shard if resident (no counter
-    /// movement).
+    /// Drop `page` and its frame if resident (no counter movement).
     pub fn invalidate(&self, page: PageId) {
-        let mut shard = self.shard(page);
-        if let Some(&slot) = shard.map.get(&page) {
-            shard.release(slot);
+        let mut lru = self.lru.lock();
+        if let Some(&slot) = lru.map.get(&page) {
+            lru.release(slot);
         }
     }
 
     /// `page`'s frame if it is resident, with no counter or recency
     /// movement.
     pub fn peek(&self, page: PageId) -> Option<Page> {
-        let mut shard = self.shard(page);
-        let slot = *shard.map.get(&page)?;
-        shard.slot(slot).frame.clone()
+        let mut lru = self.lru.lock();
+        let slot = *lru.map.get(&page)?;
+        lru.slot(slot).frame.clone()
     }
 
     /// Whether `page` is currently resident (no counter movement).
@@ -323,75 +264,66 @@ impl ShardedBuffer {
         self.peek(page).is_some()
     }
 
-    /// Empty every shard, frames included. Counters are preserved:
+    /// How many pages are resident, counted in one look under the pool
+    /// lock (no counter movement).
+    pub fn resident_pages(&self) -> usize {
+        self.lru.lock().map.len()
+    }
+
+    /// Empty the pool, frames included. Counters are preserved:
     /// clearing the pool is a cache event, not an accounting reset.
     pub fn clear(&self) {
-        self.each_shard(Shard::clear);
+        self.lru.lock().clear();
     }
 
-    /// Sum of every shard's hit/miss counters.
+    /// The pool's hit/miss counters.
     pub fn counters(&self) -> BufferCounters {
-        let mut out = BufferCounters::default();
-        self.each_shard(|s| {
-            out.hits += s.hits;
-            out.misses += s.misses;
-        });
-        out
-    }
-
-    /// Zero every shard's hit/miss counters (residency untouched).
-    pub fn reset_counters(&self) {
-        self.each_shard(|s| (s.hits, s.misses) = (0, 0));
-    }
-
-    /// Replace the capacity and shard count, clearing residency but
-    /// preserving the merged counters (folded into the first shard so
-    /// conservation sums keep holding across reconfiguration).
-    pub fn reconfigure(&mut self, capacity: usize, shards: usize) {
-        let carried = self.counters();
-        *self = Self::with_shards(capacity, shards);
-        if let Some(first) = self.shards.first_mut() {
-            let s = first.get_mut();
-            (s.hits, s.misses) = (carried.hits, carried.misses);
+        let lru = self.lru.lock();
+        BufferCounters {
+            hits: lru.hits,
+            misses: lru.misses,
         }
     }
 
-    /// Frames the pool holds right now, spares included (tests).
+    /// Zero the hit/miss counters (residency untouched).
+    pub fn reset_counters(&self) {
+        let mut lru = self.lru.lock();
+        (lru.hits, lru.misses) = (0, 0);
+    }
+
+    /// Replace the capacity, clearing residency but preserving the
+    /// counters, so conservation sums keep holding across it.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        let lru = self.lru.get_mut();
+        lru.clear();
+        lru.capacity = capacity;
+    }
+
+    /// Frames the pool holds right now, the spare included (tests).
     #[cfg(test)]
     pub(crate) fn frames(&self) -> usize {
-        let mut n = 0;
-        self.each_shard(|s| {
-            n += s.slots.iter().filter(|slot| slot.frame.is_some()).count();
-            n += usize::from(s.spare.is_some());
-        });
-        n
+        let lru = self.lru.lock();
+        let resident = lru.slots.iter().filter(|slot| slot.frame.is_some());
+        resident.count() + usize::from(lru.spare.is_some())
     }
 
     /// A read of `page` with no bytes behind it: a hit, or a miss that
     /// installs an empty frame. Returns whether it hit (tests).
     #[cfg(test)]
     pub(crate) fn access(&self, page: PageId) -> bool {
-        self.get(page).is_some() || self.install(page, self.blank(page), true)
+        self.get(page).is_some() || self.install(page, self.blank(), true)
     }
 }
 
-impl Clone for ShardedBuffer {
-    /// A copy of the residency lists; the frames themselves are shared
-    /// until either side replaces one. Spares are not carried over: a
+impl Clone for BufferPool {
+    /// A copy of the residency list; the frames themselves are shared
+    /// until either side replaces one. The spare is not carried over: a
     /// spare is a frame nobody else holds, which a shared one is not.
     fn clone(&self) -> Self {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut copy = s.lock().clone();
-                copy.spare = None;
-                LeafMutex::new(copy)
-            })
-            .collect();
+        let mut copy = self.lru.lock().clone();
+        copy.spare = None;
         Self {
-            shards,
-            capacity: self.capacity,
+            lru: LeafMutex::new(copy),
         }
     }
 }
@@ -400,23 +332,22 @@ impl Clone for ShardedBuffer {
 pub(crate) mod tests {
     use super::*;
 
-    /// Resident keys of a single-shard pool, most recently used first.
-    fn resident_mru(b: &ShardedBuffer) -> Vec<PageId> {
+    /// Resident keys, most recently used first.
+    fn resident_mru(b: &BufferPool) -> Vec<PageId> {
+        let lru = b.lru.lock();
         let mut out = Vec::new();
-        b.each_shard(|s| {
-            let mut cursor = s.head;
-            while let Some(i) = cursor {
-                out.push(s.slots[i].key);
-                cursor = s.slots[i].next;
-            }
-            assert_eq!(out.len(), s.map.len(), "list and map agree");
-        });
+        let mut cursor = lru.head;
+        while let Some(i) = cursor {
+            out.push(lru.slots[i].key);
+            cursor = lru.slots[i].next;
+        }
+        assert_eq!(out.len(), lru.map.len(), "list and map agree");
         out
     }
 
     #[test]
     fn hit_after_miss() {
-        let b = ShardedBuffer::new(2);
+        let b = BufferPool::new(2);
         assert!(!b.access(1));
         assert!(b.access(1));
         assert_eq!(resident_mru(&b).len(), 1);
@@ -424,7 +355,7 @@ pub(crate) mod tests {
 
     #[test]
     fn evicts_least_recently_used() {
-        let b = ShardedBuffer::new(2);
+        let b = BufferPool::new(2);
         b.access(1);
         b.access(2);
         b.access(1); // 1 is now most recent
@@ -436,7 +367,7 @@ pub(crate) mod tests {
 
     #[test]
     fn zero_capacity_never_hits() {
-        let b = ShardedBuffer::new(0);
+        let b = BufferPool::new(0);
         assert!(!b.access(5));
         assert!(!b.access(5));
         assert!(resident_mru(&b).is_empty());
@@ -445,7 +376,7 @@ pub(crate) mod tests {
 
     #[test]
     fn clear_and_invalidate() {
-        let b = ShardedBuffer::new(4);
+        let b = BufferPool::new(4);
         b.access(1);
         b.access(2);
         b.invalidate(1);
@@ -459,7 +390,7 @@ pub(crate) mod tests {
 
     #[test]
     fn repeated_access_is_single_slot() {
-        let b = ShardedBuffer::new(3);
+        let b = BufferPool::new(3);
         for _ in 0..10 {
             b.access(7);
         }
@@ -469,7 +400,7 @@ pub(crate) mod tests {
 
     #[test]
     fn lru_order_under_mixed_workload() {
-        let b = ShardedBuffer::new(3);
+        let b = BufferPool::new(3);
         for p in [1, 2, 3, 4, 2, 5] {
             b.access(p);
         }
@@ -480,7 +411,7 @@ pub(crate) mod tests {
 
     #[test]
     fn mapped_basic_semantics() {
-        let b = ShardedBuffer::new(2);
+        let b = BufferPool::new(2);
         assert!(!b.access(1));
         assert!(b.access(1));
         b.access(2);
@@ -498,12 +429,12 @@ pub(crate) mod tests {
     /// pinned, and an unpinned victim's allocation is the next frame.
     #[test]
     fn pins_are_stable_and_unpinned_victims_are_recycled() {
-        let fill = |b: &ShardedBuffer, key: PageId, byte: u8| {
-            let mut frame = b.blank(key);
+        let fill = |b: &BufferPool, key: PageId, byte: u8| {
+            let mut frame = b.blank();
             frame.bytes_mut().fill(byte);
             b.install(key, frame, false);
         };
-        let b = ShardedBuffer::new(1);
+        let b = BufferPool::new(1);
         fill(&b, 1, 0xaa);
         let pin = b.get(1).unwrap();
         fill(&b, 1, 0xbb); // rewrite under the pin
@@ -538,6 +469,13 @@ pub(crate) mod tests {
     }
 
     impl VecLru {
+        pub fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                resident: Vec::new(),
+            }
+        }
+
         pub fn access(&mut self, page: PageId) -> bool {
             if self.capacity == 0 {
                 return false;
@@ -556,11 +494,8 @@ pub(crate) mod tests {
     #[test]
     fn scan_and_mapped_are_byte_identical() {
         for capacity in [0usize, 1, 10, 256] {
-            let mut scan = VecLru {
-                capacity,
-                resident: Vec::new(),
-            };
-            let mapped = ShardedBuffer::new(capacity);
+            let mut scan = VecLru::new(capacity);
+            let mapped = BufferPool::new(capacity);
             let mut rng = XorShift(0x5117_u64 + capacity as u64);
             // Page universe ~3× capacity keeps hits, misses, and
             // evictions all frequent.
@@ -582,7 +517,7 @@ pub(crate) mod tests {
                     mapped.clear();
                 } else {
                     scan.access(page);
-                    mapped.install(page, mapped.blank(page), false);
+                    mapped.install(page, mapped.blank(), false);
                 }
                 assert_eq!(
                     scan.resident,

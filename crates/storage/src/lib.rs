@@ -54,7 +54,7 @@ pub mod store;
 pub mod wal;
 
 pub use backend::{FileBackend, MemBackend, PageBackend};
-pub use buffer::{BufferCounters, ShardedBuffer};
+pub use buffer::{BufferCounters, BufferPool};
 pub use checksum::xxh64;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use error::{CorruptReason, IoOp, StorageError};

@@ -55,7 +55,7 @@ pub fn assert_unlocked(what: &str) {
 ///
 /// [`LeafMutex::lock`] is the one place library code recovers from
 /// poison. Every `LeafMutex` guards state that is whole between any two
-/// of its owner's statements — counters, a free list, an LRU stripe, a
+/// of its owner's statements — counters, a free list, the LRU pool, a
 /// pointer slot, a channel end — and library code has no panic path
 /// under a guard (clippy's panic gates), so a poisoned lock carries
 /// nothing worth propagating.

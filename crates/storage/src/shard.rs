@@ -1,6 +1,6 @@
 //! Per-call read attribution and scratch reuse for the shared (`&self`)
-//! read path. (The lock-striped pool itself is [`crate::buffer`]; its
-//! striping tests live in this module's `tests`.)
+//! read path. (The buffer pool itself is [`crate::buffer`]; its
+//! counter tests live in this module's `tests`.)
 
 use crate::lock::LeafMutex;
 
@@ -85,18 +85,18 @@ impl<T: Default> ScratchPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{BufferCounters, ShardedBuffer};
+    use crate::buffer::{BufferCounters, BufferPool};
     use crate::PageId;
 
     /// Replay `trace` through the pool, returning the hit/miss outcome
     /// of each access.
-    fn replay(buf: &ShardedBuffer, trace: &[PageId]) -> Vec<bool> {
+    fn replay(buf: &BufferPool, trace: &[PageId]) -> Vec<bool> {
         trace.iter().map(|&p| buf.access(p)).collect()
     }
 
     #[test]
     fn zero_capacity_never_hits_and_counts_every_miss() {
-        let buf = ShardedBuffer::new(0);
+        let buf = BufferPool::new(0);
         assert!(!replay(&buf, &[1, 1, 2, 1]).iter().any(|&h| h));
         assert_eq!(
             buf.counters(),
@@ -109,86 +109,30 @@ mod tests {
 
     #[test]
     fn capacity_one_holds_exactly_the_last_page() {
-        let buf = ShardedBuffer::new(1);
+        let buf = BufferPool::new(1);
         assert_eq!(replay(&buf, &[5, 5, 6, 5]), [false, true, false, false]);
         assert_eq!(buf.counters(), BufferCounters { hits: 1, misses: 3 });
     }
 
     #[test]
-    fn capacity_below_shard_count_leaves_some_shards_empty() {
-        // 4 shards sharing 3 pages: shards 0..3 get capacity 1,1,1,0.
-        let buf = ShardedBuffer::with_shards(3, 4);
-        let starved = (0..4)
-            .map(|i| ShardedBuffer::shard_capacity(3, 4, i))
-            .position(|c| c == 0)
-            .unwrap();
-        // A page routed to the zero-capacity shard can never become
-        // resident; everything still gets counted.
-        let page = (0..64).find(|&p| buf.shard_of(p) == starved).unwrap();
-        assert!(!buf.access(page));
-        assert!(!buf.access(page), "uncacheable page misses forever");
-        assert!(!buf.resident(page));
-        assert_eq!(buf.counters().misses, 2);
-    }
-
-    #[test]
-    fn shards_evict_independently() {
-        // One page per shard: filling every other shard must not evict
-        // an earlier shard's resident page, unlike a global LRU of the
-        // same total capacity.
-        let n = 4;
-        let buf = ShardedBuffer::with_shards(n, n);
-        let mut picks: Vec<PageId> = Vec::new();
-        let mut page = 0;
-        while picks.len() < n {
-            if buf.shard_of(page) == picks.len() {
-                picks.push(page);
-            }
-            page += 1;
-        }
-        for &p in &picks {
-            assert!(!buf.access(p), "first touch misses");
-        }
-        for &p in &picks {
-            assert!(
-                buf.resident(p),
-                "page {p} survived: other shards' installs cannot evict it"
-            );
-        }
-        // Same trace through a single shard of the same total capacity
-        // also keeps all four resident (they fit), but a second page in
-        // one shard evicts only within that shard.
-        let (a, b) = (picks[0], picks[1]);
-        let c = (picks[n - 1] + 1..PageId::MAX)
-            .find(|&p| buf.shard_of(p) == buf.shard_of(a))
-            .unwrap();
-        buf.access(c); // evicts `a` (same shard, capacity 1)...
-        assert!(!buf.resident(a));
-        assert!(buf.resident(b), "...but `b` lives in an untouched shard");
-    }
-
-    #[test]
     fn single_shard_matches_raw_lru_hit_for_hit() {
-        // The store's default configuration must be bit-identical to
-        // one global residency-only LRU on any access trace.
+        // The pool must be bit-identical to one global residency-only
+        // LRU on any access trace.
         let mut xs = crate::buffer::tests::XorShift(0x1234_5678);
         // xorshift so the trace mixes hot and cold pages.
         let trace: Vec<PageId> = (0..400).map(|_| (xs.next() % 23) as PageId).collect();
         for capacity in [0usize, 1, 2, 7, 10, 32, 64] {
-            let sharded = ShardedBuffer::new(capacity);
-            let mut raw = crate::buffer::tests::VecLru {
-                capacity,
-                resident: Vec::new(),
-            };
+            let pool = BufferPool::new(capacity);
+            let mut raw = crate::buffer::tests::VecLru::new(capacity);
             for &p in &trace {
                 assert_eq!(
-                    sharded.access(p),
+                    pool.access(p),
                     raw.access(p),
-                    "capacity {capacity}, page {p}: sharded(1) diverged from the model"
+                    "capacity {capacity}, page {p}: the pool diverged from the model"
                 );
             }
             assert_eq!(
-                sharded.counters().hits + sharded.counters().misses,
+                pool.counters().hits + pool.counters().misses,
                 trace.len() as u64
             );
         }
@@ -196,7 +140,7 @@ mod tests {
 
     #[test]
     fn touch_if_resident_counts_hits_only() {
-        let buf = ShardedBuffer::new(2);
+        let buf = BufferPool::new(2);
         assert!(buf.get(9).is_none(), "miss leaves counters untouched");
         assert_eq!(buf.counters(), BufferCounters::default());
         buf.access(9); // miss, installs
@@ -206,8 +150,8 @@ mod tests {
 
     #[test]
     fn install_and_invalidate_move_no_counters() {
-        let buf = ShardedBuffer::new(2);
-        buf.install(3, buf.blank(3), false);
+        let buf = BufferPool::new(2);
+        buf.install(3, buf.blank(), false);
         assert!(buf.resident(3));
         buf.invalidate(3);
         assert!(!buf.resident(3));
@@ -216,7 +160,7 @@ mod tests {
 
     #[test]
     fn clear_preserves_counters_and_empties_residency() {
-        let buf = ShardedBuffer::with_shards(8, 4);
+        let buf = BufferPool::new(8);
         for p in 0..8 {
             buf.access(p);
         }
@@ -228,30 +172,18 @@ mod tests {
 
     #[test]
     fn reconfiguration_preserves_counters() {
-        let mut buf = ShardedBuffer::new(4);
+        let mut buf = BufferPool::new(4);
         for p in [1, 1, 2, 3] {
             buf.access(p);
         }
         let counted = buf.counters();
-        buf.reconfigure(10, 1);
+        buf.set_capacity(10);
         assert_eq!(buf.counters(), counted, "a new capacity keeps counters");
         assert!(!buf.resident(1), "reconfiguring clears residency");
-        buf.reconfigure(10, 4);
-        assert_eq!(buf.counters(), counted, "re-striping keeps merged totals");
-        assert_eq!(buf.shard_count(), 4);
-        assert_eq!(buf.capacity(), 10);
-        buf.reconfigure(10, 0);
-        assert_eq!(buf.shard_count(), 1, "zero shards clamps to one");
-        assert_eq!(buf.counters(), counted);
-    }
-
-    #[test]
-    fn capacity_split_is_even_with_remainder_first() {
-        let caps: Vec<usize> = (0..4)
-            .map(|i| ShardedBuffer::shard_capacity(10, 4, i))
-            .collect();
-        assert_eq!(caps, [3, 3, 2, 2]);
-        assert_eq!(caps.iter().sum::<usize>(), 10);
+        for p in 0..10 {
+            buf.access(p);
+        }
+        assert!((0..10).all(|p| buf.resident(p)), "ten pages fit");
     }
 
     #[test]

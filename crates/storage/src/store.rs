@@ -1,5 +1,5 @@
-//! The simulated disk: a pluggable page backend behind a lock-striped,
-//! frame-owning LRU buffer pool, with checksums, bounded retry, and an
+//! The simulated disk: a pluggable page backend behind a frame-owning
+//! LRU buffer pool, with checksums, bounded retry, and an
 //! undo log for atomic multi-page operations.
 //!
 //! Concurrency model (DESIGN.md §6): [`PageStore::read`] takes `&self`
@@ -8,7 +8,7 @@
 //! unrepresentable. Internally the backend and the recorded checksums
 //! live under one `RwLock` that readers only ever take shared (a miss
 //! holds it for one positional read and its verification), hit/miss
-//! accounting and the page frames live in the sharded buffer pool, and
+//! accounting and the page frames live in the buffer pool, and
 //! failure counters are atomics.
 //!
 //! Pool invariant: a store whose owner gave it a [`PageValidator`]
@@ -20,7 +20,7 @@
 //! checking it again.
 
 use crate::backend::{MemBackend, PageBackend};
-use crate::buffer::ShardedBuffer;
+use crate::buffer::BufferPool;
 use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
 use crate::shard::ReadProbe;
@@ -242,9 +242,9 @@ impl Retrier {
     }
 }
 
-/// A simulated disk of fixed-size pages with a lock-striped LRU buffer
-/// pool, I/O accounting, per-page checksums, bounded retry for transient
-/// faults, and page-level undo.
+/// A simulated disk of fixed-size pages with an LRU buffer pool, I/O
+/// accounting, per-page checksums, bounded retry for transient faults,
+/// and page-level undo.
 ///
 /// The tree implementations own one `PageStore` each and route *all*
 /// node traffic through it, so query-time I/O counts are faithful to a
@@ -261,13 +261,13 @@ impl Retrier {
 /// nest.
 ///
 /// Accounting invariant: `stats().reads` and `stats().buffer_hits` are
-/// *defined* as the sum of the buffer shards' miss/hit counters, so no
+/// *defined* as the buffer pool's miss/hit counters, so no
 /// code path (including test hooks) can move one without the other.
 #[derive(Debug)]
 pub struct PageStore {
     core: RwLock<StoreCore>,
     /// The frame pool: the only page bytes the store keeps in memory.
-    buffer: ShardedBuffer,
+    buffer: BufferPool,
     /// Logical writes. Atomic so [`PageStore::reset_stats`] can zero the
     /// counters from `&self` while readers run.
     writes: AtomicU64,
@@ -348,7 +348,7 @@ impl PageStore {
         let injected = backend.faults_injected();
         Self {
             core: RwLock::new(StoreCore { backend, sums }),
-            buffer: ShardedBuffer::new(buffer_capacity),
+            buffer: BufferPool::new(buffer_capacity),
             writes: AtomicU64::new(0),
             retry: Retrier {
                 io_retries: AtomicU64::new(0),
@@ -377,9 +377,9 @@ impl PageStore {
         }
     }
 
-    /// This store's buffer pool, for inspecting residency and shard
-    /// routing (tests and tooling).
-    pub fn buffer(&self) -> &ShardedBuffer {
+    /// This store's buffer pool, for inspecting residency (tests and
+    /// tooling).
+    pub fn buffer(&self) -> &BufferPool {
         &self.buffer
     }
 
@@ -409,11 +409,6 @@ impl PageStore {
     /// exclusive access borrows it without locking.
     pub fn backend(&mut self) -> &dyn PageBackend {
         core_mut(&mut self.core).backend.as_ref()
-    }
-
-    /// Mutable backend access, for tests and tooling.
-    pub fn backend_mut(&mut self) -> &mut dyn PageBackend {
-        core_mut(&mut self.core).backend.as_mut()
     }
 
     /// Append a page to the store and return its id. Allocation is
@@ -451,7 +446,7 @@ impl PageStore {
     /// frame behind and moves no counter.
     ///
     /// Shared: concurrent readers are safe, and none of them ever takes
-    /// a store-wide exclusive lock — a hit takes its shard's mutex for
+    /// a store-wide exclusive lock — a hit takes the pool's mutex for
     /// the LRU bookkeeping, a miss additionally holds the core lock
     /// *shared* per transfer attempt. Two readers that miss the same
     /// page at once both fetch it; the second install finds the page
@@ -470,7 +465,7 @@ impl PageStore {
             probe.buffer_hits += 1;
             return Ok(frame);
         }
-        let mut frame = self.buffer.blank(id);
+        let mut frame = self.buffer.blank();
         let bytes = frame.bytes_mut();
         self.retry.run(probe, |probe| {
             let core = self.core_read();
@@ -483,7 +478,7 @@ impl PageStore {
             fetched
         })?;
         admit(self.validator, id, &frame)?;
-        // The shard counts the access; mirror whatever it counted so
+        // The pool counts the access; mirror whatever it counted so
         // the probe can never disagree with the global sum.
         if self.buffer.install(id, frame.clone(), true) {
             probe.buffer_hits += 1;
@@ -540,7 +535,7 @@ impl PageStore {
         if payload.len() > PAGE_SIZE {
             return Err(StorageError::PayloadTooLarge { len: payload.len() });
         }
-        let mut frame = buffer.blank(id);
+        let mut frame = buffer.blank();
         frame.fill_from(payload);
         admit(*validator, id, &frame)?;
         // Pre-image for this write's own rollback, and for the enclosing
@@ -618,7 +613,7 @@ impl PageStore {
         PageId::try_from(len + pages.len()).map_err(|_| StorageError::OutOfPageIds)?;
         let mut frames = Vec::with_capacity(pages.len());
         for (id, bytes) in (first..).zip(pages) {
-            let mut frame = buffer.blank(id);
+            let mut frame = buffer.blank();
             *frame.bytes_mut() = *bytes;
             admit(*validator, id, &frame)?;
             frames.push(frame);
@@ -714,8 +709,8 @@ impl PageStore {
         self.core_read().page(id).ok()
     }
 
-    /// Accumulated I/O counters. Reads and hits are the sum of the
-    /// buffer shards' counters — the single source of truth shared with
+    /// Accumulated I/O counters. Reads and hits are the buffer pool's
+    /// counters — the single source of truth shared with
     /// per-call [`ReadProbe`]s.
     pub fn stats(&self) -> IoStats {
         let counters = self.buffer.counters();
@@ -743,7 +738,7 @@ impl PageStore {
 
     /// Zero the I/O and fault counters (start of a measured query
     /// batch). Shared: counters are atomics (and, for reads/hits, live
-    /// inside the buffer shards), so an accounting reset needs no
+    /// inside the buffer pool), so an accounting reset needs no
     /// exclusive access — see [`PageStore::reset_buffer`] for the
     /// residency half, which does.
     pub fn reset_stats(&self) {
@@ -767,20 +762,9 @@ impl PageStore {
     }
 
     /// Replace the buffer pool capacity (clears residency, keeps the
-    /// shard count and accumulated counters).
+    /// accumulated counters).
     pub fn set_buffer_capacity(&mut self, capacity: usize) {
-        let shards = self.buffer.shard_count();
-        self.buffer.reconfigure(capacity, shards);
-    }
-
-    /// Re-stripe the buffer pool across `shards` lock shards (clears
-    /// residency, preserves total capacity and merged counters). One
-    /// shard — the default — reproduces the paper's global-LRU numbers
-    /// exactly; more shards trade strict global LRU for less reader
-    /// contention (DESIGN.md §6).
-    pub fn set_buffer_shards(&mut self, shards: usize) {
-        let capacity = self.buffer.capacity();
-        self.buffer.reconfigure(capacity, shards);
+        self.buffer.set_capacity(capacity);
     }
 
     /// The save epoch this store was loaded at (0 for a fresh store);
@@ -875,7 +859,6 @@ mod tests {
         }
         s.reset_stats();
         s.reset_buffer();
-        s.set_buffer_shards(4);
         let store = &s;
         let pages = &pages;
         let probes: Vec<ReadProbe> = std::thread::scope(|scope| {
@@ -1512,7 +1495,10 @@ mod tests {
             // the checksum is the guard, and a warm pool never looks.
             let mut s = guarded(pages_with(false), capacity);
             let pinned = read(&s, BAD).unwrap();
-            s.backend_mut().write(BAD, &[0xFF; 16]).unwrap();
+            core_mut(&mut s.core)
+                .backend
+                .write(BAD, &[0xFF; 16])
+                .unwrap();
             match read(&s, BAD) {
                 Ok(frame) => assert!(capacity > 0 && frame == pinned, "{}", at("at rest")),
                 Err(e) => assert_eq!(
@@ -1559,39 +1545,19 @@ mod tests {
         }
     }
 
-    /// What the pool should hold, with no bytes: one residency-only
-    /// reference LRU per shard, routed like the pool routes.
-    struct ReferencePool(Vec<VecLru>);
-
-    impl ReferencePool {
-        fn new(capacity: usize, shards: usize) -> Self {
-            let lru = |i| VecLru {
-                capacity: ShardedBuffer::shard_capacity(capacity, shards, i),
-                resident: Vec::new(),
-            };
-            Self((0..shards).map(lru).collect())
-        }
-
-        fn shard(&mut self, s: &PageStore, id: PageId) -> &mut VecLru {
-            &mut self.0[s.buffer.shard_of(id)]
-        }
-    }
-
     /// Seeded interleavings of every operation that touches a frame,
     /// against a flat model of the page bytes and the reference LRU:
     /// every read returns the model's bytes, and hits and misses fall
     /// exactly where a pool that tracked residency alone would put
-    /// them — at every capacity and shard count, over memory and over a
-    /// file, with faults firing underneath.
+    /// them — at every capacity, over memory and over a file, with
+    /// faults firing underneath.
     #[test]
     fn frames_stay_coherent_and_accounting_matches_the_reference_lru() {
         let dir = std::env::temp_dir();
-        for (case, (capacity, shards, on_file)) in [0usize, 1, 10, 256]
-            .into_iter()
-            .flat_map(|c| [1usize, 4].map(|n| [(c, n, false), (c, n, true)]))
-            .flatten()
-            .enumerate()
-        {
+        // Two cases per capacity and medium: the case number seeds the
+        // fault plan and the operation trace.
+        for case in 0..16usize {
+            let (capacity, on_file) = ([0usize, 1, 10, 256][case / 4], case % 2 == 1);
             let path = dir.join(format!("sti-coherence-{}-{case}.pages", std::process::id()));
             let inner: Box<dyn PageBackend> = if on_file {
                 Box::new(crate::FileBackend::create(&path).unwrap())
@@ -1601,9 +1567,8 @@ mod tests {
             let plan = FaultPlan::seeded(case as u64, 4_000, 80);
             let mut s =
                 PageStore::with_backend(Box::new(FaultyBackend::new(inner, plan)), capacity);
-            s.set_buffer_shards(shards);
             let mut capacity = capacity;
-            let mut reference = ReferencePool::new(capacity, shards);
+            let mut reference = VecLru::new(capacity);
             // The model: committed bytes per page, and the copy of it a
             // rollback returns to.
             let mut pages: Vec<[u8; PAGE_SIZE]> = Vec::new();
@@ -1614,9 +1579,7 @@ mod tests {
             let injected =
                 |e: StorageError| assert!(matches!(e, StorageError::Injected { .. }), "{e}");
             for step in 0..3_000 {
-                let at = format!(
-                    "case {case} (cap {capacity}, {shards} shards, file {on_file}) step {step}"
-                );
+                let at = format!("case {case} (cap {capacity}, file {on_file}) step {step}");
                 let roll = rng.next() % 1000;
                 let id = (rng.next() % (pages.len() as u64 + 1)) as PageId;
                 let live = (id as usize) < pages.len();
@@ -1635,12 +1598,12 @@ mod tests {
                     match s.write(id, &bytes[..len]) {
                         Ok(()) => {
                             pages[id as usize] = bytes;
-                            reference.shard(&s, id).access(id);
+                            reference.access(id);
                         }
                         // A failed write leaves the old bytes and no frame.
                         Err(e) => {
                             injected(e);
-                            reference.shard(&s, id).resident.retain(|&k| k != id);
+                            reference.resident.retain(|&k| k != id);
                         }
                     }
                 } else if roll < 900 && live {
@@ -1648,7 +1611,7 @@ mod tests {
                     match s.read(id, &mut probe) {
                         Ok(got) => {
                             assert!(got.bytes() == &pages[id as usize], "{at}: stale bytes");
-                            let hit = reference.shard(&s, id).access(id);
+                            let hit = reference.access(id);
                             assert_eq!(
                                 (probe.buffer_hits, probe.disk_reads),
                                 (u64::from(hit), u64::from(!hit)),
@@ -1671,21 +1634,18 @@ mod tests {
                         } else {
                             s.rollback_txn();
                             pages = snapshot;
-                            reference = ReferencePool::new(capacity, shards);
+                            reference = VecLru::new(capacity);
                         }
                     }
                 } else if roll < 985 {
                     s.reset_buffer();
-                    reference = ReferencePool::new(capacity, shards);
+                    reference = VecLru::new(capacity);
                 } else if roll < 990 {
                     capacity = [0, 1, 10, 256][(rng.next() % 4) as usize];
                     s.set_buffer_capacity(capacity);
-                    reference = ReferencePool::new(capacity, shards);
+                    reference = VecLru::new(capacity);
                 }
-                assert!(
-                    s.buffer.frames() <= capacity + shards,
-                    "{at}: one spare a shard"
-                );
+                assert!(s.buffer.frames() <= capacity + 1, "{at}: at most one spare");
             }
             let st = s.stats();
             assert!(
@@ -1731,30 +1691,5 @@ mod tests {
             "a scan larger than the pool never hits"
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn resharding_preserves_counters_and_sequential_totals() {
-        let mut s = PageStore::new(4);
-        let pages: Vec<PageId> = (0..6).map(|_| s.allocate().unwrap()).collect();
-        s.reset_stats();
-        s.reset_buffer();
-        for &p in &pages {
-            read(&s, p).unwrap();
-        }
-        let before = s.stats();
-        assert_eq!(before.reads, 6);
-        s.set_buffer_shards(4);
-        assert_eq!(s.buffer.shard_count(), 4);
-        assert_eq!(s.stats(), before, "re-striping moves no counters");
-        for &p in &pages {
-            read(&s, p).unwrap();
-        }
-        let after = s.stats();
-        assert_eq!(
-            after.reads + after.buffer_hits,
-            12,
-            "every access still accounted after re-striping"
-        );
     }
 }

@@ -9,7 +9,6 @@
 //!                [--threads auto|seq|N]
 //! stidx query    --index index.stidx
 //!                --area x0,y0,x1,y1 --time T [--until T2]
-//!                [--threads auto|seq|N]
 //! stidx ingest   --data data.stdat --out index.stidx [--commit-every 8]
 //! ```
 //!
@@ -20,8 +19,7 @@
 
 use spatiotemporal_index::core::{
     DistributionAlgorithm, IndexBackend, IndexConfig, IngestOp, IngestPipeline, ObjectRecord,
-    OnlineSplitConfig, Parallelism, QueryRequest, SingleSplitAlgorithm, SpatioTemporalIndex,
-    SplitBudget,
+    OnlineSplitConfig, Parallelism, SingleSplitAlgorithm, SpatioTemporalIndex, SplitBudget,
 };
 use spatiotemporal_index::datagen::{
     load_dataset, save_dataset, DatasetReader, DatasetStats, DatasetWriter, OrbitDatasetSpec,
@@ -47,7 +45,6 @@ const USAGE: &str = "usage:
                  [--dist lagreedy|greedy|optimal] [--threads auto|seq|N]
   stidx build    --data FILE --out FILE --bulk [--scale-stats]
   stidx query    --index FILE --area x0,y0,x1,y1 --time T [--until T2]
-                 [--threads auto|seq|N]
   stidx ingest   --data FILE --out FILE [--commit-every N]
                  [--wal DIR] [--fsync always|commit|N] [--checkpoint-every N]
   stidx recover  --wal DIR --out FILE [--fsync always|commit|N]
@@ -182,7 +179,7 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
             &["data", "out", "splits", "single", "dist", "threads"],
             &["bulk", "scale-stats"],
         ),
-        "query" => (&["index", "area", "time", "until", "threads"], &[]),
+        "query" => (&["index", "area", "time", "until"], &[]),
         "ingest" => (
             &[
                 "data",
@@ -921,40 +918,17 @@ fn query(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
         return Err("--until must be after --time".into());
     }
     let range = TimeInterval::new(t, until);
-    let parallelism = match opts.get("threads") {
-        Some(v) => Parallelism::parse(v).map_err(|e| format!("--threads: {e}"))?,
-        None => Parallelism::Sequential,
-    };
-    let workers = parallelism.workers();
 
     let mut index = SpatioTemporalIndex::open_file(&path)
         .map_err(|e| format!("opening {}: {e}", path.display()))?;
     index.reset_for_query();
-    if workers > 1 {
-        index.set_buffer_shards(workers);
-    }
     let (ids, qs) = index
         .query_with_stats(&area, &range)
         .map_err(|e| format!("querying {}: {e}", path.display()))?;
-    if workers > 1 {
-        // Queries are `&self` end to end, so the only state the readers
-        // share is the buffer pool: every one must see the same answer.
-        let replay = vec![QueryRequest { area, range }; workers];
-        for answer in index.query_batch_with_stats(&replay, parallelism) {
-            if answer.map_err(|e| format!("concurrent query: {e}"))?.0 != ids {
-                return Err("concurrent readers disagreed with the sequential answer".into());
-            }
-        }
-    }
     let reads = qs.disk_reads;
     qs.record_metrics(metrics, "stidx_query");
     let mut out = String::with_capacity(ids.len() * 8 + 64);
     out.push_str(&format!("{} objects, {reads} disk reads\n", ids.len()));
-    if workers > 1 {
-        out.push_str(&format!(
-            "verified: {workers} concurrent readers agree with the sequential answer\n"
-        ));
-    }
     for id in ids {
         out.push_str(&format!("{id}\n"));
     }

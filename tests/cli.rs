@@ -441,6 +441,97 @@ fn helpful_errors() {
         assert!(stderr.contains("must be finite"), "{area}: {stderr}");
         assert!(!stderr.contains("panicked"), "{area}: {stderr}");
     }
+
+    // `query` answers one query on one thread: there is no reader count
+    // to ask for.
+    let out = stidx()
+        .args(["query", "--index", "/nonexistent", "--area", "0,0,1,1"])
+        .args(["--time", "3", "--threads", "2"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// `sti-server` and `stidx query` answer from the same saved index: a
+/// seeded mix of snapshot and interval `/query` requests gets, for each
+/// 200, exactly the id lines `stidx query` prints below its header.
+#[test]
+fn served_bodies_replay_through_stidx_query() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use spatiotemporal_index::core::SpatioTemporalIndex;
+    use spatiotemporal_index::server::{Server, ServerConfig};
+    use std::io::{Read, Write};
+    use std::sync::Arc;
+
+    let data = temp("served.stdat");
+    let idx = temp("served.idx");
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    run(stidx()
+        .args([
+            "generate", "--kind", "random", "--n", "2000", "--seed", "7", "--out",
+        ])
+        .arg(&data));
+    run(stidx()
+        .args(["build", "--data"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&idx));
+    let index = SpatioTemporalIndex::open_file(&idx).expect("open the built index");
+    let server = Server::start(Arc::new(index), ServerConfig::default()).expect("start");
+
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut checked, mut nonempty) = (0, 0);
+    for i in 0..40 {
+        let (x0, y0) = (0.85 * rng.random::<f64>(), 0.85 * rng.random::<f64>());
+        let (x1, y1) = (x0 + 0.05 + 0.1 * rng.random::<f64>(), y0 + 0.1);
+        let area = format!("{x0:.4},{y0:.4},{x1:.4},{y1:.4}");
+        let time = rng.random_range(0..990u32);
+        let until = if i % 4 == 0 {
+            time + rng.random_range(2..10)
+        } else {
+            time + 1
+        };
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        let target = format!("/query?area={area}&time={time}&until={until}");
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("receive");
+        if !response.starts_with("HTTP/1.1 200") {
+            continue;
+        }
+        let served = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        let printed = run(stidx()
+            .args(["query", "--index"])
+            .arg(&idx)
+            .args(["--area", &area, "--time", &time.to_string()])
+            .args(["--until", &until.to_string()]));
+        let printed = String::from_utf8(printed).expect("utf-8");
+        let (_header, ids) = printed.split_once('\n').expect("a header line");
+        assert_eq!(served, ids, "{target}");
+        checked += 1;
+        nonempty += usize::from(!ids.is_empty());
+    }
+    server.shutdown();
+    std::fs::remove_file(&idx).ok();
+    std::fs::remove_file(&data).ok();
+    assert!(checked > 0, "no request was answered 200");
+    assert!(nonempty > 0, "every replayed answer was empty");
 }
 
 /// `--time` at the last instant leaves no room for the default

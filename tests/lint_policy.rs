@@ -55,7 +55,7 @@ const DECODE_FILES: [&str; 10] = [
     "crates/datagen/src/io.rs",
 ];
 
-/// R7: the buffer pool's files, which run under shard locks, name no
+/// R7: the buffer pool's files, which run under the pool lock, name no
 /// file I/O at all.
 const IO_FREE_FILES: [&str; 2] = [
     "crates/storage/src/buffer.rs",
@@ -319,7 +319,7 @@ fn scan(rel: &str, src: &str) -> Scan {
             out.leaf_mutexes += 1;
         }
         if IO_FREE_FILES.contains(&rel) && (code.contains("std::fs") || code.contains("File::")) {
-            find("file I/O in the buffer pool, which runs under shard locks");
+            find("file I/O in the buffer pool, which runs under the pool lock");
         }
     }
     out
