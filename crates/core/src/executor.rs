@@ -3,11 +3,14 @@
 //! Queries take `&self` all the way down (tree → page store → buffer
 //! pool), so a single [`SpatioTemporalIndex`] can serve many reader
 //! threads at once: the only coordination is the buffer pool's one
-//! lock, held for the LRU bookkeeping alone. [`QueryExecutor`] packages that capability: it fans a batch
-//! of [`QueryRequest`]s across [`map_chunked`] workers and reassembles
-//! the per-query outcomes **in request order**, so for every
-//! [`Parallelism`] setting the output is byte-identical to running the
-//! batch sequentially (the property `tests/concurrent_queries.rs` pins).
+//! lock, held for the LRU bookkeeping alone. [`QueryExecutor`] packages
+//! that capability for batches (the facade's `query_batch_with_stats`
+//! and the system benchmark's batch legs): it fans [`QueryRequest`]s
+//! across [`map_chunked`] workers and reassembles the per-query
+//! outcomes **in request order**, so for every [`Parallelism`] setting
+//! the output is byte-identical to running the batch sequentially (the
+//! property `tests/concurrent_queries.rs` pins). One query needs no
+//! executor: `sti-server` calls `query_with_stats` directly.
 //!
 //! Per-query [`QueryStats`] are attributed through thread-local
 //! [`sti_storage::ReadProbe`]s rather than global counter snapshots, so
@@ -67,30 +70,12 @@ impl QueryExecutor {
         Self::new(Parallelism::Sequential)
     }
 
-    /// The worker count this executor resolves to on this machine.
-    pub fn workers(&self) -> usize {
-        self.parallelism.workers()
-    }
-
     /// Run every request against one shared index, returning one
     /// [`QueryOutcome`] per request, in request order.
     pub fn run(&self, index: &SpatioTemporalIndex, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        self.run_with(requests, |req| {
+        map_chunked(requests, self.parallelism, |_, req| {
             index.query_with_stats(&req.area, &req.range)
         })
-    }
-
-    /// Fan any per-item query closure across the executor's workers,
-    /// collecting results in input order. The generalization behind
-    /// [`QueryExecutor::run`]: benches use it to drive raw trees or a
-    /// routing closure with the same scheduling.
-    pub fn run_with<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        map_chunked(items, self.parallelism, |_, item| f(item))
     }
 }
 
@@ -202,14 +187,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn run_with_preserves_input_order() {
-        let exec = QueryExecutor::new(Parallelism::fixed(5));
-        let items: Vec<u32> = (0..57).collect();
-        let got = exec.run_with(&items, |&x| x * 2);
-        assert_eq!(got, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

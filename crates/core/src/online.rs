@@ -213,20 +213,6 @@ fn waste_threshold(budget: SplitBudget, splits_issued: u64, objects_admitted: u6
     TAU_0 * (1.0 + ETA).powi(over.clamp(-MAX_EXPONENT, MAX_EXPONENT) as i32)
 }
 
-/// The objects a splitter must have admitted for `splits_issued` to be
-/// exactly on `budget` — where a checkpoint written before the admitted
-/// count was recorded restores it (the threshold then starts at `τ₀`).
-pub(crate) fn objects_on_budget(budget: SplitBudget, splits_issued: u64) -> u64 {
-    match budget {
-        SplitBudget::Percent(p) if p > 0.0 && p.is_finite() => {
-            (splits_issued as f64 * 100.0 / p).round() as u64
-        }
-        // A count or a zero percentage resolves alike for every admitted
-        // count, an infinite one for none: either way, start from zero.
-        _ => 0,
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OpenPiece {
     start: Time,

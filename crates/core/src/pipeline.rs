@@ -883,7 +883,7 @@ impl IngestPipeline {
                 checkpoints_skipped += 1;
                 continue;
             };
-            let Ok(meta) = CheckpointMeta::decode(&bytes, config.budget) else {
+            let Ok(meta) = CheckpointMeta::decode(&bytes) else {
                 checkpoints_skipped += 1;
                 continue;
             };

@@ -38,18 +38,12 @@
 //! queued_count: u32 · queued_count × op ·
 //! meta_xxh: u64
 //! ```
-//!
-//! A `STICKPT1` meta, written before the splitter spent a budget, is
-//! the same without `objects_admitted`. It still opens: the splitter's
-//! admitted count is restored where its `splits_issued` is exactly on
-//! budget, so the threshold restarts at `τ₀` and the decisions after
-//! recovery can differ from an uninterrupted run's.
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use crate::online::{objects_on_budget, Ev, OpenPieceSnapshot};
+use crate::online::{Ev, OpenPieceSnapshot};
 use crate::pipeline::IngestOp;
-use crate::plan::{ObjectRecord, RecordEvent, SplitBudget};
+use crate::plan::{ObjectRecord, RecordEvent};
 use crate::version::VersionStamp;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,10 +53,6 @@ use sti_storage::{xxh64, ByteReader, CodecError, Wal, WalError};
 
 /// Magic prefix of a checkpoint meta file (format version 2).
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"STICKPT2";
-
-/// Magic prefix of a version-1 meta file, which lacks
-/// `objects_admitted`.
-const CHECKPOINT_MAGIC_V1: &[u8; 8] = b"STICKPT1";
 
 /// Upper bound on one buffer count in a meta file; anything larger with
 /// a valid checksum is corruption that got lucky, so it fails closed.
@@ -522,9 +512,8 @@ impl CheckpointMeta {
     }
 
     /// Validate the checksum and decode, failing closed on anything
-    /// short, long, or structurally impossible. A `STICKPT1` meta gets
-    /// the admitted count that puts its splits exactly on `budget`.
-    pub(crate) fn decode(bytes: &[u8], budget: SplitBudget) -> Result<Self, &'static str> {
+    /// short, long, or structurally impossible.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, &'static str> {
         if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
             return Err("shorter than magic plus checksum");
         }
@@ -539,8 +528,10 @@ impl CheckpointMeta {
         for b in &mut magic {
             *b = r.get_u8().map_err(|_| "truncated magic")?;
         }
-        let v1 = &magic == CHECKPOINT_MAGIC_V1;
-        if !v1 && &magic != CHECKPOINT_MAGIC {
+        if &magic == b"STICKPT1" {
+            return Err("version-1 checkpoint metas are no longer supported");
+        }
+        if &magic != CHECKPOINT_MAGIC {
             return Err("bad magic");
         }
         let take = |e: CodecError| -> &'static str {
@@ -559,11 +550,7 @@ impl CheckpointMeta {
         let rollbacks = r.get_u64().map_err(take)?;
         let rejected_total = r.get_u64().map_err(take)?;
         let splits_issued = r.get_u64().map_err(take)?;
-        let objects_admitted = if v1 {
-            objects_on_budget(budget, splits_issued)
-        } else {
-            r.get_u64().map_err(take)?
-        };
+        let objects_admitted = r.get_u64().map_err(take)?;
 
         let open_count = get_count(&mut r)?;
         let mut open_pieces = Vec::with_capacity(open_count);
@@ -760,8 +747,6 @@ fn get_count(r: &mut ByteReader<'_>) -> Result<usize, &'static str> {
 mod tests {
     use super::*;
 
-    const BUDGET: SplitBudget = SplitBudget::Percent(150.0);
-
     fn sample_ops() -> Vec<IngestOp> {
         vec![
             IngestOp::Update {
@@ -869,37 +854,20 @@ mod tests {
     fn meta_round_trips() {
         let meta = sample_meta();
         let bytes = meta.encode().unwrap();
-        let back = CheckpointMeta::decode(&bytes, BUDGET).unwrap();
+        let back = CheckpointMeta::decode(&bytes).unwrap();
         assert_eq!(back, meta);
     }
 
-    /// A `STICKPT1` meta — the same bytes without `objects_admitted` —
-    /// decodes with the admitted count that puts its splits on budget.
+    /// A `STICKPT1` meta is refused as an old format, not misread.
     #[test]
-    fn a_version_1_meta_decodes_on_budget() {
-        let meta = sample_meta();
-        let v2 = meta.encode().unwrap();
-        let at = 80; // past the magic, eight u64s and two u32s
-        assert_eq!(v2[at..at + 8], meta.objects_admitted.to_le_bytes());
-        let mut v1 = [
-            b"STICKPT1".as_slice(),
-            &v2[8..at],
-            &v2[at + 8..v2.len() - 8],
-        ]
-        .concat();
+    fn a_version_1_meta_is_refused() {
+        let mut v1 = [b"STICKPT1".as_slice(), &[0; 8]].concat();
         let sum = xxh64(&v1);
         v1.extend_from_slice(&sum.to_le_bytes());
-        let back = CheckpointMeta::decode(&v1, BUDGET).unwrap();
-        // 9 splits at 150 % are on budget after 6 objects.
         assert_eq!(
-            back,
-            CheckpointMeta {
-                objects_admitted: 6,
-                ..meta.clone()
-            }
+            CheckpointMeta::decode(&v1).unwrap_err(),
+            "version-1 checkpoint metas are no longer supported"
         );
-        let back = CheckpointMeta::decode(&v1, SplitBudget::Percent(50.0)).unwrap();
-        assert_eq!(back.objects_admitted, 18);
     }
 
     #[test]
@@ -909,7 +877,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
             assert!(
-                CheckpointMeta::decode(&bad, BUDGET).is_err(),
+                CheckpointMeta::decode(&bad).is_err(),
                 "flip at byte {at} went unnoticed"
             );
         }
@@ -920,13 +888,13 @@ mod tests {
         let bytes = sample_meta().encode().unwrap();
         for cut in 0..bytes.len() {
             assert!(
-                CheckpointMeta::decode(&bytes[..cut], BUDGET).is_err(),
+                CheckpointMeta::decode(&bytes[..cut]).is_err(),
                 "prefix {cut} accepted"
             );
         }
         let mut long = bytes.clone();
         long.push(0);
-        assert!(CheckpointMeta::decode(&long, BUDGET).is_err());
+        assert!(CheckpointMeta::decode(&long).is_err());
     }
 
     #[test]

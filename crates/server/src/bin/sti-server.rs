@@ -97,7 +97,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let index = sti_core::SpatioTemporalIndex::open_file(&index_path)
         .map_err(|e| format!("opening {}: {e}", index_path.display()))?;
     let server =
-        Server::start(Arc::new(index), config).map_err(|e| format!("binding the listener: {e}"))?;
+        Server::start(Arc::new(index), config).map_err(|e| format!("starting the server: {e}"))?;
     println!(
         "sti-server: serving {} ({} backend, {} records, {} pages) on http://{}",
         index_path.display(),

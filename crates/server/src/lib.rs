@@ -34,4 +34,4 @@ pub mod cli;
 pub mod http;
 pub mod server;
 
-pub use server::{Server, ServerConfig, ServerMetrics};
+pub use server::{Server, ServerConfig, ServerMetrics, MAX_QUEUE_DEPTH, MAX_WORKERS};

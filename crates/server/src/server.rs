@@ -26,9 +26,9 @@
 //! always free for control requests (with one, a control request can
 //! wait for one query).
 //!
-//! Queries run against one shared [`SpatioTemporalIndex`] through the
-//! existing [`QueryExecutor`]: reads are `&self` end to end, so every
-//! worker shares a single `Arc` with no writer coordination.
+//! Queries run against one shared [`SpatioTemporalIndex`]: reads are
+//! `&self` end to end, so every worker shares a single `Arc` with no
+//! writer coordination.
 
 use crate::cli::parse_area;
 use crate::http::{self, RecvError, Request, Response};
@@ -38,9 +38,17 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use sti_core::{LeafMutex, QueryExecutor, QueryRequest, SpatioTemporalIndex};
+use sti_core::{LeafMutex, QueryRequest, SpatioTemporalIndex};
 use sti_geom::TimeInterval;
 use sti_obs::{LatencyHistogram, MetricSet};
+
+/// Most threads [`Server::start`] spawns for each pool (`query_workers`,
+/// `io_workers`).
+pub const MAX_WORKERS: usize = 64;
+
+/// Largest `queue_depth` [`Server::start`] accepts: the query queue
+/// allocates every slot up front.
+pub const MAX_QUEUE_DEPTH: usize = 4096;
 
 /// Tuning for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -392,14 +400,20 @@ impl Server {
     /// # Errors
     /// `InvalidInput` for a zero read or write timeout (the socket
     /// would otherwise be left with no timeout at all, and one stalled
-    /// client could hold an io worker forever); the bind error when the
-    /// address is unavailable.
+    /// client could hold an io worker forever), or for a pool above
+    /// [`MAX_WORKERS`] or a queue above [`MAX_QUEUE_DEPTH`] (a typo
+    /// must not start thousands of threads or allocate a huge queue);
+    /// the bind error when the address is unavailable.
     pub fn start(index: Arc<SpatioTemporalIndex>, config: ServerConfig) -> std::io::Result<Self> {
+        let invalid = |msg: &str| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
         if config.read_timeout.is_zero() || config.write_timeout.is_zero() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "read and write timeouts must be non-zero",
-            ));
+            return invalid("read and write timeouts must be non-zero");
+        }
+        if config.query_workers > MAX_WORKERS || config.io_workers > MAX_WORKERS {
+            return invalid(&format!("a pool must have at most {MAX_WORKERS} workers"));
+        }
+        if config.queue_depth > MAX_QUEUE_DEPTH {
+            return invalid(&format!("queue depth must be at most {MAX_QUEUE_DEPTH}"));
         }
         let listener = Arc::new(TcpListener::bind(&config.addr)?);
         let addr = listener.local_addr()?;
@@ -696,19 +710,18 @@ fn query_loop(query_rx: &LeafMutex<Receiver<QueryJob>>, shared: &Shared) {
 }
 
 /// Execute an admitted query and answer it, on whichever thread holds
-/// it. A sequential [`QueryExecutor`] per query keeps outcomes
-/// byte-identical to a one-at-a-time replay of the same requests.
+/// it, so outcomes are byte-identical to a one-at-a-time replay of the
+/// same requests.
 fn answer(job: QueryJob, shared: &Shared) {
     let metrics = &*shared.metrics;
     if !shared.config.test_delay.is_zero() {
         std::thread::sleep(shared.config.test_delay);
     }
-    let outcome = QueryExecutor::sequential()
-        .run(&shared.index, &[job.request])
-        .into_iter()
-        .next();
+    let outcome = shared
+        .index
+        .query_with_stats(&job.request.area, &job.request.range);
     let response = match outcome {
-        Some(Ok((ids, stats))) => {
+        Ok((ids, stats)) => {
             metrics.absorb_query_stats(&stats);
             let mut body = String::with_capacity(ids.len() * 8);
             for id in &ids {
@@ -721,8 +734,7 @@ fn answer(job: QueryJob, shared: &Shared) {
                 .header("X-Sti-Buffer-Hits", stats.buffer_hits)
                 .header("X-Sti-Nodes-Visited", stats.nodes_visited)
         }
-        Some(Err(e)) => Response::text(500, format!("query failed: {e}\n")),
-        None => Response::text(500, "executor returned no outcome\n"),
+        Err(e) => Response::text(500, format!("query failed: {e}\n")),
     };
     finish(job, response, metrics);
 }

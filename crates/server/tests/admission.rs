@@ -12,9 +12,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use sti_core::{IndexBackend, IndexConfig, QueryExecutor, QueryRequest, SpatioTemporalIndex};
+use sti_core::{IndexBackend, IndexConfig, SpatioTemporalIndex};
 use sti_geom::{Point2, Rect2, TimeInterval};
-use sti_server::{Server, ServerConfig, ServerMetrics};
+use sti_server::{Server, ServerConfig, ServerMetrics, MAX_QUEUE_DEPTH, MAX_WORKERS};
 use sti_trajectory::RasterizedObject;
 
 /// A small deterministic index (same shape as the socket suite's).
@@ -96,14 +96,8 @@ fn wait_for(metrics: &ServerMetrics, what: &str, read: fn(&ServerMetrics) -> u64
 /// The in-process answer for a `/query` snapshot, rendered as the body
 /// the server sends.
 fn expected_body(index: &SpatioTemporalIndex, area: Rect2, time: u32) -> String {
-    let request = QueryRequest {
-        area,
-        range: TimeInterval::new(time, time + 1),
-    };
-    let (ids, _) = QueryExecutor::sequential()
-        .run(index, &[request])
-        .pop()
-        .unwrap()
+    let ids = index
+        .query(&area, &TimeInterval::new(time, time + 1))
         .unwrap();
     ids.iter().map(|id| format!("{id}\n")).collect()
 }
@@ -273,6 +267,53 @@ fn zero_timeouts_are_refused_at_start() {
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
         }
     }
+}
+
+/// A pool or queue one past its bound is refused before anything binds
+/// or spawns (one past, so a missing check starts only a few threads).
+#[test]
+fn oversized_pools_and_queues_are_refused_at_start() {
+    let index = build_index();
+    for config in [
+        config(MAX_WORKERS + 1, 2, 64),
+        config(2, MAX_WORKERS + 1, 64),
+        config(2, 2, MAX_QUEUE_DEPTH + 1),
+    ] {
+        match Server::start(Arc::clone(&index), config) {
+            Ok(server) => {
+                server.shutdown();
+                panic!("an oversized pool or queue was accepted");
+            }
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        }
+    }
+}
+
+#[test]
+fn cli_refuses_oversized_pools_and_queues() {
+    let path = std::env::temp_dir().join(format!("sti-server-sizes-{}.idx", std::process::id()));
+    build_index().as_ppr().unwrap().save_to_file(&path).unwrap();
+    let workers = (MAX_WORKERS + 1).to_string();
+    let queue = (MAX_QUEUE_DEPTH + 1).to_string();
+    for (flag, value) in [
+        ("--workers", &workers),
+        ("--io-workers", &workers),
+        ("--queue", &queue),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sti-server"))
+            .arg("--index")
+            .arg(&path)
+            // Were the value accepted, the closed stdin stops the server.
+            .args(["--addr", "127.0.0.1:0", "--shutdown-on-stdin-close"])
+            .args([flag, value.as_str()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("at most"), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -65,9 +65,6 @@ pub enum FsyncPolicy {
     /// `fsync` after every append: an acknowledged operation is durable
     /// the moment [`Wal::append`] returns. The zero-loss policy.
     Always,
-    /// `fsync` once per `n` appends (and on [`Wal::sync`]): bounded
-    /// loss of at most `n - 1` acknowledged operations on power cut.
-    EveryN(u32),
     /// `fsync` only on explicit [`Wal::sync`] calls — the pipeline
     /// issues one per commit, so durability tracks publication.
     Commit,
@@ -77,7 +74,6 @@ impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FsyncPolicy::Always => f.write_str("always"),
-            FsyncPolicy::EveryN(n) => write!(f, "every-{n}"),
             FsyncPolicy::Commit => f.write_str("commit"),
         }
     }
@@ -242,7 +238,8 @@ pub struct Wal {
     active: File,
     active_len: u64,
     next_lsn: u64,
-    unsynced: u32,
+    /// An append has not reached the disk yet.
+    unsynced: bool,
     stats: WalStats,
 }
 
@@ -253,9 +250,6 @@ impl Wal {
     /// inconsistency — corruption, a gap in the segment chain, a short
     /// interior segment — is a typed error and nothing is modified.
     pub fn open(dir: &Path, config: WalConfig) -> Result<WalOpen, WalError> {
-        if let FsyncPolicy::EveryN(0) = config.fsync {
-            return Err(WalError::Malformed("fsync policy every-0"));
-        }
         std::fs::create_dir_all(dir)?;
         let mut segments = scan_segments(dir)?;
 
@@ -314,7 +308,7 @@ impl Wal {
                 active,
                 active_len,
                 next_lsn,
-                unsynced: 0,
+                unsynced: false,
                 stats: WalStats {
                     segments_created: created,
                     ..WalStats::default()
@@ -347,16 +341,11 @@ impl Wal {
         frame.extend_from_slice(payload);
         self.active.write_all(&frame)?;
         self.active_len += frame.len() as u64;
-        self.unsynced += 1;
+        self.unsynced = true;
         self.stats.appends += 1;
         self.stats.bytes += frame.len() as u64;
         match self.config.fsync {
             FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
             FsyncPolicy::Commit => {}
         }
         let lsn = self.next_lsn;
@@ -369,9 +358,9 @@ impl Wal {
     /// [`FsyncPolicy::Commit`] and before every checkpoint.
     pub fn sync(&mut self) -> Result<(), WalError> {
         crate::lock::assert_unlocked("WAL sync");
-        if self.unsynced > 0 {
+        if self.unsynced {
             self.active.sync_data()?;
-            self.unsynced = 0;
+            self.unsynced = false;
             self.stats.fsyncs += 1;
         }
         Ok(())
@@ -425,8 +414,8 @@ impl Wal {
         // log continues elsewhere, whatever the fsync policy: replay
         // treats a short *interior* segment as corruption.
         self.active.sync_data()?;
-        if self.unsynced > 0 {
-            self.unsynced = 0;
+        if self.unsynced {
+            self.unsynced = false;
             self.stats.fsyncs += 1;
         }
         let path = segment_path(&self.dir, self.next_lsn);
@@ -691,25 +680,6 @@ mod tests {
         assert_eq!(w.stats().fsyncs, 2, "always: one fsync per append");
         std::fs::remove_dir_all(&dir).ok();
 
-        let dir = temp_dir("fsync-n");
-        let mut w = open(
-            &dir,
-            WalConfig {
-                fsync: FsyncPolicy::EveryN(3),
-                ..WalConfig::default()
-            },
-        )
-        .wal;
-        for _ in 0..7 {
-            w.append(b"x").unwrap();
-        }
-        assert_eq!(w.stats().fsyncs, 2, "every-3: fsyncs at 3 and 6");
-        w.sync().unwrap();
-        assert_eq!(w.stats().fsyncs, 3, "explicit sync flushes the leftover");
-        w.sync().unwrap();
-        assert_eq!(w.stats().fsyncs, 3, "sync with nothing pending is free");
-        std::fs::remove_dir_all(&dir).ok();
-
         let dir = temp_dir("fsync-commit");
         let mut w = open(
             &dir,
@@ -724,22 +694,9 @@ mod tests {
         }
         assert_eq!(w.stats().fsyncs, 0, "commit policy never syncs on append");
         w.sync().unwrap();
-        assert_eq!(w.stats().fsyncs, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn zero_every_n_is_refused() {
-        let dir = temp_dir("zero-n");
-        let err = Wal::open(
-            &dir,
-            WalConfig {
-                fsync: FsyncPolicy::EveryN(0),
-                ..WalConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, WalError::Malformed(_)), "{err:?}");
+        assert_eq!(w.stats().fsyncs, 1, "explicit sync flushes the leftover");
+        w.sync().unwrap();
+        assert_eq!(w.stats().fsyncs, 1, "sync with nothing pending is free");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,15 +46,15 @@ const USAGE: &str = "usage:
   stidx build    --data FILE --out FILE --bulk [--scale-stats]
   stidx query    --index FILE --area x0,y0,x1,y1 --time T [--until T2]
   stidx ingest   --data FILE --out FILE [--commit-every N]
-                 [--wal DIR] [--fsync always|commit|N] [--checkpoint-every N]
-  stidx recover  --wal DIR --out FILE [--fsync always|commit|N]
+                 [--wal DIR] [--fsync always|commit] [--checkpoint-every N]
+  stidx recover  --wal DIR --out FILE
   stidx check    FILE | --index FILE [--profile]
 
   --wal DIR makes ingest durable: every accepted operation is logged
-  (fsynced per --fsync: every append, at commit only, or every N
-  appends) and a checkpoint is taken every N commits. After a crash,
-  stidx recover rebuilds from DIR, replays the log tail, seals, and
-  writes the index.
+  (fsynced per --fsync: every append, or at commit only) and a
+  checkpoint is taken every N commits. After a crash, stidx recover
+  rebuilds from DIR, replays the log tail, seals, and writes the
+  index.
 
   --scale mid|big streams the scale-tier random dataset (100k / 1M
   objects) straight to disk — nothing is materialized in memory, so the
@@ -191,7 +191,7 @@ fn run(args: &[String], metrics: &mut MetricSet) -> Result<(), String> {
             ],
             &[],
         ),
-        "recover" => (&["wal", "out", "fsync"], &[]),
+        "recover" => (&["wal", "out"], &[]),
         other => return Err(format!("unknown command {other}")),
     };
     let opts = parse_flags(rest, vocabulary, switches)?;
@@ -786,16 +786,11 @@ fn recover(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
     let dir = PathBuf::from(opts.need("wal")?);
     let out = PathBuf::from(opts.need("out")?);
     remove_stale_temp(&out)?;
-    let fsync = parse_fsync(opts.get("fsync"))?;
-    let config = WalConfig {
-        fsync,
-        ..WalConfig::default()
-    };
     let (pipeline, report) = IngestPipeline::recover(
         &dir,
         OnlineSplitConfig::default(),
         PprParams::default(),
-        config,
+        WalConfig::default(),
     )
     .map_err(|e| format!("recovering from {}: {e}", dir.display()))?;
     match report.checkpoint_generation {
@@ -872,15 +867,12 @@ fn seal_and_save(
     Ok(())
 }
 
-/// `--fsync always|commit|N` (N = sync every N appends).
+/// `--fsync always|commit`.
 fn parse_fsync(arg: Option<&str>) -> Result<FsyncPolicy, String> {
     match arg {
         None | Some("always") => Ok(FsyncPolicy::Always),
         Some("commit") => Ok(FsyncPolicy::Commit),
-        Some(n) => match n.parse() {
-            Ok(n) if n > 0 => Ok(FsyncPolicy::EveryN(n)),
-            _ => Err("--fsync takes always, commit, or a positive integer".into()),
-        },
+        Some(_) => Err("--fsync takes always or commit".into()),
     }
 }
 

@@ -453,6 +453,28 @@ fn helpful_errors() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("unknown flag --threads"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Two fsync policies, and `recover` appends nothing to sync.
+    let d = "/nonexistent";
+    for (args, why) in [
+        (
+            vec![
+                "ingest", "--data", d, "--out", d, "--wal", d, "--fsync", "8",
+            ],
+            "--fsync takes always or commit",
+        ),
+        (
+            vec!["recover", "--wal", d, "--out", d, "--fsync", "always"],
+            "unknown flag --fsync",
+        ),
+    ] {
+        let out = stidx().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 /// `sti-server` and `stidx query` answer from the same saved index: a
@@ -754,12 +776,12 @@ fn failed_save_leaves_no_temp_file_behind() {
 
 /// A durable ingest killed after its third commit recovers from the WAL
 /// into an index that passes `stidx check` and answers like an
-/// uninterrupted run, under the default fsync policy and under
+/// uninterrupted run, under both fsync policies: `--fsync commit` and
 /// `--fsync always`.
 #[test]
 fn durable_ingest_crash_and_recover_round_trip() {
-    crash_and_recover("durable", &[]);
-    crash_and_recover("durable-fsync", &["--fsync", "always"]);
+    crash_and_recover("durable-commit", &["--fsync", "commit"]);
+    crash_and_recover("durable-always", &["--fsync", "always"]);
 }
 
 fn crash_and_recover(name: &str, fsync: &[&str]) {
