@@ -3,7 +3,7 @@
 use crate::figures::DISTRIBUTIONS;
 use sti_bench::{
     build_index, print_table, query_io_profile, railway_dataset, random_dataset,
-    rstar_query_io_profile, series, split_records, BenchReport, Scale,
+    rstar_query_io_profile, series, split_records, timed, BenchReport, Scale,
 };
 use sti_core::single::{MergeSplit, SingleObjectSplitter};
 use sti_core::tuning::{choose_splits_analytical, choose_splits_by_sampling, QueryProfile};
@@ -291,6 +291,74 @@ pub fn packing(scale: Scale) {
         &["Records", "Count", "Dynamic R*", "STR packed"],
         &rows,
         profiles,
+    );
+    report.finish();
+}
+
+/// What the paper's incremental build costs in node I/O and seconds,
+/// beside the bulk loader on the same records: the random dataset at
+/// the largest size of the ladder, MergeSplit + LAGreedy at three
+/// budgets, [`IndexConfig::paper`]. Node reads are the build's pool
+/// misses and hits, node writes its store writes; every count is exact
+/// and repeats run to run, only the two seconds columns move.
+pub fn build_cost(scale: Scale) {
+    let mut report = BenchReport::new("build_cost", &scale);
+    let n = scale.sizes.last().copied().unwrap_or(20_000);
+    let objects = random_dataset(n);
+    let config = IndexConfig::paper(IndexBackend::PprTree);
+    let spool = std::env::temp_dir().join(format!("sti-build-cost-{}", std::process::id()));
+    let mut rows = Vec::new();
+    for pct in [0.0, 50.0, 150.0] {
+        let records = split_records(
+            &objects,
+            SingleSplitAlgorithm::MergeSplit,
+            DistributionAlgorithm::LaGreedy,
+            SplitBudget::Percent(pct),
+        );
+        let (index, build_s) = timed(|| {
+            SpatioTemporalIndex::build(&records, &config).expect("in-memory build cannot fail")
+        });
+        let io = index.io_stats();
+        let ((_, bulk), bulk_s) = timed(|| {
+            let store = sti_storage::PageStore::new(config.ppr.buffer_pages);
+            SpatioTemporalIndex::bulk_build_ppr(records.iter().copied(), &config, store, &spool)
+                .expect("in-memory bulk build cannot fail")
+        });
+        rows.push(vec![
+            format!("{pct}%"),
+            records.len().to_string(),
+            (2 * records.len()).to_string(),
+            format!(
+                "{} ({} / {})",
+                io.reads + io.buffer_hits,
+                io.reads,
+                io.buffer_hits
+            ),
+            io.writes.to_string(),
+            index.num_pages().to_string(),
+            format!("{build_s:.3}s"),
+            bulk.pages_written.to_string(),
+            format!("{bulk_s:.3}s"),
+        ]);
+    }
+    std::fs::remove_dir_all(&spool).ok();
+    report.table(
+        &format!(
+            "Build cost — incremental PPR-Tree build vs bulk loader ({} random dataset, MergeSplit + LAGreedy)",
+            Scale::label(n)
+        ),
+        &[
+            "Budget",
+            "Records",
+            "Update events",
+            "Node reads (miss / hit)",
+            "Node writes",
+            "Pages",
+            "Build",
+            "Bulk pages",
+            "Bulk build",
+        ],
+        &rows,
     );
     report.finish();
 }

@@ -35,6 +35,7 @@ const ENTRIES: &[Entry] = &[
     ("ablation_online", &IO_SIZES, ablations::online),
     ("ablation_orbits", &IO_SIZES, ablations::orbits),
     ("ablation_packing", &IO_SIZES, ablations::packing),
+    ("build_cost", &IO_SIZES, ablations::build_cost),
     ("throughput", &IO_SIZES, throughput::throughput),
     ("node_scan", &DEFAULT_SIZES, micro::node_scan),
     ("node_write", &DEFAULT_SIZES, micro::node_write),

@@ -8,7 +8,7 @@ use sti_bench::{object_record, timed, BenchReport, Scale};
 use sti_core::{IndexBackend, IndexConfig, ObjectRecord, SpatioTemporalIndex};
 use sti_datagen::RandomDatasetSpec;
 use sti_geom::{Rect2, TimeInterval};
-use sti_pprtree::{NodeView, PprEntry, PprNode, PprParams, PprTree};
+use sti_pprtree::{NodeView, PprEntry, PprNode, PprParams, PprTree, Update};
 use sti_storage::{Page, PageStore};
 
 /// Batch means taken per case.
@@ -132,30 +132,28 @@ pub fn node_scan(scale: Scale) {
     );
 }
 
-/// A deterministic churn workload: (id, rect, t, is_insert).
-fn churn(n: usize) -> Vec<(u64, Rect2, u32, bool)> {
+/// A deterministic churn workload, in time order.
+fn churn(n: usize) -> Vec<Update> {
     let mut ops = Vec::with_capacity(2 * n);
     for i in 0..n as u64 {
         let x = (i as f64 * 0.61803).fract() * 0.9;
         let y = (i as f64 * 0.41421).fract() * 0.9;
-        let r = Rect2::from_bounds(x, y, x + 0.02, y + 0.02);
+        let rect = Rect2::from_bounds(x, y, x + 0.02, y + 0.02);
         let t = (i as u32) / 4;
-        ops.push((i, r, t, true));
-        ops.push((i, r, t + 20, false));
+        ops.push((t, false, i, Update::Insert { id: i, rect, t }));
+        ops.push((
+            t + 20,
+            true,
+            i,
+            Update::Delete {
+                id: i,
+                rect,
+                t: t + 20,
+            },
+        ));
     }
-    ops.sort_by_key(|&(id, _, t, ins)| (t, !ins, id));
-    ops
-}
-
-/// Apply `ops` to `tree` in order.
-fn apply(tree: &mut PprTree, ops: &[(u64, Rect2, u32, bool)]) {
-    for &(id, r, at, ins) in ops {
-        if ins {
-            tree.insert(id, r, at).expect("mem insert");
-        } else {
-            tree.delete(id, r, at).expect("matched insert");
-        }
-    }
+    ops.sort_by_key(|&(t, delete, id, _)| (t, delete, id));
+    ops.into_iter().map(|(.., update)| update).collect()
 }
 
 /// What one node write costs on the update path — encoding a node, the
@@ -201,10 +199,10 @@ pub fn node_write(scale: Scale) {
     let ops = churn(2000);
     let (base_ops, batch) = ops.split_at(ops.len() * 9 / 10);
     let mut base = PprTree::new(PprParams::default());
-    apply(&mut base, base_ops);
+    base.apply(base_ops).expect("mem build");
     let ns = ns_per_op(|| {
         let mut fork = base.clone();
-        apply(&mut fork, batch);
+        fork.apply(batch).expect("mem batch");
         fork.num_pages()
     });
     cases.push((format!("batch_on_fork/{}", batch.len()), ns));

@@ -8,7 +8,7 @@ use crate::single::SingleSplitAlgorithm;
 use std::time::{Duration, Instant};
 use sti_geom::{Rect2, Rect3, Time, TimeInterval};
 use sti_obs::{QueryStats, Span};
-use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, PprParams, PprTree};
+use sti_pprtree::{BulkError, BulkLoader, BulkPiece, BulkStats, PprParams, PprTree, Update};
 use sti_rstar::{RStarParams, RStarTree};
 use sti_storage::{FaultStats, IoStats, PageStore, StorageError};
 use sti_trajectory::RasterizedObject;
@@ -398,14 +398,16 @@ impl From<PprTree> for SpatioTemporalIndex {
     }
 }
 
-/// Ingest records into a PPR-Tree as a time-ordered update stream.
-/// Deletions at an instant are applied before insertions so an object's
-/// consecutive split pieces never coexist.
+/// Ingest records into a PPR-Tree as a time-ordered update stream,
+/// applied as one batch. Deletions at an instant are applied before
+/// insertions so an object's consecutive split pieces never coexist.
 fn build_ppr(records: &[ObjectRecord], params: PprParams) -> Result<PprTree, StorageError> {
+    let updates: Vec<Update> = crate::plan::record_events(records)
+        .into_iter()
+        .map(|(t, ev, i)| ev.update(&records[i], t))
+        .collect();
     let mut tree = PprTree::new(params);
-    for (t, ev, i) in crate::plan::record_events(records) {
-        ev.apply(&mut tree, &records[i], t)?;
-    }
+    crate::plan::apply_events(&mut tree, &updates)?;
     Ok(tree)
 }
 

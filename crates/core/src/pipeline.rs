@@ -48,7 +48,7 @@
 //! replays against the pure [`transition`] function.
 
 use crate::online::{Ev, ObserveError, OnlineError, OnlineSplitConfig, OnlineSplitter};
-use crate::plan::RecordEvent;
+use crate::plan::{apply_events, RecordEvent};
 use crate::recover::{
     decode_op, encode_op, idx_path, meta_path, prune_below, scan_generations, CheckpointMeta,
     CheckpointReport, CrashPoint, Durability, DurabilityError, RecoverError, RecoveryReport,
@@ -61,7 +61,7 @@ use std::path::Path;
 use std::sync::Arc;
 use sti_geom::{Rect2, Time};
 use sti_obs::MetricSet;
-use sti_pprtree::{PprParams, PprTree};
+use sti_pprtree::{PprParams, PprTree, Update};
 use sti_storage::{LeafMutex, MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
 
 /// One queued ingest operation, mirroring the [`OnlineSplitter`] calls.
@@ -125,9 +125,10 @@ pub struct CommitReport {
     /// an older version — the cost a commit pays per page it touches.
     pub pages_copied: u64,
     /// Pages the batch wrote (its [`sti_storage::IoStats::writes`]
-    /// delta). An update writes a page only when it changes the page's
-    /// bytes, and a page is copied only by its first write, so a batch
-    /// that commits has `pages_copied ≤ pages_written`.
+    /// delta). The batch is one [`PprTree::apply`], which writes each
+    /// page whose bytes it changes exactly once, so this is the number
+    /// of distinct pages the commit changed. A page is copied only by a
+    /// write, so a batch that commits has `pages_copied ≤ pages_written`.
     pub pages_written: u64,
     /// The storage fault that rolled the batch back, if any.
     pub error: Option<StorageError>,
@@ -539,10 +540,12 @@ impl IngestPipeline {
         let copied_before = fork.pages_copied();
         let written_before = fork.io_stats().writes;
         let batch_events = self.pending.len();
-        let applied: Result<(), StorageError> = self
+        let updates: Vec<Update> = self
             .pending
             .iter()
-            .try_for_each(|ev| ev.kind.apply(&mut fork, &ev.record, ev.time));
+            .map(|ev| ev.kind.update(&ev.record, ev.time))
+            .collect();
+        let applied = apply_events(&mut fork, &updates);
         let pages_copied = fork.pages_copied() - copied_before;
         let pages_written = fork.io_stats().writes - written_before;
         self.pages_copied += pages_copied;

@@ -9,7 +9,7 @@ use crate::single::{piecewise_cuts, SingleSplitAlgorithm};
 use crate::VolumeCurve;
 use std::time::{Duration, Instant};
 use sti_geom::StBox;
-use sti_pprtree::{DeleteError, PprTree};
+use sti_pprtree::{DeleteError, PprTree, Update};
 use sti_storage::StorageError;
 use sti_trajectory::RasterizedObject;
 
@@ -329,29 +329,31 @@ pub enum RecordEvent {
 }
 
 impl RecordEvent {
-    /// Apply this event for `record` at instant `t` — the one ingest
-    /// step behind the offline build and the live pipeline. A delete that finds nothing is a bug, not an I/O
-    /// condition: every event stream pairs each delete with the insert
-    /// it emitted earlier.
-    pub(crate) fn apply(
-        self,
-        tree: &mut PprTree,
-        record: &ObjectRecord,
-        t: sti_geom::Time,
-    ) -> Result<(), StorageError> {
+    /// This event for `record` at instant `t`, as the tree update it is.
+    pub(crate) fn update(self, record: &ObjectRecord, t: sti_geom::Time) -> Update {
+        let (id, rect) = (record.id, record.stbox.rect);
         match self {
-            RecordEvent::Insert => tree.insert(record.id, record.stbox.rect, t),
-            RecordEvent::Delete => match tree.delete(record.id, record.stbox.rect, t) {
-                Ok(()) => Ok(()),
-                Err(DeleteError::Storage(e)) => Err(e),
-                #[expect(
-                    clippy::panic,
-                    reason = "every event stream derives each delete from a record it also emits an insert for, and deletes sort before inserts at equal times"
-                )]
-                Err(e @ DeleteError::NotFound { .. }) => {
-                    panic!("every delete event matches an earlier insert: {e}")
-                }
-            },
+            RecordEvent::Insert => Update::Insert { id, rect, t },
+            RecordEvent::Delete => Update::Delete { id, rect, t },
+        }
+    }
+}
+
+/// Apply a time-ordered batch of record events to `tree` as one
+/// [`PprTree::apply`] — the one ingest step behind the offline build and
+/// the live pipeline's commits. A delete that finds nothing is a bug,
+/// not an I/O condition: every event stream pairs each delete with the
+/// insert it emitted earlier.
+pub(crate) fn apply_events(tree: &mut PprTree, updates: &[Update]) -> Result<(), StorageError> {
+    match tree.apply(updates) {
+        Ok(()) => Ok(()),
+        Err(DeleteError::Storage(e)) => Err(e),
+        #[expect(
+            clippy::panic,
+            reason = "every event stream derives each delete from a record it also emits an insert for, and deletes sort before inserts at equal times"
+        )]
+        Err(e @ DeleteError::NotFound { .. }) => {
+            panic!("every delete event matches an earlier insert: {e}")
         }
     }
 }

@@ -45,4 +45,4 @@ pub mod tree;
 pub use bulk::{BulkError, BulkLoader, BulkPiece, BulkStats};
 pub use check::{CheckReport, Violation, ViolationKind};
 pub use node::{NodeView, PprEntry, PprNode, PprParams};
-pub use tree::{DeleteError, PprTree, RootSpan};
+pub use tree::{DeleteError, PprTree, RootSpan, Update};

@@ -3,7 +3,7 @@
 
 use crate::node::{NodeView, PprEntry, PprNode, PprParams};
 use crate::split::key_split;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use sti_geom::{Rect2, Time, TimeInterval};
 use sti_obs::QueryStats;
 use sti_storage::{
@@ -140,6 +140,13 @@ enum UpOps {
 /// inside a page-level undo transaction and roll back completely on
 /// error (see DESIGN.md §6), so a failed `insert`/`delete` leaves the
 /// tree exactly as it was.
+///
+/// Updates go in batches ([`PprTree::apply`]; `insert` and `delete`
+/// are batches of one). A batch is one transaction: it keeps the alive
+/// nodes it touches decoded and writes each page once, when a version
+/// split closes its node or when the batch ends. Feeding a whole update
+/// stream as one batch is how the paper's build runs without reading a
+/// node back.
 ///
 /// ```
 /// use sti_geom::{Rect2, TimeInterval};
@@ -332,7 +339,7 @@ impl PprTree {
     // ------------------------------------------------------------------
 
     /// Insert a record alive from `t` (until a matching
-    /// [`PprTree::delete`]).
+    /// [`PprTree::delete`]): a batch of one [`Update::Insert`].
     ///
     /// # Errors
     /// A [`StorageError`] if the page store fails; the update is rolled
@@ -346,47 +353,21 @@ impl PprTree {
     /// rectangle is the empty sentinel — both are caller bugs, not I/O
     /// conditions, and are rejected before any page is touched.
     pub fn insert(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), StorageError> {
-        assert!(!rect.is_empty(), "cannot index an empty rectangle");
-        assert!(
-            t >= self.now,
-            "updates must be time-ordered: {t} < {}",
-            self.now
-        );
-        self.atomically(|tree| tree.insert_inner(id, rect, t))
+        match self.apply(&[Update::Insert { id, rect, t }]) {
+            Ok(()) => Ok(()),
+            Err(DeleteError::Storage(e)) => Err(e),
+            #[expect(
+                clippy::unreachable,
+                reason = "only a delete can miss its record, and this batch holds one insert"
+            )]
+            Err(e @ DeleteError::NotFound { .. }) => unreachable!("an insert reported {e}"),
+        }
     }
 
-    fn insert_inner(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), StorageError> {
-        self.advance(t);
-        let path = match self.current_root() {
-            Some(root) => self.descend_for_insert(root.page, &rect)?,
-            None => {
-                // A fresh page already holds an empty leaf: allocation
-                // zeroes it, and that is how an empty leaf encodes. The
-                // insert below is its first write.
-                let page = self.store.allocate()?;
-                self.roots.push(RootSpan {
-                    interval: TimeInterval::open(t),
-                    page,
-                    level: 0,
-                });
-                Path::leaf(page, PprNode::new(0))
-            }
-        };
-        let ops = Ops {
-            kills: Vec::new(),
-            expand: None,
-            adds: vec![PprEntry::alive(rect, id, t)],
-        };
-        self.propagate(path, ops, t)?;
-        self.alive_records += 1;
-        self.total_posted += 1;
-        Ok(())
-    }
-
-    /// Logically delete the alive record `(id, rect)` at time `t`;
-    /// `rect` must be exactly the rectangle the record was inserted with
-    /// (it locates the leaf *and* disambiguates when several alive
-    /// records share an id).
+    /// Logically delete the alive record `(id, rect)` at time `t`: a
+    /// batch of one [`Update::Delete`]. `rect` must be exactly the
+    /// rectangle the record was inserted with (it locates the leaf *and*
+    /// disambiguates when several alive records share an id).
     ///
     /// # Errors
     /// [`DeleteError::NotFound`] if no alive record `(id, rect)` exists,
@@ -397,20 +378,48 @@ impl PprTree {
     /// # Panics
     /// If `t` precedes an earlier update (partial persistence).
     pub fn delete(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), DeleteError> {
-        self.atomically(|tree| tree.delete_inner(id, rect, t))
+        self.apply(&[Update::Delete { id, rect, t }])
     }
 
-    /// Run one update inside a store transaction: on success keep it, on
-    /// failure undo its pages and restore the metadata the store cannot
-    /// see (root log, clock, record counters).
-    fn atomically<E>(&mut self, update: impl FnOnce(&mut Self) -> Result<(), E>) -> Result<(), E> {
+    /// Apply a time-ordered batch of updates as one store transaction:
+    /// all of them, or — on any error — none.
+    ///
+    /// The batch keeps every live node it touches decoded, by page, and
+    /// writes each page once: a node its version split closes when the
+    /// split closes it (its bytes are final from then on), every other
+    /// changed node when the batch ends, in the order the nodes were
+    /// first changed. A node closed by a version split is never changed
+    /// again, so the decoded set holds only the alive tree's nodes.
+    /// Pages, root log and counters come out exactly as the same updates
+    /// applied one at a time would leave them.
+    ///
+    /// # Errors
+    /// [`DeleteError::NotFound`] for a delete whose record is not alive
+    /// when the batch reaches it, or [`DeleteError::Storage`] if the page
+    /// store failed. Either way the whole batch is rolled back: pages,
+    /// root log, clock and record counters hold their pre-call values.
+    ///
+    /// # Panics
+    /// If the updates are not in non-decreasing time order, one precedes
+    /// an earlier update, or an insert's rectangle is the empty sentinel;
+    /// checked before any page is touched.
+    pub fn apply(&mut self, updates: &[Update]) -> Result<(), DeleteError> {
+        let mut clock = self.now;
+        for update in updates {
+            if let Update::Insert { rect, .. } = update {
+                assert!(!rect.is_empty(), "cannot index an empty rectangle");
+            }
+            let t = update.time();
+            assert!(t >= clock, "updates must be time-ordered: {t} < {clock}");
+            clock = t;
+        }
         let roots_before = self.roots.clone();
         let counters_before = (self.now, self.alive_records, self.total_posted);
         self.store.begin_txn();
-        match update(self) {
+        match self.apply_in_txn(updates) {
             Ok(()) => {
                 self.store.commit_txn();
-                self.debug_check();
+                self.debug_check(updates.len() as u64);
                 Ok(())
             }
             Err(e) => {
@@ -422,29 +431,96 @@ impl PprTree {
         }
     }
 
-    fn delete_inner(&mut self, id: u64, rect: Rect2, t: Time) -> Result<(), DeleteError> {
-        let Some((path, idx)) = self.locate_alive(id, &rect)? else {
+    /// The body of [`PprTree::apply`], inside its transaction.
+    fn apply_in_txn(&mut self, updates: &[Update]) -> Result<(), DeleteError> {
+        let mut set = NodeSet::default();
+        for update in updates {
+            match *update {
+                Update::Insert { id, rect, t } => self.insert_inner(&mut set, id, rect, t)?,
+                Update::Delete { id, rect, t } => self.delete_inner(&mut set, id, rect, t)?,
+            }
+        }
+        Ok(self.flush(set)?)
+    }
+
+    fn insert_inner(
+        &mut self,
+        set: &mut NodeSet,
+        id: u64,
+        rect: Rect2,
+        t: Time,
+    ) -> Result<(), StorageError> {
+        self.now = t;
+        let path = match self.current_root() {
+            Some(root) => self.descend_for_insert(set, root.page, &rect)?,
+            None => {
+                // A fresh page already holds an empty leaf: allocation
+                // zeroes it, and that is how an empty leaf encodes. The
+                // insert below is what changes it.
+                let page = self.store.allocate()?;
+                self.roots.push(RootSpan {
+                    interval: TimeInterval::open(t),
+                    page,
+                    level: 0,
+                });
+                Path::leaf(page, Live::clean(PprNode::new(0)))
+            }
+        };
+        let ops = Ops {
+            kills: Vec::new(),
+            expand: None,
+            adds: vec![PprEntry::alive(rect, id, t)],
+        };
+        self.propagate(set, path, ops, t)?;
+        self.alive_records += 1;
+        self.total_posted += 1;
+        Ok(())
+    }
+
+    fn delete_inner(
+        &mut self,
+        set: &mut NodeSet,
+        id: u64,
+        rect: Rect2,
+        t: Time,
+    ) -> Result<(), DeleteError> {
+        let Some((path, idx)) = self.locate_alive(set, id, &rect)? else {
             return Err(DeleteError::NotFound { id, t });
         };
-        self.advance(t);
+        self.now = t;
         let ops = Ops {
             kills: vec![idx],
             expand: None,
             adds: Vec::new(),
         };
-        self.propagate(path, ops, t)?;
+        self.propagate(set, path, ops, t)?;
         self.alive_records -= 1;
         Ok(())
     }
 
-    /// Debug builds sanity-check the structure after updates: every
-    /// mutation while the index is small, then a sample (the current-view
-    /// walk is linear in the live tree, so checking each of `n` updates
-    /// would make test workloads quadratic).
+    /// Write every node the batch changed and still holds, once each, in
+    /// the order they were first changed.
+    fn flush(&mut self, set: NodeSet) -> Result<(), StorageError> {
+        let NodeSet { mut nodes, dirtied } = set;
+        for page in dirtied {
+            // A page a version split closed was written then, and left.
+            if let Some(node) = nodes.remove(&page) {
+                self.write_node(page, &node.node)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Debug builds sanity-check the structure after a batch: every
+    /// batch while the index is small, then one whenever the update
+    /// count passes a multiple of 64 (the current-view walk is linear in
+    /// the live tree, so checking after each of `n` updates would make
+    /// test workloads quadratic).
     #[cfg(debug_assertions)]
-    fn debug_check(&mut self) {
-        self.debug_mutations += 1;
-        if self.store.num_pages() <= 64 || self.debug_mutations.is_multiple_of(64) {
+    fn debug_check(&mut self, updates: u64) {
+        let before = self.debug_mutations;
+        self.debug_mutations += updates;
+        if self.store.num_pages() <= 64 || before / 64 != self.debug_mutations / 64 {
             #[expect(
                 clippy::panic,
                 reason = "debug-only tripwire; release builds skip the check and the typed API is check::validate"
@@ -461,16 +537,7 @@ impl PprTree {
     }
 
     #[cfg(not(debug_assertions))]
-    fn debug_check(&mut self) {}
-
-    fn advance(&mut self, t: Time) {
-        assert!(
-            t >= self.now,
-            "updates must be time-ordered: {t} < {}",
-            self.now
-        );
-        self.now = t;
-    }
+    fn debug_check(&mut self, _updates: u64) {}
 
     /// Root span covering instant `t`, if any.
     pub(crate) fn root_span_at(&self, t: Time) -> Option<RootSpan> {
@@ -764,26 +831,40 @@ impl PprTree {
         self.store.write(page, &buf.bytes()[..])
     }
 
+    /// `page`'s node, out of the batch's set when it holds it (taken
+    /// out, not copied), else read and decoded from the store.
+    fn take_node(&self, set: &mut NodeSet, page: PageId) -> Result<Live, StorageError> {
+        match set.nodes.remove(&page) {
+            Some(node) => Ok(node),
+            None => Ok(Live::clean(self.read_node(page)?)),
+        }
+    }
+
     /// Choose-subtree descent for insertion from the current root at
     /// `page`: among *alive* directory entries pick minimum area
-    /// enlargement (ties: minimum area).
-    fn descend_for_insert(&self, mut page: PageId, rect: &Rect2) -> Result<Path, StorageError> {
+    /// enlargement (ties: minimum area). The path's nodes leave the set
+    /// until [`PprTree::propagate`] puts them back.
+    fn descend_for_insert(
+        &self,
+        set: &mut NodeSet,
+        mut page: PageId,
+        rect: &Rect2,
+    ) -> Result<Path, StorageError> {
         let mut ancestors: Vec<Ancestor> = Vec::new();
         // bounded: one level down per pass, and a node must sit one
         // level below its parent, so the leaf ends it within the root's
         // level (a child pointer that leads elsewhere fails `Decode`).
         loop {
-            let node = self.read_node(page)?;
-            if ancestors
-                .last()
-                .is_some_and(|parent| node.level.checked_add(1) != Some(parent.node.level))
-            {
+            let node = self.take_node(set, page)?;
+            if ancestors.last().is_some_and(|parent| {
+                node.node.level.checked_add(1) != Some(parent.node.node.level)
+            }) {
                 return Err(StorageError::Corrupt {
                     page,
                     reason: CorruptReason::Decode,
                 });
             }
-            if node.is_leaf() {
+            if node.node.is_leaf() {
                 return Ok(Path {
                     ancestors,
                     page,
@@ -791,7 +872,7 @@ impl PprTree {
                 });
             }
             let mut best: Option<(f64, f64, usize)> = None;
-            for (i, e) in node.entries.iter().enumerate() {
+            for (i, e) in node.node.entries.iter().enumerate() {
                 if !e.is_alive() {
                     continue;
                 }
@@ -805,7 +886,7 @@ impl PprTree {
                 reason = "the weak version condition keeps every reachable directory node at >= D alive children; check::validate reports EmptyDirectory if this is ever violated"
             )]
             let (_, _, child) = best.expect("alive directory node has an alive child");
-            let next = node.entries[child].child_page();
+            let next = node.node.entries[child].child_page();
             ancestors.push(Ancestor { page, node, child });
             page = next;
         }
@@ -813,12 +894,18 @@ impl PprTree {
 
     /// DFS for the leaf holding the alive record `id` whose rect equals
     /// (is contained in) `rect`; returns the path to that leaf plus the
-    /// record's entry index within it.
-    fn locate_alive(&self, id: u64, rect: &Rect2) -> Result<Option<(Path, usize)>, StorageError> {
+    /// record's entry index within it. Nodes off the path go back into
+    /// the set as the search leaves them.
+    fn locate_alive(
+        &self,
+        set: &mut NodeSet,
+        id: u64,
+        rect: &Rect2,
+    ) -> Result<Option<(Path, usize)>, StorageError> {
         let Some(root) = self.current_root() else {
             return Ok(None);
         };
-        let found = self.locate_rec(root.page, id, rect)?;
+        let found = self.locate_rec(set, root.page, id, rect)?;
         Ok(found.map(|(mut path, idx)| {
             // `locate_rec` adds each ancestor on its way back up.
             path.ancestors.reverse();
@@ -830,38 +917,60 @@ impl PprTree {
     /// nearest first.
     fn locate_rec(
         &self,
+        set: &mut NodeSet,
         page: PageId,
         id: u64,
         rect: &Rect2,
     ) -> Result<Option<(Path, usize)>, StorageError> {
-        let node = self.read_node(page)?;
-        if node.is_leaf() {
+        let node = self.take_node(set, page)?;
+        if node.node.is_leaf() {
             let found = node
+                .node
                 .entries
                 .iter()
                 .position(|e| e.is_alive() && e.ptr == id && e.rect == *rect);
-            return Ok(found.map(|idx| (Path::leaf(page, node), idx)));
+            return Ok(match found {
+                Some(idx) => Some((Path::leaf(page, node), idx)),
+                None => {
+                    set.nodes.insert(page, node);
+                    None
+                }
+            });
         }
         let mut hit = None;
-        for (i, e) in node.entries.iter().enumerate() {
+        for (i, e) in node.node.entries.iter().enumerate() {
             if e.is_alive() && e.rect.contains_rect(rect) {
-                hit = self.locate_rec(e.child_page(), id, rect)?.map(|f| (i, f));
+                hit = self
+                    .locate_rec(set, e.child_page(), id, rect)?
+                    .map(|f| (i, f));
                 if hit.is_some() {
                     break;
                 }
             }
         }
-        Ok(hit.map(|(child, (mut path, idx))| {
-            path.ancestors.push(Ancestor { page, node, child });
-            (path, idx)
-        }))
+        Ok(match hit {
+            Some((child, (mut path, idx))) => {
+                path.ancestors.push(Ancestor { page, node, child });
+                Some((path, idx))
+            }
+            None => {
+                set.nodes.insert(page, node);
+                None
+            }
+        })
     }
 
     /// Apply `ops` to the leaf of `path` and walk structural
-    /// consequences up to the root, over the nodes the descent decoded:
-    /// nothing on the path is written before the walk reaches it, so
-    /// they are still the nodes at rest.
-    fn propagate(&mut self, path: Path, mut ops: Ops, t: Time) -> Result<(), StorageError> {
+    /// consequences up to the root, over the nodes the descent took out
+    /// of the set: each goes back (or, closed, to its page) as the walk
+    /// passes it.
+    fn propagate(
+        &mut self,
+        set: &mut NodeSet,
+        path: Path,
+        mut ops: Ops,
+        t: Time,
+    ) -> Result<(), StorageError> {
         let Path {
             mut ancestors,
             mut page,
@@ -871,15 +980,21 @@ impl PprTree {
         // returns, so it runs at most the path's length.
         loop {
             let parent = ancestors.pop();
-            let up = self.apply_ops(page, node, ops, t, parent.as_ref())?;
+            let up = self.apply_ops(set, page, node, ops, t, parent.as_ref())?;
             let Some(parent) = parent else {
                 if let UpOps::Replace { adds, .. } = up {
-                    self.replace_root(adds, t)?;
+                    self.replace_root(set, adds, t)?;
                 }
                 return Ok(());
             };
             ops = match up {
-                UpOps::Done => return Ok(()),
+                UpOps::Done => {
+                    // The rest of the path is unchanged: back it goes.
+                    for a in std::iter::once(parent).chain(ancestors) {
+                        set.nodes.insert(a.page, a.node);
+                    }
+                    return Ok(());
+                }
                 UpOps::Expand(rect) => Ops {
                     kills: Vec::new(),
                     expand: Some((parent.child, rect)),
@@ -895,36 +1010,40 @@ impl PprTree {
         }
     }
 
-    /// Apply kills/expands/adds to `node`, the node at rest at `page`;
-    /// version-split when the node is full or (for non-roots) the weak
-    /// version condition breaks. The node is written only if the ops
-    /// changed a bit of it: an expand its entry already covers leaves
-    /// the page as it is, and the walk goes on up all the same.
+    /// Apply kills/expands/adds to `node`, the node of `page`, and mark
+    /// it dirty if that changed a bit of it (an expand its entry already
+    /// covers leaves it as it is, and the walk goes on up all the same).
+    /// Version-split when the node is full or (for non-roots) the weak
+    /// version condition breaks: the closed node is written now, if it
+    /// differs from its page, and leaves the set; otherwise the node
+    /// goes back into the set.
     fn apply_ops(
         &mut self,
+        set: &mut NodeSet,
         page: PageId,
-        mut node: PprNode,
+        mut node: Live,
         ops: Ops,
         t: Time,
         parent: Option<&Ancestor>,
     ) -> Result<UpOps, StorageError> {
+        let entries = &mut node.node.entries;
         let mut changed = false;
         for &k in &ops.kills {
-            debug_assert!(node.entries[k].is_alive(), "killing a dead entry");
-            changed |= node.entries[k].deletion != t;
-            node.entries[k].deletion = t;
+            debug_assert!(entries[k].is_alive(), "killing a dead entry");
+            changed |= entries[k].deletion != t;
+            entries[k].deletion = t;
         }
         if let Some((idx, rect)) = ops.expand {
-            let before = node.entries[idx].rect;
-            node.entries[idx].rect.expand(&rect);
-            changed |= !same_bits(&before, &node.entries[idx].rect);
+            let before = entries[idx].rect;
+            entries[idx].rect.expand(&rect);
+            changed |= !same_bits(&before, &entries[idx].rect);
         }
         let mut adds = ops.adds;
         let mut grow = ops.expand.map(|(_, r)| r).unwrap_or(Rect2::EMPTY);
         for e in &adds {
             grow.expand(&e.rect);
         }
-        let alive = node.alive_count() + adds.len();
+        let alive = node.node.alive_count() + adds.len();
         let is_root = parent.is_none();
         // A full node, or a non-root that breaks the weak version
         // condition, is closed and its survivors copied (possibly merged
@@ -933,20 +1052,25 @@ impl PprTree {
         // never-deleted copy left behind would resurface in interval
         // queries that span the split — so only the kills and expands
         // are persisted, historically, and the adds go into the copies.
-        let split = node.entries.len() + adds.len() > self.params.max_entries
+        let split = node.node.entries.len() + adds.len() > self.params.max_entries
             || (!is_root && alive < self.params.weak_min());
         if !split {
             changed |= !adds.is_empty();
-            node.entries.append(&mut adds);
-        }
-        if changed {
-            self.write_node(page, &node)?;
+            node.node.entries.append(&mut adds);
         }
         if split {
-            node.entries.append(&mut adds);
-            return self.version_split(&node, t, parent);
+            if node.dirty || changed {
+                self.write_node(page, &node.node)?;
+            }
+            node.node.entries.append(&mut adds);
+            return self.version_split(set, &node.node, t, parent);
         }
-        if is_root && !node.is_leaf() && alive == 0 {
+        if changed {
+            set.mark(page, &mut node);
+        }
+        let level = node.node.level;
+        set.nodes.insert(page, node);
+        if is_root && level > 0 && alive == 0 {
             // Directory root lost its last child: close the current
             // evolution; a future insert starts a fresh root.
             self.close_current_root(t);
@@ -960,10 +1084,12 @@ impl PprTree {
     }
 
     /// Copy the alive entries of `node` into fresh node(s) at time `t`,
-    /// applying the strong version overflow / underflow rules. Returns
-    /// the replacement directive for the parent.
+    /// applying the strong version overflow / underflow rules. The
+    /// copies join the set, dirty. Returns the replacement directive for
+    /// the parent.
     fn version_split(
         &mut self,
+        set: &mut NodeSet,
         node: &PprNode,
         t: Time,
         parent: Option<&Ancestor>,
@@ -991,10 +1117,17 @@ impl PprTree {
             // sibling when one exists.
             if let Some(parent) = parent {
                 if let Some((sib_idx, sib_page)) = pick_sibling(parent, node) {
-                    let sib = self.read_node(sib_page)?;
-                    debug_assert_eq!(sib.level, node.level, "merge across levels");
+                    // The sibling closes with this node: its page takes
+                    // whatever the batch changed in it, and it leaves
+                    // the set.
+                    let sib = self.take_node(set, sib_page)?;
+                    if sib.dirty {
+                        self.write_node(sib_page, &sib.node)?;
+                    }
+                    debug_assert_eq!(sib.node.level, node.level, "merge across levels");
                     copies.extend(
-                        sib.entries
+                        sib.node
+                            .entries
                             .iter()
                             .filter(|e| e.is_alive())
                             .map(|e| PprEntry { insertion: t, ..*e }),
@@ -1025,15 +1158,19 @@ impl PprTree {
                 entries: g,
             };
             let new_page = self.store.allocate()?;
-            let rect = new_node.full_mbr();
-            self.write_node(new_page, &new_node)?;
-            adds.push(PprEntry::alive(rect, u64::from(new_page), t));
+            adds.push(PprEntry::alive(new_node.full_mbr(), u64::from(new_page), t));
+            set.add(new_page, new_node);
         }
         Ok(UpOps::Replace { kill_sibling, adds })
     }
 
     /// Install replacements for a version-split root.
-    fn replace_root(&mut self, adds: Vec<PprEntry>, t: Time) -> Result<(), StorageError> {
+    fn replace_root(
+        &mut self,
+        set: &mut NodeSet,
+        adds: Vec<PprEntry>,
+        t: Time,
+    ) -> Result<(), StorageError> {
         #[expect(
             clippy::expect_used,
             reason = "only called from propagate while the current root overflows, so a current root exists"
@@ -1055,7 +1192,7 @@ impl PprTree {
                     entries: adds,
                 };
                 let page = self.store.allocate()?;
-                self.write_node(page, &new_root)?;
+                set.add(page, new_root);
                 self.roots.push(RootSpan {
                     interval: TimeInterval::open(t),
                     page,
@@ -1211,21 +1348,97 @@ impl PprTree {
     }
 }
 
-/// Root-to-leaf path recorded during descent: every node on it as the
-/// descent decoded it, so the update that follows reads none of them
-/// again.
+/// One timestamped change to the current tree, for [`PprTree::apply`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Update {
+    /// Insert record `id` with rectangle `rect`, alive from `t`.
+    Insert {
+        /// The record's id.
+        id: u64,
+        /// Its rectangle; the empty sentinel is refused.
+        rect: Rect2,
+        /// The insertion time.
+        t: Time,
+    },
+    /// Delete the alive record `(id, rect)` at `t`; `rect` must be
+    /// exactly the rectangle it was inserted with.
+    Delete {
+        /// The record's id.
+        id: u64,
+        /// Its rectangle, as inserted.
+        rect: Rect2,
+        /// The deletion time.
+        t: Time,
+    },
+}
+
+impl Update {
+    /// When the update happens.
+    pub fn time(&self) -> Time {
+        match *self {
+            Update::Insert { t, .. } | Update::Delete { t, .. } => t,
+        }
+    }
+}
+
+/// The nodes of the current tree one batch of updates has touched,
+/// decoded, by page: the batch reads each page at most once and writes
+/// it at most once. An update takes the nodes on its path out and puts
+/// them back; a node a version split closes is written then and leaves
+/// for good, so the set only ever holds alive nodes.
+#[derive(Default)]
+struct NodeSet {
+    nodes: HashMap<PageId, Live>,
+    /// Pages in the order the batch first changed them: the order of
+    /// the end-of-batch writes.
+    dirtied: Vec<PageId>,
+}
+
+impl NodeSet {
+    /// Record that `node`, the node of `page`, now differs from its page.
+    fn mark(&mut self, page: PageId, node: &mut Live) {
+        if !node.dirty {
+            node.dirty = true;
+            self.dirtied.push(page);
+        }
+    }
+
+    /// Put a node of a freshly allocated page in the set, dirty.
+    fn add(&mut self, page: PageId, node: PprNode) {
+        let mut node = Live::clean(node);
+        self.mark(page, &mut node);
+        self.nodes.insert(page, node);
+    }
+}
+
+/// A decoded node of the current tree.
+struct Live {
+    node: PprNode,
+    /// Whether the batch changed it since its page was last written.
+    dirty: bool,
+}
+
+impl Live {
+    /// A node as its page holds it.
+    fn clean(node: PprNode) -> Self {
+        Self { node, dirty: false }
+    }
+}
+
+/// Root-to-leaf path recorded during descent: every node on it, taken
+/// out of the batch's [`NodeSet`] until the update has passed it.
 struct Path {
     /// The directory nodes above the leaf, root first.
     ancestors: Vec<Ancestor>,
     /// The leaf's page.
     page: PageId,
     /// The leaf.
-    node: PprNode,
+    node: Live,
 }
 
 impl Path {
     /// The path of a tree whose root is the leaf `node` at `page`.
-    fn leaf(page: PageId, node: PprNode) -> Self {
+    fn leaf(page: PageId, node: Live) -> Self {
         Self {
             ancestors: Vec::new(),
             page,
@@ -1237,7 +1450,7 @@ impl Path {
 /// A directory node on a [`Path`].
 struct Ancestor {
     page: PageId,
-    node: PprNode,
+    node: Live,
     /// Index within `node` of the entry pointing one level down the path.
     child: usize,
 }
@@ -1248,7 +1461,7 @@ struct Ancestor {
 fn pick_sibling(parent: &Ancestor, node: &PprNode) -> Option<(usize, PageId)> {
     let my_rect = node.alive_mbr();
     let mut best: Option<(f64, usize, PageId)> = None;
-    for (i, e) in parent.node.entries.iter().enumerate() {
+    for (i, e) in parent.node.node.entries.iter().enumerate() {
         if i == parent.child || !e.is_alive() {
             continue;
         }

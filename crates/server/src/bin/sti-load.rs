@@ -41,7 +41,7 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("sti-load: {msg}\n\n{USAGE}");
+            let _ = writeln!(std::io::stderr(), "sti-load: {msg}\n\n{USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -25,6 +25,7 @@
 //! saturate the admission bound deterministically; it has no production
 //! use.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,7 +48,7 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("sti-server: {msg}\n\n{USAGE}");
+            let _ = writeln!(std::io::stderr(), "sti-server: {msg}\n\n{USAGE}");
             ExitCode::FAILURE
         }
     }

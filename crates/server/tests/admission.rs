@@ -316,6 +316,20 @@ fn cli_refuses_oversized_pools_and_queues() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A usage error that meets a closed stderr is lost, not a panic: the
+/// exit code still says the server did not start.
+#[test]
+fn cli_survives_a_closed_stderr() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_sti-server"))
+        .arg("--bogus")
+        .stderr(writer)
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(1));
+}
+
 #[test]
 fn cli_refuses_a_zero_read_timeout() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_sti-server"))

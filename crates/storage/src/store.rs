@@ -25,6 +25,7 @@ use crate::checksum::{xxh64, zero_page_sum};
 use crate::error::{CorruptReason, IoOp, StorageError};
 use crate::shard::ReadProbe;
 use crate::{Page, PageId, PAGE_SIZE};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
@@ -70,15 +71,19 @@ pub struct FaultStats {
 /// "this decodes as one of my nodes". See [`PageStore::set_validator`].
 pub type PageValidator = fn(&Page) -> bool;
 
-/// One recorded undo step; rollback applies them in reverse.
+/// The open transaction's undo log. Allocation only appends, so the
+/// page count at `begin_txn` splits the store in two: a page past it was
+/// appended inside the transaction, and rollback drops it by truncating;
+/// a page before it gets its pre-image taken at its first write. A
+/// transaction spans a whole batch of tree updates, so the log is keyed
+/// by page and never scanned.
 #[derive(Debug)]
-enum UndoOp {
-    /// First write to a page inside the transaction: its prior content
-    /// (sharing the frame it had, when it was resident).
-    Image { id: PageId, bytes: Page, sum: u64 },
-    /// `allocate` grew the backend by one page (always the current tail
-    /// when undone in reverse order).
-    Appended,
+struct Txn {
+    /// Pages the store held when the transaction began.
+    pages_before: usize,
+    /// Each older page written since, with its prior content (sharing
+    /// the frame it had, when it was resident) and recorded checksum.
+    images: HashMap<PageId, (Page, u64)>,
 }
 
 /// The bytes at rest and what they should hash to. Shared-read
@@ -257,8 +262,8 @@ impl Retrier {
 /// bytes before returning, so a single write is atomic; multi-page
 /// mutations bracket themselves with [`PageStore::begin_txn`] /
 /// [`PageStore::rollback_txn`] so a failure midway leaves the store
-/// exactly as it was. A transaction spans one tree update and does not
-/// nest.
+/// exactly as it was. A transaction spans one batch of tree updates and
+/// does not nest.
 ///
 /// Accounting invariant: `stats().reads` and `stats().buffer_hits` are
 /// *defined* as the buffer pool's miss/hit counters, so no
@@ -275,10 +280,8 @@ pub struct PageStore {
     /// Backend fault count when fault stats were last reset, so
     /// [`PageStore::fault_stats`] reports a delta.
     injected_at_reset: AtomicU64,
-    /// The open transaction's undo log, `None` outside one. A
-    /// transaction spans one update, which writes O(height) pages, so
-    /// a page's pre-image is deduplicated by scanning this short list.
-    txn: Option<Vec<UndoOp>>,
+    /// The open transaction's undo log, `None` outside one.
+    txn: Option<Txn>,
     /// Monotonic save epoch (bumped by `persist::save`). Atomic so a
     /// save needs no exclusive access: a published, shared store can be
     /// checkpointed in place.
@@ -414,15 +417,10 @@ impl PageStore {
     /// Append a page to the store and return its id. Allocation is
     /// append-only: no page is ever handed out twice.
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
-        let Self {
-            core, retry, txn, ..
-        } = self;
+        let Self { core, retry, .. } = self;
         let core = core_mut(core);
         let id = retry.run(&mut ReadProbe::new(), |_| core.backend.allocate())?;
         core.sums.push(zero_page_sum());
-        if let Some(txn) = txn.as_mut() {
-            txn.push(UndoOp::Appended);
-        }
         Ok(id)
     }
 
@@ -545,17 +543,10 @@ impl PageStore {
             Some(frame) => frame,
             None => core.page(id)?,
         };
-        if let Some(txn) = txn.as_mut() {
-            let imaged = txn
-                .iter()
-                .any(|op| matches!(op, UndoOp::Image { id: seen, .. } if *seen == id));
-            if !imaged {
-                txn.push(UndoOp::Image {
-                    id,
-                    bytes: prior.clone(),
-                    sum: prior_sum,
-                });
-            }
+        if let Some(txn) = txn.as_mut().filter(|txn| (id as usize) < txn.pages_before) {
+            txn.images
+                .entry(id)
+                .or_insert_with(|| (prior.clone(), prior_sum));
         }
         match retry.run(&mut ReadProbe::new(), |_| core.store(id, frame.bytes())) {
             Ok(()) => {
@@ -594,15 +585,14 @@ impl PageStore {
     /// page has no pre-image to restore: a failed attempt is retried from
     /// the store's length before the run, and a final failure truncates
     /// back to that length, installs no frame and moves no write counter.
-    /// Inside a transaction each page is logged as an allocation, so a
-    /// rollback drops the run.
+    /// Inside a transaction the run lies past the transaction's first
+    /// page count, so a rollback drops it.
     pub fn append_run(&mut self, pages: &[[u8; PAGE_SIZE]]) -> Result<PageId, StorageError> {
         let Self {
             core,
             buffer,
             writes,
             retry,
-            txn,
             validator,
             run_readback,
             ..
@@ -630,9 +620,6 @@ impl PageStore {
         }
         for (id, frame) in (first..).zip(frames) {
             core.sums.push(xxh64(frame.bytes()));
-            if let Some(txn) = txn.as_mut() {
-                txn.push(UndoOp::Appended);
-            }
             buffer.install(id, frame, false);
         }
         // ordering: independent stat counter, read only for reporting.
@@ -655,7 +642,10 @@ impl PageStore {
     /// it ran on, not by an enclosing log.
     pub fn begin_txn(&mut self) {
         debug_assert!(self.txn.is_none(), "a transaction is already open");
-        self.txn = Some(Vec::new());
+        self.txn = Some(Txn {
+            pages_before: core_mut(&mut self.core).backend.num_pages(),
+            images: HashMap::new(),
+        });
     }
 
     /// Keep every change since [`PageStore::begin_txn`] and drop the
@@ -664,9 +654,11 @@ impl PageStore {
         self.txn = None;
     }
 
-    /// Undo every `write`/`allocate` since [`PageStore::begin_txn`],
-    /// in reverse order, then clear the buffer pool (residency and
-    /// frames acquired during the transaction are no longer meaningful).
+    /// Undo every `write`/`allocate` since [`PageStore::begin_txn`]:
+    /// put back each older page's pre-image and truncate to the page
+    /// count the transaction began with, then clear the buffer pool
+    /// (residency and frames acquired during the transaction are no
+    /// longer meaningful).
     /// Rollback restores pages off the books, bypassing fault injection:
     /// recovery must not re-enter the failure it is recovering from. It
     /// cannot fail either: a pre-image the device refuses to take back
@@ -677,21 +669,14 @@ impl PageStore {
             return;
         };
         let core = core_mut(&mut self.core);
-        for op in txn.into_iter().rev() {
-            match op {
-                UndoOp::Image { id, bytes, sum } => {
-                    let _ = core.backend.restore(id, bytes.bytes());
-                    if let Some(slot) = core.sums.get_mut(id as usize) {
-                        *slot = sum;
-                    }
-                }
-                UndoOp::Appended => {
-                    let len = core.backend.num_pages().saturating_sub(1);
-                    core.backend.truncate(len);
-                    core.sums.pop();
-                }
+        for (id, (bytes, sum)) in txn.images {
+            let _ = core.backend.restore(id, bytes.bytes());
+            if let Some(slot) = core.sums.get_mut(id as usize) {
+                *slot = sum;
             }
         }
+        core.backend.truncate(txn.pages_before);
+        core.sums.truncate(txn.pages_before);
         self.buffer.clear();
     }
 
@@ -1370,10 +1355,18 @@ mod tests {
 
         s.begin_txn();
         s.write(a, &[9; 4]).unwrap();
+        s.write(a, &[7; 4]).unwrap();
         let c = s.allocate().unwrap();
         s.write(c, &[8; 4]).unwrap();
+        s.write(c, &[6; 4]).unwrap();
         let d = s.allocate().unwrap();
         assert_eq!((c, d), (2, 3), "allocation only appends");
+        let logged: Vec<PageId> = s.txn.as_ref().unwrap().images.keys().copied().collect();
+        assert_eq!(
+            logged,
+            [a],
+            "one pre-image per older page, none for appended ones"
+        );
         s.rollback_txn();
 
         assert_eq!(s.num_pages(), 2, "appended pages gone");
@@ -1483,7 +1476,7 @@ mod tests {
                 })
             );
             assert!(
-                s.txn.as_ref().is_some_and(Vec::is_empty),
+                s.txn.as_ref().is_some_and(|txn| txn.images.is_empty()),
                 "{}",
                 at("write: nothing to undo")
             );

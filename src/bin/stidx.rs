@@ -84,7 +84,7 @@ fn main() -> ExitCode {
     let (args, metrics_path) = match strip_metrics_flag(args) {
         Ok(v) => v,
         Err(msg) => {
-            eprintln!("stidx: {msg}\n\n{USAGE}");
+            let _ = writeln!(std::io::stderr(), "stidx: {msg}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -93,14 +93,14 @@ fn main() -> ExitCode {
         Ok(()) => {
             if let Some(path) = metrics_path {
                 if let Err(msg) = write_metrics(&path, &metrics) {
-                    eprintln!("stidx: {msg}");
+                    let _ = writeln!(std::io::stderr(), "stidx: {msg}");
                     return ExitCode::FAILURE;
                 }
             }
             ExitCode::SUCCESS
         }
         Err(msg) => {
-            eprintln!("stidx: {msg}\n\n{USAGE}");
+            let _ = writeln!(std::io::stderr(), "stidx: {msg}\n\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -884,7 +884,8 @@ fn remove_stale_temp(out: &Path) -> Result<(), String> {
     let tmp = spatiotemporal_index::storage::persist::temp_sibling(out);
     match std::fs::remove_file(&tmp) {
         Ok(()) => {
-            eprintln!(
+            let _ = writeln!(
+                std::io::stderr(),
                 "note: removed stale temp file {} from an interrupted save",
                 tmp.display()
             );

@@ -477,6 +477,20 @@ fn helpful_errors() {
     }
 }
 
+/// An error report that meets a closed stderr is lost, not a panic: the
+/// exit code still says the command failed.
+#[test]
+fn a_closed_stderr_leaves_the_exit_code_alone() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = stidx()
+        .arg("frobnicate")
+        .stderr(writer)
+        .status()
+        .expect("run");
+    assert_eq!(status.code(), Some(1));
+}
+
 /// `sti-server` and `stidx query` answer from the same saved index: a
 /// seeded mix of snapshot and interval `/query` requests gets, for each
 /// 200, exactly the id lines `stidx query` prints below its header.
