@@ -42,26 +42,27 @@
 //! never touched, the finalized events stay pending, and the next
 //! [`IngestPipeline::commit`] retries them on a fresh fork. Dropping the
 //! fork is the commit's only undo; the store's transaction spans one
-//! update, never the batch. Every batch walks the explicit
-//! [`BatchState`] machine in [`crate::version`] and reports the
-//! traversal in its [`CommitReport::trace`], which the property suite
-//! replays against the pure [`transition`] function.
+//! [`PprTree::apply`], which is the whole commit on the fork. Every
+//! batch walks the explicit [`BatchState`] machine in
+//! [`crate::version`] and reports the traversal in its
+//! [`CommitReport::trace`], which the property suite replays against
+//! the pure [`transition`] function.
 
 use crate::online::{Ev, ObserveError, OnlineError, OnlineSplitConfig, OnlineSplitter};
 use crate::plan::{apply_events, RecordEvent};
 use crate::recover::{
-    decode_op, encode_op, idx_path, meta_path, prune_below, scan_generations, CheckpointMeta,
+    decode_op, encode_op, idx_path, prune_below, scan_generations, CheckpointMeta,
     CheckpointReport, CrashPoint, Durability, DurabilityError, RecoverError, RecoveryReport,
 };
 use crate::version::{transition, BatchEvent, BatchState, PublishedIndex, VersionStamp};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use sti_geom::{Rect2, Time};
 use sti_obs::MetricSet;
 use sti_pprtree::{PprParams, PprTree, Update};
+use sti_storage::persist::temp_sibling;
 use sti_storage::{LeafMutex, MemBackend, PageBackend, StorageError, Wal, WalConfig, WalStats};
 
 /// One queued ingest operation, mirroring the [`OnlineSplitter`] calls.
@@ -748,79 +749,66 @@ impl IngestPipeline {
         Ok(lsn)
     }
 
-    /// Persist a restartable snapshot: sync the WAL, save the published
-    /// tree to `checkpoint-<g>.idx` (via the crash-safe `save_to`
-    /// path), then commit the generation by renaming its meta file into
-    /// place. Keeps the last two generations and truncates WAL segments
-    /// every retained checkpoint already covers.
+    /// Persist a restartable snapshot: sync the WAL, then save the
+    /// published tree with the committer's state in its metadata region
+    /// as one image, `checkpoint-<g>.idx` (via the crash-safe
+    /// `save_to` path). The rename plus a directory fsync commits the
+    /// generation. Keeps the last two generations and truncates WAL
+    /// segments every retained checkpoint already covers.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport, DurabilityError> {
-        // Phase 1 (durability borrow): sync and capture the cut.
-        let (generation, wal_lsn, dir) = {
-            let Some(d) = self.durability.as_mut() else {
-                return Err(DurabilityError::NotAttached);
-            };
-            d.crash_check(CrashPoint::CheckpointBegin)?;
-            d.wal.sync()?;
-            (d.next_generation, d.wal.next_lsn(), d.dir.clone())
+        let Some(d) = self.durability.as_mut() else {
+            return Err(DurabilityError::NotAttached);
         };
-        let idx = idx_path(&dir, generation);
+        d.crash_check(CrashPoint::CheckpointBegin)?;
+        d.wal.sync()?;
+        let (generation, wal_lsn) = (d.next_generation, d.wal.next_lsn());
+        let state = self.build_checkpoint_meta(generation, wal_lsn).encode()?;
+        let published = self.published();
+        let Some(d) = self.durability.as_mut() else {
+            return Err(DurabilityError::NotAttached);
+        };
+        let idx = idx_path(&d.dir, generation);
 
-        // Phase 2: the index image, saved from the published version in
-        // place (a save reads pages at rest and needs no exclusive
-        // access). An armed mid-save crash leaves a torn image at the
-        // final path; no meta ever points at it, so recovery never
-        // reads it.
-        if let Some(d) = self.durability.as_mut() {
-            if let Err(e) = d.crash_check(CrashPoint::CheckpointMidTreeSave) {
+        // The image is saved from the published version in place (a
+        // save reads pages at rest and needs no exclusive access). An
+        // armed save crash leaves what a killed save leaves at the temp
+        // sibling, never at `idx`: a torn image, or a complete one not
+        // yet renamed.
+        for (point, torn) in [
+            (CrashPoint::CheckpointMidTreeSave, true),
+            (CrashPoint::CheckpointBeforeRename, false),
+        ] {
+            if let Err(e) = d.crash_check(point) {
                 if matches!(e, DurabilityError::InjectedCrash(_)) {
-                    std::fs::write(&idx, b"torn checkpoint image").ok();
+                    let tmp = temp_sibling(&idx);
+                    published.tree().save_with_owner(&tmp, &state)?;
+                    if torn {
+                        let file = std::fs::OpenOptions::new().write(true).open(&tmp)?;
+                        file.set_len(file.metadata()?.len() / 2)?;
+                    }
                 }
                 return Err(e);
             }
         }
-        let meta = self.build_checkpoint_meta(generation, wal_lsn)?;
-        self.published().tree().save_to_file(&idx)?;
-
-        // Phase 3: commit the generation — meta temp, fsync, rename.
-        let meta_target = meta_path(&dir, generation);
-        let meta_tmp = {
-            let mut os = meta_target.as_os_str().to_os_string();
-            os.push(".tmp");
-            std::path::PathBuf::from(os)
-        };
-        {
-            let Some(d) = self.durability.as_mut() else {
-                return Err(DurabilityError::NotAttached);
-            };
-            let image = meta.encode()?;
-            let mut f = std::fs::File::create(&meta_tmp)?;
-            f.write_all(&image)?;
-            f.sync_all()?;
-            drop(f);
-            d.crash_check(CrashPoint::CheckpointBeforeMetaRename)?;
-            std::fs::rename(&meta_tmp, &meta_target)?;
-            std::fs::File::open(&dir)?.sync_all()?;
-            d.crash_check(CrashPoint::CheckpointAfterMetaRename)?;
-        }
-
-        // Phase 4: retention. Keep two generations; prune everything
-        // older (including crash orphans) and drop WAL segments fully
-        // covered by the *oldest* retained cut, so a one-generation
-        // fallback always finds its replay tail.
-        let Some(d) = self.durability.as_mut() else {
-            return Err(DurabilityError::NotAttached);
-        };
+        published.tree().save_with_owner(&idx, &state)?;
+        std::fs::File::open(&d.dir)?.sync_all()?;
+        // The generation is committed: whatever retention does next, the
+        // next checkpoint must not reuse its number.
+        d.next_generation = generation + 1;
         d.retained.push((generation, wal_lsn));
         while d.retained.len() > 2 {
             d.retained.remove(0);
         }
-        let (keep_generation, keep_lsn) = match d.retained.first() {
-            Some(&pair) => pair,
-            None => (generation, wal_lsn), // unreachable: pushed above
-        };
-        let pruned_generations = prune_below(&dir, keep_generation)?;
+        d.crash_check(CrashPoint::CheckpointAfterRename)?;
+
+        // Retention: keep two generations; prune everything older
+        // (including crash orphans) and drop WAL segments fully covered
+        // by the *oldest* retained cut, so a one-generation fallback
+        // always finds its replay tail.
+        let (keep_generation, keep_lsn) =
+            d.retained.first().copied().unwrap_or((generation, wal_lsn));
+        let pruned_generations = prune_below(&d.dir, keep_generation)?;
         let wal_segments_deleted = d.wal.truncate_below(keep_lsn)?;
-        d.next_generation = generation + 1;
         d.checkpoints_total += 1;
         d.crash_check(CrashPoint::CheckpointEnd)?;
         Ok(CheckpointReport {
@@ -833,16 +821,12 @@ impl IngestPipeline {
 
     /// Snapshot the committer's volatile state (everything a restart
     /// cannot re-derive from the saved tree alone).
-    fn build_checkpoint_meta(
-        &self,
-        generation: u64,
-        wal_lsn: u64,
-    ) -> Result<CheckpointMeta, DurabilityError> {
+    fn build_checkpoint_meta(&self, generation: u64, wal_lsn: u64) -> CheckpointMeta {
         let mut reorder: Vec<Ev> = self.reorder.iter().map(|Reverse(ev)| ev.clone()).collect();
         // Heap iteration order is arbitrary; sort so identical states
         // always serialize to identical bytes.
         reorder.sort();
-        Ok(CheckpointMeta {
+        CheckpointMeta {
             generation,
             wal_lsn,
             stamp: self.published().stamp(),
@@ -857,14 +841,14 @@ impl IngestPipeline {
             reorder,
             pending: self.pending.clone(),
             queued: self.queue.iter().copied().collect(),
-        })
+        }
     }
 
     /// Rebuild a pipeline from the WAL directory `dir`: load the newest
-    /// usable checkpoint (meta + index), restore the committer's state
-    /// exactly, then replay the WAL tail (`lsn >= wal_lsn`) into the
-    /// queue — through the same validate/absorb path as live traffic,
-    /// at the next commit. With no checkpoint yet, the whole WAL
+    /// usable checkpoint (an image that opens and carries a state that
+    /// decodes), restore the committer's state exactly, then replay the
+    /// WAL tail (`lsn >= wal_lsn`) into the queue — through the same
+    /// validate/absorb path as live traffic, at the next commit. With no checkpoint yet, the whole WAL
     /// replays onto an empty pipeline.
     ///
     /// Nothing is committed here: the restored queue and buffers stay
@@ -882,15 +866,14 @@ impl IngestPipeline {
         let mut checkpoints_skipped = 0u64;
         let mut chosen: Option<(CheckpointMeta, PprTree)> = None;
         for &g in generations.iter().rev() {
-            let Ok(bytes) = std::fs::read(meta_path(dir, g)) else {
+            let Ok((tree, state)) = PprTree::open_with_owner(&idx_path(dir, g)) else {
                 checkpoints_skipped += 1;
                 continue;
             };
-            let Ok(meta) = CheckpointMeta::decode(&bytes) else {
-                checkpoints_skipped += 1;
-                continue;
-            };
-            let Ok(tree) = PprTree::open_file(&idx_path(dir, g)) else {
+            let Some(meta) = CheckpointMeta::decode(&state)
+                .ok()
+                .filter(|m| m.generation == g)
+            else {
                 checkpoints_skipped += 1;
                 continue;
             };

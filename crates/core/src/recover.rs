@@ -1,5 +1,5 @@
 //! Durability types for the ingest pipeline: WAL payload codecs, the
-//! checkpoint file format, the crash-injection plan, and the recovery
+//! checkpoint state format, the crash-injection plan, and the recovery
 //! reports (DESIGN.md §8).
 //!
 //! The mechanics live in [`crate::pipeline`] (which owns the private
@@ -9,34 +9,35 @@
 //! * **WAL payloads** — each accepted [`IngestOp`] is encoded with
 //!   [`encode_op`] and appended to a [`sti_storage::Wal`] *before* the
 //!   enqueue is acknowledged; [`decode_op`] is the replay side.
-//! * **Checkpoints** — a generation `g` is two files in the WAL
-//!   directory: `checkpoint-<g:016x>.idx` (the published tree via the
-//!   crash-safe `save_to` path) and `checkpoint-<g:016x>.meta` (a
-//!   `CheckpointMeta`: the committer's exact volatile state plus the
-//!   WAL cut `wal_lsn`). The meta rename is the commit point — a crash
-//!   anywhere earlier leaves the generation invisible and recovery
-//!   falls back to the previous one.
-//! * **Recovery** — load the newest generation whose meta decodes and
-//!   whose index opens, restore the committer state byte-for-byte, then
-//!   replay WAL records with `lsn >= wal_lsn` through the normal
+//! * **Checkpoints** — a generation `g` is one file in the WAL
+//!   directory, `checkpoint-<g:016x>.idx`: an ordinary index image of
+//!   the published tree whose checksummed metadata region carries, after
+//!   the tree's own metadata, a `CheckpointMeta` (the committer's exact
+//!   volatile state plus the WAL cut `wal_lsn`). The tree and the state
+//!   it was cut against commit together: the image's rename, then a
+//!   directory fsync, is the commit point. A crash anywhere earlier
+//!   leaves at most a `.idx.tmp` sibling, which recovery never reads,
+//!   and recovery falls back to the previous generation.
+//! * **Recovery** — load the newest generation whose image opens and
+//!   whose state decodes, restore the committer state byte-for-byte,
+//!   then replay WAL records with `lsn >= wal_lsn` through the normal
 //!   validate/absorb path. The LSN cut makes replay idempotent at the
 //!   operation level; the recorded [`VersionStamp`] watermark is the
 //!   event-level guard (every event below it lives only in the
 //!   checkpointed tree, never in the restored buffers).
 //!
-//! Meta layout (all little-endian, trailing XXH64 over everything
-//! before it):
+//! State layout (all little-endian; the image's metadata checksum
+//! covers it):
 //!
 //! ```text
-//! magic "STICKPT2" · generation: u64 · wal_lsn: u64 ·
+//! magic "STICKPT3" · generation: u64 · wal_lsn: u64 ·
 //! version: u64 · watermark: u32 · now: u32 · seq: u64 ·
 //! commits: u64 · rollbacks: u64 · rejected_total: u64 ·
 //! splits_issued: u64 · objects_admitted: u64 ·
 //! open_count: u32 · open_count × open_piece ·
 //! reorder_count: u32 · reorder_count × event ·
 //! pending_count: u32 · pending_count × event ·
-//! queued_count: u32 · queued_count × op ·
-//! meta_xxh: u64
+//! queued_count: u32 · queued_count × op
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -49,12 +50,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use sti_geom::{Point2, Rect2, StBox, Time, TimeInterval};
 use sti_obs::MetricSet;
-use sti_storage::{xxh64, ByteReader, CodecError, Wal, WalError};
+use sti_storage::{ByteReader, CodecError, Wal, WalError};
 
-/// Magic prefix of a checkpoint meta file (format version 2).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"STICKPT2";
+/// Magic prefix of the pipeline state in a checkpoint image.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"STICKPT3";
 
-/// Upper bound on one buffer count in a meta file; anything larger with
+/// Upper bound on one buffer count in the state; anything larger with
 /// a valid checksum is corruption that got lucky, so it fails closed.
 const MAX_META_COUNT: u32 = 1 << 24;
 
@@ -81,15 +82,16 @@ pub enum CrashPoint {
     AfterPublish,
     /// In `checkpoint`, before anything is written.
     CheckpointBegin,
-    /// In `checkpoint`, mid-way through the index save: a torn `.idx`
-    /// image lands at the final path, but no meta ever points at it.
+    /// In `checkpoint`, mid-way through the image save: a torn image
+    /// lands at the temp sibling and is never renamed.
     CheckpointMidTreeSave,
-    /// In `checkpoint`, after the index file is complete but before the
-    /// meta rename (the generation stays invisible).
-    CheckpointBeforeMetaRename,
-    /// In `checkpoint`, after the meta rename (the generation is live)
-    /// but before old generations are pruned and the WAL truncated.
-    CheckpointAfterMetaRename,
+    /// In `checkpoint`, after the image is complete at the temp sibling
+    /// but before the rename (the generation stays invisible).
+    CheckpointBeforeRename,
+    /// In `checkpoint`, after the rename and the directory fsync (the
+    /// generation is live) but before old generations are pruned and
+    /// the WAL truncated.
+    CheckpointAfterRename,
     /// In `checkpoint`, after pruning and truncation complete.
     CheckpointEnd,
 }
@@ -105,8 +107,8 @@ impl CrashPoint {
         CrashPoint::AfterPublish,
         CrashPoint::CheckpointBegin,
         CrashPoint::CheckpointMidTreeSave,
-        CrashPoint::CheckpointBeforeMetaRename,
-        CrashPoint::CheckpointAfterMetaRename,
+        CrashPoint::CheckpointBeforeRename,
+        CrashPoint::CheckpointAfterRename,
         CrashPoint::CheckpointEnd,
     ];
 }
@@ -121,8 +123,8 @@ impl std::fmt::Display for CrashPoint {
             CrashPoint::AfterPublish => "after-publish",
             CrashPoint::CheckpointBegin => "checkpoint-begin",
             CrashPoint::CheckpointMidTreeSave => "checkpoint-mid-tree-save",
-            CrashPoint::CheckpointBeforeMetaRename => "checkpoint-before-meta-rename",
-            CrashPoint::CheckpointAfterMetaRename => "checkpoint-after-meta-rename",
+            CrashPoint::CheckpointBeforeRename => "checkpoint-before-rename",
+            CrashPoint::CheckpointAfterRename => "checkpoint-after-rename",
             CrashPoint::CheckpointEnd => "checkpoint-end",
         };
         f.write_str(name)
@@ -203,8 +205,8 @@ pub enum RecoverError {
     Wal(WalError),
     /// A directory/file operation failed.
     Io(io::Error),
-    /// Checkpoint metas exist but none pairs a decodable meta with an
-    /// openable index file.
+    /// Checkpoint images exist but none both opens and carries a
+    /// decodable pipeline state.
     NoUsableCheckpoint {
         /// How many generations were tried (newest first).
         tried: usize,
@@ -279,7 +281,7 @@ pub struct RecoveryReport {
     /// The generation recovery started from (`None`: no checkpoint yet,
     /// the whole WAL was replayed onto an empty pipeline).
     pub checkpoint_generation: Option<u64>,
-    /// Newer generations skipped because their meta or index was
+    /// Newer generations skipped because their image or state was
     /// damaged (0 in every pure crash scenario: a crash can only leave
     /// an *invisible* generation, not a damaged one).
     pub checkpoints_skipped: u64,
@@ -290,11 +292,11 @@ pub struct RecoveryReport {
     /// Whether the WAL's last segment ended in a torn append (truncated
     /// fail-closed during replay).
     pub torn_tail: bool,
-    /// Queued-but-unabsorbed ops restored from the checkpoint meta
+    /// Queued-but-unabsorbed ops restored from the checkpoint state
     /// (they re-enter the queue *ahead* of the replayed WAL tail,
     /// preserving arrival order).
     pub queued_restored: u64,
-    /// Reordering/pending events restored from the checkpoint meta.
+    /// Reordering/pending events restored from the checkpoint state.
     pub pending_restored: u64,
 }
 
@@ -324,12 +326,12 @@ impl RecoveryReport {
         );
         set.gauge(
             "recovery_queued_restored",
-            "queued ops restored from the checkpoint meta",
+            "queued ops restored from the checkpoint state",
             self.queued_restored as f64,
         );
         set.gauge(
             "recovery_pending_restored",
-            "reordering and pending events restored from the checkpoint meta",
+            "reordering and pending events restored from the checkpoint state",
             self.pending_restored as f64,
         );
     }
@@ -373,32 +375,26 @@ impl Durability {
     }
 }
 
-/// `dir/checkpoint-<generation>.meta`.
-pub(crate) fn meta_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{generation:016x}.meta"))
-}
-
 /// `dir/checkpoint-<generation>.idx`.
 pub(crate) fn idx_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("checkpoint-{generation:016x}.idx"))
 }
 
-/// Every generation with a *committed* meta file in `dir`, ascending.
-/// Index files without a meta (a crash before the meta rename) are
-/// invisible here by design; they are garbage a later prune removes.
+/// The generation of a checkpoint file name with `suffix`, if it is one.
+fn generation_of(name: &str, suffix: &str) -> Option<u64> {
+    let hex = name.strip_prefix("checkpoint-")?.strip_suffix(suffix)?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// Every *committed* generation in `dir` — a renamed
+/// `checkpoint-<g>.idx` — ascending. A `.idx.tmp` sibling (a crash
+/// before the rename) is invisible here by design; it is garbage a
+/// later prune removes.
 pub(crate) fn scan_generations(dir: &Path) -> Result<Vec<u64>, io::Error> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(middle) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|rest| rest.strip_suffix(".meta"))
-        else {
-            continue;
-        };
-        if let Ok(generation) = u64::from_str_radix(middle, 16) {
+        let name = entry?.file_name();
+        if let Some(generation) = name.to_str().and_then(|n| generation_of(n, ".idx")) {
             out.push(generation);
         }
     }
@@ -406,29 +402,20 @@ pub(crate) fn scan_generations(dir: &Path) -> Result<Vec<u64>, io::Error> {
     Ok(out)
 }
 
-/// Delete every checkpoint file — meta, index, or stale save temp —
-/// whose generation is below `keep_from`. Scanning the directory (and
-/// not just the generations the live process remembers) also collects
-/// orphans: torn index images a crash left without a meta, and damaged
-/// generations recovery skipped. Returns how many files were removed.
+/// Delete every checkpoint image or stale save temp whose generation is
+/// below `keep_from`. Scanning the directory (and not just the
+/// generations the live process remembers) also collects orphans: torn
+/// temps a crash left behind, and damaged generations recovery skipped.
+/// Returns how many files were removed.
 pub(crate) fn prune_below(dir: &Path, keep_from: u64) -> Result<u64, io::Error> {
     let mut removed = 0u64;
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix("checkpoint-") else {
-            continue;
-        };
-        let Some(hex) = rest
-            .strip_suffix(".meta")
-            .or_else(|| rest.strip_suffix(".idx"))
-            .or_else(|| rest.strip_suffix(".meta.tmp"))
-            .or_else(|| rest.strip_suffix(".idx.tmp"))
+        let Some(generation) = name
+            .to_str()
+            .and_then(|n| generation_of(n, ".idx").or_else(|| generation_of(n, ".idx.tmp")))
         else {
-            continue;
-        };
-        let Ok(generation) = u64::from_str_radix(hex, 16) else {
             continue;
         };
         if generation < keep_from {
@@ -441,7 +428,8 @@ pub(crate) fn prune_below(dir: &Path, keep_from: u64) -> Result<u64, io::Error> 
 
 /// The committer's complete volatile state at checkpoint time — enough
 /// to restore a pipeline that behaves exactly like the one that wrote
-/// it (given the paired `.idx` tree and the WAL tail past `wal_lsn`).
+/// it (given the tree of the image that carries it and the WAL tail
+/// past `wal_lsn`).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointMeta {
     pub(crate) generation: u64,
@@ -465,7 +453,7 @@ pub(crate) struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
-    /// Serialize with the trailing checksum.
+    /// Serialize (the image's metadata checksum covers the bytes).
     pub(crate) fn encode(&self) -> Result<Vec<u8>, DurabilityError> {
         let mut out = Vec::with_capacity(
             128 + 48 * self.open_pieces.len()
@@ -506,37 +494,24 @@ impl CheckpointMeta {
             out.extend_from_slice(&encode_op(op));
         }
 
-        let sum = xxh64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
         Ok(out)
     }
 
-    /// Validate the checksum and decode, failing closed on anything
-    /// short, long, or structurally impossible.
+    /// Decode, failing closed on anything short, long, or structurally
+    /// impossible. An image with no pipeline state (a plain index save)
+    /// has no magic and is refused.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, &'static str> {
-        if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
-            return Err("shorter than magic plus checksum");
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(sum_bytes);
-        if xxh64(body) != u64::from_le_bytes(sum) {
-            return Err("checksum mismatch");
-        }
-        let mut r = ByteReader::new(body);
+        let mut r = ByteReader::new(bytes);
         let mut magic = [0u8; 8];
         for b in &mut magic {
-            *b = r.get_u8().map_err(|_| "truncated magic")?;
-        }
-        if &magic == b"STICKPT1" {
-            return Err("version-1 checkpoint metas are no longer supported");
+            *b = r.get_u8().map_err(|_| "no checkpoint state")?;
         }
         if &magic != CHECKPOINT_MAGIC {
             return Err("bad magic");
         }
         let take = |e: CodecError| -> &'static str {
             match e {
-                CodecError::OutOfBounds { .. } => "truncated meta",
+                CodecError::OutOfBounds { .. } => "truncated checkpoint state",
                 CodecError::InvalidValue(what) => what,
             }
         };
@@ -586,7 +561,7 @@ impl CheckpointMeta {
         for _ in 0..queued_count {
             queued.push(get_op(&mut r)?);
         }
-        if r.position() != body.len() {
+        if r.position() != bytes.len() {
             return Err("trailing bytes after the last queued op");
         }
         Ok(Self {
@@ -858,43 +833,103 @@ mod tests {
         assert_eq!(back, meta);
     }
 
-    /// A `STICKPT1` meta is refused as an old format, not misread.
+    /// A `STICKPT1` state is refused as an old format, not misread.
     #[test]
     fn a_version_1_meta_is_refused() {
-        let mut v1 = [b"STICKPT1".as_slice(), &[0; 8]].concat();
-        let sum = xxh64(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            CheckpointMeta::decode(&v1).unwrap_err(),
-            "version-1 checkpoint metas are no longer supported"
-        );
+        let v1 = [b"STICKPT1".as_slice(), &[0; 8]].concat();
+        assert_eq!(CheckpointMeta::decode(&v1).unwrap_err(), "bad magic");
     }
 
+    /// A durable pipeline with one checkpoint in a fresh directory, whose
+    /// state holds open pieces and queued ops; returns the directory, the
+    /// image path and where the state sits in the image.
+    fn one_checkpoint(name: &str) -> (PathBuf, PathBuf, std::ops::Range<usize>) {
+        use crate::online::OnlineSplitConfig;
+        use crate::pipeline::IngestPipeline;
+        let dir = std::env::temp_dir().join(format!("sti-recover-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut pipeline = IngestPipeline::new(
+            OnlineSplitConfig::default(),
+            sti_pprtree::PprParams::default(),
+        );
+        pipeline
+            .attach_durability(&dir, sti_storage::WalConfig::default())
+            .unwrap();
+        for t in 0..6u32 {
+            for id in 0..4u64 {
+                let x = 0.2 * id as f64 + 0.01 * f64::from(t);
+                let rect = Rect2::from_bounds(x, 0.5, x + 0.05, 0.55);
+                pipeline
+                    .enqueue_durable(IngestOp::Update { id, rect, t })
+                    .unwrap();
+            }
+            if t == 3 {
+                assert!(pipeline.commit().error.is_none());
+            }
+        }
+        let generation = pipeline.checkpoint().unwrap().generation;
+        let idx = idx_path(&dir, generation);
+        // The state is the owner bytes the image carries; where they sit
+        // in the file is where a flip damages the state.
+        let (_, state) = sti_pprtree::PprTree::open_with_owner(&idx).unwrap();
+        let image = std::fs::read(&idx).unwrap();
+        let start = image
+            .windows(state.len())
+            .position(|w| w == state.as_slice())
+            .unwrap();
+        let decoded = CheckpointMeta::decode(&state).unwrap();
+        assert!(!decoded.open_pieces.is_empty() && !decoded.queued.is_empty());
+        (dir, idx, start..start + state.len())
+    }
+
+    /// Every byte flip in the state region of a real checkpoint image is
+    /// caught: recovery skips the generation, and with no other returns
+    /// `NoUsableCheckpoint` — never a pipeline, never a panic.
     #[test]
     fn meta_every_byte_flip_fails_closed() {
-        let bytes = sample_meta().encode().unwrap();
-        for at in 0..bytes.len() {
-            let mut bad = bytes.clone();
+        let (dir, idx, state) = one_checkpoint("flip");
+        let pristine = std::fs::read(&idx).unwrap();
+        for at in state {
+            let mut bad = pristine.clone();
             bad[at] ^= 0x10;
+            std::fs::write(&idx, &bad).unwrap();
+            let result = crate::pipeline::IngestPipeline::recover(
+                &dir,
+                crate::online::OnlineSplitConfig::default(),
+                sti_pprtree::PprParams::default(),
+                sti_storage::WalConfig::default(),
+            );
             assert!(
-                CheckpointMeta::decode(&bad).is_err(),
-                "flip at byte {at} went unnoticed"
+                matches!(result, Err(RecoverError::NoUsableCheckpoint { tried: 1 })),
+                "flip at byte {at}: {:?}",
+                result.err()
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every truncation of the state, and trailing bytes after it, fail
+    /// the structural decode; a plain image's empty state is refused.
     #[test]
     fn meta_truncations_fail_closed() {
-        let bytes = sample_meta().encode().unwrap();
-        for cut in 0..bytes.len() {
-            assert!(
-                CheckpointMeta::decode(&bytes[..cut]).is_err(),
-                "prefix {cut} accepted"
-            );
+        let (dir, idx, _) = one_checkpoint("cut");
+        let real = sti_pprtree::PprTree::open_with_owner(&idx).unwrap().1;
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            CheckpointMeta::decode(&[]).unwrap_err(),
+            "no checkpoint state"
+        );
+        for bytes in [sample_meta().encode().unwrap(), real] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    CheckpointMeta::decode(&bytes[..cut]).is_err(),
+                    "prefix {cut} accepted"
+                );
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(CheckpointMeta::decode(&long).is_err());
         }
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(CheckpointMeta::decode(&long).is_err());
     }
 
     #[test]
@@ -925,17 +960,21 @@ mod tests {
     }
 
     #[test]
-    fn generation_scan_sees_only_committed_metas() {
+    fn generation_scan_sees_only_renamed_images() {
         let dir = std::env::temp_dir().join(format!("sti-recover-scan-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(meta_path(&dir, 2), b"x").unwrap();
-        std::fs::write(meta_path(&dir, 1), b"x").unwrap();
-        // Orphan idx (crash before meta rename) and temp are invisible.
-        std::fs::write(idx_path(&dir, 3), b"x").unwrap();
-        std::fs::write(dir.join("checkpoint-0000000000000004.meta.tmp"), b"x").unwrap();
+        std::fs::write(idx_path(&dir, 2), b"x").unwrap();
+        std::fs::write(idx_path(&dir, 1), b"x").unwrap();
+        // A save temp (crash before the rename), a meta file an older
+        // release wrote, and a WAL segment are invisible.
+        std::fs::write(dir.join("checkpoint-0000000000000004.idx.tmp"), b"x").unwrap();
+        std::fs::write(dir.join("checkpoint-0000000000000003.meta"), b"x").unwrap();
         std::fs::write(dir.join("wal-0000000000000000.seg"), b"x").unwrap();
         assert_eq!(scan_generations(&dir).unwrap(), vec![1, 2]);
+        // Pruning takes the temp with the images below the cut.
+        assert_eq!(prune_below(&dir, 5).unwrap(), 3);
+        assert!(scan_generations(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1234,6 +1234,17 @@ impl PprTree {
     /// point leaves either the previous complete file or the new one
     /// (see [`sti_storage::persist`]).
     pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        self.save_with_owner(path, &[])
+    }
+
+    /// [`PprTree::save_to_file`] with `owner` bytes appended after the
+    /// root log, inside the image's checksummed metadata region, so the
+    /// owner's state commits with the tree in one rename.
+    /// [`PprTree::open_with_owner`] returns them; [`PprTree::open_file`]
+    /// ignores them. The whole region is bounded by
+    /// [`sti_storage::MAX_META_LEN`]; a save over it is refused with
+    /// `InvalidInput` and leaves the file at `path` as it was.
+    pub fn save_with_owner(&self, path: &std::path::Path, owner: &[u8]) -> std::io::Result<()> {
         let meta_u32 = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| {
                 std::io::Error::new(
@@ -1262,6 +1273,7 @@ impl PprTree {
                 w.put_u32(r.level);
             }
         }
+        meta.extend_from_slice(owner);
         self.store.save_to(path, &meta)
     }
 
@@ -1271,6 +1283,13 @@ impl PprTree {
     /// the file, and parameters outside [`PprParams::check`]'s ranges,
     /// are a typed error before a single page is trusted.
     pub fn open_file(path: &std::path::Path) -> std::io::Result<Self> {
+        Ok(Self::open_with_owner(path)?.0)
+    }
+
+    /// [`PprTree::open_file`], also returning the owner bytes that
+    /// [`PprTree::save_with_owner`] appended after the root log (empty
+    /// for a plain save).
+    pub fn open_with_owner(path: &std::path::Path) -> std::io::Result<(Self, Vec<u8>)> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &'static str| Error::new(ErrorKind::InvalidData, m);
         // Buffer capacity is re-read from the metadata below; load with a
@@ -1318,14 +1337,9 @@ impl PprTree {
                 level,
             });
         }
-        Ok(Self::assemble(
-            store,
-            params,
-            roots,
-            now,
-            alive_records,
-            total_posted,
-        ))
+        let owner = meta.get(r.position()..).unwrap_or_default().to_vec();
+        let tree = Self::assemble(store, params, roots, now, alive_records, total_posted);
+        Ok((tree, owner))
     }
 
     /// Panic unless every structural invariant holds (test aid).

@@ -44,6 +44,11 @@ use std::path::{Path, PathBuf};
 /// Magic prefix identifying index files (format version 2).
 pub const MAGIC: &[u8; 8] = b"STIDX2\0\0";
 
+/// The largest owner metadata region an image may carry. A save
+/// refuses more, so that it never writes an image its own reader would
+/// refuse.
+pub const MAX_META_LEN: usize = 1 << 24;
+
 /// Fixed-size header length: magic + epoch + three length fields.
 const HEADER_LEN: usize = 8 + 8 + 4 + 4 + 4;
 
@@ -206,6 +211,15 @@ impl PageStore {
     /// Serialize the store plus `meta` into the version-2 byte image,
     /// stamped with `epoch`.
     fn encode(&self, meta: &[u8], epoch: u64) -> io::Result<Vec<u8>> {
+        if meta.len() > MAX_META_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "metadata of {} bytes exceeds the {MAX_META_LEN}-byte limit",
+                    meta.len()
+                ),
+            ));
+        }
         let meta_len = len_u32(meta.len(), "metadata")?;
         let page_count = len_u32(self.num_pages(), "page count")?;
 
@@ -330,7 +344,7 @@ impl PageStore {
         let meta_len = h.take_u32()? as usize;
         let page_count = h.take_u32()? as usize;
         let free_count = h.take_u32()?;
-        if meta_len > 1 << 24 {
+        if meta_len > MAX_META_LEN {
             return Err(OpenError::Malformed("oversized metadata"));
         }
         if free_count != 0 {
@@ -688,6 +702,25 @@ mod tests {
         assert_eq!(adopted.epoch(), 2);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp).ok();
+    }
+
+    #[test]
+    fn a_save_over_the_metadata_limit_is_refused_and_leaves_the_file() {
+        let (store, ..) = small_store();
+        let path = temp_path("metalimit");
+        let at_limit = vec![7u8; MAX_META_LEN];
+        store.save_to(&path, &at_limit).expect("save at the limit");
+        let (_, meta) = PageStore::load_from(&path, 2).expect("load at the limit");
+        assert_eq!(meta, at_limit);
+        let before = std::fs::read(&path).unwrap();
+
+        let over = vec![7u8; MAX_META_LEN + 1];
+        let err = store.save_to(&path, &over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
+        assert!(!temp_sibling(&path).exists(), "no temp written");
+        assert_eq!(store.epoch(), 1, "a refused save must not bump the epoch");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

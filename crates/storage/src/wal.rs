@@ -856,7 +856,7 @@ mod tests {
     fn foreign_files_are_ignored_but_bad_names_fail() {
         let dir = temp_dir("foreign");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("checkpoint-00000001.meta"), b"not a segment").unwrap();
+        std::fs::write(dir.join("checkpoint-00000001.idx"), b"not a segment").unwrap();
         let config = WalConfig::default();
         let mut w = open(&dir, config).wal;
         w.append(b"ok").unwrap();

@@ -715,7 +715,7 @@ fn ingest(opts: &Flags, metrics: &mut MetricSet) -> Result<(), String> {
             .attach_durability(dir, config)
             .map_err(|e| format!("attaching WAL at {}: {e}", dir.display()))?;
     }
-    // Hidden crash hook for the crash-matrix CI job: abort (no cleanup,
+    // Hidden crash hook for `tests/cli.rs`'s crash round trip: abort (no cleanup,
     // no destructors — a genuine crash) right after the Nth commit.
     let crash_after_commits: Option<u64> = std::env::var("STIDX_TEST_CRASH_AFTER_COMMITS")
         .ok()

@@ -925,6 +925,65 @@ fn crash_and_recover(name: &str, fsync: &[&str]) {
     std::fs::remove_dir_all(&wal).ok();
 }
 
+/// A checkpoint generation is an ordinary index image with the pipeline
+/// state in its metadata region: `stidx check` passes it and `stidx
+/// query` answers from it.
+#[test]
+fn a_checkpoint_image_is_a_saved_index() {
+    let data = temp("ckpt-image.stdat");
+    let out = temp("ckpt-image.ppr");
+    let wal = temp("ckpt-image-wal");
+    std::fs::remove_dir_all(&wal).ok();
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "60", "--seed", "11", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    assert!(stidx()
+        .args(["ingest", "--data"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&out)
+        .arg("--wal")
+        .arg(&wal)
+        .args(["--checkpoint-every", "2"])
+        .status()
+        .expect("ingest")
+        .success());
+    let image = std::fs::read_dir(&wal)
+        .expect("list wal dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("checkpoint-") && n.ends_with(".idx"))
+        })
+        .max()
+        .expect("a checkpoint image");
+    let check = stidx().arg("check").arg(&image).output().expect("check");
+    assert!(
+        check.status.success(),
+        "check failed: {}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    let query = stidx()
+        .args(["query", "--index"])
+        .arg(&image)
+        .args(["--area", "0,0,1,1", "--time", "10"])
+        .output()
+        .expect("query");
+    assert!(
+        query.status.success(),
+        "query failed: {}",
+        String::from_utf8_lossy(&query.stderr)
+    );
+    assert!(!query.stdout.is_empty(), "the query printed no answer");
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&out).ok();
+    std::fs::remove_dir_all(&wal).ok();
+}
+
 /// `stidx check` passes an intact image and fails the torn `.tmp`
 /// sibling a re-save that died mid-write leaves next to it (the atomic
 /// save protocol never touches the current image).

@@ -10,7 +10,7 @@
 //!      same records, after the same split decisions.
 //!
 //! A byte-level corruption sweep then flips every byte of every WAL
-//! segment (and of checkpoint artifacts) and re-runs recovery: every
+//! segment (and damages checkpoint images) and re-runs recovery: every
 //! outcome must be a typed error or a pipeline whose sealed index still
 //! upholds the invariants above.
 
@@ -19,7 +19,7 @@ use spatiotemporal_index::core::{
 };
 use spatiotemporal_index::geom::{Rect2, TimeInterval};
 use spatiotemporal_index::obs::MetricSet;
-use spatiotemporal_index::pprtree::PprParams;
+use spatiotemporal_index::pprtree::{PprParams, PprTree};
 use spatiotemporal_index::storage::{FsyncPolicy, WalConfig};
 use std::path::{Path, PathBuf};
 
@@ -398,63 +398,139 @@ fn wal_corruption_sweep_fails_closed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Damaging the newest checkpoint demotes recovery to the previous
-/// generation; damaging every checkpoint is a typed error, not a panic.
+/// The checkpoint files in `dir`, sorted by name.
+fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
+    let mut v: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read wal dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("checkpoint-"))
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// Flip the first byte of the pipeline state in the image at `path`
+/// and save it back, which re-stamps the metadata checksum: the image
+/// opens, only the state's own decode can refuse it.
+fn damage_state(path: &Path) {
+    let (tree, mut state) = PprTree::open_with_owner(path).expect("open image");
+    state[0] ^= 0xFF;
+    tree.save_with_owner(path, &state).expect("save image");
+}
+
+/// Damaging the newest checkpoint — its pipeline state or its pages —
+/// demotes recovery to the previous generation; damaging every
+/// checkpoint is a typed error, not a panic.
 #[test]
 fn checkpoint_damage_falls_back_then_fails_closed() {
     let dir = temp_dir("ckpt");
     durable_run(&dir);
 
-    let mut metas: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("read wal dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "meta"))
-        .collect();
-    metas.sort();
-    assert_eq!(metas.len(), 2, "retention keeps exactly two generations");
+    // One file per generation, and retention keeps exactly two.
+    let images = checkpoint_files(&dir);
+    assert_eq!(images.len(), 2, "{images:?}");
+    assert!(images
+        .iter()
+        .all(|p| p.extension().is_some_and(|e| e == "idx")));
 
     let (pristine, report) = recover(&dir).expect("pristine recovery");
     let newest_gen = report.checkpoint_generation.expect("has a checkpoint");
     assert_eq!(report.checkpoints_skipped, 0);
     drop(pristine);
 
-    // Corrupt the newest meta: fall back one generation, count the skip.
-    let newest = metas.last().expect("two metas");
-    let saved = std::fs::read(newest).expect("read meta");
-    let mut damaged = saved.clone();
-    damaged[saved.len() / 2] ^= 0xFF;
-    std::fs::write(newest, &damaged).expect("damage meta");
-    let (_, report) = recover(&dir).expect("fallback recovery");
-    assert_eq!(report.checkpoints_skipped, 1);
-    assert_eq!(
-        report.checkpoint_generation,
-        Some(newest_gen - 1),
-        "fallback must land on the previous generation"
-    );
-    std::fs::write(newest, &saved).expect("restore meta");
+    let newest = images.last().expect("two images");
+    let saved = std::fs::read(newest).expect("read image");
+    // Its state, under a valid checksum; then one of its pages.
+    let mut torn_page = saved.clone();
+    torn_page[saved.len() - 100] ^= 0xFF;
+    for damage_pages in [false, true] {
+        if damage_pages {
+            std::fs::write(newest, &torn_page).expect("damage image");
+        } else {
+            damage_state(newest);
+        }
+        let (_, report) = recover(&dir).expect("fallback recovery");
+        assert_eq!(report.checkpoints_skipped, 1);
+        assert_eq!(
+            report.checkpoint_generation,
+            Some(newest_gen - 1),
+            "fallback must land on the previous generation"
+        );
+    }
+    std::fs::write(newest, &saved).expect("restore image");
 
-    // Corrupt the newest *index image* instead: same fallback.
-    let idx = newest.with_extension("idx");
-    let saved_idx = std::fs::read(&idx).expect("read idx");
-    std::fs::write(&idx, b"torn checkpoint image").expect("damage idx");
-    let (_, report) = recover(&dir).expect("fallback recovery via idx");
-    assert_eq!(report.checkpoints_skipped, 1);
-    std::fs::write(&idx, &saved_idx).expect("restore idx");
-
-    // Damage every meta: recovery must refuse with a typed error rather
+    // Damage every image: recovery must refuse with a typed error rather
     // than silently replaying the whole WAL as if no checkpoint existed
     // (the WAL below the oldest cut is already truncated).
-    for meta in &metas {
-        let bytes = std::fs::read(meta).expect("read meta");
-        let mut broken = bytes.clone();
-        broken[0] ^= 0xFF;
-        std::fs::write(meta, &broken).expect("damage meta");
+    for image in &images {
+        damage_state(image);
     }
     match recover(&dir) {
         Err(RecoverError::NoUsableCheckpoint { tried }) => assert_eq!(tried, 2),
         Err(e) => panic!("expected NoUsableCheckpoint, got {e}"),
         Ok(_) => panic!("expected NoUsableCheckpoint, got a recovered pipeline"),
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint whose retention step fails has still committed its
+/// generation, so the next checkpoint takes a new number: a crash in it
+/// cannot leave a new tree under the old generation's name.
+#[test]
+fn a_failed_retention_step_does_not_reuse_the_generation() {
+    let ops = workload();
+    let reference = shadow_answers(&ops);
+    let dir = temp_dir("retention");
+    let mut pipeline = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
+    pipeline
+        .attach_durability(&dir, wal_config())
+        .expect("attach");
+    // A directory where pruning expects a stale image: removing it
+    // fails, after the first checkpoint has committed.
+    let blocker = dir.join("checkpoint-0000000000000000.idx");
+    std::fs::create_dir(&blocker).expect("make the blocker");
+    let stop = drive(&mut pipeline, &ops, 0, true).expect_err("retention fails");
+    assert!(dir.join("checkpoint-0000000000000001.idx").is_file());
+    std::fs::remove_dir(&blocker).expect("remove the blocker");
+
+    pipeline
+        .arm_crash_point(CrashPoint::CheckpointBeforeRename)
+        .expect("arm");
+    let stop = drive(&mut pipeline, &ops, stop.resume_from, true).expect_err("crash");
+    drop(pipeline);
+    let names: Vec<_> = checkpoint_files(&dir)
+        .iter()
+        .map(|p| p.file_name().expect("name").to_owned())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "checkpoint-0000000000000001.idx",
+            "checkpoint-0000000000000002.idx.tmp"
+        ]
+    );
+
+    let (mut recovered, report) = recover(&dir).expect("recovery");
+    assert_eq!(report.checkpoint_generation, Some(1));
+    drive(&mut recovered, &ops, stop.resume_from, true)
+        .unwrap_or_else(|_| panic!("resumed drive crashed"));
+    let names: Vec<_> = checkpoint_files(&dir)
+        .iter()
+        .map(|p| p.file_name().expect("name").to_owned())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "checkpoint-0000000000000001.idx",
+            "checkpoint-0000000000000002.idx"
+        ],
+        "two distinct retained generations"
+    );
+    assert_eq!(seal_and_probe(recovered), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 

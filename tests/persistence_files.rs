@@ -315,10 +315,10 @@ fn recovery_skips_a_checkpoint_with_out_of_range_parameters() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `STICKPT1` checkpoint meta — written before the splitter recorded
-/// its admitted-object count — is refused as an old format: recovery
-/// skips the generation and, with no other, returns a typed
-/// `NoUsableCheckpoint` instead of panicking.
+/// A version-1 checkpoint state — magic `STICKPT1`, written before the
+/// splitter recorded its admitted-object count — is refused as an old
+/// format: recovery skips the generation and, with no other, returns a
+/// typed `NoUsableCheckpoint` instead of panicking.
 #[test]
 fn a_version_1_checkpoint_meta_is_refused() {
     let dir = temp("recover-v1");
@@ -343,21 +343,73 @@ fn a_version_1_checkpoint_meta_is_refused() {
     let generation = pipeline.checkpoint().unwrap().generation;
     drop(pipeline);
 
-    // Rewrite the meta as version 1: its magic, no admitted count (the
-    // u64 after the magic, eight u64s and two u32s), the checksum
-    // re-stamped.
-    let meta = dir.join(format!("checkpoint-{generation:016x}.meta"));
-    let v2 = std::fs::read(&meta).unwrap();
-    assert_eq!(&v2[..8], b"STICKPT2");
-    assert_eq!(v2[80..88], 6u64.to_le_bytes());
-    let mut v1 = [b"STICKPT1".as_slice(), &v2[8..80], &v2[88..v2.len() - 8]].concat();
-    let sum = xxh64(&v1);
-    v1.extend_from_slice(&sum.to_le_bytes());
-    std::fs::write(&meta, &v1).unwrap();
+    // Rewrite the image's state as version 1: its magic, no admitted
+    // count (the u64 after the magic, eight u64s and two u32s).
+    let idx = dir.join(format!("checkpoint-{generation:016x}.idx"));
+    let (tree, state) = PprTree::open_with_owner(&idx).unwrap();
+    assert_eq!(&state[..8], b"STICKPT3");
+    assert_eq!(state[80..88], 6u64.to_le_bytes());
+    let v1 = [b"STICKPT1".as_slice(), &state[8..80], &state[88..]].concat();
+    tree.save_with_owner(&idx, &v1).unwrap();
 
     let result = IngestPipeline::recover(&dir, config, PprParams::default(), wal);
     assert!(
         matches!(result, Err(RecoverError::NoUsableCheckpoint { tried: 1 })),
+        "{:?}",
+        result.err()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A WAL directory as releases before the one-file checkpoint wrote it
+/// — a plain index image beside a `checkpoint-<g>.meta` file holding
+/// the pipeline state — is refused: no image carries a state, so
+/// recovery fails with `NoUsableCheckpoint` rather than replaying the
+/// truncated WAL onto an empty pipeline.
+#[test]
+fn a_checkpoint_with_a_meta_file_beside_it_is_refused() {
+    let dir = temp("recover-two-files");
+    std::fs::remove_dir_all(&dir).ok();
+    let wal = WalConfig {
+        segment_max_bytes: 4096,
+        fsync: FsyncPolicy::Always,
+    };
+    let config = OnlineSplitConfig::default();
+    let mut pipeline = IngestPipeline::new(config, PprParams::default());
+    pipeline.attach_durability(&dir, wal).unwrap();
+    let mut generations = Vec::new();
+    for t in 0..20u32 {
+        for id in 0..6u64 {
+            let d = 0.01 * f64::from(t);
+            let rect = Rect2::point(Point2::new(0.1 * id as f64 + d, d));
+            pipeline
+                .enqueue_durable(IngestOp::Update { id, rect, t })
+                .unwrap();
+        }
+        if t % 10 == 9 {
+            assert!(pipeline.commit().error.is_none());
+            generations.push(pipeline.checkpoint().unwrap().generation);
+        }
+    }
+    drop(pipeline);
+
+    // Split each generation the old way: the tree alone in the `.idx`,
+    // the state (magic `STICKPT2`, trailing xxh64) in the `.meta`.
+    for g in &generations {
+        let idx = dir.join(format!("checkpoint-{g:016x}.idx"));
+        let (tree, state) = PprTree::open_with_owner(&idx).unwrap();
+        assert_eq!(&state[..8], b"STICKPT3");
+        tree.save_to_file(&idx).unwrap();
+        assert!(PprTree::open_with_owner(&idx).unwrap().1.is_empty());
+        let mut meta = [b"STICKPT2".as_slice(), &state[8..]].concat();
+        let sum = xxh64(&meta);
+        meta.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(dir.join(format!("checkpoint-{g:016x}.meta")), &meta).unwrap();
+    }
+
+    let result = IngestPipeline::recover(&dir, config, PprParams::default(), wal);
+    assert!(
+        matches!(result, Err(RecoverError::NoUsableCheckpoint { tried: 2 })),
         "{:?}",
         result.err()
     );
