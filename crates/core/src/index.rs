@@ -250,8 +250,9 @@ impl SpatioTemporalIndex {
     }
 
     /// Mutably borrow the underlying PPR-Tree, when that backend is
-    /// active (e.g. to persist it with [`PprTree::save_to_file`], which
-    /// needs `&mut` to flush and stamp the store).
+    /// active (e.g. to apply further updates to it). Saving needs only
+    /// [`SpatioTemporalIndex::as_ppr`]: [`PprTree::save_to_file`] takes
+    /// `&self`.
     pub fn as_ppr_mut(&mut self) -> Option<&mut PprTree> {
         match &mut self.backend {
             Backend::Ppr(t) => Some(t),

@@ -277,8 +277,8 @@ impl IngestPipeline {
     }
 
     /// Force the next [`IngestPipeline::seal`] to take its stalled exit
-    /// even though the queue could drain, in the spirit of the storage
-    /// layer's `SaveCrash` fault injection: the genuine stall — a
+    /// even though the queue could drain, in the spirit of
+    /// [`IngestPipeline::arm_crash_point`]: the genuine stall — a
     /// reorder buffer that cannot drain — is unreachable from valid
     /// input by construction, but callers still must handle the
     /// [`CommitReport::stalled`] flag, and this hook lets tests pin
@@ -712,8 +712,8 @@ impl IngestPipeline {
     }
 
     /// Arm one [`CrashPoint`]: the next durable call that reaches it
-    /// "kills" the pipeline (the crash-matrix hook, in the spirit of
-    /// [`sti_storage::SaveCrash`]). Requires an attached WAL.
+    /// "kills" the pipeline, leaving on disk what a killed process
+    /// would (the crash-matrix hook). Requires an attached WAL.
     #[doc(hidden)]
     pub fn arm_crash_point(&mut self, point: CrashPoint) -> Result<(), DurabilityError> {
         match self.durability.as_mut() {
@@ -752,9 +752,10 @@ impl IngestPipeline {
     /// Persist a restartable snapshot: sync the WAL, then save the
     /// published tree with the committer's state in its metadata region
     /// as one image, `checkpoint-<g>.idx` (via the crash-safe
-    /// `save_to` path). The rename plus a directory fsync commits the
-    /// generation. Keeps the last two generations and truncates WAL
-    /// segments every retained checkpoint already covers.
+    /// `save_to` path). Its rename, made durable by the directory fsync
+    /// inside `save_to`, commits the generation. Keeps the last two
+    /// generations and truncates WAL segments every retained checkpoint
+    /// already covers.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport, DurabilityError> {
         let Some(d) = self.durability.as_mut() else {
             return Err(DurabilityError::NotAttached);
@@ -791,7 +792,6 @@ impl IngestPipeline {
             }
         }
         published.tree().save_with_owner(&idx, &state)?;
-        std::fs::File::open(&d.dir)?.sync_all()?;
         // The generation is committed: whatever retention does next, the
         // next checkpoint must not reuse its number.
         d.next_generation = generation + 1;

@@ -1229,10 +1229,11 @@ impl PprTree {
 
     /// Save the whole index (pages + parameters + root log) to a file.
     ///
-    /// The save is atomic and epoch-stamped: the image is written to a
-    /// temp sibling, synced, then renamed over `path`, so a crash at any
-    /// point leaves either the previous complete file or the new one
-    /// (see [`sti_storage::persist`]).
+    /// The save is atomic and epoch-stamped: the image streams to a
+    /// temp sibling a page at a time, is synced, then renamed over
+    /// `path` and the directory synced, so a crash at any point leaves
+    /// either the previous complete file or the new one (see
+    /// [`sti_storage::persist`]).
     pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         self.save_with_owner(path, &[])
     }
@@ -1241,9 +1242,9 @@ impl PprTree {
     /// root log, inside the image's checksummed metadata region, so the
     /// owner's state commits with the tree in one rename.
     /// [`PprTree::open_with_owner`] returns them; [`PprTree::open_file`]
-    /// ignores them. The whole region is bounded by
-    /// [`sti_storage::MAX_META_LEN`]; a save over it is refused with
-    /// `InvalidInput` and leaves the file at `path` as it was.
+    /// ignores them. The region's only bound is the format's `u32`
+    /// length; a save over it is refused with `InvalidInput` before the
+    /// temp file exists, and leaves the file at `path` as it was.
     pub fn save_with_owner(&self, path: &std::path::Path, owner: &[u8]) -> std::io::Result<()> {
         let meta_u32 = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| {

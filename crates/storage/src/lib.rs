@@ -61,7 +61,7 @@ pub use error::{CorruptReason, IoOp, StorageError};
 pub use fault::{FaultKind, FaultPlan, FaultyBackend, ScheduledFault};
 pub use lock::LeafMutex;
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use persist::{OpenError, Region, SaveCrash, MAX_META_LEN};
+pub use persist::{OpenError, Region};
 pub use shard::{ReadProbe, ScratchPool};
 pub use store::{FaultStats, IoStats, PageStore, PageValidator};
 pub use wal::{FsyncPolicy, TornTail, Wal, WalConfig, WalError, WalOpen, WalRecord, WalStats};

@@ -23,9 +23,12 @@
 //!
 //! Three mechanisms make the format crash-safe (DESIGN.md §6):
 //!
-//! * **Atomic save** — the file is written to a `.tmp` sibling, synced,
-//!   then renamed over the target, so a crash mid-save leaves the old
-//!   index untouched.
+//! * **Atomic save** — the image streams to a `.tmp` sibling region by
+//!   region, in the order [`PageStore::load_from`] reads it, is synced,
+//!   then renamed over the target, and the directory is synced, so a
+//!   crash mid-save leaves the old index untouched and a save that
+//!   returned survives a power cut. Neither side holds the whole image:
+//!   saving holds one page and the writer's buffer, opening one page.
 //! * **Checksums** — every region (header, meta, free list, each page)
 //!   carries an XXH64 digest; [`PageStore::load_from`] fails closed with
 //!   a typed [`OpenError`] on the first mismatch.
@@ -38,19 +41,21 @@
 
 use crate::checksum::xxh64;
 use crate::{MemBackend, PageBackend as _, PageId, PageStore, PAGE_SIZE};
-use std::io::{self, BufReader, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix identifying index files (format version 2).
 pub const MAGIC: &[u8; 8] = b"STIDX2\0\0";
 
-/// The largest owner metadata region an image may carry. A save
-/// refuses more, so that it never writes an image its own reader would
-/// refuse.
-pub const MAX_META_LEN: usize = 1 << 24;
-
 /// Fixed-size header length: magic + epoch + three length fields.
 const HEADER_LEN: usize = 8 + 8 + 4 + 4 + 4;
+
+/// The save writer's buffer: all a save holds of the image. With the
+/// 8 KiB default a live checkpoint took ~25 % longer than one write of
+/// the whole image (`core.pipeline.checkpoint_p50_ms` on `sti-sysbench
+/// ingest_durable`); at 256 KiB the two sets of runs overlap.
+const WRITE_BUFFER: usize = 1 << 18;
 
 /// Which checksummed region of an index file failed verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,22 +160,6 @@ impl From<OpenError> for io::Error {
     }
 }
 
-/// Where a simulated crash interrupts a save (a test hook for the
-/// fault-injection suite; the public [`PageStore::save_to`] never
-/// crashes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaveCrash {
-    /// Power loss after `keep_bytes` of the temp file reached the disk;
-    /// the rename never happens.
-    MidTemp {
-        /// Prefix of the temp file that survives.
-        keep_bytes: usize,
-    },
-    /// Crash after the temp file is complete and synced, but before the
-    /// rename makes it current.
-    BeforeRename,
-}
-
 /// The `.tmp` sibling a save writes before renaming into place.
 pub fn temp_sibling(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
@@ -179,11 +168,12 @@ pub fn temp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Removes the `.tmp` sibling on drop unless defused. A save that fails
-/// after creating the temp file (disk full, rename onto a directory, an
-/// interrupting signal unwinding the caller) must not leave a partial
-/// image behind; only a *successful* rename — or a simulated
-/// [`SaveCrash`], which models a process that never got to run cleanup —
-/// keeps the temp path alone.
+/// after creating the temp file (disk full, a page that fails its read,
+/// rename onto a directory, an interrupting signal unwinding the caller)
+/// must not leave a partial image behind; only a *successful* rename
+/// keeps the temp path alone. A process killed mid-save runs no
+/// destructors, so a torn or unrenamed temp is still possible on disk,
+/// and the reader never mistakes it for the target.
 struct TempGuard {
     path: PathBuf,
     armed: bool,
@@ -208,99 +198,74 @@ impl Drop for TempGuard {
 }
 
 impl PageStore {
-    /// Serialize the store plus `meta` into the version-2 byte image,
-    /// stamped with `epoch`.
-    fn encode(&self, meta: &[u8], epoch: u64) -> io::Result<Vec<u8>> {
-        if meta.len() > MAX_META_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "metadata of {} bytes exceeds the {MAX_META_LEN}-byte limit",
-                    meta.len()
-                ),
-            ));
-        }
-        let meta_len = len_u32(meta.len(), "metadata")?;
-        let page_count = len_u32(self.num_pages(), "page count")?;
+    /// The header of an image of the store plus `meta`, stamped with
+    /// `epoch`. Its length checks are everything that can refuse a save
+    /// before a byte of it is written.
+    fn header(&self, meta: &[u8], epoch: u64) -> io::Result<Vec<u8>> {
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&epoch.to_le_bytes());
+        header.extend_from_slice(&len_u32(meta.len(), "metadata")?.to_le_bytes());
+        header.extend_from_slice(&len_u32(self.num_pages(), "page count")?.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes()); // free_count
+        Ok(header)
+    }
 
-        let mut out = Vec::with_capacity(
-            HEADER_LEN + 8 + meta.len() + 8 + 8 + self.num_pages() * (PAGE_SIZE + 8) + 8,
-        );
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&epoch.to_le_bytes());
-        out.extend_from_slice(&meta_len.to_le_bytes());
-        out.extend_from_slice(&page_count.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // free_count
-        let header_sum = xxh64(&out); // exactly the HEADER_LEN bytes so far
-        out.extend_from_slice(&header_sum.to_le_bytes());
-
-        out.extend_from_slice(meta);
-        out.extend_from_slice(&xxh64(meta).to_le_bytes());
-
-        out.extend_from_slice(&xxh64(&[]).to_le_bytes()); // the empty free list
-
+    /// Write the version-2 image that `header` opens to `out`, region by
+    /// region in the order [`PageStore::load_from`] reads it: no region
+    /// is assembled in memory beyond the page being written.
+    fn write_image(
+        &self,
+        header: &[u8],
+        meta: &[u8],
+        epoch: u64,
+        out: &mut impl Write,
+    ) -> io::Result<()> {
+        out.write_all(header)?;
+        out.write_all(&xxh64(header).to_le_bytes())?;
+        out.write_all(meta)?;
+        out.write_all(&xxh64(meta).to_le_bytes())?;
+        out.write_all(&xxh64(&[]).to_le_bytes())?; // the empty free list
         for i in 0..self.num_pages() {
             let id = len_u32(i, "page id")?;
             let (page, sum) = self.page_and_sum(id).map_err(io::Error::other)?;
-            out.extend_from_slice(page.bytes());
-            out.extend_from_slice(&sum.to_le_bytes());
+            out.write_all(page.bytes())?;
+            out.write_all(&sum.to_le_bytes())?;
         }
-
-        out.extend_from_slice(&epoch.to_le_bytes());
-        Ok(out)
+        out.write_all(&epoch.to_le_bytes())
     }
 
     /// Write the store plus the owner's `meta` bytes to `path`
-    /// atomically: the image goes to a `.tmp` sibling, is synced, then
-    /// renamed over `path`. On success the store's save epoch is bumped;
-    /// on any error the previous file at `path` is untouched.
+    /// atomically: the image streams to a `.tmp` sibling through a
+    /// buffered writer, is synced, then renamed over `path`, and the
+    /// parent directory is synced so the rename survives a power cut.
+    /// On success the store's save epoch is bumped; an error before the
+    /// rename leaves the previous file at `path` untouched and removes
+    /// the temp.
     ///
     /// Shared: a save reads pages at rest and bumps an atomic epoch, so
     /// a store that readers are querying is saved in place. Saving one
     /// store from two threads at once is the callers' to serialize
     /// (both saves would stamp the same epoch).
     pub fn save_to(&self, path: &Path, meta: &[u8]) -> io::Result<()> {
-        self.save_impl(path, meta, None)
-    }
-
-    /// [`PageStore::save_to`] with a simulated crash at `crash` — the
-    /// test/CI hook behind the mid-save-crash recovery scenario. Returns
-    /// `Ok(())` at the crash point (the "process" died; there is no error
-    /// to observe) without bumping the epoch.
-    pub fn save_to_crashing(&self, path: &Path, meta: &[u8], crash: SaveCrash) -> io::Result<()> {
-        self.save_impl(path, meta, Some(crash))
-    }
-
-    fn save_impl(&self, path: &Path, meta: &[u8], crash: Option<SaveCrash>) -> io::Result<()> {
         let epoch = self.epoch() + 1;
-        let image = self.encode(meta, epoch)?;
+        let header = self.header(meta, epoch)?;
         let tmp = temp_sibling(path);
         let mut guard = TempGuard::new(tmp.clone());
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            match crash {
-                Some(SaveCrash::MidTemp { keep_bytes }) => {
-                    f.write_all(image.get(..keep_bytes).unwrap_or(&image))?;
-                    f.sync_all()?;
-                    // The simulated process died here; a real crash runs
-                    // no destructors, so the torn temp stays on disk.
-                    guard.defuse();
-                    return Ok(());
-                }
-                _ => {
-                    f.write_all(&image)?;
-                    f.sync_all()?;
-                }
-            }
-        }
-        if crash == Some(SaveCrash::BeforeRename) {
-            guard.defuse();
-            return Ok(());
-        }
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?);
+        self.write_image(&header, meta, epoch, &mut out)?;
+        out.flush()?;
+        out.get_ref().sync_all()?;
+        drop(out);
         std::fs::rename(&tmp, path)?;
         guard.defuse();
         self.set_epoch(epoch);
-        Ok(())
+        // A bare file name's parent is "": the current directory.
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 
     /// Read a store back from `path`, returning it together with the
@@ -316,7 +281,7 @@ impl PageStore {
     /// holds the decoded store and one page of the file, never the whole
     /// image beside it.
     pub fn load_from(path: &Path, buffer_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        let file = std::fs::File::open(path)?;
+        let file = File::open(path)?;
         Self::decode_from(BufReader::new(file), buffer_pages)
     }
 
@@ -344,15 +309,11 @@ impl PageStore {
         let meta_len = h.take_u32()? as usize;
         let page_count = h.take_u32()? as usize;
         let free_count = h.take_u32()?;
-        if meta_len > MAX_META_LEN {
-            return Err(OpenError::Malformed("oversized metadata"));
-        }
         if free_count != 0 {
             return Err(OpenError::Malformed("non-empty free list"));
         }
 
-        let mut meta = vec![0u8; meta_len];
-        r.fill(&mut meta)?;
+        let meta = r.take_vec(meta_len)?;
         let meta_sum = r.take_u64()?;
         if xxh64(&meta) != meta_sum {
             return Err(OpenError::Corrupt {
@@ -427,6 +388,23 @@ impl<R: Read> Reader<R> {
         Ok(())
     }
 
+    /// The next `len` bytes of the image. The buffer grows only with
+    /// bytes the file actually holds, so a header that claims more than
+    /// the file has is [`OpenError::Truncated`], never a large
+    /// allocation.
+    fn take_vec(&mut self, len: usize) -> Result<Vec<u8>, OpenError> {
+        let mut out = Vec::new();
+        let limit = u64::try_from(len).unwrap_or(u64::MAX);
+        (&mut self.inner).take(limit).read_to_end(&mut out)?;
+        if out.len() < len {
+            return Err(OpenError::Truncated {
+                needed: len,
+                have: out.len(),
+            });
+        }
+        Ok(out)
+    }
+
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
         let mut out = [0u8; N];
         self.fill(&mut out)?;
@@ -473,6 +451,14 @@ mod tests {
         store.write(b, &[4; 100]).unwrap();
         store.write(c, &[7]).unwrap();
         (store, a, b, c)
+    }
+
+    /// The image `save_to` would write for `store` plus `meta` at `epoch`.
+    fn image_of(store: &PageStore, meta: &[u8], epoch: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let header = store.header(meta, epoch).unwrap();
+        store.write_image(&header, meta, epoch, &mut out).unwrap();
+        out
     }
 
     /// `image` with its free list replaced by `ids`, every checksum
@@ -545,7 +531,7 @@ mod tests {
     #[test]
     fn an_image_read_a_byte_at_a_time_decodes_to_the_same_store() {
         let (store, ..) = small_store();
-        let image = store.encode(b"trickled meta", 5).unwrap();
+        let image = image_of(&store, b"trickled meta", 5);
         let trickle = |bytes| Trickle {
             bytes,
             interrupt: false,
@@ -553,7 +539,7 @@ mod tests {
         let (back, meta) = PageStore::decode_from(trickle(&image), 2).unwrap();
         assert_eq!(meta, b"trickled meta");
         assert_eq!(back.epoch(), 5);
-        assert_eq!(back.encode(&meta, 5).unwrap(), image, "same pages");
+        assert_eq!(image_of(&back, &meta, 5), image, "same pages");
 
         // A damaged image fails the same way however it is delivered.
         let mut flipped = image.clone();
@@ -659,6 +645,23 @@ mod tests {
         }
     }
 
+    /// What a save killed before its rename leaves: the complete image
+    /// at `temp_sibling(path)`, and the store's epoch not bumped.
+    fn killed_save(store: &PageStore, path: &Path, meta: &[u8]) -> PathBuf {
+        let tmp = temp_sibling(path);
+        let epoch = store.epoch();
+        store.save_to(&tmp, meta).expect("save the temp");
+        store.set_epoch(epoch);
+        tmp
+    }
+
+    /// Cut the file at `path` to its first `len` bytes: what a save
+    /// killed mid-write leaves.
+    fn cut(path: &Path, len: u64) {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(len).unwrap();
+    }
+
     #[test]
     fn mid_temp_crash_leaves_the_previous_file_intact() {
         let (mut store, a, ..) = small_store();
@@ -666,18 +669,21 @@ mod tests {
         store.save_to(&path, b"v1").expect("save");
 
         store.write(a, &[99]).unwrap();
-        store
-            .save_to_crashing(&path, b"v2", SaveCrash::MidTemp { keep_bytes: 50 })
-            .expect("simulated crash");
+        let tmp = killed_save(&store, &path, b"v2");
+        cut(&tmp, 50);
         assert_eq!(store.epoch(), 1, "crashed save must not bump the epoch");
 
         // The target still opens as v1; the torn temp fails closed.
         let (back, meta) = PageStore::load_from(&path, 2).expect("old file intact");
         assert_eq!(meta, b"v1");
         assert_eq!(back.epoch(), 1);
-        let tmp = temp_sibling(&path);
         let err = PageStore::load_from(&tmp, 2).unwrap_err();
         assert!(matches!(err, OpenError::Truncated { .. }), "{err:?}");
+
+        // Had the write finished, the temp would load as v2.
+        killed_save(&store, &path, b"v2");
+        let (_, meta) = PageStore::load_from(&tmp, 2).expect("complete temp loads");
+        assert_eq!(meta, b"v2");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp).ok();
     }
@@ -688,39 +694,40 @@ mod tests {
         let path = temp_path("prerename");
         store.save_to(&path, b"v1").expect("save");
         store.write(a, &[42]).unwrap();
-        store
-            .save_to_crashing(&path, b"v2", SaveCrash::BeforeRename)
-            .expect("simulated crash");
+        let tmp = killed_save(&store, &path, b"v2");
 
         let (_, meta) = PageStore::load_from(&path, 2).expect("load");
         assert_eq!(meta, b"v1", "rename never happened");
         // The complete temp is valid on its own (recovery could adopt
-        // it), at the *next* epoch.
-        let tmp = temp_sibling(&path);
+        // it), at the *next* epoch; one byte short, it fails closed.
         let (adopted, meta2) = PageStore::load_from(&tmp, 2).expect("temp is complete");
         assert_eq!(meta2, b"v2");
         assert_eq!(adopted.epoch(), 2);
+        cut(&tmp, tmp.metadata().unwrap().len() - 1);
+        let err = PageStore::load_from(&tmp, 2).unwrap_err();
+        assert!(matches!(err, OpenError::Truncated { .. }), "{err:?}");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp).ok();
     }
 
+    /// A header that claims more metadata than the file holds — here
+    /// `u32::MAX` bytes, the format's own limit, re-stamped so its
+    /// checksum passes — fails `Truncated` after reading only what the
+    /// file has.
     #[test]
-    fn a_save_over_the_metadata_limit_is_refused_and_leaves_the_file() {
+    fn a_header_claiming_u32_max_metadata_bytes_fails_truncated() {
         let (store, ..) = small_store();
-        let path = temp_path("metalimit");
-        let at_limit = vec![7u8; MAX_META_LEN];
-        store.save_to(&path, &at_limit).expect("save at the limit");
-        let (_, meta) = PageStore::load_from(&path, 2).expect("load at the limit");
-        assert_eq!(meta, at_limit);
-        let before = std::fs::read(&path).unwrap();
-
-        let over = vec![7u8; MAX_META_LEN + 1];
-        let err = store.save_to(&path, &over).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
-        assert!(!temp_sibling(&path).exists(), "no temp written");
-        assert_eq!(store.epoch(), 1, "a refused save must not bump the epoch");
-        std::fs::remove_file(&path).ok();
+        let mut full = image_of(&store, b"meta", 1);
+        full[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = xxh64(&full[..HEADER_LEN]);
+        full[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&sum.to_le_bytes());
+        let err = PageStore::decode_from(full.as_slice(), 2).unwrap_err();
+        let have = full.len() - HEADER_LEN - 8;
+        assert!(
+            matches!(err, OpenError::Truncated { needed, have: h }
+                if needed == u32::MAX as usize && h == have),
+            "{err:?}"
+        );
     }
 
     #[test]

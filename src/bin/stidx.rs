@@ -578,7 +578,7 @@ fn bulk_build_in(
             None
         }
     });
-    let (mut index, stats) = SpatioTemporalIndex::bulk_build_ppr(records, &config, store, scratch)
+    let (index, stats) = SpatioTemporalIndex::bulk_build_ppr(records, &config, store, scratch)
         .map_err(|e| format!("bulk build failed: {e}"))?;
     if let Some(e) = read_err.into_inner() {
         return Err(format!("reading the dataset mid-stream: {e}"));
@@ -638,7 +638,7 @@ fn bulk_build_in(
         }
     }
 
-    let tree = index.as_ppr_mut().expect("bulk build is ppr-only");
+    let tree = index.as_ppr().expect("bulk build is ppr-only");
     tree.save_to_file(out)
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(

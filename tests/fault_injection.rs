@@ -248,26 +248,35 @@ proptest! {
 
 /// Crash-safe persistence: a save interrupted mid-temp-file or just
 /// before the rename leaves the previous image current and loadable,
-/// and the torn temp file fails closed if anything tries to open it.
+/// the torn temp file fails closed if anything tries to open it, and a
+/// complete temp loads. A killed save is modelled by what it leaves on
+/// disk: the image at the temp sibling, whole or cut short.
 #[test]
 fn mid_save_crash_recovers_to_the_previous_image() {
-    use spatiotemporal_index::storage::{OpenError, PageStore, ReadProbe, SaveCrash};
+    use spatiotemporal_index::storage::persist::temp_sibling;
+    use spatiotemporal_index::storage::{OpenError, PageStore, ReadProbe};
 
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("sti-crash-{}.idx", std::process::id()));
-    let tmp = dir.join(format!("sti-crash-{}.idx.tmp", std::process::id()));
+    let path = std::env::temp_dir().join(format!("sti-crash-{}.idx", std::process::id()));
+    let tmp = temp_sibling(&path);
 
     let mut store = PageStore::new(4);
     let a = store.allocate().unwrap();
     store.write(a, b"version one").unwrap();
     store.save_to(&path, b"meta-v1").expect("clean save");
 
+    // Crash after the temp file is complete but before the rename: the
+    // previous image is still the current one, and the temp is whole.
+    store.write(a, b"version two").unwrap();
+    store.save_to(&tmp, b"meta-v2").expect("complete temp");
+    let (_, meta) = PageStore::load_from(&path, 4).expect("previous image still loads");
+    assert_eq!(meta, b"meta-v1", "rename never happened");
+    let (_, meta) = PageStore::load_from(&tmp, 4).expect("complete temp loads");
+    assert_eq!(meta, b"meta-v2");
+
     // Crash while the temp file is half-written: the current file is
     // untouched, and the torn temp image is rejected.
-    store.write(a, b"version two").unwrap();
-    store
-        .save_to_crashing(&path, b"meta-v2", SaveCrash::MidTemp { keep_bytes: 100 })
-        .expect("simulated crash is not an error");
+    let file = std::fs::OpenOptions::new().write(true).open(&tmp).unwrap();
+    file.set_len(100).unwrap();
     let (back, meta) = PageStore::load_from(&path, 4).expect("previous image loads");
     assert_eq!(meta, b"meta-v1");
     assert_eq!(
@@ -282,14 +291,6 @@ fn mid_save_crash_recovers_to_the_previous_image() {
         ),
         "torn temp image must fail closed: {torn:?}"
     );
-
-    // Crash after the temp file is complete but before the rename: the
-    // previous image is still the current one.
-    store
-        .save_to_crashing(&path, b"meta-v2", SaveCrash::BeforeRename)
-        .expect("simulated crash is not an error");
-    let (_, meta) = PageStore::load_from(&path, 4).expect("previous image still loads");
-    assert_eq!(meta, b"meta-v1", "rename never happened");
 
     // An uninterrupted save then supersedes it.
     store.save_to(&path, b"meta-v2").expect("clean save");

@@ -415,3 +415,20 @@ fn a_checkpoint_with_a_meta_file_beside_it_is_refused() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The owner region has no bound of its own beyond the format's `u32`
+/// length: a 17 MiB owner state — more than a checkpoint of ≈ 300 k open
+/// pieces carries — saves and reopens byte for byte.
+#[test]
+fn a_17_mib_owner_region_round_trips_byte_for_byte() {
+    let path = temp("owner-17mib.idx");
+    let mut tree = PprTree::new(PprParams::default());
+    tree.insert(7, Rect2::point(Point2::new(0.5, 0.5)), 3)
+        .unwrap();
+    let owner: Vec<u8> = (0..17u32 << 20).map(|i| (i % 251) as u8).collect();
+    tree.save_with_owner(&path, &owner).unwrap();
+    let (back, state) = PprTree::open_with_owner(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(state == owner, "the owner region came back changed");
+    assert_eq!(back.num_pages(), tree.num_pages());
+}
